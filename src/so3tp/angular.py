@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -94,21 +94,13 @@ def cg_zero(l1: int, l2: int, l3: int) -> SqrtRational:
     return cg(l1, 0, l2, 0, l3, 0)
 
 
-def _wigner_d_small(j: int, beta: float) -> np.ndarray:
-    """Real d^j(beta), indexed [m' + j, m + j]."""
-    d = np.zeros((2 * j + 1, 2 * j + 1))
-    cb = math.cos(beta / 2.0)
-    sb = math.sin(beta / 2.0)
-    for mp in range(-j, j + 1):
-        for m in range(-j, j + 1):
-            norm = math.sqrt(_fact(j + mp) * _fact(j - mp) * _fact(j + m) * _fact(j - m))
-            total = 0.0
-            for k in range(max(0, m - mp), min(j + m, j - mp) + 1):
-                num = (-1.0) ** (mp - m + k)
-                den = _fact(j + m - k) * _fact(k) * _fact(mp - m + k) * _fact(j - mp - k)
-                total += num / den * cb ** (2 * j + m - mp - 2 * k) * sb ** (mp - m + 2 * k)
-            d[mp + j, m + j] = norm * total
-    return d
+@lru_cache(maxsize=128)
+def _jy_eigenvectors(j: int) -> np.ndarray:
+    """Unitary V with J_y = V diag(m) V^H, columns ordered m = -j..j."""
+    m = np.arange(-j, j)
+    # <m+1| J_y |m> = sqrt((j - m)(j + m + 1)) / 2i; J_y is Hermitian
+    jy = np.diag(np.sqrt((j - m) * (j + m + 1.0)) / 2j, k=-1)
+    return np.linalg.eigh(jy + jy.conj().T)[1]
 
 
 def wigner_d_matrix(j: int, alpha: float, beta: float, gamma: float) -> np.ndarray:
@@ -120,8 +112,10 @@ def wigner_d_matrix(j: int, alpha: float, beta: float, gamma: float) -> np.ndarr
     """
     if j < 0:
         raise ValueError("j must be non-negative")
-    d = _wigner_d_small(j, beta)
     m = np.arange(-j, j + 1)
+    V = _jy_eigenvectors(j)
+    # d^j(beta) = exp(-i beta J_y), real for the Condon-Shortley basis
+    d = ((V * np.exp(-1j * m * beta)) @ V.conj().T).real
     return np.exp(-1j * m[:, None] * alpha) * d * np.exp(-1j * m[None, :] * gamma)
 
 

@@ -25,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .angular import triangle_delta
 from .flops import FlopCounter
-from .sht import IrrepCoeffs, make_grid
-from .tenprod import cgtp_path, istp, sparse_pair_count, vstp
-from .tsh import TshCoeffs, valid_pairs
+from .sht import make_grid, random_coeffs
+from .tenprod import cgtp_full, cgtp_path, istp, sparse_pair_count, vstp
+from .tsh import TshCoeffs, random_tsh_coeffs
 
 __all__ = [
     "METHODS",
@@ -85,53 +86,25 @@ def _random_vec(j: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(2 * j + 1) + 1j * rng.standard_normal(2 * j + 1)
 
 
-def _random_irreps(L: int, rng: np.random.Generator, only: int | None = None) -> IrrepCoeffs:
-    degrees = [only] if only is not None else list(range(L + 1))
-    blocks = {(j, None): _random_vec(j, rng) for j in degrees}
-    return IrrepCoeffs(L=max(degrees), blocks=blocks)
-
-
-def _random_tsh(s: int, L: int, rng: np.random.Generator,
-                only: tuple[int, int] | None = None) -> TshCoeffs:
-    pairs = [only] if only is not None else valid_pairs(s, L)
-    blocks = {(j, l): _random_vec(j, rng) for j, l in pairs}
-    return TshCoeffs(s=s, L=max(l for _j, l in pairs), blocks=blocks)
-
-
 def _run_cgtp(mode: str, setting: str, L: int, rng: np.random.Generator) -> int:
+    if setting == "MIMO":
+        return cgtp_full(random_coeffs(L, rng), random_coeffs(L, rng), 2 * L, mode=mode).flops
     fl = FlopCounter()
-    if setting == "SISO":
-        x, y = _random_vec(L, rng), _random_vec(L, rng)
-        cgtp_path(x, y, L, mode=mode, flops=fl)
-    elif setting == "SIMO":
-        x, y = _random_vec(L, rng), _random_vec(L, rng)
-        for j3 in range(2 * L + 1):
-            cgtp_path(x, y, j3, mode=mode, flops=fl)
-    else:
-        x = _random_irreps(L, rng)
-        y = _random_irreps(L, rng)
-        for j1, xv in sorted(x.single_per_degree().items()):
-            for j2, yv in sorted(y.single_per_degree().items()):
-                for j3 in range(abs(j1 - j2), min(j1 + j2, 2 * L) + 1):
-                    cgtp_path(xv, yv, j3, mode=mode, flops=fl)
+    x, y = _random_vec(L, rng), _random_vec(L, rng)
+    for j3 in ([L] if setting == "SISO" else range(2 * L + 1)):
+        cgtp_path(x, y, j3, mode=mode, flops=fl)
     return fl.count
 
 
 def _run_grid(s: int, setting: str, L: int, rng: np.random.Generator) -> int:
     grid = make_grid(2 * L)
-    if setting == "SISO":
-        x = _random_tsh(s, L, rng, only=(L, L))
-        y = _random_tsh(s, L, rng, only=(L, L))
-        res = istp(x, y, s, L, grid)
-    elif setting == "SIMO":
-        x = _random_tsh(s, L, rng, only=(L, L))
-        y = _random_tsh(s, L, rng, only=(L, L))
-        res = istp(x, y, s, 2 * L, grid)
+    if setting == "MIMO":
+        x = random_tsh_coeffs(s, L, rng)
+        y = random_tsh_coeffs(s, L, rng)
     else:
-        x = _random_tsh(s, L, rng)
-        y = _random_tsh(s, L, rng)
-        res = istp(x, y, s, 2 * L, grid)
-    return res.flops
+        x = TshCoeffs(s=s, L=L, blocks={(L, L): _random_vec(L, rng)})
+        y = TshCoeffs(s=s, L=L, blocks={(L, L): _random_vec(L, rng)})
+    return istp(x, y, s, L if setting == "SISO" else 2 * L, grid).flops
 
 
 def _run_cell(method: str, setting: str, L: int, rng: np.random.Generator) -> int:
@@ -333,8 +306,6 @@ def simulate_cgtp_all_paths(L: int, seed: int) -> int:
     rng = np.random.default_rng([seed, L])
     fl = FlopCounter()
     fl.add(1)  # the (0,0,0) scalar path
-    from .angular import triangle_delta
-
     for j1 in range(L + 1):
         for j2 in range(L + 1):
             x = _random_vec(j1, rng)

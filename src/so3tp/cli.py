@@ -19,14 +19,10 @@ from .rules import NotInteractable, PathKey, TriangleViolation
 from .sht import IrrepCoeffs, make_grid
 from .tsh import TshCoeffs, tsh_decode, tsh_encode
 
-_TOL_SENTINEL = -1.0
-
 
 def _print_config(args) -> None:
     cfg = {k: v for k, v in sorted(vars(args).items())
            if k not in ("func",) and v is not None}
-    if cfg.get("tolerance") == _TOL_SENTINEL:
-        cfg["tolerance"] = 1e-10
     print(f"config: {json.dumps(cfg, sort_keys=True, default=str)}")
 
 
@@ -223,18 +219,16 @@ def _cmd_bench_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     level = "full" if args.full else "quick"
-    override = None if args.tolerance == _TOL_SENTINEL else args.tolerance
     results, ok = verify.run_verify(level, seed=args.seed)
-    if override is not None:
+    if args.tolerance is not None:
         for r in results:
             if r.tolerance > 0:
-                r.tolerance = override
-                r.passed = r.max_dev <= override
+                r.tolerance = args.tolerance
+                r.passed = r.max_dev <= args.tolerance
         ok = all(r.passed for r in results)
     if args.json:
         payload = {
-            "config": {"level": level, "seed": args.seed,
-                       "tolerance": override if override is not None else 1e-10},
+            "config": {"level": level, "seed": args.seed, "tolerance": args.tolerance},
             "passed": ok,
             "checks": [{"name": r.name, "max_dev": r.max_dev, "tolerance": r.tolerance,
                         "passed": r.passed, "worst_case": r.worst_case,
@@ -252,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="so3tp",
         description="SO(3) tensor products on spherical grids")
-    parser.add_argument("--tolerance", type=float, default=_TOL_SENTINEL,
-                        help="override tolerance for non-exact verify checks "
-                             "(default 1e-10)")
+    parser.add_argument("--tolerance", type=float, default=None,
+                        help="one tolerance for every non-exact verify check "
+                             "(default: each check keeps its own)")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 

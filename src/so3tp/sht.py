@@ -16,6 +16,12 @@ transforms are the separable O(Lg^3) method: an associated-Legendre
 contraction over theta and a plain DFT matrix product over phi (fixed
 summation order, deterministic).
 
+The transform cores see one coefficient layout, the padded array
+cpad[m + L, l - |m|, c]: order m indexes a row of degrees l = |m|..L,
+left-aligned and zero beyond, and c indexes signal components (one for
+scalar signals, 2s+1 for spin signals).  Each transform runs one batched
+Legendre matmul and one phi product for all components at once.
+
 Analysis integrates against conj(Y^m_l); spherical harmonic expansions use
 plain Y^m_l.  Coefficient containers carry one complex block per degree j,
 optionally tagged (tags distinguish multiplicity, e.g. source paths).
@@ -38,24 +44,24 @@ def _dft_matrix(n_phi: int, L: int, sign: int) -> np.ndarray:
     return np.exp(sign * 1j * np.outer(ms, phi))
 
 
-@lru_cache(maxsize=256)
-def _padded_legendre(Lg: int, L: int):
-    """Zero-padded Legendre tables for batched theta contractions.
+def _padded_index(L: int, l, m):
+    """Flat index of (l, m) in the padded layout [m + L, l - |m|] of band limit L.
 
-    Returns (lam_pad, rows, cols, lis): lam_pad[m+L, i, li] holds
-    Lambda^m_{|m|+li}(cos theta_i), and the index triplet maps the packed
-    (l, m) coefficient layout onto the padded (m, li) layout.
+    This layout is the one the transform cores read and write: row m + L
+    holds degrees l = |m|..L, left-aligned, so every order contracts with
+    one zero-padded Legendre table of L + 1 columns.
     """
+    return (m + L) * (L + 1) + l - abs(m)
+
+
+@lru_cache(maxsize=256)
+def _padded_legendre(Lg: int, L: int) -> np.ndarray:
+    """lam_pad[m + L, i, l - |m|] = Lambda^m_l(cos theta_i), zero past l = L."""
     grid = make_grid(Lg)
     lam_pad = np.zeros((2 * L + 1, grid.n_theta, L + 1))
     for m in range(-L, L + 1):
         lam_pad[m + L, :, : L - abs(m) + 1] = grid.lam(m)[:, : L - abs(m) + 1]
-    ms = np.arange(-L, L + 1)
-    lens = L + 1 - np.abs(ms)
-    cols = np.repeat(ms + L, lens)
-    lis = np.concatenate([np.arange(n) for n in lens])
-    rows = np.abs(cols - L) + lis
-    return lam_pad, rows, cols, lis
+    return lam_pad
 
 from .angular import cg, cg_zero
 from .flops import FlopCounter
@@ -230,37 +236,39 @@ def sh_eval(l: int, m: int, theta, phi):
     return complex(out.ravel()[0]) if scalar else out
 
 
-def _synthesis_core(cmat: np.ndarray, grid: SphereGrid, L: int,
+def _synthesis_core(cpad: np.ndarray, grid: SphereGrid, L: int,
                     flops: FlopCounter | None) -> np.ndarray:
-    """Grid samples from a packed coefficient matrix cmat[l, m+L]."""
-    n_theta = grid.n_theta
-    lam_pad, rows, cols, lis = _padded_legendre(grid.Lg, L)
-    cpad = np.zeros((2 * L + 1, L + 1), dtype=complex)
-    cpad[cols, lis] = cmat[rows, cols]
-    # G[i, m+L] = sum_l Lambda^m_l c^{(l)}_m, batched over m
-    G = (np.einsum("mil,ml->im", lam_pad, cpad.real)
-         + 1j * np.einsum("mil,ml->im", lam_pad, cpad.imag))
-    values = G @ _dft_matrix(grid.n_phi, L, +1)
+    """Grid samples [i, k, c] from padded coefficients cpad[m + L, l - |m|, c].
+
+    All components c share one Legendre contraction and one phi product.
+    """
+    n_comp = cpad.shape[-1]
+    lam_pad = _padded_legendre(grid.Lg, L)
+    # G[m+L, i, c] = sum_l Lambda^m_l c^{(l)}_{m,c}: one real batched matmul
+    # over the interleaved real/imag columns
+    G = (lam_pad @ cpad.view(float)).view(complex)
+    G = G.transpose(1, 2, 0).reshape(grid.n_theta * n_comp, 2 * L + 1)
+    values = (G @ _dft_matrix(grid.n_phi, L, +1)).reshape(grid.n_theta, n_comp, grid.n_phi)
     if flops is not None:
-        flops.add(n_theta * (L + 1) ** 2 + n_theta * (2 * L + 1) * grid.n_phi)
-    return values
+        flops.add(n_comp * (grid.n_theta * (L + 1) ** 2
+                            + grid.n_theta * (2 * L + 1) * grid.n_phi))
+    return values.transpose(0, 2, 1)
 
 
 def _analysis_core(values: np.ndarray, grid: SphereGrid, L: int,
                    flops: FlopCounter | None) -> np.ndarray:
-    """Packed coefficient matrix xmat[l, m+L] from grid samples."""
-    n_theta = grid.n_theta
-    F = values @ _dft_matrix(grid.n_phi, L, -1).T * (2.0 * np.pi / grid.n_phi)
-    Fw = F * grid.theta_weights[:, None]
-    lam_pad, rows, cols, lis = _padded_legendre(grid.Lg, L)
-    # xpad[m+L, li] = sum_i w_i Lambda^m_{|m|+li} F[i, m+L], batched over m
-    xpad = (np.einsum("mil,im->ml", lam_pad, Fw.real)
-            + 1j * np.einsum("mil,im->ml", lam_pad, Fw.imag))
-    xmat = np.zeros((L + 1, 2 * L + 1), dtype=complex)
-    xmat[rows, cols] = xpad[cols, lis]
+    """Padded coefficients xpad[m + L, l - |m|, c] from grid samples [i, k, c]."""
+    n_comp = values.shape[-1]
+    F = (values.transpose(0, 2, 1).reshape(grid.n_theta * n_comp, grid.n_phi)
+         @ _dft_matrix(grid.n_phi, L, -1).T).reshape(grid.n_theta, n_comp, 2 * L + 1)
+    F *= grid.theta_weights[:, None, None] * (2.0 * np.pi / grid.n_phi)
+    F = np.ascontiguousarray(F.transpose(2, 0, 1))
+    # xpad[m+L, l-|m|, c] = sum_i w_i Lambda^m_l F[m+L, i, c], batched over m
+    xpad = (_padded_legendre(grid.Lg, L).transpose(0, 2, 1) @ F.view(float)).view(complex)
     if flops is not None:
-        flops.add(n_theta * grid.n_phi * (2 * L + 1) + n_theta * (L + 1) ** 2)
-    return xmat
+        flops.add(n_comp * (grid.n_theta * grid.n_phi * (2 * L + 1)
+                            + grid.n_theta * (L + 1) ** 2))
+    return xpad
 
 
 def to_sphere(x: IrrepCoeffs, grid: SphereGrid, flops: FlopCounter | None = None) -> ScalarSignal:
@@ -272,10 +280,11 @@ def to_sphere(x: IrrepCoeffs, grid: SphereGrid, flops: FlopCounter | None = None
     if grid.Lg < x.L:
         raise ValueError(f"grid exactness degree {grid.Lg} < band limit {x.L}")
     L = x.L
-    cmat = np.zeros((L + 1, 2 * L + 1), dtype=complex)  # [l, m+L]
+    cpad = np.zeros((2 * L + 1) * (L + 1), dtype=complex)
     for l, vec in x.single_per_degree().items():
-        cmat[l, L - l:L + l + 1] = vec
-    return ScalarSignal(grid=grid, values=_synthesis_core(cmat, grid, L, flops))
+        cpad[_padded_index(L, l, np.arange(-l, l + 1))] = vec
+    values = _synthesis_core(cpad.reshape(2 * L + 1, L + 1, 1), grid, L, flops)
+    return ScalarSignal(grid=grid, values=values[:, :, 0])
 
 
 def from_sphere(f: ScalarSignal, L: int, flops: FlopCounter | None = None) -> IrrepCoeffs:
@@ -286,8 +295,8 @@ def from_sphere(f: ScalarSignal, L: int, flops: FlopCounter | None = None) -> Ir
     grid = f.grid
     if L > grid.Lg:
         raise ValueError(f"analysis degree {L} > grid exactness degree {grid.Lg}")
-    xmat = _analysis_core(f.values, grid, L, flops)
-    return IrrepCoeffs(L=L, blocks={(l, None): xmat[l, L - l:L + l + 1].copy()
+    xpad = _analysis_core(f.values[:, :, None], grid, L, flops).reshape(-1)
+    return IrrepCoeffs(L=L, blocks={(l, None): xpad[_padded_index(L, l, np.arange(-l, l + 1))]
                                     for l in range(L + 1)})
 
 

@@ -10,11 +10,13 @@ total degree j:
 defined for key triples with {j, l, s} = 1.  Coefficient containers are
 keyed by (j, l); a degree-j block is a complex vector indexed mj = -j..j.
 
-Encode/decode factor through the scalar transforms: the coupling step
-turns (j, l) blocks into per-component scalar coefficients (sparse in mj =
-ml + ms), then one scalar synthesis or analysis runs per spin component.
-Decoding inverts the coupling by Clebsch-Gordan orthogonality, so
-decode(encode(x)) = x whenever the grid resolves the band limit.
+Encode/decode factor through the scalar transform cores: one sparse
+coupling table per block set (one entry per (block, ml, ms) with mj =
+ml + ms in range) scatters the (j, l) blocks into the padded spin layout
+of ``sht``, then a single synthesis or analysis handles all 2s+1
+components.  Decoding gathers through the same table, inverting the
+coupling by Clebsch-Gordan orthogonality, so decode(encode(x)) = x
+whenever the grid resolves the band limit.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .angular import cg_float, triangle_delta, wigner_d_matrix
 from .flops import FlopCounter
-from .sht import SphereGrid, _analysis_core, _synthesis_core, make_grid, sh_eval
+from .sht import SphereGrid, _analysis_core, _padded_index, _synthesis_core, make_grid, sh_eval
 
 __all__ = [
     "SpinSignal",
@@ -136,56 +138,29 @@ def tsh_eval(j: int, m_j: int, l: int, s: int, theta, phi) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _coupling_matrix(j: int, l: int, s: int) -> np.ndarray:
-    """W[ml + l, ms + s] = C^{j, ml+ms}_{l, ml, s, ms}, zero out of range."""
-    W = np.zeros((2 * l + 1, 2 * s + 1))
-    for m_l in range(-l, l + 1):
-        for m_s in range(-s, s + 1):
-            if abs(m_l + m_s) <= j:
-                W[m_l + l, m_s + s] = cg_float(l, m_l, s, m_s, j, m_l + m_s)
-    return W
+@lru_cache(maxsize=128)
+def _coupling_table(s: int, keys: tuple, L: int):
+    """Sparse Clebsch-Gordan coupling between packed (j, l) blocks and the padded layout.
 
-
-def _ml_band(j: int, l: int, m_s: int) -> tuple[int, int]:
-    """Inclusive ml range coupling into |ml + ms| <= j."""
-    return max(-l, -j - m_s), min(l, j - m_s)
-
-
-@lru_cache(maxsize=None)
-def _coupling_plan(j: int, l: int, s: int):
-    """Banded slices for coupling one (j, l) block: (W, bands, macs).
-
-    bands holds (ms + s, ml slice into the W/B tables, mj slice into the
-    degree-j block) per spin component.
+    ``keys`` lists the blocks in packing order (their vectors concatenated);
+    ``L`` is the band limit of the padded spin layout cpad[m + L, l - |m|,
+    ms + s].  Returns (src, slot, weight): entry k couples packed
+    coefficient src[k] into flat padded slot slot[k] with weight
+    C^{j, ml+ms}_{l, ml, s, ms}.  There is one entry per (block, ml, ms)
+    with |ml + ms| <= j, so the table length is the coupling MAC count.
     """
-    W = _coupling_matrix(j, l, s)
-    bands = []
-    macs = 0
-    for m_s in range(-s, s + 1):
-        lo, hi = _ml_band(j, l, m_s)
-        if lo > hi:
-            continue
-        bands.append((m_s + s, slice(lo + l, hi + l + 1),
-                      slice(lo + m_s + j, hi + m_s + j + 1)))
-        macs += hi - lo + 1
-    return W, tuple(bands), macs
+    def entries():
+        offset = 0
+        for j, l in keys:
+            for m_s in range(-s, s + 1):
+                for m_l in range(max(-l, -j - m_s), min(l, j - m_s) + 1):
+                    yield (offset + j + m_l + m_s,
+                           _padded_index(L, l, m_l) * (2 * s + 1) + m_s + s,
+                           cg_float(l, m_l, s, m_s, j, m_l + m_s))
+            offset += 2 * j + 1
 
-
-def _couple_to_scalar(x: TshCoeffs, flops: FlopCounter | None):
-    """Per-component scalar coefficients B[l][ms+s, ml+l] from (j, l) blocks."""
-    s = x.s
-    B: dict[int, np.ndarray] = {}
-    macs = 0
-    for (j, l), vec in x.items():
-        tab = B.setdefault(l, np.zeros((2 * s + 1, 2 * l + 1), dtype=complex))
-        W, bands, n = _coupling_plan(j, l, s)
-        for comp, ml_slice, mj_slice in bands:
-            tab[comp, ml_slice] += W[ml_slice, comp] * vec[mj_slice]
-        macs += n
-    if flops is not None:
-        flops.add(macs)
-    return B
+    table = np.fromiter(entries(), dtype=[("src", np.intp), ("slot", np.intp), ("weight", float)])
+    return table["src"], table["slot"], table["weight"]
 
 
 def tsh_encode(x: TshCoeffs, grid: SphereGrid, flops: FlopCounter | None = None) -> SpinSignal:
@@ -193,21 +168,23 @@ def tsh_encode(x: TshCoeffs, grid: SphereGrid, flops: FlopCounter | None = None)
     if grid.Lg < x.L:
         raise ValueError(f"grid exactness degree {grid.Lg} < band limit {x.L}")
     s = x.s
-    B = _couple_to_scalar(x, flops)
-    Lb = max(B) if B else 0
-    values = np.empty((grid.n_theta, grid.n_phi, 2 * s + 1), dtype=complex)
-    for comp in range(2 * s + 1):
-        cmat = np.zeros((Lb + 1, 2 * Lb + 1), dtype=complex)
-        for l, tab in B.items():
-            cmat[l, Lb - l:Lb + l + 1] = tab[comp]
-        values[:, :, comp] = _synthesis_core(cmat, grid, Lb, flops)
-    return SpinSignal(s=s, grid=grid, values=values)
+    keys = tuple(sorted(x.blocks))
+    L = max((l for _j, l in keys), default=0)
+    src, slot, weight = _coupling_table(s, keys, L)
+    packed = np.concatenate([x.blocks[key] for key in keys] or [np.zeros(0, complex)])
+    terms = packed[src] * weight
+    size = (2 * L + 1) * (L + 1) * (2 * s + 1)
+    cpad = (np.bincount(slot, terms.real, size)
+            + 1j * np.bincount(slot, terms.imag, size)).reshape(2 * L + 1, L + 1, 2 * s + 1)
+    if flops is not None:
+        flops.add(src.size)
+    return SpinSignal(s=s, grid=grid, values=_synthesis_core(cpad, grid, L, flops))
 
 
 def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCoeffs:
     """Analyze a spin-s signal into (j, l) blocks with l <= L.
 
-    Component-wise scalar analysis produces B^l_{ml,ms}; Clebsch-Gordan
+    One analysis of all components produces B^l_{ml,ms}; Clebsch-Gordan
     orthogonality then extracts each block:
     z^(j,l)_{mj} = sum_{ml,ms} C^{j,mj}_{l,ml,s,ms} B^l_{ml,ms}.
     """
@@ -215,20 +192,15 @@ def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCo
     if L > grid.Lg:
         raise ValueError(f"analysis degree {L} > grid exactness degree {grid.Lg}")
     s = f.s
-    xmats = [_analysis_core(f.values[:, :, c], grid, L, flops) for c in range(2 * s + 1)]
-    blocks = {}
-    macs = 0
-    for j, l in valid_pairs(s, L):
-        vec = np.zeros(2 * j + 1, dtype=complex)
-        W, bands, n = _coupling_plan(j, l, s)
-        shift = L - l  # block-relative ml slice -> xmat column slice
-        for comp, ml_slice, mj_slice in bands:
-            col = slice(ml_slice.start + shift, ml_slice.stop + shift)
-            vec[mj_slice] += W[ml_slice, comp] * xmats[comp][l, col]
-        blocks[(j, l)] = vec
-        macs += n
+    keys = tuple(valid_pairs(s, L))
+    src, slot, weight = _coupling_table(s, keys, L)
+    terms = _analysis_core(f.values, grid, L, flops).reshape(-1)[slot] * weight
+    sizes = [2 * j + 1 for j, _l in keys]
+    size = sum(sizes)
+    packed = np.bincount(src, terms.real, size) + 1j * np.bincount(src, terms.imag, size)
     if flops is not None:
-        flops.add(macs)
+        flops.add(src.size)
+    blocks = dict(zip(keys, np.split(packed, np.cumsum(sizes)[:-1])))
     return TshCoeffs(s=s, L=L, blocks=blocks)
 
 

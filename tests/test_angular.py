@@ -151,6 +151,15 @@ def test_wigner_d_unitary():
             assert err <= 1e-12, (j, a, b, g, err)
 
 
+@pytest.mark.parametrize("j", [32, 48, 64])
+def test_wigner_d_unitary_high_degree(j):
+    rng = np.random.default_rng(j)
+    for _ in range(3):
+        a, b, g = rng.uniform(0, 2 * np.pi, 3)
+        D = wigner_d_matrix(j, a, b, g)
+        assert np.abs(D @ D.conj().T - np.eye(2 * j + 1)).max() <= 1e-12, (a, b, g)
+
+
 def test_wigner_d_composition():
     # D(g1)D(g2) must itself be a rotation matrix: check via group action on
     # z-rotations, D(a,b,g) = D(a,0,0)D(0,b,0)D(0,0,g)

@@ -29,6 +29,33 @@ def test_mimo_naive_flops_is_path_sum():
     assert recs[0].flops == 1 + 9 + 9 + 9 + 27 + 45
 
 
+# MAC counts at L = 2, 4, 8 for every method and setting; a refactor must
+# reproduce them exactly
+_PINNED_FLOPS = {
+    ("cgtp_naive", "SISO"): (125, 729, 4913),
+    ("cgtp_naive", "SIMO"): (625, 6561, 83521),
+    ("cgtp_naive", "MIMO"): (1225, 27225, 938961),
+    ("cgtp_sparse", "SISO"): (19, 61, 217),
+    ("cgtp_sparse", "SIMO"): (85, 489, 3281),
+    ("cgtp_sparse", "MIMO"): (195, 2501, 47241),
+    ("gtp_grid", "SISO"): (874, 5002, 33418),
+    ("gtp_grid", "SIMO"): (1150, 6786, 46138),
+    ("gtp_grid", "MIMO"): (1158, 6818, 46266),
+    ("vstp_grid", "SISO"): (2830, 15726, 102910),
+    ("vstp_grid", "SIMO"): (3738, 21382, 142254),
+    ("vstp_grid", "MIMO"): (3830, 21706, 143474),
+    ("istp_grid", "SISO"): (5070, 27462, 176214),
+    ("istp_grid", "SIMO"): (6690, 37342, 243654),
+    ("istp_grid", "MIMO"): (6906, 38158, 246870),
+}
+
+
+@pytest.mark.parametrize("method,setting", sorted(_PINNED_FLOPS))
+def test_flops_pinned(method, setting):
+    recs = run_bench(method, setting, [2, 4, 8], repeats=1, seed=0)
+    assert tuple(r.flops for r in recs) == _PINNED_FLOPS[(method, setting)]
+
+
 def test_flops_deterministic_and_data_independent():
     a = run_bench("vstp_grid", "MIMO", [2, 4], repeats=3, seed=1)
     b = run_bench("vstp_grid", "MIMO", [2, 4], repeats=1, seed=999)

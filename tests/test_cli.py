@@ -205,6 +205,27 @@ def test_verify_json_report(capsys):
         <= set(payload["checks"][0])
 
 
+def test_verify_default_tolerance_is_per_check(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--quick")
+    assert code == 0
+    assert "tolerance" not in out.splitlines()[0]
+    code, out, _ = run_cli(capsys, "verify", "--quick", "--json")
+    payload = json.loads(out)
+    assert payload["config"]["tolerance"] is None
+    assert len({c["tolerance"] for c in payload["checks"]}) > 1
+
+
+def test_verify_tolerance_override(capsys):
+    code, out, _ = run_cli(capsys, "--tolerance", "1e-3", "verify", "--quick")
+    assert code == 0
+    assert '"tolerance": 0.001' in out.splitlines()[0]
+    code, out, _ = run_cli(capsys, "--tolerance", "1e-3", "verify", "--quick", "--json")
+    payload = json.loads(out)
+    assert payload["config"]["tolerance"] == 1e-3
+    assert {c["tolerance"] for c in payload["checks"]} <= {0.0, 1e-3}
+    assert any(c["tolerance"] == 1e-3 for c in payload["checks"])
+
+
 def test_verify_detects_injected_fault(capsys, monkeypatch):
     # flip the sign of one CG value: the exact reorder symmetry must fail
     from so3tp import angular, verify

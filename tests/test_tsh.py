@@ -78,6 +78,45 @@ def test_encode_single_block_matches_eval():
     np.testing.assert_allclose(sig.values, tsh_eval(0, 0, 1, 1, th, ph), atol=1e-14)
 
 
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_encode_matches_pointwise_eval(s, rng):
+    # loop-form reference: tsh_evaluate sums tsh_eval over every coefficient
+    L = 4
+    g = make_grid(L)
+    x = random_tsh_coeffs(s, L, rng)
+    th, ph = grid_angles(g)
+    assert np.abs(tsh_encode(x, g).values - tsh_evaluate(x, th, ph)).max() <= 1e-12
+
+
+def _scalar_synthesis_macs(g, L):
+    # the closed form pinned by test_sht.test_transform_flop_counts
+    return g.n_theta * (L + 1) ** 2 + g.n_theta * (2 * L + 1) * g.n_phi
+
+
+def _coupling_pairs(s, keys):
+    return sum(1 for j, l in keys for m_l in range(-l, l + 1) for m_s in range(-s, s + 1)
+               if abs(m_l + m_s) <= j)
+
+
+@pytest.mark.parametrize("s,single", [(0, None), (1, None), (2, None),
+                                      (0, (2, 2)), (1, (2, 3)), (2, (1, 3))])
+def test_transform_macs_closed_form(s, single, rng):
+    L = 4
+    g = make_grid(L + 1)
+    x = random_tsh_coeffs(s, L, rng)
+    if single is not None:
+        x = TshCoeffs(s=s, L=L, blocks={single: x.block(*single)})
+    band = max(l for _j, l in x.blocks)
+    fl = FlopCounter()
+    f = tsh_encode(x, g, flops=fl)
+    assert fl.count == ((2 * s + 1) * _scalar_synthesis_macs(g, band)
+                        + _coupling_pairs(s, x.blocks))
+    fl = FlopCounter()
+    tsh_decode(f, L, flops=fl)
+    analysis = g.n_theta * g.n_phi * (2 * L + 1) + g.n_theta * (L + 1) ** 2
+    assert fl.count == (2 * s + 1) * analysis + _coupling_pairs(s, valid_pairs(s, L))
+
+
 def test_encode_rejects_small_grid(rng):
     x = random_tsh_coeffs(1, 4, rng)
     with pytest.raises(ValueError):
@@ -98,6 +137,18 @@ def test_decode_recovers_single_block(rng):
     for (j, l), block in z.items():
         expect = vec if (j, l) == (2, 3) else 0.0
         assert np.abs(block - expect).max() <= 1e-12, (j, l)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_decode_recovers_each_block(s, rng):
+    L = 4
+    g = make_grid(L)
+    for key in valid_pairs(s, L):
+        vec = rng.standard_normal(2 * key[0] + 1) + 1j * rng.standard_normal(2 * key[0] + 1)
+        z = tsh_decode(tsh_encode(TshCoeffs(s=s, L=L, blocks={key: vec}), g), L)
+        for other, block in z.items():
+            expect = vec if other == key else 0.0
+            assert np.abs(block - expect).max() <= 1e-12, (key, other)
 
 
 @pytest.mark.parametrize("s,L", [(0, 8), (1, 4), (1, 16), (2, 8)])
@@ -139,6 +190,21 @@ def test_decode_against_pointwise_quadrature(rng):
             basis = tsh_eval(j, m_j, l, s, th, ph)
             val = (f.values * np.conj(basis) * w[..., None]).sum()
             assert abs(val - x.block(j, l)[m_j + j]) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_decode_matches_pointwise_quadrature(s, rng):
+    # loop-form reference: project each component onto tsh_eval by quadrature
+    L = 4
+    g = make_grid(2 * L)
+    f = tsh_encode(random_tsh_coeffs(s, 2 * L, rng), g)
+    z = tsh_decode(f, L)
+    th, ph = grid_angles(g)
+    w = sphere_quadrature_weights(g)[..., None]
+    for j, l in valid_pairs(s, L):
+        expect = [(f.values * np.conj(tsh_eval(j, m_j, l, s, th, ph)) * w).sum()
+                  for m_j in range(-j, j + 1)]
+        assert np.abs(z.block(j, l) - expect).max() <= 1e-12, (j, l)
 
 
 def test_equivariance(rng):
