@@ -8,6 +8,7 @@ harness.
 
 from .angular import (
     cg,
+    cg_block,
     cg_float,
     cg_zero,
     rotation_matrix,
@@ -64,6 +65,7 @@ __all__ = [
     "SqrtRational",
     "triangle_delta",
     "cg",
+    "cg_block",
     "cg_float",
     "cg_zero",
     "wigner_d_matrix",

@@ -6,13 +6,18 @@ rotations.  The rotation of degree-j coefficient vectors is ``x' = D x``
 with ``D = wigner_d_matrix(j, alpha, beta, gamma)``; a rotation about z by
 ``t`` has diagonal entries ``exp(-1j * m * t)``.
 
-Clebsch-Gordan values come from the Racah closed-form sum evaluated in
-exact rational arithmetic.  The general 9j symbol is the recoupling inner
-product between the two coupling orders of four momenta, evaluated by
-contracting six CG coefficients over all magnetic quantum numbers -- slow
-but exact, which is what the selection-rule machinery requires.  A
-closed-form fast path covers the grids with unit spins in the third
-column.
+Clebsch-Gordan values come in two forms.  ``cg`` evaluates the Racah
+closed-form sum in exact rational arithmetic; it serves the selection
+rules and the test oracles.  ``cg_block`` returns a whole float block
+C^{j3,m1+m2}_{j1,m1,j2,m2}, read from the eigenvectors of J^2 on each
+total-M subspace, for j1 + j2 <= 130; it serves the products, so no
+product evaluates an exact coefficient.
+
+The general 9j symbol is the recoupling inner product between the two
+coupling orders of four momenta, evaluated by contracting six CG
+coefficients over all magnetic quantum numbers -- slow but exact, which
+is what the selection-rule machinery requires.  A closed-form fast path
+covers the grids with unit spins in the third column.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "triangle_delta",
     "cg",
     "cg_float",
+    "cg_block",
     "cg_zero",
     "wigner_d_matrix",
     "wigner_9j",
@@ -87,6 +93,94 @@ def cg(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int) -> SqrtRational:
 @cache
 def cg_float(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int) -> float:
     return float(cg(j1, m1, j2, m2, j3, m3))
+
+
+CG_BLOCK_MAX = 130  # largest j1 + j2 that cg_block serves
+
+
+def cg_block(j1: int, j2: int, j3: int) -> np.ndarray:
+    """All C^{j3,m1+m2}_{j1,m1,j2,m2} as a read-only float array [m1+j1, m2+j2].
+
+    Entries with |m1 + m2| > j3 are zero.  Agrees with the exact ``cg`` to
+    1e-13 for j1 + j2 <= CG_BLOCK_MAX (130: every spin <= 2 coupling of
+    an L=64 product decoded at 128); degrees outside that range raise.
+    """
+    # one chained test on the hot path; it fails for every negative degree
+    if not abs(j1 - j2) <= j3 <= j1 + j2 <= CG_BLOCK_MAX:
+        if min(j1, j2, j3) < 0:
+            raise ValueError(f"degrees must be non-negative, got {(j1, j2, j3)}")
+        if not triangle_delta(j1, j2, j3):
+            raise ValueError(f"({j1}, {j2}, {j3}) violates the triangle condition")
+        raise ValueError(f"j1 + j2 = {j1 + j2} exceeds the float CG range {CG_BLOCK_MAX}")
+    return _cg_tensor(j1, j2)[j3 - abs(j1 - j2)]
+
+
+def _j2_eigenvectors(j1: int, j2: int) -> np.ndarray:
+    """CG columns up to sign: V[j3 - |j1 - j2|, m1 + j1, m2 + j2], zero past |M| = j3.
+
+    On the subspace of total M, J^2 is symmetric tridiagonal in the basis
+    |m1, M - m1>, and the CG column of each j3 >= |M| is its eigenvector
+    with eigenvalue j3(j3 + 1).  All subspaces go through one batched
+    eigh, padded to the common size n = 2 min(j1, j2) + 1 with negative
+    diagonal entries, so eigenvector k belongs to j3 = |j1 - j2| + k.
+    """
+    J, n = j1 + j2, 2 * min(j1, j2) + 1
+    M = np.arange(-J, J + 1)[:, None]
+    i = np.arange(n)
+    lo = np.maximum(-j1, M - j2)  # lowest m1 of each subspace
+    real = i < np.minimum(j1, M + j2) - lo + 1
+    m1 = lo + i
+    m2 = M - m1
+    # J^2 = J1^2 + J2^2 + 2 J1z J2z + J1+ J2- + J1- J2+ on |m1, M - m1>
+    H = np.zeros((2 * J + 1, n, n))
+    H[:, i, i] = np.where(real, j1 * (j1 + 1) + j2 * (j2 + 1) + 2.0 * m1 * m2, -1.0 - i)
+    # <m1+1, m2-1| J1+ J2- |m1, m2>; padded slots may go negative and are dropped
+    ladder = (j1 * (j1 + 1) - m1 * (m1 + 1)) * (j2 * (j2 + 1) - m2 * (m2 - 1.0))
+    H[:, i[1:], i[:-1]] = np.where(real[:, 1:], np.sqrt(np.abs(ladder[:, :-1])), 0.0)
+    V = np.linalg.eigh(H)[1].transpose(2, 0, 1)
+    a1 = np.arange(-j1, j1 + 1)[:, None]
+    Ma = a1 + np.arange(-j2, j2 + 1)  # total M of each (m1, m2) slot
+    vecs = np.ascontiguousarray(V[:, Ma + J, a1 - lo[Ma + J, 0]])
+    vecs[np.abs(Ma) > abs(j1 - j2) + i[:, None, None]] = 0.0
+    return vecs
+
+
+@lru_cache(maxsize=512)
+def _cg_tensor(j1: int, j2: int) -> np.ndarray:
+    """C[j3 - |j1 - j2|, m1 + j1, m2 + j2] for every j3, from J^2 eigenvectors.
+
+    Phases: the top state M = j3 has sign (-1)^(j1 - m1) (read at its
+    largest entry), and each lower state makes <v_{M-1}, J_- v_M> > 0.
+    """
+    T = _j2_eigenvectors(j1, j2)
+    J, n = j1 + j2, T.shape[0]
+    i = np.arange(n)
+    a1 = np.arange(-j1, j1 + 1)[:, None]
+    Ma = a1 + np.arange(-j2, j2 + 1)
+    j3 = abs(j1 - j2) + i[:, None, None]
+
+    # top-state sign, read at the largest entry of each M = j3 row
+    top = np.where(Ma == j3, T, 0.0).reshape(n, -1)
+    at = np.abs(top).argmax(axis=1)
+    top_sign = np.sign(top[i, at]) * (-1.0) ** (2 * j1 - at // (2 * j2 + 1))
+    # dots[k, M + J] = <v_M, J_- v_{M+1}>: anti-diagonal sums of T * (J_- T)
+    lowered = np.zeros_like(T)
+    a = np.arange(-j1 + 1, j1 + 1)
+    b = np.arange(-j2 + 1, j2 + 1)
+    lowered[:, :-1, :] += np.sqrt(j1 * (j1 + 1.0) - a * (a - 1))[:, None] * T[:, 1:, :]
+    lowered[:, :, :-1] += np.sqrt(j2 * (j2 + 1.0) - b * (b - 1)) * T[:, :, 1:]
+    lowered *= T
+    diag = (i[:, None, None] * (2 * J + 1) + Ma + J).ravel()
+    dots = np.bincount(diag, lowered.ravel(), n * (2 * J + 1)).reshape(n, 2 * J + 1)
+    Mrow, j3k = np.arange(-J, J + 1), j3[:, :, 0]
+    step = np.where(Mrow < j3k, np.sign(dots), np.where(Mrow == j3k, top_sign[:, None], 1.0))
+    # the sign of state (j3, M) is the top sign times every step from j3 down to M
+    T *= np.cumprod(step[:, ::-1], axis=1)[:, ::-1][:, Ma + J]
+    # impose C(-m1, -m2) = (-1)^(j1+j2-j3) C(m1, m2) exactly, which zeroes
+    # the m1 = m2 = 0 entry of every odd j1 + j2 + j3
+    T = 0.5 * (T + (-1.0) ** (j1 + j2 - j3) * T[:, ::-1, ::-1])
+    T.flags.writeable = False
+    return T
 
 
 def cg_zero(l1: int, l2: int, l3: int) -> SqrtRational:

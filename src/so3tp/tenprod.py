@@ -18,14 +18,12 @@ performed; counts are data independent and deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .angular import cg_float, triangle_delta
+from .angular import cg_block, triangle_delta
 from .flops import FlopCounter
 from .rules import PathKey, find_valid_ells, generalized_gaunt
 from .sht import IrrepCoeffs, SphereGrid, make_grid
@@ -63,63 +61,6 @@ def sparse_pair_count(j1: int, j2: int, j3: int) -> int:
     return full - t * (t + 1) if t > 0 else full
 
 
-@lru_cache(maxsize=4096)
-def _log_factorials(n: int) -> np.ndarray:
-    return np.array([math.lgamma(k + 1) for k in range(n + 1)])
-
-
-def _cg_block_float(j1: int, j2: int, j3: int) -> np.ndarray:
-    """All C^{j3,m1+m2}_{j1,m1,j2,m2} as array [m1+j1, m2+j2], via log-space Racah.
-
-    The Racah k-sum is evaluated with the largest term factored out, so
-    factorial products never overflow.  Relative accuracy ~1e-13 at the
-    degrees the benchmark harness visits.
-    """
-    lf = _log_factorials(j1 + j2 + j3 + 2)
-    I, J = 2 * j1 + 1, 2 * j2 + 1
-    m1 = np.arange(-j1, j1 + 1)
-    m2 = np.arange(-j2, j2 + 1)
-    M3 = m1[:, None] + m2[None, :]
-    valid_m = np.abs(M3) <= j3
-    kmax = min(j1 + j2 - j3, 2 * j1, 2 * j2)
-    ks = np.arange(kmax + 1)
-    # log denominator splits as A(k) + B(m1, k) + C(m2, k); invalid factorial
-    # arguments are marked inf so their terms vanish
-    A = lf[ks] + lf[j1 + j2 - j3 - ks]
-    b1 = j1 - m1[:, None] - ks[None, :]
-    b2 = j3 - j2 + m1[:, None] + ks[None, :]
-    B = np.where((b1 >= 0) & (b2 >= 0),
-                 lf[np.clip(b1, 0, None)] + lf[np.clip(b2, 0, None)], np.inf)
-    c1 = j2 + m2[:, None] - ks[None, :]
-    c2 = j3 - j1 - m2[:, None] + ks[None, :]
-    C = np.where((c1 >= 0) & (c2 >= 0),
-                 lf[np.clip(c1, 0, None)] + lf[np.clip(c2, 0, None)], np.inf)
-    lam = (A[None, :] + B)[:, None, :] + C[None, :, :]
-    lam_ref = lam.min(axis=-1)
-    lam_ref = np.where(np.isfinite(lam_ref), lam_ref, 0.0)
-    scaled = np.exp(lam_ref[..., None] - lam)  # exp(-inf) = 0 kills invalid k
-    ksum = (np.where(ks % 2 == 0, 1.0, -1.0) * scaled).sum(axis=-1)
-    log_pre = (math.log(2 * j3 + 1)
-               + lf[j1 + j2 - j3] + lf[j1 - j2 + j3] + lf[-j1 + j2 + j3]
-               - lf[j1 + j2 + j3 + 1]
-               + lf[j1 + m1[:, None]] + lf[j1 - m1[:, None]]
-               + lf[j2 + m2[None, :]] + lf[j2 - m2[None, :]]
-               + lf[np.clip(j3 + M3, 0, None)] + lf[np.clip(j3 - M3, 0, None)])
-    with np.errstate(divide="ignore"):
-        log_mag = 0.5 * log_pre + np.log(np.abs(ksum)) - lam_ref
-    return np.where(valid_m & (ksum != 0), np.sign(ksum) * np.exp(log_mag), 0.0)
-
-
-@lru_cache(maxsize=8192)
-def _cg_block(j1: int, j2: int, j3: int) -> np.ndarray:
-    """Dense C^{j3,m1+m2}_{j1,m1,j2,m2} as float array [m1+j1, m2+j2].
-
-    Values come from the vectorized log-space Racah sum; the exact
-    arithmetic path stays reserved for rule checks and oracles.
-    """
-    return _cg_block_float(j1, j2, j3)
-
-
 def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
               flops: FlopCounter | None = None) -> np.ndarray:
     """Single-path coupling z_{m3} = sum C^{j3,m3}_{j1,m1,j2,m2} x_{m1} y_{m2}.
@@ -138,7 +79,7 @@ def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
         raise ValueError(f"({j1}, {j2}, {j3}) violates the triangle condition")
     if mode not in ("naive", "sparse"):
         raise ValueError(f"unknown mode {mode!r}")
-    C2 = _cg_block(j1, j2, j3)
+    C2 = cg_block(j1, j2, j3)
     I, J, K = 2 * j1 + 1, 2 * j2 + 1, 2 * j3 + 1
     if mode == "naive":
         outer = np.multiply.outer(x, y).ravel()
@@ -197,6 +138,7 @@ def pointwise_spin_tp(f: SpinSignal, g: SpinSignal, s3: int,
     if not triangle_delta(s1, s2, s3):
         raise ValueError(f"spins ({s1}, {s2}, {s3}) violate the triangle condition")
     out = np.zeros(f.values.shape[:2] + (2 * s3 + 1,), dtype=complex)
+    C = cg_block(s1, s2, s3)
     pairs = 0
     for m1 in range(-s1, s1 + 1):
         for m2 in range(-s2, s2 + 1):
@@ -204,7 +146,7 @@ def pointwise_spin_tp(f: SpinSignal, g: SpinSignal, s3: int,
             if abs(m3) > s3:
                 continue
             pairs += 1
-            coef = cg_float(s1, m1, s2, m2, s3, m3)
+            coef = C[m1 + s1, m2 + s2]
             if coef:
                 out[:, :, m3 + s3] += coef * f.values[:, :, m1 + s1] * g.values[:, :, m2 + s2]
     if flops is not None:

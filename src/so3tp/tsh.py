@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import cg_float, triangle_delta, wigner_d_matrix
+from .angular import cg_block, cg_float, triangle_delta, wigner_d_matrix
 from .flops import FlopCounter
 from .sht import SphereGrid, _analysis_core, _padded_index, _synthesis_core, make_grid, sh_eval
 
@@ -144,23 +144,36 @@ def _coupling_table(s: int, keys: tuple, L: int):
 
     ``keys`` lists the blocks in packing order (their vectors concatenated);
     ``L`` is the band limit of the padded spin layout cpad[m + L, l - |m|,
-    ms + s].  Returns (src, slot, weight): entry k couples packed
-    coefficient src[k] into flat padded slot slot[k] with weight
-    C^{j, ml+ms}_{l, ml, s, ms}.  There is one entry per (block, ml, ms)
-    with |ml + ms| <= j, so the table length is the coupling MAC count.
+    ms + s].  Returns (src, slot, weight, src2, slot2): entry k couples
+    packed coefficient src[k] into flat padded slot slot[k] with weight
+    C^{j, ml+ms}_{l, ml, s, ms}, and src2/slot2 hold the doubled indices
+    (2i, 2i + 1) that address the same complex entries in an interleaved
+    float view.  There is one entry per (block, ml, ms) with |ml + ms| <= j,
+    so the table length is the coupling MAC count.
     """
-    def entries():
-        offset = 0
-        for j, l in keys:
-            for m_s in range(-s, s + 1):
-                for m_l in range(max(-l, -j - m_s), min(l, j - m_s) + 1):
-                    yield (offset + j + m_l + m_s,
-                           _padded_index(L, l, m_l) * (2 * s + 1) + m_s + s,
-                           cg_float(l, m_l, s, m_s, j, m_l + m_s))
-            offset += 2 * j + 1
+    ms = np.arange(-s, s + 1)[:, None]
+    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
+    offset = 0
+    for j, l in keys:
+        ml = np.arange(-l, l + 1)[None, :]
+        keep = np.abs(ml + ms) <= j
+        m_s, m_l = (a[keep] for a in np.broadcast_arrays(ms, ml))
+        parts.append((offset + j + m_l + m_s,
+                      _padded_index(L, l, m_l) * (2 * s + 1) + m_s + s,
+                      cg_block(l, s, j)[m_l + l, m_s + s]))
+        offset += 2 * j + 1
+    src, slot, weight = (np.concatenate(column) for column in zip(*parts))
+    return src, slot, weight, _interleaved(src), _interleaved(slot)
 
-    table = np.fromiter(entries(), dtype=[("src", np.intp), ("slot", np.intp), ("weight", float)])
-    return table["src"], table["slot"], table["weight"]
+
+def _interleaved(index: np.ndarray) -> np.ndarray:
+    """(2i, 2i + 1) per complex index i: the same entries of a float view."""
+    return (2 * index[:, None] + np.arange(2)).reshape(-1)
+
+
+def _scatter(index2: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+    """Complex bincount: one float bincount over the interleaved view of ``terms``."""
+    return np.bincount(index2, terms.view(float), 2 * size).view(complex)
 
 
 def tsh_encode(x: TshCoeffs, grid: SphereGrid, flops: FlopCounter | None = None) -> SpinSignal:
@@ -170,15 +183,15 @@ def tsh_encode(x: TshCoeffs, grid: SphereGrid, flops: FlopCounter | None = None)
     s = x.s
     keys = tuple(sorted(x.blocks))
     L = max((l for _j, l in keys), default=0)
-    src, slot, weight = _coupling_table(s, keys, L)
+    src, _slot, weight, _src2, slot2 = _coupling_table(s, keys, L)
     packed = np.concatenate([x.blocks[key] for key in keys] or [np.zeros(0, complex)])
-    terms = packed[src] * weight
-    size = (2 * L + 1) * (L + 1) * (2 * s + 1)
-    cpad = (np.bincount(slot, terms.real, size)
-            + 1j * np.bincount(slot, terms.imag, size)).reshape(2 * L + 1, L + 1, 2 * s + 1)
+    terms = packed[src]
+    terms *= weight
+    cpad = _scatter(slot2, terms, (2 * L + 1) * (L + 1) * (2 * s + 1))
     if flops is not None:
         flops.add(src.size)
-    return SpinSignal(s=s, grid=grid, values=_synthesis_core(cpad, grid, L, flops))
+    return SpinSignal(s=s, grid=grid, values=_synthesis_core(
+        cpad.reshape(2 * L + 1, L + 1, 2 * s + 1), grid, L, flops))
 
 
 def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCoeffs:
@@ -193,11 +206,11 @@ def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCo
         raise ValueError(f"analysis degree {L} > grid exactness degree {grid.Lg}")
     s = f.s
     keys = tuple(valid_pairs(s, L))
-    src, slot, weight = _coupling_table(s, keys, L)
-    terms = _analysis_core(f.values, grid, L, flops).reshape(-1)[slot] * weight
+    src, slot, weight, src2, _slot2 = _coupling_table(s, keys, L)
+    terms = _analysis_core(f.values, grid, L, flops).reshape(-1)[slot]
+    terms *= weight
     sizes = [2 * j + 1 for j, _l in keys]
-    size = sum(sizes)
-    packed = np.bincount(src, terms.real, size) + 1j * np.bincount(src, terms.imag, size)
+    packed = _scatter(src2, terms, sum(sizes))
     if flops is not None:
         flops.add(src.size)
     blocks = dict(zip(keys, np.split(packed, np.cumsum(sizes)[:-1])))
@@ -233,7 +246,6 @@ def tsh_orthonormality_check(s: int, L: int) -> float:
     pairs = valid_pairs(s, L)
     sigs = []
     for j, l in pairs:
-        x = TshCoeffs(s=s, L=L, blocks={})
         for m_j in range(-j, j + 1):
             vec = np.zeros(2 * j + 1, dtype=complex)
             vec[m_j + j] = 1.0

@@ -105,6 +105,23 @@ def check_cg_reorder(p, rng):
     return _result("cg_reorder_symmetry(exact)", 0.0, *worst, t0)
 
 
+def check_cg_block(p, rng):
+    t0 = time.perf_counter()
+    worst = (0.0, "")
+    jsum = p["jsum"]
+    pairs = [(j1, j2) for j1 in range(jsum + 1) for j2 in range(jsum + 1 - j1)]
+    for j1, j2 in pairs + list(p["edge"]):
+        for _ in range(p["samples"]):
+            j3 = int(rng.integers(abs(j1 - j2), j1 + j2 + 1))
+            m1 = int(rng.integers(-j1, j1 + 1))
+            m2 = int(rng.integers(-j2, j2 + 1))
+            m3 = m1 + m2
+            expect = angular.cg_float(j1, m1, j2, m2, j3, m3) if abs(m3) <= j3 else 0.0
+            dev = abs(angular.cg_block(j1, j2, j3)[m1 + j1, m2 + j2] - expect)
+            worst = _track(worst, dev, f"(j1,m1,j2,m2,j3)=({j1},{m1},{j2},{m2},{j3})")
+    return _result("cg_block_vs_exact", 1e-13, *worst, t0)
+
+
 def check_d_unitarity(p, rng):
     t0 = time.perf_counter()
     worst = (0.0, "")
@@ -666,6 +683,9 @@ _CHECKS = [
      {"quick": {"jmax": 2}, "full": {"jmax": 3}}),
     ("cg_reorder_symmetry", check_cg_reorder,
      {"quick": {"jmax": 2}, "full": {"jmax": 3}}),
+    ("cg_block_vs_exact", check_cg_block,
+     {"quick": {"jsum": 24, "samples": 4, "edge": ()},
+      "full": {"jsum": 24, "samples": 16, "edge": ((128, 2), (2, 128), (65, 65))}}),
     ("wigner_d_unitarity", check_d_unitarity,
      {"quick": {"jmax": 4, "rotations": 10}, "full": {"jmax": 8, "rotations": 50}}),
     ("wigner_d_product", check_d_product,

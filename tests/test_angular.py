@@ -9,7 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from so3tp.angular import (
+    CG_BLOCK_MAX,
     cg,
+    cg_block,
+    cg_float,
     cg_zero,
     triangle_delta,
     wigner_9j,
@@ -118,6 +121,45 @@ def test_cg_reorder_symmetry_exact():
                         if (l - ml) % 2:
                             rhs = -rhs
                         assert lhs == rhs, (j, mj, l, ml, s, ms)
+
+
+def test_cg_block_matches_exact():
+    # every entry, zeros included, for j1, j2 <= 5
+    for j1 in range(6):
+        for j2 in range(6):
+            for j3 in range(abs(j1 - j2), j1 + j2 + 1):
+                blk = cg_block(j1, j2, j3)
+                assert blk.shape == (2 * j1 + 1, 2 * j2 + 1)
+                for m1 in range(-j1, j1 + 1):
+                    for m2 in range(-j2, j2 + 1):
+                        expect = cg_float(j1, m1, j2, m2, j3, m1 + m2) if abs(m1 + m2) <= j3 else 0.0
+                        assert abs(blk[m1 + j1, m2 + j2] - expect) <= 1e-14, (j1, m1, j2, m2, j3)
+    # sampled at the top edge of the stated range
+    rng = np.random.default_rng(7)
+    for j1, j2 in [(128, 2), (2, 128), (65, 65)]:
+        assert j1 + j2 == CG_BLOCK_MAX
+        for _ in range(25):
+            j3 = int(rng.integers(abs(j1 - j2), j1 + j2 + 1))
+            m1 = int(rng.integers(-j1, j1 + 1))
+            m2 = int(rng.integers(max(-j2, -j3 - m1), min(j2, j3 - m1) + 1))
+            got = cg_block(j1, j2, j3)[m1 + j1, m2 + j2]
+            assert abs(got - cg_float(j1, m1, j2, m2, j3, m1 + m2)) <= 1e-13, (j1, m1, j2, m2, j3)
+
+
+def test_cg_block_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        cg_block(-1, 1, 1)
+
+
+def test_cg_block_rejects_triangle_violation():
+    with pytest.raises(ValueError):
+        cg_block(1, 1, 3)
+
+
+def test_cg_block_rejects_out_of_range():
+    cg_block(CG_BLOCK_MAX - 1, 1, CG_BLOCK_MAX)
+    with pytest.raises(ValueError):
+        cg_block(CG_BLOCK_MAX, 1, CG_BLOCK_MAX)
 
 
 # ---------------------------------------------------------------- Wigner D

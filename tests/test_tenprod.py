@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from so3tp import angular, tsh
 from so3tp.angular import cg_float
 from so3tp.flops import FlopCounter
 from so3tp.rules import PathKey, generalized_gaunt
@@ -18,7 +19,6 @@ from so3tp.tenprod import (
     simulate_cgtp_path,
     sparse_pair_count,
     vstp,
-    _cg_block_float,
 )
 from so3tp.tsh import SpinSignal, TshCoeffs, random_tsh_coeffs, rotate_tsh_coeffs
 
@@ -115,17 +115,6 @@ def test_cgtp_full_modes_agree(rng):
     for key in r1.output.blocks:
         np.testing.assert_allclose(r1.output.blocks[key], r2.output.blocks[key], atol=1e-12)
     assert r2.flops <= r1.flops
-
-
-def test_cg_block_float_matches_exact():
-    for j1, j2, j3 in [(8, 8, 8), (16, 16, 20), (20, 20, 30), (25, 30, 12)]:
-        blk = _cg_block_float(j1, j2, j3)
-        rng = np.random.default_rng(j1 * 100 + j2 * 10 + j3)
-        for _ in range(40):
-            m1 = int(rng.integers(-j1, j1 + 1))
-            m2 = int(rng.integers(-j2, j2 + 1))
-            expect = cg_float(j1, m1, j2, m2, j3, m1 + m2) if abs(m1 + m2) <= j3 else 0.0
-            assert abs(blk[m1 + j1, m2 + j2] - expect) <= 1e-11
 
 
 # ---------------------------------------------------------------- pointwise
@@ -295,6 +284,26 @@ def test_vstp_single_paths_match_selection_rules(rng):
         coef = generalized_gaunt(PathKey(1, 1, 1, 1, 1, 1, j3, l3, 1))
         expect = coef * cg_contract(u, v, j3) if j3 <= 2 else 0.0
         assert np.abs(z - expect).max() <= 1e-11, (j3, l3)
+
+
+def test_grid_products_do_no_exact_arithmetic(rng):
+    # coupling tables and pointwise weights come from float CG blocks; a
+    # cold product at a band limit no other test uses must not evaluate
+    # a single exact Clebsch-Gordan coefficient
+    angular._cg_tensor.cache_clear()
+    tsh._coupling_table.cache_clear()
+    x, y = random_tsh_coeffs(1, 9, rng), random_tsh_coeffs(1, 9, rng)
+    g = make_grid(18)
+    misses = angular.cg.cache_info().misses
+    res = vstp(x, y, 18, g)
+    assert angular.cg.cache_info().misses == misses
+    assert res.flops > 0
+    for s1, s2, s3 in [(1, 1, 1), (1, 1, 2), (2, 1, 3), (2, 2, 0)]:
+        shape = (g.n_theta, g.n_phi)
+        f = SpinSignal(s1, g, rng.standard_normal(shape + (2 * s1 + 1,)) + 0j)
+        h = SpinSignal(s2, g, rng.standard_normal(shape + (2 * s2 + 1,)) + 0j)
+        pointwise_spin_tp(f, h, s3)
+    assert angular.cg.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------- bilinearity
