@@ -218,8 +218,7 @@ def _cmd_bench_run(args) -> int:
 # ---------------------------------------------------------------- verify
 
 def _cmd_verify(args) -> int:
-    level = "full" if args.full else "quick"
-    results, ok = verify.run_verify(level, seed=args.seed)
+    results, ok = verify.run_verify(args.level, seed=args.seed)
     if args.tolerance is not None:
         for r in results:
             if r.tolerance > 0:
@@ -228,7 +227,7 @@ def _cmd_verify(args) -> int:
         ok = all(r.passed for r in results)
     if args.json:
         payload = {
-            "config": {"level": level, "seed": args.seed, "tolerance": args.tolerance},
+            "config": {"level": args.level, "seed": args.seed, "tolerance": args.tolerance},
             "passed": ok,
             "checks": [{"name": r.name, "max_dev": r.max_dev, "tolerance": r.tolerance,
                         "passed": r.passed, "worst_case": r.worst_case,
@@ -236,7 +235,7 @@ def _cmd_verify(args) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(verify.format_report(results, level))
+        print(verify.format_report(results, args.level))
     return 0 if ok else 1
 
 
@@ -318,10 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ve = sub.add_parser("verify", help="run the invariant suites")
     group = ve.add_mutually_exclusive_group()
-    group.add_argument("--quick", action="store_true", default=True)
-    group.add_argument("--full", action="store_true", default=False)
+    group.add_argument("--quick", dest="level", action="store_const", const="quick",
+                       help="bounded suites (default)")
+    group.add_argument("--full", dest="level", action="store_const", const="full",
+                       help="exhaustive suites")
     ve.add_argument("--json", action="store_true", help="machine-readable report")
-    ve.set_defaults(func=_cmd_verify)
+    ve.set_defaults(func=_cmd_verify, level="quick")
 
     return parser
 

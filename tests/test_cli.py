@@ -226,6 +226,27 @@ def test_verify_tolerance_override(capsys):
     assert any(c["tolerance"] == 1e-3 for c in payload["checks"])
 
 
+def test_verify_config_names_the_level_that_runs(capsys, monkeypatch):
+    from so3tp import verify
+
+    levels = []
+
+    def fake_run_verify(level, seed=0):
+        levels.append(level)
+        return [], True
+
+    monkeypatch.setattr(verify, "run_verify", fake_run_verify)
+    for argv, level in [(("verify",), "quick"), (("verify", "--quick"), "quick"),
+                        (("verify", "--full"), "full")]:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        config = json.loads(out.splitlines()[0].removeprefix("config: "))
+        assert config["level"] == level and "quick" not in config and "full" not in config
+    code, out, _ = run_cli(capsys, "verify", "--full", "--json")
+    assert json.loads(out)["config"]["level"] == "full"
+    assert levels == ["quick", "quick", "full", "full"]
+
+
 def test_verify_detects_injected_fault(capsys, monkeypatch):
     # flip the sign of one CG value: the exact reorder symmetry must fail
     from so3tp import angular, verify

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from so3tp import angular, tsh
+from so3tp import angular, rules, tenprod, tsh
 from so3tp.angular import cg_float
 from so3tp.flops import FlopCounter
-from so3tp.rules import PathKey, generalized_gaunt
+from so3tp.rules import PathKey, find_valid_ells, generalized_gaunt
 from so3tp.sht import IrrepCoeffs, gaunt_coefficient, make_grid, random_coeffs, rotate_coeffs
 from so3tp.tenprod import (
     cgtp_full,
@@ -375,3 +375,44 @@ def test_simulate_cross_product_path(rng):
     ref = cg_contract(u, v, 1)
     np.testing.assert_allclose(sim, ref, atol=1e-10)
     assert np.abs(ref).max() > 1e-3  # the path actually carries signal
+
+
+def triangle_paths(J):
+    """Every triangle-valid (j1, j2, j3) with all degrees <= J."""
+    return [(j1, j2, j3) for j1 in range(J + 1) for j2 in range(J + 1)
+            for j3 in range(abs(j1 - j2), min(j1 + j2, J) + 1)]
+
+
+def test_simulation_coefficient_matches_exact_gaunt():
+    # the closed-form float divisor against the exact six-CG coefficient
+    for j1, j2, j3 in triangle_paths(10):
+        if (j1, j2, j3) == (0, 0, 0):
+            continue
+        l1, l2, l3 = find_valid_ells(j1, j2, j3)
+        exact = generalized_gaunt(PathKey(j1, l1, 1, j2, l2, 1, j3, l3, 1))
+        coef = tenprod._path_coefficient(j1, l1, j2, l2, j3, l3)
+        assert abs(coef - exact) <= 1e-14 * abs(exact), (j1, j2, j3)
+
+
+def test_simulation_does_no_9j_contraction(rng):
+    # cold calls, including orbital degrees past the float CG block range
+    # ((65,65,66) -> l = (65,66,65); (60,70,130) -> (60,71,129)), must not
+    # contract a single 9j symbol
+    tenprod._path_coefficient.cache_clear()
+    nine = angular._wigner_9j_cached.cache_info().misses
+    gaunt = rules.generalized_gaunt_exact.cache_info().misses
+    for j1, j2, j3 in [(1, 1, 1), (2, 3, 4), (65, 65, 66), (60, 70, 130)]:
+        u, v = random_vec(j1, rng), random_vec(j2, rng)
+        ref = cgtp_path(u, v, j3)
+        err = np.abs(simulate_cgtp_path(u, v, j3) - ref).max() / np.abs(ref).max()
+        assert err <= 1e-10, (j1, j2, j3, err)
+    assert angular._wigner_9j_cached.cache_info().misses == nine
+    assert rules.generalized_gaunt_exact.cache_info().misses == gaunt
+
+
+def test_simulation_mac_count_pinned(rng):
+    # one cycle over every path with j <= 10 spends the benchmark's pinned count
+    fl = FlopCounter()
+    for j1, j2, j3 in triangle_paths(10):
+        simulate_cgtp_path(random_vec(j1, rng), random_vec(j2, rng), j3, flops=fl)
+    assert fl.count == 36_442_041
