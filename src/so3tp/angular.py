@@ -17,7 +17,8 @@ The general 9j symbol is the recoupling inner product between the two
 coupling orders of four momenta, evaluated by contracting six CG
 coefficients over all magnetic quantum numbers -- slow but exact, which
 is what the selection-rule machinery requires.  A closed-form fast path
-covers the grids with unit spins in the third column.
+covers the grids with unit spins in the third column: five closed forms
+and the 9j symmetries give all 27 offset cells.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ def cg(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int) -> SqrtRational:
     return SqrtRational.from_term(_cg_term(j1, m1, j2, m2, j3, m3))
 
 
-@cache
 def cg_float(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int) -> float:
     return float(cg(j1, m1, j2, m2, j3, m3))
 
@@ -306,8 +306,9 @@ def _rfact(n: int) -> Fraction:
     return Fraction(0) if n < 0 else Fraction(1, _fact(n))
 
 
-# Closed forms for {a+lam, a, 1; b+mu, b, 1; c+nu, c, 1}, one cell per
-# (lam, mu, nu).  Each entry maps (a, b, c, s=a+b+c) to (prefactor,
+# Closed forms for {a+lam, a, 1; b+mu, b, 1; c+nu, c, 1} on the five
+# canonical offset cells (lam, mu, nu), onto which wigner_9j_spin1 folds
+# the other 22.  Each entry maps (a, b, c, s=a+b+c) to (prefactor,
 # radicand); the symbol value is pref * sqrt(rad).  Denominator factorials
 # use the pole convention via _rfact, so cells evaluate to zero exactly
 # where a selection rule fails.
@@ -317,131 +318,25 @@ _SPIN1_TABLE = {
         Fraction(_fact(s + 4) * (s - 2 * c + 1) * (s - 2 * b + 1) * (s - 2 * a + 1)
                  * _fact(2 * a) * _fact(2 * b) * _fact(2 * c), 3)
         * _rfact(s + 1) * _rfact(2 * a + 3) * _rfact(2 * b + 3) * _rfact(2 * c + 3)),
-    (1, 0, 1): lambda a, b, c, s: (
-        c - a,
-        Fraction(2 * _fact(s + 3) * _fact(s - 2 * b + 2) * _fact(2 * a) * _fact(2 * b - 1) * _fact(2 * c), 3)
-        * _rfact(s + 1) * _rfact(s - 2 * b) * _rfact(2 * a + 3) * _rfact(2 * b + 2) * _rfact(2 * c + 3)),
-    (1, -1, 1): lambda a, b, c, s: (
-        -1,
-        Fraction((s + 2) * (s - 2 * c) * _fact(s - 2 * b + 3) * (s - 2 * a)
-                 * _fact(2 * a) * _fact(2 * b - 2) * _fact(2 * c), 3)
-        * _rfact(s - 2 * b) * _rfact(2 * a + 3) * _rfact(2 * b + 1) * _rfact(2 * c + 3)),
-    (0, 1, 1): lambda a, b, c, s: (
-        b - c,
-        Fraction(2 * _fact(s + 3) * _fact(s - 2 * a + 2) * _fact(2 * a - 1) * _fact(2 * b) * _fact(2 * c), 3)
-        * _rfact(s + 1) * _rfact(s - 2 * a) * _rfact(2 * a + 2) * _rfact(2 * b + 3) * _rfact(2 * c + 3)),
-    (0, 0, 1): lambda a, b, c, s: (
-        2 * (c + 1),
-        Fraction((s + 2) * (s - 2 * c) * (s - 2 * b + 1) * (s - 2 * a + 1)
-                 * _fact(2 * a - 1) * _fact(2 * b - 1) * _fact(2 * c), 3)
-        * _rfact(2 * a + 2) * _rfact(2 * b + 2) * _rfact(2 * c + 3)),
-    (0, -1, 1): lambda a, b, c, s: (
-        -(b + c + 1),
-        Fraction(2 * _fact(s - 2 * c) * _fact(s - 2 * b + 2) * _fact(2 * a - 1)
-                 * _fact(2 * b - 2) * _fact(2 * c), 3)
-        * _rfact(s - 2 * c - 2) * _rfact(s - 2 * b) * _rfact(2 * a + 2) * _rfact(2 * b + 1) * _rfact(2 * c + 3)),
-    (-1, 1, 1): lambda a, b, c, s: (
-        -1,
-        Fraction((s + 2) * (s - 2 * c) * (s - 2 * b) * _fact(s - 2 * a + 3)
-                 * _fact(2 * a - 2) * _fact(2 * b) * _fact(2 * c), 3)
-        * _rfact(s - 2 * a) * _rfact(2 * a + 1) * _rfact(2 * b + 3) * _rfact(2 * c + 3)),
-    (-1, 0, 1): lambda a, b, c, s: (
-        a + c + 1,
-        Fraction(2 * _fact(s - 2 * c) * _fact(s - 2 * a + 2) * _fact(2 * a - 2)
-                 * _fact(2 * b - 1) * _fact(2 * c), 3)
-        * _rfact(s - 2 * c - 2) * _rfact(s - 2 * a) * _rfact(2 * a + 1) * _rfact(2 * b + 2) * _rfact(2 * c + 3)),
-    (-1, -1, 1): lambda a, b, c, s: (
-        -1,
-        Fraction((s + 1) * _fact(s - 2 * c) * (s - 2 * b + 1) * (s - 2 * a + 1)
-                 * _fact(2 * a - 2) * _fact(2 * b - 2) * _fact(2 * c), 3)
-        * _rfact(s - 2 * c - 3) * _rfact(2 * a + 1) * _rfact(2 * b + 1) * _rfact(2 * c + 3)),
     (1, 1, 0): lambda a, b, c, s: (
         a - b,
         Fraction(2 * _fact(s + 3) * _fact(s - 2 * c + 2) * _fact(2 * a) * _fact(2 * b) * _fact(2 * c - 1), 3)
         * _rfact(s + 1) * _rfact(s - 2 * c) * _rfact(2 * a + 3) * _rfact(2 * b + 3) * _rfact(2 * c + 2)),
-    (1, 0, 0): lambda a, b, c, s: (
-        2 * (a + 1),
-        Fraction((s + 2) * (s - 2 * c + 1) * (s - 2 * b + 1) * (s - 2 * a)
-                 * _fact(2 * a) * _fact(2 * b - 1) * _fact(2 * c - 1), 3)
-        * _rfact(2 * a + 3) * _rfact(2 * b + 2) * _rfact(2 * c + 2)),
-    (1, -1, 0): lambda a, b, c, s: (
-        a + b + 1,
-        Fraction(2 * _fact(s - 2 * b + 2) * _fact(s - 2 * a) * _fact(2 * a)
-                 * _fact(2 * b - 2) * _fact(2 * c - 1), 3)
-        * _rfact(s - 2 * b) * _rfact(s - 2 * a - 2) * _rfact(2 * a + 3) * _rfact(2 * b + 1) * _rfact(2 * c + 2)),
-    (0, 1, 0): lambda a, b, c, s: (
-        2 * (b + 1),
-        Fraction((s + 2) * (s - 2 * c + 1) * (s - 2 * b) * (s - 2 * a + 1)
-                 * _fact(2 * a - 1) * _fact(2 * b) * _fact(2 * c - 1), 3)
-        * _rfact(2 * a + 2) * _rfact(2 * b + 3) * _rfact(2 * c + 2)),
-    (0, 0, 0): lambda a, b, c, s: (0, Fraction(0)),
-    (0, -1, 0): lambda a, b, c, s: (
-        2 * b,
-        Fraction((s + 1) * (s - 2 * c) * (s - 2 * b + 1) * (s - 2 * a)
-                 * _fact(2 * a - 1) * _fact(2 * b - 2) * _fact(2 * c - 1), 3)
-        * _rfact(2 * a + 2) * _rfact(2 * b + 1) * _rfact(2 * c + 2)),
-    (-1, 1, 0): lambda a, b, c, s: (
-        -(a + b + 1),
-        Fraction(2 * _fact(s - 2 * b) * _fact(s - 2 * a + 2) * _fact(2 * a - 2)
-                 * _fact(2 * b) * _fact(2 * c - 1), 3)
-        * _rfact(s - 2 * b - 2) * _rfact(s - 2 * a) * _rfact(2 * a + 1) * _rfact(2 * b + 3) * _rfact(2 * c + 2)),
-    (-1, 0, 0): lambda a, b, c, s: (
-        2 * a,
-        Fraction((s + 1) * (s - 2 * c) * (s - 2 * b) * (s - 2 * a + 1)
-                 * _fact(2 * a - 2) * _fact(2 * b - 1) * _fact(2 * c - 1), 3)
-        * _rfact(2 * a + 1) * _rfact(2 * b + 2) * _rfact(2 * c + 2)),
-    (-1, -1, 0): lambda a, b, c, s: (
-        b - a,
-        Fraction(2 * _fact(s + 1) * _fact(s - 2 * c) * _fact(2 * a - 2)
-                 * _fact(2 * b - 2) * _fact(2 * c - 1), 3)
-        * _rfact(s - 1) * _rfact(s - 2 * c - 2) * _rfact(2 * a + 1) * _rfact(2 * b + 1) * _rfact(2 * c + 2)),
     (1, 1, -1): lambda a, b, c, s: (
         -1,
         Fraction((s + 2) * _fact(s - 2 * c + 3) * (s - 2 * b) * (s - 2 * a)
                  * _fact(2 * a) * _fact(2 * b) * _fact(2 * c - 2), 3)
         * _rfact(s - 2 * c) * _rfact(2 * a + 3) * _rfact(2 * b + 3) * _rfact(2 * c + 1)),
+    (1, 0, 0): lambda a, b, c, s: (
+        2 * (a + 1),
+        Fraction((s + 2) * (s - 2 * c + 1) * (s - 2 * b + 1) * (s - 2 * a)
+                 * _fact(2 * a) * _fact(2 * b - 1) * _fact(2 * c - 1), 3)
+        * _rfact(2 * a + 3) * _rfact(2 * b + 2) * _rfact(2 * c + 2)),
     (1, 0, -1): lambda a, b, c, s: (
         -(a + c + 1),
         Fraction(2 * _fact(s - 2 * c + 2) * _fact(s - 2 * a) * _fact(2 * a)
                  * _fact(2 * b - 1) * _fact(2 * c - 2), 3)
         * _rfact(s - 2 * c) * _rfact(s - 2 * a - 2) * _rfact(2 * a + 3) * _rfact(2 * b + 2) * _rfact(2 * c + 1)),
-    (1, -1, -1): lambda a, b, c, s: (
-        -1,
-        Fraction((s + 1) * (s - 2 * c + 1) * (s - 2 * b + 1) * _fact(s - 2 * a)
-                 * _fact(2 * a) * _fact(2 * b - 2) * _fact(2 * c - 2), 3)
-        * _rfact(s - 2 * a - 3) * _rfact(2 * a + 3) * _rfact(2 * b + 1) * _rfact(2 * c + 1)),
-    (0, 1, -1): lambda a, b, c, s: (
-        b + c + 1,
-        Fraction(2 * _fact(s - 2 * c + 2) * _fact(s - 2 * b) * _fact(2 * a - 1)
-                 * _fact(2 * b) * _fact(2 * c - 2), 3)
-        * _rfact(s - 2 * c) * _rfact(s - 2 * b - 2) * _rfact(2 * a + 2) * _rfact(2 * b + 3) * _rfact(2 * c + 1)),
-    # The (0, 0, -1) radicand carries the same 1/3 as every other cell;
-    # row-swap symmetry maps it onto (1, 0, 0) at (c-1, b, a).
-    (0, 0, -1): lambda a, b, c, s: (
-        2 * c,
-        Fraction((s + 1) * (s - 2 * c + 1) * (s - 2 * b) * (s - 2 * a)
-                 * _fact(2 * a - 1) * _fact(2 * b - 1) * _fact(2 * c - 2), 3)
-        * _rfact(2 * a + 2) * _rfact(2 * b + 2) * _rfact(2 * c + 1)),
-    (0, -1, -1): lambda a, b, c, s: (
-        c - b,
-        Fraction(2 * _fact(s + 1) * _fact(s - 2 * a) * _fact(2 * a - 1)
-                 * _fact(2 * b - 2) * _fact(2 * c - 2), 3)
-        * _rfact(s - 1) * _rfact(s - 2 * a - 2) * _rfact(2 * a + 2) * _rfact(2 * b + 1) * _rfact(2 * c + 1)),
-    (-1, 1, -1): lambda a, b, c, s: (
-        -1,
-        Fraction((s + 1) * (s - 2 * c + 1) * _fact(s - 2 * b) * (s - 2 * a + 1)
-                 * _fact(2 * a - 2) * _fact(2 * b) * _fact(2 * c - 2), 3)
-        * _rfact(s - 2 * b - 3) * _rfact(2 * a + 1) * _rfact(2 * b + 3) * _rfact(2 * c + 1)),
-    (-1, 0, -1): lambda a, b, c, s: (
-        a - c,
-        Fraction(2 * _fact(s + 1) * _fact(s - 2 * b) * _fact(2 * a - 2)
-                 * _fact(2 * b - 1) * _fact(2 * c - 2), 3)
-        * _rfact(s - 1) * _rfact(s - 2 * b - 2) * _rfact(2 * a + 1) * _rfact(2 * b + 2) * _rfact(2 * c + 1)),
-    (-1, -1, -1): lambda a, b, c, s: (
-        1,
-        Fraction(_fact(s + 1) * (s - 2 * c) * (s - 2 * b) * (s - 2 * a)
-                 * _fact(2 * a - 2) * _fact(2 * b - 2) * _fact(2 * c - 2), 3)
-        * _rfact(s - 2) * _rfact(2 * a + 1) * _rfact(2 * b + 1) * _rfact(2 * c + 1)),
 }
 
 
@@ -449,7 +344,17 @@ def wigner_9j_spin1(a: int, lam: int, b: int, mu: int, c: int, nu: int) -> float
     """Closed-form {a+lam, a, 1; b+mu, b, 1; c+nu, c, 1} with lam, mu, nu in {-1, 0, 1}.
 
     Fast path for the 9j grids whose third column is (1, 1, 1); agrees with
-    the general contraction to 1e-12.
+    the general contraction to 1e-12.  Two 9j symmetries (Varshalovich et
+    al. 1988, sec. 10.4) map every offset cell onto one of the five in
+    ``_SPIN1_TABLE``.  Each multiplies the symbol by (-1)^S, with S the sum
+    of its nine entries, and S = lam + mu + nu + 1 (mod 2):
+
+    * swapping the first two columns turns each row (x + o, x, 1) into
+      (x', x' - o, 1) with x' = x + o; it runs when more offsets are -1
+      than +1;
+    * permuting the rows sorts the offsets descending.
+
+    The (0, 0, 0) cell is its own column swap with odd S, so it is zero.
     """
     if lam not in (-1, 0, 1) or mu not in (-1, 0, 1) or nu not in (-1, 0, 1):
         raise ValueError(f"lam, mu, nu must be in {{-1, 0, 1}}, got {(lam, mu, nu)}")
@@ -459,7 +364,20 @@ def wigner_9j_spin1(a: int, lam: int, b: int, mu: int, c: int, nu: int) -> float
     cols = ((a + lam, b + mu, c + nu), (a, b, c))
     if any(not triangle_delta(*tri) for tri in rows + cols):
         return 0.0
-    pref, rad = _SPIN1_TABLE[(lam, mu, nu)](a, b, c, a + b + c)
+    pairs = [(lam, a), (mu, b), (nu, c)]  # (offset, second-column entry) per row
+    moves = 0
+    if lam + mu + nu < 0:  # more -1 than +1 offsets
+        pairs = [(-o, x + o) for o, x in pairs]
+        moves = 1
+    # a stable sort transposes exactly the strictly inverted row pairs
+    moves += sum(pairs[i][0] < pairs[k][0] for i, k in ((0, 1), (0, 2), (1, 2)))
+    pairs.sort(key=lambda pair: pair[0], reverse=True)
+    (o1, x1), (o2, x2), (o3, x3) = pairs
+    if (o1, o2, o3) == (0, 0, 0):
+        return 0.0
+    pref, rad = _SPIN1_TABLE[(o1, o2, o3)](x1, x2, x3, x1 + x2 + x3)
+    if (lam + mu + nu + 1) * moves % 2:
+        pref = -pref
     if pref == 0 or rad == 0:
         return 0.0
     return pref * math.sqrt(rad)

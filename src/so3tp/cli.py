@@ -56,7 +56,9 @@ def _cmd_coeff_9j(args) -> int:
     value = wigner_9j(tuple(grid))
     print(f"exact: {value}")
     print(f"float: {float(value)!r}")
-    if grid[2] == grid[5] == grid[8] == 1:
+    # the closed forms cover unit spins with every |j - l| <= 1
+    if grid[2] == grid[5] == grid[8] == 1 and all(abs(grid[i] - grid[i + 1]) <= 1
+                                                  for i in (0, 3, 6)):
         fast = wigner_9j_spin1(grid[1], grid[0] - grid[1], grid[4], grid[3] - grid[4],
                                grid[7], grid[6] - grid[7])
         print(f"spin-1 table: {fast!r}")

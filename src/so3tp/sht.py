@@ -35,6 +35,22 @@ from functools import lru_cache
 
 import numpy as np
 
+from .angular import cg, cg_zero
+from .flops import FlopCounter
+
+__all__ = [
+    "SphereGrid",
+    "ScalarSignal",
+    "IrrepCoeffs",
+    "make_grid",
+    "sh_eval",
+    "to_sphere",
+    "from_sphere",
+    "gaunt_coefficient",
+    "random_coeffs",
+    "rotate_coeffs",
+]
+
 
 @lru_cache(maxsize=64)
 def _dft_matrix(n_phi: int, L: int, sign: int) -> np.ndarray:
@@ -62,22 +78,6 @@ def _padded_legendre(Lg: int, L: int) -> np.ndarray:
     for m in range(-L, L + 1):
         lam_pad[m + L, :, : L - abs(m) + 1] = grid.lam(m)[:, : L - abs(m) + 1]
     return lam_pad
-
-from .angular import cg, cg_zero
-from .flops import FlopCounter
-
-__all__ = [
-    "SphereGrid",
-    "ScalarSignal",
-    "IrrepCoeffs",
-    "make_grid",
-    "sh_eval",
-    "to_sphere",
-    "from_sphere",
-    "gaunt_coefficient",
-    "random_coeffs",
-    "rotate_coeffs",
-]
 
 
 def _legendre_tables(cos_theta: np.ndarray, lmax: int) -> list[np.ndarray]:
@@ -119,6 +119,11 @@ class SphereGrid:
     @property
     def n_phi(self) -> int:
         return self.phi.size
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Quadrature weights w[i, k] of the sphere integral over node (theta_i, phi_k)."""
+        return np.outer(self.theta_weights, np.full(self.n_phi, 2.0 * np.pi / self.n_phi))
 
     def lam(self, m: int) -> np.ndarray:
         """Lambda^m_l table for m possibly negative, columns l = |m|..Lg."""

@@ -252,8 +252,7 @@ def tsh_orthonormality_check(s: int, L: int) -> float:
             y = TshCoeffs(s=s, L=L, blocks={(j, l): vec})
             sigs.append(tsh_encode(y, grid).values)
     stack = np.stack(sigs)  # (n_basis, n_theta, n_phi, 2s+1)
-    w2d = grid.theta_weights[:, None] * (2.0 * np.pi / grid.n_phi)
-    gram = np.einsum("atpc,btpc,tp->ab", stack.conj(), stack, np.broadcast_to(w2d, stack.shape[1:3]))
+    gram = np.einsum("atpc,btpc,tp->ab", stack.conj(), stack, grid.weights)
     return float(np.abs(gram - np.eye(len(sigs))).max())
 
 

@@ -191,16 +191,12 @@ def check_nine_j_row_swap(p, rng):
 
 # ---------------------------------------------------------------- sht
 
-def _quad_weights(grid):
-    return np.outer(grid.theta_weights, np.full(grid.n_phi, 2.0 * np.pi / grid.n_phi))
-
-
 def check_sh_orthonormality(p, rng):
     t0 = time.perf_counter()
     L = p["L"]
     grid = sht.make_grid(L)
     th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
-    w = _quad_weights(grid)
+    w = grid.weights
     basis = np.stack([sht.sh_eval(l, m, th, ph) for l in range(L + 1) for m in range(-l, l + 1)])
     gram = np.einsum("atp,btp,tp->ab", basis.conj(), basis, w)
     dev = float(np.abs(gram - np.eye(basis.shape[0])).max())
@@ -243,7 +239,7 @@ def check_gaunt_quadrature(p, rng):
         for l2 in range(lmax + 1):
             grid = sht.make_grid(l1 + l2)
             th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
-            w = _quad_weights(grid)
+            w = grid.weights
             for m1 in range(-l1, l1 + 1):
                 y1 = sht.sh_eval(l1, m1, th, ph)
                 for m2 in range(-l2, l2 + 1):

@@ -7,11 +7,6 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def sphere_quadrature_weights(grid):
-    """2-D quadrature weights w[i, k] for integrals over the sphere."""
-    return np.outer(grid.theta_weights, np.full(grid.n_phi, 2.0 * np.pi / grid.n_phi))
-
-
 def grid_angles(grid):
     return np.meshgrid(grid.theta, grid.phi, indexing="ij")
 

@@ -319,3 +319,46 @@ def test_spin1_table_matches_contraction():
                             t = wigner_9j_spin1(a, lam, b, mu, c, nu)
                             g = float(wigner_9j(((a + lam, a, 1), (b + mu, b, 1), (c + nu, c, 1))))
                             assert abs(t - g) <= 1e-12, (a, lam, b, mu, c, nu)
+
+
+# Golden float values of all 27 spin-1 cells at a high degree, from a table
+# with one closed form per cell; folding the cells onto five formulas
+# through the 9j symmetries must reproduce them bit for bit.
+SPIN1_GOLDEN_40_45_50 = {
+    (-1, -1, -1): 0.0004363484595351201,
+    (-1, -1, 0): 3.0777647291975e-05,
+    (-1, -1, 1): -0.0001076204537765153,
+    (-1, 0, -1): -7.9269862835273e-05,
+    (-1, 0, 0): 0.0002537671606528812,
+    (-1, 0, 1): 0.00022635202626040282,
+    (-1, 1, -1): -0.00013972866082632496,
+    (-1, 1, 0): -0.0002754856317760006,
+    (-1, 1, 1): -0.00017743890780450266,
+    (0, -1, -1): 4.844280367053423e-05,
+    (0, -1, 0): 0.0002854653908432948,
+    (0, -1, 1): -0.0001961174151505043,
+    (0, 0, -1): 0.0003176428624109685,
+    (0, 0, 0): 0.0,
+    (0, 0, 1): 0.00031753902042397445,
+    (0, 1, -1): 0.00019791627735406386,
+    (0, 1, 0): 0.00028683207739874523,
+    (0, 1, 1): -4.7865846590048075e-05,
+    (1, -1, -1): -0.00017149498805451544,
+    (1, -1, 0): 0.00027654937569125855,
+    (1, -1, 1): -0.00014627114650179475,
+    (1, 0, -1): -0.00022931025079097892,
+    (1, 0, 0): 0.00025564652893564604,
+    (1, 0, 1): 7.862819581609291e-05,
+    (1, 1, -1): -0.00011545382306886536,
+    (1, 1, 0): -3.080852988957148e-05,
+    (1, 1, 1): 0.0004223250364533277,
+}
+
+
+def test_spin1_table_golden_high_degree():
+    for (lam, mu, nu), want in SPIN1_GOLDEN_40_45_50.items():
+        assert wigner_9j_spin1(40, lam, 45, mu, 50, nu) == want, (lam, mu, nu)
+    # the cells the CGTP path coefficient reads for j = (65, 65, 66) and
+    # (60, 70, 130), whose valid ells are (65, 66, 65) and (60, 71, 129)
+    assert wigner_9j_spin1(65, 0, 66, -1, 65, 1) == -0.00013408939659585433
+    assert wigner_9j_spin1(60, 0, 71, -1, 129, 1) == -2.9375667849132708e-06

@@ -50,6 +50,14 @@ def test_coeff_9j_fast_path(capsys):
     assert "spin-1 table" in out
 
 
+def test_coeff_9j_unit_spins_outside_the_table(capsys):
+    # |j1 - l1| = 2 has no spin-1 closed form; only the exact value prints
+    code, out, _ = run_cli(capsys, "coeff", "9j", "--grid", "3,1,1,2,2,1,1,1,1")
+    assert code == 0
+    assert "exact: 0" in out
+    assert "spin-1 table" not in out
+
+
 def test_coeff_9j_usage_error(capsys):
     code, _out, err = run_cli(capsys, "coeff", "9j", "--grid", "1,2,3")
     assert code == 2 and "nine" in err

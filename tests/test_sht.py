@@ -19,7 +19,7 @@ from so3tp.sht import (
     to_sphere,
 )
 
-from conftest import angles_from_unit_vectors, grid_angles, grid_unit_vectors, sphere_quadrature_weights
+from conftest import angles_from_unit_vectors, grid_angles, grid_unit_vectors
 
 
 # ---------------------------------------------------------------- grids
@@ -52,7 +52,7 @@ def test_quadrature_exactness():
     # integral of Y^m1*_l1 Y^m2_l2 is delta delta when both degrees <= Lg
     g = make_grid(5)
     th, ph = grid_angles(g)
-    w = sphere_quadrature_weights(g)
+    w = g.weights
     for l1, m1, l2, m2 in [(5, 3, 5, 3), (5, -5, 5, -5), (4, 2, 5, 2), (3, 0, 5, 0)]:
         val = (np.conj(sh_eval(l1, m1, th, ph)) * sh_eval(l2, m2, th, ph) * w).sum()
         expect = 1.0 if (l1, m1) == (l2, m2) else 0.0
@@ -80,7 +80,7 @@ def test_sh_eval_conjugation_identity():
 def test_sh_eval_unit_norm():
     g = make_grid(2)
     th, ph = grid_angles(g)
-    w = sphere_quadrature_weights(g)
+    w = g.weights
     val = (np.abs(sh_eval(1, 1, th, ph)) ** 2 * w).sum()
     assert val == pytest.approx(1.0, abs=1e-14)
 
@@ -93,7 +93,7 @@ def test_sh_eval_rejects_bad_m():
 def test_sh_orthonormality_to_degree_eight():
     g = make_grid(8)
     th, ph = grid_angles(g)
-    w = sphere_quadrature_weights(g)
+    w = g.weights
     basis = [sh_eval(l, m, th, ph) for l in range(9) for m in range(-l, l + 1)]
     stack = np.stack(basis)
     gram = np.einsum("atp,btp,tp->ab", stack.conj(), stack, w)
@@ -234,7 +234,7 @@ def test_gaunt_against_quadrature():
         for l2 in range(5):
             g = make_grid(l1 + l2)
             th, ph = grid_angles(g)
-            w = sphere_quadrature_weights(g)
+            w = g.weights
             for m1 in range(-l1, l1 + 1):
                 y1 = sh_eval(l1, m1, th, ph)
                 for m2 in range(-l2, l2 + 1):

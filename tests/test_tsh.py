@@ -22,7 +22,7 @@ from so3tp.tsh import (
 )
 from so3tp.angular import rotation_matrix
 
-from conftest import angles_from_unit_vectors, grid_angles, grid_unit_vectors, sphere_quadrature_weights
+from conftest import angles_from_unit_vectors, grid_angles, grid_unit_vectors
 
 
 def test_valid_pairs_small():
@@ -184,7 +184,7 @@ def test_decode_against_pointwise_quadrature(rng):
     x = random_tsh_coeffs(s, L, rng)
     f = tsh_encode(x, g)
     th, ph = grid_angles(g)
-    w = sphere_quadrature_weights(g)
+    w = g.weights
     for j, l in valid_pairs(s, L):
         for m_j in range(-j, j + 1):
             basis = tsh_eval(j, m_j, l, s, th, ph)
@@ -200,7 +200,7 @@ def test_decode_matches_pointwise_quadrature(s, rng):
     f = tsh_encode(random_tsh_coeffs(s, 2 * L, rng), g)
     z = tsh_decode(f, L)
     th, ph = grid_angles(g)
-    w = sphere_quadrature_weights(g)[..., None]
+    w = g.weights[..., None]
     for j, l in valid_pairs(s, L):
         expect = [(f.values * np.conj(tsh_eval(j, m_j, l, s, th, ph)) * w).sum()
                   for m_j in range(-j, j + 1)]
