@@ -27,7 +27,7 @@ import numpy as np
 
 from .angular import triangle_delta
 from .flops import FlopCounter
-from .sht import make_grid, random_coeffs
+from .sht import make_grid, random_block, random_coeffs
 from .tenprod import cgtp_full, cgtp_path, istp, sparse_pair_count, vstp
 from .tsh import TshCoeffs, random_tsh_coeffs
 
@@ -82,15 +82,11 @@ class SlopeFit:
     L_range: tuple[int, int]
 
 
-def _random_vec(j: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal(2 * j + 1) + 1j * rng.standard_normal(2 * j + 1)
-
-
 def _run_cgtp(mode: str, setting: str, L: int, rng: np.random.Generator) -> int:
     if setting == "MIMO":
         return cgtp_full(random_coeffs(L, rng), random_coeffs(L, rng), 2 * L, mode=mode).flops
     fl = FlopCounter()
-    x, y = _random_vec(L, rng), _random_vec(L, rng)
+    x, y = random_block(L, rng), random_block(L, rng)
     for j3 in ([L] if setting == "SISO" else range(2 * L + 1)):
         cgtp_path(x, y, j3, mode=mode, flops=fl)
     return fl.count
@@ -102,8 +98,8 @@ def _run_grid(s: int, setting: str, L: int, rng: np.random.Generator) -> int:
         x = random_tsh_coeffs(s, L, rng)
         y = random_tsh_coeffs(s, L, rng)
     else:
-        x = TshCoeffs(s=s, L=L, blocks={(L, L): _random_vec(L, rng)})
-        y = TshCoeffs(s=s, L=L, blocks={(L, L): _random_vec(L, rng)})
+        x = TshCoeffs(s=s, L=L, blocks={(L, L): random_block(L, rng)})
+        y = TshCoeffs(s=s, L=L, blocks={(L, L): random_block(L, rng)})
     return istp(x, y, s, L if setting == "SISO" else 2 * L, grid).flops
 
 
@@ -308,8 +304,8 @@ def simulate_cgtp_all_paths(L: int, seed: int) -> int:
     fl.add(1)  # the (0,0,0) scalar path
     for j1 in range(L + 1):
         for j2 in range(L + 1):
-            x = _random_vec(j1, rng)
-            y = _random_vec(j2, rng)
+            x = random_block(j1, rng)
+            y = random_block(j2, rng)
             for l1 in range(max(0, j1 - 1), j1 + 2):
                 if not triangle_delta(j1, l1, 1):
                     continue

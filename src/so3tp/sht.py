@@ -47,6 +47,7 @@ __all__ = [
     "to_sphere",
     "from_sphere",
     "gaunt_coefficient",
+    "random_block",
     "random_coeffs",
     "rotate_coeffs",
 ]
@@ -124,6 +125,12 @@ class SphereGrid:
     def weights(self) -> np.ndarray:
         """Quadrature weights w[i, k] of the sphere integral over node (theta_i, phi_k)."""
         return np.outer(self.theta_weights, np.full(self.n_phi, 2.0 * np.pi / self.n_phi))
+
+    @property
+    def unit_vectors(self) -> np.ndarray:
+        """Cartesian unit vector v[i, k, :] = (x, y, z) of node (theta_i, phi_k)."""
+        th, ph = np.meshgrid(self.theta, self.phi, indexing="ij")
+        return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
 
     def lam(self, m: int) -> np.ndarray:
         """Lambda^m_l table for m possibly negative, columns l = |m|..Lg."""
@@ -322,12 +329,14 @@ def gaunt_coefficient(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> f
     return scale * float(exact)
 
 
+def random_block(j: int, rng: np.random.Generator) -> np.ndarray:
+    """Standard complex normal vector of length 2j+1; real parts are drawn first."""
+    return rng.standard_normal(2 * j + 1) + 1j * rng.standard_normal(2 * j + 1)
+
+
 def random_coeffs(L: int, rng: np.random.Generator) -> IrrepCoeffs:
     """Standard complex normal coefficients, one untagged block per degree."""
-    blocks = {}
-    for l in range(L + 1):
-        blocks[(l, None)] = rng.standard_normal(2 * l + 1) + 1j * rng.standard_normal(2 * l + 1)
-    return IrrepCoeffs(L=L, blocks=blocks)
+    return IrrepCoeffs(L=L, blocks={(l, None): random_block(l, rng) for l in range(L + 1)})
 
 
 def rotate_coeffs(x: IrrepCoeffs, alpha: float, beta: float, gamma: float) -> IrrepCoeffs:

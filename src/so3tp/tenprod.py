@@ -4,7 +4,13 @@ Two families:
 
 * Coefficient-space Clebsch-Gordan products (``cgtp_path`` /
   ``cgtp_full``), in a ``naive`` variant that loops every (m1, m2, m3)
-  triple and a ``sparse`` variant restricted to m3 = m1 + m2.
+  triple and a ``sparse`` variant restricted to m3 = m1 + m2.  Sparse
+  ``cgtp_full`` contracts each input pair (j1, j2) once, for every j3 at
+  once, from the pair's cached CG tensor (``angular._cg_tensor``); the
+  e3nn per-pair pattern (Geiger & Smidt, arXiv:2207.09453).  Warm calls
+  stay cache-resident only while the pairs fit that cache's 512 entries
+  (inputs up to L = 21); at L = 32 the 1089 pairs rebuild their tensors
+  on every call, and those builds bound the wall time.
 
 * Grid products: encode inputs as spin signals, couple them pointwise,
   and decode (``istp``), with the scalar (``gtp``) and vector (``vstp``)
@@ -27,7 +33,8 @@ from typing import Union
 
 import numpy as np
 
-from .angular import cg_block, cg_zero, triangle_delta, wigner_9j_spin1
+from .angular import (CG_BLOCK_MAX, _cg_tensor, cg_block, cg_zero, triangle_delta,
+                      wigner_9j_spin1)
 from .flops import FlopCounter
 from .rules import PathKey, find_valid_ells
 from .sht import IrrepCoeffs, SphereGrid, make_grid
@@ -65,18 +72,43 @@ def sparse_pair_count(j1: int, j2: int, j3: int) -> int:
     return full - t * (t + 1) if t > 0 else full
 
 
+def _require_finite(*vecs: np.ndarray) -> None:
+    for v in vecs:
+        if not np.isfinite(v).all():
+            raise ValueError("inputs must be finite, got NaN or inf")
+
+
+def _antidiagonal_sums(T: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """z[k, a + b] = sum of T[k, a, b] x[a] y[b] over each anti-diagonal a + b.
+
+    With a = m1 + j1 and b = m2 + j2, column M + j1 + j2 of z holds the
+    total-M sum.  The products go into a zeroed (K, I, I + J) buffer;
+    re-read as (K, I, I + J - 1) rows, row a starts a slots later, so
+    summing over the rows adds each anti-diagonal.  The buffer is dropped
+    on return.
+    """
+    K, I, J = T.shape
+    W = I + J - 1
+    buf = np.zeros((K, I, I + J), dtype=complex)
+    np.multiply(T, np.multiply.outer(x, y), out=buf[:, :, :J])
+    return buf.reshape(K, -1)[:, :I * W].reshape(K, I, W).sum(axis=1)
+
+
 def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
               flops: FlopCounter | None = None) -> np.ndarray:
     """Single-path coupling z_{m3} = sum C^{j3,m3}_{j1,m1,j2,m2} x_{m1} y_{m2}.
 
-    Degrees are inferred from the vector lengths.  ``naive`` costs
-    (2j1+1)(2j2+1)(2j3+1) MACs; ``sparse`` loops only m3 = m1 + m2, for
+    Degrees are inferred from the vector lengths; inputs holding NaN or
+    inf raise ``ValueError``.  ``naive`` costs (2j1+1)(2j2+1)(2j3+1) MACs;
+    ``sparse`` sums the CG block's anti-diagonals m3 = m1 + m2 (the
+    kernel ``cgtp_full`` runs per pair) and counts
     sparse_pair_count(j1, j2, j3) MACs.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if x.ndim != 1 or y.ndim != 1 or x.size % 2 == 0 or y.size % 2 == 0:
         raise ValueError("inputs must be odd-length vectors")
+    _require_finite(x, y)
     j1 = (x.size - 1) // 2
     j2 = (y.size - 1) // 2
     if not triangle_delta(j1, j2, j3):
@@ -84,8 +116,8 @@ def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
     if mode not in ("naive", "sparse"):
         raise ValueError(f"unknown mode {mode!r}")
     C2 = cg_block(j1, j2, j3)
-    I, J, K = 2 * j1 + 1, 2 * j2 + 1, 2 * j3 + 1
     if mode == "naive":
+        I, J, K = 2 * j1 + 1, 2 * j2 + 1, 2 * j3 + 1
         outer = np.multiply.outer(x, y).ravel()
         i1, i2 = np.indices((I, J))
         i3 = i1 + i2 - j1 - j2 + j3
@@ -96,14 +128,8 @@ def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
         z = flat @ outer.real + 1j * (flat @ outer.imag)
         macs = I * J * K
     else:
-        # anti-diagonal gather over (m1, m3); only m2 = m3 - m1 contributes
-        m1g = np.arange(-j1, j1 + 1)[:, None]
-        m2g = np.arange(-j3, j3 + 1)[None, :] - m1g
-        valid = np.abs(m2g) <= j2
-        idx2 = np.clip(m2g + j2, 0, J - 1)
-        wy = np.where(valid, y[idx2], 0)
-        cm = np.where(valid, C2[np.arange(I)[:, None], idx2], 0.0)
-        z = (cm * x[:, None] * wy).sum(axis=0)
+        J = j1 + j2
+        z = _antidiagonal_sums(C2[None], x, y)[0, J - j3:J + j3 + 1]
         macs = sparse_pair_count(j1, j2, j3)
     if flops is not None:
         flops.add(macs)
@@ -113,18 +139,38 @@ def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
 def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> TpoResult:
     """All-path coupling of single-copy inputs, one output block per path.
 
-    Inputs must carry at most one block per degree.  The output keeps
-    multiplicity: block (j3, (j1, j2)) holds the (j1, j2) -> j3 path.
+    Inputs must carry at most one block per degree, with finite values.
+    The output keeps multiplicity: block (j3, (j1, j2)) holds the
+    (j1, j2) -> j3 path.  ``sparse`` contracts each pair (j1, j2) once:
+    one anti-diagonal sum over the CG tensor's j3 = |j1 - j2| ..
+    min(j1 + j2, L3) slices, each j3 block then read off total M in
+    [-j3, j3].  That tensor comes from ``angular._cg_tensor``, whose 512
+    entries hold every pair of inputs up to L = 21; past that (1089 pairs
+    at L = 32) every call rebuilds its tensors, which then dominate.
+    ``naive`` calls ``cgtp_path`` once per path.  MACs are counted per
+    path either way.
     """
+    if mode not in ("naive", "sparse"):
+        raise ValueError(f"unknown mode {mode!r}")
     xs = x.single_per_degree()
     ys = y.single_per_degree()
+    _require_finite(*xs.values(), *ys.values())
     fl = FlopCounter()
     out = IrrepCoeffs(L=L3, blocks={})
     for j1, xv in sorted(xs.items()):
         for j2, yv in sorted(ys.items()):
-            for j3 in range(abs(j1 - j2), min(j1 + j2, L3) + 1):
-                z = cgtp_path(xv, yv, j3, mode=mode, flops=fl)
-                out.set_block(j3, z, tag=(j1, j2))
+            lo, hi = abs(j1 - j2), min(j1 + j2, L3)
+            if mode == "naive":
+                for j3 in range(lo, hi + 1):
+                    out.set_block(j3, cgtp_path(xv, yv, j3, mode=mode, flops=fl), tag=(j1, j2))
+            elif lo <= hi:
+                J = j1 + j2
+                if J > CG_BLOCK_MAX:
+                    raise ValueError(f"j1 + j2 = {J} exceeds the float CG range {CG_BLOCK_MAX}")
+                z = _antidiagonal_sums(_cg_tensor(j1, j2)[:hi - lo + 1], xv, yv)
+                for j3 in range(lo, hi + 1):
+                    out.set_block(j3, z[j3 - lo, J - j3:J + j3 + 1], tag=(j1, j2))
+                    fl.add(sparse_pair_count(j1, j2, j3))
     return TpoResult(output=out, flops=fl.count)
 
 

@@ -28,7 +28,8 @@ import numpy as np
 
 from .angular import cg_block, cg_float, triangle_delta, wigner_d_matrix
 from .flops import FlopCounter
-from .sht import SphereGrid, _analysis_core, _padded_index, _synthesis_core, make_grid, sh_eval
+from .sht import (SphereGrid, _analysis_core, _padded_index, _synthesis_core, make_grid,
+                  random_block, sh_eval)
 
 __all__ = [
     "SpinSignal",
@@ -258,9 +259,7 @@ def tsh_orthonormality_check(s: int, L: int) -> float:
 
 def random_tsh_coeffs(s: int, L: int, rng: np.random.Generator) -> TshCoeffs:
     """Standard complex normal coefficients on every valid (j, l) key."""
-    blocks = {}
-    for j, l in valid_pairs(s, L):
-        blocks[(j, l)] = rng.standard_normal(2 * j + 1) + 1j * rng.standard_normal(2 * j + 1)
+    blocks = {(j, l): random_block(j, rng) for j, l in valid_pairs(s, L)}
     return TshCoeffs(s=s, L=L, blocks=blocks)
 
 

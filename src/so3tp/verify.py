@@ -254,17 +254,12 @@ def check_gaunt_quadrature(p, rng):
     return _result("gaunt_vs_quadrature", 1e-11, *worst, t0)
 
 
-def _unit_vectors(grid):
-    th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
-    return th, ph, np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
-
-
 def check_to_sphere_equivariance(p, rng):
     t0 = time.perf_counter()
     worst = (0.0, "")
     L = p["L"]
     grid = sht.make_grid(L)
-    _th, _ph, vecs = _unit_vectors(grid)
+    vecs = grid.unit_vectors
     x = sht.random_coeffs(L, rng)
     for a, b, c in _random_angles(rng, p["rotations"]):
         f_rot = sht.to_sphere(sht.rotate_coeffs(x, a, b, c), grid)
@@ -307,7 +302,7 @@ def check_tsh_equivariance(p, rng):
     for s in range(p["smax"] + 1):
         L = max(p["L"], s)
         grid = sht.make_grid(L)
-        _th, _ph, vecs = _unit_vectors(grid)
+        vecs = grid.unit_vectors
         x = tsh.random_tsh_coeffs(s, L, rng)
         for a, b, c in _random_angles(rng, p["rotations"]):
             f_rot = tsh.tsh_encode(tsh.rotate_tsh_coeffs(x, a, b, c), grid).values
@@ -357,9 +352,9 @@ def check_product_expansion(p, rng):
                 pairs1 = [(j, l) for j, l in tsh.valid_pairs(s1, nmax) if j <= nmax]
                 pairs2 = [(j, l) for j, l in tsh.valid_pairs(s2, nmax) if j <= nmax]
                 for j1, l1 in pairs1:
-                    u = rng.standard_normal(2 * j1 + 1) + 1j * rng.standard_normal(2 * j1 + 1)
+                    u = sht.random_block(j1, rng)
                     for j2, l2 in pairs2:
-                        v = rng.standard_normal(2 * j2 + 1) + 1j * rng.standard_normal(2 * j2 + 1)
+                        v = sht.random_block(j2, rng)
                         X = tsh.TshCoeffs(s=s1, L=l1, blocks={(j1, l1): u})
                         Y = tsh.TshCoeffs(s=s2, L=l2, blocks={(j2, l2): v})
                         res = tenprod.istp(X, Y, s3, l1 + l2, sht.make_grid(l1 + l2))
@@ -381,9 +376,9 @@ def check_gtp_formula(p, rng):
     worst = (0.0, "")
     nmax = p["lmax"]
     for l1 in range(nmax + 1):
-        u = rng.standard_normal(2 * l1 + 1) + 1j * rng.standard_normal(2 * l1 + 1)
+        u = sht.random_block(l1, rng)
         for l2 in range(nmax + 1):
-            v = rng.standard_normal(2 * l2 + 1) + 1j * rng.standard_normal(2 * l2 + 1)
+            v = sht.random_block(l2, rng)
             X = sht.IrrepCoeffs(L=l1, blocks={(l1, None): u})
             Y = sht.IrrepCoeffs(L=l2, blocks={(l2, None): v})
             res = tenprod.gtp(X, Y, l1 + l2, sht.make_grid(l1 + l2))
@@ -438,8 +433,8 @@ def check_cgtp_simulation(p, rng):
         for j2 in range(jmax + 1):
             for j3 in range(abs(j1 - j2), min(j1 + j2, jmax) + 1):
                 for _ in range(p["pairs"]):
-                    u = rng.standard_normal(2 * j1 + 1) + 1j * rng.standard_normal(2 * j1 + 1)
-                    v = rng.standard_normal(2 * j2 + 1) + 1j * rng.standard_normal(2 * j2 + 1)
+                    u = sht.random_block(j1, rng)
+                    v = sht.random_block(j2, rng)
                     sim = tenprod.simulate_cgtp_path(u, v, j3)
                     ref = tenprod.cgtp_path(u, v, j3)
                     dev = float(np.abs(sim - ref).max())

@@ -11,11 +11,6 @@ def grid_angles(grid):
     return np.meshgrid(grid.theta, grid.phi, indexing="ij")
 
 
-def grid_unit_vectors(grid):
-    th, ph = grid_angles(grid)
-    return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
-
-
 def angles_from_unit_vectors(vec):
     theta = np.arccos(np.clip(vec[..., 2], -1.0, 1.0))
     phi = np.arctan2(vec[..., 1], vec[..., 0])

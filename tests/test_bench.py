@@ -56,6 +56,12 @@ def test_flops_pinned(method, setting):
     assert tuple(r.flops for r in recs) == _PINNED_FLOPS[(method, setting)]
 
 
+def test_flops_pinned_cgtp_coeff_shape():
+    # MIMO L=16 decoded at L3=32: the shape of the perfbench cgtp_coeff workload
+    recs = run_bench("cgtp_sparse", "MIMO", [16], repeats=1, seed=0)
+    assert recs[0].flops == 1_135_889
+
+
 def test_flops_deterministic_and_data_independent():
     a = run_bench("vstp_grid", "MIMO", [2, 4], repeats=3, seed=1)
     b = run_bench("vstp_grid", "MIMO", [2, 4], repeats=1, seed=999)

@@ -19,7 +19,7 @@ from so3tp.sht import (
     to_sphere,
 )
 
-from conftest import angles_from_unit_vectors, grid_angles, grid_unit_vectors
+from conftest import angles_from_unit_vectors, grid_angles
 
 
 # ---------------------------------------------------------------- grids
@@ -189,7 +189,7 @@ def test_to_sphere_equivariance(rng):
     for _ in range(3):
         a, b, c = rng.uniform(0, 2 * np.pi, 3)
         f_rot = to_sphere(rotate_coeffs(x, a, b, c), g)
-        back = grid_unit_vectors(g) @ rotation_matrix(a, b, c)  # row-vector form of R^-1 v
+        back = g.unit_vectors @ rotation_matrix(a, b, c)  # row-vector form of R^-1 v
         th_b, ph_b = angles_from_unit_vectors(back)
         direct = sum(x.block(l)[m + l] * sh_eval(l, m, th_b, ph_b)
                      for l in range(L + 1) for m in range(-l, l + 1))

@@ -9,7 +9,8 @@ from so3tp import angular, rules, tenprod, tsh
 from so3tp.angular import cg_float
 from so3tp.flops import FlopCounter
 from so3tp.rules import PathKey, find_valid_ells, generalized_gaunt
-from so3tp.sht import IrrepCoeffs, gaunt_coefficient, make_grid, random_coeffs, rotate_coeffs
+from so3tp.sht import (IrrepCoeffs, gaunt_coefficient, make_grid, random_block, random_coeffs,
+                       rotate_coeffs)
 from so3tp.tenprod import (
     cgtp_full,
     cgtp_path,
@@ -22,10 +23,6 @@ from so3tp.tenprod import (
 )
 from so3tp.tsh import SpinSignal, TshCoeffs, random_tsh_coeffs, rotate_tsh_coeffs
 
-
-
-def random_vec(j, rng):
-    return rng.standard_normal(2 * j + 1) + 1j * rng.standard_normal(2 * j + 1)
 
 
 def cg_contract(u, v, j3):
@@ -44,7 +41,7 @@ def cg_contract(u, v, j3):
 # ---------------------------------------------------------------- cgtp
 
 def test_cgtp_path_scalar_coupling(rng):
-    y = random_vec(2, rng)
+    y = random_block(2, rng)
     z = cgtp_path(np.array([3.0 + 0j]), y, 2)
     np.testing.assert_allclose(z, 3.0 * y, atol=1e-14)
 
@@ -59,13 +56,13 @@ def test_cgtp_path_highest_weight():
 
 
 def test_cgtp_path_antisymmetric_zero(rng):
-    x = random_vec(1, rng)
+    x = random_block(1, rng)
     assert np.abs(cgtp_path(x, x, 1)).max() <= 1e-15
 
 
 def test_cgtp_path_matches_oracle(rng):
     for j1, j2, j3 in [(1, 1, 2), (2, 3, 4), (3, 2, 1), (4, 4, 5)]:
-        u, v = random_vec(j1, rng), random_vec(j2, rng)
+        u, v = random_block(j1, rng), random_block(j2, rng)
         expect = cg_contract(u, v, j3)
         for mode in ("naive", "sparse"):
             np.testing.assert_allclose(cgtp_path(u, v, j3, mode=mode), expect, atol=1e-12)
@@ -73,16 +70,16 @@ def test_cgtp_path_matches_oracle(rng):
 
 def test_cgtp_path_errors(rng):
     with pytest.raises(ValueError):
-        cgtp_path(random_vec(1, rng), random_vec(1, rng), 3)  # triangle
+        cgtp_path(random_block(1, rng), random_block(1, rng), 3)  # triangle
     with pytest.raises(ValueError):
         cgtp_path(np.zeros(4, complex), np.zeros(3, complex), 1)  # even length
     with pytest.raises(ValueError):
-        cgtp_path(random_vec(1, rng), random_vec(1, rng), 1, mode="fast")
+        cgtp_path(random_block(1, rng), random_block(1, rng), 1, mode="fast")
 
 
 def test_cgtp_flop_counts(rng):
     for j1, j2, j3 in [(1, 1, 1), (2, 3, 4), (3, 3, 0), (2, 2, 4)]:
-        u, v = random_vec(j1, rng), random_vec(j2, rng)
+        u, v = random_block(j1, rng), random_block(j2, rng)
         fl = FlopCounter()
         cgtp_path(u, v, j3, mode="naive", flops=fl)
         assert fl.count == (2 * j1 + 1) * (2 * j2 + 1) * (2 * j3 + 1)
@@ -115,6 +112,56 @@ def test_cgtp_full_modes_agree(rng):
     for key in r1.output.blocks:
         np.testing.assert_allclose(r1.output.blocks[key], r2.output.blocks[key], atol=1e-12)
     assert r2.flops <= r1.flops
+
+
+@pytest.mark.parametrize("L3", [0, 2, 5, 12])
+def test_cgtp_full_sparse_matches_path_loop(L3, rng):
+    L = 6
+    x, y = random_coeffs(L, rng), random_coeffs(L, rng)
+    res = cgtp_full(x, y, L3, mode="sparse")
+    expect, macs = {}, 0
+    for j1 in range(L + 1):
+        for j2 in range(L + 1):
+            for j3 in range(abs(j1 - j2), min(j1 + j2, L3) + 1):
+                expect[(j3, (j1, j2))] = cgtp_path(x.block(j1), y.block(j2), j3)
+                macs += sparse_pair_count(j1, j2, j3)
+    assert set(res.output.blocks) == set(expect)
+    for key, z in expect.items():
+        np.testing.assert_allclose(res.output.blocks[key], z, rtol=0, atol=1e-13)
+    assert res.flops == macs
+
+
+_NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan)]
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_cgtp_path_rejects_non_finite(bad, rng):
+    u, v = random_block(1, rng), random_block(1, rng)
+    u[0] = bad
+    for mode in ("naive", "sparse"):
+        with pytest.raises(ValueError, match="finite"):
+            cgtp_path(u, v, 1, mode=mode)
+        with pytest.raises(ValueError, match="finite"):
+            cgtp_path(v, u, 1, mode=mode)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_cgtp_full_rejects_non_finite(bad, rng):
+    x, y = random_coeffs(3, rng), random_coeffs(3, rng)
+    x.block(2)[1] = bad
+    for mode in ("naive", "sparse"):
+        with pytest.raises(ValueError, match="finite"):
+            cgtp_full(x, y, 6, mode=mode)
+        with pytest.raises(ValueError, match="finite"):
+            cgtp_full(y, x, 6, mode=mode)
+
+
+def test_cgtp_full_rejects_degrees_past_float_cg_range(rng):
+    x = IrrepCoeffs(L=66, blocks={(66, None): random_block(66, rng)})
+    y = IrrepCoeffs(L=65, blocks={(65, None): random_block(65, rng)})
+    for mode in ("naive", "sparse"):
+        with pytest.raises(ValueError, match="float CG range"):
+            cgtp_full(x, y, 1, mode=mode)
 
 
 # ---------------------------------------------------------------- pointwise
@@ -175,7 +222,7 @@ def test_pointwise_errors(rng):
 
 def single_block_istp_error(j1, l1, s1, j2, l2, s2, s3, rng):
     """Max deviation of istp output from the closed-form product expansion."""
-    u, v = random_vec(j1, rng), random_vec(j2, rng)
+    u, v = random_block(j1, rng), random_block(j2, rng)
     X = TshCoeffs(s=s1, L=l1, blocks={(j1, l1): u})
     Y = TshCoeffs(s=s2, L=l2, blocks={(j2, l2): v})
     res = istp(X, Y, s3, l1 + l2, make_grid(l1 + l2))
@@ -220,7 +267,7 @@ def test_istp_grid_preconditions(rng):
 
 
 def test_gtp_matches_gaunt_contraction(rng):
-    u, v = random_vec(1, rng), random_vec(2, rng)
+    u, v = random_block(1, rng), random_block(2, rng)
     X = IrrepCoeffs(L=1, blocks={(1, None): u})
     Y = IrrepCoeffs(L=2, blocks={(2, None): v})
     res = gtp(X, Y, 3, make_grid(3))
@@ -241,9 +288,9 @@ def test_gtp_symmetric_and_even_only(rng):
     for l in range(5):
         np.testing.assert_allclose(r1.output.block(l), r2.output.block(l), atol=1e-13)
     # odd single-path contributions vanish
-    u = random_vec(1, rng)
+    u = random_block(1, rng)
     X = IrrepCoeffs(L=1, blocks={(1, None): u})
-    Y = IrrepCoeffs(L=2, blocks={(2, None): random_vec(2, rng)})
+    Y = IrrepCoeffs(L=2, blocks={(2, None): random_block(2, rng)})
     res = gtp(X, Y, 2, make_grid(3))
     assert np.abs(res.output.block(2)).max() <= 1e-12  # 1 + 2 + 2 odd
 
@@ -275,7 +322,7 @@ def test_vstp_rejects_wrong_spin(rng):
 def test_vstp_single_paths_match_selection_rules(rng):
     # (1,1) x (1,1): the (1,1) output vanishes (odd grid symmetry), the
     # surviving blocks match the closed form
-    u, v = random_vec(1, rng), random_vec(1, rng)
+    u, v = random_block(1, rng), random_block(1, rng)
     X = TshCoeffs(s=1, L=1, blocks={(1, 1): u})
     Y = TshCoeffs(s=1, L=1, blocks={(1, 1): v})
     res = vstp(X, Y, 2, make_grid(2))
@@ -357,20 +404,20 @@ def test_simulate_scalar_path():
 
 def test_simulate_triangle_error(rng):
     with pytest.raises(ValueError):
-        simulate_cgtp_path(random_vec(1, rng), random_vec(1, rng), 3)
+        simulate_cgtp_path(random_block(1, rng), random_block(1, rng), 3)
 
 
 def test_simulate_matches_direct_path(rng):
     for j1, j2, j3 in [(1, 1, 1), (1, 1, 2), (2, 2, 2), (2, 3, 4), (0, 1, 1), (3, 1, 2), (4, 4, 4)]:
         for _ in range(3):
-            u, v = random_vec(j1, rng), random_vec(j2, rng)
+            u, v = random_block(j1, rng), random_block(j2, rng)
             sim = simulate_cgtp_path(u, v, j3)
             np.testing.assert_allclose(sim, cgtp_path(u, v, j3), atol=1e-10)
 
 
 def test_simulate_cross_product_path(rng):
     # the (1,1,1) path: antisymmetric, invisible to the scalar product
-    u, v = random_vec(1, rng), random_vec(1, rng)
+    u, v = random_block(1, rng), random_block(1, rng)
     sim = simulate_cgtp_path(u, v, 1)
     ref = cg_contract(u, v, 1)
     np.testing.assert_allclose(sim, ref, atol=1e-10)
@@ -402,7 +449,7 @@ def test_simulation_does_no_9j_contraction(rng):
     nine = angular._wigner_9j_cached.cache_info().misses
     gaunt = rules.generalized_gaunt_exact.cache_info().misses
     for j1, j2, j3 in [(1, 1, 1), (2, 3, 4), (65, 65, 66), (60, 70, 130)]:
-        u, v = random_vec(j1, rng), random_vec(j2, rng)
+        u, v = random_block(j1, rng), random_block(j2, rng)
         ref = cgtp_path(u, v, j3)
         err = np.abs(simulate_cgtp_path(u, v, j3) - ref).max() / np.abs(ref).max()
         assert err <= 1e-10, (j1, j2, j3, err)
@@ -414,5 +461,5 @@ def test_simulation_mac_count_pinned(rng):
     # one cycle over every path with j <= 10 spends the benchmark's pinned count
     fl = FlopCounter()
     for j1, j2, j3 in triangle_paths(10):
-        simulate_cgtp_path(random_vec(j1, rng), random_vec(j2, rng), j3, flops=fl)
+        simulate_cgtp_path(random_block(j1, rng), random_block(j2, rng), j3, flops=fl)
     assert fl.count == 36_442_041

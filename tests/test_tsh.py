@@ -7,7 +7,7 @@ import pytest
 
 from so3tp.angular import wigner_d_matrix
 from so3tp.flops import FlopCounter
-from so3tp.sht import make_grid, sh_eval
+from so3tp.sht import make_grid, random_block, sh_eval
 from so3tp.tsh import (
     SpinSignal,
     TshCoeffs,
@@ -22,7 +22,7 @@ from so3tp.tsh import (
 )
 from so3tp.angular import rotation_matrix
 
-from conftest import angles_from_unit_vectors, grid_angles, grid_unit_vectors
+from conftest import angles_from_unit_vectors, grid_angles
 
 
 def test_valid_pairs_small():
@@ -131,7 +131,7 @@ def test_decode_zero_signal():
 
 def test_decode_recovers_single_block(rng):
     g = make_grid(4)
-    vec = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    vec = random_block(2, rng)
     x = TshCoeffs(s=1, L=3, blocks={(2, 3): vec})
     z = tsh_decode(tsh_encode(x, g), 3)
     for (j, l), block in z.items():
@@ -144,7 +144,7 @@ def test_decode_recovers_each_block(s, rng):
     L = 4
     g = make_grid(L)
     for key in valid_pairs(s, L):
-        vec = rng.standard_normal(2 * key[0] + 1) + 1j * rng.standard_normal(2 * key[0] + 1)
+        vec = random_block(key[0], rng)
         z = tsh_decode(tsh_encode(TshCoeffs(s=s, L=L, blocks={key: vec}), g), L)
         for other, block in z.items():
             expect = vec if other == key else 0.0
@@ -215,7 +215,7 @@ def test_equivariance(rng):
     for _ in range(3):
         a, b, c = rng.uniform(0, 2 * np.pi, 3)
         f_rot = tsh_encode(rotate_tsh_coeffs(x, a, b, c), g).values
-        back = grid_unit_vectors(g) @ rotation_matrix(a, b, c)
+        back = g.unit_vectors @ rotation_matrix(a, b, c)
         th_b, ph_b = angles_from_unit_vectors(back)
         f_back = tsh_evaluate(x, th_b, ph_b)
         expect = f_back @ wigner_d_matrix(s, a, b, c).T
