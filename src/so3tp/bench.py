@@ -153,7 +153,7 @@ def run_bench(method: str, setting: str, L_list, repeats: int, seed: int,
 
     ``L_list`` must be ascending.  A cell whose projected cost exceeds the
     flop budget (argument, else the SO3TP_FLOP_BUDGET environment
-    variable, else 2e9) raises FlopBudgetExceeded before running.
+    variable, else 4e9) raises FlopBudgetExceeded before running.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")

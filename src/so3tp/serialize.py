@@ -13,7 +13,8 @@ nested re/im arrays.
 
 Output is canonical: keys sorted, floats printed with 17 significant
 digits (round-trip exact for float64), LF newlines; re-serializing a
-parsed file reproduces it byte for byte.
+parsed file reproduces it byte for byte.  Readers reject NaN and
+infinite re/im entries with a ``SchemaError``.
 """
 
 from __future__ import annotations
@@ -142,7 +143,11 @@ def _parse_block(obj, i: int):
     _expect(all(isinstance(v, (int, float)) and not isinstance(v, bool)
                 for v in obj["re"] + obj["im"]),
             f"{ptr}/re", "re/im entries must be numbers")
-    vec = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
+    re = np.array(obj["re"], dtype=float)
+    im = np.array(obj["im"], dtype=float)
+    _expect(np.isfinite(re).all(), f"{ptr}/re", "entries must be finite")
+    _expect(np.isfinite(im).all(), f"{ptr}/im", "entries must be finite")
+    vec = re + 1j * im
     l = obj.get("l")
     _expect(l is None or (isinstance(l, int) and l >= 0), f"{ptr}/l",
             "l must be null or a non-negative integer")
@@ -220,12 +225,16 @@ def samples_from_obj(obj) -> SpinSignal:
         raise SchemaError("/re", f"samples must be numeric arrays: {exc}") from exc
     _expect(re.shape == shape, "/re", f"expected shape {shape}, got {re.shape}")
     _expect(im.shape == shape, "/im", f"expected shape {shape}, got {im.shape}")
+    _expect(np.isfinite(re).all(), "/re", "samples must be finite")
+    _expect(np.isfinite(im).all(), "/im", "samples must be finite")
     return SpinSignal(s=s, grid=grid, values=re + 1j * im)
 
 
 def write_file(obj: dict, path) -> None:
+    """Write ``obj`` as canonical JSON; a failed serialization leaves ``path`` untouched."""
+    text = canonical_json(obj)
     with open(path, "w", newline="\n") as fh:
-        fh.write(canonical_json(obj))
+        fh.write(text)
 
 
 def read_file(path) -> dict:

@@ -259,17 +259,16 @@ def _path_coefficient(j1: int, l1: int, j2: int, l2: int, j3: int, l3: int) -> f
 
 
 def simulate_cgtp_path(x: np.ndarray, y: np.ndarray, j3: int,
-                       grid: SphereGrid | None = None,
                        flops: FlopCounter | None = None) -> np.ndarray:
     """Compute one Clebsch-Gordan path through a single vector-signal product.
 
     Places x and y into the tensor-harmonic blocks selected by
-    find_valid_ells, runs one vstp, reads the (j3, l3) output block, and
-    divides by the path coefficient.  The coefficient is the closed-form
-    float value of ``_path_coefficient``; it matches the exact
-    ``rules.generalized_gaunt`` to 4.3e-16 relative on every path with
-    j <= 10.  The (0, 0, 0) path is plain scalar multiplication and uses
-    no signal product.
+    find_valid_ells, runs one vstp on ``make_grid(l1 + l2)``, reads the
+    (j3, l3) output block, and divides by the path coefficient.  The
+    coefficient is the closed-form float value of ``_path_coefficient``;
+    it matches the exact ``rules.generalized_gaunt`` to 4.3e-16 relative
+    on every path with j <= 10.  The (0, 0, 0) path is plain scalar
+    multiplication and uses no signal product.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -282,11 +281,9 @@ def simulate_cgtp_path(x: np.ndarray, y: np.ndarray, j3: int,
             flops.add(1)
         return x * y
     l1, l2, l3 = find_valid_ells(j1, j2, j3)
-    if grid is None:
-        grid = make_grid(l1 + l2)
     X = TshCoeffs(s=1, L=l1, blocks={(j1, l1): x})
     Y = TshCoeffs(s=1, L=l2, blocks={(j2, l2): y})
-    res = vstp(X, Y, L3=l3, grid=grid)
+    res = vstp(X, Y, L3=l3, grid=make_grid(l1 + l2))
     coef = _path_coefficient(j1, l1, j2, l2, j3, l3)
     if abs(coef) < 1e-13:
         raise NumericalDegeneracy(

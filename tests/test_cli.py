@@ -119,6 +119,22 @@ def test_transform_schema_error_has_pointer(files, capsys):
     assert code == 2 and "/blocks/0/re" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("transform", "inverse", "--s", "1", "--in", "{xv}"),
+    ("tp", "vstp", "--x", "{xv}", "--y", "{yv}", "--l3", "2"),
+])
+def test_non_finite_input_fails_before_any_output(files, capsys, argv):
+    tmp_path, paths = files
+    obj = serialize.read_file(paths["xv"])
+    obj["blocks"][1]["im"][0] = float("nan")
+    paths["xv"].write_text(json.dumps(obj))  # json.dumps writes NaN; canonical_json refuses
+    out = tmp_path / "out.json"
+    argv = [a.format(**paths) for a in argv] + ["--out", str(out)]
+    code, _out, err = run_cli(capsys, *argv)
+    assert code == 2 and "/blocks/1/im" in err
+    assert not out.exists()
+
+
 def test_tp_cgtp_writes_path_tags(files, capsys):
     tmp_path, paths = files
     out = tmp_path / "z.json"

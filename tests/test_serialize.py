@@ -82,6 +82,10 @@ def test_samples_round_trip(rng):
     (lambda o: o["blocks"][0].__setitem__("j", -1), "/blocks/0/j"),
     (lambda o: o["blocks"][0].__setitem__("m", [0, 1]), "/blocks/0/m"),
     (lambda o: o["blocks"][0].__setitem__("re", ["x"]), "/blocks/0/re"),
+    (lambda o: o["blocks"][0]["re"].__setitem__(0, float("nan")), "/blocks/0/re"),
+    (lambda o: o["blocks"][0]["re"].__setitem__(0, float("-inf")), "/blocks/0/re"),
+    (lambda o: o["blocks"][0]["im"].__setitem__(0, float("inf")), "/blocks/0/im"),
+    (lambda o: o["blocks"][0]["im"].__setitem__(0, float("nan")), "/blocks/0/im"),
 ])
 def test_schema_errors_carry_pointers(rng, mutate, pointer):
     obj = serialize.coeffs_to_obj(random_coeffs(0, rng))
@@ -111,3 +115,26 @@ def test_samples_shape_validation(rng):
     obj["re"] = [[0.0]]
     with pytest.raises(SchemaError):
         serialize.samples_from_obj(obj)
+
+
+@pytest.mark.parametrize("field,value", [("re", float("nan")), ("im", float("inf"))])
+def test_samples_reject_non_finite(rng, field, value):
+    obj = serialize.samples_to_obj(tsh_encode(random_tsh_coeffs(1, 1, rng), make_grid(1)))
+    obj[field][0][0][0] = value
+    with pytest.raises(SchemaError) as err:
+        serialize.samples_from_obj(obj)
+    assert err.value.pointer == f"/{field}"
+
+
+def test_failed_write_leaves_file_untouched(rng, tmp_path):
+    old = tmp_path / "old.json"
+    serialize.write_file(serialize.coeffs_to_obj(random_coeffs(1, rng)), old)
+    before = old.read_bytes()
+    bad = {"L": 0, "blocks": [{"re": [float("nan")]}]}
+    with pytest.raises(ValueError):
+        serialize.write_file(bad, old)
+    assert old.read_bytes() == before
+    new = tmp_path / "new.json"
+    with pytest.raises(ValueError):
+        serialize.write_file(bad, new)
+    assert not new.exists()

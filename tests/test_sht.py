@@ -18,8 +18,9 @@ from so3tp.sht import (
     sh_eval,
     to_sphere,
 )
+from so3tp.verify import rotated_node_angles
 
-from conftest import angles_from_unit_vectors, grid_angles
+from conftest import grid_angles
 
 
 # ---------------------------------------------------------------- grids
@@ -189,8 +190,7 @@ def test_to_sphere_equivariance(rng):
     for _ in range(3):
         a, b, c = rng.uniform(0, 2 * np.pi, 3)
         f_rot = to_sphere(rotate_coeffs(x, a, b, c), g)
-        back = g.unit_vectors @ rotation_matrix(a, b, c)  # row-vector form of R^-1 v
-        th_b, ph_b = angles_from_unit_vectors(back)
+        th_b, ph_b = rotated_node_angles(g, a, b, c)
         direct = sum(x.block(l)[m + l] * sh_eval(l, m, th_b, ph_b)
                      for l in range(L + 1) for m in range(-l, l + 1))
         assert np.abs(f_rot.values - direct).max() <= 1e-10

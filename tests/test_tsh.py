@@ -20,9 +20,9 @@ from so3tp.tsh import (
     tsh_orthonormality_check,
     valid_pairs,
 )
-from so3tp.angular import rotation_matrix
+from so3tp.verify import rotated_node_angles
 
-from conftest import angles_from_unit_vectors, grid_angles
+from conftest import grid_angles
 
 
 def test_valid_pairs_small():
@@ -215,8 +215,7 @@ def test_equivariance(rng):
     for _ in range(3):
         a, b, c = rng.uniform(0, 2 * np.pi, 3)
         f_rot = tsh_encode(rotate_tsh_coeffs(x, a, b, c), g).values
-        back = g.unit_vectors @ rotation_matrix(a, b, c)
-        th_b, ph_b = angles_from_unit_vectors(back)
+        th_b, ph_b = rotated_node_angles(g, a, b, c)
         f_back = tsh_evaluate(x, th_b, ph_b)
         expect = f_back @ wigner_d_matrix(s, a, b, c).T
         assert np.abs(f_rot - expect).max() <= 1e-10
