@@ -53,12 +53,22 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=64)
-def _dft_matrix(n_phi: int, L: int, sign: int) -> np.ndarray:
-    """exp(sign * 1j * m * phi_k) as [m + L, k] for uniform phi nodes."""
-    ms = np.arange(-L, L + 1)
+@lru_cache(maxsize=256)
+def _grid_dft(n_phi: int, sign: int) -> np.ndarray:
+    """exp(sign * 1j * m * phi_k) as [m + Lg, k] for the full band |m| <= Lg = (n_phi - 1) // 2.
+
+    One entry per grid and direction; every band L <= Lg is a row slice.
+    """
+    Lg = (n_phi - 1) // 2
+    ms = np.arange(-Lg, Lg + 1)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     return np.exp(sign * 1j * np.outer(ms, phi))
+
+
+def _dft_matrix(n_phi: int, L: int, sign: int) -> np.ndarray:
+    """exp(sign * 1j * m * phi_k) as [m + L, k] for uniform phi nodes, L <= (n_phi - 1) // 2."""
+    Lg = (n_phi - 1) // 2
+    return _grid_dft(n_phi, sign)[Lg - L:Lg + L + 1]
 
 
 def _padded_index(L: int, l, m):

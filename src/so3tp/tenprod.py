@@ -78,6 +78,16 @@ def _require_finite(*vecs: np.ndarray) -> None:
             raise ValueError("inputs must be finite, got NaN or inf")
 
 
+def _path_inputs(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Both single-path inputs as complex vectors; raises unless odd-length, 1-D and finite."""
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    if x.ndim != 1 or y.ndim != 1 or x.size % 2 == 0 or y.size % 2 == 0:
+        raise ValueError("inputs must be odd-length vectors")
+    _require_finite(x, y)
+    return x, y
+
+
 def _antidiagonal_sums(T: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """z[k, a + b] = sum of T[k, a, b] x[a] y[b] over each anti-diagonal a + b.
 
@@ -104,11 +114,7 @@ def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
     kernel ``cgtp_full`` runs per pair) and counts
     sparse_pair_count(j1, j2, j3) MACs.
     """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.ndim != 1 or y.ndim != 1 or x.size % 2 == 0 or y.size % 2 == 0:
-        raise ValueError("inputs must be odd-length vectors")
-    _require_finite(x, y)
+    x, y = _path_inputs(x, y)
     j1 = (x.size - 1) // 2
     j2 = (y.size - 1) // 2
     if not triangle_delta(j1, j2, j3):
@@ -174,6 +180,27 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
     return TpoResult(output=out, flops=fl.count)
 
 
+@lru_cache(maxsize=256)
+def _pointwise_terms(s1: int, s2: int, s3: int):
+    """Nonzero coupling terms (m1 + s1, m2 + s2, m3 + s3, C) in m1-major order, and the pair count.
+
+    The pair count covers every (m1, m2) with |m1 + m2| <= s3, zero
+    coefficients included: it is the pointwise MAC count per grid node.
+    """
+    C = cg_block(s1, s2, s3)
+    terms, pairs = [], 0
+    for m1 in range(-s1, s1 + 1):
+        for m2 in range(-s2, s2 + 1):
+            m3 = m1 + m2
+            if abs(m3) > s3:
+                continue
+            pairs += 1
+            coef = C[m1 + s1, m2 + s2]
+            if coef:
+                terms.append((m1 + s1, m2 + s2, m3 + s3, coef))
+    return tuple(terms), pairs
+
+
 def pointwise_spin_tp(f: SpinSignal, g: SpinSignal, s3: int,
                       flops: FlopCounter | None = None) -> SpinSignal:
     """Pointwise coupling (f (x) g)^{s3}_{m3} = sum C^{s3,m3}_{s1,m1,s2,m2} f_{m1} g_{m2}.
@@ -187,18 +214,13 @@ def pointwise_spin_tp(f: SpinSignal, g: SpinSignal, s3: int,
     s1, s2 = f.s, g.s
     if not triangle_delta(s1, s2, s3):
         raise ValueError(f"spins ({s1}, {s2}, {s3}) violate the triangle condition")
+    terms, pairs = _pointwise_terms(s1, s2, s3)
     out = np.zeros(f.values.shape[:2] + (2 * s3 + 1,), dtype=complex)
-    C = cg_block(s1, s2, s3)
-    pairs = 0
-    for m1 in range(-s1, s1 + 1):
-        for m2 in range(-s2, s2 + 1):
-            m3 = m1 + m2
-            if abs(m3) > s3:
-                continue
-            pairs += 1
-            coef = C[m1 + s1, m2 + s2]
-            if coef:
-                out[:, :, m3 + s3] += coef * f.values[:, :, m1 + s1] * g.values[:, :, m2 + s2]
+    term = np.empty(f.values.shape[:2], dtype=complex)
+    for i1, i2, i3, coef in terms:
+        np.multiply(coef, f.values[:, :, i1], out=term)
+        term *= g.values[:, :, i2]
+        out[:, :, i3] += term
     if flops is not None:
         flops.add(pairs * f.values.shape[0] * f.values.shape[1])
     return SpinSignal(s=s3, grid=f.grid, values=out)
@@ -268,10 +290,10 @@ def simulate_cgtp_path(x: np.ndarray, y: np.ndarray, j3: int,
     coefficient is the closed-form float value of ``_path_coefficient``;
     it matches the exact ``rules.generalized_gaunt`` to 4.3e-16 relative
     on every path with j <= 10.  The (0, 0, 0) path is plain scalar
-    multiplication and uses no signal product.
+    multiplication and uses no signal product.  Inputs are checked as in
+    ``cgtp_path``.
     """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
+    x, y = _path_inputs(x, y)
     j1 = (x.size - 1) // 2
     j2 = (y.size - 1) // 2
     if not triangle_delta(j1, j2, j3):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -49,6 +50,12 @@ def valid_pairs(s: int, L: int) -> list[tuple[int, int]]:
     """All (j, l) with {j, l, s} = 1 and l <= L, ascending j then l."""
     pairs = [(j, l) for l in range(L + 1) for j in range(abs(l - s), l + s + 1)]
     return sorted(pairs)
+
+
+@lru_cache(maxsize=128)
+def _valid_key_set(s: int, L: int) -> frozenset:
+    """valid_pairs(s, L) for O(1) key checks; keys outside it go to TshCoeffs._check_key."""
+    return frozenset(valid_pairs(s, L))
 
 
 @dataclass(eq=False)
@@ -81,9 +88,11 @@ class TshCoeffs:
 
     def __post_init__(self):
         fixed = {}
+        valid = _valid_key_set(self.s, self.L)
         for (j, l), vec in self.blocks.items():
             vec = np.asarray(vec, dtype=complex)
-            self._check_key(j, l)
+            if (j, l) not in valid:
+                self._check_key(j, l)
             if vec.shape != (2 * j + 1,):
                 raise ValueError(f"block {(j, l)} has length {vec.shape}, want {2 * j + 1}")
             fixed[(j, l)] = vec
@@ -103,7 +112,8 @@ class TshCoeffs:
 
     def set_block(self, j: int, l: int, vec) -> None:
         vec = np.asarray(vec, dtype=complex)
-        self._check_key(j, l)
+        if (j, l) not in _valid_key_set(self.s, self.L):
+            self._check_key(j, l)
         if vec.shape != (2 * j + 1,):
             raise ValueError(f"block {(j, l)} has length {vec.shape}, want {2 * j + 1}")
         self.blocks[(j, l)] = vec
@@ -167,6 +177,18 @@ def _coupling_table(s: int, keys: tuple, L: int):
     return src, slot, weight, _interleaved(src), _interleaved(slot)
 
 
+@lru_cache(maxsize=128)
+def _decode_layout(s: int, L: int):
+    """Every (j, l) key up to L in valid_pairs order, its coupling table, and block spans.
+
+    Block (j, l) is packed[start:end] for its (start, end) span; the last
+    end is the packed length.
+    """
+    keys = tuple(valid_pairs(s, L))
+    ends = list(accumulate(2 * j + 1 for j, _l in keys))
+    return keys, _coupling_table(s, keys, L), tuple(zip([0] + ends[:-1], ends))
+
+
 def _interleaved(index: np.ndarray) -> np.ndarray:
     """(2i, 2i + 1) per complex index i: the same entries of a float view."""
     return (2 * index[:, None] + np.arange(2)).reshape(-1)
@@ -206,15 +228,13 @@ def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCo
     if L > grid.Lg:
         raise ValueError(f"analysis degree {L} > grid exactness degree {grid.Lg}")
     s = f.s
-    keys = tuple(valid_pairs(s, L))
-    src, slot, weight, src2, _slot2 = _coupling_table(s, keys, L)
+    keys, (src, slot, weight, src2, _slot2), spans = _decode_layout(s, L)
     terms = _analysis_core(f.values, grid, L, flops).reshape(-1)[slot]
     terms *= weight
-    sizes = [2 * j + 1 for j, _l in keys]
-    packed = _scatter(src2, terms, sum(sizes))
+    packed = _scatter(src2, terms, spans[-1][1])
     if flops is not None:
         flops.add(src.size)
-    blocks = dict(zip(keys, np.split(packed, np.cumsum(sizes)[:-1])))
+    blocks = {key: packed[start:end] for key, (start, end) in zip(keys, spans)}
     return TshCoeffs(s=s, L=L, blocks=blocks)
 
 

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,3 +304,11 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
                               "--in", str(tmp_path / "nope.json"),
                               "--out", str(tmp_path / "o.json"))
     assert code == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "so3tp", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: so3tp")

@@ -9,6 +9,7 @@ from so3tp.angular import rotation_matrix, wigner_d_matrix
 from so3tp.flops import FlopCounter
 from so3tp.sht import (
     IrrepCoeffs,
+    _dft_matrix,
     ScalarSignal,
     from_sphere,
     gaunt_coefficient,
@@ -159,6 +160,17 @@ def test_round_trip_on_larger_grid(rng):
     x2 = from_sphere(to_sphere(x, make_grid(13)), 8)
     err = max(np.abs(x.block(l) - x2.block(l)).max() for l in range(9))
     assert err <= 1e-12
+
+
+def test_dft_matrix_is_band_slice_of_grid_dft():
+    for Lg in range(41):
+        n_phi = 2 * Lg + 1
+        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+        for L in range(Lg + 1):
+            for sign in (1, -1):
+                D = _dft_matrix(n_phi, L, sign)
+                assert D.flags.c_contiguous
+                assert np.array_equal(D, np.exp(sign * 1j * np.outer(np.arange(-L, L + 1), phi)))
 
 
 def test_transform_flop_counts(rng):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from so3tp import angular, rules, tenprod, tsh
+from so3tp import angular, rules, sht, tenprod, tsh
 from so3tp.angular import cg_float
 from so3tp.flops import FlopCounter
 from so3tp.rules import PathKey, find_valid_ells, generalized_gaunt
@@ -143,6 +143,18 @@ def test_cgtp_path_rejects_non_finite(bad, rng):
             cgtp_path(u, v, 1, mode=mode)
         with pytest.raises(ValueError, match="finite"):
             cgtp_path(v, u, 1, mode=mode)
+    for a, b in [(u, v), (v, u)]:
+        with pytest.raises(ValueError, match="finite"):
+            simulate_cgtp_path(a, b, 1)
+
+
+@pytest.mark.parametrize("product", [cgtp_path, simulate_cgtp_path])
+@pytest.mark.parametrize("x, y", [(np.ones(2), np.ones(1)), (np.ones(1), np.ones(2)),
+                                  (np.ones((1, 1)), np.ones(1)), (np.ones(1), np.ones((1, 1)))])
+def test_path_products_reject_non_vectors(product, x, y):
+    # the (0, 0, 0) path of simulate_cgtp_path must not multiply these
+    with pytest.raises(ValueError, match="inputs must be odd-length vectors"):
+        product(x, y, 0)
 
 
 @pytest.mark.parametrize("bad", _NON_FINITE)
@@ -205,6 +217,40 @@ def test_pointwise_vector_is_scaled_cross_product(rng):
     cross = cart_to_sph(np.cross(sph_to_cart(f.values), sph_to_cart(h.values)))
     np.testing.assert_allclose(tp, (-1j / math.sqrt(2)) * cross, atol=1e-13)
     np.testing.assert_allclose(np.abs(tp), np.abs(cross) / math.sqrt(2), atol=1e-13)
+
+
+def _pointwise_loop(f, g, s3):
+    """The per-call m-loop pointwise_spin_tp replaced: the bitwise oracle and its pair count."""
+    s1, s2 = f.s, g.s
+    out = np.zeros(f.values.shape[:2] + (2 * s3 + 1,), dtype=complex)
+    C = angular.cg_block(s1, s2, s3)
+    pairs = 0
+    for m1 in range(-s1, s1 + 1):
+        for m2 in range(-s2, s2 + 1):
+            m3 = m1 + m2
+            if abs(m3) > s3:
+                continue
+            pairs += 1
+            coef = C[m1 + s1, m2 + s2]
+            if coef:
+                out[:, :, m3 + s3] += coef * f.values[:, :, m1 + s1] * g.values[:, :, m2 + s2]
+    return out, pairs
+
+
+@pytest.mark.parametrize("Lg", [3, 64])
+@pytest.mark.parametrize("s1, s2, s3", [(0, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1),
+                                        (2, 1, 1), (2, 2, 2)])
+def test_pointwise_matches_loop_bitwise(s1, s2, s3, Lg, rng):
+    g = make_grid(Lg)
+    shape = (g.n_theta, g.n_phi)
+    f = SpinSignal(s1, g, rng.standard_normal(shape + (2 * s1 + 1,))
+                   + 1j * rng.standard_normal(shape + (2 * s1 + 1,)))
+    h = SpinSignal(s2, g, rng.standard_normal(shape + (2 * s2 + 1,))
+                   + 1j * rng.standard_normal(shape + (2 * s2 + 1,)))
+    expect, pairs = _pointwise_loop(f, h, s3)
+    fl = FlopCounter()
+    assert np.array_equal(pointwise_spin_tp(f, h, s3, flops=fl).values, expect)
+    assert fl.count == pairs * g.n_theta * g.n_phi
 
 
 def test_pointwise_errors(rng):
@@ -339,6 +385,8 @@ def test_grid_products_do_no_exact_arithmetic(rng):
     # a single exact Clebsch-Gordan coefficient
     angular._cg_tensor.cache_clear()
     tsh._coupling_table.cache_clear()
+    tsh._decode_layout.cache_clear()
+    tenprod._pointwise_terms.cache_clear()
     x, y = random_tsh_coeffs(1, 9, rng), random_tsh_coeffs(1, 9, rng)
     g = make_grid(18)
     misses = angular.cg.cache_info().misses
@@ -455,6 +503,22 @@ def test_simulation_does_no_9j_contraction(rng):
         assert err <= 1e-10, (j1, j2, j3, err)
     assert angular._wigner_9j_cached.cache_info().misses == nine
     assert rules.generalized_gaunt_exact.cache_info().misses == gaunt
+
+
+def test_simulation_sweep_reuses_grid_dfts(rng):
+    # one DFT matrix per grid and direction serves every band: a second
+    # sweep over the benchmark's 671 paths builds none
+    paths = triangle_paths(10)
+
+    def sweep():
+        for j1, j2, j3 in paths:
+            simulate_cgtp_path(random_block(j1, rng), random_block(j2, rng), j3)
+        return sht._grid_dft.cache_info().misses
+
+    sht._grid_dft.cache_clear()
+    built = sweep()
+    assert built <= 2 * len({sum(find_valid_ells(*p)[:2]) for p in paths if p != (0, 0, 0)})
+    assert sweep() == built
 
 
 def test_simulation_mac_count_pinned(rng):

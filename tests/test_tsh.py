@@ -52,12 +52,21 @@ def test_tsh_eval_rejects_invalid():
 
 
 def test_tsh_coeffs_key_validation():
-    with pytest.raises(ValueError):
-        TshCoeffs(s=1, L=2, blocks={(3, 1): np.zeros(7)})  # {3,1,1} fails
-    with pytest.raises(ValueError):
-        TshCoeffs(s=1, L=1, blocks={(2, 2): np.zeros(5)})  # l > L
-    with pytest.raises(ValueError):
-        TshCoeffs(s=1, L=2, blocks={(1, 1): np.zeros(5)})  # wrong length
+    for key, vec, message in [
+        ((2, 2), np.zeros(5), "block (2, 2) exceeds band limit L=1"),
+        ((-1, 1), np.zeros(1), "key (-1, 1) violates the triangle {j, l, s=1}"),
+        ((1, -1), np.zeros(3), "key (1, -1) violates the triangle {j, l, s=1}"),
+        ((3, 1), np.zeros(7), "key (3, 1) violates the triangle {j, l, s=1}"),
+        ((1, 1), np.zeros(5), "block (1, 1) has length (5,), want 3"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            TshCoeffs(s=1, L=1, blocks={key: vec})
+        assert str(err.value) == message
+        x = TshCoeffs(s=1, L=1)
+        with pytest.raises(ValueError) as err:
+            x.set_block(*key, vec)
+        assert str(err.value) == message
+        assert x.blocks == {}
 
 
 def test_encode_spin_zero_matches_scalar(rng):
@@ -127,6 +136,13 @@ def test_decode_zero_signal():
     g = make_grid(2)
     z = tsh_decode(SpinSignal(s=1, grid=g, values=np.zeros((g.n_theta, g.n_phi, 3), complex)), 2)
     assert all(np.abs(vec).max() == 0.0 for _k, vec in z.items())
+
+
+@pytest.mark.parametrize("s, L", [(0, 3), (1, 0), (1, 4), (2, 3)])
+def test_decode_keys_in_valid_pairs_order(s, L):
+    g = make_grid(L)
+    values = np.ones((g.n_theta, g.n_phi, 2 * s + 1), complex)
+    assert list(tsh_decode(SpinSignal(s=s, grid=g, values=values), L).blocks) == valid_pairs(s, L)
 
 
 def test_decode_recovers_single_block(rng):
