@@ -67,19 +67,13 @@ def _cmd_coeff_9j(args) -> int:
 
 # ---------------------------------------------------------------- transform
 
-def _load_coeffs(obj, s: int):
-    if s == 0:
-        return serialize.coeffs_from_obj(obj)
-    return serialize.tsh_from_obj(obj)
-
-
 def _cmd_transform(args) -> int:
     obj = serialize.read_file(args.infile)
     if args.direction == "inverse":
         # coefficients -> sample dump
         if ("s" in obj) != (args.s > 0) or ("s" in obj and obj["s"] != args.s):
             return _usage_error(f"--s {args.s} does not match the input file")
-        x = _load_coeffs(obj, args.s)
+        x = (serialize.coeffs_from_obj if args.s == 0 else serialize.tsh_from_obj)(obj)
         Lg = args.Lg if args.Lg is not None else x.L
         if Lg < x.L:
             return _usage_error(f"Lg={Lg} is below the band limit {x.L}")

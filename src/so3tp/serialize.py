@@ -128,6 +128,17 @@ def _expect(cond: bool, pointer: str, message: str) -> None:
         raise SchemaError(pointer, message)
 
 
+def _check_top_level(obj, fields: tuple, counts: tuple) -> None:
+    """An object holding ``fields``: ``counts`` non-negative integers, any /blocks a list."""
+    _expect(isinstance(obj, dict), "", "top level must be an object")
+    for field in fields:
+        _expect(field in obj, f"/{field}", "missing field")
+    for field in counts:
+        _expect(isinstance(obj[field], int) and obj[field] >= 0, f"/{field}",
+                f"{field} must be a non-negative integer")
+    _expect(isinstance(obj.get("blocks", []), list), "/blocks", "must be a list")
+
+
 def _parse_block(obj, i: int):
     ptr = f"/blocks/{i}"
     _expect(isinstance(obj, dict), ptr, "block must be an object")
@@ -161,12 +172,7 @@ def _parse_block(obj, i: int):
 
 
 def coeffs_from_obj(obj) -> IrrepCoeffs:
-    _expect(isinstance(obj, dict), "", "top level must be an object")
-    _expect("L" in obj, "/L", "missing field")
-    _expect("blocks" in obj and isinstance(obj["blocks"], list), "/blocks",
-            "missing or non-list field")
-    _expect(isinstance(obj["L"], int) and obj["L"] >= 0, "/L",
-            "L must be a non-negative integer")
+    _check_top_level(obj, ("L", "blocks"), ("L",))
     blocks = {}
     for i, bobj in enumerate(obj["blocks"]):
         j, l, path, vec = _parse_block(bobj, i)
@@ -180,11 +186,7 @@ def coeffs_from_obj(obj) -> IrrepCoeffs:
 
 
 def tsh_from_obj(obj) -> TshCoeffs:
-    _expect(isinstance(obj, dict), "", "top level must be an object")
-    for field in ("s", "L", "blocks"):
-        _expect(field in obj, f"/{field}", "missing field")
-    _expect(isinstance(obj["s"], int) and obj["s"] >= 0, "/s",
-            "s must be a non-negative integer")
+    _check_top_level(obj, ("s", "L", "blocks"), ("s", "L"))
     blocks = {}
     for i, bobj in enumerate(obj["blocks"]):
         j, l, _path, vec = _parse_block(bobj, i)
@@ -210,12 +212,8 @@ def samples_to_obj(sig: SpinSignal) -> dict:
 
 
 def samples_from_obj(obj) -> SpinSignal:
-    _expect(isinstance(obj, dict), "", "top level must be an object")
-    for field in ("s", "Lg", "re", "im"):
-        _expect(field in obj, f"/{field}", "missing field")
+    _check_top_level(obj, ("s", "Lg", "re", "im"), ("s", "Lg"))
     s, Lg = obj["s"], obj["Lg"]
-    _expect(isinstance(s, int) and s >= 0, "/s", "s must be a non-negative integer")
-    _expect(isinstance(Lg, int) and Lg >= 0, "/Lg", "Lg must be a non-negative integer")
     grid = make_grid(Lg)
     shape = (grid.n_theta, grid.n_phi, 2 * s + 1)
     try:

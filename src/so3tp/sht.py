@@ -14,7 +14,9 @@ theta degree <= 2 Lg and phi frequency below 2 Lg + 1 exactly, which makes
 the synthesis/analysis round trip exact for band-limited signals.  Both
 transforms are the separable O(Lg^3) method: an associated-Legendre
 contraction over theta and a plain DFT matrix product over phi (fixed
-summation order, deterministic).
+summation order, deterministic).  Each grid builds the tables derived
+from its nodes on the first transform that reads them and keeps them: the
+per-order Legendre tables and a full-band DFT matrix per direction.
 
 The transform cores see one coefficient layout, the padded array
 cpad[m + L, l - |m|, c]: order m indexes a row of degrees l = |m|..L,
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,22 +55,10 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=256)
-def _grid_dft(n_phi: int, sign: int) -> np.ndarray:
-    """exp(sign * 1j * m * phi_k) as [m + Lg, k] for the full band |m| <= Lg = (n_phi - 1) // 2.
-
-    One entry per grid and direction; every band L <= Lg is a row slice.
-    """
-    Lg = (n_phi - 1) // 2
-    ms = np.arange(-Lg, Lg + 1)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    return np.exp(sign * 1j * np.outer(ms, phi))
-
-
-def _dft_matrix(n_phi: int, L: int, sign: int) -> np.ndarray:
-    """exp(sign * 1j * m * phi_k) as [m + L, k] for uniform phi nodes, L <= (n_phi - 1) // 2."""
-    Lg = (n_phi - 1) // 2
-    return _grid_dft(n_phi, sign)[Lg - L:Lg + L + 1]
+def _dft_matrix(grid: SphereGrid, L: int, sign: int) -> np.ndarray:
+    """exp(sign * 1j * m * phi_k) as [m + L, k]: a row slice of the grid's full-band table."""
+    full = grid.synthesis_dft if sign > 0 else grid.analysis_dft
+    return full[grid.Lg - L:grid.Lg + L + 1]
 
 
 def _padded_index(L: int, l, m):
@@ -87,8 +77,14 @@ def _padded_legendre(Lg: int, L: int) -> np.ndarray:
     grid = make_grid(Lg)
     lam_pad = np.zeros((2 * L + 1, grid.n_theta, L + 1))
     for m in range(-L, L + 1):
-        lam_pad[m + L, :, : L - abs(m) + 1] = grid.lam(m)[:, : L - abs(m) + 1]
+        tab = grid.legendre[abs(m)][:, : L - abs(m) + 1]
+        lam_pad[m + L, :, : L - abs(m) + 1] = _signed(tab, m)
     return lam_pad
+
+
+def _signed(tab: np.ndarray, m: int) -> np.ndarray:
+    """Lambda^m_l from the table of order |m|: Lambda^{-m}_l = (-1)^m Lambda^m_l."""
+    return -tab if (m < 0 and m % 2) else tab
 
 
 def _legendre_tables(cos_theta: np.ndarray, lmax: int) -> list[np.ndarray]:
@@ -121,7 +117,6 @@ class SphereGrid:
     theta: np.ndarray
     theta_weights: np.ndarray
     phi: np.ndarray
-    legendre: list[np.ndarray] = field(repr=False)
 
     @property
     def n_theta(self) -> int:
@@ -137,15 +132,30 @@ class SphereGrid:
         return np.outer(self.theta_weights, np.full(self.n_phi, 2.0 * np.pi / self.n_phi))
 
     @property
+    def angles(self) -> tuple[np.ndarray, np.ndarray]:
+        """Node angles (theta[i, k], phi[i, k]) of node (theta_i, phi_k)."""
+        return np.meshgrid(self.theta, self.phi, indexing="ij")
+
+    @property
     def unit_vectors(self) -> np.ndarray:
         """Cartesian unit vector v[i, k, :] = (x, y, z) of node (theta_i, phi_k)."""
-        th, ph = np.meshgrid(self.theta, self.phi, indexing="ij")
+        th, ph = self.angles
         return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
 
-    def lam(self, m: int) -> np.ndarray:
-        """Lambda^m_l table for m possibly negative, columns l = |m|..Lg."""
-        tab = self.legendre[abs(m)]
-        return -tab if (m < 0 and m % 2) else tab
+    @cached_property
+    def legendre(self) -> list[np.ndarray]:
+        """Per-order tables legendre[m][i, l - m] = Lambda^m_l(cos theta_i), m = 0..Lg."""
+        return _legendre_tables(self.cos_theta, self.Lg)
+
+    @cached_property
+    def synthesis_dft(self) -> np.ndarray:
+        """exp(+1j * m * phi_k) as [m + Lg, k] for the full band |m| <= Lg."""
+        return np.exp(1j * np.outer(np.arange(-self.Lg, self.Lg + 1), self.phi))
+
+    @cached_property
+    def analysis_dft(self) -> np.ndarray:
+        """exp(-1j * m * phi_k) as [m + Lg, k] for the full band |m| <= Lg."""
+        return np.exp(-1j * np.outer(np.arange(-self.Lg, self.Lg + 1), self.phi))
 
 
 @lru_cache(maxsize=128)
@@ -162,7 +172,6 @@ def make_grid(Lg: int) -> SphereGrid:
         theta=np.arccos(x),
         theta_weights=w,
         phi=phi,
-        legendre=_legendre_tables(x, Lg),
     )
 
 
@@ -178,10 +187,10 @@ class ScalarSignal:
         if self.values.shape != expect:
             raise ValueError(f"signal shape {self.values.shape} != grid shape {expect}")
 
-    def integral(self) -> complex:
-        """Quadrature of the signal over the sphere (theta-major order)."""
-        phi_mean = self.values.sum(axis=1) * (2.0 * np.pi / self.grid.n_phi)
-        return complex(np.dot(self.grid.theta_weights, phi_mean))
+
+def _check_band_limit(L: int) -> None:
+    if L < 0:
+        raise ValueError(f"band limit L={L} must be non-negative")
 
 
 def _block_sort_key(key):
@@ -202,16 +211,11 @@ class IrrepCoeffs:
     blocks: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        fixed = {}
-        for key, vec in self.blocks.items():
+        _check_band_limit(self.L)
+        blocks, self.blocks = self.blocks, {}
+        for key, vec in blocks.items():
             j, tag = key if isinstance(key, tuple) and len(key) == 2 else (key, None)
-            vec = np.asarray(vec, dtype=complex)
-            if j < 0 or j > self.L:
-                raise ValueError(f"block degree {j} outside 0..L={self.L}")
-            if vec.shape != (2 * j + 1,):
-                raise ValueError(f"block {key} has length {vec.shape}, want {2 * j + 1}")
-            fixed[(j, tag)] = vec
-        self.blocks = fixed
+            self.set_block(j, vec, tag)
 
     def block(self, j: int, tag=None) -> np.ndarray:
         return self.blocks[(j, tag)]
@@ -221,10 +225,10 @@ class IrrepCoeffs:
 
     def set_block(self, j: int, vec, tag=None) -> None:
         vec = np.asarray(vec, dtype=complex)
+        if j < 0 or j > self.L:
+            raise ValueError(f"block degree {j} outside 0..L={self.L}")
         if vec.shape != (2 * j + 1,):
             raise ValueError(f"block {(j, tag)} has length {vec.shape}, want {2 * j + 1}")
-        if j > self.L:
-            raise ValueError(f"block degree {j} outside 0..L={self.L}")
         self.blocks[(j, tag)] = vec
 
     def items(self):
@@ -251,10 +255,7 @@ def sh_eval(l: int, m: int, theta, phi):
     scalar = th.ndim == 0 and ph.ndim == 0
     th, ph = np.broadcast_arrays(np.atleast_1d(th), np.atleast_1d(ph))
     tab = _legendre_tables(np.cos(th).ravel(), l)[abs(m)]
-    lam = tab[:, l - abs(m)].reshape(th.shape)
-    if m < 0 and m % 2:
-        lam = -lam
-    out = lam * np.exp(1j * m * ph)
+    out = _signed(tab[:, l - abs(m)], m).reshape(th.shape) * np.exp(1j * m * ph)
     return complex(out.ravel()[0]) if scalar else out
 
 
@@ -270,7 +271,7 @@ def _synthesis_core(cpad: np.ndarray, grid: SphereGrid, L: int,
     # over the interleaved real/imag columns
     G = (lam_pad @ cpad.view(float)).view(complex)
     G = G.transpose(1, 2, 0).reshape(grid.n_theta * n_comp, 2 * L + 1)
-    values = (G @ _dft_matrix(grid.n_phi, L, +1)).reshape(grid.n_theta, n_comp, grid.n_phi)
+    values = (G @ _dft_matrix(grid, L, +1)).reshape(grid.n_theta, n_comp, grid.n_phi)
     if flops is not None:
         flops.add(n_comp * (grid.n_theta * (L + 1) ** 2
                             + grid.n_theta * (2 * L + 1) * grid.n_phi))
@@ -282,7 +283,7 @@ def _analysis_core(values: np.ndarray, grid: SphereGrid, L: int,
     """Padded coefficients xpad[m + L, l - |m|, c] from grid samples [i, k, c]."""
     n_comp = values.shape[-1]
     F = (values.transpose(0, 2, 1).reshape(grid.n_theta * n_comp, grid.n_phi)
-         @ _dft_matrix(grid.n_phi, L, -1).T).reshape(grid.n_theta, n_comp, 2 * L + 1)
+         @ _dft_matrix(grid, L, -1).T).reshape(grid.n_theta, n_comp, 2 * L + 1)
     F *= grid.theta_weights[:, None, None] * (2.0 * np.pi / grid.n_phi)
     F = np.ascontiguousarray(F.transpose(2, 0, 1))
     # xpad[m+L, l-|m|, c] = sum_i w_i Lambda^m_l F[m+L, i, c], batched over m
@@ -315,6 +316,7 @@ def from_sphere(f: ScalarSignal, L: int, flops: FlopCounter | None = None) -> Ir
     Exact for signals band-limited at degree <= grid.Lg when L <= grid.Lg.
     """
     grid = f.grid
+    _check_band_limit(L)
     if L > grid.Lg:
         raise ValueError(f"analysis degree {L} > grid exactness degree {grid.Lg}")
     xpad = _analysis_core(f.values[:, :, None], grid, L, flops).reshape(-1)

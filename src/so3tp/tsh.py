@@ -29,8 +29,8 @@ import numpy as np
 
 from .angular import cg_block, cg_float, triangle_delta, wigner_d_matrix
 from .flops import FlopCounter
-from .sht import (SphereGrid, _analysis_core, _padded_index, _synthesis_core, make_grid,
-                  random_block, sh_eval)
+from .sht import (SphereGrid, _analysis_core, _check_band_limit, _padded_index,
+                  _synthesis_core, make_grid, random_block, sh_eval)
 
 __all__ = [
     "SpinSignal",
@@ -87,6 +87,9 @@ class TshCoeffs:
     blocks: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.s < 0:
+            raise ValueError(f"spin s={self.s} must be non-negative")
+        _check_band_limit(self.L)
         fixed = {}
         valid = _valid_key_set(self.s, self.L)
         for (j, l), vec in self.blocks.items():
@@ -225,6 +228,7 @@ def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCo
     z^(j,l)_{mj} = sum_{ml,ms} C^{j,mj}_{l,ml,s,ms} B^l_{ml,ms}.
     """
     grid = f.grid
+    _check_band_limit(L)
     if L > grid.Lg:
         raise ValueError(f"analysis degree {L} > grid exactness degree {grid.Lg}")
     s = f.s

@@ -170,7 +170,7 @@ def check_nine_j_row_swap(p, rng):
 def check_sh_orthonormality(p, rng):
     L = p["L"]
     grid = sht.make_grid(L)
-    th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    th, ph = grid.angles
     w = grid.weights
     basis = np.stack([sht.sh_eval(l, m, th, ph) for l in range(L + 1) for m in range(-l, l + 1)])
     gram = np.einsum("atp,btp,tp->ab", basis.conj(), basis, w)
@@ -206,7 +206,7 @@ def check_gaunt_quadrature(p, rng):
     for l1 in range(lmax + 1):
         for l2 in range(lmax + 1):
             grid = sht.make_grid(l1 + l2)
-            th, ph = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+            th, ph = grid.angles
             w = grid.weights
             for m1 in range(-l1, l1 + 1):
                 y1 = sht.sh_eval(l1, m1, th, ph)

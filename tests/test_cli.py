@@ -139,6 +139,39 @@ def test_non_finite_input_fails_before_any_output(files, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("tp", "cgtp", "--x", "{x}", "--y", "{y}", "--l3", "-1"),
+    ("tp", "gtp", "--x", "{x}", "--y", "{y}", "--l3", "-1"),
+    ("transform", "forward", "--s", "0", "--in", "{samples}", "--L", "-1"),
+])
+def test_negative_band_limit_is_usage_error(files, capsys, argv):
+    tmp_path, paths = files
+    paths["samples"] = tmp_path / "samples.json"
+    assert run_cli(capsys, "transform", "inverse", "--s", "0", "--in", str(paths["x"]),
+                   "--out", str(paths["samples"]))[0] == 0
+    out = tmp_path / "out.json"
+    argv = [a.format(**paths) for a in argv] + ["--out", str(out)]
+    code, _out, err = run_cli(capsys, *argv)
+    assert code == 2 and "band limit L=-1 must be non-negative" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("tp", "vstp", "--x", "{xv}", "--y", "{yv}", "--l3", "2"),
+    ("transform", "inverse", "--s", "1", "--in", "{xv}"),
+])
+def test_spin_file_with_fractional_band_limit_is_usage_error(files, capsys, argv):
+    tmp_path, paths = files
+    obj = serialize.read_file(paths["xv"])
+    obj["L"] = 2.5
+    serialize.write_file(obj, paths["xv"])
+    out = tmp_path / "out.json"
+    argv = [a.format(**paths) for a in argv] + ["--out", str(out)]
+    code, _out, err = run_cli(capsys, *argv)
+    assert code == 2 and "/L: L must be a non-negative integer" in err
+    assert not out.exists()
+
+
 def test_tp_cgtp_writes_path_tags(files, capsys):
     tmp_path, paths = files
     out = tmp_path / "z.json"

@@ -86,13 +86,19 @@ def test_samples_round_trip(rng):
     (lambda o: o["blocks"][0]["re"].__setitem__(0, float("-inf")), "/blocks/0/re"),
     (lambda o: o["blocks"][0]["im"].__setitem__(0, float("inf")), "/blocks/0/im"),
     (lambda o: o["blocks"][0]["im"].__setitem__(0, float("nan")), "/blocks/0/im"),
+    pytest.param(lambda o: o.__setitem__("L", 2.5), "/L", id="L-not-integer"),
+    pytest.param(lambda o: o.__setitem__("L", -1), "/L", id="L-negative"),
 ])
 def test_schema_errors_carry_pointers(rng, mutate, pointer):
-    obj = serialize.coeffs_to_obj(random_coeffs(0, rng))
-    mutate(obj)
-    with pytest.raises(SchemaError) as err:
-        serialize.coeffs_from_obj(obj)
-    assert err.value.pointer.startswith(pointer)
+    # scalar and tensor-harmonic files validate their shared fields alike
+    for obj, from_obj in [
+        (serialize.coeffs_to_obj(random_coeffs(0, rng)), serialize.coeffs_from_obj),
+        (serialize.tsh_to_obj(random_tsh_coeffs(1, 1, rng)), serialize.tsh_from_obj),
+    ]:
+        mutate(obj)
+        with pytest.raises(SchemaError) as err:
+            from_obj(obj)
+        assert err.value.pointer == pointer
 
 
 def test_tsh_schema_requires_l(rng):

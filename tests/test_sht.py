@@ -1,6 +1,10 @@
 """Tests for grids, scalar harmonics, transforms, and Gaunt coefficients."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from so3tp.flops import FlopCounter
 from so3tp.sht import (
     IrrepCoeffs,
     _dft_matrix,
+    _legendre_tables,
+    _padded_legendre,
     ScalarSignal,
     from_sphere,
     gaunt_coefficient,
@@ -20,8 +26,6 @@ from so3tp.sht import (
     to_sphere,
 )
 from so3tp.verify import rotated_node_angles
-
-from conftest import grid_angles
 
 
 # ---------------------------------------------------------------- grids
@@ -50,10 +54,42 @@ def test_make_grid_rejects_negative():
         make_grid(-1)
 
 
+def test_grid_builds_tables_on_first_use(rng):
+    make_grid.cache_clear()
+    _padded_legendre.cache_clear()
+    g = make_grid(6)
+    assert not {"legendre", "synthesis_dft", "analysis_dft"} & vars(g).keys()
+    f = to_sphere(random_coeffs(4, rng), g)
+    assert {"legendre", "synthesis_dft"} <= vars(g).keys()
+    assert "analysis_dft" not in vars(g)
+    from_sphere(f, 4)
+    assert "analysis_dft" in vars(g)
+
+
+def test_make_grid_memory_is_node_arrays_only():
+    # the Legendre tables of Lg = 256 alone take 68 MB; make_grid builds none
+    code = ("import resource; from so3tp.sht import make_grid; "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; make_grid(256); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 16 * 1024  # ru_maxrss counts KiB
+
+
+def test_grid_angles_are_node_meshgrid():
+    g = make_grid(3)
+    th, ph = g.angles
+    assert th.shape == ph.shape == (g.n_theta, g.n_phi)
+    assert np.array_equal(th, np.repeat(g.theta[:, None], g.n_phi, axis=1))
+    assert np.array_equal(ph, np.repeat(g.phi[None, :], g.n_theta, axis=0))
+
+
 def test_quadrature_exactness():
     # integral of Y^m1*_l1 Y^m2_l2 is delta delta when both degrees <= Lg
     g = make_grid(5)
-    th, ph = grid_angles(g)
+    th, ph = g.angles
     w = g.weights
     for l1, m1, l2, m2 in [(5, 3, 5, 3), (5, -5, 5, -5), (4, 2, 5, 2), (3, 0, 5, 0)]:
         val = (np.conj(sh_eval(l1, m1, th, ph)) * sh_eval(l2, m2, th, ph) * w).sum()
@@ -81,7 +117,7 @@ def test_sh_eval_conjugation_identity():
 
 def test_sh_eval_unit_norm():
     g = make_grid(2)
-    th, ph = grid_angles(g)
+    th, ph = g.angles
     w = g.weights
     val = (np.abs(sh_eval(1, 1, th, ph)) ** 2 * w).sum()
     assert val == pytest.approx(1.0, abs=1e-14)
@@ -94,7 +130,7 @@ def test_sh_eval_rejects_bad_m():
 
 def test_sh_orthonormality_to_degree_eight():
     g = make_grid(8)
-    th, ph = grid_angles(g)
+    th, ph = g.angles
     w = g.weights
     basis = [sh_eval(l, m, th, ph) for l in range(9) for m in range(-l, l + 1)]
     stack = np.stack(basis)
@@ -139,6 +175,15 @@ def test_from_sphere_constant_signal():
     assert np.abs(x.block(2)).max() <= 1e-13
 
 
+def test_from_sphere_rejects_negative_band_limit_before_any_table():
+    g = make_grid(2)
+    f = ScalarSignal(grid=g, values=np.zeros((g.n_theta, g.n_phi), dtype=complex))
+    misses = _padded_legendre.cache_info().misses
+    with pytest.raises(ValueError, match="band limit L=-1 must be non-negative"):
+        from_sphere(f, -1)
+    assert _padded_legendre.cache_info().misses == misses
+
+
 def test_from_sphere_rejects_excess_degree():
     g = make_grid(2)
     f = ScalarSignal(grid=g, values=np.zeros((g.n_theta, g.n_phi), dtype=complex))
@@ -164,13 +209,27 @@ def test_round_trip_on_larger_grid(rng):
 
 def test_dft_matrix_is_band_slice_of_grid_dft():
     for Lg in range(41):
+        g = make_grid(Lg)
         n_phi = 2 * Lg + 1
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         for L in range(Lg + 1):
             for sign in (1, -1):
-                D = _dft_matrix(n_phi, L, sign)
+                D = _dft_matrix(g, L, sign)
                 assert D.flags.c_contiguous
                 assert np.array_equal(D, np.exp(sign * 1j * np.outer(np.arange(-L, L + 1), phi)))
+
+
+def test_padded_legendre_matches_per_order_repack():
+    # the band tables equal repacking one signed per-order table per m
+    for Lg in range(41):
+        g = make_grid(Lg)
+        tables = _legendre_tables(g.cos_theta, Lg)
+        for L in range(Lg + 1):
+            ref = np.zeros((2 * L + 1, g.n_theta, L + 1))
+            for m in range(-L, L + 1):
+                tab = -tables[abs(m)] if (m < 0 and m % 2) else tables[abs(m)]
+                ref[m + L, :, : L - abs(m) + 1] = tab[:, : L - abs(m) + 1]
+            assert _padded_legendre(Lg, L).tobytes() == ref.tobytes()
 
 
 def test_transform_flop_counts(rng):
@@ -245,7 +304,7 @@ def test_gaunt_against_quadrature():
     for l1 in range(5):
         for l2 in range(5):
             g = make_grid(l1 + l2)
-            th, ph = grid_angles(g)
+            th, ph = g.angles
             w = g.weights
             for m1 in range(-l1, l1 + 1):
                 y1 = sh_eval(l1, m1, th, ph)
@@ -289,6 +348,8 @@ def test_irrep_coeffs_validation():
         IrrepCoeffs(L=1, blocks={(1, None): np.zeros(4)})
     with pytest.raises(ValueError):
         IrrepCoeffs(L=1, blocks={(2, None): np.zeros(5)})
+    with pytest.raises(ValueError, match="band limit L=-1 must be non-negative"):
+        IrrepCoeffs(L=-1)
 
 
 def test_signal_shape_validation():

@@ -505,19 +505,24 @@ def test_simulation_does_no_9j_contraction(rng):
     assert rules.generalized_gaunt_exact.cache_info().misses == gaunt
 
 
-def test_simulation_sweep_reuses_grid_dfts(rng):
-    # one DFT matrix per grid and direction serves every band: a second
-    # sweep over the benchmark's 671 paths builds none
+def test_simulation_sweep_reuses_grid_dfts(rng, monkeypatch):
+    # each grid builds one DFT matrix per direction and serves every band
+    # from it: a second sweep over the benchmark's 671 paths builds none
     paths = triangle_paths(10)
+    builds = []
+    for name in ("synthesis_dft", "analysis_dft"):
+        table = vars(sht.SphereGrid)[name]
+        monkeypatch.setattr(table, "func",
+                            lambda grid, build=table.func: builds.append(grid) or build(grid))
 
     def sweep():
         for j1, j2, j3 in paths:
             simulate_cgtp_path(random_block(j1, rng), random_block(j2, rng), j3)
-        return sht._grid_dft.cache_info().misses
+        return len(builds)
 
-    sht._grid_dft.cache_clear()
+    make_grid.cache_clear()
     built = sweep()
-    assert built <= 2 * len({sum(find_valid_ells(*p)[:2]) for p in paths if p != (0, 0, 0)})
+    assert 0 < built <= 2 * len({sum(find_valid_ells(*p)[:2]) for p in paths if p != (0, 0, 0)})
     assert sweep() == built
 
 

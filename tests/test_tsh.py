@@ -7,7 +7,7 @@ import pytest
 
 from so3tp.angular import wigner_d_matrix
 from so3tp.flops import FlopCounter
-from so3tp.sht import make_grid, random_block, sh_eval
+from so3tp.sht import _padded_legendre, make_grid, random_block, sh_eval
 from so3tp.tsh import (
     SpinSignal,
     TshCoeffs,
@@ -21,8 +21,6 @@ from so3tp.tsh import (
     valid_pairs,
 )
 from so3tp.verify import rotated_node_angles
-
-from conftest import grid_angles
 
 
 def test_valid_pairs_small():
@@ -69,6 +67,24 @@ def test_tsh_coeffs_key_validation():
         assert x.blocks == {}
 
 
+@pytest.mark.parametrize("s, L, message", [
+    (1, -1, "band limit L=-1 must be non-negative"),
+    (-1, 1, "spin s=-1 must be non-negative"),
+])
+def test_tsh_coeffs_reject_negative_limits(s, L, message):
+    with pytest.raises(ValueError, match=message):
+        TshCoeffs(s=s, L=L)
+
+
+def test_decode_rejects_negative_band_limit_before_any_table():
+    g = make_grid(2)
+    f = SpinSignal(s=1, grid=g, values=np.zeros((g.n_theta, g.n_phi, 3), complex))
+    misses = _padded_legendre.cache_info().misses
+    with pytest.raises(ValueError, match="band limit L=-1 must be non-negative"):
+        tsh_decode(f, -1)
+    assert _padded_legendre.cache_info().misses == misses
+
+
 def test_encode_spin_zero_matches_scalar(rng):
     from so3tp.sht import IrrepCoeffs, to_sphere
 
@@ -83,7 +99,7 @@ def test_encode_single_block_matches_eval():
     g = make_grid(2)
     x = TshCoeffs(s=1, L=1, blocks={(0, 1): np.array([1.0 + 0j])})
     sig = tsh_encode(x, g)
-    th, ph = grid_angles(g)
+    th, ph = g.angles
     np.testing.assert_allclose(sig.values, tsh_eval(0, 0, 1, 1, th, ph), atol=1e-14)
 
 
@@ -93,7 +109,7 @@ def test_encode_matches_pointwise_eval(s, rng):
     L = 4
     g = make_grid(L)
     x = random_tsh_coeffs(s, L, rng)
-    th, ph = grid_angles(g)
+    th, ph = g.angles
     assert np.abs(tsh_encode(x, g).values - tsh_evaluate(x, th, ph)).max() <= 1e-12
 
 
@@ -199,7 +215,7 @@ def test_decode_against_pointwise_quadrature(rng):
     g = make_grid(2 * L)
     x = random_tsh_coeffs(s, L, rng)
     f = tsh_encode(x, g)
-    th, ph = grid_angles(g)
+    th, ph = g.angles
     w = g.weights
     for j, l in valid_pairs(s, L):
         for m_j in range(-j, j + 1):
@@ -215,7 +231,7 @@ def test_decode_matches_pointwise_quadrature(s, rng):
     g = make_grid(2 * L)
     f = tsh_encode(random_tsh_coeffs(s, 2 * L, rng), g)
     z = tsh_decode(f, L)
-    th, ph = grid_angles(g)
+    th, ph = g.angles
     w = g.weights[..., None]
     for j, l in valid_pairs(s, L):
         expect = [(f.values * np.conj(tsh_eval(j, m_j, l, s, th, ph)) * w).sum()
