@@ -29,13 +29,14 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .exact import SqrtRational, term_add_into, term_from_sqrt, term_mul
+from .exact import SQRT_ZERO, SqrtRational, term_add_into, term_from_sqrt, term_mul
 
 __all__ = [
     "triangle_delta",
     "cg",
     "cg_float",
     "cg_block",
+    "cg_tensor",
     "cg_zero",
     "wigner_d_matrix",
     "wigner_9j",
@@ -98,6 +99,19 @@ def cg_float(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int) -> float:
 CG_BLOCK_MAX = 130  # largest j1 + j2 that cg_block serves
 
 
+def require_triangle(j1: int, j2: int, j3: int) -> None:
+    """``ValueError`` unless the non-negative (j1, j2, j3) form a triangle."""
+    if not triangle_delta(j1, j2, j3):
+        raise ValueError(f"({j1}, {j2}, {j3}) violates the triangle condition")
+
+
+def cg_tensor(j1: int, j2: int) -> np.ndarray:
+    """Read-only float CG[j3 - |j1 - j2|, m1 + j1, m2 + j2], every j3; j1 + j2 <= CG_BLOCK_MAX."""
+    if j1 + j2 > CG_BLOCK_MAX:
+        raise ValueError(f"j1 + j2 = {j1 + j2} exceeds the float CG range {CG_BLOCK_MAX}")
+    return _cg_tensor(j1, j2)
+
+
 def cg_block(j1: int, j2: int, j3: int) -> np.ndarray:
     """All C^{j3,m1+m2}_{j1,m1,j2,m2} as a read-only float array [m1+j1, m2+j2].
 
@@ -106,13 +120,11 @@ def cg_block(j1: int, j2: int, j3: int) -> np.ndarray:
     an L=64 product decoded at 128); degrees outside that range raise.
     """
     # one chained test on the hot path; it fails for every negative degree
-    if not abs(j1 - j2) <= j3 <= j1 + j2 <= CG_BLOCK_MAX:
+    if not abs(j1 - j2) <= j3 <= j1 + j2:
         if min(j1, j2, j3) < 0:
             raise ValueError(f"degrees must be non-negative, got {(j1, j2, j3)}")
-        if not triangle_delta(j1, j2, j3):
-            raise ValueError(f"({j1}, {j2}, {j3}) violates the triangle condition")
-        raise ValueError(f"j1 + j2 = {j1 + j2} exceeds the float CG range {CG_BLOCK_MAX}")
-    return _cg_tensor(j1, j2)[j3 - abs(j1 - j2)]
+        require_triangle(j1, j2, j3)
+    return cg_tensor(j1, j2)[j3 - abs(j1 - j2)]
 
 
 def _j2_eigenvectors(j1: int, j2: int) -> np.ndarray:
@@ -224,22 +236,13 @@ def rotation_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return rz1 @ ry @ rz2
 
 
-def _rows_cols(grid):
-    (j1, l1, s1), (j2, l2, s2), (j3, l3, s3) = grid
-    rows = ((j1, l1, s1), (j2, l2, s2), (j3, l3, s3))
-    cols = ((j1, j2, j3), (l1, l2, l3), (s1, s2, s3))
-    return rows, cols
-
-
 @cache
 def _wigner_9j_cached(flat: tuple) -> SqrtRational:
     j1, l1, s1, j2, l2, s2, j3, l3, s3 = flat
-    grid = ((j1, l1, s1), (j2, l2, s2), (j3, l3, s3))
-    rows, cols = _rows_cols(grid)
-    for tri in rows + cols:
+    for tri in ((j1, l1, s1), (j2, l2, s2), (j3, l3, s3), (j1, j2, j3), (l1, l2, l3), (s1, s2, s3)):
         if not triangle_delta(*tri):
             # every contraction term carries a CG over this triple, hence 0
-            return SqrtRational.from_term((Fraction(0), frozenset()))
+            return SQRT_ZERO
     # <(j1 l1)s1, (j2 l2)s2, (s1 s2)s3 | (j1 j2)j3, (l1 l2)l3, (j3 l3)s3>
     # evaluated at the fixed top component m_{s3} = s3 (any choice agrees).
     ms3 = s3

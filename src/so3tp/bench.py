@@ -45,12 +45,7 @@ __all__ = [
     "simulate_cgtp_all_paths",
 ]
 
-METHODS = ("cgtp_naive", "cgtp_sparse", "gtp_grid", "vstp_grid", "istp_grid")
 SETTINGS = ("SISO", "SIMO", "MIMO")
-
-# istp_grid benchmarks the generic spin pipeline at a representative
-# spin above the scalar/vector specializations
-_ISTP_SPIN = 2
 
 # the default budget admits the stock L = 4..32 MIMO grid for every
 # method (naive CGTP at L = 32 projects ~2.3e9 MACs)
@@ -103,48 +98,51 @@ def _run_grid(s: int, setting: str, L: int, rng: np.random.Generator) -> int:
     return istp(x, y, s, L if setting == "SISO" else 2 * L, grid).flops
 
 
-def _run_cell(method: str, setting: str, L: int, rng: np.random.Generator) -> int:
-    if method == "cgtp_naive":
-        return _run_cgtp("naive", setting, L, rng)
-    if method == "cgtp_sparse":
-        return _run_cgtp("sparse", setting, L, rng)
-    if method == "gtp_grid":
-        return _run_grid(0, setting, L, rng)
-    if method == "vstp_grid":
-        return _run_grid(1, setting, L, rng)
-    if method == "istp_grid":
-        return _run_grid(_ISTP_SPIN, setting, L, rng)
-    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-
-
 def _transform_estimate(L_band: int, Lg: int) -> int:
     n_theta, n_phi = Lg + 1, 2 * Lg + 1
     return n_theta * (L_band + 1) ** 2 + n_theta * n_phi * (2 * L_band + 1)
 
 
-def projected_flops(method: str, setting: str, L: int) -> int:
-    """Cheap upper-bound estimate used by the budget guard."""
-    if method.startswith("cgtp"):
-        naive = method == "cgtp_naive"
+def _project_cgtp(mode: str, setting: str, L: int) -> int:
+    def path(j1, j2, j3):
+        return ((2 * j1 + 1) * (2 * j2 + 1) * (2 * j3 + 1) if mode == "naive"
+                else sparse_pair_count(j1, j2, j3))
 
-        def path(j1, j2, j3):
-            return ((2 * j1 + 1) * (2 * j2 + 1) * (2 * j3 + 1) if naive
-                    else sparse_pair_count(j1, j2, j3))
+    if setting == "SISO":
+        return path(L, L, L)
+    if setting == "SIMO":
+        return sum(path(L, L, j3) for j3 in range(2 * L + 1))
+    return sum(path(j1, j2, j3)
+               for j1 in range(L + 1) for j2 in range(L + 1)
+               for j3 in range(abs(j1 - j2), min(j1 + j2, 2 * L) + 1))
 
-        if setting == "SISO":
-            return path(L, L, L)
-        if setting == "SIMO":
-            return sum(path(L, L, j3) for j3 in range(2 * L + 1))
-        return sum(path(j1, j2, j3)
-                   for j1 in range(L + 1) for j2 in range(L + 1)
-                   for j3 in range(abs(j1 - j2), min(j1 + j2, 2 * L) + 1))
-    s = {"gtp_grid": 0, "vstp_grid": 1, "istp_grid": _ISTP_SPIN}[method]
+
+def _project_grid(s: int, setting: str, L: int) -> int:
     Lg = 2 * L
     n_components = 2 * s + 1
     transforms = 3 * n_components * _transform_estimate(Lg, Lg)
     pointwise = (Lg + 1) * (2 * Lg + 1) * (2 * s + 1) ** 2
     coupling = 3 * n_components * (2 * s + 1) * (L + 1) ** 2
     return transforms + pointwise + coupling
+
+
+# method -> (cell runner, cost projection, the CGTP mode or grid spin both
+# take); istp_grid benchmarks the generic spin pipeline at a representative
+# spin above the scalar/vector specializations
+_METHOD_TABLE = {
+    "cgtp_naive": (_run_cgtp, _project_cgtp, "naive"),
+    "cgtp_sparse": (_run_cgtp, _project_cgtp, "sparse"),
+    "gtp_grid": (_run_grid, _project_grid, 0),
+    "vstp_grid": (_run_grid, _project_grid, 1),
+    "istp_grid": (_run_grid, _project_grid, 2),
+}
+METHODS = tuple(_METHOD_TABLE)
+
+
+def projected_flops(method: str, setting: str, L: int) -> int:
+    """Cheap upper-bound estimate used by the budget guard."""
+    _run, project, arg = _METHOD_TABLE[method]
+    return project(arg, setting, L)
 
 
 def run_bench(method: str, setting: str, L_list, repeats: int, seed: int,
@@ -165,9 +163,10 @@ def run_bench(method: str, setting: str, L_list, repeats: int, seed: int,
         raise ValueError("repeats must be positive")
     if flop_budget is None:
         flop_budget = int(os.environ.get(_BUDGET_ENV, _DEFAULT_BUDGET))
+    run, project, arg = _METHOD_TABLE[method]
     records = []
     for idx, L in enumerate(L_list):
-        projected = projected_flops(method, setting, L)
+        projected = project(arg, setting, L)
         if projected > flop_budget:
             raise FlopBudgetExceeded(
                 f"{method}/{setting} at L={L}: projected {projected} MACs "
@@ -177,7 +176,7 @@ def run_bench(method: str, setting: str, L_list, repeats: int, seed: int,
         for _rep in range(repeats):
             rng = np.random.default_rng([seed, idx, L])
             t0 = time.perf_counter()
-            count = _run_cell(method, setting, L, rng)
+            count = run(arg, setting, L, rng)
             times.append(time.perf_counter() - t0)
             if flops is None:
                 flops = count

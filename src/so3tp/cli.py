@@ -13,11 +13,11 @@ import sys
 
 import numpy as np
 
-from . import bench, rules, serialize, tenprod, tsh as tsh_mod, verify
+from . import bench, rules, serialize, tenprod, verify
 from .angular import cg, wigner_9j, wigner_9j_spin1
 from .rules import NotInteractable, PathKey, TriangleViolation
-from .sht import IrrepCoeffs, make_grid
-from .tsh import TshCoeffs, tsh_decode, tsh_encode
+from .sht import make_grid
+from .tsh import TshCoeffs, scalar_from_spin0, spin0_from_scalar, tsh_decode, tsh_encode
 
 
 def _print_config(args) -> None:
@@ -77,13 +77,7 @@ def _cmd_transform(args) -> int:
         Lg = args.Lg if args.Lg is not None else x.L
         if Lg < x.L:
             return _usage_error(f"Lg={Lg} is below the band limit {x.L}")
-        grid = make_grid(Lg)
-        if args.s == 0:
-            scalar = tsh_mod.TshCoeffs(
-                s=0, L=x.L, blocks={(j, j): v for j, v in x.single_per_degree().items()})
-            sig = tsh_encode(scalar, grid)
-        else:
-            sig = tsh_encode(x, grid)
+        sig = tsh_encode(spin0_from_scalar(x) if args.s == 0 else x, make_grid(Lg))
         serialize.write_file(serialize.samples_to_obj(sig), args.outfile)
     else:
         # sample dump -> coefficients
@@ -97,11 +91,9 @@ def _cmd_transform(args) -> int:
         if L > sig.grid.Lg:
             return _usage_error(f"L={L} exceeds the grid exactness degree {sig.grid.Lg}")
         z = tsh_decode(sig, L)
-        if args.s == 0:
-            x = IrrepCoeffs(L=L, blocks={(j, None): z.block(j, l) for (j, l) in z.blocks})
-            serialize.write_file(serialize.coeffs_to_obj(x), args.outfile)
-        else:
-            serialize.write_file(serialize.tsh_to_obj(z), args.outfile)
+        obj = (serialize.coeffs_to_obj(scalar_from_spin0(z)) if args.s == 0
+               else serialize.tsh_to_obj(z))
+        serialize.write_file(obj, args.outfile)
     print(f"wrote {args.outfile}")
     return 0
 

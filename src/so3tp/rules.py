@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .angular import cg_zero, triangle_delta, wigner_9j
 from .exact import SqrtRational
@@ -31,6 +31,7 @@ __all__ = [
     "NotInteractable",
     "generalized_gaunt",
     "generalized_gaunt_exact",
+    "vstp_rule_flags",
     "vstp_rules",
     "find_valid_ells",
     "interactable",
@@ -122,29 +123,31 @@ def _rule5_violated(js, ls) -> bool:
     return js == ls
 
 
+def vstp_rule_flags(js, ls) -> Iterator[bool]:
+    """Rules r1..r5 of the all-spins-one path (js, ls) by pattern matching, lazily for ``all``."""
+    yield bool(triangle_delta(js[0], ls[0], 1) and triangle_delta(js[1], ls[1], 1)
+               and triangle_delta(js[2], ls[2], 1))
+    yield bool(triangle_delta(*js))
+    yield bool(triangle_delta(*ls))
+    yield sum(ls) % 2 == 0
+    yield not _rule5_violated(js, ls)
+
+
 def vstp_rules(path: PathKey) -> RuleReport:
     """Evaluate the five vector-signal selection rules for a path.
 
     Spins must all be 1 (None spins are taken as 1).  The flags are
-    computed by pattern matching only; ``coefficient`` is the generalized
-    Gaunt value, and ``passed`` iff all flags hold, which coincides with
-    the coefficient being nonzero in exact arithmetic.
+    ``vstp_rule_flags``; ``coefficient`` is the generalized Gaunt value,
+    and ``passed`` iff all flags hold, which coincides with the
+    coefficient being nonzero in exact arithmetic.
     """
     p = PathKey(*path)
     spins = (p.s1, p.s2, p.s3)
     if any(s not in (None, 1) for s in spins):
         raise ValueError(f"vstp_rules applies to spin-(1,1,1) paths, got spins {spins}")
     p = PathKey(p.j1, p.l1, 1, p.j2, p.l2, 1, p.j3, p.l3, 1).require_full()
-    js = (p.j1, p.j2, p.j3)
-    ls = (p.l1, p.l2, p.l3)
-    r1 = all(triangle_delta(j, l, 1) for j, l in zip(js, ls))
-    r2 = bool(triangle_delta(*js))
-    r3 = bool(triangle_delta(*ls))
-    r4 = sum(ls) % 2 == 0
-    r5 = not _rule5_violated(js, ls)
-    passed = r1 and r2 and r3 and r4 and r5
-    return RuleReport(passed=passed, r1=r1, r2=r2, r3=r3, r4=r4, r5=r5,
-                      coefficient=generalized_gaunt(p))
+    flags = tuple(vstp_rule_flags((p.j1, p.j2, p.j3), (p.l1, p.l2, p.l3)))
+    return RuleReport(all(flags), *flags, coefficient=generalized_gaunt(p))
 
 
 def find_valid_ells(j1: int, j2: int, j3: int) -> tuple[int, int, int]:

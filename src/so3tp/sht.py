@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .angular import cg, cg_zero
+from .angular import cg, cg_zero, wigner_d_matrix
 from .flops import FlopCounter
 
 __all__ = [
@@ -72,9 +72,8 @@ def _padded_index(L: int, l, m):
 
 
 @lru_cache(maxsize=256)
-def _padded_legendre(Lg: int, L: int) -> np.ndarray:
+def _padded_legendre(grid: SphereGrid, L: int) -> np.ndarray:
     """lam_pad[m + L, i, l - |m|] = Lambda^m_l(cos theta_i), zero past l = L."""
-    grid = make_grid(Lg)
     lam_pad = np.zeros((2 * L + 1, grid.n_theta, L + 1))
     for m in range(-L, L + 1):
         tab = grid.legendre[abs(m)][:, : L - abs(m) + 1]
@@ -213,8 +212,7 @@ class IrrepCoeffs:
     def __post_init__(self):
         _check_band_limit(self.L)
         blocks, self.blocks = self.blocks, {}
-        for key, vec in blocks.items():
-            j, tag = key if isinstance(key, tuple) and len(key) == 2 else (key, None)
+        for (j, tag), vec in blocks.items():
             self.set_block(j, vec, tag)
 
     def block(self, j: int, tag=None) -> np.ndarray:
@@ -266,7 +264,7 @@ def _synthesis_core(cpad: np.ndarray, grid: SphereGrid, L: int,
     All components c share one Legendre contraction and one phi product.
     """
     n_comp = cpad.shape[-1]
-    lam_pad = _padded_legendre(grid.Lg, L)
+    lam_pad = _padded_legendre(grid, L)
     # G[m+L, i, c] = sum_l Lambda^m_l c^{(l)}_{m,c}: one real batched matmul
     # over the interleaved real/imag columns
     G = (lam_pad @ cpad.view(float)).view(complex)
@@ -280,14 +278,17 @@ def _synthesis_core(cpad: np.ndarray, grid: SphereGrid, L: int,
 
 def _analysis_core(values: np.ndarray, grid: SphereGrid, L: int,
                    flops: FlopCounter | None) -> np.ndarray:
-    """Padded coefficients xpad[m + L, l - |m|, c] from grid samples [i, k, c]."""
+    """Padded coefficients xpad[m + L, l - |m|, c] from grid samples [i, k, c]; L <= grid.Lg."""
+    _check_band_limit(L)
+    if L > grid.Lg:
+        raise ValueError(f"analysis degree {L} > grid exactness degree {grid.Lg}")
     n_comp = values.shape[-1]
     F = (values.transpose(0, 2, 1).reshape(grid.n_theta * n_comp, grid.n_phi)
          @ _dft_matrix(grid, L, -1).T).reshape(grid.n_theta, n_comp, 2 * L + 1)
     F *= grid.theta_weights[:, None, None] * (2.0 * np.pi / grid.n_phi)
     F = np.ascontiguousarray(F.transpose(2, 0, 1))
     # xpad[m+L, l-|m|, c] = sum_i w_i Lambda^m_l F[m+L, i, c], batched over m
-    xpad = (_padded_legendre(grid.Lg, L).transpose(0, 2, 1) @ F.view(float)).view(complex)
+    xpad = (_padded_legendre(grid, L).transpose(0, 2, 1) @ F.view(float)).view(complex)
     if flops is not None:
         flops.add(n_comp * (grid.n_theta * grid.n_phi * (2 * L + 1)
                             + grid.n_theta * (L + 1) ** 2))
@@ -315,11 +316,7 @@ def from_sphere(f: ScalarSignal, L: int, flops: FlopCounter | None = None) -> Ir
 
     Exact for signals band-limited at degree <= grid.Lg when L <= grid.Lg.
     """
-    grid = f.grid
-    _check_band_limit(L)
-    if L > grid.Lg:
-        raise ValueError(f"analysis degree {L} > grid exactness degree {grid.Lg}")
-    xpad = _analysis_core(f.values[:, :, None], grid, L, flops).reshape(-1)
+    xpad = _analysis_core(f.values[:, :, None], f.grid, L, flops).reshape(-1)
     return IrrepCoeffs(L=L, blocks={(l, None): xpad[_padded_index(L, l, np.arange(-l, l + 1))]
                                     for l in range(L + 1)})
 
@@ -353,8 +350,6 @@ def random_coeffs(L: int, rng: np.random.Generator) -> IrrepCoeffs:
 
 def rotate_coeffs(x: IrrepCoeffs, alpha: float, beta: float, gamma: float) -> IrrepCoeffs:
     """Apply the rotation blockwise: each degree-j block maps to D^j x."""
-    from .angular import wigner_d_matrix
-
     blocks = {}
     for (j, tag), vec in x.items():
         blocks[(j, tag)] = wigner_d_matrix(j, alpha, beta, gamma) @ vec

@@ -6,11 +6,8 @@ Two families:
   ``cgtp_full``), in a ``naive`` variant that loops every (m1, m2, m3)
   triple and a ``sparse`` variant restricted to m3 = m1 + m2.  Sparse
   ``cgtp_full`` contracts each input pair (j1, j2) once, for every j3 at
-  once, from the pair's cached CG tensor (``angular._cg_tensor``); the
-  e3nn per-pair pattern (Geiger & Smidt, arXiv:2207.09453).  Warm calls
-  stay cache-resident only while the pairs fit that cache's 512 entries
-  (inputs up to L = 21); at L = 32 the 1089 pairs rebuild their tensors
-  on every call, and those builds bound the wall time.
+  once, from the pair's cached CG tensor (``angular.cg_tensor``); the
+  e3nn per-pair pattern (Geiger & Smidt, arXiv:2207.09453).
 
 * Grid products: encode inputs as spin signals, couple them pointwise,
   and decode (``istp``), with the scalar (``gtp``) and vector (``vstp``)
@@ -33,12 +30,13 @@ from typing import Union
 
 import numpy as np
 
-from .angular import (CG_BLOCK_MAX, _cg_tensor, cg_block, cg_zero, triangle_delta,
+from .angular import (cg_block, cg_tensor, cg_zero, require_triangle, triangle_delta,
                       wigner_9j_spin1)
 from .flops import FlopCounter
 from .rules import PathKey, find_valid_ells
-from .sht import IrrepCoeffs, SphereGrid, make_grid
-from .tsh import SpinSignal, TshCoeffs, tsh_decode, tsh_encode
+from .sht import IrrepCoeffs, SphereGrid, _check_band_limit, make_grid
+from .tsh import (SpinSignal, TshCoeffs, scalar_from_spin0, spin0_from_scalar, tsh_decode,
+                  tsh_encode)
 
 __all__ = [
     "PathKey",
@@ -78,14 +76,16 @@ def _require_finite(*vecs: np.ndarray) -> None:
             raise ValueError("inputs must be finite, got NaN or inf")
 
 
-def _path_inputs(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Both single-path inputs as complex vectors; raises unless odd-length, 1-D and finite."""
+def _path_inputs(x, y, j3: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Complex x, y and degrees j1, j2; raises unless odd-length, 1-D, finite, on a triangle."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if x.ndim != 1 or y.ndim != 1 or x.size % 2 == 0 or y.size % 2 == 0:
         raise ValueError("inputs must be odd-length vectors")
     _require_finite(x, y)
-    return x, y
+    j1, j2 = (x.size - 1) // 2, (y.size - 1) // 2
+    require_triangle(j1, j2, j3)
+    return x, y, j1, j2
 
 
 def _antidiagonal_sums(T: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -114,11 +114,7 @@ def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
     kernel ``cgtp_full`` runs per pair) and counts
     sparse_pair_count(j1, j2, j3) MACs.
     """
-    x, y = _path_inputs(x, y)
-    j1 = (x.size - 1) // 2
-    j2 = (y.size - 1) // 2
-    if not triangle_delta(j1, j2, j3):
-        raise ValueError(f"({j1}, {j2}, {j3}) violates the triangle condition")
+    x, y, j1, j2 = _path_inputs(x, y, j3)
     if mode not in ("naive", "sparse"):
         raise ValueError(f"unknown mode {mode!r}")
     C2 = cg_block(j1, j2, j3)
@@ -150,7 +146,7 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
     (j1, j2) -> j3 path.  ``sparse`` contracts each pair (j1, j2) once:
     one anti-diagonal sum over the CG tensor's j3 = |j1 - j2| ..
     min(j1 + j2, L3) slices, each j3 block then read off total M in
-    [-j3, j3].  That tensor comes from ``angular._cg_tensor``, whose 512
+    [-j3, j3].  That tensor comes from ``angular.cg_tensor``, whose 512
     entries hold every pair of inputs up to L = 21; past that (1089 pairs
     at L = 32) every call rebuilds its tensors, which then dominate.
     ``naive`` calls ``cgtp_path`` once per path.  MACs are counted per
@@ -171,9 +167,7 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
                     out.set_block(j3, cgtp_path(xv, yv, j3, mode=mode, flops=fl), tag=(j1, j2))
             elif lo <= hi:
                 J = j1 + j2
-                if J > CG_BLOCK_MAX:
-                    raise ValueError(f"j1 + j2 = {J} exceeds the float CG range {CG_BLOCK_MAX}")
-                z = _antidiagonal_sums(_cg_tensor(j1, j2)[:hi - lo + 1], xv, yv)
+                z = _antidiagonal_sums(cg_tensor(j1, j2)[:hi - lo + 1], xv, yv)
                 for j3 in range(lo, hi + 1):
                     out.set_block(j3, z[j3 - lo, J - j3:J + j3 + 1], tag=(j1, j2))
                     fl.add(sparse_pair_count(j1, j2, j3))
@@ -187,6 +181,8 @@ def _pointwise_terms(s1: int, s2: int, s3: int):
     The pair count covers every (m1, m2) with |m1 + m2| <= s3, zero
     coefficients included: it is the pointwise MAC count per grid node.
     """
+    if not triangle_delta(s1, s2, s3):
+        raise ValueError(f"spins ({s1}, {s2}, {s3}) violate the triangle condition")
     C = cg_block(s1, s2, s3)
     terms, pairs = [], 0
     for m1 in range(-s1, s1 + 1):
@@ -211,10 +207,7 @@ def pointwise_spin_tp(f: SpinSignal, g: SpinSignal, s3: int,
     """
     if f.grid is not g.grid:
         raise ValueError("signals must share a grid")
-    s1, s2 = f.s, g.s
-    if not triangle_delta(s1, s2, s3):
-        raise ValueError(f"spins ({s1}, {s2}, {s3}) violate the triangle condition")
-    terms, pairs = _pointwise_terms(s1, s2, s3)
+    terms, pairs = _pointwise_terms(f.s, g.s, s3)
     out = np.zeros(f.values.shape[:2] + (2 * s3 + 1,), dtype=complex)
     term = np.empty(f.values.shape[:2], dtype=complex)
     for i1, i2, i3, coef in terms:
@@ -229,13 +222,15 @@ def pointwise_spin_tp(f: SpinSignal, g: SpinSignal, s3: int,
 def istp(x: TshCoeffs, y: TshCoeffs, s3: int, L3: int, grid: SphereGrid) -> TpoResult:
     """Grid product: encode both inputs, couple pointwise, decode at L3.
 
-    Requires grid.Lg >= x.L + y.L (exact product representation) and
-    L3 <= grid.Lg.
+    Requires grid.Lg >= x.L + y.L (exact product representation),
+    0 <= L3 <= grid.Lg and the spin triangle, all checked before encoding.
     """
     if grid.Lg < x.L + y.L:
         raise ValueError(f"grid exactness degree {grid.Lg} < x.L + y.L = {x.L + y.L}")
     if L3 > grid.Lg:
         raise ValueError(f"output band limit {L3} > grid exactness degree {grid.Lg}")
+    _pointwise_terms(x.s, y.s, s3)  # raises on bad spins
+    _check_band_limit(L3)
     fl = FlopCounter()
     fx = tsh_encode(x, grid, flops=fl)
     fy = tsh_encode(y, grid, flops=fl)
@@ -244,20 +239,14 @@ def istp(x: TshCoeffs, y: TshCoeffs, s3: int, L3: int, grid: SphereGrid) -> TpoR
     return TpoResult(output=out, flops=fl.count)
 
 
-def _as_spin0(x: IrrepCoeffs) -> TshCoeffs:
-    blocks = {(j, j): vec for j, vec in x.single_per_degree().items()}
-    return TshCoeffs(s=0, L=x.L, blocks=blocks)
-
-
 def gtp(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, grid: SphereGrid) -> TpoResult:
     """Scalar-signal (Gaunt) product: the all-spins-zero grid product.
 
     Output blocks are plain degree-l3 coefficients; only paths with
     l1 + l2 + l3 even survive.
     """
-    res = istp(_as_spin0(x), _as_spin0(y), 0, L3, grid)
-    out = IrrepCoeffs(L=L3, blocks={(j, None): vec for (j, _l), vec in res.output.items()})
-    return TpoResult(output=out, flops=res.flops)
+    res = istp(spin0_from_scalar(x), spin0_from_scalar(y), 0, L3, grid)
+    return TpoResult(output=scalar_from_spin0(res.output), flops=res.flops)
 
 
 def vstp(x: TshCoeffs, y: TshCoeffs, L3: int, grid: SphereGrid) -> TpoResult:
@@ -293,11 +282,7 @@ def simulate_cgtp_path(x: np.ndarray, y: np.ndarray, j3: int,
     multiplication and uses no signal product.  Inputs are checked as in
     ``cgtp_path``.
     """
-    x, y = _path_inputs(x, y)
-    j1 = (x.size - 1) // 2
-    j2 = (y.size - 1) // 2
-    if not triangle_delta(j1, j2, j3):
-        raise ValueError(f"({j1}, {j2}, {j3}) violates the triangle condition")
+    x, y, j1, j2 = _path_inputs(x, y, j3)
     if (j1, j2, j3) == (0, 0, 0):
         if flops is not None:
             flops.add(1)

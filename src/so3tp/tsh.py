@@ -29,12 +29,14 @@ import numpy as np
 
 from .angular import cg_block, cg_float, triangle_delta, wigner_d_matrix
 from .flops import FlopCounter
-from .sht import (SphereGrid, _analysis_core, _check_band_limit, _padded_index,
+from .sht import (IrrepCoeffs, SphereGrid, _analysis_core, _check_band_limit, _padded_index,
                   _synthesis_core, make_grid, random_block, sh_eval)
 
 __all__ = [
     "SpinSignal",
     "TshCoeffs",
+    "spin0_from_scalar",
+    "scalar_from_spin0",
     "valid_pairs",
     "tsh_eval",
     "tsh_encode",
@@ -110,9 +112,6 @@ class TshCoeffs:
     def block(self, j: int, l: int) -> np.ndarray:
         return self.blocks[(j, l)]
 
-    def get(self, j: int, l: int):
-        return self.blocks.get((j, l))
-
     def set_block(self, j: int, l: int, vec) -> None:
         vec = np.asarray(vec, dtype=complex)
         if (j, l) not in _valid_key_set(self.s, self.L):
@@ -124,6 +123,18 @@ class TshCoeffs:
     def items(self):
         for key in sorted(self.blocks):
             yield key, self.blocks[key]
+
+
+def spin0_from_scalar(x: IrrepCoeffs) -> TshCoeffs:
+    """Spin-0 blocks (j, l = j) from scalar coefficients: tags dropped, one block per degree."""
+    return TshCoeffs(s=0, L=x.L, blocks={(j, j): vec for j, vec in x.single_per_degree().items()})
+
+
+def scalar_from_spin0(z: TshCoeffs) -> IrrepCoeffs:
+    """Untagged scalar coefficients from spin-0 blocks (j, l = j)."""
+    if z.s != 0:
+        raise ValueError(f"spin-{z.s} coefficients have no scalar form")
+    return IrrepCoeffs(L=z.L, blocks={(j, None): vec for (j, _l), vec in z.items()})
 
 
 def tsh_eval(j: int, m_j: int, l: int, s: int, theta, phi) -> np.ndarray:
@@ -227,13 +238,10 @@ def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCo
     orthogonality then extracts each block:
     z^(j,l)_{mj} = sum_{ml,ms} C^{j,mj}_{l,ml,s,ms} B^l_{ml,ms}.
     """
-    grid = f.grid
-    _check_band_limit(L)
-    if L > grid.Lg:
-        raise ValueError(f"analysis degree {L} > grid exactness degree {grid.Lg}")
+    terms = _analysis_core(f.values, f.grid, L, flops).reshape(-1)
     s = f.s
     keys, (src, slot, weight, src2, _slot2), spans = _decode_layout(s, L)
-    terms = _analysis_core(f.values, grid, L, flops).reshape(-1)[slot]
+    terms = terms[slot]
     terms *= weight
     packed = _scatter(src2, terms, spans[-1][1])
     if flops is not None:

@@ -391,7 +391,7 @@ def check_tpo_equivariance(p, rng):
         rhs = tsh.rotate_tsh_coeffs(tenprod.vstp(xv, yv, 2 * L, grid).output, a, b, c)
         for key in lhs.blocks:
             yield float(np.abs(lhs.blocks[key] - rhs.blocks[key]).max()), f"vstp block {key}"
-        x0 = tsh.TshCoeffs(s=0, L=L, blocks={(l, l): xs.block(l) for l in range(L + 1)})
+        x0 = tsh.spin0_from_scalar(xs)
         x0r = tsh.rotate_tsh_coeffs(x0, a, b, c)
         xvr = tsh.rotate_tsh_coeffs(xv, a, b, c)
         yvr = tsh.rotate_tsh_coeffs(yv, a, b, c)
@@ -484,10 +484,8 @@ def check_interactable(p, rng):
         for j2 in range(jmax + 1):
             for j3 in range(jmax + 1):
                 lmax = max(j1, j2, j3) + 1
-                found = any(
-                    rules.vstp_rules(PathKey(j1, l1, 1, j2, l2, 1, j3, l3, 1)).passed
-                    for l1 in range(lmax + 1) for l2 in range(lmax + 1)
-                    for l3 in range(lmax + 1))
+                found = any(all(rules.vstp_rule_flags((j1, j2, j3), ls))
+                            for ls in itertools.product(range(lmax + 1), repeat=3))
                 if rules.interactable(j1, j2, j3) != found:
                     yield 1.0, f"({j1},{j2},{j3})"
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from so3tp import sht
 from so3tp.angular import rotation_matrix, wigner_d_matrix
 from so3tp.flops import FlopCounter
 from so3tp.sht import (
@@ -64,6 +65,19 @@ def test_grid_builds_tables_on_first_use(rng):
     assert "analysis_dft" not in vars(g)
     from_sphere(f, 4)
     assert "analysis_dft" in vars(g)
+
+
+def test_transform_reads_band_tables_from_its_own_grid(rng, monkeypatch):
+    # a grid that make_grid's LRU no longer holds still builds from its own tables
+    make_grid.cache_clear()
+    g = make_grid(7)
+    make_grid.cache_clear()
+    _padded_legendre.cache_clear()
+    calls = []
+    monkeypatch.setattr(sht, "make_grid", lambda Lg: calls.append(Lg) or make_grid(Lg))
+    to_sphere(random_coeffs(3, rng), g)
+    assert calls == []
+    assert "legendre" in vars(g)
 
 
 def test_make_grid_memory_is_node_arrays_only():
@@ -229,7 +243,7 @@ def test_padded_legendre_matches_per_order_repack():
             for m in range(-L, L + 1):
                 tab = -tables[abs(m)] if (m < 0 and m % 2) else tables[abs(m)]
                 ref[m + L, :, : L - abs(m) + 1] = tab[:, : L - abs(m) + 1]
-            assert _padded_legendre(Lg, L).tobytes() == ref.tobytes()
+            assert _padded_legendre(g, L).tobytes() == ref.tobytes()
 
 
 def test_transform_flop_counts(rng):
@@ -350,6 +364,8 @@ def test_irrep_coeffs_validation():
         IrrepCoeffs(L=1, blocks={(2, None): np.zeros(5)})
     with pytest.raises(ValueError, match="band limit L=-1 must be non-negative"):
         IrrepCoeffs(L=-1)
+    with pytest.raises((TypeError, ValueError)):
+        IrrepCoeffs(L=1, blocks={1: np.zeros(3)})  # keys are (j, tag) pairs
 
 
 def test_signal_shape_validation():

@@ -312,6 +312,24 @@ def test_istp_grid_preconditions(rng):
         istp(X, X, 1, 5, make_grid(4))  # L3 > Lg
 
 
+@pytest.mark.parametrize("s3, L3, message", [
+    (1, -1, "band limit L=-1 must be non-negative"),
+    (3, 2, r"spins \(1, 1, 3\) violate the triangle condition"),
+], ids=["negative_L3", "spin_triangle"])
+def test_istp_checks_arguments_before_encoding(rng, monkeypatch, s3, L3, message):
+    encodes = []
+
+    def counting_encode(*args, **kwargs):
+        encodes.append(args)
+        return tsh.tsh_encode(*args, **kwargs)
+
+    monkeypatch.setattr(tenprod, "tsh_encode", counting_encode)
+    X = random_tsh_coeffs(1, 1, rng)
+    with pytest.raises(ValueError, match=message):
+        istp(X, X, s3, L3, make_grid(2))
+    assert encodes == []
+
+
 def test_gtp_matches_gaunt_contraction(rng):
     u, v = random_block(1, rng), random_block(2, rng)
     X = IrrepCoeffs(L=1, blocks={(1, None): u})

@@ -7,12 +7,14 @@ import pytest
 
 from so3tp.angular import wigner_d_matrix
 from so3tp.flops import FlopCounter
-from so3tp.sht import _padded_legendre, make_grid, random_block, sh_eval
+from so3tp.sht import IrrepCoeffs, _padded_legendre, make_grid, random_block, random_coeffs, sh_eval
 from so3tp.tsh import (
     SpinSignal,
     TshCoeffs,
     random_tsh_coeffs,
     rotate_tsh_coeffs,
+    scalar_from_spin0,
+    spin0_from_scalar,
     tsh_decode,
     tsh_encode,
     tsh_eval,
@@ -259,3 +261,23 @@ def test_high_spin_round_trip(rng):
     z = tsh_decode(tsh_encode(x, g), 6)
     err = max(np.abs(x.block(j, l) - z.block(j, l)).max() for j, l in x.blocks)
     assert err <= 1e-12
+
+
+# ---------------------------------------------------------------- spin 0
+
+def test_spin0_conversion_round_trips_bytes(rng):
+    x = random_coeffs(3, rng)
+    z = spin0_from_scalar(x)
+    assert (z.s, z.L, sorted(z.blocks)) == (0, 3, [(j, j) for j in range(4)])
+    back = scalar_from_spin0(z)
+    assert back.L == x.L and sorted(back.blocks) == sorted(x.blocks)
+    for key, vec in x.items():
+        assert back.blocks[key].tobytes() == vec.tobytes()
+
+
+def test_spin0_conversion_rejects_repeated_degree_and_spin(rng):
+    x = IrrepCoeffs(L=1, blocks={(1, None): random_block(1, rng), (1, "a"): random_block(1, rng)})
+    with pytest.raises(ValueError, match="multiple blocks share degree 1"):
+        spin0_from_scalar(x)
+    with pytest.raises(ValueError, match="spin-1 coefficients have no scalar form"):
+        scalar_from_spin0(random_tsh_coeffs(1, 1, rng))
