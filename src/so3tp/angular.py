@@ -8,10 +8,13 @@ with ``D = wigner_d_matrix(j, alpha, beta, gamma)``; a rotation about z by
 
 Clebsch-Gordan values come in two forms.  ``cg`` evaluates the Racah
 closed-form sum in exact rational arithmetic; it serves the selection
-rules and the test oracles.  ``cg_block`` returns a whole float block
-C^{j3,m1+m2}_{j1,m1,j2,m2}, read from the eigenvectors of J^2 on each
-total-M subspace, for j1 + j2 <= 130; it serves the products, so no
-product evaluates an exact coefficient.
+rules and the test oracles.  The float form serves the products, so no
+product evaluates an exact coefficient: ``cg_tensor`` holds every j3 of
+an unordered pair j1 <= j2, j1 + j2 <= 130, in one half-sheared layout
+S[M, k, m1 + j1] = C^{j2-j1+k,M}_{j1,m1,j2,M-m1} for M >= 0, read from
+the eigenvectors of J^2 on each total-M subspace and cached; ``cg_block``
+gathers a whole block C^{j3,m1+m2}_{j1,m1,j2,m2} of either order from it
+through the mirror and swap identities.
 
 The general 9j symbol is the recoupling inner product between the two
 coupling orders of four momenta, evaluated by contracting six CG
@@ -106,7 +109,18 @@ def require_triangle(j1: int, j2: int, j3: int) -> None:
 
 
 def cg_tensor(j1: int, j2: int) -> np.ndarray:
-    """Read-only float CG[j3 - |j1 - j2|, m1 + j1, m2 + j2], every j3; j1 + j2 <= CG_BLOCK_MAX."""
+    """Read-only half-sheared CG tensor of the unordered pair j1 <= j2 <= CG_BLOCK_MAX - j1.
+
+    S[M, k, m1 + j1] = C^{j3,M}_{j1,m1,j2,M-m1} with j3 = j2 - j1 + k, for
+    M = 0..j1+j2 and k = 0..2j1; entries with |M - m1| > j2 or M > j3
+    are zero.  The M < 0 half follows from the mirror identity
+    C(-m1, -m2) = (-1)^(j1+j2-j3) C(m1, m2), and pairs with j1 > j2 from
+    the swap identity C^{j3}_{j2,m2,j1,m1} = (-1)^(j1+j2-j3) C^{j3}_{j1,m1,j2,m2},
+    so the tensors of 512 unordered pairs, about 114 MB, hold every pair
+    of an L = 30 product (L = 32 needs 561).
+    """
+    if j1 > j2:
+        raise ValueError(f"cg_tensor takes an unordered pair j1 <= j2, got {(j1, j2)}")
     if j1 + j2 > CG_BLOCK_MAX:
         raise ValueError(f"j1 + j2 = {j1 + j2} exceeds the float CG range {CG_BLOCK_MAX}")
     return _cg_tensor(j1, j2)
@@ -115,16 +129,30 @@ def cg_tensor(j1: int, j2: int) -> np.ndarray:
 def cg_block(j1: int, j2: int, j3: int) -> np.ndarray:
     """All C^{j3,m1+m2}_{j1,m1,j2,m2} as a read-only float array [m1+j1, m2+j2].
 
-    Entries with |m1 + m2| > j3 are zero.  Agrees with the exact ``cg`` to
-    1e-13 for j1 + j2 <= CG_BLOCK_MAX (130: every spin <= 2 coupling of
-    an L=64 product decoded at 128); degrees outside that range raise.
+    Entries with |m1 + m2| > j3 are zero.  Gathered from the pair's
+    half-sheared ``cg_tensor``: the M < 0 entries by the mirror identity,
+    and a pair with j1 > j2 as (-1)^(j1+j2-j3) times the transposed block
+    of (j2, j1), so the two orders agree exactly.  Agrees with the exact
+    ``cg`` to 1e-13 for j1 + j2 <= CG_BLOCK_MAX (130: every spin <= 2
+    coupling of an L=64 product decoded at 128); degrees outside that
+    range raise.
     """
     # one chained test on the hot path; it fails for every negative degree
     if not abs(j1 - j2) <= j3 <= j1 + j2:
         if min(j1, j2, j3) < 0:
             raise ValueError(f"degrees must be non-negative, got {(j1, j2, j3)}")
         require_triangle(j1, j2, j3)
-    return cg_tensor(j1, j2)[j3 - abs(j1 - j2)]
+    sign = (-1.0) ** (j1 + j2 - j3)
+    if j1 > j2:
+        blk = sign * cg_block(j2, j1, j3).T
+    else:
+        S = cg_tensor(j1, j2)
+        a1 = np.arange(2 * j1 + 1)[:, None]
+        M = a1 + np.arange(-j1 - j2, j2 - j1 + 1)  # m1 + m2 of each [m1 + j1, m2 + j2] slot
+        up = M >= 0
+        blk = np.where(up, 1.0, sign) * S[np.abs(M), j3 - j2 + j1, np.where(up, a1, 2 * j1 - a1)]
+    blk.flags.writeable = False
+    return blk
 
 
 def _j2_eigenvectors(j1: int, j2: int) -> np.ndarray:
@@ -159,10 +187,11 @@ def _j2_eigenvectors(j1: int, j2: int) -> np.ndarray:
 
 @lru_cache(maxsize=512)
 def _cg_tensor(j1: int, j2: int) -> np.ndarray:
-    """C[j3 - |j1 - j2|, m1 + j1, m2 + j2] for every j3, from J^2 eigenvectors.
+    """Half-sheared S[M, k, m1 + j1] of ``cg_tensor`` for j1 <= j2, from J^2 eigenvectors.
 
-    Phases: the top state M = j3 has sign (-1)^(j1 - m1) (read at its
-    largest entry), and each lower state makes <v_{M-1}, J_- v_M> > 0.
+    The dense C[k, m1 + j1, m2 + j2] is built and dropped.  Phases: the
+    top state M = j3 has sign (-1)^(j1 - m1) (read at its largest entry),
+    and each lower state makes <v_{M-1}, J_- v_M> > 0.
     """
     T = _j2_eigenvectors(j1, j2)
     J, n = j1 + j2, T.shape[0]
@@ -191,8 +220,15 @@ def _cg_tensor(j1: int, j2: int) -> np.ndarray:
     # impose C(-m1, -m2) = (-1)^(j1+j2-j3) C(m1, m2) exactly, which zeroes
     # the m1 = m2 = 0 entry of every odd j1 + j2 + j3
     T = 0.5 * (T + (-1.0) ** (j1 + j2 - j3) * T[:, ::-1, ::-1])
-    T.flags.writeable = False
-    return T
+    # shear: row m1 + j1 of a zeroed (n, I, I + 2 j2 + 1) buffer, re-read
+    # with row length 2J + 1, starts m1 + j1 slots later, at column M + J
+    I = 2 * j1 + 1
+    buf = np.zeros((n, I, I + 2 * j2 + 1))
+    buf[:, :, :2 * j2 + 1] = T
+    sheared = buf.reshape(n, -1)[:, :I * (2 * J + 1)].reshape(n, I, 2 * J + 1)
+    S = np.ascontiguousarray(sheared[:, :, J:].transpose(2, 0, 1))
+    S.flags.writeable = False
+    return S
 
 
 def cg_zero(l1: int, l2: int, l3: int) -> SqrtRational:

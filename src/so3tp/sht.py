@@ -192,6 +192,14 @@ def _check_band_limit(L: int) -> None:
         raise ValueError(f"band limit L={L} must be non-negative")
 
 
+def _block_vector(key: tuple, vec) -> np.ndarray:
+    """``vec`` as a complex vector; raises unless its length is 2j + 1 for block key (j, ...)."""
+    vec = np.asarray(vec, dtype=complex)
+    if vec.shape != (2 * key[0] + 1,):
+        raise ValueError(f"block {key} has length {vec.shape}, want {2 * key[0] + 1}")
+    return vec
+
+
 def _block_sort_key(key):
     j, tag = key
     return (j, tag is not None, repr(tag))
@@ -211,9 +219,14 @@ class IrrepCoeffs:
 
     def __post_init__(self):
         _check_band_limit(self.L)
-        blocks, self.blocks = self.blocks, {}
-        for (j, tag), vec in blocks.items():
-            self.set_block(j, vec, tag)
+        self.blocks = {key: self._checked(key, vec) for key, vec in self.blocks.items()}
+
+    def _checked(self, key: tuple, vec) -> np.ndarray:
+        """The per-block check: key (j, tag) with 0 <= j <= L, length 2j + 1."""
+        j, _tag = key
+        if not 0 <= j <= self.L:
+            raise ValueError(f"block degree {j} outside 0..L={self.L}")
+        return _block_vector(key, vec)
 
     def block(self, j: int, tag=None) -> np.ndarray:
         return self.blocks[(j, tag)]
@@ -222,12 +235,7 @@ class IrrepCoeffs:
         return self.blocks.get((j, tag))
 
     def set_block(self, j: int, vec, tag=None) -> None:
-        vec = np.asarray(vec, dtype=complex)
-        if j < 0 or j > self.L:
-            raise ValueError(f"block degree {j} outside 0..L={self.L}")
-        if vec.shape != (2 * j + 1,):
-            raise ValueError(f"block {(j, tag)} has length {vec.shape}, want {2 * j + 1}")
-        self.blocks[(j, tag)] = vec
+        self.blocks[(j, tag)] = self._checked((j, tag), vec)
 
     def items(self):
         """Blocks in canonical order: ascending j, untagged first."""

@@ -6,8 +6,10 @@ Two families:
   ``cgtp_full``), in a ``naive`` variant that loops every (m1, m2, m3)
   triple and a ``sparse`` variant restricted to m3 = m1 + m2.  Sparse
   ``cgtp_full`` contracts each input pair (j1, j2) once, for every j3 at
-  once, from the pair's cached CG tensor (``angular.cg_tensor``); the
-  e3nn per-pair pattern (Geiger & Smidt, arXiv:2207.09453).
+  once, in one batched matmul against the half-sheared CG tensor of the
+  unordered pair (``angular.cg_tensor``, M >= 0 only; the mirror and swap
+  identities give the rest); the e3nn per-pair pattern (Geiger & Smidt,
+  arXiv:2207.09453).  Sparse ``cgtp_path`` runs the same kernel on one j3.
 
 * Grid products: encode inputs as spin signals, couple them pointwise,
   and decode (``istp``), with the scalar (``gtp``) and vector (``vstp``)
@@ -88,20 +90,52 @@ def _path_inputs(x, y, j3: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     return x, y, j1, j2
 
 
-def _antidiagonal_sums(T: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """z[k, a + b] = sum of T[k, a, b] x[a] y[b] over each anti-diagonal a + b.
+def sparse_pair_total(j1: int, j2: int, hi: int) -> int:
+    """Sum of sparse_pair_count(j1, j2, j3) over j3 = |j1 - j2|..hi, for hi <= j1 + j2.
 
-    With a = m1 + j1 and b = m2 + j2, column M + j1 + j2 of z holds the
-    total-M sum.  The products go into a zeroed (K, I, I + J) buffer;
-    re-read as (K, I, I + J - 1) rows, row a starts a slots later, so
-    summing over the rows adds each anti-diagonal.  The buffer is dropped
-    on return.
+    With t = j1 + j2 - j3 >= 0 each count is full - t(t + 1), and the sum
+    of t(t + 1) over t = a..b is (b(b+1)(b+2) - (a-1)a(a+1)) / 3.
     """
-    K, I, J = T.shape
-    W = I + J - 1
-    buf = np.zeros((K, I, I + J), dtype=complex)
-    np.multiply(T, np.multiply.outer(x, y), out=buf[:, :, :J])
-    return buf.reshape(K, -1)[:, :I * W].reshape(K, I, W).sum(axis=1)
+    J = j1 + j2
+    a, b = J - hi, J - abs(j1 - j2)
+    full = (2 * j1 + 1) * (2 * j2 + 1)
+    return (b - a + 1) * full - (b * (b + 1) * (b + 2) - (a - 1) * a * (a + 1)) // 3
+
+
+def _contract_pair(x: np.ndarray, y: np.ndarray, j3_lo: int, j3_hi: int) -> np.ndarray:
+    """z[j3 - j3_lo, M + j3_hi] = sum C^{j3,M}_{j1,m1,j2,M-m1} x_{m1} y_{M-m1} for j3 = j3_lo..j3_hi.
+
+    The degrees are read off the lengths of x and y, and |j1 - j2| <= j3_lo
+    <= j3_hi <= j1 + j2.  A pair with j1 > j2 is contracted as (j2, j1)
+    with x and y swapped, then signed by the swap identity.  The sheared
+    outer product Q[m1 + j1, M + J] = x_{m1} y_{M-m1} comes from a zeroed
+    buffer whose rows, re-read with row length 2J + 1, start one slot
+    later each.  Its M >= 0 columns and, by the mirror identity, its
+    reversed M <= 0 columns meet the half-sheared ``cg_tensor`` in one
+    real batched matmul over M, four float columns per M.
+    """
+    swap = x.size > y.size
+    if swap:
+        x, y = y, x
+    j1, j2 = (x.size - 1) // 2, (y.size - 1) // 2
+    J, I, h = j1 + j2, x.size, j3_hi
+    buf = np.zeros((I, I + y.size), dtype=complex)
+    np.multiply.outer(x, y, out=buf[:, :y.size])
+    Q = buf.reshape(-1)[:I * (2 * J + 1)].reshape(I, 2 * J + 1)
+    R = np.empty((h + 1, I, 2), dtype=complex)
+    R[:, :, 0] = Q[:, J:J + h + 1].T
+    R[:, :, 1] = Q[::-1, J - h:J + 1].T[::-1]
+    S = cg_tensor(j1, j2)[:h + 1, j3_lo - j2 + j1:h - j2 + j1 + 1]
+    # w[M, k, 0] is total M; w[M, k, 1] is total -M up to its mirror sign
+    w = (S @ R.view(float)).view(complex)
+    z = np.empty((h - j3_lo + 1, 2 * h + 1), dtype=complex)
+    z[:, h::-1] = w[:, :, 1].T
+    z[:, h:] = w[:, :, 0].T
+    # rows of odd j1 + j2 - j3 flip the mirrored M < 0 half, or the M >= 0 half of a swapped pair
+    odd = z[(J - j3_lo + 1) % 2::2]
+    half = odd[:, h:] if swap else odd[:, :h]
+    np.negative(half, out=half)
+    return z
 
 
 def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
@@ -110,15 +144,15 @@ def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
 
     Degrees are inferred from the vector lengths; inputs holding NaN or
     inf raise ``ValueError``.  ``naive`` costs (2j1+1)(2j2+1)(2j3+1) MACs;
-    ``sparse`` sums the CG block's anti-diagonals m3 = m1 + m2 (the
-    kernel ``cgtp_full`` runs per pair) and counts
+    ``sparse`` sums only the terms with m3 = m1 + m2, through the pair
+    kernel that ``cgtp_full`` runs, on the one j3 slice, and counts
     sparse_pair_count(j1, j2, j3) MACs.
     """
     x, y, j1, j2 = _path_inputs(x, y, j3)
     if mode not in ("naive", "sparse"):
         raise ValueError(f"unknown mode {mode!r}")
-    C2 = cg_block(j1, j2, j3)
     if mode == "naive":
+        C2 = cg_block(j1, j2, j3)
         I, J, K = 2 * j1 + 1, 2 * j2 + 1, 2 * j3 + 1
         outer = np.multiply.outer(x, y).ravel()
         i1, i2 = np.indices((I, J))
@@ -130,8 +164,7 @@ def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
         z = flat @ outer.real + 1j * (flat @ outer.imag)
         macs = I * J * K
     else:
-        J = j1 + j2
-        z = _antidiagonal_sums(C2[None], x, y)[0, J - j3:J + j3 + 1]
+        z = _contract_pair(x, y, j3, j3)[0]
         macs = sparse_pair_count(j1, j2, j3)
     if flops is not None:
         flops.add(macs)
@@ -143,14 +176,14 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
 
     Inputs must carry at most one block per degree, with finite values.
     The output keeps multiplicity: block (j3, (j1, j2)) holds the
-    (j1, j2) -> j3 path.  ``sparse`` contracts each pair (j1, j2) once:
-    one anti-diagonal sum over the CG tensor's j3 = |j1 - j2| ..
-    min(j1 + j2, L3) slices, each j3 block then read off total M in
-    [-j3, j3].  That tensor comes from ``angular.cg_tensor``, whose 512
-    entries hold every pair of inputs up to L = 21; past that (1089 pairs
-    at L = 32) every call rebuilds its tensors, which then dominate.
-    ``naive`` calls ``cgtp_path`` once per path.  MACs are counted per
-    path either way.
+    (j1, j2) -> j3 path.  ``sparse`` contracts each pair (j1, j2) once,
+    for every j3 = |j1 - j2| .. min(j1 + j2, L3), in one batched matmul
+    against the half-sheared tensor of the unordered pair
+    (``angular.cg_tensor``), and reads each j3 block off total M in
+    [-j3, j3].  The 512 cached tensors hold every pair of inputs up to
+    L = 30; past that (561 unordered pairs at L = 32) every call rebuilds
+    its tensors, which then dominate.  ``naive`` calls ``cgtp_path`` once
+    per path.  MACs are counted per path either way.
     """
     if mode not in ("naive", "sparse"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -158,20 +191,19 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
     ys = y.single_per_degree()
     _require_finite(*xs.values(), *ys.values())
     fl = FlopCounter()
-    out = IrrepCoeffs(L=L3, blocks={})
+    blocks = {}
     for j1, xv in sorted(xs.items()):
         for j2, yv in sorted(ys.items()):
             lo, hi = abs(j1 - j2), min(j1 + j2, L3)
             if mode == "naive":
                 for j3 in range(lo, hi + 1):
-                    out.set_block(j3, cgtp_path(xv, yv, j3, mode=mode, flops=fl), tag=(j1, j2))
+                    blocks[(j3, (j1, j2))] = cgtp_path(xv, yv, j3, mode=mode, flops=fl)
             elif lo <= hi:
-                J = j1 + j2
-                z = _antidiagonal_sums(cg_tensor(j1, j2)[:hi - lo + 1], xv, yv)
+                z = _contract_pair(xv, yv, lo, hi)
                 for j3 in range(lo, hi + 1):
-                    out.set_block(j3, z[j3 - lo, J - j3:J + j3 + 1], tag=(j1, j2))
-                    fl.add(sparse_pair_count(j1, j2, j3))
-    return TpoResult(output=out, flops=fl.count)
+                    blocks[(j3, (j1, j2))] = z[j3 - lo, hi - j3:hi + j3 + 1]
+                fl.add(sparse_pair_total(j1, j2, hi))
+    return TpoResult(output=IrrepCoeffs(L=L3, blocks=blocks), flops=fl.count)
 
 
 @lru_cache(maxsize=256)

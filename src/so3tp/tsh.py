@@ -29,8 +29,8 @@ import numpy as np
 
 from .angular import cg_block, cg_float, triangle_delta, wigner_d_matrix
 from .flops import FlopCounter
-from .sht import (IrrepCoeffs, SphereGrid, _analysis_core, _check_band_limit, _padded_index,
-                  _synthesis_core, make_grid, random_block, sh_eval)
+from .sht import (IrrepCoeffs, SphereGrid, _analysis_core, _block_vector, _check_band_limit,
+                  _padded_index, _synthesis_core, make_grid, random_block, sh_eval)
 
 __all__ = [
     "SpinSignal",
@@ -92,16 +92,14 @@ class TshCoeffs:
         if self.s < 0:
             raise ValueError(f"spin s={self.s} must be non-negative")
         _check_band_limit(self.L)
-        fixed = {}
         valid = _valid_key_set(self.s, self.L)
-        for (j, l), vec in self.blocks.items():
-            vec = np.asarray(vec, dtype=complex)
-            if (j, l) not in valid:
-                self._check_key(j, l)
-            if vec.shape != (2 * j + 1,):
-                raise ValueError(f"block {(j, l)} has length {vec.shape}, want {2 * j + 1}")
-            fixed[(j, l)] = vec
-        self.blocks = fixed
+        self.blocks = {key: self._checked(key, vec, valid) for key, vec in self.blocks.items()}
+
+    def _checked(self, key: tuple, vec, valid: frozenset) -> np.ndarray:
+        """The per-block check: key (j, l) in ``valid`` (else ``_check_key`` raises), length 2j + 1."""
+        if key not in valid:
+            self._check_key(*key)
+        return _block_vector(key, vec)
 
     def _check_key(self, j: int, l: int) -> None:
         if l > self.L:
@@ -113,12 +111,7 @@ class TshCoeffs:
         return self.blocks[(j, l)]
 
     def set_block(self, j: int, l: int, vec) -> None:
-        vec = np.asarray(vec, dtype=complex)
-        if (j, l) not in _valid_key_set(self.s, self.L):
-            self._check_key(j, l)
-        if vec.shape != (2 * j + 1,):
-            raise ValueError(f"block {(j, l)} has length {vec.shape}, want {2 * j + 1}")
-        self.blocks[(j, l)] = vec
+        self.blocks[(j, l)] = self._checked((j, l), vec, _valid_key_set(self.s, self.L))
 
     def items(self):
         for key in sorted(self.blocks):

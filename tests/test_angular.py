@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from so3tp import angular, tenprod
 from so3tp.angular import (
     CG_BLOCK_MAX,
     cg,
     cg_block,
     cg_float,
+    cg_tensor,
     cg_zero,
     triangle_delta,
     wigner_9j,
@@ -20,6 +22,7 @@ from so3tp.angular import (
     wigner_d_matrix,
 )
 from so3tp.exact import SQRT_ZERO, SqrtRational, term_add_into, term_mul
+from so3tp.sht import random_coeffs
 
 
 def exact_sum(pairs):
@@ -160,6 +163,37 @@ def test_cg_block_rejects_out_of_range():
     cg_block(CG_BLOCK_MAX - 1, 1, CG_BLOCK_MAX)
     with pytest.raises(ValueError):
         cg_block(CG_BLOCK_MAX, 1, CG_BLOCK_MAX)
+
+
+def test_cg_block_swap_identity_exact():
+    # both orders are gathered from one tensor, so the identity holds bit for bit
+    for j1 in range(7):
+        for j2 in range(7):
+            for j3 in range(abs(j1 - j2), j1 + j2 + 1):
+                swapped = cg_block(j2, j1, j3)
+                assert not swapped.flags.writeable
+                assert np.array_equal(swapped, (-1) ** (j1 + j2 - j3) * cg_block(j1, j2, j3).T), \
+                    (j1, j2, j3)
+
+
+def test_cg_tensor_takes_unordered_pairs():
+    S = cg_tensor(2, 5)
+    assert S.shape == (8, 5, 5) and not S.flags.writeable
+    with pytest.raises(ValueError, match="unordered pair"):
+        cg_tensor(5, 2)
+
+
+def test_cgtp_full_caches_one_tensor_per_unordered_pair():
+    angular._cg_tensor.cache_clear()
+    rng = np.random.default_rng(3)
+    tenprod.cgtp_full(random_coeffs(8, rng), random_coeffs(8, rng), 16)
+    assert angular._cg_tensor.cache_info().currsize == 9 * 10 // 2
+
+
+def test_cg_tensors_up_to_degree_16_fit_in_6_1_mb():
+    # the dense per-order tensors of the same pairs took 12.1 MB
+    total = sum(cg_tensor(j1, j2).nbytes for j2 in range(17) for j1 in range(j2 + 1))
+    assert total <= 6.1e6
 
 
 # ---------------------------------------------------------------- Wigner D

@@ -19,6 +19,7 @@ from so3tp.tenprod import (
     pointwise_spin_tp,
     simulate_cgtp_path,
     sparse_pair_count,
+    sparse_pair_total,
     vstp,
 )
 from so3tp.tsh import SpinSignal, TshCoeffs, random_tsh_coeffs, rotate_tsh_coeffs
@@ -129,6 +130,30 @@ def test_cgtp_full_sparse_matches_path_loop(L3, rng):
     for key, z in expect.items():
         np.testing.assert_allclose(res.output.blocks[key], z, rtol=0, atol=1e-13)
     assert res.flops == macs
+
+
+def test_cgtp_full_sparse_matches_exact_cg(rng):
+    # swapped pairs (j1 > j2), truncated j3 ranges (L3 < j1 + j2) and j1 = 0,
+    # against the exact-CG oracle rather than cgtp_path, which shares the kernel
+    x = IrrepCoeffs(L=7, blocks={(j, None): random_block(j, rng) for j in (0, 2, 5, 7)})
+    y = IrrepCoeffs(L=4, blocks={(j, None): random_block(j, rng) for j in (1, 3, 4)})
+    L3 = 6
+    res = cgtp_full(x, y, L3, mode="sparse")
+    paths = [(j1, j2, j3) for j1 in (0, 2, 5, 7) for j2 in (1, 3, 4)
+             for j3 in range(abs(j1 - j2), min(j1 + j2, L3) + 1)]
+    assert set(res.output.blocks) == {(j3, (j1, j2)) for j1, j2, j3 in paths}
+    for j1, j2, j3 in paths:
+        np.testing.assert_allclose(res.output.block(j3, tag=(j1, j2)),
+                                   cg_contract(x.block(j1), y.block(j2), j3), rtol=0, atol=1e-13)
+    assert res.flops == sum(sparse_pair_count(*p) for p in paths)
+
+
+def test_sparse_pair_total_sums_the_path_counts():
+    for j1 in range(6):
+        for j2 in range(6):
+            for hi in range(abs(j1 - j2), j1 + j2 + 1):
+                expect = sum(sparse_pair_count(j1, j2, j3) for j3 in range(abs(j1 - j2), hi + 1))
+                assert sparse_pair_total(j1, j2, hi) == expect, (j1, j2, hi)
 
 
 _NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan)]
