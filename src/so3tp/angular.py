@@ -12,9 +12,9 @@ rules and the test oracles.  The float form serves the products, so no
 product evaluates an exact coefficient: ``cg_tensor`` holds every j3 of
 an unordered pair j1 <= j2, j1 + j2 <= 130, in one half-sheared layout
 S[M, k, m1 + j1] = C^{j2-j1+k,M}_{j1,m1,j2,M-m1} for M >= 0, read from
-the eigenvectors of J^2 on each total-M subspace and cached; ``cg_block``
-gathers a whole block C^{j3,m1+m2}_{j1,m1,j2,m2} of either order from it
-through the mirror and swap identities.
+the eigenvectors of J^2 on the subspaces of total M >= 0 and cached;
+``cg_block`` gathers a whole block C^{j3,m1+m2}_{j1,m1,j2,m2} of either
+order from it through the mirror and swap identities.
 
 The general 9j symbol is the recoupling inner product between the two
 coupling orders of four momenta, evaluated by contracting six CG
@@ -119,6 +119,8 @@ def cg_tensor(j1: int, j2: int) -> np.ndarray:
     so the tensors of 512 unordered pairs, about 114 MB, hold every pair
     of an L = 30 product (L = 32 needs 561).
     """
+    if min(j1, j2) < 0:
+        raise ValueError(f"degrees must be non-negative, got {(j1, j2)}")
     if j1 > j2:
         raise ValueError(f"cg_tensor takes an unordered pair j1 <= j2, got {(j1, j2)}")
     if j1 + j2 > CG_BLOCK_MAX:
@@ -155,78 +157,55 @@ def cg_block(j1: int, j2: int, j3: int) -> np.ndarray:
     return blk
 
 
-def _j2_eigenvectors(j1: int, j2: int) -> np.ndarray:
-    """CG columns up to sign: V[j3 - |j1 - j2|, m1 + j1, m2 + j2], zero past |M| = j3.
-
-    On the subspace of total M, J^2 is symmetric tridiagonal in the basis
-    |m1, M - m1>, and the CG column of each j3 >= |M| is its eigenvector
-    with eigenvalue j3(j3 + 1).  All subspaces go through one batched
-    eigh, padded to the common size n = 2 min(j1, j2) + 1 with negative
-    diagonal entries, so eigenvector k belongs to j3 = |j1 - j2| + k.
-    """
-    J, n = j1 + j2, 2 * min(j1, j2) + 1
-    M = np.arange(-J, J + 1)[:, None]
-    i = np.arange(n)
-    lo = np.maximum(-j1, M - j2)  # lowest m1 of each subspace
-    real = i < np.minimum(j1, M + j2) - lo + 1
-    m1 = lo + i
-    m2 = M - m1
-    # J^2 = J1^2 + J2^2 + 2 J1z J2z + J1+ J2- + J1- J2+ on |m1, M - m1>
-    H = np.zeros((2 * J + 1, n, n))
-    H[:, i, i] = np.where(real, j1 * (j1 + 1) + j2 * (j2 + 1) + 2.0 * m1 * m2, -1.0 - i)
-    # <m1+1, m2-1| J1+ J2- |m1, m2>; padded slots may go negative and are dropped
-    ladder = (j1 * (j1 + 1) - m1 * (m1 + 1)) * (j2 * (j2 + 1) - m2 * (m2 - 1.0))
-    H[:, i[1:], i[:-1]] = np.where(real[:, 1:], np.sqrt(np.abs(ladder[:, :-1])), 0.0)
-    V = np.linalg.eigh(H)[1].transpose(2, 0, 1)
-    a1 = np.arange(-j1, j1 + 1)[:, None]
-    Ma = a1 + np.arange(-j2, j2 + 1)  # total M of each (m1, m2) slot
-    vecs = np.ascontiguousarray(V[:, Ma + J, a1 - lo[Ma + J, 0]])
-    vecs[np.abs(Ma) > abs(j1 - j2) + i[:, None, None]] = 0.0
-    return vecs
-
-
 @lru_cache(maxsize=512)
 def _cg_tensor(j1: int, j2: int) -> np.ndarray:
     """Half-sheared S[M, k, m1 + j1] of ``cg_tensor`` for j1 <= j2, from J^2 eigenvectors.
 
-    The dense C[k, m1 + j1, m2 + j2] is built and dropped.  Phases: the
-    top state M = j3 has sign (-1)^(j1 - m1) (read at its largest entry),
-    and each lower state makes <v_{M-1}, J_- v_M> > 0.
+    On the subspace of total M, J^2 is symmetric tridiagonal in the basis
+    |m1, M - m1>, and the CG column of each j3 >= M is its eigenvector with
+    eigenvalue j3(j3 + 1).  The J + 1 subspaces M >= 0 go through one
+    batched eigh with column m1 + j1; the slots with M - m1 > j2 get
+    distinct negative diagonal entries and sort first, so eigenvector k
+    belongs to j3 = j2 - j1 + k.  Phases: the top state M = j3 has sign
+    (-1)^(j1 - m1) (read at its largest entry), and each lower state makes
+    <v_M, J_- v_{M+1}> > 0.
     """
-    T = _j2_eigenvectors(j1, j2)
-    J, n = j1 + j2, T.shape[0]
-    i = np.arange(n)
-    a1 = np.arange(-j1, j1 + 1)[:, None]
-    Ma = a1 + np.arange(-j2, j2 + 1)
-    j3 = abs(j1 - j2) + i[:, None, None]
+    J, n = j1 + j2, 2 * j1 + 1
+    M = np.arange(J + 1)[:, None]
+    a = np.arange(n)
+    m1 = a - j1
+    m2 = M - m1
+    real = m2 <= j2  # m2 >= -j2 always holds for M >= 0 and j1 <= j2
+    # J^2 = J1^2 + J2^2 + 2 J1z J2z + J1+ J2- + J1- J2+ on |m1, M - m1>
+    H = np.zeros((J + 1, n, n))
+    H[:, a, a] = np.where(real, j1 * (j1 + 1) + j2 * (j2 + 1) + 2.0 * m1 * m2, -1.0 - a)
+    # <m1+1, m2-1| J1+ J2- |m1, m2>, zero out of a padded slot
+    ladder = (j1 * (j1 + 1) - m1 * (m1 + 1)) * (j2 * (j2 + 1) - m2 * (m2 - 1.0))
+    H[:, a[1:], a[:-1]] = np.sqrt(np.where(real, ladder, 0.0)[:, :-1])
+    S = np.linalg.eigh(H)[1].transpose(0, 2, 1)
+    j3 = j2 - j1 + a
 
+    # <v_M, J_- v_{M+1}> with J_- = J1- (shifts m1 down) + J2- (in place)
+    lowered = np.sqrt(np.maximum(j2 * (j2 + 1.0) - m2[:-1] * (m2[:-1] + 1), 0.0))[:, None] * S[1:]
+    lowered[:, :, :-1] += np.sqrt(j1 * (j1 + 1.0) - m1[1:] * (m1[1:] - 1)) * S[1:, :, 1:]
+    step = np.ones((J + 1, n))  # stays 1 above the top state M = j3
+    step[:-1] = np.where(M[:-1] < j3, np.sign(np.einsum("mka,mka->mk", S[:-1], lowered)), 1.0)
     # top-state sign, read at the largest entry of each M = j3 row
-    top = np.where(Ma == j3, T, 0.0).reshape(n, -1)
+    top = S[j3, a]
     at = np.abs(top).argmax(axis=1)
-    top_sign = np.sign(top[i, at]) * (-1.0) ** (2 * j1 - at // (2 * j2 + 1))
-    # dots[k, M + J] = <v_M, J_- v_{M+1}>: anti-diagonal sums of T * (J_- T)
-    lowered = np.zeros_like(T)
-    a = np.arange(-j1 + 1, j1 + 1)
-    b = np.arange(-j2 + 1, j2 + 1)
-    lowered[:, :-1, :] += np.sqrt(j1 * (j1 + 1.0) - a * (a - 1))[:, None] * T[:, 1:, :]
-    lowered[:, :, :-1] += np.sqrt(j2 * (j2 + 1.0) - b * (b - 1)) * T[:, :, 1:]
-    lowered *= T
-    diag = (i[:, None, None] * (2 * J + 1) + Ma + J).ravel()
-    dots = np.bincount(diag, lowered.ravel(), n * (2 * J + 1)).reshape(n, 2 * J + 1)
-    Mrow, j3k = np.arange(-J, J + 1), j3[:, :, 0]
-    step = np.where(Mrow < j3k, np.sign(dots), np.where(Mrow == j3k, top_sign[:, None], 1.0))
+    step[j3, a] = np.sign(top[a, at]) * (-1.0) ** (2 * j1 - at)
     # the sign of state (j3, M) is the top sign times every step from j3 down to M
-    T *= np.cumprod(step[:, ::-1], axis=1)[:, ::-1][:, Ma + J]
-    # impose C(-m1, -m2) = (-1)^(j1+j2-j3) C(m1, m2) exactly, which zeroes
-    # the m1 = m2 = 0 entry of every odd j1 + j2 + j3
-    T = 0.5 * (T + (-1.0) ** (j1 + j2 - j3) * T[:, ::-1, ::-1])
-    # shear: row m1 + j1 of a zeroed (n, I, I + 2 j2 + 1) buffer, re-read
-    # with row length 2J + 1, starts m1 + j1 slots later, at column M + J
-    I = 2 * j1 + 1
-    buf = np.zeros((n, I, I + 2 * j2 + 1))
-    buf[:, :, :2 * j2 + 1] = T
-    sheared = buf.reshape(n, -1)[:, :I * (2 * J + 1)].reshape(n, I, 2 * J + 1)
-    S = np.ascontiguousarray(sheared[:, :, J:].transpose(2, 0, 1))
+    S = S * np.cumprod(step[::-1], axis=0)[::-1, :, None]
+    # impose C(-m1, -m2) = (-1)^(J-j3) C(m1, m2) at M = 0, which zeroes
+    # the m1 = m2 = 0 entry of every odd J - j3
+    sign = (-1.0) ** (J - j3)[:, None]
+    S[0] = 0.5 * (S[0] + sign * S[0, :, ::-1])
+    if j1 == j2:
+        # impose the swap identity C^{j3}_{j2,m2,j1,m1} = (-1)^(J-j3) C^{j3}_{j1,m1,j2,m2}
+        swap = np.minimum(M + 2 * j1 - a, 2 * j1)  # slot of m1' = m2; clipped ones are zeroed
+        S = 0.5 * (S + sign * S[M[:, :, None], a[:, None], swap[:, None, :]])
+    S = np.ascontiguousarray(S)
+    S[(M[:, :, None] > j3[:, None]) | ~real[:, None, :]] = 0.0
     S.flags.writeable = False
     return S
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from so3tp import angular, tenprod
@@ -166,21 +166,68 @@ def test_cg_block_rejects_out_of_range():
 
 
 def test_cg_block_swap_identity_exact():
-    # both orders are gathered from one tensor, so the identity holds bit for bit
-    for j1 in range(7):
-        for j2 in range(7):
-            for j3 in range(abs(j1 - j2), j1 + j2 + 1):
-                swapped = cg_block(j2, j1, j3)
-                assert not swapped.flags.writeable
-                assert np.array_equal(swapped, (-1) ** (j1 + j2 - j3) * cg_block(j1, j2, j3).T), \
-                    (j1, j2, j3)
+    # both orders are gathered from one tensor, so the identity holds bit for bit;
+    # an equal-degree pair is its own swap, which the build imposes
+    pairs = [(j1, j2) for j1 in range(7) for j2 in range(7)] + [(16, 16), (32, 32), (65, 65)]
+    for j1, j2 in pairs:
+        for j3 in range(abs(j1 - j2), j1 + j2 + 1):
+            swapped = cg_block(j2, j1, j3)
+            assert not swapped.flags.writeable
+            assert np.array_equal(swapped, (-1) ** (j1 + j2 - j3) * cg_block(j1, j2, j3).T), \
+                (j1, j2, j3)
+
+
+@pytest.mark.parametrize("j1,j2", [(0, 0), (1, 4), (3, 3), (5, 12), (16, 16), (2, 128), (65, 65)])
+def test_cg_tensor_mirror_identity_exact_at_m0(j1, j2):
+    # M = 0 is its own mirror: C(-m1, m1) = (-1)^(j1+j2-j3) C(m1, -m1)
+    S = cg_tensor(j1, j2)
+    sign = (-1.0) ** (2 * j1 - np.arange(2 * j1 + 1))[:, None]
+    assert np.array_equal(S[0, :, ::-1], sign * S[0])
+    assert not S[0, 1::2, j1].any()  # m1 = m2 = 0 vanishes for odd j1 + j2 - j3
+
+
+@settings(deadline=None)
+@given(st.integers(0, 24), st.integers(0, 24), st.data())
+def test_cg_tensor_sign_chain_matches_exact(ja, jb, data):
+    # the top state M = j3 and the end of its J_- chain, M = 0, on every entry
+    j1, j2 = min(ja, jb), max(ja, jb)
+    k = data.draw(st.integers(0, 2 * j1))
+    j3 = j2 - j1 + k
+    S = cg_tensor(j1, j2)
+    for M in (j3, 0):
+        for m1 in range(max(-j1, M - j2), j1 + 1):
+            expect = cg_float(j1, m1, j2, M - m1, j3, M)
+            assert abs(S[M, k, m1 + j1] - expect) <= 1e-13, (j1, m1, j2, j3, M)
 
 
 def test_cg_tensor_takes_unordered_pairs():
     S = cg_tensor(2, 5)
     assert S.shape == (8, 5, 5) and not S.flags.writeable
+    assert S.flags.c_contiguous  # _contract_pair's matmul reads it on every op
     with pytest.raises(ValueError, match="unordered pair"):
         cg_tensor(5, 2)
+
+
+def test_cg_tensor_rejects_negative_degree():
+    before = angular._cg_tensor.cache_info()
+    with pytest.raises(ValueError, match=r"degrees must be non-negative, got \(-1, 2\)"):
+        cg_tensor(-1, 2)
+    assert angular._cg_tensor.cache_info() == before
+
+
+def test_cg_tensor_solves_only_the_m_nonnegative_subspaces(monkeypatch):
+    # one batched eigh over the J + 1 subspaces M = 0..j1+j2, each of size 2 j1 + 1
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(H, *args, **kwargs):
+        shapes.append(H.shape)
+        return eigh(H, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    angular._cg_tensor.cache_clear()
+    angular._cg_tensor(3, 7)
+    assert shapes == [(11, 7, 7)]
 
 
 def test_cgtp_full_caches_one_tensor_per_unordered_pair():
