@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -205,6 +207,45 @@ def _cmd_bench_run(args) -> int:
 
 # ---------------------------------------------------------------- verify
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _git_revision() -> str | None:
+    """HEAD of the git checkout holding this package, read from its .git; None outside one."""
+    for root in Path(__file__).resolve().parents:
+        git = root / ".git"
+        if git.is_dir():
+            break
+    else:
+        return None
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[5:]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return None
+
+
+def _environment() -> dict:
+    """What the timings depend on: numpy and its BLAS, BLAS thread variables, CPUs, revision."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {v: os.environ.get(v) for v in _THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+        "git_revision": _git_revision(),
+    }
+
+
 def _cmd_verify(args) -> int:
     results, ok = verify.run_verify(args.level, seed=args.seed)
     if args.tolerance is not None:
@@ -216,6 +257,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         payload = {
             "config": {"level": args.level, "seed": args.seed, "tolerance": args.tolerance},
+            "env": _environment(),
             "passed": ok,
             "checks": [{"name": r.name, "max_dev": r.max_dev, "tolerance": r.tolerance,
                         "passed": r.passed, "worst_case": r.worst_case,

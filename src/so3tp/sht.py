@@ -12,17 +12,29 @@ Grids pair Gauss-Legendre nodes in cos(theta) with uniform phi nodes.  A
 grid of exactness degree Lg integrates any product of harmonics with total
 theta degree <= 2 Lg and phi frequency below 2 Lg + 1 exactly, which makes
 the synthesis/analysis round trip exact for band-limited signals.  Both
-transforms are the separable O(Lg^3) method: an associated-Legendre
-contraction over theta and a plain DFT matrix product over phi (fixed
-summation order, deterministic).  Each grid builds the tables derived
-from its nodes on the first transform that reads them and keeps them: the
-per-order Legendre tables and a full-band DFT matrix per direction.
+transforms are the separable O(Lg^3) method, folded over +-m (as in
+SHTns: Schaeffer, G-cubed 14, 751, 2013): an associated-Legendre
+contraction over theta with the m >= 0 tables only, since
+Lambda^{-m}_l = (-1)^m Lambda^m_l, and one real GEMM over phi against
+cos(m phi) and sin(m phi) rows, since exp(-i m phi) = conj(exp(i m phi))
+(fixed summation order, deterministic).  Each grid owns the tables
+derived from its nodes, builds each on the first transform that reads it,
+and frees them with itself: ``legendre`` [m, i, l - m] for synthesis,
+``weighted_legendre`` [m, l - m, i] with the quadrature weights for
+analysis, and ``trig``, the rows [cos 0 phi, sin 1 phi, cos 1 phi, ...,
+sin Lg phi, cos Lg phi].  Band L reads the first L + 1 orders and the
+first 2L + 1 trig rows, as views.
 
-The transform cores see one coefficient layout, the padded array
-cpad[m + L, l - |m|, c]: order m indexes a row of degrees l = |m|..L,
-left-aligned and zero beyond, and c indexes signal components (one for
-scalar signals, 2s+1 for spin signals).  Each transform runs one batched
-Legendre matmul and one phi product for all components at once.
+Synthesis reads folded coefficients cf[r, l - m, c], m = (r + 1) // 2:
+cf[0] = c[0], cf[2m] = cp[m] = c[m] + (-1)^m c[-m] and cf[2m - 1] =
+cs[m] = i (c[m] - (-1)^m c[-m]), so coefficient row r meets trig row r;
+``_folded_scatter`` maps padded slots into it.  Analysis writes the
+padded layout xpad[m + L, l - |m|, c]: order m indexes a row of degrees
+l = |m|..L, left-aligned, and c indexes signal components (one for
+scalar signals, 2s+1 for spin signals).  Each transform runs its
+Legendre matmuls and one phi GEMM for all components at once.  Samples
+are phi-major: ``values`` [i, k, c] is a transposed view of a
+C-contiguous [k, i, c] array, which the analysis GEMM reads in place.
 
 Analysis integrates against conj(Y^m_l); spherical harmonic expansions use
 plain Y^m_l.  Coefficient containers carry one complex block per degree j,
@@ -31,6 +43,7 @@ optionally tagged (tags distinguish multiplicity, e.g. source paths).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -55,30 +68,37 @@ __all__ = [
 ]
 
 
-def _dft_matrix(grid: SphereGrid, L: int, sign: int) -> np.ndarray:
-    """exp(sign * 1j * m * phi_k) as [m + L, k]: a row slice of the grid's full-band table."""
-    full = grid.synthesis_dft if sign > 0 else grid.analysis_dft
-    return full[grid.Lg - L:grid.Lg + L + 1]
-
-
 def _padded_index(L: int, l, m):
     """Flat index of (l, m) in the padded layout [m + L, l - |m|] of band limit L.
 
-    This layout is the one the transform cores read and write: row m + L
-    holds degrees l = |m|..L, left-aligned, so every order contracts with
-    one zero-padded Legendre table of L + 1 columns.
+    This is the layout the analysis core writes: row m + L holds degrees
+    l = |m|..L, left-aligned.
     """
     return (m + L) * (L + 1) + l - abs(m)
 
 
-@lru_cache(maxsize=256)
-def _padded_legendre(grid: SphereGrid, L: int) -> np.ndarray:
-    """lam_pad[m + L, i, l - |m|] = Lambda^m_l(cos theta_i), zero past l = L."""
-    lam_pad = np.zeros((2 * L + 1, grid.n_theta, L + 1))
-    for m in range(-L, L + 1):
-        tab = grid.legendre[abs(m)][:, : L - abs(m) + 1]
-        lam_pad[m + L, :, : L - abs(m) + 1] = _signed(tab, m)
-    return lam_pad
+def _folded_scatter(L: int, slot: np.ndarray, n_comp: int):
+    """Scatter from flat padded slots of band L into the folded layout.
+
+    A coefficient c at slot [m + L, l - |m|, comp] of the padded layout
+    adds factor[0] * c to cf[2|m|] = cp[|m|] = c[|m|] + (-1)^m c[-|m|] and
+    factor[1] * c to cf[2|m| - 1] = cs[|m|] = i (c[|m|] - (-1)^m c[-|m|]),
+    both at [l - |m|, comp].  Returns (fslot, factor): per coefficient,
+    the float slots of the real and imaginary parts of those two complex
+    terms in the folded array's interleaved view, shape (n, 4), and the
+    two complex factors, shape (n, 2).  At m = 0 the sine factor is zero
+    and its slots are the cosine ones.
+    """
+    row = (L + 1) * n_comp
+    m, cell = np.divmod(slot, row)
+    m -= L
+    a = np.abs(m)
+    cos = 2 * (2 * a * row + cell)
+    sin = np.where(m != 0, cos - 2 * row, cos)
+    cos_sign = np.where((m < 0) & (a % 2 == 1), -1.0, 1.0)
+    sin_sign = np.where(m > 0, 1.0, np.where(m < 0, -cos_sign, 0.0))
+    return (np.stack([cos, cos + 1, sin, sin + 1], axis=1),
+            np.stack([cos_sign, 1j * sin_sign], axis=1))
 
 
 def _signed(tab: np.ndarray, m: int) -> np.ndarray:
@@ -86,11 +106,10 @@ def _signed(tab: np.ndarray, m: int) -> np.ndarray:
     return -tab if (m < 0 and m % 2) else tab
 
 
-def _legendre_tables(cos_theta: np.ndarray, lmax: int) -> list[np.ndarray]:
-    """Per-order tables lam[m][i, l-m] = Lambda^m_l(cos_theta[i]), l = m..lmax."""
+def _legendre_orders(cos_theta: np.ndarray, lmax: int):
+    """Yield (m, tab) with tab[i, l - m] = Lambda^m_l(cos_theta[i]), l = m..lmax, for m = 0..lmax."""
     x = cos_theta
     sin_theta = np.sqrt(1.0 - x * x)
-    tables = []
     diag = np.full_like(x, 1.0 / math.sqrt(4.0 * math.pi))
     for m in range(lmax + 1):
         if m > 0:
@@ -103,8 +122,7 @@ def _legendre_tables(cos_theta: np.ndarray, lmax: int) -> list[np.ndarray]:
             a = math.sqrt((4 * l * l - 1.0) / (l * l - m * m))
             b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1) ** 2 - 1.0))
             tab[:, l - m] = a * (x * tab[:, l - m - 1] - b * tab[:, l - m - 2])
-        tables.append(tab)
-    return tables
+        yield m, tab
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,19 +160,36 @@ class SphereGrid:
         return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
 
     @cached_property
-    def legendre(self) -> list[np.ndarray]:
-        """Per-order tables legendre[m][i, l - m] = Lambda^m_l(cos theta_i), m = 0..Lg."""
-        return _legendre_tables(self.cos_theta, self.Lg)
+    def legendre(self) -> np.ndarray:
+        """legendre[m, i, l - m] = Lambda^m_l(cos theta_i) for 0 <= m <= l <= Lg, zero past l = Lg."""
+        lam = np.zeros((self.Lg + 1, self.n_theta, self.Lg + 1))
+        for m, tab in _legendre_orders(self.cos_theta, self.Lg):
+            lam[m, :, :tab.shape[1]] = tab
+        return lam
 
     @cached_property
-    def synthesis_dft(self) -> np.ndarray:
-        """exp(+1j * m * phi_k) as [m + Lg, k] for the full band |m| <= Lg."""
-        return np.exp(1j * np.outer(np.arange(-self.Lg, self.Lg + 1), self.phi))
+    def weighted_legendre(self) -> np.ndarray:
+        """weighted_legendre[m, l - m, i] = w_i Lambda^m_l(cos theta_i), w_i = theta_weights[i] 2 pi / n_phi."""
+        w = self.theta_weights * (2.0 * np.pi / self.n_phi)
+        # Made through a freed table-sized temporary on purpose: glibc then
+        # raises its heap trim threshold above a grid product's working set.
+        # Written with out= instead, a benchmark worker at L=32 on this grid
+        # trimmed and re-faulted ~1,400 pages per product.
+        return np.ascontiguousarray(self.legendre.transpose(0, 2, 1) * w)
 
     @cached_property
-    def analysis_dft(self) -> np.ndarray:
-        """exp(-1j * m * phi_k) as [m + Lg, k] for the full band |m| <= Lg."""
-        return np.exp(-1j * np.outer(np.arange(-self.Lg, self.Lg + 1), self.phi))
+    def trig(self) -> np.ndarray:
+        """Real phi rows [cos 0 phi, sin 1 phi, cos 1 phi, ..., sin Lg phi, cos Lg phi] at the phi nodes.
+
+        Row 2m - 1 is sin(m phi_k) and row 2m is cos(m phi_k); band L reads
+        the first 2L + 1 rows.
+        """
+        mphi = np.outer(np.arange(1, self.Lg + 1), self.phi)
+        rows = np.empty((2 * self.Lg + 1, self.n_phi))
+        rows[0] = 1.0
+        rows[1::2] = np.sin(mphi)
+        rows[2::2] = np.cos(mphi)
+        return rows
 
 
 @lru_cache(maxsize=128)
@@ -185,6 +220,14 @@ class ScalarSignal:
         expect = (self.grid.n_theta, self.grid.n_phi)
         if self.values.shape != expect:
             raise ValueError(f"signal shape {self.values.shape} != grid shape {expect}")
+
+
+def _require_finite(*vecs: np.ndarray) -> None:
+    # a finite sum has only finite terms, so only a non-finite sum (a bad
+    # entry or an overflow) needs the entrywise test
+    for v in vecs:
+        if not cmath.isfinite(np.add.reduce(v, axis=None)) and not np.isfinite(v).all():
+            raise ValueError("inputs must be finite, got NaN or inf")
 
 
 def _check_band_limit(L: int) -> None:
@@ -260,43 +303,62 @@ def sh_eval(l: int, m: int, theta, phi):
     ph = np.asarray(phi, dtype=float)
     scalar = th.ndim == 0 and ph.ndim == 0
     th, ph = np.broadcast_arrays(np.atleast_1d(th), np.atleast_1d(ph))
-    tab = _legendre_tables(np.cos(th).ravel(), l)[abs(m)]
+    tab = next(tab for order, tab in _legendre_orders(np.cos(th).ravel(), l) if order == abs(m))
     out = _signed(tab[:, l - abs(m)], m).reshape(th.shape) * np.exp(1j * m * ph)
     return complex(out.ravel()[0]) if scalar else out
 
 
-def _synthesis_core(cpad: np.ndarray, grid: SphereGrid, L: int,
+def _synthesis_core(cf: np.ndarray, grid: SphereGrid, L: int,
                     flops: FlopCounter | None) -> np.ndarray:
-    """Grid samples [i, k, c] from padded coefficients cpad[m + L, l - |m|, c].
+    """Grid samples [i, k, c] from folded coefficients cf[r, l - m, c]; a view of phi-major samples.
 
-    All components c share one Legendre contraction and one phi product.
+    Row r pairs with trig row r of order m = (r + 1) // 2: cf[0] = c[0],
+    cf[2m] = cp[m] and cf[2m - 1] = cs[m] (``_folded_scatter``).  The
+    Legendre stage is one real batched matmul over the cosine rows and one
+    over the sine rows; the phi stage is one real GEMM against the grid's
+    cos/sin rows.  All components c share both stages.
     """
-    n_comp = cpad.shape[-1]
-    lam_pad = _padded_legendre(grid, L)
-    # G[m+L, i, c] = sum_l Lambda^m_l c^{(l)}_{m,c}: one real batched matmul
-    # over the interleaved real/imag columns
-    G = (lam_pad @ cpad.view(float)).view(complex)
-    G = G.transpose(1, 2, 0).reshape(grid.n_theta * n_comp, 2 * L + 1)
-    values = (G @ _dft_matrix(grid, L, +1)).reshape(grid.n_theta, n_comp, grid.n_phi)
+    n_comp = cf.shape[-1]
+    lam, cf = grid.legendre[:L + 1, :, :L + 1], cf.view(float)
+    H = np.empty((2 * L + 1, grid.n_theta, 2 * n_comp))
+    np.matmul(lam, cf[0::2], out=H[0::2])
+    np.matmul(lam[1:], cf[1::2], out=H[1::2])
+    values = grid.trig[:2 * L + 1].T @ H.reshape(2 * L + 1, -1)
     if flops is not None:
         flops.add(n_comp * (grid.n_theta * (L + 1) ** 2
                             + grid.n_theta * (2 * L + 1) * grid.n_phi))
-    return values.transpose(0, 2, 1)
+    return values.view(complex).reshape(grid.n_phi, grid.n_theta, n_comp).transpose(1, 0, 2)
 
 
 def _analysis_core(values: np.ndarray, grid: SphereGrid, L: int,
                    flops: FlopCounter | None) -> np.ndarray:
-    """Padded coefficients xpad[m + L, l - |m|, c] from grid samples [i, k, c]; L <= grid.Lg."""
+    """Padded coefficients xpad[m + L, l - |m|, c] from grid samples [i, k, c]; L <= grid.Lg.
+
+    The phi stage runs the synthesis GEMM in reverse on the phi-major
+    samples (no copy when ``values`` is a view of C-contiguous phi-major
+    samples, as ``_synthesis_core`` returns), and the weighted m >= 0
+    tables contract its cosine rows into P_cos and its sine rows into
+    P_sin.  The unfold x[m] = P_cos - i P_sin, x[-m] = (-1)^m (P_cos +
+    i P_sin) writes the padded layout; slots past l = L hold degrees above
+    L and are ignored.
+    """
     _check_band_limit(L)
     if L > grid.Lg:
         raise ValueError(f"analysis degree {L} > grid exactness degree {grid.Lg}")
     n_comp = values.shape[-1]
-    F = (values.transpose(0, 2, 1).reshape(grid.n_theta * n_comp, grid.n_phi)
-         @ _dft_matrix(grid, L, -1).T).reshape(grid.n_theta, n_comp, 2 * L + 1)
-    F *= grid.theta_weights[:, None, None] * (2.0 * np.pi / grid.n_phi)
-    F = np.ascontiguousarray(F.transpose(2, 0, 1))
-    # xpad[m+L, l-|m|, c] = sum_i w_i Lambda^m_l F[m+L, i, c], batched over m
-    xpad = (_padded_legendre(grid, L).transpose(0, 2, 1) @ F.view(float)).view(complex)
+    samples = np.ascontiguousarray(values.transpose(1, 0, 2), dtype=complex)
+    F = grid.trig[:2 * L + 1] @ samples.reshape(grid.n_phi, -1).view(float)
+    F = F.reshape(2 * L + 1, grid.n_theta, 2 * n_comp)
+    lam = grid.weighted_legendre[:L + 1, :L + 1]
+    xpad = np.empty((2 * L + 1, L + 1, n_comp), dtype=complex)
+    pos, neg = xpad[L + 1:], xpad[:L][::-1]
+    np.matmul(lam, F[0::2], out=xpad[L:].view(float))
+    sin = np.matmul(lam[1:], F[1::2]).view(complex)
+    sin *= -1j
+    # x[-m] = (-1)^m (P_cos + i P_sin): P_cos - (-i P_sin) for even m, (-i P_sin) - P_cos for odd m
+    np.subtract(pos[1::2], sin[1::2], out=neg[1::2])
+    np.subtract(sin[0::2], pos[0::2], out=neg[0::2])
+    pos += sin
     if flops is not None:
         flops.add(n_comp * (grid.n_theta * grid.n_phi * (2 * L + 1)
                             + grid.n_theta * (L + 1) ** 2))
@@ -306,16 +368,21 @@ def _analysis_core(values: np.ndarray, grid: SphereGrid, L: int,
 def to_sphere(x: IrrepCoeffs, grid: SphereGrid, flops: FlopCounter | None = None) -> ScalarSignal:
     """Synthesize f(theta, phi) = sum_{l,m} x^(l)_m Y^m_l on the grid.
 
-    Requires grid.Lg >= x.L.  Tags are ignored; at most one block per
-    degree may be present.
+    Requires grid.Lg >= x.L and finite coefficients.  Tags are ignored;
+    at most one block per degree may be present.
     """
     if grid.Lg < x.L:
         raise ValueError(f"grid exactness degree {grid.Lg} < band limit {x.L}")
     L = x.L
-    cpad = np.zeros((2 * L + 1) * (L + 1), dtype=complex)
+    packed = np.zeros((L + 1) ** 2, dtype=complex)  # degree l at [l^2, (l + 1)^2)
     for l, vec in x.single_per_degree().items():
-        cpad[_padded_index(L, l, np.arange(-l, l + 1))] = vec
-    values = _synthesis_core(cpad.reshape(2 * L + 1, L + 1, 1), grid, L, flops)
+        packed[l * l:(l + 1) ** 2] = vec
+    _require_finite(packed)
+    l = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    slot, factor = _folded_scatter(L, _padded_index(L, l, np.arange(l.size) - l * (l + 1)), 1)
+    cf = np.bincount(slot.ravel(), (packed[:, None] * factor).view(float).ravel(),
+                     2 * (2 * L + 1) * (L + 1))
+    values = _synthesis_core(cf.view(complex).reshape(2 * L + 1, L + 1, 1), grid, L, flops)
     return ScalarSignal(grid=grid, values=values[:, :, 0])
 
 

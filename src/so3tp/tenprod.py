@@ -36,9 +36,9 @@ from .angular import (cg_block, cg_tensor, cg_zero, require_triangle, triangle_d
                       wigner_9j_spin1)
 from .flops import FlopCounter
 from .rules import PathKey, find_valid_ells
-from .sht import IrrepCoeffs, SphereGrid, _check_band_limit, make_grid
-from .tsh import (SpinSignal, TshCoeffs, scalar_from_spin0, spin0_from_scalar, tsh_decode,
-                  tsh_encode)
+from .sht import IrrepCoeffs, SphereGrid, _check_band_limit, _require_finite, make_grid
+from .tsh import (SpinSignal, TshCoeffs, _encode, _packed, scalar_from_spin0, spin0_from_scalar,
+                  tsh_decode)
 
 __all__ = [
     "PathKey",
@@ -70,12 +70,6 @@ def sparse_pair_count(j1: int, j2: int, j3: int) -> int:
     t = j1 + j2 - j3
     full = (2 * j1 + 1) * (2 * j2 + 1)
     return full - t * (t + 1) if t > 0 else full
-
-
-def _require_finite(*vecs: np.ndarray) -> None:
-    for v in vecs:
-        if not np.isfinite(v).all():
-            raise ValueError("inputs must be finite, got NaN or inf")
 
 
 def _path_inputs(x, y, j3: int) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -235,27 +229,31 @@ def pointwise_spin_tp(f: SpinSignal, g: SpinSignal, s3: int,
 
     Requires a shared grid and {s1, s2, s3} = 1.  For spins (0,0,0) this
     is plain pointwise multiplication; for (1,1,1) it is the pointwise
-    cross product in the spherical basis up to a constant.
+    cross product in the spherical basis up to a constant.  The output
+    samples are phi-major, as ``tsh_encode`` returns them.
     """
     if f.grid is not g.grid:
         raise ValueError("signals must share a grid")
     terms, pairs = _pointwise_terms(f.s, g.s, s3)
-    out = np.zeros(f.values.shape[:2] + (2 * s3 + 1,), dtype=complex)
-    term = np.empty(f.values.shape[:2], dtype=complex)
+    fv, gv = f.values.transpose(1, 0, 2), g.values.transpose(1, 0, 2)  # phi-major
+    out = np.zeros(fv.shape[:2] + (2 * s3 + 1,), dtype=complex)
+    term = np.empty(fv.shape[:2], dtype=complex)
     for i1, i2, i3, coef in terms:
-        np.multiply(coef, f.values[:, :, i1], out=term)
-        term *= g.values[:, :, i2]
+        np.multiply(coef, fv[:, :, i1], out=term)
+        term *= gv[:, :, i2]
         out[:, :, i3] += term
     if flops is not None:
-        flops.add(pairs * f.values.shape[0] * f.values.shape[1])
-    return SpinSignal(s=s3, grid=f.grid, values=out)
+        flops.add(pairs * fv.shape[0] * fv.shape[1])
+    return SpinSignal(s=s3, grid=f.grid, values=out.transpose(1, 0, 2))
 
 
 def istp(x: TshCoeffs, y: TshCoeffs, s3: int, L3: int, grid: SphereGrid) -> TpoResult:
     """Grid product: encode both inputs, couple pointwise, decode at L3.
 
     Requires grid.Lg >= x.L + y.L (exact product representation),
-    0 <= L3 <= grid.Lg and the spin triangle, all checked before encoding.
+    0 <= L3 <= grid.Lg, the spin triangle and finite coefficients, all
+    checked before encoding; the finiteness check reads the packed
+    vectors that the encodes then use.
     """
     if grid.Lg < x.L + y.L:
         raise ValueError(f"grid exactness degree {grid.Lg} < x.L + y.L = {x.L + y.L}")
@@ -263,9 +261,11 @@ def istp(x: TshCoeffs, y: TshCoeffs, s3: int, L3: int, grid: SphereGrid) -> TpoR
         raise ValueError(f"output band limit {L3} > grid exactness degree {grid.Lg}")
     _pointwise_terms(x.s, y.s, s3)  # raises on bad spins
     _check_band_limit(L3)
+    px, py = _packed(x), _packed(y)
+    _require_finite(px[2], py[2])
     fl = FlopCounter()
-    fx = tsh_encode(x, grid, flops=fl)
-    fy = tsh_encode(y, grid, flops=fl)
+    fx = _encode(x.s, *px, grid, fl)
+    fy = _encode(y.s, *py, grid, fl)
     prod = pointwise_spin_tp(fx, fy, s3, flops=fl)
     out = tsh_decode(prod, L3, flops=fl)
     return TpoResult(output=out, flops=fl.count)

@@ -12,11 +12,12 @@ keyed by (j, l); a degree-j block is a complex vector indexed mj = -j..j.
 
 Encode/decode factor through the scalar transform cores: one sparse
 coupling table per block set (one entry per (block, ml, ms) with mj =
-ml + ms in range) scatters the (j, l) blocks into the padded spin layout
-of ``sht``, then a single synthesis or analysis handles all 2s+1
-components.  Decoding gathers through the same table, inverting the
-coupling by Clebsch-Gordan orthogonality, so decode(encode(x)) = x
-whenever the grid resolves the band limit.
+ml + ms in range).  Encoding scatters the (j, l) blocks through it,
+folded over +-ml, straight into the folded spin layout of ``sht``; then a
+single synthesis or analysis handles all 2s+1 components.  Decoding
+gathers from the analysis's padded layout through the same table,
+inverting the coupling by Clebsch-Gordan orthogonality, so
+decode(encode(x)) = x whenever the grid resolves the band limit.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 from .angular import cg_block, cg_float, triangle_delta, wigner_d_matrix
 from .flops import FlopCounter
 from .sht import (IrrepCoeffs, SphereGrid, _analysis_core, _block_vector, _check_band_limit,
-                  _padded_index, _synthesis_core, make_grid, random_block, sh_eval)
+                  _folded_scatter, _padded_index, _synthesis_core, make_grid,
+                  random_block, sh_eval)
 
 __all__ = [
     "SpinSignal",
@@ -94,6 +96,17 @@ class TshCoeffs:
         _check_band_limit(self.L)
         valid = _valid_key_set(self.s, self.L)
         self.blocks = {key: self._checked(key, vec, valid) for key, vec in self.blocks.items()}
+
+    @classmethod
+    def _from_spans(cls, s: int, L: int, blocks: dict) -> TshCoeffs:
+        """Blocks that ``tsh_decode`` sliced by the spans of ``_decode_layout(s, L)``.
+
+        Their keys are valid_pairs(s, L) and each slice has length 2j + 1,
+        so the per-block check, about 1 us a block, is skipped.
+        """
+        z = cls.__new__(cls)
+        z.s, z.L, z.blocks = s, L, blocks
+        return z
 
     def _checked(self, key: tuple, vec, valid: frozenset) -> np.ndarray:
         """The per-block check: key (j, l) in ``valid`` (else ``_check_key`` raises), length 2j + 1."""
@@ -162,12 +175,10 @@ def _coupling_table(s: int, keys: tuple, L: int):
 
     ``keys`` lists the blocks in packing order (their vectors concatenated);
     ``L`` is the band limit of the padded spin layout cpad[m + L, l - |m|,
-    ms + s].  Returns (src, slot, weight, src2, slot2): entry k couples
-    packed coefficient src[k] into flat padded slot slot[k] with weight
-    C^{j, ml+ms}_{l, ml, s, ms}, and src2/slot2 hold the doubled indices
-    (2i, 2i + 1) that address the same complex entries in an interleaved
-    float view.  There is one entry per (block, ml, ms) with |ml + ms| <= j,
-    so the table length is the coupling MAC count.
+    ms + s].  Returns (src, slot, weight): entry k couples packed
+    coefficient src[k] with flat padded slot slot[k] by
+    C^{j, ml+ms}_{l, ml, s, ms}.  There is one entry per (block, ml, ms)
+    with |ml + ms| <= j, so the table length is the coupling MAC count.
     """
     ms = np.arange(-s, s + 1)[:, None]
     parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
@@ -180,48 +191,71 @@ def _coupling_table(s: int, keys: tuple, L: int):
                       _padded_index(L, l, m_l) * (2 * s + 1) + m_s + s,
                       cg_block(l, s, j)[m_l + l, m_s + s]))
         offset += 2 * j + 1
-    src, slot, weight = (np.concatenate(column) for column in zip(*parts))
-    return src, slot, weight, _interleaved(src), _interleaved(slot)
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+@lru_cache(maxsize=128)
+def _encode_table(s: int, keys: tuple, L: int):
+    """The coupling table of ``keys`` folded into the folded spin layout.
+
+    Returns (macs, src, weight, slot): term k adds weight[k] times packed
+    coefficient src[k] into the complex slot of the folded layout
+    cf[r, l - m, ms + s] whose interleaved float slots are slot[2k],
+    slot[2k + 1] (``sht._folded_scatter``).  Each coupling entry gives a
+    cosine and a sine term; macs is the coupling table length.
+    """
+    src, slot, weight = _coupling_table(s, keys, L)
+    fslot, factor = _folded_scatter(L, slot, 2 * s + 1)
+    factor *= weight[:, None]
+    return src.size, np.repeat(src, 2), factor.ravel(), fslot.ravel()
 
 
 @lru_cache(maxsize=128)
 def _decode_layout(s: int, L: int):
-    """Every (j, l) key up to L in valid_pairs order, its coupling table, and block spans.
+    """Every (j, l) key up to L in valid_pairs order, its gather table, and block spans.
 
-    Block (j, l) is packed[start:end] for its (start, end) span; the last
-    end is the packed length.
+    The gather table is (slot, weight, src2): packed coefficient i sums
+    weight[k] * xpad.flat[slot[k]] over the entries k whose doubled
+    indices src2[2k], src2[2k + 1] are (2i, 2i + 1), addressing its float
+    view.  Block (j, l) is packed[start:end] for its (start, end) span;
+    the last end is the packed length.
     """
     keys = tuple(valid_pairs(s, L))
     ends = list(accumulate(2 * j + 1 for j, _l in keys))
-    return keys, _coupling_table(s, keys, L), tuple(zip([0] + ends[:-1], ends))
+    src, slot, weight = _coupling_table(s, keys, L)
+    src2 = (2 * src[:, None] + np.arange(2)).reshape(-1)
+    return keys, (slot, weight, src2), tuple(zip([0] + ends[:-1], ends))
 
 
-def _interleaved(index: np.ndarray) -> np.ndarray:
-    """(2i, 2i + 1) per complex index i: the same entries of a float view."""
-    return (2 * index[:, None] + np.arange(2)).reshape(-1)
+def _packed(x: TshCoeffs) -> tuple[tuple, int, np.ndarray]:
+    """Block keys in packing order, the largest orbital degree, and the concatenated blocks."""
+    keys = tuple(sorted(x.blocks))
+    L = max((l for _j, l in keys), default=0)
+    return keys, L, np.concatenate([x.blocks[key] for key in keys] or [np.zeros(0, complex)])
 
 
-def _scatter(index2: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
-    """Complex bincount: one float bincount over the interleaved view of ``terms``."""
-    return np.bincount(index2, terms.view(float), 2 * size).view(complex)
+def _encode(s: int, keys: tuple, L: int, packed: np.ndarray, grid: SphereGrid,
+            flops: FlopCounter | None) -> SpinSignal:
+    """``tsh_encode`` of packed blocks (``_packed``), on a grid already checked."""
+    macs, src, weight, slot = _encode_table(s, keys, L)
+    terms = packed[src]
+    terms *= weight
+    cf = np.bincount(slot, terms.view(float), 2 * (2 * L + 1) * (L + 1) * (2 * s + 1))
+    if flops is not None:
+        flops.add(macs)
+    return SpinSignal(s=s, grid=grid, values=_synthesis_core(
+        cf.view(complex).reshape(2 * L + 1, L + 1, 2 * s + 1), grid, L, flops))
 
 
 def tsh_encode(x: TshCoeffs, grid: SphereGrid, flops: FlopCounter | None = None) -> SpinSignal:
-    """Synthesize the spin-s signal sum_{j,l,m} x^(j,l)_m Y^{l,s}_{j,m} on the grid."""
+    """Synthesize the spin-s signal sum_{j,l,m} x^(j,l)_m Y^{l,s}_{j,m} on the grid.
+
+    Non-finite coefficients give non-finite samples; the grid products
+    (``tenprod.istp``) reject them before encoding.
+    """
     if grid.Lg < x.L:
         raise ValueError(f"grid exactness degree {grid.Lg} < band limit {x.L}")
-    s = x.s
-    keys = tuple(sorted(x.blocks))
-    L = max((l for _j, l in keys), default=0)
-    src, _slot, weight, _src2, slot2 = _coupling_table(s, keys, L)
-    packed = np.concatenate([x.blocks[key] for key in keys] or [np.zeros(0, complex)])
-    terms = packed[src]
-    terms *= weight
-    cpad = _scatter(slot2, terms, (2 * L + 1) * (L + 1) * (2 * s + 1))
-    if flops is not None:
-        flops.add(src.size)
-    return SpinSignal(s=s, grid=grid, values=_synthesis_core(
-        cpad.reshape(2 * L + 1, L + 1, 2 * s + 1), grid, L, flops))
+    return _encode(x.s, *_packed(x), grid, flops)
 
 
 def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCoeffs:
@@ -233,14 +267,14 @@ def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCo
     """
     terms = _analysis_core(f.values, f.grid, L, flops).reshape(-1)
     s = f.s
-    keys, (src, slot, weight, src2, _slot2), spans = _decode_layout(s, L)
+    keys, (slot, weight, src2), spans = _decode_layout(s, L)
     terms = terms[slot]
     terms *= weight
-    packed = _scatter(src2, terms, spans[-1][1])
+    packed = np.bincount(src2, terms.view(float), 2 * spans[-1][1]).view(complex)
     if flops is not None:
-        flops.add(src.size)
+        flops.add(slot.size)
     blocks = {key: packed[start:end] for key, (start, end) in zip(keys, spans)}
-    return TshCoeffs(s=s, L=L, blocks=blocks)
+    return TshCoeffs._from_spans(s, L, blocks)
 
 
 def tsh_evaluate(x: TshCoeffs, theta, phi) -> np.ndarray:

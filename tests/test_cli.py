@@ -266,6 +266,24 @@ def test_verify_json_report(capsys):
         <= set(payload["checks"][0])
 
 
+def test_verify_json_carries_the_environment(capsys, monkeypatch):
+    import numpy
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    code, out, _ = run_cli(capsys, "verify", "--quick", "--json")
+    assert code == 0
+    env = json.loads(out)["env"]
+    assert env["numpy"] == numpy.__version__
+    assert set(env["blas"]) == {"name", "version"}
+    assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["threads"]["OMP_NUM_THREADS"] is None
+    assert set(env["threads"]) >= {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert env["cpu_count"] == os.cpu_count()
+    rev = env["git_revision"]
+    assert rev is None or (len(rev) == 40 and int(rev, 16) >= 0)
+
+
 def test_verify_default_tolerance_is_per_check(capsys):
     code, out, _ = run_cli(capsys, "verify", "--quick")
     assert code == 0

@@ -1,9 +1,11 @@
 """Tests for grids, scalar harmonics, transforms, and Gaunt coefficients."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +16,10 @@ from so3tp.angular import rotation_matrix, wigner_d_matrix
 from so3tp.flops import FlopCounter
 from so3tp.sht import (
     IrrepCoeffs,
-    _dft_matrix,
-    _legendre_tables,
-    _padded_legendre,
+    _analysis_core,
+    _folded_scatter,
+    _legendre_orders,
+    _synthesis_core,
     ScalarSignal,
     from_sphere,
     gaunt_coefficient,
@@ -26,7 +29,10 @@ from so3tp.sht import (
     sh_eval,
     to_sphere,
 )
+from so3tp.tsh import random_tsh_coeffs, tsh_decode, tsh_encode
 from so3tp.verify import rotated_node_angles
+
+_TABLES = {"legendre", "weighted_legendre", "trig"}
 
 
 # ---------------------------------------------------------------- grids
@@ -57,14 +63,13 @@ def test_make_grid_rejects_negative():
 
 def test_grid_builds_tables_on_first_use(rng):
     make_grid.cache_clear()
-    _padded_legendre.cache_clear()
     g = make_grid(6)
-    assert not {"legendre", "synthesis_dft", "analysis_dft"} & vars(g).keys()
+    assert not _TABLES & vars(g).keys()
     f = to_sphere(random_coeffs(4, rng), g)
-    assert {"legendre", "synthesis_dft"} <= vars(g).keys()
-    assert "analysis_dft" not in vars(g)
+    assert {"legendre", "trig"} <= vars(g).keys()
+    assert "weighted_legendre" not in vars(g)
     from_sphere(f, 4)
-    assert "analysis_dft" in vars(g)
+    assert "weighted_legendre" in vars(g)
 
 
 def test_transform_reads_band_tables_from_its_own_grid(rng, monkeypatch):
@@ -72,12 +77,24 @@ def test_transform_reads_band_tables_from_its_own_grid(rng, monkeypatch):
     make_grid.cache_clear()
     g = make_grid(7)
     make_grid.cache_clear()
-    _padded_legendre.cache_clear()
     calls = []
     monkeypatch.setattr(sht, "make_grid", lambda Lg: calls.append(Lg) or make_grid(Lg))
-    to_sphere(random_coeffs(3, rng), g)
+    from_sphere(to_sphere(random_coeffs(3, rng), g), 3)
     assert calls == []
-    assert "legendre" in vars(g)
+    assert _TABLES <= vars(g).keys()
+
+
+def test_grid_tables_are_freed_with_their_grid(rng):
+    make_grid.cache_clear()
+    g = make_grid(9)
+    from_sphere(to_sphere(random_coeffs(4, rng), g), 4)
+    tsh_decode(tsh_encode(random_tsh_coeffs(1, 4, rng), g), 9)
+    assert _TABLES <= vars(g).keys()
+    ref = weakref.ref(g)
+    make_grid.cache_clear()
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_make_grid_memory_is_node_arrays_only():
@@ -174,6 +191,14 @@ def test_to_sphere_cos_theta_block():
     np.testing.assert_allclose(f.values, expect, atol=1e-14)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, 0.0), complex(0.0, np.nan)])
+def test_to_sphere_rejects_non_finite(bad, rng):
+    x = random_coeffs(3, rng)
+    x.block(2)[1] = bad
+    with pytest.raises(ValueError, match="inputs must be finite, got NaN or inf"):
+        to_sphere(x, make_grid(3))
+
+
 def test_to_sphere_grid_too_small():
     x = random_coeffs(4, np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -190,12 +215,12 @@ def test_from_sphere_constant_signal():
 
 
 def test_from_sphere_rejects_negative_band_limit_before_any_table():
+    make_grid.cache_clear()
     g = make_grid(2)
     f = ScalarSignal(grid=g, values=np.zeros((g.n_theta, g.n_phi), dtype=complex))
-    misses = _padded_legendre.cache_info().misses
     with pytest.raises(ValueError, match="band limit L=-1 must be non-negative"):
         from_sphere(f, -1)
-    assert _padded_legendre.cache_info().misses == misses
+    assert not _TABLES & vars(g).keys()
 
 
 def test_from_sphere_rejects_excess_degree():
@@ -221,29 +246,105 @@ def test_round_trip_on_larger_grid(rng):
     assert err <= 1e-12
 
 
-def test_dft_matrix_is_band_slice_of_grid_dft():
+def test_trig_rows_are_cos_and_sin_of_the_phi_nodes():
+    # band L reads the first 2L + 1 rows: [cos 0 phi, sin 1 phi, cos 1 phi, ...]
     for Lg in range(41):
         g = make_grid(Lg)
-        n_phi = 2 * Lg + 1
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        for L in range(Lg + 1):
-            for sign in (1, -1):
-                D = _dft_matrix(g, L, sign)
-                assert D.flags.c_contiguous
-                assert np.array_equal(D, np.exp(sign * 1j * np.outer(np.arange(-L, L + 1), phi)))
+        phi = 2.0 * np.pi * np.arange(2 * Lg + 1) / (2 * Lg + 1)
+        assert g.trig.shape == (2 * Lg + 1, 2 * Lg + 1) and g.trig.flags.c_contiguous
+        assert np.array_equal(g.trig[0], np.cos(0 * phi))
+        for m in range(1, Lg + 1):
+            assert g.trig[2 * m - 1].tobytes() == np.sin(m * phi).tobytes()
+            assert g.trig[2 * m].tobytes() == np.cos(m * phi).tobytes()
 
 
-def test_padded_legendre_matches_per_order_repack():
-    # the band tables equal repacking one signed per-order table per m
+def test_legendre_tables_match_per_order_repack():
+    # the m >= 0 tables equal repacking one per-order table per m, zero past
+    # l = Lg; the analysis table carries the node weights w_i 2 pi / n_phi
     for Lg in range(41):
         g = make_grid(Lg)
-        tables = _legendre_tables(g.cos_theta, Lg)
+        ref = np.zeros((Lg + 1, g.n_theta, Lg + 1))
+        for m, tab in _legendre_orders(g.cos_theta, Lg):
+            ref[m, :, : Lg - m + 1] = tab
+        assert g.legendre.tobytes() == ref.tobytes()
+        w = g.theta_weights * (2.0 * np.pi / g.n_phi)
+        assert g.weighted_legendre.flags.c_contiguous
+        assert g.weighted_legendre.tobytes() == (ref.transpose(0, 2, 1) * w).tobytes()
+
+
+def _complex_dft_tables(grid, L):
+    """One signed Legendre table per order m = -L..L, and the complex DFT per direction."""
+    lam_pad = np.zeros((2 * L + 1, grid.n_theta, L + 1))
+    for m, tab in _legendre_orders(grid.cos_theta, L):
+        lam_pad[L + m, :, : L - m + 1] = tab
+        lam_pad[L - m, :, : L - m + 1] = (-1) ** m * tab
+    mphi = np.outer(np.arange(-L, L + 1), grid.phi)
+    return lam_pad, np.exp(1j * mphi), np.exp(-1j * mphi)
+
+
+def _complex_dft_synthesis(cpad, grid, L, lam_pad, dft):
+    n_comp = cpad.shape[-1]
+    G = (lam_pad @ cpad.view(float)).view(complex)
+    G = G.transpose(1, 2, 0).reshape(grid.n_theta * n_comp, 2 * L + 1)
+    return (G @ dft).reshape(grid.n_theta, n_comp, grid.n_phi).transpose(0, 2, 1)
+
+
+def _complex_dft_analysis(values, grid, L, lam_pad, dft):
+    n_comp = values.shape[-1]
+    F = (values.transpose(0, 2, 1).reshape(grid.n_theta * n_comp, grid.n_phi)
+         @ dft.T).reshape(grid.n_theta, n_comp, 2 * L + 1)
+    F *= grid.theta_weights[:, None, None] * (2.0 * np.pi / grid.n_phi)
+    F = np.ascontiguousarray(F.transpose(2, 0, 1))
+    return (lam_pad.transpose(0, 2, 1) @ F.view(float)).view(complex)
+
+
+def _fold(cpad, L):
+    """cf[0] = c[0], cf[2m] = c[m] + (-1)^m c[-m], cf[2m - 1] = i (c[m] - (-1)^m c[-m])."""
+    cf = np.empty_like(cpad)
+    cf[0] = cpad[L]
+    for m in range(1, L + 1):
+        cf[2 * m] = cpad[L + m] + (-1) ** m * cpad[L - m]
+        cf[2 * m - 1] = 1j * (cpad[L + m] - (-1) ** m * cpad[L - m])
+    return cf
+
+
+def test_folded_cores_match_complex_dft_cores(rng):
+    for Lg in range(41):
+        g = make_grid(Lg)
         for L in range(Lg + 1):
-            ref = np.zeros((2 * L + 1, g.n_theta, L + 1))
+            ref_valid = np.zeros((2 * L + 1, L + 1), bool)
             for m in range(-L, L + 1):
-                tab = -tables[abs(m)] if (m < 0 and m % 2) else tables[abs(m)]
-                ref[m + L, :, : L - abs(m) + 1] = tab[:, : L - abs(m) + 1]
-            assert _padded_legendre(g, L).tobytes() == ref.tobytes()
+                ref_valid[m + L, : L - abs(m) + 1] = True
+            lam_pad, syn_dft, ana_dft = _complex_dft_tables(g, L)
+            for n_comp in range(1, 6):
+                shape = (2 * L + 1, L + 1, n_comp)
+                cpad = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                cpad[~ref_valid] = 0.0
+                expect = _complex_dft_synthesis(cpad, g, L, lam_pad, syn_dft)
+                values = _synthesis_core(_fold(cpad, L), g, L, None)
+                err = np.abs(values - expect).max() / np.abs(expect).max()
+                assert err <= 1e-14, (Lg, L, n_comp, err)
+                shape = (g.n_theta, g.n_phi, n_comp)
+                samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                expect = _complex_dft_analysis(samples, g, L, lam_pad, ana_dft)[ref_valid]
+                got = _analysis_core(samples, g, L, None)[ref_valid]
+                err = np.abs(got - expect).max() / np.abs(expect).max()
+                assert err <= 1e-14, (Lg, L, n_comp, err)
+
+
+def test_folded_scatter_is_the_fold(rng):
+    # scattering padded coefficients through _folded_scatter gives _fold's rows
+    for L in range(9):
+        for n_comp in (1, 3):
+            shape = (2 * L + 1, L + 1, n_comp)
+            cpad = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for m in range(-L, L + 1):
+                cpad[m + L, L - abs(m) + 1:] = 0.0
+            slot = np.flatnonzero(cpad)
+            fslot, factor = _folded_scatter(L, slot, n_comp)
+            terms = cpad.reshape(-1)[slot][:, None] * factor
+            cf = np.bincount(fslot.ravel(), terms.view(float).ravel(), 2 * cpad.size)
+            assert np.array_equal(cf.view(complex).reshape(shape), _fold(cpad, L))
 
 
 def test_transform_flop_counts(rng):

@@ -193,6 +193,20 @@ def test_cgtp_full_rejects_non_finite(bad, rng):
             cgtp_full(y, x, 6, mode=mode)
 
 
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_grid_products_reject_non_finite(bad, rng):
+    g = make_grid(6)
+    x, y = random_tsh_coeffs(1, 3, rng), random_tsh_coeffs(1, 3, rng)
+    x.block(2, 3)[1] = bad
+    a, b = random_coeffs(3, rng), random_coeffs(3, rng)
+    a.block(2)[1] = bad
+    for call in (lambda: vstp(x, y, 6, g), lambda: vstp(y, x, 6, g),
+                 lambda: istp(x, random_tsh_coeffs(2, 3, rng), 2, 6, g),
+                 lambda: gtp(a, b, 6, g), lambda: gtp(b, a, 6, g)):
+        with pytest.raises(ValueError, match="inputs must be finite, got NaN or inf"):
+            call()
+
+
 def test_cgtp_full_rejects_degrees_past_float_cg_range(rng):
     x = IrrepCoeffs(L=66, blocks={(66, None): random_block(66, rng)})
     y = IrrepCoeffs(L=65, blocks={(65, None): random_block(65, rng)})
@@ -210,6 +224,16 @@ def test_pointwise_scalar_is_multiplication(rng):
     h = SpinSignal(0, g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     p = pointwise_spin_tp(f, h, 0)
     np.testing.assert_allclose(p.values, f.values * h.values, atol=1e-15)
+
+
+def test_pointwise_samples_are_phi_major(rng):
+    g = make_grid(4)
+    f = tsh.tsh_encode(random_tsh_coeffs(1, 2, rng), g)
+    h = tsh.tsh_encode(random_tsh_coeffs(2, 2, rng), g)
+    for s3 in (1, 2, 3):
+        values = pointwise_spin_tp(f, h, s3).values
+        assert values.shape == (g.n_theta, g.n_phi, 2 * s3 + 1)
+        assert values.transpose(1, 0, 2).flags.c_contiguous
 
 
 def test_pointwise_vector_antisymmetry(rng):
@@ -346,9 +370,9 @@ def test_istp_checks_arguments_before_encoding(rng, monkeypatch, s3, L3, message
 
     def counting_encode(*args, **kwargs):
         encodes.append(args)
-        return tsh.tsh_encode(*args, **kwargs)
+        return tsh._encode(*args, **kwargs)
 
-    monkeypatch.setattr(tenprod, "tsh_encode", counting_encode)
+    monkeypatch.setattr(tenprod, "_encode", counting_encode)
     X = random_tsh_coeffs(1, 1, rng)
     with pytest.raises(ValueError, match=message):
         istp(X, X, s3, L3, make_grid(2))
@@ -428,6 +452,7 @@ def test_grid_products_do_no_exact_arithmetic(rng):
     # a single exact Clebsch-Gordan coefficient
     angular._cg_tensor.cache_clear()
     tsh._coupling_table.cache_clear()
+    tsh._encode_table.cache_clear()
     tsh._decode_layout.cache_clear()
     tenprod._pointwise_terms.cache_clear()
     x, y = random_tsh_coeffs(1, 9, rng), random_tsh_coeffs(1, 9, rng)
@@ -548,12 +573,13 @@ def test_simulation_does_no_9j_contraction(rng):
     assert rules.generalized_gaunt_exact.cache_info().misses == gaunt
 
 
-def test_simulation_sweep_reuses_grid_dfts(rng, monkeypatch):
-    # each grid builds one DFT matrix per direction and serves every band
-    # from it: a second sweep over the benchmark's 671 paths builds none
+def test_simulation_sweep_reuses_grid_tables(rng, monkeypatch):
+    # each grid builds one table of each kind and serves every band from
+    # it: a second sweep over the benchmark's 671 paths builds none
     paths = triangle_paths(10)
+    tables = ("legendre", "weighted_legendre", "trig")
     builds = []
-    for name in ("synthesis_dft", "analysis_dft"):
+    for name in tables:
         table = vars(sht.SphereGrid)[name]
         monkeypatch.setattr(table, "func",
                             lambda grid, build=table.func: builds.append(grid) or build(grid))
@@ -565,7 +591,8 @@ def test_simulation_sweep_reuses_grid_dfts(rng, monkeypatch):
 
     make_grid.cache_clear()
     built = sweep()
-    assert 0 < built <= 2 * len({sum(find_valid_ells(*p)[:2]) for p in paths if p != (0, 0, 0)})
+    grids = len({sum(find_valid_ells(*p)[:2]) for p in paths if p != (0, 0, 0)})
+    assert 0 < built <= len(tables) * grids
     assert sweep() == built
 
 

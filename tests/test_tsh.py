@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from so3tp import serialize
 from so3tp.angular import wigner_d_matrix
 from so3tp.flops import FlopCounter
-from so3tp.sht import IrrepCoeffs, _padded_legendre, make_grid, random_block, random_coeffs, sh_eval
+from so3tp.sht import IrrepCoeffs, make_grid, random_block, random_coeffs, sh_eval
 from so3tp.tsh import (
     SpinSignal,
     TshCoeffs,
@@ -79,12 +80,32 @@ def test_tsh_coeffs_reject_negative_limits(s, L, message):
 
 
 def test_decode_rejects_negative_band_limit_before_any_table():
+    make_grid.cache_clear()
     g = make_grid(2)
     f = SpinSignal(s=1, grid=g, values=np.zeros((g.n_theta, g.n_phi, 3), complex))
-    misses = _padded_legendre.cache_info().misses
     with pytest.raises(ValueError, match="band limit L=-1 must be non-negative"):
         tsh_decode(f, -1)
-    assert _padded_legendre.cache_info().misses == misses
+    assert not {"legendre", "weighted_legendre", "trig"} & vars(g).keys()
+
+
+def test_encoded_samples_are_phi_major(rng):
+    for s, L in [(0, 0), (1, 3), (2, 5)]:
+        values = tsh_encode(random_tsh_coeffs(s, L, rng), make_grid(L + 1)).values
+        assert values.shape == (L + 2, 2 * L + 3, 2 * s + 1)
+        assert values.transpose(1, 0, 2).flags.c_contiguous
+
+
+def test_decode_accepts_theta_major_samples(rng):
+    # a C-contiguous (n_theta, n_phi, 2s+1) signal, such as a sample file's,
+    # decodes to the same blocks as the phi-major signal it copies
+    g = make_grid(6)
+    x = random_tsh_coeffs(2, 3, rng)
+    f = tsh_encode(x, g)
+    f2 = serialize.samples_from_obj(serialize.samples_to_obj(f))
+    assert f2.values.flags.c_contiguous
+    z, z2 = tsh_decode(f, 3), tsh_decode(f2, 3)
+    assert all(np.array_equal(vec, z2.block(*key)) for key, vec in z.items())
+    assert max(np.abs(vec - z.block(*key)).max() for key, vec in x.items()) <= 1e-12
 
 
 def test_encode_spin_zero_matches_scalar(rng):
@@ -160,7 +181,12 @@ def test_decode_zero_signal():
 def test_decode_keys_in_valid_pairs_order(s, L):
     g = make_grid(L)
     values = np.ones((g.n_theta, g.n_phi, 2 * s + 1), complex)
-    assert list(tsh_decode(SpinSignal(s=s, grid=g, values=values), L).blocks) == valid_pairs(s, L)
+    z = tsh_decode(SpinSignal(s=s, grid=g, values=values), L)
+    assert list(z.blocks) == valid_pairs(s, L) and (z.s, z.L) == (s, L)
+    # the output skips TshCoeffs' per-block check; it must pass it unchanged
+    checked = TshCoeffs(s=s, L=L, blocks=z.blocks)
+    assert all(checked.blocks[key] is vec for key, vec in z.blocks.items())
+    assert all(vec.dtype == complex and vec.shape == (2 * j + 1,) for (j, _l), vec in z.items())
 
 
 def test_decode_recovers_single_block(rng):
