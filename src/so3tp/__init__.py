@@ -33,11 +33,9 @@ from .sht import (
     IrrepCoeffs,
     ScalarSignal,
     SphereGrid,
-    from_sphere,
     gaunt_coefficient,
     make_grid,
     sh_eval,
-    to_sphere,
 )
 from .tenprod import (
     NumericalDegeneracy,
@@ -53,6 +51,8 @@ from .tenprod import (
 from .tsh import (
     SpinSignal,
     TshCoeffs,
+    from_sphere,
+    to_sphere,
     tsh_decode,
     tsh_encode,
     tsh_eval,

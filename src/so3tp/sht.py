@@ -1,4 +1,4 @@
-"""Spherical grids and scalar spherical harmonic transforms.
+"""Spherical grids, scalar spherical harmonics and the transform cores.
 
 Complex spherical harmonics with Condon-Shortley phase throughout:
 
@@ -27,14 +27,14 @@ first 2L + 1 trig rows, as views.
 
 Synthesis reads folded coefficients cf[r, l - m, c], m = (r + 1) // 2:
 cf[0] = c[0], cf[2m] = cp[m] = c[m] + (-1)^m c[-m] and cf[2m - 1] =
-cs[m] = i (c[m] - (-1)^m c[-m]), so coefficient row r meets trig row r;
-``_folded_scatter`` maps padded slots into it.  Analysis writes the
-padded layout xpad[m + L, l - |m|, c]: order m indexes a row of degrees
-l = |m|..L, left-aligned, and c indexes signal components (one for
-scalar signals, 2s+1 for spin signals).  Each transform runs its
-Legendre matmuls and one phi GEMM for all components at once.  Samples
-are phi-major: ``values`` [i, k, c] is a transposed view of a
-C-contiguous [k, i, c] array, which the analysis GEMM reads in place.
+cs[m] = i (c[m] - (-1)^m c[-m]), so coefficient row r meets trig row r.
+Analysis writes the padded layout xpad[m + L, l - |m|, c]: order m
+indexes a row of degrees l = |m|..L, left-aligned, and c indexes signal
+components (2s+1 for a spin-s signal).  Each transform runs its Legendre
+matmuls and one phi GEMM for all components at once.  Samples are
+phi-major: ``values`` [i, k, c] is a transposed view of a C-contiguous
+[k, i, c] array, which the analysis GEMM reads in place.  Coefficients
+enter and leave these layouts only through ``tsh``, scalars as spin 0.
 
 Analysis integrates against conj(Y^m_l); spherical harmonic expansions use
 plain Y^m_l.  Coefficient containers carry one complex block per degree j,
@@ -59,46 +59,11 @@ __all__ = [
     "IrrepCoeffs",
     "make_grid",
     "sh_eval",
-    "to_sphere",
-    "from_sphere",
     "gaunt_coefficient",
     "random_block",
     "random_coeffs",
     "rotate_coeffs",
 ]
-
-
-def _padded_index(L: int, l, m):
-    """Flat index of (l, m) in the padded layout [m + L, l - |m|] of band limit L.
-
-    This is the layout the analysis core writes: row m + L holds degrees
-    l = |m|..L, left-aligned.
-    """
-    return (m + L) * (L + 1) + l - abs(m)
-
-
-def _folded_scatter(L: int, slot: np.ndarray, n_comp: int):
-    """Scatter from flat padded slots of band L into the folded layout.
-
-    A coefficient c at slot [m + L, l - |m|, comp] of the padded layout
-    adds factor[0] * c to cf[2|m|] = cp[|m|] = c[|m|] + (-1)^m c[-|m|] and
-    factor[1] * c to cf[2|m| - 1] = cs[|m|] = i (c[|m|] - (-1)^m c[-|m|]),
-    both at [l - |m|, comp].  Returns (fslot, factor): per coefficient,
-    the float slots of the real and imaginary parts of those two complex
-    terms in the folded array's interleaved view, shape (n, 4), and the
-    two complex factors, shape (n, 2).  At m = 0 the sine factor is zero
-    and its slots are the cosine ones.
-    """
-    row = (L + 1) * n_comp
-    m, cell = np.divmod(slot, row)
-    m -= L
-    a = np.abs(m)
-    cos = 2 * (2 * a * row + cell)
-    sin = np.where(m != 0, cos - 2 * row, cos)
-    cos_sign = np.where((m < 0) & (a % 2 == 1), -1.0, 1.0)
-    sin_sign = np.where(m > 0, 1.0, np.where(m < 0, -cos_sign, 0.0))
-    return (np.stack([cos, cos + 1, sin, sin + 1], axis=1),
-            np.stack([cos_sign, 1j * sin_sign], axis=1))
 
 
 def _signed(tab: np.ndarray, m: int) -> np.ndarray:
@@ -313,7 +278,7 @@ def _synthesis_core(cf: np.ndarray, grid: SphereGrid, L: int,
     """Grid samples [i, k, c] from folded coefficients cf[r, l - m, c]; a view of phi-major samples.
 
     Row r pairs with trig row r of order m = (r + 1) // 2: cf[0] = c[0],
-    cf[2m] = cp[m] and cf[2m - 1] = cs[m] (``_folded_scatter``).  The
+    cf[2m] = cp[m] and cf[2m - 1] = cs[m] (``tsh._folded_scatter``).  The
     Legendre stage is one real batched matmul over the cosine rows and one
     over the sine rows; the phi stage is one real GEMM against the grid's
     cos/sin rows.  All components c share both stages.
@@ -363,37 +328,6 @@ def _analysis_core(values: np.ndarray, grid: SphereGrid, L: int,
         flops.add(n_comp * (grid.n_theta * grid.n_phi * (2 * L + 1)
                             + grid.n_theta * (L + 1) ** 2))
     return xpad
-
-
-def to_sphere(x: IrrepCoeffs, grid: SphereGrid, flops: FlopCounter | None = None) -> ScalarSignal:
-    """Synthesize f(theta, phi) = sum_{l,m} x^(l)_m Y^m_l on the grid.
-
-    Requires grid.Lg >= x.L and finite coefficients.  Tags are ignored;
-    at most one block per degree may be present.
-    """
-    if grid.Lg < x.L:
-        raise ValueError(f"grid exactness degree {grid.Lg} < band limit {x.L}")
-    L = x.L
-    packed = np.zeros((L + 1) ** 2, dtype=complex)  # degree l at [l^2, (l + 1)^2)
-    for l, vec in x.single_per_degree().items():
-        packed[l * l:(l + 1) ** 2] = vec
-    _require_finite(packed)
-    l = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
-    slot, factor = _folded_scatter(L, _padded_index(L, l, np.arange(l.size) - l * (l + 1)), 1)
-    cf = np.bincount(slot.ravel(), (packed[:, None] * factor).view(float).ravel(),
-                     2 * (2 * L + 1) * (L + 1))
-    values = _synthesis_core(cf.view(complex).reshape(2 * L + 1, L + 1, 1), grid, L, flops)
-    return ScalarSignal(grid=grid, values=values[:, :, 0])
-
-
-def from_sphere(f: ScalarSignal, L: int, flops: FlopCounter | None = None) -> IrrepCoeffs:
-    """Analyze a signal into coefficients x^(l)_m = integral(f * conj(Y^m_l)).
-
-    Exact for signals band-limited at degree <= grid.Lg when L <= grid.Lg.
-    """
-    xpad = _analysis_core(f.values[:, :, None], f.grid, L, flops).reshape(-1)
-    return IrrepCoeffs(L=L, blocks={(l, None): xpad[_padded_index(L, l, np.arange(-l, l + 1))]
-                                    for l in range(L + 1)})
 
 
 def gaunt_coefficient(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:

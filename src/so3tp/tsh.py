@@ -17,7 +17,9 @@ folded over +-ml, straight into the folded spin layout of ``sht``; then a
 single synthesis or analysis handles all 2s+1 components.  Decoding
 gathers from the analysis's padded layout through the same table,
 inverting the coupling by Clebsch-Gordan orthogonality, so
-decode(encode(x)) = x whenever the grid resolves the band limit.
+decode(encode(x)) = x whenever the grid resolves the band limit.  Spin 0
+is the identity coupling (all weights 1.0, 0 MACs), and the scalar
+transforms ``to_sphere`` and ``from_sphere`` are spin-0 encode and decode.
 """
 
 from __future__ import annotations
@@ -30,15 +32,17 @@ import numpy as np
 
 from .angular import cg_block, cg_float, triangle_delta, wigner_d_matrix
 from .flops import FlopCounter
-from .sht import (IrrepCoeffs, SphereGrid, _analysis_core, _block_vector, _check_band_limit,
-                  _folded_scatter, _padded_index, _synthesis_core, make_grid,
-                  random_block, sh_eval)
+from .sht import (IrrepCoeffs, ScalarSignal, SphereGrid, _analysis_core, _block_vector,
+                  _check_band_limit, _require_finite, _synthesis_core, make_grid, random_block,
+                  sh_eval)
 
 __all__ = [
     "SpinSignal",
     "TshCoeffs",
     "spin0_from_scalar",
     "scalar_from_spin0",
+    "to_sphere",
+    "from_sphere",
     "valid_pairs",
     "tsh_eval",
     "tsh_encode",
@@ -143,6 +147,29 @@ def scalar_from_spin0(z: TshCoeffs) -> IrrepCoeffs:
     return IrrepCoeffs(L=z.L, blocks={(j, None): vec for (j, _l), vec in z.items()})
 
 
+def to_sphere(x: IrrepCoeffs, grid: SphereGrid, flops: FlopCounter | None = None) -> ScalarSignal:
+    """Synthesize f(theta, phi) = sum_{l,m} x^(l)_m Y^m_l on the grid, by a spin-0 encode.
+
+    Requires grid.Lg >= x.L and finite coefficients.  Tags are ignored;
+    at most one block per degree may be present.
+    """
+    if grid.Lg < x.L:
+        raise ValueError(f"grid exactness degree {grid.Lg} < band limit {x.L}")
+    keys, _l, packed = _packed(spin0_from_scalar(x))
+    _require_finite(packed)
+    values = _encode(0, keys, x.L, packed, grid, flops).values
+    return ScalarSignal(grid=grid, values=values[:, :, 0])
+
+
+def from_sphere(f: ScalarSignal, L: int, flops: FlopCounter | None = None) -> IrrepCoeffs:
+    """Analyze a signal into coefficients x^(l)_m = integral(f * conj(Y^m_l)), by a spin-0 decode.
+
+    Exact for signals band-limited at degree <= grid.Lg when L <= grid.Lg.
+    """
+    f0 = SpinSignal(s=0, grid=f.grid, values=f.values[:, :, None])
+    return scalar_from_spin0(tsh_decode(f0, L, flops))
+
+
 def tsh_eval(j: int, m_j: int, l: int, s: int, theta, phi) -> np.ndarray:
     """One tensor harmonic at (theta, phi): components ms = -s..s.
 
@@ -169,6 +196,39 @@ def tsh_eval(j: int, m_j: int, l: int, s: int, theta, phi) -> np.ndarray:
     return out
 
 
+def _padded_index(L: int, l, m):
+    """Flat index of (l, m) in the padded layout [m + L, l - |m|] of band limit L.
+
+    This is the layout ``sht._analysis_core`` writes: row m + L holds
+    degrees l = |m|..L, left-aligned.
+    """
+    return (m + L) * (L + 1) + l - abs(m)
+
+
+def _folded_scatter(L: int, slot: np.ndarray, n_comp: int):
+    """Scatter from flat padded slots of band L into the folded layout of ``sht._synthesis_core``.
+
+    A coefficient c at slot [m + L, l - |m|, comp] of the padded layout
+    adds factor[0] * c to cf[2|m|] = cp[|m|] = c[|m|] + (-1)^m c[-|m|] and
+    factor[1] * c to cf[2|m| - 1] = cs[|m|] = i (c[|m|] - (-1)^m c[-|m|]),
+    both at [l - |m|, comp].  Returns (fslot, factor): per coefficient,
+    the float slots of the real and imaginary parts of those two complex
+    terms in the folded array's interleaved view, shape (n, 4), and the
+    two complex factors, shape (n, 2).  At m = 0 the sine factor is zero
+    and its slots are the cosine ones.
+    """
+    row = (L + 1) * n_comp
+    m, cell = np.divmod(slot, row)
+    m -= L
+    a = np.abs(m)
+    cos = 2 * (2 * a * row + cell)
+    sin = np.where(m != 0, cos - 2 * row, cos)
+    cos_sign = np.where((m < 0) & (a % 2 == 1), -1.0, 1.0)
+    sin_sign = np.where(m > 0, 1.0, np.where(m < 0, -cos_sign, 0.0))
+    return (np.stack([cos, cos + 1, sin, sin + 1], axis=1),
+            np.stack([cos_sign, 1j * sin_sign], axis=1))
+
+
 @lru_cache(maxsize=128)
 def _coupling_table(s: int, keys: tuple, L: int):
     """Sparse Clebsch-Gordan coupling between packed (j, l) blocks and the padded layout.
@@ -178,7 +238,8 @@ def _coupling_table(s: int, keys: tuple, L: int):
     ms + s].  Returns (src, slot, weight): entry k couples packed
     coefficient src[k] with flat padded slot slot[k] by
     C^{j, ml+ms}_{l, ml, s, ms}.  There is one entry per (block, ml, ms)
-    with |ml + ms| <= j, so the table length is the coupling MAC count.
+    with |ml + ms| <= j, so the table length is the coupling MAC count,
+    except at spin 0, whose identity table (src = arange, weights 1.0) counts 0.
     """
     ms = np.arange(-s, s + 1)[:, None]
     parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
@@ -201,13 +262,13 @@ def _encode_table(s: int, keys: tuple, L: int):
     Returns (macs, src, weight, slot): term k adds weight[k] times packed
     coefficient src[k] into the complex slot of the folded layout
     cf[r, l - m, ms + s] whose interleaved float slots are slot[2k],
-    slot[2k + 1] (``sht._folded_scatter``).  Each coupling entry gives a
-    cosine and a sine term; macs is the coupling table length.
+    slot[2k + 1] (``_folded_scatter``).  Each coupling entry gives a
+    cosine and a sine term; macs is the coupling table length, 0 at spin 0.
     """
     src, slot, weight = _coupling_table(s, keys, L)
     fslot, factor = _folded_scatter(L, slot, 2 * s + 1)
     factor *= weight[:, None]
-    return src.size, np.repeat(src, 2), factor.ravel(), fslot.ravel()
+    return src.size if s else 0, np.repeat(src, 2), factor.ravel(), fslot.ravel()
 
 
 @lru_cache(maxsize=128)
@@ -217,8 +278,8 @@ def _decode_layout(s: int, L: int):
     The gather table is (slot, weight, src2): packed coefficient i sums
     weight[k] * xpad.flat[slot[k]] over the entries k whose doubled
     indices src2[2k], src2[2k + 1] are (2i, 2i + 1), addressing its float
-    view.  Block (j, l) is packed[start:end] for its (start, end) span;
-    the last end is the packed length.
+    view (at spin 0 the gather alone).  Block (j, l) is packed[start:end]
+    for its (start, end) span; the last end is the packed length.
     """
     keys = tuple(valid_pairs(s, L))
     ends = list(accumulate(2 * j + 1 for j, _l in keys))
@@ -236,7 +297,7 @@ def _packed(x: TshCoeffs) -> tuple[tuple, int, np.ndarray]:
 
 def _encode(s: int, keys: tuple, L: int, packed: np.ndarray, grid: SphereGrid,
             flops: FlopCounter | None) -> SpinSignal:
-    """``tsh_encode`` of packed blocks (``_packed``), on a grid already checked."""
+    """``tsh_encode`` of packed blocks (``_packed``) at band L, on a grid already checked."""
     macs, src, weight, slot = _encode_table(s, keys, L)
     terms = packed[src]
     terms *= weight
@@ -263,16 +324,17 @@ def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCo
 
     One analysis of all components produces B^l_{ml,ms}; Clebsch-Gordan
     orthogonality then extracts each block:
-    z^(j,l)_{mj} = sum_{ml,ms} C^{j,mj}_{l,ml,s,ms} B^l_{ml,ms}.
+    z^(j,l)_{mj} = sum_{ml,ms} C^{j,mj}_{l,ml,s,ms} B^l_{ml,ms}, or B^j_{mj} at spin 0.
     """
-    terms = _analysis_core(f.values, f.grid, L, flops).reshape(-1)
+    xpad = _analysis_core(f.values, f.grid, L, flops).reshape(-1)
     s = f.s
     keys, (slot, weight, src2), spans = _decode_layout(s, L)
-    terms = terms[slot]
-    terms *= weight
-    packed = np.bincount(src2, terms.view(float), 2 * spans[-1][1]).view(complex)
-    if flops is not None:
-        flops.add(slot.size)
+    packed = xpad[slot]
+    if s:
+        packed *= weight
+        packed = np.bincount(src2, packed.view(float), 2 * spans[-1][1]).view(complex)
+        if flops is not None:
+            flops.add(slot.size)
     blocks = {key: packed[start:end] for key, (start, end) in zip(keys, spans)}
     return TshCoeffs._from_spans(s, L, blocks)
 

@@ -183,7 +183,7 @@ def check_sh_orthonormality(p, rng):
 def check_scalar_round_trip(p, rng):
     for L in p["L_list"]:
         x = sht.random_coeffs(L, rng)
-        z = sht.from_sphere(sht.to_sphere(x, sht.make_grid(L)), L)
+        z = tsh.from_sphere(tsh.to_sphere(x, sht.make_grid(L)), L)
         for l in range(L + 1):
             dev = float(np.abs(x.block(l) - z.block(l)).max())
             yield dev, f"L={L} l={l}"
@@ -226,7 +226,7 @@ def check_to_sphere_equivariance(p, rng):
     grid = sht.make_grid(L)
     x = sht.random_coeffs(L, rng)
     for a, b, c in _random_angles(rng, p["rotations"]):
-        f_rot = sht.to_sphere(sht.rotate_coeffs(x, a, b, c), grid)
+        f_rot = tsh.to_sphere(sht.rotate_coeffs(x, a, b, c), grid)
         th_b, ph_b = rotated_node_angles(grid, a, b, c)
         direct = sum(x.block(l)[m + l] * sht.sh_eval(l, m, th_b, ph_b)
                      for l in range(L + 1) for m in range(-l, l + 1))

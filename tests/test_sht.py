@@ -11,25 +11,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from so3tp import sht
+from so3tp import sht, tsh
 from so3tp.angular import rotation_matrix, wigner_d_matrix
 from so3tp.flops import FlopCounter
 from so3tp.sht import (
     IrrepCoeffs,
     _analysis_core,
-    _folded_scatter,
     _legendre_orders,
     _synthesis_core,
     ScalarSignal,
-    from_sphere,
     gaunt_coefficient,
     make_grid,
+    random_block,
     random_coeffs,
     rotate_coeffs,
     sh_eval,
-    to_sphere,
 )
-from so3tp.tsh import random_tsh_coeffs, tsh_decode, tsh_encode
+from so3tp.tsh import (
+    _folded_scatter,
+    _padded_index,
+    from_sphere,
+    random_tsh_coeffs,
+    spin0_from_scalar,
+    to_sphere,
+    tsh_decode,
+    tsh_encode,
+)
 from so3tp.verify import rotated_node_angles
 
 _TABLES = {"legendre", "weighted_legendre", "trig"}
@@ -357,6 +364,73 @@ def test_transform_flop_counts(rng):
     fl2 = FlopCounter()
     from_sphere(f, L, flops=fl2)
     assert fl2.count == g.n_theta * g.n_phi * (2 * L + 1) + g.n_theta * n_lm
+
+
+def _scatter_to_sphere(x, grid):
+    """Scalar synthesis through its own packed scatter into the folded layout (oracle)."""
+    L = x.L
+    packed = np.zeros((L + 1) ** 2, dtype=complex)  # degree l at [l^2, (l + 1)^2)
+    for l, vec in x.single_per_degree().items():
+        packed[l * l:(l + 1) ** 2] = vec
+    l = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    slot, factor = _folded_scatter(L, _padded_index(L, l, np.arange(l.size) - l * (l + 1)), 1)
+    cf = np.bincount(slot.ravel(), (packed[:, None] * factor).view(float).ravel(),
+                     2 * (2 * L + 1) * (L + 1))
+    return _synthesis_core(cf.view(complex).reshape(2 * L + 1, L + 1, 1), grid, L, None)[:, :, 0]
+
+
+def _gather_from_sphere(values, grid, L):
+    """Scalar analysis through its own gather from the padded layout (oracle): degree -> block."""
+    xpad = _analysis_core(values[:, :, None], grid, L, None).reshape(-1)
+    return {l: xpad[_padded_index(L, l, np.arange(-l, l + 1))] for l in range(L + 1)}
+
+
+def test_scalar_transforms_match_scatter_oracle(rng):
+    # the spin-0 encode and decode reproduce the dedicated scalar scatter and
+    # gather byte for byte, with every, no and every other block filled
+    for L in range(17):
+        for Lg in sorted({L, 2 * L}):
+            g = make_grid(Lg)
+            zeros = {(l, None): np.zeros(2 * l + 1) for l in range(L + 1)}
+            even = {(l, None): random_block(l, rng) for l in range(0, L + 1, 2)}
+            for x in (random_coeffs(L, rng), IrrepCoeffs(L=L, blocks=zeros),
+                      IrrepCoeffs(L=L, blocks=even)):
+                f = to_sphere(x, g)
+                assert f.values.tobytes() == _scatter_to_sphere(x, g).tobytes(), (L, Lg)
+                z, ref = from_sphere(f, L), _gather_from_sphere(f.values, g, L)
+                assert sorted(z.blocks) == [(l, None) for l in range(L + 1)]
+                assert all(z.block(l).tobytes() == ref[l].tobytes() for l in ref), (L, Lg)
+
+
+def test_spin0_transforms_count_scalar_macs(rng):
+    # spin 0 is the identity coupling: encode and decode count only the transforms
+    for L, Lg in [(0, 0), (4, 4), (5, 11)]:
+        g = make_grid(Lg)
+        x = random_coeffs(L, rng)
+        scalar, spin0 = FlopCounter(), FlopCounter()
+        f = to_sphere(x, g, flops=scalar)
+        tsh_encode(spin0_from_scalar(x), g, flops=spin0)
+        assert spin0.count == scalar.count
+        scalar, spin0 = FlopCounter(), FlopCounter()
+        from_sphere(f, L, flops=scalar)
+        tsh_decode(tsh_encode(spin0_from_scalar(x), g), L, flops=spin0)
+        assert spin0.count == scalar.count
+
+
+def test_from_sphere_reads_phi_major_samples_in_place(rng, monkeypatch):
+    # like the encoded-sample layout guard: the analysis core copies nothing
+    g = make_grid(7)
+    f = to_sphere(random_coeffs(5, rng), g)
+    core, copied = tsh._analysis_core, []
+
+    def spy(values, grid, L, flops):
+        samples = np.ascontiguousarray(values.transpose(1, 0, 2), dtype=complex)
+        copied.append(not np.shares_memory(samples, f.values))
+        return core(values, grid, L, flops)
+
+    monkeypatch.setattr(tsh, "_analysis_core", spy)
+    from_sphere(f, 5)
+    assert copied == [False]
 
 
 def test_to_sphere_rejects_duplicate_degree():

