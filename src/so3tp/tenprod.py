@@ -312,7 +312,7 @@ def simulate_cgtp_path(x: np.ndarray, y: np.ndarray, j3: int,
     it matches the exact ``rules.generalized_gaunt`` to 4.3e-16 relative
     on every path with j <= 10.  The (0, 0, 0) path is plain scalar
     multiplication and uses no signal product.  Inputs are checked as in
-    ``cgtp_path``.
+    ``cgtp_path``, but NaN/inf on a grid path only by ``istp``, after make_grid.
     """
     x, y, j1, j2 = _path_inputs(x, y, j3)
     if (j1, j2, j3) == (0, 0, 0):

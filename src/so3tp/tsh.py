@@ -151,7 +151,8 @@ def to_sphere(x: IrrepCoeffs, grid: SphereGrid, flops: FlopCounter | None = None
     """Synthesize f(theta, phi) = sum_{l,m} x^(l)_m Y^m_l on the grid, by a spin-0 encode.
 
     Requires grid.Lg >= x.L and finite coefficients.  Tags are ignored;
-    at most one block per degree may be present.
+    at most one block per degree may be present.  Unlike ``tsh_encode``,
+    it synthesizes at x.L, not at the top degree present, and rejects NaN/inf.
     """
     if grid.Lg < x.L:
         raise ValueError(f"grid exactness degree {grid.Lg} < band limit {x.L}")
@@ -238,8 +239,8 @@ def _coupling_table(s: int, keys: tuple, L: int):
     ms + s].  Returns (src, slot, weight): entry k couples packed
     coefficient src[k] with flat padded slot slot[k] by
     C^{j, ml+ms}_{l, ml, s, ms}.  There is one entry per (block, ml, ms)
-    with |ml + ms| <= j, so the table length is the coupling MAC count,
-    except at spin 0, whose identity table (src = arange, weights 1.0) counts 0.
+    with |ml + ms| <= j, so the table length is the coupling MAC count, except at
+    spin 0: its identity table (src = arange, weights 1.0, no CG block) counts 0.
     """
     ms = np.arange(-s, s + 1)[:, None]
     parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
@@ -250,7 +251,7 @@ def _coupling_table(s: int, keys: tuple, L: int):
         m_s, m_l = (a[keep] for a in np.broadcast_arrays(ms, ml))
         parts.append((offset + j + m_l + m_s,
                       _padded_index(L, l, m_l) * (2 * s + 1) + m_s + s,
-                      cg_block(l, s, j)[m_l + l, m_s + s]))
+                      cg_block(l, s, j)[m_l + l, m_s + s] if s else np.ones(m_l.size)))
         offset += 2 * j + 1
     return tuple(np.concatenate(column) for column in zip(*parts))
 

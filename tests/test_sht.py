@@ -27,6 +27,7 @@ from so3tp.sht import (
     rotate_coeffs,
     sh_eval,
 )
+from so3tp.tenprod import gtp
 from so3tp.tsh import (
     _folded_scatter,
     _padded_index,
@@ -403,18 +404,43 @@ def test_scalar_transforms_match_scatter_oracle(rng):
 
 
 def test_spin0_transforms_count_scalar_macs(rng):
-    # spin 0 is the identity coupling: encode and decode count only the transforms
-    for L, Lg in [(0, 0), (4, 4), (5, 11)]:
+    # spin 0 is the identity coupling: encode and decode count only the
+    # transforms; to_sphere synthesizes at x.L, tsh_encode at the top degree present
+    def synthesis(g, L):
+        return g.n_theta * (L + 1) ** 2 + g.n_theta * (2 * L + 1) * g.n_phi
+
+    def analysis(g, L):
+        return g.n_theta * g.n_phi * (2 * L + 1) + g.n_theta * (L + 1) ** 2
+
+    for L, Lg, top in [(0, 0, 0), (4, 4, 4), (5, 11, 5), (6, 9, 3)]:
         g = make_grid(Lg)
-        x = random_coeffs(L, rng)
+        x = IrrepCoeffs(L=L, blocks={(l, None): random_block(l, rng) for l in range(top + 1)})
         scalar, spin0 = FlopCounter(), FlopCounter()
         f = to_sphere(x, g, flops=scalar)
         tsh_encode(spin0_from_scalar(x), g, flops=spin0)
-        assert spin0.count == scalar.count
+        assert (scalar.count, spin0.count) == (synthesis(g, L), synthesis(g, top))
         scalar, spin0 = FlopCounter(), FlopCounter()
         from_sphere(f, L, flops=scalar)
-        tsh_decode(tsh_encode(spin0_from_scalar(x), g), L, flops=spin0)
-        assert spin0.count == scalar.count
+        tsh_decode(tsh.SpinSignal(s=0, grid=g, values=f.values[:, :, None]), L, flops=spin0)
+        assert scalar.count == spin0.count == analysis(g, L)
+
+
+def test_spin0_transforms_need_no_cg_beyond_float_range(rng, monkeypatch):
+    # the identity coupling builds no Clebsch-Gordan block, so scalar
+    # transforms and gtp work above the float CG range (j1 + j2 <= 130)
+    def no_cg(*args):
+        raise AssertionError(f"cg_block{args} called at spin 0")
+
+    monkeypatch.setattr(tsh, "cg_block", no_cg)
+    L = 131
+    g = make_grid(L)
+    x = random_coeffs(L, rng)
+    z = from_sphere(to_sphere(x, g), L)
+    assert max(np.abs(z.block(l) - x.block(l)).max() for l in range(L + 1)) <= 1e-10
+    y = random_coeffs(1, rng)
+    out = gtp(y, y, L, g).output
+    assert sorted(out.blocks) == [(l, None) for l in range(L + 1)]
+    assert np.abs(out.block(L)).max() <= 1e-12
 
 
 def test_from_sphere_reads_phi_major_samples_in_place(rng, monkeypatch):
