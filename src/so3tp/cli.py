@@ -72,14 +72,15 @@ def _cmd_coeff_9j(args) -> int:
 def _cmd_transform(args) -> int:
     obj = serialize.read_file(args.infile)
     if args.direction == "inverse":
-        # coefficients -> sample dump
-        if ("s" in obj) != (args.s > 0) or ("s" in obj and obj["s"] != args.s):
+        # coefficients -> sample dump; a file without "s" holds scalar coefficients
+        spin_file = isinstance(obj, dict) and "s" in obj
+        if (obj["s"] if spin_file else 0) != args.s:
             return _usage_error(f"--s {args.s} does not match the input file")
-        x = (serialize.coeffs_from_obj if args.s == 0 else serialize.tsh_from_obj)(obj)
+        x = (serialize.tsh_from_obj if spin_file else serialize.coeffs_from_obj)(obj)
         Lg = args.Lg if args.Lg is not None else x.L
         if Lg < x.L:
             return _usage_error(f"Lg={Lg} is below the band limit {x.L}")
-        sig = tsh_encode(spin0_from_scalar(x) if args.s == 0 else x, make_grid(Lg))
+        sig = tsh_encode(x if spin_file else spin0_from_scalar(x), make_grid(Lg))
         serialize.write_file(serialize.samples_to_obj(sig), args.outfile)
     else:
         # sample dump -> coefficients

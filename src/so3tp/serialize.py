@@ -123,6 +123,15 @@ def tsh_to_obj(x: TshCoeffs) -> dict:
     return {"s": int(x.s), "L": int(x.L), "blocks": blocks}
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; ``true``/``false`` load as bool, an int subclass, and are not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_count(v) -> bool:
+    return _is_int(v) and v >= 0
+
+
 def _expect(cond: bool, pointer: str, message: str) -> None:
     if not cond:
         raise SchemaError(pointer, message)
@@ -134,8 +143,7 @@ def _check_top_level(obj, fields: tuple, counts: tuple) -> None:
     for field in fields:
         _expect(field in obj, f"/{field}", "missing field")
     for field in counts:
-        _expect(isinstance(obj[field], int) and obj[field] >= 0, f"/{field}",
-                f"{field} must be a non-negative integer")
+        _expect(_is_count(obj[field]), f"/{field}", f"{field} must be a non-negative integer")
     _expect(isinstance(obj.get("blocks", []), list), "/blocks", "must be a list")
 
 
@@ -145,7 +153,7 @@ def _parse_block(obj, i: int):
     for field in ("j", "m", "re", "im"):
         _expect(field in obj, f"{ptr}/{field}", "missing field")
     j = obj["j"]
-    _expect(isinstance(j, int) and j >= 0, f"{ptr}/j", "j must be a non-negative integer")
+    _expect(_is_count(j), f"{ptr}/j", "j must be a non-negative integer")
     n = 2 * j + 1
     for field in ("m", "re", "im"):
         _expect(isinstance(obj[field], list) and len(obj[field]) == n,
@@ -160,12 +168,12 @@ def _parse_block(obj, i: int):
     _expect(np.isfinite(im).all(), f"{ptr}/im", "entries must be finite")
     vec = re + 1j * im
     l = obj.get("l")
-    _expect(l is None or (isinstance(l, int) and l >= 0), f"{ptr}/l",
+    _expect(l is None or _is_count(l), f"{ptr}/l",
             "l must be null or a non-negative integer")
     path = obj.get("path")
     if path is not None:
         _expect(isinstance(path, list) and len(path) == 2
-                and all(isinstance(v, int) for v in path), f"{ptr}/path",
+                and all(_is_int(v) for v in path), f"{ptr}/path",
                 "path must be a pair of integers")
         path = tuple(path)
     return j, l, path, vec
@@ -214,8 +222,8 @@ def samples_to_obj(sig: SpinSignal) -> dict:
 def samples_from_obj(obj) -> SpinSignal:
     _check_top_level(obj, ("s", "Lg", "re", "im"), ("s", "Lg"))
     s, Lg = obj["s"], obj["Lg"]
-    grid = make_grid(Lg)
-    shape = (grid.n_theta, grid.n_phi, 2 * s + 1)
+    # the header fixes the shape; check it before make_grid, which is O(Lg^2) memory
+    shape = (Lg + 1, 2 * Lg + 1, 2 * s + 1)
     try:
         re = np.array(obj["re"], dtype=float)
         im = np.array(obj["im"], dtype=float)
@@ -225,7 +233,7 @@ def samples_from_obj(obj) -> SpinSignal:
     _expect(im.shape == shape, "/im", f"expected shape {shape}, got {im.shape}")
     _expect(np.isfinite(re).all(), "/re", "samples must be finite")
     _expect(np.isfinite(im).all(), "/im", "samples must be finite")
-    return SpinSignal(s=s, grid=grid, values=re + 1j * im)
+    return SpinSignal(s=s, grid=make_grid(Lg), values=re + 1j * im)
 
 
 def write_file(obj: dict, path) -> None:

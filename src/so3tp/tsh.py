@@ -230,7 +230,6 @@ def _folded_scatter(L: int, slot: np.ndarray, n_comp: int):
             np.stack([cos_sign, 1j * sin_sign], axis=1))
 
 
-@lru_cache(maxsize=128)
 def _coupling_table(s: int, keys: tuple, L: int):
     """Sparse Clebsch-Gordan coupling between packed (j, l) blocks and the padded layout.
 

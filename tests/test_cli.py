@@ -104,6 +104,25 @@ def test_transform_spin_mismatch_is_usage_error(files, capsys):
     assert code == 2 and "does not match" in err
 
 
+def test_transform_inverse_reads_spin0_tensor_harmonic_file(files, capsys):
+    # a spin-0 file carries "s": 0; --s 0 reads it, --s 1 rejects it
+    tmp_path, paths = files
+    x = random_tsh_coeffs(0, 2, np.random.default_rng(5))
+    spin0 = tmp_path / "x0.json"
+    serialize.write_file(serialize.tsh_to_obj(x), spin0)
+    samples, back = tmp_path / "s.json", tmp_path / "b.json"
+    assert run_cli(capsys, "transform", "inverse", "--s", "0", "--in", str(spin0),
+                   "--out", str(samples), "--Lg", "3")[0] == 0
+    assert run_cli(capsys, "transform", "forward", "--s", "0", "--in", str(samples),
+                   "--out", str(back), "--L", "2")[0] == 0
+    z = serialize.coeffs_from_obj(serialize.read_file(back))
+    for (j, _l), vec in x.items():
+        np.testing.assert_allclose(z.block(j), vec, atol=1e-12)
+    code, _out, err = run_cli(capsys, "transform", "inverse", "--s", "1", "--in", str(spin0),
+                              "--out", str(tmp_path / "o.json"))
+    assert code == 2 and "--s 1 does not match the input file" in err
+
+
 def test_transform_small_grid_is_usage_error(files, capsys):
     tmp_path, paths = files
     code, _out, err = run_cli(capsys, "transform", "inverse", "--s", "0",

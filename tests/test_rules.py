@@ -112,50 +112,12 @@ def test_find_valid_ells_deterministic_and_permutation_consistent():
         assert vstp_rules(path).passed
 
 
-@pytest.mark.parametrize("jmax", [6])
-def test_find_valid_ells_complete(jmax):
-    for j1 in range(jmax + 1):
-        for j2 in range(jmax + 1):
-            for j3 in range(jmax + 1):
-                if not triangle_delta(j1, j2, j3) or (j1, j2, j3) == (0, 0, 0):
-                    continue
-                ells = find_valid_ells(j1, j2, j3)
-                path = PathKey(j1, ells[0], 1, j2, ells[1], 1, j3, ells[2], 1)
-                assert vstp_rules(path).passed, (j1, j2, j3, ells)
-                assert not generalized_gaunt_exact(path).is_zero(), (j1, j2, j3, ells)
-
-
 # ---------------------------------------------------------------- interactable
 
 def test_interactable_examples():
     assert interactable(1, 1, 1)
     assert not interactable(1, 2, 4)
     assert not interactable(0, 0, 0)
-
-
-def test_interactable_matches_bruteforce():
-    # agreement with exhaustive search over orbital labels <= jmax + 1
-    for j1 in range(5):
-        for j2 in range(5):
-            for j3 in range(5):
-                lmax = max(j1, j2, j3) + 1
-                found = any(
-                    vstp_rules(PathKey(j1, l1, 1, j2, l2, 1, j3, l3, 1)).passed
-                    for l1 in range(lmax + 1)
-                    for l2 in range(lmax + 1)
-                    for l3 in range(lmax + 1))
-                assert interactable(j1, j2, j3) == found, (j1, j2, j3)
-
-
-def test_gtp_exclusion():
-    # spin-zero paths are nonzero exactly on even triangle-satisfying triples
-    for l1 in range(5):
-        for l2 in range(5):
-            for l3 in range(5):
-                p = PathKey(l1, l1, 0, l2, l2, 0, l3, l3, 0)
-                nz = not generalized_gaunt_exact(p).is_zero()
-                expect = bool(triangle_delta(l1, l2, l3)) and (l1 + l2 + l3) % 2 == 0
-                assert nz == expect, (l1, l2, l3)
 
 
 # ---------------------------------------------------------------- expressivity
@@ -166,11 +128,6 @@ def test_expressivity_examples():
     assert expressivity_count(1, 0) == 1
 
 
-def test_expressivity_scalar_is_band_count():
-    for L in range(65):
-        assert expressivity_count(0, L) == L + 1
-
-
 @given(st.integers(0, 4), st.integers(0, 32))
 @settings(max_examples=60)
 def test_expressivity_matches_enumeration(s, L):
@@ -178,8 +135,3 @@ def test_expressivity_matches_enumeration(s, L):
                 if triangle_delta(j, l, s))
     assert expressivity_count(s, L) == brute
 
-
-def test_expressivity_asymptotic_ratio():
-    for s in (0, 1, 2):
-        count = expressivity_count(s, 64)
-        assert abs(count / ((2 * s + 1) * 65) - 1.0) <= 0.1

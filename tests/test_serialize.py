@@ -88,6 +88,13 @@ def test_samples_round_trip(rng):
     (lambda o: o["blocks"][0]["im"].__setitem__(0, float("nan")), "/blocks/0/im"),
     pytest.param(lambda o: o.__setitem__("L", 2.5), "/L", id="L-not-integer"),
     pytest.param(lambda o: o.__setitem__("L", -1), "/L", id="L-negative"),
+    # JSON true/false load as bool, an int subclass; they are not integers here
+    pytest.param(lambda o: o.__setitem__("L", True), "/L", id="L-bool"),
+    pytest.param(lambda o: o["blocks"][0].update(j=True, m=[-1, 0, 1], re=[0.0] * 3,
+                                                 im=[0.0] * 3), "/blocks/0/j", id="j-bool"),
+    pytest.param(lambda o: o["blocks"][0].__setitem__("l", False), "/blocks/0/l", id="l-bool"),
+    pytest.param(lambda o: o["blocks"][0].__setitem__("path", [True, 1]), "/blocks/0/path",
+                 id="path-bool"),
 ])
 def test_schema_errors_carry_pointers(rng, mutate, pointer):
     # scalar and tensor-harmonic files validate their shared fields alike
@@ -99,6 +106,24 @@ def test_schema_errors_carry_pointers(rng, mutate, pointer):
         with pytest.raises(SchemaError) as err:
             from_obj(obj)
         assert err.value.pointer == pointer
+
+
+@pytest.mark.parametrize("field, value", [("s", False), ("Lg", True)])
+def test_sample_header_rejects_bool(rng, field, value):
+    # read as integers, "s": false and "Lg": true load as spin 0 on make_grid(1)
+    obj = serialize.samples_to_obj(tsh_encode(random_tsh_coeffs(0, 1, rng), make_grid(1)))
+    obj[field] = value
+    with pytest.raises(SchemaError) as err:
+        serialize.samples_from_obj(obj)
+    assert err.value.pointer == f"/{field}"
+
+
+def test_tsh_spin_rejects_bool(rng):
+    obj = serialize.tsh_to_obj(random_tsh_coeffs(0, 1, rng))
+    obj["s"] = False
+    with pytest.raises(SchemaError) as err:
+        serialize.tsh_from_obj(obj)
+    assert err.value.pointer == "/s"
 
 
 def test_tsh_schema_requires_l(rng):
@@ -121,6 +146,18 @@ def test_samples_shape_validation(rng):
     obj["re"] = [[0.0]]
     with pytest.raises(SchemaError):
         serialize.samples_from_obj(obj)
+
+
+def test_samples_shape_checked_before_the_grid(monkeypatch):
+    # the header alone fixes the shape; a mismatched dump builds no grid
+    def no_grid(Lg):
+        raise AssertionError(f"make_grid({Lg}) called")
+
+    monkeypatch.setattr(serialize, "make_grid", no_grid)
+    obj = {"kind": "samples", "s": 0, "Lg": 1500, "re": [[[0.0]]], "im": [[[0.0]]]}
+    with pytest.raises(SchemaError) as err:
+        serialize.samples_from_obj(obj)
+    assert str(err.value) == "/re: expected shape (1501, 3001, 1), got (1, 1, 1)"
 
 
 @pytest.mark.parametrize("field,value", [("re", float("nan")), ("im", float("inf"))])

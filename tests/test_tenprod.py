@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from so3tp import angular, rules, sht, tenprod, tsh
-from so3tp.angular import cg_float
 from so3tp.flops import FlopCounter
 from so3tp.rules import PathKey, find_valid_ells, generalized_gaunt
-from so3tp.sht import (IrrepCoeffs, gaunt_coefficient, make_grid, random_block, random_coeffs,
-                       rotate_coeffs)
+from so3tp.sht import IrrepCoeffs, gaunt_coefficient, make_grid, random_block, random_coeffs
 from so3tp.tenprod import (
     cgtp_full,
     cgtp_path,
@@ -22,21 +20,8 @@ from so3tp.tenprod import (
     sparse_pair_total,
     vstp,
 )
-from so3tp.tsh import SpinSignal, TshCoeffs, random_tsh_coeffs, rotate_tsh_coeffs
-
-
-
-def cg_contract(u, v, j3):
-    """Independent dense-loop oracle for a single coupling path."""
-    j1 = (len(u) - 1) // 2
-    j2 = (len(v) - 1) // 2
-    out = np.zeros(2 * j3 + 1, dtype=complex)
-    for m1 in range(-j1, j1 + 1):
-        for m2 in range(-j2, j2 + 1):
-            m3 = m1 + m2
-            if abs(m3) <= j3:
-                out[m3 + j3] += cg_float(j1, m1, j2, m2, j3, m3) * u[m1 + j1] * v[m2 + j2]
-    return out
+from so3tp.tsh import SpinSignal, TshCoeffs, random_tsh_coeffs
+from so3tp.verify import _cg_contract
 
 
 # ---------------------------------------------------------------- cgtp
@@ -64,7 +49,7 @@ def test_cgtp_path_antisymmetric_zero(rng):
 def test_cgtp_path_matches_oracle(rng):
     for j1, j2, j3 in [(1, 1, 2), (2, 3, 4), (3, 2, 1), (4, 4, 5)]:
         u, v = random_block(j1, rng), random_block(j2, rng)
-        expect = cg_contract(u, v, j3)
+        expect = _cg_contract(u, v, j3)
         for mode in ("naive", "sparse"):
             np.testing.assert_allclose(cgtp_path(u, v, j3, mode=mode), expect, atol=1e-12)
 
@@ -143,8 +128,8 @@ def test_cgtp_full_sparse_matches_exact_cg(rng):
              for j3 in range(abs(j1 - j2), min(j1 + j2, L3) + 1)]
     assert set(res.output.blocks) == {(j3, (j1, j2)) for j1, j2, j3 in paths}
     for j1, j2, j3 in paths:
-        np.testing.assert_allclose(res.output.block(j3, tag=(j1, j2)),
-                                   cg_contract(x.block(j1), y.block(j2), j3), rtol=0, atol=1e-13)
+        expect = _cg_contract(x.block(j1), y.block(j2), j3)
+        np.testing.assert_allclose(res.output.block(j3, tag=(j1, j2)), expect, rtol=0, atol=1e-13)
     assert res.flops == sum(sparse_pair_count(*p) for p in paths)
 
 
@@ -320,36 +305,6 @@ def test_pointwise_errors(rng):
 
 # ---------------------------------------------------------------- istp / gtp / vstp
 
-def single_block_istp_error(j1, l1, s1, j2, l2, s2, s3, rng):
-    """Max deviation of istp output from the closed-form product expansion."""
-    u, v = random_block(j1, rng), random_block(j2, rng)
-    X = TshCoeffs(s=s1, L=l1, blocks={(j1, l1): u})
-    Y = TshCoeffs(s=s2, L=l2, blocks={(j2, l2): v})
-    res = istp(X, Y, s3, l1 + l2, make_grid(l1 + l2))
-    worst = 0.0
-    for (j3, l3), z in res.output.items():
-        coef = generalized_gaunt(PathKey(j1, l1, s1, j2, l2, s2, j3, l3, s3))
-        expect = coef * cg_contract(u, v, j3) if abs(j1 - j2) <= j3 <= j1 + j2 else 0.0
-        worst = max(worst, np.abs(z - expect).max())
-    return worst
-
-
-def test_istp_matches_product_expansion(rng):
-    cases = [
-        (1, 1, 1, 1, 1, 1, 1),
-        (0, 1, 1, 1, 1, 1, 1),
-        (2, 1, 1, 1, 2, 1, 1),
-        (2, 2, 0, 1, 1, 0, 0),
-        (1, 2, 1, 1, 1, 0, 1),
-        (2, 1, 1, 2, 2, 1, 0),
-        (2, 2, 0, 1, 2, 1, 1),
-        (3, 3, 1, 2, 2, 1, 1),
-    ]
-    for j1, l1, s1, j2, l2, s2, s3 in cases:
-        err = single_block_istp_error(j1, l1, s1, j2, l2, s2, s3, rng)
-        assert err <= 1e-10, (j1, l1, s1, j2, l2, s2, s3, err)
-
-
 def test_istp_zero_inputs_count_flops():
     X = TshCoeffs(s=1, L=1, blocks={(1, 1): np.zeros(3, complex)})
     Y = TshCoeffs(s=1, L=1, blocks={(1, 1): np.zeros(3, complex)})
@@ -384,28 +339,8 @@ def test_istp_checks_arguments_before_encoding(rng, monkeypatch, s3, L3, message
     assert encodes == []
 
 
-def test_gtp_matches_gaunt_contraction(rng):
-    u, v = random_block(1, rng), random_block(2, rng)
-    X = IrrepCoeffs(L=1, blocks={(1, None): u})
-    Y = IrrepCoeffs(L=2, blocks={(2, None): v})
-    res = gtp(X, Y, 3, make_grid(3))
-    for l3 in range(4):
-        expect = np.zeros(2 * l3 + 1, dtype=complex)
-        for m1 in range(-1, 2):
-            for m2 in range(-2, 3):
-                if abs(m1 + m2) <= l3:
-                    expect[m1 + m2 + l3] += (gaunt_coefficient(1, m1, 2, m2, l3, m1 + m2)
-                                             * u[m1 + 1] * v[m2 + 2])
-        assert np.abs(res.output.block(l3) - expect).max() <= 1e-11
-
-
-def test_gtp_symmetric_and_even_only(rng):
-    x, y = random_coeffs(2, rng), random_coeffs(2, rng)
-    g = make_grid(4)
-    r1, r2 = gtp(x, y, 4, g), gtp(y, x, 4, g)
-    for l in range(5):
-        np.testing.assert_allclose(r1.output.block(l), r2.output.block(l), atol=1e-13)
-    # odd single-path contributions vanish
+def test_gtp_odd_single_path_vanishes(rng):
+    # verify's gtp_exclusion checks the exact coefficient; this checks the grid output
     u = random_block(1, rng)
     X = IrrepCoeffs(L=1, blocks={(1, None): u})
     Y = IrrepCoeffs(L=2, blocks={(2, None): random_block(2, rng)})
@@ -418,16 +353,6 @@ def test_gtp_scalar_constant(rng):
     res = gtp(X, X, 0, make_grid(0))
     expect = gaunt_coefficient(0, 0, 0, 0, 0, 0)
     np.testing.assert_allclose(res.output.block(0), [expect], atol=1e-14)
-
-
-def test_vstp_antisymmetry(rng):
-    x, y = random_tsh_coeffs(1, 2, rng), random_tsh_coeffs(1, 2, rng)
-    g = make_grid(4)
-    rxx = vstp(x, x, 4, g)
-    assert max(np.abs(v).max() for _k, v in rxx.output.items()) <= 1e-12
-    rxy, ryx = vstp(x, y, 4, g), vstp(y, x, 4, g)
-    for key in rxy.output.blocks:
-        np.testing.assert_allclose(rxy.output.blocks[key], -ryx.output.blocks[key], atol=1e-12)
 
 
 def test_vstp_rejects_wrong_spin(rng):
@@ -447,7 +372,7 @@ def test_vstp_single_paths_match_selection_rules(rng):
     assert np.abs(res.output.block(1, 1)).max() <= 1e-12
     for (j3, l3), z in res.output.items():
         coef = generalized_gaunt(PathKey(1, 1, 1, 1, 1, 1, j3, l3, 1))
-        expect = coef * cg_contract(u, v, j3) if j3 <= 2 else 0.0
+        expect = coef * _cg_contract(u, v, j3) if j3 <= 2 else 0.0
         assert np.abs(z - expect).max() <= 1e-11, (j3, l3)
 
 
@@ -456,7 +381,6 @@ def test_grid_products_do_no_exact_arithmetic(rng):
     # cold product at a band limit no other test uses must not evaluate
     # a single exact Clebsch-Gordan coefficient
     angular._cg_tensor.cache_clear()
-    tsh._coupling_table.cache_clear()
     tsh._encode_table.cache_clear()
     tsh._decode_layout.cache_clear()
     tenprod._pointwise_terms.cache_clear()
@@ -474,48 +398,6 @@ def test_grid_products_do_no_exact_arithmetic(rng):
     assert angular.cg.cache_info().misses == misses
 
 
-# ---------------------------------------------------------------- bilinearity
-
-def test_bilinearity(rng):
-    g = make_grid(4)
-    x1, x2 = random_tsh_coeffs(1, 2, rng), random_tsh_coeffs(1, 2, rng)
-    y = random_tsh_coeffs(1, 2, rng)
-    a, b = 1.7 - 0.3j, -0.6 + 1.1j
-    combo = TshCoeffs(s=1, L=2, blocks={k: a * x1.block(*k) + b * x2.block(*k)
-                                        for k in x1.blocks})
-    lhs = vstp(combo, y, 4, g).output
-    r1, r2 = vstp(x1, y, 4, g).output, vstp(x2, y, 4, g).output
-    for key in lhs.blocks:
-        np.testing.assert_allclose(lhs.blocks[key], a * r1.blocks[key] + b * r2.blocks[key],
-                                   atol=1e-12)
-
-
-# ---------------------------------------------------------------- equivariance
-
-def test_tpo_equivariance(rng):
-    L = 2
-    g = make_grid(2 * L)
-    x, y = random_tsh_coeffs(1, L, rng), random_tsh_coeffs(1, L, rng)
-    xs, ys = random_coeffs(L, rng), random_coeffs(L, rng)
-    for _ in range(3):
-        a, b, c = rng.uniform(0, 2 * np.pi, 3)
-        # vstp
-        lhs = vstp(rotate_tsh_coeffs(x, a, b, c), rotate_tsh_coeffs(y, a, b, c), 2 * L, g).output
-        rhs = rotate_tsh_coeffs(vstp(x, y, 2 * L, g).output, a, b, c)
-        for key in lhs.blocks:
-            np.testing.assert_allclose(lhs.blocks[key], rhs.blocks[key], atol=1e-10)
-        # gtp
-        lhs = gtp(rotate_coeffs(xs, a, b, c), rotate_coeffs(ys, a, b, c), 2 * L, g).output
-        rhs = rotate_coeffs(gtp(xs, ys, 2 * L, g).output, a, b, c)
-        for key in lhs.blocks:
-            np.testing.assert_allclose(lhs.blocks[key], rhs.blocks[key], atol=1e-10)
-        # cgtp_full
-        lhs = cgtp_full(rotate_coeffs(xs, a, b, c), rotate_coeffs(ys, a, b, c), 2 * L).output
-        rhs = rotate_coeffs(cgtp_full(xs, ys, 2 * L).output, a, b, c)
-        for key in lhs.blocks:
-            np.testing.assert_allclose(lhs.blocks[key], rhs.blocks[key], atol=1e-10)
-
-
 # ---------------------------------------------------------------- simulation
 
 def test_simulate_scalar_path():
@@ -528,19 +410,11 @@ def test_simulate_triangle_error(rng):
         simulate_cgtp_path(random_block(1, rng), random_block(1, rng), 3)
 
 
-def test_simulate_matches_direct_path(rng):
-    for j1, j2, j3 in [(1, 1, 1), (1, 1, 2), (2, 2, 2), (2, 3, 4), (0, 1, 1), (3, 1, 2), (4, 4, 4)]:
-        for _ in range(3):
-            u, v = random_block(j1, rng), random_block(j2, rng)
-            sim = simulate_cgtp_path(u, v, j3)
-            np.testing.assert_allclose(sim, cgtp_path(u, v, j3), atol=1e-10)
-
-
 def test_simulate_cross_product_path(rng):
     # the (1,1,1) path: antisymmetric, invisible to the scalar product
     u, v = random_block(1, rng), random_block(1, rng)
     sim = simulate_cgtp_path(u, v, 1)
-    ref = cg_contract(u, v, 1)
+    ref = _cg_contract(u, v, 1)
     np.testing.assert_allclose(sim, ref, atol=1e-10)
     assert np.abs(ref).max() > 1e-3  # the path actually carries signal
 

@@ -106,13 +106,23 @@ def test_sh_orthonormality_case_prints_plain_ints():
     assert re.fullmatch(r"basis pair \(\d+, \d+\)", results[0].worst_case)
 
 
-def test_quick_all_pass():
-    results, ok = verify.run_verify("quick", seed=0)
-    assert ok
-    assert len(results) == len([n for n in verify.CHECK_NAMES]) - 2  # slope gates are full-only
-    for r in results:
-        assert r.passed, (r.name, r.worst_case)
-        assert r.max_dev <= r.tolerance
+# Each invariant has one implementation, its check; the unit tests do not
+# restate it.  Every check with a quick preset runs here as its own case,
+# and test_acceptance runs them all at full.
+QUICK_CHECKS = [name for name, _fn, _tol, presets in verify._CHECKS
+                if presets["quick"] is not None]
+
+
+def test_quick_skips_only_the_scaling_gates():
+    assert set(verify.CHECK_NAMES) - set(QUICK_CHECKS) == {"mimo_scaling_slopes",
+                                                           "cgtp_simulation_scaling"}
+
+
+@pytest.mark.parametrize("name", QUICK_CHECKS)
+def test_quick_check_passes(name):
+    results, ok = verify.run_verify("quick", seed=0, only=[name])
+    [r] = results
+    assert ok and r.name == name, (r.max_dev, r.worst_case)
 
 
 def test_deterministic_given_seed():
