@@ -7,7 +7,7 @@ with ``D = wigner_d_matrix(j, alpha, beta, gamma)``; a rotation about z by
 ``t`` has diagonal entries ``exp(-1j * m * t)``.
 
 Clebsch-Gordan values come in two forms.  ``cg`` evaluates the Racah
-closed-form sum in exact rational arithmetic; it serves the selection
+formula exactly, a rational sum times one square root; it serves the selection
 rules and the test oracles.  The float form serves the products, so no
 product evaluates an exact coefficient: ``cg_tensor`` holds every j3 of
 an unordered pair j1 <= j2, j1 + j2 <= 130, in one half-sheared layout
@@ -17,9 +17,10 @@ the eigenvectors of J^2 on the subspaces of total M >= 0 and cached;
 order from it through the mirror and swap identities.
 
 The general 9j symbol is the recoupling inner product between the two
-coupling orders of four momenta, evaluated by contracting six CG
-coefficients over all magnetic quantum numbers -- slow but exact, which
-is what the selection-rule machinery requires.  A closed-form fast path
+coupling orders of four momenta, evaluated exactly, as the selection
+rules require, by contracting six CG coefficients over all magnetic
+quantum numbers; its terms share one surd, so the contraction adds
+rationals and takes one square root at the end.  A closed-form fast path
 covers the grids with unit spins in the third column: five closed forms
 and the 9j symmetries give all 27 offset cells.
 """
@@ -27,12 +28,13 @@ and the 9j symmetries give all 27 offset cells.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cache, lru_cache
 
 import numpy as np
 
-from .exact import SQRT_ZERO, SqrtRational, term_add_into, term_from_sqrt, term_mul
+from .exact import SQRT_ZERO, SqrtRational
 
 __all__ = [
     "triangle_delta",
@@ -58,12 +60,20 @@ def triangle_delta(a: int, b: int, c: int) -> int:
     return int(a <= b + c and b <= a + c and c <= a + b)
 
 
+def _factorial_pair(j: int, m: int) -> int:
+    """F(j, m) = (j + m)! (j - m)!, the magnetic factor of Racah's formula."""
+    return _fact(j + m) * _fact(j - m)
+
+
+def _triangle_factor(j1: int, j2: int, j3: int) -> Fraction:
+    """T(j1, j2, j3) = (2j3+1)(j1+j2-j3)!(j1-j2+j3)!(-j1+j2+j3)! / (j1+j2+j3+1)!."""
+    return Fraction((2 * j3 + 1) * _fact(j1 + j2 - j3) * _fact(j1 - j2 + j3)
+                    * _fact(-j1 + j2 + j3), _fact(j1 + j2 + j3 + 1))
+
+
 @cache
-def _cg_term(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int):
-    """C^{j3,m3}_{j1,m1,j2,m2} as an exact radical term (coeff, primes)."""
-    if m3 != m1 + m2 or not triangle_delta(j1, j2, j3):
-        return Fraction(0), frozenset()
-    # Racah sum: the k-sum is rational, the prefactor a square root.
+def _racah_sum(j1: int, m1: int, j2: int, m2: int, j3: int) -> Fraction:
+    """Racah's k-sum: C^{j3,m1+m2}_{j1,m1,j2,m2} = ksum sqrt(T F(j1,m1) F(j2,m2) F(j3,m1+m2))."""
     ksum = Fraction(0)
     k_lo = max(0, j2 - j3 - m1, j1 - j3 + m2)
     k_hi = min(j1 + j2 - j3, j1 - m1, j2 + m2)
@@ -71,15 +81,7 @@ def _cg_term(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int):
         den = (_fact(k) * _fact(j1 + j2 - j3 - k) * _fact(j1 - m1 - k)
                * _fact(j2 + m2 - k) * _fact(j3 - j2 + m1 + k) * _fact(j3 - j1 - m2 + k))
         ksum += Fraction(-1 if k % 2 else 1, den)
-    if ksum == 0:
-        return Fraction(0), frozenset()
-    pre = Fraction(
-        (2 * j3 + 1) * _fact(j1 + j2 - j3) * _fact(j1 - j2 + j3) * _fact(-j1 + j2 + j3),
-        _fact(j1 + j2 + j3 + 1),
-    )
-    pre *= (_fact(j1 + m1) * _fact(j1 - m1) * _fact(j2 + m2) * _fact(j2 - m2)
-            * _fact(j3 + m3) * _fact(j3 - m3))
-    return term_from_sqrt(ksum, pre)
+    return ksum
 
 
 @cache
@@ -92,7 +94,12 @@ def cg(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int) -> SqrtRational:
     for j, m in ((j1, m1), (j2, m2), (j3, m3)):
         if j < 0 or abs(m) > j:
             raise ValueError(f"invalid (j, m) = ({j}, {m})")
-    return SqrtRational.from_term(_cg_term(j1, m1, j2, m2, j3, m3))
+    if m3 != m1 + m2 or not triangle_delta(j1, j2, j3):
+        return SQRT_ZERO
+    return SqrtRational.from_rational(
+        _racah_sum(j1, m1, j2, m2, j3),
+        _triangle_factor(j1, j2, j3)
+        * _factorial_pair(j1, m1) * _factorial_pair(j2, m2) * _factorial_pair(j3, m3))
 
 
 def cg_float(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int) -> float:
@@ -260,23 +267,32 @@ def _wigner_9j_cached(flat: tuple) -> SqrtRational:
             return SQRT_ZERO
     # <(j1 l1)s1, (j2 l2)s2, (s1 s2)s3 | (j1 j2)j3, (l1 l2)l3, (j3 l3)s3>
     # evaluated at the fixed top component m_{s3} = s3 (any choice agrees).
+    # Each CG is ksum * sqrt(T * F F F), one F(j, m) = (j+m)!(j-m)! per momentum.
+    # Each of the nine momenta sits in exactly two of the six CGs with the same
+    # m, so its F appears squared under the root: every term is
+    # (prod ksum * prod F) * sqrt(prod T / norm), and the sum adds rationals.
+    # Numerators and denominators multiply as integers, so each term is
+    # reduced once rather than after every factor.
+    F = _factorial_pair
     ms3 = s3
-    acc: dict = {}
+    total = Fraction(0)
     for ms1 in range(-s1, s1 + 1):
         ms2 = ms3 - ms1
         if abs(ms2) > s2:
             continue
-        t_s12 = _cg_term(s1, ms1, s2, ms2, s3, ms3)
-        if t_s12[0] == 0:
+        k = _racah_sum(s1, ms1, s2, ms2, s3)
+        if k == 0:
             continue
+        num_s, den_s = k.numerator * F(s1, ms1) * F(s2, ms2), k.denominator
         for mj1 in range(-j1, j1 + 1):
             ml1 = ms1 - mj1
             if abs(ml1) > l1:
                 continue
-            t_1 = _cg_term(j1, mj1, l1, ml1, s1, ms1)
-            if t_1[0] == 0:
+            k = _racah_sum(j1, mj1, l1, ml1, s1)
+            if k == 0:
                 continue
-            t_1 = term_mul(t_1, t_s12)
+            num_1 = num_s * k.numerator * F(j1, mj1) * F(l1, ml1)
+            den_1 = den_s * k.denominator
             for mj2 in range(-j2, j2 + 1):
                 ml2 = ms2 - mj2
                 if abs(ml2) > l2:
@@ -285,23 +301,21 @@ def _wigner_9j_cached(flat: tuple) -> SqrtRational:
                 ml3 = ml1 + ml2
                 if abs(mj3) > j3 or abs(ml3) > l3:
                     continue
-                t = term_mul(t_1, _cg_term(j2, mj2, l2, ml2, s2, ms2))
-                if t[0] == 0:
-                    continue
-                t = term_mul(t, _cg_term(j1, mj1, j2, mj2, j3, mj3))
-                if t[0] == 0:
-                    continue
-                t = term_mul(t, _cg_term(l1, ml1, l2, ml2, l3, ml3))
-                if t[0] == 0:
-                    continue
-                t = term_mul(t, _cg_term(j3, mj3, l3, ml3, s3, ms3))
-                term_add_into(acc, t)
+                k_2 = _racah_sum(j2, mj2, l2, ml2, s2)
+                k_j = _racah_sum(j1, mj1, j2, mj2, j3)
+                k_l = _racah_sum(l1, ml1, l2, ml2, l3)
+                k_3 = _racah_sum(j3, mj3, l3, ml3, s3)
+                if k_2 and k_j and k_l and k_3:
+                    total += Fraction(
+                        num_1 * k_2.numerator * k_j.numerator * k_l.numerator * k_3.numerator
+                        * F(j2, mj2) * F(l2, ml2) * F(j3, mj3) * F(l3, ml3),
+                        den_1 * k_2.denominator * k_j.denominator * k_l.denominator
+                        * k_3.denominator)
+    T = _triangle_factor
     norm = (2 * s1 + 1) * (2 * s2 + 1) * (2 * j3 + 1) * (2 * l3 + 1)
-    inv = term_from_sqrt(Fraction(1), Fraction(1, norm))
-    out: dict = {}
-    for primes, coeff in acc.items():
-        term_add_into(out, term_mul((coeff, primes), inv))
-    return SqrtRational.from_sum(out)
+    surd = (T(j1, l1, s1) * T(j2, l2, s2) * T(s1, s2, s3) * T(j1, j2, j3) * T(l1, l2, l3)
+            * T(j3, l3, s3) / norm)
+    return SqrtRational.from_rational(total * F(s3, ms3), surd)
 
 
 def wigner_9j(grid) -> SqrtRational:
@@ -309,9 +323,14 @@ def wigner_9j(grid) -> SqrtRational:
 
     ``grid`` is ((j1, l1, s1), (j2, l2, s2), (j3, l3, s3)) or the same nine
     values flattened row-major.  Returns zero whenever any row or column
-    violates the triangle condition.
+    violates the triangle condition.  Entries must be integers (Python or
+    numpy); any other entry, such as a float, raises ``ValueError``.
     """
-    flat = tuple(int(x) for row in grid for x in (row if hasattr(row, "__len__") else (row,)))
+    try:
+        flat = tuple(operator.index(x)
+                     for row in grid for x in (row if hasattr(row, "__len__") else (row,)))
+    except TypeError as exc:
+        raise ValueError(f"9j entries must be integers: {exc}") from exc
     if len(flat) != 9:
         raise ValueError("wigner_9j expects nine entries")
     if any(x < 0 for x in flat):

@@ -5,17 +5,10 @@ rationals.  Selection-rule machinery needs exact zero/nonzero decisions,
 which float thresholds cannot provide, so coefficients are computed and
 combined in exact form and converted to float only at the boundary.
 
-Two representations are used:
-
-* :class:`SqrtRational` -- the public value type, ``sign * sqrt(p/q)``.
-* "radical terms" -- internal pairs ``(coeff, primes)`` meaning
-  ``coeff * sqrt(prod(primes))`` with ``coeff`` a :class:`~fractions.Fraction`
-  and ``primes`` a frozenset of distinct primes (a squarefree radicand).
-  Sums of such terms with distinct radicands are held in a dict keyed by
-  the prime set, which makes addition exact and zero-tests trivial.
-
-Radicands occurring here are products of factorials of small integers, so
-every prime factor is small and trial division is cheap.
+One value type, :class:`SqrtRational` (``sign * sqrt(p/q)``), covers
+every exact coefficient.  Products stay in the type; a sum is exact when
+its terms share one surd, i.e. their radicands differ by rational
+squares, which holds for the CG contractions this library evaluates.
 """
 
 from __future__ import annotations
@@ -24,86 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = [
-    "SqrtRational",
-    "SQRT_ZERO",
-    "SQRT_ONE",
-    "term_from_sqrt",
-    "term_mul",
-    "term_add_into",
-]
-
-_PRIMES: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-
-
-def _extend_primes() -> None:
-    n = _PRIMES[-1]
-    while True:
-        n += 2
-        if all(n % p for p in _PRIMES if p * p <= n):
-            _PRIMES.append(n)
-            return
-
-
-def _sqrt_split(n: int) -> tuple[int, frozenset[int]]:
-    """Split n >= 1 as s**2 * f with f squarefree; return (s, primes of f)."""
-    s = 1
-    odd: set[int] = set()
-    i = 0
-    while n > 1:
-        while i >= len(_PRIMES):
-            _extend_primes()
-        p = _PRIMES[i]
-        if p * p > n:
-            odd.symmetric_difference_update({n})
-            break
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            s *= p ** (e // 2)
-            if e % 2:
-                odd.add(p)
-        i += 1
-    return s, frozenset(odd)
-
-
-def term_from_sqrt(coeff: Fraction, radicand: Fraction) -> tuple[Fraction, frozenset[int]]:
-    """Normalize ``coeff * sqrt(radicand)`` to a canonical radical term."""
-    if coeff == 0 or radicand == 0:
-        return Fraction(0), frozenset()
-    if radicand < 0:
-        raise ValueError("radicand must be non-negative")
-    # sqrt(p/q) = sqrt(p*q)/q
-    p, q = radicand.numerator, radicand.denominator
-    s, primes = _sqrt_split(p * q)
-    return coeff * Fraction(s, q), primes
-
-
-def term_mul(t1: tuple[Fraction, frozenset[int]],
-             t2: tuple[Fraction, frozenset[int]]) -> tuple[Fraction, frozenset[int]]:
-    c1, p1 = t1
-    c2, p2 = t2
-    c = c1 * c2
-    if c == 0:
-        return Fraction(0), frozenset()
-    shared = p1 & p2
-    if shared:
-        c *= math.prod(shared)
-    return c, p1 ^ p2
-
-
-def term_add_into(acc: dict[frozenset[int], Fraction],
-                  term: tuple[Fraction, frozenset[int]]) -> None:
-    coeff, primes = term
-    if coeff == 0:
-        return
-    new = acc.get(primes, Fraction(0)) + coeff
-    if new == 0:
-        acc.pop(primes, None)
-    else:
-        acc[primes] = new
+__all__ = ["SqrtRational", "SQRT_ZERO", "SQRT_ONE"]
 
 
 @dataclass(frozen=True)
@@ -127,22 +41,11 @@ class SqrtRational:
             raise ValueError("zero sign requires zero radicand and vice versa")
 
     @classmethod
-    def from_term(cls, term: tuple[Fraction, frozenset[int]]) -> "SqrtRational":
-        coeff, primes = term
-        if coeff == 0:
+    def from_rational(cls, coeff: Fraction, radicand: Fraction) -> "SqrtRational":
+        """``coeff * sqrt(radicand)`` for a rational ``coeff``."""
+        if coeff == 0 or radicand == 0:
             return SQRT_ZERO
-        sign = 1 if coeff > 0 else -1
-        return cls(sign, coeff * coeff * math.prod(primes, start=Fraction(1)))
-
-    @classmethod
-    def from_sum(cls, acc: dict[frozenset[int], Fraction]) -> "SqrtRational":
-        """Collapse a radical sum known to be a single surd (or zero)."""
-        if not acc:
-            return SQRT_ZERO
-        if len(acc) > 1:
-            raise ValueError(f"sum of {len(acc)} distinct radicals is not a single surd")
-        ((primes, coeff),) = acc.items()
-        return cls.from_term((coeff, primes))
+        return cls(1 if coeff > 0 else -1, coeff * coeff * radicand)
 
     @property
     def p(self) -> int:
@@ -155,14 +58,27 @@ class SqrtRational:
     def is_zero(self) -> bool:
         return self.sign == 0
 
-    def as_term(self) -> tuple[Fraction, frozenset[int]]:
-        """This value as a radical term, for exact sums via term_add_into."""
-        if self.sign == 0:
-            return Fraction(0), frozenset()
-        return term_from_sqrt(Fraction(self.sign), self.radicand)
-
     def __float__(self) -> float:
         return self.sign * math.sqrt(self.radicand)
+
+    def __add__(self, other: "SqrtRational") -> "SqrtRational":
+        """Exact sum of two surds whose radicands differ by a rational square.
+
+        sign_a sqrt(a) + sign_b sqrt(b) = (sign_a + sign_b k) sqrt(a) with
+        k = sqrt(b / a); any other pair raises ``ValueError``.
+        """
+        if not isinstance(other, SqrtRational):
+            return NotImplemented
+        if other.sign == 0:
+            return self
+        if self.sign == 0:
+            return other
+        ratio = other.radicand / self.radicand
+        num, den = math.isqrt(ratio.numerator), math.isqrt(ratio.denominator)
+        if num * num != ratio.numerator or den * den != ratio.denominator:
+            raise ValueError(f"{self} + {other} is not a single surd")
+        return SqrtRational.from_rational(self.sign + other.sign * Fraction(num, den),
+                                          self.radicand)
 
     def __mul__(self, other: "SqrtRational") -> "SqrtRational":
         if not isinstance(other, SqrtRational):

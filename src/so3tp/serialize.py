@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .angular import triangle_delta
 from .sht import IrrepCoeffs, make_grid
 from .tsh import SpinSignal, TshCoeffs
 
@@ -175,6 +176,8 @@ def _parse_block(obj, i: int):
         _expect(isinstance(path, list) and len(path) == 2
                 and all(_is_int(v) for v in path), f"{ptr}/path",
                 "path must be a pair of integers")
+        _expect(min(path) >= 0 and triangle_delta(j, *path), f"{ptr}/path",
+                f"path degrees must be non-negative and form a triangle with j={j}")
         path = tuple(path)
     return j, l, path, vec
 
@@ -184,6 +187,8 @@ def coeffs_from_obj(obj) -> IrrepCoeffs:
     blocks = {}
     for i, bobj in enumerate(obj["blocks"]):
         j, l, path, vec = _parse_block(bobj, i)
+        _expect(l is None or l == j, f"/blocks/{i}/l",
+                f"l of a scalar block must be null or j={j}")
         tag = path if path is not None else l
         _expect((j, tag) not in blocks, f"/blocks/{i}", f"duplicate block ({j}, {tag})")
         blocks[(j, tag)] = vec
@@ -199,6 +204,8 @@ def tsh_from_obj(obj) -> TshCoeffs:
     for i, bobj in enumerate(obj["blocks"]):
         j, l, _path, vec = _parse_block(bobj, i)
         _expect(l is not None, f"/blocks/{i}/l", "tensor-harmonic blocks need l")
+        _expect(triangle_delta(j, l, obj["s"]), f"/blocks/{i}/l",
+                f"l must form a triangle with j={j} and s={obj['s']}")
         _expect((j, l) not in blocks, f"/blocks/{i}", f"duplicate block ({j}, {l})")
         blocks[(j, l)] = vec
     try:

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import angular, bench, rules, sht, tenprod, tsh
-from .exact import SqrtRational, term_add_into, term_mul
+from .exact import SQRT_ONE, SQRT_ZERO, SqrtRational
 from .flops import FlopCounter
 from .rules import PathKey
 
@@ -62,17 +62,14 @@ def check_cg_orthogonality(p, rng):
             keys = [(j3, m3) for j3 in range(abs(j1 - j2), j1 + j2 + 1)
                     for m3 in range(-j3, j3 + 1)]
             for (j3, m3), (j3p, m3p) in itertools.combinations_with_replacement(keys, 2):
-                acc = {}
+                total = SQRT_ZERO
                 for m1 in range(-j1, j1 + 1):
                     m2 = m3 - m1
                     if abs(m2) > j2 or m2 != m3p - m1:
                         continue
-                    term_add_into(acc, term_mul(
-                        angular.cg(j1, m1, j2, m2, j3, m3).as_term(),
-                        angular.cg(j1, m1, j2, m2, j3p, m3p).as_term()))
-                total = SqrtRational.from_sum(acc)
-                expect = SqrtRational(1, Fraction(1)) if (j3, m3) == (j3p, m3p) \
-                    else SqrtRational(0, Fraction(0))
+                    total += (angular.cg(j1, m1, j2, m2, j3, m3)
+                              * angular.cg(j1, m1, j2, m2, j3p, m3p))
+                expect = SQRT_ONE if (j3, m3) == (j3p, m3p) else SQRT_ZERO
                 if total != expect:
                     yield 1.0, f"(j1,j2)=({j1},{j2}) ({j3},{m3})x({j3p},{m3p}) -> {total}"
 

@@ -260,6 +260,15 @@ def test_wigner_9j_flat_input():
         wigner_9j(((1, 0, 1), (1, 1, 1), (1, 1, -1)))
 
 
+def test_wigner_9j_rejects_non_integral_entries():
+    # int() would truncate 2.9 and return the 9j of entry 2
+    for grid in [((2.9, 2, 1), (1, 1, 0), (2, 2, 1)), (1, 0, 1, 1, 1, 1, 1, 1, 1.0)]:
+        with pytest.raises(ValueError):
+            wigner_9j(grid)
+    grid = np.array([[2, 2, 1], [1, 1, 0], [2, 2, 1]])
+    assert wigner_9j(grid) == wigner_9j(grid.tolist()) == SqrtRational(1, Fraction(1, 324))
+
+
 def test_wigner_9j_zero_column_reduces_to_dimension_factor():
     # {j1 j1 0; j2 j2 0; j3 j3 0} = 1/sqrt((2j1+1)(2j2+1)(2j3+1)) when triangle holds
     for j1, j2, j3 in [(1, 1, 1), (1, 1, 2), (2, 3, 4), (0, 2, 2)]:

@@ -276,7 +276,23 @@ def test_verify_quick_passes(capsys):
     assert "config:" in out
 
 
-def test_verify_json_report(capsys):
+@pytest.fixture
+def canned_verify(monkeypatch):
+    """``verify.run_verify`` returning fresh canned results: one exact check, two toleranced."""
+    from so3tp import verify
+
+    def fake_run_verify(level, seed=0):
+        results = [
+            verify.CheckResult("exact_check", 0.0, 0.0, True, "", 0.01),
+            verify.CheckResult("float_check", 2e-13, 1e-12, True, "case a", 0.02),
+            verify.CheckResult("loose_check", 3e-11, 1e-10, True, "case b", 0.03),
+        ]
+        return results, True
+
+    monkeypatch.setattr(verify, "run_verify", fake_run_verify)
+
+
+def test_verify_json_report(capsys, canned_verify):
     code, out, _ = run_cli(capsys, "verify", "--quick", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -285,7 +301,7 @@ def test_verify_json_report(capsys):
         <= set(payload["checks"][0])
 
 
-def test_verify_json_carries_the_environment(capsys, monkeypatch):
+def test_verify_json_carries_the_environment(capsys, monkeypatch, canned_verify):
     import numpy
 
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -303,7 +319,7 @@ def test_verify_json_carries_the_environment(capsys, monkeypatch):
     assert rev is None or (len(rev) == 40 and int(rev, 16) >= 0)
 
 
-def test_verify_default_tolerance_is_per_check(capsys):
+def test_verify_default_tolerance_is_per_check(capsys, canned_verify):
     code, out, _ = run_cli(capsys, "verify", "--quick")
     assert code == 0
     assert "tolerance" not in out.splitlines()[0]
@@ -313,7 +329,7 @@ def test_verify_default_tolerance_is_per_check(capsys):
     assert len({c["tolerance"] for c in payload["checks"]}) > 1
 
 
-def test_verify_tolerance_override(capsys):
+def test_verify_tolerance_override(capsys, canned_verify):
     code, out, _ = run_cli(capsys, "--tolerance", "1e-3", "verify", "--quick")
     assert code == 0
     assert '"tolerance": 0.001' in out.splitlines()[0]

@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from so3tp.exact import (
-    SQRT_ONE,
-    SQRT_ZERO,
-    SqrtRational,
-    term_add_into,
-    term_from_sqrt,
-    term_mul,
-)
+from so3tp.exact import SQRT_ONE, SQRT_ZERO, SqrtRational
 
 
 def test_canonical_forms():
@@ -43,32 +36,14 @@ def test_multiplication():
     assert -b == SqrtRational(1, Fraction(2, 3))
 
 
-def test_term_normalization_extracts_squares():
-    # 5 * sqrt(72/50) = 5 * (6/5) sqrt(2/... ): 72*50 = 3600 = 60^2
-    coeff, primes = term_from_sqrt(Fraction(5), Fraction(72, 50))
-    assert primes == frozenset()
-    assert coeff == Fraction(5) * Fraction(60, 50)
-    coeff, primes = term_from_sqrt(Fraction(1), Fraction(12))
-    assert primes == frozenset({3}) and coeff == 2
-
-
-def test_term_mul_merges_radicands():
-    t1 = term_from_sqrt(Fraction(1), Fraction(6))   # sqrt(6)
-    t2 = term_from_sqrt(Fraction(1), Fraction(10))  # sqrt(10)
-    coeff, primes = term_mul(t1, t2)  # sqrt(60) = 2 sqrt(15)
-    assert coeff == 2 and primes == frozenset({3, 5})
-
-
 def test_sum_collapse_and_cancellation():
-    acc = {}
-    term_add_into(acc, term_from_sqrt(Fraction(1), Fraction(2)))
-    term_add_into(acc, term_from_sqrt(Fraction(-1), Fraction(2)))
-    assert SqrtRational.from_sum(acc).is_zero()
-    term_add_into(acc, term_from_sqrt(Fraction(1, 3), Fraction(8)))
-    assert SqrtRational.from_sum(acc) == SqrtRational(1, Fraction(8, 9))
-    term_add_into(acc, term_from_sqrt(Fraction(1), Fraction(3)))
+    x = SqrtRational(1, Fraction(2))
+    assert (x + -x) == SQRT_ZERO
+    assert x + SQRT_ZERO == x and SQRT_ZERO + x == x
+    assert x + SqrtRational(1, Fraction(8)) == SqrtRational(1, Fraction(18))
+    assert SqrtRational(-1, Fraction(8)) + x == -x
     with pytest.raises(ValueError):
-        SqrtRational.from_sum(acc)  # sqrt(2) + sqrt(3) is not a single surd
+        x + SqrtRational(1, Fraction(3))  # sqrt(2) + sqrt(3) is not a single surd
 
 
 @given(st.integers(1, 10**6), st.integers(1, 10**6), st.booleans())
@@ -78,8 +53,12 @@ def test_float_round_trip(p, q, neg):
     assert float(v) == pytest.approx(expect, rel=1e-12)
 
 
-@given(st.integers(1, 5000), st.integers(1, 5000))
-def test_term_from_sqrt_value(p, q):
-    coeff, primes = term_from_sqrt(Fraction(1), Fraction(p, q))
-    approx = float(coeff) * math.sqrt(math.prod(primes))
-    assert approx == pytest.approx(math.sqrt(p / q), rel=1e-12)
+signs = st.sampled_from((-1, 1))
+
+
+@given(st.integers(1, 5000), st.integers(1, 5000), st.integers(1, 20), st.integers(1, 20),
+       signs, signs)
+def test_sum_of_a_common_surd_matches_float(p, q, kn, kd, a, b):
+    r, k = Fraction(p, q), Fraction(kn, kd)
+    x, y = SqrtRational(a, r), SqrtRational(b, r * k * k)
+    assert float(x + y) == pytest.approx(float(x) + float(y), rel=1e-12, abs=1e-12)

@@ -95,6 +95,13 @@ def test_samples_round_trip(rng):
     pytest.param(lambda o: o["blocks"][0].__setitem__("l", False), "/blocks/0/l", id="l-bool"),
     pytest.param(lambda o: o["blocks"][0].__setitem__("path", [True, 1]), "/blocks/0/path",
                  id="path-bool"),
+    # a path's degrees are non-negative and couple to the block's j
+    pytest.param(lambda o: o["blocks"][0].__setitem__("path", [-5, 99]), "/blocks/0/path",
+                 id="path-negative"),
+    pytest.param(lambda o: o["blocks"][0].__setitem__("path", [1, 3]), "/blocks/0/path",
+                 id="path-off-triangle"),
+    # l is j on a scalar block and within s of j on a tensor-harmonic one
+    pytest.param(lambda o: o["blocks"][0].__setitem__("l", 7), "/blocks/0/l", id="l-off-degree"),
 ])
 def test_schema_errors_carry_pointers(rng, mutate, pointer):
     # scalar and tensor-harmonic files validate their shared fields alike
