@@ -27,8 +27,8 @@ import numpy as np
 
 from .angular import triangle_delta
 from .flops import FlopCounter
-from .sht import make_grid, random_block, random_coeffs
-from .tenprod import cgtp_full, cgtp_path, istp, sparse_pair_count, vstp
+from .sht import make_grid, random_block, random_coeffs, transform_macs
+from .tenprod import cgtp_full, cgtp_path, istp, pair_macs, vstp
 from .tsh import TshCoeffs, random_tsh_coeffs
 
 __all__ = [
@@ -98,29 +98,18 @@ def _run_grid(s: int, setting: str, L: int, rng: np.random.Generator) -> int:
     return istp(x, y, s, L if setting == "SISO" else 2 * L, grid).flops
 
 
-def _transform_estimate(L_band: int, Lg: int) -> int:
-    n_theta, n_phi = Lg + 1, 2 * Lg + 1
-    return n_theta * (L_band + 1) ** 2 + n_theta * n_phi * (2 * L_band + 1)
-
-
 def _project_cgtp(mode: str, setting: str, L: int) -> int:
-    def path(j1, j2, j3):
-        return ((2 * j1 + 1) * (2 * j2 + 1) * (2 * j3 + 1) if mode == "naive"
-                else sparse_pair_count(j1, j2, j3))
-
-    if setting == "SISO":
-        return path(L, L, L)
-    if setting == "SIMO":
-        return sum(path(L, L, j3) for j3 in range(2 * L + 1))
-    return sum(path(j1, j2, j3)
-               for j1 in range(L + 1) for j2 in range(L + 1)
-               for j3 in range(abs(j1 - j2), min(j1 + j2, 2 * L) + 1))
+    if setting == "MIMO":
+        return sum(pair_macs(mode, j1, j2, abs(j1 - j2), min(j1 + j2, 2 * L))
+                   for j1 in range(L + 1) for j2 in range(L + 1))
+    lo, hi = (L, L) if setting == "SISO" else (0, 2 * L)
+    return pair_macs(mode, L, L, lo, hi)
 
 
 def _project_grid(s: int, setting: str, L: int) -> int:
     Lg = 2 * L
     n_components = 2 * s + 1
-    transforms = 3 * n_components * _transform_estimate(Lg, Lg)
+    transforms = 3 * n_components * transform_macs(Lg, Lg)
     pointwise = (Lg + 1) * (2 * Lg + 1) * (2 * s + 1) ** 2
     coupling = 3 * n_components * (2 * s + 1) * (L + 1) ** 2
     return transforms + pointwise + coupling
@@ -145,13 +134,12 @@ def projected_flops(method: str, setting: str, L: int) -> int:
     return project(arg, setting, L)
 
 
-def run_bench(method: str, setting: str, L_list, repeats: int, seed: int,
-              flop_budget: int | None = None) -> list[BenchRecord]:
+def run_bench(method: str, setting: str, L_list, repeats: int, seed: int) -> list[BenchRecord]:
     """One record per L: deterministic MAC count plus median walltime.
 
     ``L_list`` must be ascending.  A cell whose projected cost exceeds the
-    flop budget (argument, else the SO3TP_FLOP_BUDGET environment
-    variable, else 4e9) raises FlopBudgetExceeded before running.
+    flop budget (the SO3TP_FLOP_BUDGET environment variable, else 4e9)
+    raises FlopBudgetExceeded before running.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -161,8 +149,7 @@ def run_bench(method: str, setting: str, L_list, repeats: int, seed: int,
         raise ValueError("L_list must be ascending")
     if repeats < 1:
         raise ValueError("repeats must be positive")
-    if flop_budget is None:
-        flop_budget = int(os.environ.get(_BUDGET_ENV, _DEFAULT_BUDGET))
+    flop_budget = int(os.environ.get(_BUDGET_ENV, _DEFAULT_BUDGET))
     run, project, arg = _METHOD_TABLE[method]
     records = []
     for idx, L in enumerate(L_list):

@@ -6,8 +6,9 @@ Coefficient files carry one entry per block:
                            "m": [int], "re": [float], "im": [float]}]}
 
 with arrays indexed m = -j..j.  Tensor-harmonic files add a top-level
-"s" and populate "l"; path-tagged blocks (coupling outputs with
-multiplicity) add a "path": [j1, j2] entry.  The inverse transform
+"s" and populate "l"; path-tagged scalar blocks (coupling outputs with
+multiplicity) add a "path": [j1, j2] entry, which tensor-harmonic
+blocks may not carry.  The inverse transform
 writes a raw sample dump: the grid header plus the complex samples as
 nested re/im arrays.
 
@@ -203,6 +204,7 @@ def tsh_from_obj(obj) -> TshCoeffs:
     blocks = {}
     for i, bobj in enumerate(obj["blocks"]):
         j, l, _path, vec = _parse_block(bobj, i)
+        _expect("path" not in bobj, f"/blocks/{i}/path", "tensor-harmonic blocks carry no path")
         _expect(l is not None, f"/blocks/{i}/l", "tensor-harmonic blocks need l")
         _expect(triangle_delta(j, l, obj["s"]), f"/blocks/{i}/l",
                 f"l must form a triangle with j={j} and s={obj['s']}")

@@ -273,6 +273,16 @@ def sh_eval(l: int, m: int, theta, phi):
     return complex(out.ravel()[0]) if scalar else out
 
 
+def transform_macs(Lg: int, L: int) -> int:
+    """MACs of one band-L transform of one component on ``make_grid(Lg)``, either direction.
+
+    The Legendre stage costs (L + 1)^2 per theta node and the phi stage
+    2L + 1 per (theta, phi) node: n_theta (L + 1)^2 + n_theta n_phi (2L + 1).
+    """
+    n_theta, n_phi = Lg + 1, 2 * Lg + 1
+    return n_theta * (L + 1) ** 2 + n_theta * n_phi * (2 * L + 1)
+
+
 def _synthesis_core(cf: np.ndarray, grid: SphereGrid, L: int,
                     flops: FlopCounter | None) -> np.ndarray:
     """Grid samples [i, k, c] from folded coefficients cf[r, l - m, c]; a view of phi-major samples.
@@ -290,8 +300,7 @@ def _synthesis_core(cf: np.ndarray, grid: SphereGrid, L: int,
     np.matmul(lam[1:], cf[1::2], out=H[1::2])
     values = grid.trig[:2 * L + 1].T @ H.reshape(2 * L + 1, -1)
     if flops is not None:
-        flops.add(n_comp * (grid.n_theta * (L + 1) ** 2
-                            + grid.n_theta * (2 * L + 1) * grid.n_phi))
+        flops.add(n_comp * transform_macs(grid.Lg, L))
     return values.view(complex).reshape(grid.n_phi, grid.n_theta, n_comp).transpose(1, 0, 2)
 
 
@@ -325,8 +334,7 @@ def _analysis_core(values: np.ndarray, grid: SphereGrid, L: int,
     np.subtract(sin[0::2], pos[0::2], out=neg[0::2])
     pos += sin
     if flops is not None:
-        flops.add(n_comp * (grid.n_theta * grid.n_phi * (2 * L + 1)
-                            + grid.n_theta * (L + 1) ** 2))
+        flops.add(n_comp * transform_macs(grid.Lg, L))
     return xpad
 
 

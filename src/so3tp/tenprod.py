@@ -3,13 +3,15 @@
 Two families:
 
 * Coefficient-space Clebsch-Gordan products (``cgtp_path`` /
-  ``cgtp_full``), in a ``naive`` variant that loops every (m1, m2, m3)
-  triple and a ``sparse`` variant restricted to m3 = m1 + m2.  Sparse
-  ``cgtp_full`` contracts each input pair (j1, j2) once, for every j3 at
-  once, in one batched matmul against the half-sheared CG tensor of the
-  unordered pair (``angular.cg_tensor``, M >= 0 only; the mirror and swap
-  identities give the rest); the e3nn per-pair pattern (Geiger & Smidt,
-  arXiv:2207.09453).  Sparse ``cgtp_path`` runs the same kernel on one j3.
+  ``cgtp_full``), in a ``naive`` variant that sums every (m1, m2, m3)
+  triple and a ``sparse`` variant restricted to m3 = m1 + m2.  Both run
+  one pair kernel per input pair (j1, j2) that returns every j3 at once:
+  ``naive`` one dense CG matrix product per j3, ``sparse`` one batched
+  matmul against the half-sheared CG tensor of the unordered pair
+  (``angular.cg_tensor``, M >= 0 only; the mirror and swap identities
+  give the rest), the e3nn per-pair pattern (Geiger & Smidt,
+  arXiv:2207.09453).  ``cgtp_path`` is the one-j3 slice of the same
+  kernel, and ``pair_macs`` is the one closed form of their MAC counts.
 
 * Grid products: encode inputs as spin signals, couple them pointwise,
   and decode (``istp``), with the scalar (``gtp``) and vector (``vstp``)
@@ -35,13 +37,12 @@ import numpy as np
 from .angular import (cg_block, cg_tensor, cg_zero, require_triangle, triangle_delta,
                       wigner_9j_spin1)
 from .flops import FlopCounter
-from .rules import PathKey, find_valid_ells
+from .rules import find_valid_ells
 from .sht import IrrepCoeffs, SphereGrid, _check_band_limit, _require_finite, make_grid
 from .tsh import (SpinSignal, TshCoeffs, _encode, _packed, scalar_from_spin0, spin0_from_scalar,
                   tsh_decode)
 
 __all__ = [
-    "PathKey",
     "TpoResult",
     "NumericalDegeneracy",
     "cgtp_path",
@@ -65,13 +66,6 @@ class TpoResult:
     flops: int
 
 
-def sparse_pair_count(j1: int, j2: int, j3: int) -> int:
-    """#{(m1, m2): |m1| <= j1, |m2| <= j2, |m1 + m2| <= j3}."""
-    t = j1 + j2 - j3
-    full = (2 * j1 + 1) * (2 * j2 + 1)
-    return full - t * (t + 1) if t > 0 else full
-
-
 def _path_inputs(x, y, j3: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Complex x, y and degrees j1, j2; raises unless odd-length, 1-D, on a triangle."""
     x = np.asarray(x, dtype=complex)
@@ -83,16 +77,19 @@ def _path_inputs(x, y, j3: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     return x, y, j1, j2
 
 
-def sparse_pair_total(j1: int, j2: int, hi: int) -> int:
-    """Sum of sparse_pair_count(j1, j2, j3) over j3 = |j1 - j2|..hi, for hi <= j1 + j2.
+def pair_macs(mode: str, j1: int, j2: int, lo: int, hi: int) -> int:
+    """MACs of coupling (j1, j2) into every j3 = lo..hi, for |j1 - j2| <= lo <= hi <= j1 + j2.
 
-    With t = j1 + j2 - j3 >= 0 each count is full - t(t + 1), and the sum
-    of t(t + 1) over t = a..b is (b(b+1)(b+2) - (a-1)a(a+1)) / 3.
+    ``naive`` sums (2j1+1)(2j2+1)(2j3+1) over the range.  ``sparse``
+    counts the pairs #{(m1, m2): |m1 + m2| <= j3}: with t = j1 + j2 - j3
+    each j3 counts (2j1+1)(2j2+1) - t(t + 1), and the sum of t(t + 1)
+    over t = a..b is (b(b+1)(b+2) - (a-1)a(a+1)) / 3.
     """
-    J = j1 + j2
-    a, b = J - hi, J - abs(j1 - j2)
     full = (2 * j1 + 1) * (2 * j2 + 1)
-    return (b - a + 1) * full - (b * (b + 1) * (b + 2) - (a - 1) * a * (a + 1)) // 3
+    if mode == "naive":
+        return full * ((hi + 1) ** 2 - lo ** 2)
+    a, b = j1 + j2 - hi, j1 + j2 - lo
+    return (hi - lo + 1) * full - (b * (b + 1) * (b + 2) - (a - 1) * a * (a + 1)) // 3
 
 
 def _contract_pair(x: np.ndarray, y: np.ndarray, j3_lo: int, j3_hi: int) -> np.ndarray:
@@ -131,37 +128,53 @@ def _contract_pair(x: np.ndarray, y: np.ndarray, j3_lo: int, j3_hi: int) -> np.n
     return z
 
 
+def _dense_pair(x: np.ndarray, y: np.ndarray, j3_lo: int, j3_hi: int) -> np.ndarray:
+    """``_contract_pair``'s z, summed over every (m1, m2, m3) triple of each j3.
+
+    Row j3 scatters ``cg_block(j1, j2, j3)`` into a dense (2j1+1)(2j2+1) x
+    (2j3+1) matrix and multiplies its transpose with the flat outer
+    product, real and imaginary parts apart; slots past |M| = j3 stay zero.
+    """
+    j1, j2 = (x.size - 1) // 2, (y.size - 1) // 2
+    I, J, h = x.size, y.size, j3_hi
+    outer = np.multiply.outer(x, y).ravel()
+    i1, i2 = np.indices((I, J))
+    z = np.zeros((h - j3_lo + 1, 2 * h + 1), dtype=complex)
+    for j3 in range(j3_lo, h + 1):
+        K = 2 * j3 + 1
+        i3 = i1 + i2 - j1 - j2 + j3
+        valid = (i3 >= 0) & (i3 < K)
+        dense = np.zeros((I, J, K))
+        dense[i1[valid], i2[valid], i3[valid]] = cg_block(j1, j2, j3)[valid]
+        flat = dense.reshape(I * J, K).T
+        z[j3 - j3_lo, h - j3:h + j3 + 1] = flat @ outer.real + 1j * (flat @ outer.imag)
+    return z
+
+
+_PAIR_KERNELS = {"naive": _dense_pair, "sparse": _contract_pair}
+
+
+def _pair_kernel(mode: str):
+    if mode not in _PAIR_KERNELS:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _PAIR_KERNELS[mode]
+
+
 def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
               flops: FlopCounter | None = None) -> np.ndarray:
     """Single-path coupling z_{m3} = sum C^{j3,m3}_{j1,m1,j2,m2} x_{m1} y_{m2}.
 
     Degrees are inferred from the vector lengths; inputs holding NaN or
-    inf raise ``ValueError``.  ``naive`` costs (2j1+1)(2j2+1)(2j3+1) MACs;
-    ``sparse`` sums only the terms with m3 = m1 + m2, through the pair
-    kernel that ``cgtp_full`` runs, on the one j3 slice, and counts
-    sparse_pair_count(j1, j2, j3) MACs.
+    inf raise ``ValueError``.  Runs the pair kernel of ``cgtp_full`` on
+    the one j3 slice and counts pair_macs(mode, j1, j2, j3, j3) MACs:
+    (2j1+1)(2j2+1)(2j3+1) for ``naive``, and for ``sparse``, which sums
+    only the terms with m3 = m1 + m2, one per (m1, m2) with |m1 + m2| <= j3.
     """
     x, y, j1, j2 = _path_inputs(x, y, j3)
     _require_finite(x, y)
-    if mode not in ("naive", "sparse"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "naive":
-        C2 = cg_block(j1, j2, j3)
-        I, J, K = 2 * j1 + 1, 2 * j2 + 1, 2 * j3 + 1
-        outer = np.multiply.outer(x, y).ravel()
-        i1, i2 = np.indices((I, J))
-        i3 = i1 + i2 - j1 - j2 + j3
-        valid = (i3 >= 0) & (i3 < K)
-        dense = np.zeros((I, J, K))
-        dense[i1[valid], i2[valid], i3[valid]] = C2[valid]
-        flat = dense.reshape(I * J, K).T
-        z = flat @ outer.real + 1j * (flat @ outer.imag)
-        macs = I * J * K
-    else:
-        z = _contract_pair(x, y, j3, j3)[0]
-        macs = sparse_pair_count(j1, j2, j3)
+    z = _pair_kernel(mode)(x, y, j3, j3)[0]
     if flops is not None:
-        flops.add(macs)
+        flops.add(pair_macs(mode, j1, j2, j3, j3))
     return z
 
 
@@ -170,57 +183,46 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
 
     Inputs must carry at most one block per degree, with finite values.
     The output keeps multiplicity: block (j3, (j1, j2)) holds the
-    (j1, j2) -> j3 path.  ``sparse`` contracts each pair (j1, j2) once,
-    for every j3 = |j1 - j2| .. min(j1 + j2, L3), in one batched matmul
-    against the half-sheared tensor of the unordered pair
-    (``angular.cg_tensor``), and reads each j3 block off total M in
-    [-j3, j3].  The 512 cached tensors hold every pair of inputs up to
-    L = 30; past that (561 unordered pairs at L = 32) every call rebuilds
-    its tensors, which then dominate.  ``naive`` calls ``cgtp_path`` once
-    per path.  MACs are counted per path either way.
+    (j1, j2) -> j3 path.  Each pair (j1, j2) runs the mode's pair kernel
+    once, for every j3 = |j1 - j2| .. min(j1 + j2, L3), reads each j3
+    block off total M in [-j3, j3], and counts ``pair_macs`` for the
+    range.  The ``sparse`` kernel contracts against the half-sheared
+    tensor of the unordered pair (``angular.cg_tensor``); the 512 cached
+    tensors hold every pair of inputs up to L = 30, and past that (561
+    unordered pairs at L = 32) every call rebuilds its tensors, which then
+    dominate.
     """
-    if mode not in ("naive", "sparse"):
-        raise ValueError(f"unknown mode {mode!r}")
+    kernel = _pair_kernel(mode)
     xs = x.single_per_degree()
     ys = y.single_per_degree()
     _require_finite(*xs.values(), *ys.values())
-    fl = FlopCounter()
+    macs = 0
     blocks = {}
     for j1, xv in sorted(xs.items()):
         for j2, yv in sorted(ys.items()):
             lo, hi = abs(j1 - j2), min(j1 + j2, L3)
-            if mode == "naive":
-                for j3 in range(lo, hi + 1):
-                    blocks[(j3, (j1, j2))] = cgtp_path(xv, yv, j3, mode=mode, flops=fl)
-            elif lo <= hi:
-                z = _contract_pair(xv, yv, lo, hi)
-                for j3 in range(lo, hi + 1):
-                    blocks[(j3, (j1, j2))] = z[j3 - lo, hi - j3:hi + j3 + 1]
-                fl.add(sparse_pair_total(j1, j2, hi))
-    return TpoResult(output=IrrepCoeffs(L=L3, blocks=blocks), flops=fl.count)
+            if lo > hi:
+                continue
+            z = kernel(xv, yv, lo, hi)
+            for j3 in range(lo, hi + 1):
+                blocks[(j3, (j1, j2))] = z[j3 - lo, hi - j3:hi + j3 + 1]
+            macs += pair_macs(mode, j1, j2, lo, hi)
+    return TpoResult(output=IrrepCoeffs(L=L3, blocks=blocks), flops=macs)
 
 
 @lru_cache(maxsize=256)
 def _pointwise_terms(s1: int, s2: int, s3: int):
-    """Nonzero coupling terms (m1 + s1, m2 + s2, m3 + s3, C) in m1-major order, and the pair count.
-
-    The pair count covers every (m1, m2) with |m1 + m2| <= s3, zero
-    coefficients included: it is the pointwise MAC count per grid node.
-    """
+    """Nonzero coupling terms (m1 + s1, m2 + s2, m3 + s3, C) in m1-major order."""
     if not triangle_delta(s1, s2, s3):
         raise ValueError(f"spins ({s1}, {s2}, {s3}) violate the triangle condition")
     C = cg_block(s1, s2, s3)
-    terms, pairs = [], 0
+    terms = []
     for m1 in range(-s1, s1 + 1):
         for m2 in range(-s2, s2 + 1):
-            m3 = m1 + m2
-            if abs(m3) > s3:
-                continue
-            pairs += 1
-            coef = C[m1 + s1, m2 + s2]
+            coef = C[m1 + s1, m2 + s2]  # zero where |m1 + m2| > s3
             if coef:
-                terms.append((m1 + s1, m2 + s2, m3 + s3, coef))
-    return tuple(terms), pairs
+                terms.append((m1 + s1, m2 + s2, m1 + m2 + s3, coef))
+    return tuple(terms)
 
 
 def pointwise_spin_tp(f: SpinSignal, g: SpinSignal, s3: int,
@@ -234,7 +236,7 @@ def pointwise_spin_tp(f: SpinSignal, g: SpinSignal, s3: int,
     """
     if f.grid is not g.grid:
         raise ValueError("signals must share a grid")
-    terms, pairs = _pointwise_terms(f.s, g.s, s3)
+    terms = _pointwise_terms(f.s, g.s, s3)
     fv, gv = f.values.transpose(1, 0, 2), g.values.transpose(1, 0, 2)  # phi-major
     out = np.zeros(fv.shape[:2] + (2 * s3 + 1,), dtype=complex)
     term = np.empty(fv.shape[:2], dtype=complex)
@@ -243,7 +245,7 @@ def pointwise_spin_tp(f: SpinSignal, g: SpinSignal, s3: int,
         term *= gv[:, :, i2]
         out[:, :, i3] += term
     if flops is not None:
-        flops.add(pairs * fv.shape[0] * fv.shape[1])
+        flops.add(pair_macs("sparse", f.s, g.s, s3, s3) * fv.shape[0] * fv.shape[1])
     return SpinSignal(s=s3, grid=f.grid, values=out.transpose(1, 0, 2))
 
 

@@ -516,14 +516,13 @@ def check_expressivity(p, rng):
 def check_flops_sanity(p, rng):
     Ls = p["L_list"]
     for method in bench.METHODS:
-        recs = bench.run_bench(method, "MIMO", Ls, repeats=2, seed=7,
-                               flop_budget=10 ** 11)
+        recs = bench.run_bench(method, "MIMO", Ls, repeats=2, seed=7)
         flops = [r.flops for r in recs]
         if any(b < a for a, b in zip(flops, flops[1:])):
             yield 1.0, f"{method} not monotone: {flops}"
     for setting in bench.SETTINGS:
-        naive = bench.run_bench("cgtp_naive", setting, Ls, 1, 7, flop_budget=10 ** 11)
-        sparse = bench.run_bench("cgtp_sparse", setting, Ls, 1, 7, flop_budget=10 ** 11)
+        naive = bench.run_bench("cgtp_naive", setting, Ls, 1, 7)
+        sparse = bench.run_bench("cgtp_sparse", setting, Ls, 1, 7)
         for a, b in zip(sparse, naive):
             if a.flops > b.flops:
                 yield 1.0, f"{setting} L={a.L}: sparse {a.flops} > naive {b.flops}"
@@ -535,8 +534,7 @@ def check_scaling_slopes(p, rng):
                "gtp_grid": (2.5, 3.5), "vstp_grid": (2.5, 3.5)}
     details = []
     for method, (lo, hi) in windows.items():
-        recs = bench.run_bench(method, "MIMO", Ls, repeats=1, seed=11,
-                               flop_budget=10 ** 11)
+        recs = bench.run_bench(method, "MIMO", Ls, repeats=1, seed=11)
         slope = float(np.polyfit(np.log([r.L for r in recs]),
                                  np.log([r.flops for r in recs]), 1)[0])
         details.append(f"{method}={slope:.3f}")

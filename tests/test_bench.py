@@ -13,7 +13,7 @@ from so3tp.bench import (
     projected_flops,
     run_bench,
 )
-from so3tp.tenprod import sparse_pair_count
+from so3tp.tenprod import pair_macs
 
 
 def test_siso_naive_flops_closed_form():
@@ -21,7 +21,7 @@ def test_siso_naive_flops_closed_form():
         recs = run_bench("cgtp_naive", "SISO", [L], repeats=1, seed=0)
         assert recs[0].flops == (2 * L + 1) ** 3
     recs = run_bench("cgtp_sparse", "SISO", [1], repeats=1, seed=0)
-    assert recs[0].flops == sparse_pair_count(1, 1, 1)
+    assert recs[0].flops == pair_macs("sparse", 1, 1, 1, 1)
 
 
 def test_mimo_naive_flops_is_path_sum():
@@ -83,21 +83,26 @@ def test_run_bench_argument_errors():
 
 
 def test_flop_budget_guard(monkeypatch):
-    with pytest.raises(FlopBudgetExceeded):
-        run_bench("cgtp_naive", "MIMO", [8], repeats=1, seed=0, flop_budget=10)
+    # the environment variable is the one override; a budget equal to the
+    # projection admits the cell
+    budget = projected_flops("cgtp_naive", "MIMO", 8)
+    monkeypatch.setenv("SO3TP_FLOP_BUDGET", str(budget))
+    assert run_bench("cgtp_naive", "MIMO", [8], repeats=1, seed=0)[0].flops == budget
     monkeypatch.setenv("SO3TP_FLOP_BUDGET", "10")
-    with pytest.raises(FlopBudgetExceeded):
+    with pytest.raises(FlopBudgetExceeded, match="SO3TP_FLOP_BUDGET"):
         run_bench("cgtp_naive", "MIMO", [8], repeats=1, seed=0)
 
 
 def test_projected_flops_tracks_actuals():
+    Ls = [1, 2, 4, 8]
     for method in METHODS:
         for setting in ("SISO", "SIMO", "MIMO"):
-            recs = run_bench(method, setting, [4], repeats=1, seed=0)
-            projected = projected_flops(method, setting, 4)
-            assert recs[0].flops <= 2 * projected, (method, setting)
-            if method.startswith("cgtp"):
-                assert projected == recs[0].flops, (method, setting)
+            recs = run_bench(method, setting, Ls, repeats=1, seed=0)
+            for L, rec in zip(Ls, recs):
+                projected = projected_flops(method, setting, L)
+                assert rec.flops <= 2 * projected, (method, setting, L)
+                if method.startswith("cgtp"):
+                    assert projected == rec.flops, (method, setting, L)
 
 
 def test_fit_slope_exact_power_law():

@@ -1,4 +1,4 @@
-"""The library imports only the standard library and numpy."""
+"""The library imports only the standard library and numpy and reads two environment knobs."""
 
 import ast
 import sys
@@ -24,3 +24,35 @@ def test_library_imports_only_stdlib_and_numpy():
     found = {(path.name, name) for path in modules for name in _absolute_imports(path)
              if name not in _ALLOWED}
     assert found == set()
+
+
+class _EnvironmentReads(ast.NodeVisitor):
+    """Names of the functions (or ``<module>``) that touch os.environ or os.getenv."""
+
+    def __init__(self):
+        self.scope, self.found = ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Attribute(self, node):
+        if isinstance(node.value, ast.Name) and node.value.id == "os" \
+                and node.attr in ("environ", "getenv"):
+            self.found.append(self.scope[-1])
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if node.module == "os" and any(a.name in ("environ", "getenv") for a in node.names):
+            self.found.append(self.scope[-1])
+
+
+def test_environment_is_read_only_for_the_budget_and_the_reported_threads():
+    # a new environment knob must be added here on purpose
+    reads = set()
+    for path in sorted(Path(so3tp.__file__).parent.rglob("*.py")):
+        visitor = _EnvironmentReads()
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        reads |= {(path.name, scope) for scope in visitor.found}
+    assert reads == {("bench.py", "run_bench"), ("cli.py", "_environment")}

@@ -102,17 +102,28 @@ def test_samples_round_trip(rng):
                  id="path-off-triangle"),
     # l is j on a scalar block and within s of j on a tensor-harmonic one
     pytest.param(lambda o: o["blocks"][0].__setitem__("l", 7), "/blocks/0/l", id="l-off-degree"),
+    # a valid path tags a scalar block (j = 0 here) and no tensor-harmonic one,
+    # whose file would drop it on writing
+    pytest.param(lambda o: o["blocks"][0].__setitem__("path", [1, 1]), (None, "/blocks/0/path"),
+                 id="path-on-tsh-block"),
 ])
 def test_schema_errors_carry_pointers(rng, mutate, pointer):
-    # scalar and tensor-harmonic files validate their shared fields alike
-    for obj, from_obj in [
+    # scalar and tensor-harmonic files validate their shared fields alike; a
+    # (scalar, tensor-harmonic) pair of pointers marks a field they treat
+    # apart, None where that file loads
+    files = [
         (serialize.coeffs_to_obj(random_coeffs(0, rng)), serialize.coeffs_from_obj),
         (serialize.tsh_to_obj(random_tsh_coeffs(1, 1, rng)), serialize.tsh_from_obj),
-    ]:
+    ]
+    pointers = pointer if isinstance(pointer, tuple) else (pointer, pointer)
+    for (obj, from_obj), expect in zip(files, pointers):
         mutate(obj)
+        if expect is None:
+            from_obj(obj)
+            continue
         with pytest.raises(SchemaError) as err:
             from_obj(obj)
-        assert err.value.pointer == pointer
+        assert err.value.pointer == expect
 
 
 @pytest.mark.parametrize("field, value", [("s", False), ("Lg", True)])

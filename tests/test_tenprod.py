@@ -14,10 +14,9 @@ from so3tp.tenprod import (
     cgtp_path,
     gtp,
     istp,
+    pair_macs,
     pointwise_spin_tp,
     simulate_cgtp_path,
-    sparse_pair_count,
-    sparse_pair_total,
     vstp,
 )
 from so3tp.tsh import SpinSignal, TshCoeffs, random_tsh_coeffs
@@ -73,7 +72,7 @@ def test_cgtp_flop_counts(rng):
         cgtp_path(u, v, j3, mode="sparse", flops=fl)
         brute = sum(1 for m1 in range(-j1, j1 + 1) for m2 in range(-j2, j2 + 1)
                     if abs(m1 + m2) <= j3)
-        assert fl.count == brute == sparse_pair_count(j1, j2, j3)
+        assert fl.count == brute == pair_macs("sparse", j1, j2, j3, j3)
 
 
 def test_cgtp_full_path_enumeration(rng):
@@ -110,7 +109,7 @@ def test_cgtp_full_sparse_matches_path_loop(L3, rng):
         for j2 in range(L + 1):
             for j3 in range(abs(j1 - j2), min(j1 + j2, L3) + 1):
                 expect[(j3, (j1, j2))] = cgtp_path(x.block(j1), y.block(j2), j3)
-                macs += sparse_pair_count(j1, j2, j3)
+                macs += pair_macs("sparse", j1, j2, j3, j3)
     assert set(res.output.blocks) == set(expect)
     for key, z in expect.items():
         np.testing.assert_allclose(res.output.blocks[key], z, rtol=0, atol=1e-13)
@@ -130,15 +129,26 @@ def test_cgtp_full_sparse_matches_exact_cg(rng):
     for j1, j2, j3 in paths:
         expect = _cg_contract(x.block(j1), y.block(j2), j3)
         np.testing.assert_allclose(res.output.block(j3, tag=(j1, j2)), expect, rtol=0, atol=1e-13)
-    assert res.flops == sum(sparse_pair_count(*p) for p in paths)
+    assert res.flops == sum(pair_macs("sparse", j1, j2, j3, j3) for j1, j2, j3 in paths)
 
 
-def test_sparse_pair_total_sums_the_path_counts():
-    for j1 in range(6):
-        for j2 in range(6):
-            for hi in range(abs(j1 - j2), j1 + j2 + 1):
-                expect = sum(sparse_pair_count(j1, j2, j3) for j3 in range(abs(j1 - j2), hi + 1))
-                assert sparse_pair_total(j1, j2, hi) == expect, (j1, j2, hi)
+def test_pair_macs_matches_brute_force_counts():
+    # naive visits every (m1, m2, m3) triple of a path, sparse every (m1, m2)
+    # with |m1 + m2| <= j3; pair_macs sums either over any j3 range of a pair
+    for j1 in range(7):
+        for j2 in range(7):
+            ms1, ms2 = range(-j1, j1 + 1), range(-j2, j2 + 1)
+            brute = {
+                "naive": [sum(1 for _m1 in ms1 for _m2 in ms2 for _m3 in range(-j3, j3 + 1))
+                          for j3 in range(j1 + j2 + 1)],
+                "sparse": [sum(1 for m1 in ms1 for m2 in ms2 if abs(m1 + m2) <= j3)
+                           for j3 in range(j1 + j2 + 1)],
+            }
+            for mode, counts in brute.items():
+                for lo in range(abs(j1 - j2), j1 + j2 + 1):
+                    for hi in range(lo, j1 + j2 + 1):
+                        expect = sum(counts[lo:hi + 1])
+                        assert pair_macs(mode, j1, j2, lo, hi) == expect, (mode, j1, j2, lo, hi)
 
 
 _NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan)]
