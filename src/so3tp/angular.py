@@ -16,13 +16,15 @@ the eigenvectors of J^2 on the subspaces of total M >= 0 and cached;
 ``cg_block`` gathers a whole block C^{j3,m1+m2}_{j1,m1,j2,m2} of either
 order from it through the mirror and swap identities.
 
-The general 9j symbol is the recoupling inner product between the two
-coupling orders of four momenta, evaluated exactly, as the selection
-rules require, by contracting six CG coefficients over all magnetic
-quantum numbers; its terms share one surd, so the contraction adds
-rationals and takes one square root at the end.  A closed-form fast path
-covers the grids with unit spins in the third column: five closed forms
-and the 9j symmetries give all 27 offset cells.
+The general 9j symbol is evaluated exactly, as the selection rules
+require, as a sum over one momentum x of products of three Racah 6j
+symbols (Varshalovich et al. 1988, ch. 10), each by Racah's single
+sum.  The triangle roots through x appear twice and are rational; the
+six row and column roots appear once and are the one surd shared by
+every term, so the sum adds rationals and takes one square root at the
+end.  A closed-form fast path covers the grids with unit spins in the
+third column: five closed forms and the 9j symmetries give all 27
+offset cells.
 """
 
 from __future__ import annotations
@@ -60,28 +62,9 @@ def triangle_delta(a: int, b: int, c: int) -> int:
     return int(a <= b + c and b <= a + c and c <= a + b)
 
 
-def _factorial_pair(j: int, m: int) -> int:
-    """F(j, m) = (j + m)! (j - m)!, the magnetic factor of Racah's formula."""
-    return _fact(j + m) * _fact(j - m)
-
-
-def _triangle_factor(j1: int, j2: int, j3: int) -> Fraction:
-    """T(j1, j2, j3) = (2j3+1)(j1+j2-j3)!(j1-j2+j3)!(-j1+j2+j3)! / (j1+j2+j3+1)!."""
-    return Fraction((2 * j3 + 1) * _fact(j1 + j2 - j3) * _fact(j1 - j2 + j3)
-                    * _fact(-j1 + j2 + j3), _fact(j1 + j2 + j3 + 1))
-
-
-@cache
-def _racah_sum(j1: int, m1: int, j2: int, m2: int, j3: int) -> Fraction:
-    """Racah's k-sum: C^{j3,m1+m2}_{j1,m1,j2,m2} = ksum sqrt(T F(j1,m1) F(j2,m2) F(j3,m1+m2))."""
-    ksum = Fraction(0)
-    k_lo = max(0, j2 - j3 - m1, j1 - j3 + m2)
-    k_hi = min(j1 + j2 - j3, j1 - m1, j2 + m2)
-    for k in range(k_lo, k_hi + 1):
-        den = (_fact(k) * _fact(j1 + j2 - j3 - k) * _fact(j1 - m1 - k)
-               * _fact(j2 + m2 - k) * _fact(j3 - j2 + m1 + k) * _fact(j3 - j1 - m2 + k))
-        ksum += Fraction(-1 if k % 2 else 1, den)
-    return ksum
+def _delta2(a: int, b: int, c: int) -> Fraction:
+    """Squared triangle coefficient (a+b-c)!(a-b+c)!(-a+b+c)! / (a+b+c+1)! of a valid triangle."""
+    return Fraction(_fact(a + b - c) * _fact(a - b + c) * _fact(-a + b + c), _fact(a + b + c + 1))
 
 
 @cache
@@ -89,17 +72,22 @@ def cg(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int) -> SqrtRational:
     """Exact Clebsch-Gordan coefficient C^{j3,m3}_{j1,m1,j2,m2}.
 
     Zero when m3 != m1 + m2 or the triangle condition fails.  Component
-    indices must satisfy |m_i| <= j_i.
+    indices must satisfy |m_i| <= j_i.  Racah's formula: a rational k-sum
+    times sqrt((2j3+1) delta2 (j1+m1)!(j1-m1)!(j2+m2)!(j2-m2)!(j3+m3)!(j3-m3)!).
     """
     for j, m in ((j1, m1), (j2, m2), (j3, m3)):
         if j < 0 or abs(m) > j:
             raise ValueError(f"invalid (j, m) = ({j}, {m})")
     if m3 != m1 + m2 or not triangle_delta(j1, j2, j3):
         return SQRT_ZERO
+    ksum = Fraction(0)
+    for k in range(max(0, j2 - j3 - m1, j1 - j3 + m2), min(j1 + j2 - j3, j1 - m1, j2 + m2) + 1):
+        den = (_fact(k) * _fact(j1 + j2 - j3 - k) * _fact(j1 - m1 - k)
+               * _fact(j2 + m2 - k) * _fact(j3 - j2 + m1 + k) * _fact(j3 - j1 - m2 + k))
+        ksum += Fraction(-1 if k % 2 else 1, den)
     return SqrtRational.from_rational(
-        _racah_sum(j1, m1, j2, m2, j3),
-        _triangle_factor(j1, j2, j3)
-        * _factorial_pair(j1, m1) * _factorial_pair(j2, m2) * _factorial_pair(j3, m3))
+        ksum, (2 * j3 + 1) * _delta2(j1, j2, j3) * _fact(j1 + m1) * _fact(j1 - m1)
+        * _fact(j2 + m2) * _fact(j2 - m2) * _fact(j3 + m3) * _fact(j3 - m3))
 
 
 def cg_float(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int) -> float:
@@ -258,64 +246,36 @@ def rotation_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return rz1 @ ry @ rz2
 
 
+def _racah_6j_sum(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> Fraction:
+    """Racah's t-sum: {j1 j2 j3; j4 j5 j6} = sum * sqrt(product of its four delta2).
+
+    All four triads (j1 j2 j3), (j1 j5 j6), (j4 j2 j6), (j4 j5 j3) must be triangles.
+    """
+    triads = (j1 + j2 + j3, j1 + j5 + j6, j4 + j2 + j6, j4 + j5 + j3)
+    quads = (j1 + j2 + j4 + j5, j2 + j3 + j5 + j6, j3 + j1 + j6 + j4)
+    total = Fraction(0)
+    for t in range(max(triads), min(quads) + 1):
+        den = math.prod(_fact(t - a) for a in triads) * math.prod(_fact(q - t) for q in quads)
+        total += Fraction(-_fact(t + 1) if t % 2 else _fact(t + 1), den)
+    return total
+
+
 @cache
 def _wigner_9j_cached(flat: tuple) -> SqrtRational:
-    j1, l1, s1, j2, l2, s2, j3, l3, s3 = flat
-    for tri in ((j1, l1, s1), (j2, l2, s2), (j3, l3, s3), (j1, j2, j3), (l1, l2, l3), (s1, s2, s3)):
-        if not triangle_delta(*tri):
-            # every contraction term carries a CG over this triple, hence 0
-            return SQRT_ZERO
-    # <(j1 l1)s1, (j2 l2)s2, (s1 s2)s3 | (j1 j2)j3, (l1 l2)l3, (j3 l3)s3>
-    # evaluated at the fixed top component m_{s3} = s3 (any choice agrees).
-    # Each CG is ksum * sqrt(T * F F F), one F(j, m) = (j+m)!(j-m)! per momentum.
-    # Each of the nine momenta sits in exactly two of the six CGs with the same
-    # m, so its F appears squared under the root: every term is
-    # (prod ksum * prod F) * sqrt(prod T / norm), and the sum adds rationals.
-    # Numerators and denominators multiply as integers, so each term is
-    # reduced once rather than after every factor.
-    F = _factorial_pair
-    ms3 = s3
+    a, b, c, d, e, f, g, h, i = flat
+    rows_cols = ((a, b, c), (d, e, f), (g, h, i), (a, d, g), (b, e, h), (c, f, i))
+    if not all(triangle_delta(*tri) for tri in rows_cols):
+        return SQRT_ZERO
+    # {a b c; d e f; g h i} = sum_x (2x+1) {a d g; h i x}{b e h; d x f}{c f i; x a b}.
+    # The triads (a i x), (d h x), (b f x) each sit in two of the 6j, so their
+    # roots multiply to the rational delta2; the rows and columns sit in one
+    # each and give the surd common to every x.
     total = Fraction(0)
-    for ms1 in range(-s1, s1 + 1):
-        ms2 = ms3 - ms1
-        if abs(ms2) > s2:
-            continue
-        k = _racah_sum(s1, ms1, s2, ms2, s3)
-        if k == 0:
-            continue
-        num_s, den_s = k.numerator * F(s1, ms1) * F(s2, ms2), k.denominator
-        for mj1 in range(-j1, j1 + 1):
-            ml1 = ms1 - mj1
-            if abs(ml1) > l1:
-                continue
-            k = _racah_sum(j1, mj1, l1, ml1, s1)
-            if k == 0:
-                continue
-            num_1 = num_s * k.numerator * F(j1, mj1) * F(l1, ml1)
-            den_1 = den_s * k.denominator
-            for mj2 in range(-j2, j2 + 1):
-                ml2 = ms2 - mj2
-                if abs(ml2) > l2:
-                    continue
-                mj3 = mj1 + mj2
-                ml3 = ml1 + ml2
-                if abs(mj3) > j3 or abs(ml3) > l3:
-                    continue
-                k_2 = _racah_sum(j2, mj2, l2, ml2, s2)
-                k_j = _racah_sum(j1, mj1, j2, mj2, j3)
-                k_l = _racah_sum(l1, ml1, l2, ml2, l3)
-                k_3 = _racah_sum(j3, mj3, l3, ml3, s3)
-                if k_2 and k_j and k_l and k_3:
-                    total += Fraction(
-                        num_1 * k_2.numerator * k_j.numerator * k_l.numerator * k_3.numerator
-                        * F(j2, mj2) * F(l2, ml2) * F(j3, mj3) * F(l3, ml3),
-                        den_1 * k_2.denominator * k_j.denominator * k_l.denominator
-                        * k_3.denominator)
-    T = _triangle_factor
-    norm = (2 * s1 + 1) * (2 * s2 + 1) * (2 * j3 + 1) * (2 * l3 + 1)
-    surd = (T(j1, l1, s1) * T(j2, l2, s2) * T(s1, s2, s3) * T(j1, j2, j3) * T(l1, l2, l3)
-            * T(j3, l3, s3) / norm)
-    return SqrtRational.from_rational(total * F(s3, ms3), surd)
+    for x in range(max(abs(a - i), abs(d - h), abs(b - f)), min(a + i, d + h, b + f) + 1):
+        total += ((2 * x + 1) * _delta2(a, i, x) * _delta2(d, h, x) * _delta2(b, f, x)
+                  * _racah_6j_sum(a, d, g, h, i, x) * _racah_6j_sum(b, e, h, d, x, f)
+                  * _racah_6j_sum(c, f, i, x, a, b))
+    return SqrtRational.from_rational(total, math.prod(_delta2(*tri) for tri in rows_cols))
 
 
 def wigner_9j(grid) -> SqrtRational:
@@ -381,7 +341,7 @@ def wigner_9j_spin1(a: int, lam: int, b: int, mu: int, c: int, nu: int) -> float
     """Closed-form {a+lam, a, 1; b+mu, b, 1; c+nu, c, 1} with lam, mu, nu in {-1, 0, 1}.
 
     Fast path for the 9j grids whose third column is (1, 1, 1); agrees with
-    the general contraction to 1e-12.  Two 9j symmetries (Varshalovich et
+    the general 9j to 1e-12.  Two 9j symmetries (Varshalovich et
     al. 1988, sec. 10.4) map every offset cell onto one of the five in
     ``_SPIN1_TABLE``.  Each multiplies the symbol by (-1)^S, with S the sum
     of its nine entries, and S = lam + mu + nu + 1 (mod 2):

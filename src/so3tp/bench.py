@@ -29,7 +29,7 @@ from .angular import triangle_delta
 from .flops import FlopCounter
 from .sht import make_grid, random_block, random_coeffs, transform_macs
 from .tenprod import cgtp_full, cgtp_path, istp, pair_macs, vstp
-from .tsh import TshCoeffs, random_tsh_coeffs
+from .tsh import TshCoeffs, random_tsh_coeffs, valid_pairs
 
 __all__ = [
     "METHODS",
@@ -107,12 +107,15 @@ def _project_cgtp(mode: str, setting: str, L: int) -> int:
 
 
 def _project_grid(s: int, setting: str, L: int) -> int:
-    Lg = 2 * L
-    n_components = 2 * s + 1
-    transforms = 3 * n_components * transform_macs(Lg, Lg)
-    pointwise = (Lg + 1) * (2 * Lg + 1) * (2 * s + 1) ** 2
-    coupling = 3 * n_components * (2 * s + 1) * (L + 1) ** 2
-    return transforms + pointwise + coupling
+    def coupling(keys):  # the CG coupling of (j, l) blocks to spin components; none at s = 0
+        return sum(pair_macs("sparse", l, s, j, j) for j, l in keys) if s else 0
+
+    L3 = L if setting == "SISO" else 2 * L
+    keys = valid_pairs(s, L) if setting == "MIMO" else [(L, L)]
+    encode = coupling(keys) + (2 * s + 1) * transform_macs(2 * L, L)
+    pointwise = pair_macs("sparse", s, s, s, s) * (2 * L + 1) * (4 * L + 1)
+    decode = (2 * s + 1) * transform_macs(2 * L, L3) + coupling(valid_pairs(s, L3))
+    return 2 * encode + pointwise + decode
 
 
 # method -> (cell runner, cost projection, the CGTP mode or grid spin both
@@ -129,7 +132,7 @@ METHODS = tuple(_METHOD_TABLE)
 
 
 def projected_flops(method: str, setting: str, L: int) -> int:
-    """Cheap upper-bound estimate used by the budget guard."""
+    """MACs a cell counts, composed from the kernels' closed forms; the budget guard reads it."""
     _run, project, arg = _METHOD_TABLE[method]
     return project(arg, setting, L)
 
@@ -174,6 +177,12 @@ def run_bench(method: str, setting: str, L_list, repeats: int, seed: int) -> lis
     return records
 
 
+def _log_log_fit(Ls, counts) -> tuple[float, float]:
+    """Least-squares (slope, intercept) of log(counts) against log(Ls)."""
+    slope, intercept = np.polyfit(np.log(Ls), np.log(counts), 1)
+    return float(slope), float(intercept)
+
+
 def fit_slope(records) -> SlopeFit:
     """Least-squares fit of log(flops) vs log(L) over >= 4 records."""
     records = list(records)
@@ -185,12 +194,12 @@ def fit_slope(records) -> SlopeFit:
         raise ValueError("records must have positive L and flops")
     if np.unique(Ls).size < 2:
         raise ValueError("degenerate L range")
+    slope, intercept = _log_log_fit(Ls, flops)
     logL, logF = np.log(Ls), np.log(flops)
-    slope, intercept = np.polyfit(logL, logF, 1)
     resid = logF - (slope * logL + intercept)
     ss_tot = float(((logF - logF.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0 else 1.0 - float((resid ** 2).sum()) / ss_tot
-    return SlopeFit(slope=float(slope), intercept=float(intercept), r2=r2,
+    return SlopeFit(slope=slope, intercept=intercept, r2=r2,
                     L_range=(int(Ls.min()), int(Ls.max())))
 
 
@@ -269,8 +278,8 @@ def emit_svg(records, path) -> None:
                          f'cy="{sy(math.log10(max(r.flops, 1))):.2f}" r="3" fill="{color}"/>')
         label = "/".join(key)
         if len(rs) >= 2:
-            fit = np.polyfit(np.log([r.L for r in rs]), np.log([r.flops for r in rs]), 1)
-            label += f" (slope {fit[0]:.2f})"
+            slope = _log_log_fit([r.L for r in rs], [r.flops for r in rs])[0]
+            label += f" (slope {slope:.2f})"
         lines.append(f'<text x="{width - margin + 4}" y="{margin + 16 * i}" font-size="11" '
                      f'fill="{color}" text-anchor="end">{label}</text>')
     lines.append("</svg>")

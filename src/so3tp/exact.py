@@ -8,7 +8,7 @@ combined in exact form and converted to float only at the boundary.
 One value type, :class:`SqrtRational` (``sign * sqrt(p/q)``), covers
 every exact coefficient.  Products stay in the type; a sum is exact when
 its terms share one surd, i.e. their radicands differ by rational
-squares, which holds for the CG contractions this library evaluates.
+squares, which holds for the CG and 9j sums this library evaluates.
 """
 
 from __future__ import annotations

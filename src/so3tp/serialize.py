@@ -173,7 +173,7 @@ def _parse_block(obj, i: int):
     _expect(l is None or _is_count(l), f"{ptr}/l",
             "l must be null or a non-negative integer")
     path = obj.get("path")
-    if path is not None:
+    if "path" in obj:
         _expect(isinstance(path, list) and len(path) == 2
                 and all(_is_int(v) for v in path), f"{ptr}/path",
                 "path must be a pair of integers")

@@ -295,7 +295,7 @@ def _path_coefficient(j1: int, l1: int, j2: int, l2: int, j3: int, l3: int) -> f
     """Generalized Gaunt coefficient of the all-spins-one path, in float.
 
     sqrt(dims / 4 pi) * {j1 l1 1; j2 l2 1; j3 l3 1} * C^{l3,0}_{l1,0,l2,0}
-    with the 9j from its closed form, so no six-CG contraction runs; the
+    with the 9j from its closed form, so no exact 9j is evaluated; the
     C^{l3,0} comes from the exact Racah sum, which has no degree limit.
     """
     dims = (2 * j1 + 1) * (2 * j2 + 1) * (2 * l1 + 1) * (2 * l2 + 1) * 3

@@ -535,8 +535,7 @@ def check_scaling_slopes(p, rng):
     details = []
     for method, (lo, hi) in windows.items():
         recs = bench.run_bench(method, "MIMO", Ls, repeats=1, seed=11)
-        slope = float(np.polyfit(np.log([r.L for r in recs]),
-                                 np.log([r.flops for r in recs]), 1)[0])
+        slope = bench._log_log_fit([r.L for r in recs], [r.flops for r in recs])[0]
         details.append(f"{method}={slope:.3f}")
         if not lo <= slope <= hi:
             yield 1.0, f"{method} slope {slope:.3f} not in [{lo},{hi}]"
@@ -546,7 +545,7 @@ def check_scaling_slopes(p, rng):
 def check_simulation_scaling(p, rng):
     Ls = p["L_list"]
     counts = [bench.simulate_cgtp_all_paths(L, seed=13) for L in Ls]
-    slope = float(np.polyfit(np.log(Ls), np.log(counts), 1)[0])
+    slope = bench._log_log_fit(Ls, counts)[0]
     case = f"slope={slope:.3f} over L={list(Ls)}"
     yield max(0.0, abs(slope - 5.0) - 0.5), case
     return case

@@ -29,7 +29,7 @@ CRITERIA = {
         "L <= 32), orthonormality to 1e-12 (L <= 8)",
         ["scalar_round_trip", "tsh_round_trip", "sh_orthonormality",
          "tsh_orthonormality"]),
-    8: ("9j contraction vs spin-1 closed forms, all grids a,b,c <= 6, 1e-12",
+    8: ("exact 9j vs spin-1 closed forms, all grids a,b,c <= 6, 1e-12",
         ["nine_j_table"]),
 }
 

@@ -1,5 +1,6 @@
 """Tests for Clebsch-Gordan coefficients, Wigner d/D matrices and 9j symbols."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from so3tp.angular import (
     wigner_9j_spin1,
     wigner_d_matrix,
 )
-from so3tp.exact import SqrtRational
+from so3tp.exact import SQRT_ZERO, SqrtRational
 from so3tp.sht import random_coeffs
 
 
@@ -295,12 +296,51 @@ def test_wigner_9j_row_swap_antisymmetry_exact():
         assert swapped == expect, grid
 
 
+def _nine_j_by_six_cg(grid) -> SqrtRational:
+    """{j1 l1 s1; j2 l2 s2; j3 l3 s3} as the recoupling overlap of six CG coefficients.
+
+    <(j1 l1)s1, (j2 l2)s2; s3 | (j1 j2)j3, (l1 l2)l3; s3> at m_{s3} = s3, divided
+    by sqrt((2s1+1)(2s2+1)(2j3+1)(2l3+1)); each of the nine momenta enters two
+    CGs with the same m, so every term carries one common surd and the
+    ``SqrtRational`` sum is exact.
+    """
+    (j1, l1, s1), (j2, l2, s2), (j3, l3, s3) = grid
+    total = SQRT_ZERO
+    for ms1 in range(max(-s1, s3 - s2), min(s1, s3 + s2) + 1):
+        ms2 = s3 - ms1
+        for mj1 in range(max(-j1, ms1 - l1), min(j1, ms1 + l1) + 1):
+            ml1 = ms1 - mj1
+            left = cg(s1, ms1, s2, ms2, s3, s3) * cg(j1, mj1, l1, ml1, s1, ms1)
+            for mj2 in range(max(-j2, ms2 - l2), min(j2, ms2 + l2) + 1):
+                ml2, mj3 = ms2 - mj2, mj1 + mj2
+                ml3 = ml1 + ml2
+                if abs(mj3) <= j3 and abs(ml3) <= l3:
+                    total += (left * cg(j2, mj2, l2, ml2, s2, ms2) * cg(j1, mj1, j2, mj2, j3, mj3)
+                              * cg(l1, ml1, l2, ml2, l3, ml3) * cg(j3, mj3, l3, ml3, s3, s3))
+    norm = (2 * s1 + 1) * (2 * s2 + 1) * (2 * j3 + 1) * (2 * l3 + 1)
+    return total * SqrtRational(1, Fraction(1, norm))
+
+
+def test_wigner_9j_matches_six_cg_contraction():
+    # every grid with entries <= 2, then the spin-1 grids {j l 1} up to degree 6
+    # with ascending rows (a row permutation multiplies both sides by the
+    # same sign, see test_wigner_9j_row_swap_antisymmetry_exact)
+    grids = [(g[0:3], g[3:6], g[6:9]) for g in itertools.product(range(3), repeat=9)]
+    for j1, l1, j2, l2, j3, l3 in itertools.product(range(7), repeat=6):
+        rows = ((j1, l1, 1), (j2, l2, 1), (j3, l3, 1))
+        if (rows[0] <= rows[1] <= rows[2]
+                and all(triangle_delta(*tri) for tri in rows + ((j1, j2, j3), (l1, l2, l3)))):
+            grids.append(rows)
+    for grid in grids:
+        assert wigner_9j(grid) == _nine_j_by_six_cg(grid), grid
+
+
 def test_spin1_table_examples():
     # (0,0,0) cell vanishes identically
     for a, b, c in [(1, 1, 1), (2, 3, 4), (5, 5, 2)]:
         assert wigner_9j_spin1(a, 0, b, 0, c, 0) == 0.0
     # all-raise cell at a=b=c=0: magnitude [4!/(3*3!*3!*3!)]^(1/2) = 1/sqrt(27);
-    # the exact contraction fixes the sign as positive
+    # the exact 9j fixes the sign as positive
     v = wigner_9j_spin1(0, 1, 0, 1, 0, 1)
     assert v == pytest.approx(1 / math.sqrt(27), abs=1e-15)
     assert float(wigner_9j(((1, 0, 1), (1, 0, 1), (1, 0, 1)))) == pytest.approx(v, abs=1e-15)

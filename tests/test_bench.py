@@ -99,10 +99,7 @@ def test_projected_flops_tracks_actuals():
         for setting in ("SISO", "SIMO", "MIMO"):
             recs = run_bench(method, setting, Ls, repeats=1, seed=0)
             for L, rec in zip(Ls, recs):
-                projected = projected_flops(method, setting, L)
-                assert rec.flops <= 2 * projected, (method, setting, L)
-                if method.startswith("cgtp"):
-                    assert projected == rec.flops, (method, setting, L)
+                assert projected_flops(method, setting, L) == rec.flops, (method, setting, L)
 
 
 def test_fit_slope_exact_power_law():

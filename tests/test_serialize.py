@@ -95,6 +95,9 @@ def test_samples_round_trip(rng):
     pytest.param(lambda o: o["blocks"][0].__setitem__("l", False), "/blocks/0/l", id="l-bool"),
     pytest.param(lambda o: o["blocks"][0].__setitem__("path", [True, 1]), "/blocks/0/path",
                  id="path-bool"),
+    # a null path would load as absent and be dropped on writing
+    pytest.param(lambda o: o["blocks"][0].__setitem__("path", None), "/blocks/0/path",
+                 id="path-null"),
     # a path's degrees are non-negative and couple to the block's j
     pytest.param(lambda o: o["blocks"][0].__setitem__("path", [-5, 99]), "/blocks/0/path",
                  id="path-negative"),

@@ -436,7 +436,7 @@ def triangle_paths(J):
 
 
 def test_simulation_coefficient_matches_exact_gaunt():
-    # the closed-form float divisor against the exact six-CG coefficient
+    # the closed-form float divisor against the exact coefficient
     for j1, j2, j3 in triangle_paths(10):
         if (j1, j2, j3) == (0, 0, 0):
             continue
@@ -449,7 +449,7 @@ def test_simulation_coefficient_matches_exact_gaunt():
 def test_simulation_does_no_9j_contraction(rng):
     # cold calls, including orbital degrees past the float CG block range
     # ((65,65,66) -> l = (65,66,65); (60,70,130) -> (60,71,129)), must not
-    # contract a single 9j symbol
+    # evaluate a single exact 9j symbol
     tenprod._path_coefficient.cache_clear()
     nine = angular._wigner_9j_cached.cache_info().misses
     gaunt = rules.generalized_gaunt_exact.cache_info().misses

@@ -159,7 +159,7 @@ def test_report_prints_failing_case():
 
 
 def test_fault_injection_in_nine_j(monkeypatch):
-    # corrupting the fast path must break the table-vs-contraction check
+    # corrupting the fast path must break the table-vs-exact-9j check
     from so3tp import angular
 
     real = angular.wigner_9j_spin1
@@ -175,7 +175,7 @@ def test_fault_injection_in_nine_j(monkeypatch):
 
 
 def test_interactable_evaluates_no_exact_coefficient():
-    # the check needs only the rule flags, not the six-CG 9j behind each coefficient
+    # the check needs only the rule flags, not the exact 9j behind each coefficient
     rules.generalized_gaunt_exact.cache_clear()
     angular._wigner_9j_cached.cache_clear()
     results, ok = verify.run_verify("quick", only=["interactable"])
