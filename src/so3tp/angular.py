@@ -260,7 +260,7 @@ def _racah_6j_sum(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> Fract
     return total
 
 
-@cache
+@lru_cache(maxsize=1024)
 def _wigner_9j_cached(flat: tuple) -> SqrtRational:
     a, b, c, d, e, f, g, h, i = flat
     rows_cols = ((a, b, c), (d, e, f), (g, h, i), (a, d, g), (b, e, h), (c, f, i))

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import triangle_delta
 from .flops import FlopCounter
+from .rules import find_pair_ells
 from .sht import make_grid, random_block, random_coeffs, transform_macs
 from .tenprod import cgtp_full, cgtp_path, istp, pair_macs, vstp
 from .tsh import TshCoeffs, random_tsh_coeffs, valid_pairs
@@ -290,25 +290,18 @@ def emit_svg(records, path) -> None:
 def simulate_cgtp_all_paths(L: int, seed: int) -> int:
     """MACs spent simulating every coupling path of 0..L inputs via vector signals.
 
-    For each degree pair (j1, j2), one vector-signal product runs per
-    admissible orbital pair (l1, l2) -- at most nine -- and each product
-    yields all its (j3, l3) outputs at once.  Returns the total MAC count.
+    One product per degree pair (j1, j2) != (0, 0), on the orbital pair of
+    ``find_pair_ells`` and decoded at l1 + l2, carries every j3 of the pair.
     """
     rng = np.random.default_rng([seed, L])
     fl = FlopCounter()
     fl.add(1)  # the (0,0,0) scalar path
     for j1 in range(L + 1):
         for j2 in range(L + 1):
-            x = random_block(j1, rng)
-            y = random_block(j2, rng)
-            for l1 in range(max(0, j1 - 1), j1 + 2):
-                if not triangle_delta(j1, l1, 1):
-                    continue
-                for l2 in range(max(0, j2 - 1), j2 + 2):
-                    if not triangle_delta(j2, l2, 1):
-                        continue
-                    X = TshCoeffs(s=1, L=l1, blocks={(j1, l1): x})
-                    Y = TshCoeffs(s=1, L=l2, blocks={(j2, l2): y})
-                    res = vstp(X, Y, l1 + l2, make_grid(l1 + l2))
-                    fl.add(res.flops)
+            if (j1, j2) == (0, 0):
+                continue
+            l1, l2 = find_pair_ells(j1, j2)
+            X = TshCoeffs(s=1, L=l1, blocks={(j1, l1): random_block(j1, rng)})
+            Y = TshCoeffs(s=1, L=l2, blocks={(j2, l2): random_block(j2, rng)})
+            fl.add(vstp(X, Y, l1 + l2, make_grid(l1 + l2)).flops)
     return fl.count

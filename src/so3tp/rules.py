@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from typing import Iterator, NamedTuple, Optional
+from functools import lru_cache
+from typing import Iterator, NamedTuple
 
 from .angular import cg_zero, triangle_delta, wigner_9j
 from .exact import SqrtRational
@@ -34,6 +34,7 @@ __all__ = [
     "vstp_rule_flags",
     "vstp_rules",
     "find_valid_ells",
+    "find_pair_ells",
     "interactable",
     "expressivity_count",
 ]
@@ -48,22 +49,17 @@ class NotInteractable(ValueError):
 
 
 class PathKey(NamedTuple):
-    """Full coupling label; l/s fields may be None for pure-CGTP paths."""
+    """Full coupling label: degree j, orbital degree l and spin s of each factor."""
 
     j1: int
-    l1: Optional[int] = None
-    s1: Optional[int] = None
-    j2: int = 0
-    l2: Optional[int] = None
-    s2: Optional[int] = None
-    j3: int = 0
-    l3: Optional[int] = None
-    s3: Optional[int] = None
-
-    def require_full(self) -> "PathKey":
-        if None in self:
-            raise ValueError(f"path {self} must carry all nine labels")
-        return self
+    l1: int
+    s1: int
+    j2: int
+    l2: int
+    s2: int
+    j3: int
+    l3: int
+    s3: int
 
 
 @dataclass(frozen=True)
@@ -79,14 +75,14 @@ class RuleReport:
     coefficient: float
 
 
-@cache
+@lru_cache(maxsize=1024)
 def generalized_gaunt_exact(path: PathKey) -> SqrtRational:
     """Exact radical part of the path coefficient, excluding the 1/sqrt(4 pi).
 
     The returned value is sqrt(dims) * 9j * C^{l3,0}; it is zero exactly
     when the true coefficient is zero, which is what rule checks need.
     """
-    p = PathKey(*path).require_full()
+    p = PathKey(*path)
     nine = wigner_9j(((p.j1, p.l1, p.s1), (p.j2, p.l2, p.s2), (p.j3, p.l3, p.s3)))
     if nine.is_zero():
         return nine
@@ -136,16 +132,14 @@ def vstp_rule_flags(js, ls) -> Iterator[bool]:
 def vstp_rules(path: PathKey) -> RuleReport:
     """Evaluate the five vector-signal selection rules for a path.
 
-    Spins must all be 1 (None spins are taken as 1).  The flags are
-    ``vstp_rule_flags``; ``coefficient`` is the generalized Gaunt value,
-    and ``passed`` iff all flags hold, which coincides with the
+    Spins must all be 1; any other spin raises ``ValueError``.  The flags
+    are ``vstp_rule_flags``; ``coefficient`` is the generalized Gaunt
+    value, and ``passed`` iff all flags hold, which coincides with the
     coefficient being nonzero in exact arithmetic.
     """
     p = PathKey(*path)
-    spins = (p.s1, p.s2, p.s3)
-    if any(s not in (None, 1) for s in spins):
-        raise ValueError(f"vstp_rules applies to spin-(1,1,1) paths, got spins {spins}")
-    p = PathKey(p.j1, p.l1, 1, p.j2, p.l2, 1, p.j3, p.l3, 1).require_full()
+    if (p.s1, p.s2, p.s3) != (1, 1, 1):
+        raise ValueError(f"vstp_rules applies to spin-(1,1,1) paths, got {p}")
     flags = tuple(vstp_rule_flags((p.j1, p.j2, p.j3), (p.l1, p.l2, p.l3)))
     return RuleReport(all(flags), *flags, coefficient=generalized_gaunt(p))
 
@@ -182,6 +176,19 @@ def find_valid_ells(j1: int, j2: int, j3: int) -> tuple[int, int, int]:
     for pos, l in zip(order, ells):
         out[pos] = l
     return tuple(out)
+
+
+def find_pair_ells(j1: int, j2: int) -> tuple[int, int]:
+    """Orbital labels (l1, l2) of the one vector-signal product coupling j1, j2 into every j3.
+
+    (j1 - 1, j2) when both degrees are positive, else (1, j2 - 1) or (j1 - 1, 1):
+    the least l1 + l2 giving each j3 an l3 <= l1 + l2 that passes all five rules.
+    """
+    if j1 < 0 or j2 < 0:
+        raise ValueError(f"degrees must be non-negative, got {(j1, j2)}")
+    if j1 == j2 == 0:
+        raise NotInteractable("scalar x scalar is plain multiplication")
+    return (1, j2 - 1) if j1 == 0 else (j1 - 1, max(j2, 1))
 
 
 def interactable(j1: int, j2: int, j3: int) -> bool:

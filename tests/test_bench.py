@@ -1,7 +1,11 @@
 """Tests for the FLOP-instrumented benchmark harness."""
 
+import itertools
+
+import numpy as np
 import pytest
 
+from so3tp import bench, tenprod
 from so3tp.bench import (
     METHODS,
     BenchRecord,
@@ -12,8 +16,12 @@ from so3tp.bench import (
     parse_csv,
     projected_flops,
     run_bench,
+    simulate_cgtp_all_paths,
 )
-from so3tp.tenprod import pair_macs
+from so3tp.rules import find_pair_ells
+from so3tp.sht import make_grid, random_block
+from so3tp.tenprod import cgtp_path, pair_macs, vstp
+from so3tp.tsh import TshCoeffs
 
 
 def test_siso_naive_flops_closed_form():
@@ -62,6 +70,49 @@ def test_flops_pinned_cgtp_coeff_shape():
     # MIMO L=16 decoded at L3=32: the shape of the perfbench cgtp_coeff workload
     recs = run_bench("cgtp_sparse", "MIMO", [16], repeats=1, seed=0)
     assert recs[0].flops == 1_135_889
+
+
+# ---------------------------------------------------------------- full CGTP simulation
+
+def test_simulation_runs_one_product_per_degree_pair(monkeypatch):
+    calls = []
+
+    def counting_vstp(x, y, L3, grid):
+        [(j1, l1)], [(j2, l2)] = x.blocks, y.blocks
+        calls.append((j1, j2))
+        assert (l1, l2) == find_pair_ells(j1, j2) and L3 == grid.Lg == l1 + l2
+        return vstp(x, y, L3, grid)
+
+    monkeypatch.setattr(bench, "vstp", counting_vstp)
+    simulate_cgtp_all_paths(4, seed=13)
+    assert sorted(calls) == [p for p in itertools.product(range(5), repeat=2) if p != (0, 0)]
+
+
+def test_simulation_flops_pinned():
+    # one spin-1 product per degree pair, plus one MAC for the scalar path
+    assert simulate_cgtp_all_paths(8, seed=13) == 2_022_593
+    assert simulate_cgtp_all_paths(16, seed=13) == 54_006_145
+
+
+def test_pair_product_recovers_every_path():
+    # each j3 of a pair comes back from the pair's one product: its
+    # (j3, l3) block with the largest path coefficient, divided by it
+    rng = np.random.default_rng(5)
+    for j1, j2 in itertools.product(range(7), repeat=2):
+        if (j1, j2) == (0, 0):
+            continue
+        x, y = random_block(j1, rng), random_block(j2, rng)
+        l1, l2 = find_pair_ells(j1, j2)
+        out = vstp(TshCoeffs(s=1, L=l1, blocks={(j1, l1): x}),
+                   TshCoeffs(s=1, L=l2, blocks={(j2, l2): y}),
+                   l1 + l2, make_grid(l1 + l2)).output
+        for j3 in range(abs(j1 - j2), j1 + j2 + 1):
+            coef, l3 = max(((tenprod._path_coefficient(j1, l1, j2, l2, j3, l3), l3)
+                            for l3 in range(abs(j3 - 1), min(j3 + 1, l1 + l2) + 1)),
+                           key=lambda c: abs(c[0]))
+            z = out.block(j3, l3) / coef
+            ref = cgtp_path(x, y, j3)
+            assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref), (j1, j2, j3)
 
 
 def test_flops_deterministic_and_data_independent():

@@ -13,10 +13,12 @@ from so3tp.rules import (
     PathKey,
     TriangleViolation,
     expressivity_count,
+    find_pair_ells,
     find_valid_ells,
     generalized_gaunt,
     generalized_gaunt_exact,
     interactable,
+    vstp_rule_flags,
     vstp_rules,
 )
 from so3tp.sht import gaunt_coefficient
@@ -59,14 +61,12 @@ def test_rule_examples():
     assert not r.passed and not r.r5
 
 
-def test_rule_flags_none_spins_default_to_one():
-    r = vstp_rules(PathKey(1, 0, None, 1, 1, None, 1, 1, None))
-    assert r.passed
-
-
 def test_rule_rejects_non_unit_spins():
     with pytest.raises(ValueError):
         vstp_rules(PathKey(1, 1, 0, 1, 1, 0, 1, 1, 0))
+    # a key carries all nine labels; a missing spin is not read as 1
+    with pytest.raises(ValueError, match="spin-"):
+        vstp_rules(PathKey(1, 0, None, 1, 1, None, 1, 1, None))
 
 
 def test_all_diagonal_distinct_paths_vanish():
@@ -110,6 +110,53 @@ def test_find_valid_ells_deterministic_and_permutation_consistent():
         ells = find_valid_ells(*js)
         path = PathKey(js[0], ells[0], 1, js[1], ells[1], 1, js[2], ells[2], 1)
         assert vstp_rules(path).passed
+
+
+# ---------------------------------------------------------------- pair rule
+
+def _admitted_l3(j1, l1, j2, l2, j3):
+    """The least l3 <= l1 + l2 passing all five rules for the path, or None."""
+    return next((l3 for l3 in range(l1 + l2 + 1)
+                 if all(vstp_rule_flags((j1, j2, j3), (l1, l2, l3)))), None)
+
+
+def _admits_every_j3(j1, l1, j2, l2):
+    return all(_admitted_l3(j1, l1, j2, l2, j3) is not None
+               for j3 in range(abs(j1 - j2), j1 + j2 + 1))
+
+
+def test_find_pair_ells_examples():
+    assert find_pair_ells(3, 2) == (2, 2)
+    assert find_pair_ells(1, 1) == (0, 1)
+    assert find_pair_ells(0, 4) == (1, 3)
+    assert find_pair_ells(4, 0) == (3, 1)
+    with pytest.raises(NotInteractable):
+        find_pair_ells(0, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        find_pair_ells(-1, 2)
+
+
+def test_find_pair_ells_admits_every_j3_at_the_least_orbital_sum():
+    for j1, j2 in itertools.product(range(17), repeat=2):
+        if (j1, j2) == (0, 0):
+            continue
+        l1, l2 = find_pair_ells(j1, j2)
+        assert _admits_every_j3(j1, l1, j2, l2), (j1, j2)
+        for a, b in itertools.product(range(max(0, j1 - 1), j1 + 2),
+                                      range(max(0, j2 - 1), j2 + 2)):
+            if a + b < l1 + l2:
+                assert not _admits_every_j3(j1, a, j2, b), (j1, j2, a, b)
+
+
+def test_find_pair_ells_paths_have_nonzero_exact_coefficients():
+    for j1, j2 in itertools.product(range(7), repeat=2):
+        if (j1, j2) == (0, 0):
+            continue
+        l1, l2 = find_pair_ells(j1, j2)
+        for j3 in range(abs(j1 - j2), j1 + j2 + 1):
+            l3 = _admitted_l3(j1, l1, j2, l2, j3)
+            path = PathKey(j1, l1, 1, j2, l2, 1, j3, l3, 1)
+            assert not generalized_gaunt_exact(path).is_zero(), path
 
 
 # ---------------------------------------------------------------- interactable
