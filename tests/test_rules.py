@@ -64,6 +64,9 @@ def test_rule_examples():
 def test_rule_rejects_non_unit_spins():
     with pytest.raises(ValueError):
         vstp_rules(PathKey(1, 1, 0, 1, 1, 0, 1, 1, 0))
+
+
+def test_rule_rejects_none_spins():
     # a key carries all nine labels; a missing spin is not read as 1
     with pytest.raises(ValueError, match="spin-"):
         vstp_rules(PathKey(1, 0, None, 1, 1, None, 1, 1, None))
