@@ -5,13 +5,15 @@ Two families:
 * Coefficient-space Clebsch-Gordan products (``cgtp_path`` /
   ``cgtp_full``), in a ``naive`` variant that sums every (m1, m2, m3)
   triple and a ``sparse`` variant restricted to m3 = m1 + m2.  Both run
-  one pair kernel per input pair (j1, j2) that returns every j3 at once:
-  ``naive`` one dense CG matrix product per j3, ``sparse`` one batched
-  matmul against the half-sheared CG tensor of the unordered pair
-  (``angular.cg_tensor``, M >= 0 only; the mirror and swap identities
-  give the rest), the e3nn per-pair pattern (Geiger & Smidt,
-  arXiv:2207.09453).  ``cgtp_path`` is the one-j3 slice of the same
-  kernel, and ``pair_macs`` is the one closed form of their MAC counts.
+  one pair kernel per unordered degree pair a <= b that writes every j3
+  of both orders (a, b) and (b, a) into one packed output: ``naive`` one
+  dense CG matrix product per order and j3, ``sparse`` one batched matmul
+  against the half-sheared CG tensor of the pair (``angular.cg_tensor``,
+  M >= 0 only; the mirror and swap identities give the rest) with
+  gather and scatter indices from a cached per-pair plan, the e3nn
+  per-pair pattern (Geiger & Smidt, arXiv:2207.09453).  ``cgtp_path`` is
+  the one-j3 slice of the same kernel for one order, and ``pair_macs``
+  is the one closed form of their MAC counts.
 
 * Grid products: encode inputs as spin signals, couple them pointwise,
   and decode (``istp``), with the scalar (``gtp``) and vector (``vstp``)
@@ -92,66 +94,102 @@ def pair_macs(mode: str, j1: int, j2: int, lo: int, hi: int) -> int:
     return (hi - lo + 1) * full - (b * (b + 1) * (b + 2) - (a - 1) * a * (a + 1)) // 3
 
 
-def _contract_pair(x: np.ndarray, y: np.ndarray, j3_lo: int, j3_hi: int) -> np.ndarray:
-    """z[j3 - j3_lo, M + j3_hi] = sum C^{j3,M}_{j1,m1,j2,M-m1} x_{m1} y_{M-m1} for j3 = j3_lo..j3_hi.
+@lru_cache(maxsize=1024)
+def _pair_plan(a: int, b: int, lo: int, hi: int, swaps: tuple) -> tuple:
+    """Gather and scatter indices and block layout of the unordered pair a <= b, j3 = lo..hi.
 
-    The degrees are read off the lengths of x and y, and |j1 - j2| <= j3_lo
-    <= j3_hi <= j1 + j2.  A pair with j1 > j2 is contracted as (j2, j1)
-    with x and y swapped, then signed by the swap identity.  The sheared
-    outer product Q[m1 + j1, M + J] = x_{m1} y_{M-m1} comes from a zeroed
-    buffer whose rows, re-read with row length 2J + 1, start one slot
-    later each.  Its M >= 0 columns and, by the mirror identity, its
-    reversed M <= 0 columns meet the half-sheared ``cg_tensor`` in one
-    real batched matmul over M, four float columns per M.
+    ``swaps`` is (False,), (True,) or, for a < b, (False, True).  Order o
+    couples u_o of degree a with v_o of degree b: (x_a, y_b) for the
+    (a, b) path, or, where ``swaps[o]``, (y_a, x_b) for the (b, a) path.
+    ``gather[M, i, 2o + c]`` indexes the rows [u_o (x) v_o, 0], flattened,
+    each an outer product and a zero slot, with m1 = i - a: c = 0 picks
+    u_{m1} v_{M-m1}, c = 1 the mirrored u_{-m1} v_{m1-M}, and |M - m1| > b
+    the zero slot.  The packed output runs over the orders,
+    then j3, then m3; ``scatter`` reads each of its slots from
+    w[|m3|, j3 - lo, 2o + (m3 < 0)].  ``blocks`` holds each path block's
+    (key, start, stop) in it.
     """
-    swap = x.size > y.size
-    if swap:
-        x, y = y, x
-    j1, j2 = (x.size - 1) // 2, (y.size - 1) // 2
-    J, I, h = j1 + j2, x.size, j3_hi
-    buf = np.zeros((I, I + y.size), dtype=complex)
-    np.multiply.outer(x, y, out=buf[:, :y.size])
-    Q = buf.reshape(-1)[:I * (2 * J + 1)].reshape(I, 2 * J + 1)
-    R = np.empty((h + 1, I, 2), dtype=complex)
-    R[:, :, 0] = Q[:, J:J + h + 1].T
-    R[:, :, 1] = Q[::-1, J - h:J + 1].T[::-1]
-    S = cg_tensor(j1, j2)[:h + 1, j3_lo - j2 + j1:h - j2 + j1 + 1]
-    # w[M, k, 0] is total M; w[M, k, 1] is total -M up to its mirror sign
+    n, I, J = len(swaps), 2 * a + 1, 2 * b + 1
+    i = np.arange(I, dtype=np.int32)
+    M = np.arange(hi + 1, dtype=np.int32)[:, None]
+    g = np.empty((hi + 1, I, n, 2), dtype=np.int32)
+    np.add(M, i * (J - 1) + (a + b), out=g[:, :, 0, 0])  # slot i J + (M - m1) + b
+    np.subtract((2 * a - i) * J + (b - a) + i, M, out=g[:, :, 0, 1])  # (2a - i) J + b - (M - m1)
+    np.copyto(g[:, :, 0], I * J, where=(M - i > b - a)[:, :, None])
+    if n == 2:
+        np.add(g[:, :, 0], I * J + 1, out=g[:, :, 1])
+    nk = hi - lo + 1
+    m3 = np.arange(-hi, hi + 1, dtype=np.int32)
+    k = np.arange(nk, dtype=np.int32)[:, None]
+    scatter = ((np.abs(m3) * nk + k) * (2 * n) + (m3 < 0))[np.abs(m3) <= k + lo]
+    if n == 2:
+        scatter = np.concatenate([scatter, scatter + 2])
+    size = scatter.size // n
+    blocks = tuple(((j3, tag), o * size + j3 * j3 - lo * lo, o * size + (j3 + 1) ** 2 - lo * lo)
+                   for o, tag in enumerate((b, a) if s else (a, b) for s in swaps)
+                   for j3 in range(lo, hi + 1))
+    return g.reshape(hi + 1, I, 2 * n), scatter, blocks
+
+
+def _sparse_pair(a: int, b: int, lo: int, hi: int, swaps: tuple, uv: tuple,
+                 out: np.ndarray) -> None:
+    """Write the packed blocks of ``_pair_plan(a, b, lo, hi, swaps)`` for inputs ``uv`` to ``out``.
+
+    ``uv[o]`` is order o's (u, v) of degrees (a, b).  R[M, i] gathers for
+    every order the M >= 0 products and, by the mirror identity, the
+    M <= 0 ones; it meets the half-sheared ``cg_tensor(a, b)`` in one real
+    batched matmul over M, four float columns per order.  Rows of odd
+    a + b - j3 negate the mirrored column, or, by the swap identity, the
+    M >= 0 column of a swapped order, and one take scatters w into ``out``.
+    """
+    gather, scatter, _ = _pair_plan(a, b, lo, hi, swaps)
+    I, J = 2 * a + 1, 2 * b + 1
+    flat = np.empty((len(swaps), I * J + 1), dtype=complex)
+    flat[:, -1] = 0.0
+    for o, (u, v) in enumerate(uv):
+        np.multiply.outer(u, v, out=flat[o, :-1].reshape(I, J))
+    R = flat.take(gather)
+    S = cg_tensor(a, b)[:hi + 1, lo - b + a:hi - b + a + 1]
     w = (S @ R.view(float)).view(complex)
-    z = np.empty((h - j3_lo + 1, 2 * h + 1), dtype=complex)
-    z[:, h::-1] = w[:, :, 1].T
-    z[:, h:] = w[:, :, 0].T
-    # rows of odd j1 + j2 - j3 flip the mirrored M < 0 half, or the M >= 0 half of a swapped pair
-    odd = z[(J - j3_lo + 1) % 2::2]
-    half = odd[:, h:] if swap else odd[:, :h]
-    np.negative(half, out=half)
-    return z
+    first = 0 if swaps[0] else 1
+    odd = w[:, (a + b - lo + 1) % 2::2, first:first + len(swaps)]
+    np.negative(odd, out=odd)
+    np.take(w, scatter, out=out, mode="clip")
 
 
-def _dense_pair(x: np.ndarray, y: np.ndarray, j3_lo: int, j3_hi: int) -> np.ndarray:
-    """``_contract_pair``'s z, summed over every (m1, m2, m3) triple of each j3.
+def _dense_pair(x: np.ndarray, y: np.ndarray, j3_lo: int, j3_hi: int, out: np.ndarray) -> None:
+    """Write the (j1, j2) -> j3 blocks, j3 = j3_lo..j3_hi, one after another to ``out``.
 
-    Row j3 scatters ``cg_block(j1, j2, j3)`` into a dense (2j1+1)(2j2+1) x
-    (2j3+1) matrix and multiplies its transpose with the flat outer
-    product, real and imaginary parts apart; slots past |M| = j3 stay zero.
+    Sums every (m1, m2, m3) triple: block j3 scatters ``cg_block(j1, j2,
+    j3)`` into a dense (2j1+1)(2j2+1) x (2j3+1) matrix and multiplies its
+    transpose with the flat outer product, real and imaginary parts apart.
     """
     j1, j2 = (x.size - 1) // 2, (y.size - 1) // 2
-    I, J, h = x.size, y.size, j3_hi
+    I, J = x.size, y.size
     outer = np.multiply.outer(x, y).ravel()
     i1, i2 = np.indices((I, J))
-    z = np.zeros((h - j3_lo + 1, 2 * h + 1), dtype=complex)
-    for j3 in range(j3_lo, h + 1):
+    start = 0
+    for j3 in range(j3_lo, j3_hi + 1):
         K = 2 * j3 + 1
         i3 = i1 + i2 - j1 - j2 + j3
         valid = (i3 >= 0) & (i3 < K)
         dense = np.zeros((I, J, K))
         dense[i1[valid], i2[valid], i3[valid]] = cg_block(j1, j2, j3)[valid]
         flat = dense.reshape(I * J, K).T
-        z[j3 - j3_lo, h - j3:h + j3 + 1] = flat @ outer.real + 1j * (flat @ outer.imag)
-    return z
+        out[start:start + K] = flat @ outer.real + 1j * (flat @ outer.imag)
+        start += K
 
 
-_PAIR_KERNELS = {"naive": _dense_pair, "sparse": _contract_pair}
+def _dense_pairs(a: int, b: int, lo: int, hi: int, swaps: tuple, uv: tuple,
+                 out: np.ndarray) -> None:
+    """``_sparse_pair``'s packed output, one ``_dense_pair`` per order (j1, j2)."""
+    size = (hi + 1) ** 2 - lo * lo
+    for o, (swap, (u, v)) in enumerate(zip(swaps, uv)):
+        x, y = (v, u) if swap else (u, v)
+        _dense_pair(x, y, lo, hi, out[o * size:(o + 1) * size])
+
+
+_PAIR_KERNELS = {"naive": _dense_pairs, "sparse": _sparse_pair}
 
 
 def _pair_kernel(mode: str):
@@ -166,13 +204,19 @@ def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
 
     Degrees are inferred from the vector lengths; inputs holding NaN or
     inf raise ``ValueError``.  Runs the pair kernel of ``cgtp_full`` on
-    the one j3 slice and counts pair_macs(mode, j1, j2, j3, j3) MACs:
-    (2j1+1)(2j2+1)(2j3+1) for ``naive``, and for ``sparse``, which sums
-    only the terms with m3 = m1 + m2, one per (m1, m2) with |m1 + m2| <= j3.
+    the one j3 slice of the one order and counts pair_macs(mode, j1, j2,
+    j3, j3) MACs: (2j1+1)(2j2+1)(2j3+1) for ``naive``, and for ``sparse``,
+    which sums only the terms with m3 = m1 + m2, one per (m1, m2) with
+    |m1 + m2| <= j3.
     """
+    kernel = _pair_kernel(mode)
     x, y, j1, j2 = _path_inputs(x, y, j3)
     _require_finite(x, y)
-    z = _pair_kernel(mode)(x, y, j3, j3)[0]
+    z = np.empty(2 * j3 + 1, dtype=complex)
+    if j1 > j2:
+        kernel(j2, j1, j3, j3, (True,), ((y, x),), z)
+    else:
+        kernel(j1, j2, j3, j3, (False,), ((x, y),), z)
     if flops is not None:
         flops.add(pair_macs(mode, j1, j2, j3, j3))
     return z
@@ -183,30 +227,46 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
 
     Inputs must carry at most one block per degree, with finite values.
     The output keeps multiplicity: block (j3, (j1, j2)) holds the
-    (j1, j2) -> j3 path.  Each pair (j1, j2) runs the mode's pair kernel
-    once, for every j3 = |j1 - j2| .. min(j1 + j2, L3), reads each j3
-    block off total M in [-j3, j3], and counts ``pair_macs`` for the
-    range.  The ``sparse`` kernel contracts against the half-sheared
-    tensor of the unordered pair (``angular.cg_tensor``); the 512 cached
-    tensors hold every pair of inputs up to L = 30, and past that (561
-    unordered pairs at L = 32) every call rebuilds its tensors, which then
-    dominate.
+    (j1, j2) -> j3 path, for every j3 = |j1 - j2| .. min(j1 + j2, L3).
+    Each unordered pair a <= b is visited once and runs the mode's pair
+    kernel for both orders (a, b) and (b, a) that the inputs hold; every
+    block is a view of one packed output array, and each order counts
+    ``pair_macs`` for its range.  The ``sparse`` kernel contracts both
+    orders in one matmul against the half-sheared tensor of the pair
+    (``angular.cg_tensor``), with its gather and scatter indices from a
+    1024-entry plan cache.  The 512 cached tensors hold every pair of
+    inputs up to L = 30.  An L = 32 call visits its 561 unordered pairs in
+    the same cycle each time, so a warm call rebuilds all 561 tensors
+    (measured; the ordered-pair loop this replaced rebuilt 353 per warm
+    call), and the builds dominate its time.
     """
     kernel = _pair_kernel(mode)
     xs = x.single_per_degree()
     ys = y.single_per_degree()
     _require_finite(*xs.values(), *ys.values())
-    macs = 0
-    blocks = {}
-    for j1, xv in sorted(xs.items()):
-        for j2, yv in sorted(ys.items()):
-            lo, hi = abs(j1 - j2), min(j1 + j2, L3)
-            if lo > hi:
+    degrees = sorted(xs.keys() | ys.keys())
+    pairs, size, macs = [], 0, 0
+    for n, b in enumerate(degrees):
+        for a in degrees[:n + 1]:
+            swaps, uv = (), ()
+            if a in xs and b in ys:
+                swaps, uv = (False,), ((xs[a], ys[b]),)
+            if a != b and b in xs and a in ys:
+                swaps, uv = swaps + (True,), uv + ((ys[a], xs[b]),)
+            if not swaps or b - a > L3:
                 continue
-            z = kernel(xv, yv, lo, hi)
-            for j3 in range(lo, hi + 1):
-                blocks[(j3, (j1, j2))] = z[j3 - lo, hi - j3:hi + j3 + 1]
-            macs += pair_macs(mode, j1, j2, lo, hi)
+            lo, hi = b - a, min(a + b, L3)
+            end = size + len(swaps) * ((hi + 1) ** 2 - lo * lo)
+            pairs.append((a, b, lo, hi, swaps, uv, size, end))
+            size = end
+            macs += len(swaps) * pair_macs(mode, a, b, lo, hi)
+    packed = np.empty(size, dtype=complex)
+    blocks = {}
+    for a, b, lo, hi, swaps, uv, start, end in pairs:
+        out = packed[start:end]
+        kernel(a, b, lo, hi, swaps, uv, out)
+        for key, i, j in _pair_plan(a, b, lo, hi, swaps)[2]:
+            blocks[key] = out[i:j]
     return TpoResult(output=IrrepCoeffs(L=L3, blocks=blocks), flops=macs)
 
 

@@ -132,6 +132,63 @@ def test_cgtp_full_sparse_matches_exact_cg(rng):
     assert res.flops == sum(pair_macs("sparse", j1, j2, j3, j3) for j1, j2, j3 in paths)
 
 
+def test_cgtp_full_visits_each_unordered_pair_once(monkeypatch, rng):
+    # one tensor lookup per unordered pair serves both orders: 45 at L = 8, not 81
+    lookups = []
+
+    def counting_cg_tensor(j1, j2):
+        lookups.append((j1, j2))
+        return angular.cg_tensor(j1, j2)
+
+    monkeypatch.setattr(tenprod, "cg_tensor", counting_cg_tensor)
+    x, y = random_coeffs(8, rng), random_coeffs(8, rng)
+    first = cgtp_full(x, y, 16)
+    assert len(lookups) == len(set(lookups)) == 9 * 10 // 2
+    misses = tenprod._pair_plan.cache_info().misses
+    second = cgtp_full(x, y, 16)
+    assert tenprod._pair_plan.cache_info().misses == misses
+    for key, z in first.output.blocks.items():
+        assert np.array_equal(second.output.blocks[key], z)
+
+
+def _ordered_pair_naive_blocks(xs: dict, ys: dict, L3: int) -> dict:
+    """Naive blocks from a loop over ordered pairs: one dense CG matrix product per path."""
+    blocks = {}
+    for j1, x in sorted(xs.items()):
+        for j2, y in sorted(ys.items()):
+            outer = np.multiply.outer(x, y).ravel()
+            i1, i2 = np.indices((x.size, y.size))
+            for j3 in range(abs(j1 - j2), min(j1 + j2, L3) + 1):
+                K = 2 * j3 + 1
+                i3 = i1 + i2 - j1 - j2 + j3
+                valid = (i3 >= 0) & (i3 < K)
+                dense = np.zeros((x.size, y.size, K))
+                dense[i1[valid], i2[valid], i3[valid]] = angular.cg_block(j1, j2, j3)[valid]
+                flat = dense.reshape(x.size * y.size, K).T
+                blocks[(j3, (j1, j2))] = flat @ outer.real + 1j * (flat @ outer.imag)
+    return blocks
+
+
+@pytest.mark.parametrize("L3", [9, 3])
+def test_cgtp_full_partially_overlapping_degrees(L3, rng):
+    # pairs held in both orders, in one order only, and truncated by L3
+    x = IrrepCoeffs(L=7, blocks={(j, None): random_block(j, rng) for j in (0, 1, 3, 4, 7)})
+    y = IrrepCoeffs(L=6, blocks={(j, None): random_block(j, rng) for j in (1, 2, 4, 6)})
+    paths = [(j1, j2, j3) for j1 in (0, 1, 3, 4, 7) for j2 in (1, 2, 4, 6)
+             for j3 in range(abs(j1 - j2), min(j1 + j2, L3) + 1)]
+    ordered = _ordered_pair_naive_blocks(x.single_per_degree(), y.single_per_degree(), L3)
+    for mode in ("naive", "sparse"):
+        res = cgtp_full(x, y, L3, mode=mode)
+        assert set(res.output.blocks) == {(j3, (j1, j2)) for j1, j2, j3 in paths}
+        for j1, j2, j3 in paths:
+            got = res.output.block(j3, tag=(j1, j2))
+            expect = _cg_contract(x.block(j1), y.block(j2), j3)
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
+            if mode == "naive":
+                assert np.array_equal(got, ordered[(j3, (j1, j2))]), (j1, j2, j3)
+        assert res.flops == sum(pair_macs(mode, j1, j2, j3, j3) for j1, j2, j3 in paths)
+
+
 def test_pair_macs_matches_brute_force_counts():
     # naive visits every (m1, m2, m3) triple of a path, sparse every (m1, m2)
     # with |m1 + m2| <= j3; pair_macs sums either over any j3 range of a pair
