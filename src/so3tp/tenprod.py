@@ -4,16 +4,19 @@ Two families:
 
 * Coefficient-space Clebsch-Gordan products (``cgtp_path`` /
   ``cgtp_full``), in a ``naive`` variant that sums every (m1, m2, m3)
-  triple and a ``sparse`` variant restricted to m3 = m1 + m2.  Both run
-  one pair kernel per unordered degree pair a <= b that writes every j3
-  of both orders (a, b) and (b, a) into one packed output: ``naive`` one
-  dense CG matrix product per order and j3, ``sparse`` one batched matmul
-  against the half-sheared CG tensor of the pair (``angular.cg_tensor``,
-  M >= 0 only; the mirror and swap identities give the rest) with
-  gather and scatter indices from a cached per-pair plan, the e3nn
-  per-pair pattern (Geiger & Smidt, arXiv:2207.09453).  ``cgtp_path`` is
-  the one-j3 slice of the same kernel for one order, and ``pair_macs``
-  is the one closed form of their MAC counts.
+  triple and a ``sparse`` variant restricted to m3 = m1 + m2.  One cached
+  call plan per (x degrees, y degrees, j3 range) lays out every path of
+  a call in one packed output, each unordered degree pair a <= b serving
+  both orders (a, b) and (b, a), and the output blocks are views of it.
+  ``naive`` runs one dense CG matrix product per order and j3.  ``sparse``
+  forms the outer product of the packed inputs once; per pair it takes
+  one gather, one batched matmul against the half-sheared CG tensor of
+  the pair (``angular.cg_tensor``, M >= 0 only; the mirror and swap
+  identities give the rest) and one scatter, the e3nn per-pair pattern
+  (Geiger & Smidt, arXiv:2207.09453); one masked negation applies the
+  identities' signs to the whole output.  ``cgtp_path`` is the one-pair,
+  one-j3 plan of the same kernels, and ``pair_macs`` is the one closed
+  form of their MAC counts.
 
 * Grid products: encode inputs as spin signals, couple them pointwise,
   and decode (``istp``), with the scalar (``gtp``) and vector (``vstp``)
@@ -32,7 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from itertools import accumulate
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -94,67 +98,130 @@ def pair_macs(mode: str, j1: int, j2: int, lo: int, hi: int) -> int:
     return (hi - lo + 1) * full - (b * (b + 1) * (b + 2) - (a - 1) * a * (a + 1)) // 3
 
 
+class _CallPlan(NamedTuple):
+    """Packed layout and sparse indices of one cgtp call shape; see ``_build_plan``."""
+
+    size: int  # length of the packed output
+    pairs: tuple  # (a, b, lo, hi, swaps, start, end, gather, scatter) per unordered pair
+    negate: np.ndarray  # bool mask of the packed entries whose sparse value changes sign
+    blocks: tuple  # columns key, start, stop of the output blocks
+    macs: dict  # MACs per mode
+
+
+def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
+    """Plan of coupling x blocks of degrees ``xdeg`` with y blocks of ``ydeg`` into j3 = lo3..L3.
+
+    Each unordered pair a <= b with a path in range holds one or two
+    orders: (x_a, y_b) for the (a, b) path and, where ``swaps[o]``,
+    (y_a, x_b) for the (b, a) path, each as u_o of degree a and v_o of
+    degree b, over j3 = lo..hi.  The packed output runs over the pairs,
+    then the orders, then j3, then m3.
+
+    The sparse kernel reads every product from P = [x, 0] (x) [y, 0], the
+    outer product of the packed inputs, each with a trailing zero, as one
+    flat array.  ``gather[M, i, 2o + c]`` indexes P with m1 = i - a: c = 0
+    picks u_{m1} v_{M-m1}, c = 1 the mirrored u_{-m1} v_{m1-M}, and
+    |M - m1| > b the zero in P's last slot.  ``scatter`` reads each slot of
+    the pair's output from w[|m3|, j3 - lo, 2o + (m3 < 0)]; ``negate``
+    marks the slots of odd a + b - j3 that the mirror identity (m3 < 0 of
+    an (a, b) order) or the swap identity (m3 >= 0 of a (b, a) order)
+    negates.  The gathers take a few array operations per pair, and the
+    per-slot indices one set of them for the whole call.
+    """
+    xoff = dict(zip(xdeg, accumulate((2 * j + 1 for j in xdeg), initial=0)))
+    yoff = dict(zip(ydeg, accumulate((2 * j + 1 for j in ydeg), initial=0)))
+    NY = sum(2 * j + 1 for j in ydeg) + 1
+    zero = (sum(2 * j + 1 for j in xdeg) + 1) * NY - 1
+    degrees = sorted(set(xdeg) | set(ydeg))
+    pairs, orders, tags = [], [], []
+    size = n_blocks = 0
+    macs = {"naive": 0, "sparse": 0}
+    for n, b in enumerate(degrees):
+        for a in degrees[:n + 1]:
+            bases = []  # (swap, P index of (u_{-a}, v_{-b}), stride of m1, stride of m2)
+            if a in xoff and b in yoff:
+                bases.append((False, xoff[a] * NY + yoff[b], NY, 1))
+            if a != b and b in xoff and a in yoff:
+                bases.append((True, xoff[b] * NY + yoff[a], 1, NY))
+            lo, hi = max(b - a, lo3), min(a + b, L3)
+            if not bases or lo > hi:
+                continue
+            n_ord, I, nk = len(bases), 2 * a + 1, hi - lo + 1
+            M = np.arange(hi + 1)[:, None]
+            i = np.arange(I)
+            gather = np.empty((hi + 1, I, n_ord, 2), dtype=np.int32)
+            for o, (swap, base, si, sj) in enumerate(bases):
+                p0, Ms = i * (si - sj) + (base + (a + b) * sj), M * sj  # p0: u_{m1} v_{-m1}
+                np.add(Ms, p0, out=gather[:, :, o, 0])
+                np.subtract(p0[::-1], Ms, out=gather[:, :, o, 1])
+                # the order's slot of (j3, m3) is start + j3 (j3 + 1) + m3
+                start = size + o * ((hi + 1) ** 2 - lo * lo) - lo * lo
+                orders.append((nk, n_blocks, lo, start, n_ord, o, swap, a + b - lo))
+                tags.append((b, a) if swap else (a, b))
+                n_blocks += nk
+                for mode in macs:
+                    macs[mode] += pair_macs(mode, a, b, lo, hi)
+            np.copyto(gather, zero, where=(M > i + (b - a))[:, :, None, None])
+            end = size + n_ord * ((hi + 1) ** 2 - lo * lo)
+            swaps = tuple(swap for swap, *_ in bases)
+            pairs.append((a, b, lo, hi, swaps, size, end, gather.reshape(hi + 1, I, 2 * n_ord)))
+            size = end
+    cols = np.array(orders, dtype=np.intp).reshape(-1, 8)
+    order = np.repeat(np.arange(len(cols)), cols[:, 0])  # one entry per block from here
+    nk, first, lo, start, n_ord, o, swapped, parity = cols[order].T
+    k = np.arange(order.size) - first
+    j3 = lo + k
+    center = start + j3 * (j3 + 1)  # slot of m3 = 0
+    # two runs per block, m3 < 0 and m3 >= 0: w slot |m3| (2n nk) + 2(n k + o) + (m3 < 0),
+    # negated for odd a + b - j3 in the m3 < 0 run of an (a, b) order or the other of a (b, a) one
+    runs = np.column_stack([j3, j3 + 1]).ravel()
+    step = np.outer(2 * n_ord * nk, [-1, 1]).ravel()
+    offset = (2 * (n_ord * k + o))[:, None] + [1, 0]
+    flip = ((parity + k) % 2 * (1 + swapped))[:, None] == [1, 2]
+    scatter = np.arange(size) - np.repeat(center, 2 * j3 + 1)  # m3
+    scatter *= np.repeat(step, runs)
+    scatter += np.repeat(offset.ravel(), runs)
+    negate = np.repeat(flip.ravel(), runs)
+    # int32 indices halve the plan; each take widens them, at ~8% of a call
+    scatter = scatter.astype(np.int32)
+    pairs = tuple(pair + (scatter[pair[5]:pair[6]],) for pair in pairs)
+    keys = tuple(zip(j3.tolist(), [tags[p] for p in order.tolist()]))
+    blocks = (keys, (center - j3).tolist(), (center + j3 + 1).tolist())
+    return _CallPlan(size, pairs, negate, blocks, macs)
+
+
+@lru_cache(maxsize=8)
+def _call_plan(xdeg: tuple, ydeg: tuple, L3: int) -> _CallPlan:
+    """``cgtp_full``'s plan: every path up to L3."""
+    return _build_plan(xdeg, ydeg, 0, L3)
+
+
 @lru_cache(maxsize=1024)
-def _pair_plan(a: int, b: int, lo: int, hi: int, swaps: tuple) -> tuple:
-    """Gather and scatter indices and block layout of the unordered pair a <= b, j3 = lo..hi.
+def _path_plan(j1: int, j2: int, j3: int) -> _CallPlan:
+    """``cgtp_path``'s plan, one pair and one j3, in its own cache so path loops evict no call plan."""
+    return _build_plan((j1,), (j2,), j3, j3)
 
-    ``swaps`` is (False,), (True,) or, for a < b, (False, True).  Order o
-    couples u_o of degree a with v_o of degree b: (x_a, y_b) for the
-    (a, b) path, or, where ``swaps[o]``, (y_a, x_b) for the (b, a) path.
-    ``gather[M, i, 2o + c]`` indexes the rows [u_o (x) v_o, 0], flattened,
-    each an outer product and a zero slot, with m1 = i - a: c = 0 picks
-    u_{m1} v_{M-m1}, c = 1 the mirrored u_{-m1} v_{m1-M}, and |M - m1| > b
-    the zero slot.  The packed output runs over the orders,
-    then j3, then m3; ``scatter`` reads each of its slots from
-    w[|m3|, j3 - lo, 2o + (m3 < 0)].  ``blocks`` holds each path block's
-    (key, start, stop) in it.
+
+def _sparse_contract(plan: _CallPlan, xs: dict, ys: dict) -> np.ndarray:
+    """The packed sparse output of ``plan`` for x blocks ``xs`` and y blocks ``ys``.
+
+    Forms P = [x, 0] (x) [y, 0] once.  Per pair, one take gathers R[M, i]
+    for every order, M >= 0 and, by the mirror identity, M <= 0; one real
+    batched matmul over M against the half-sheared ``cg_tensor(a, b)``
+    gives w, four float columns per order; and one take scatters w into
+    the pair's slice of the output.  One masked negation then applies the
+    mirror and swap signs to the whole output.
     """
-    n, I, J = len(swaps), 2 * a + 1, 2 * b + 1
-    i = np.arange(I, dtype=np.int32)
-    M = np.arange(hi + 1, dtype=np.int32)[:, None]
-    g = np.empty((hi + 1, I, n, 2), dtype=np.int32)
-    np.add(M, i * (J - 1) + (a + b), out=g[:, :, 0, 0])  # slot i J + (M - m1) + b
-    np.subtract((2 * a - i) * J + (b - a) + i, M, out=g[:, :, 0, 1])  # (2a - i) J + b - (M - m1)
-    np.copyto(g[:, :, 0], I * J, where=(M - i > b - a)[:, :, None])
-    if n == 2:
-        np.add(g[:, :, 0], I * J + 1, out=g[:, :, 1])
-    nk = hi - lo + 1
-    m3 = np.arange(-hi, hi + 1, dtype=np.int32)
-    k = np.arange(nk, dtype=np.int32)[:, None]
-    scatter = ((np.abs(m3) * nk + k) * (2 * n) + (m3 < 0))[np.abs(m3) <= k + lo]
-    if n == 2:
-        scatter = np.concatenate([scatter, scatter + 2])
-    size = scatter.size // n
-    blocks = tuple(((j3, tag), o * size + j3 * j3 - lo * lo, o * size + (j3 + 1) ** 2 - lo * lo)
-                   for o, tag in enumerate((b, a) if s else (a, b) for s in swaps)
-                   for j3 in range(lo, hi + 1))
-    return g.reshape(hi + 1, I, 2 * n), scatter, blocks
-
-
-def _sparse_pair(a: int, b: int, lo: int, hi: int, swaps: tuple, uv: tuple,
-                 out: np.ndarray) -> None:
-    """Write the packed blocks of ``_pair_plan(a, b, lo, hi, swaps)`` for inputs ``uv`` to ``out``.
-
-    ``uv[o]`` is order o's (u, v) of degrees (a, b).  R[M, i] gathers for
-    every order the M >= 0 products and, by the mirror identity, the
-    M <= 0 ones; it meets the half-sheared ``cg_tensor(a, b)`` in one real
-    batched matmul over M, four float columns per order.  Rows of odd
-    a + b - j3 negate the mirrored column, or, by the swap identity, the
-    M >= 0 column of a swapped order, and one take scatters w into ``out``.
-    """
-    gather, scatter, _ = _pair_plan(a, b, lo, hi, swaps)
-    I, J = 2 * a + 1, 2 * b + 1
-    flat = np.empty((len(swaps), I * J + 1), dtype=complex)
-    flat[:, -1] = 0.0
-    for o, (u, v) in enumerate(uv):
-        np.multiply.outer(u, v, out=flat[o, :-1].reshape(I, J))
-    R = flat.take(gather)
-    S = cg_tensor(a, b)[:hi + 1, lo - b + a:hi - b + a + 1]
-    w = (S @ R.view(float)).view(complex)
-    first = 0 if swaps[0] else 1
-    odd = w[:, (a + b - lo + 1) % 2::2, first:first + len(swaps)]
-    np.negative(odd, out=odd)
-    np.take(w, scatter, out=out, mode="clip")
+    products = np.multiply.outer(np.concatenate((*xs.values(), [0j])),
+                                 np.concatenate((*ys.values(), [0j]))).ravel()
+    out = np.empty(plan.size, dtype=complex)
+    for a, b, lo, hi, _swaps, start, end, gather, scatter in plan.pairs:
+        R = products.take(gather)
+        w = cg_tensor(a, b)[:hi + 1, lo - b + a:hi - b + a + 1] @ R.view(float)
+        # with out=, the default mode="raise" would buffer the output
+        w.view(complex).take(scatter, out=out[start:end], mode="clip")
+    np.negative(out, out=out, where=plan.negate)
+    return out
 
 
 def _dense_pair(x: np.ndarray, y: np.ndarray, j3_lo: int, j3_hi: int, out: np.ndarray) -> None:
@@ -180,22 +247,24 @@ def _dense_pair(x: np.ndarray, y: np.ndarray, j3_lo: int, j3_hi: int, out: np.nd
         start += K
 
 
-def _dense_pairs(a: int, b: int, lo: int, hi: int, swaps: tuple, uv: tuple,
-                 out: np.ndarray) -> None:
-    """``_sparse_pair``'s packed output, one ``_dense_pair`` per order (j1, j2)."""
-    size = (hi + 1) ** 2 - lo * lo
-    for o, (swap, (u, v)) in enumerate(zip(swaps, uv)):
-        x, y = (v, u) if swap else (u, v)
-        _dense_pair(x, y, lo, hi, out[o * size:(o + 1) * size])
+def _dense_pairs(plan: _CallPlan, xs: dict, ys: dict) -> np.ndarray:
+    """The packed naive output of ``plan``: one ``_dense_pair`` per order of each pair."""
+    out = np.empty(plan.size, dtype=complex)
+    for a, b, lo, hi, swaps, start, *_ in plan.pairs:
+        size = (hi + 1) ** 2 - lo * lo
+        for o, swap in enumerate(swaps):
+            j1, j2 = (b, a) if swap else (a, b)
+            _dense_pair(xs[j1], ys[j2], lo, hi, out[start + o * size:start + (o + 1) * size])
+    return out
 
 
-_PAIR_KERNELS = {"naive": _dense_pairs, "sparse": _sparse_pair}
+_KERNELS = {"naive": _dense_pairs, "sparse": _sparse_contract}
 
 
-def _pair_kernel(mode: str):
-    if mode not in _PAIR_KERNELS:
+def _kernel(mode: str):
+    if mode not in _KERNELS:
         raise ValueError(f"unknown mode {mode!r}")
-    return _PAIR_KERNELS[mode]
+    return _KERNELS[mode]
 
 
 def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
@@ -203,22 +272,19 @@ def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
     """Single-path coupling z_{m3} = sum C^{j3,m3}_{j1,m1,j2,m2} x_{m1} y_{m2}.
 
     Degrees are inferred from the vector lengths; inputs holding NaN or
-    inf raise ``ValueError``.  Runs the pair kernel of ``cgtp_full`` on
-    the one j3 slice of the one order and counts pair_macs(mode, j1, j2,
-    j3, j3) MACs: (2j1+1)(2j2+1)(2j3+1) for ``naive``, and for ``sparse``,
-    which sums only the terms with m3 = m1 + m2, one per (m1, m2) with
-    |m1 + m2| <= j3.
+    inf raise ``ValueError``.  Runs the mode's kernel of ``cgtp_full`` on
+    the one-pair, one-j3 plan of the path, kept in a 1024-entry cache of
+    its own, and counts pair_macs(mode, j1, j2, j3, j3) MACs:
+    (2j1+1)(2j2+1)(2j3+1) for ``naive``, and for ``sparse``, which sums
+    only the terms with m3 = m1 + m2, one per (m1, m2) with |m1 + m2| <= j3.
     """
-    kernel = _pair_kernel(mode)
+    kernel = _kernel(mode)
     x, y, j1, j2 = _path_inputs(x, y, j3)
     _require_finite(x, y)
-    z = np.empty(2 * j3 + 1, dtype=complex)
-    if j1 > j2:
-        kernel(j2, j1, j3, j3, (True,), ((y, x),), z)
-    else:
-        kernel(j1, j2, j3, j3, (False,), ((x, y),), z)
+    plan = _path_plan(j1, j2, j3)
+    z = kernel(plan, {j1: x}, {j2: y})
     if flops is not None:
-        flops.add(pair_macs(mode, j1, j2, j3, j3))
+        flops.add(plan.macs[mode])
     return z
 
 
@@ -228,46 +294,28 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
     Inputs must carry at most one block per degree, with finite values.
     The output keeps multiplicity: block (j3, (j1, j2)) holds the
     (j1, j2) -> j3 path, for every j3 = |j1 - j2| .. min(j1 + j2, L3).
-    Each unordered pair a <= b is visited once and runs the mode's pair
-    kernel for both orders (a, b) and (b, a) that the inputs hold; every
-    block is a view of one packed output array, and each order counts
-    ``pair_macs`` for its range.  The ``sparse`` kernel contracts both
-    orders in one matmul against the half-sheared tensor of the pair
-    (``angular.cg_tensor``), with its gather and scatter indices from a
-    1024-entry plan cache.  The 512 cached tensors hold every pair of
-    inputs up to L = 30.  An L = 32 call visits its 561 unordered pairs in
-    the same cycle each time, so a warm call rebuilds all 561 tensors
-    (measured; the ordered-pair loop this replaced rebuilt 353 per warm
-    call), and the builds dominate its time.
+    One call plan per (x degrees, y degrees, L3), in an 8-entry cache,
+    holds the packed layout: each unordered pair a <= b covers both
+    orders (a, b) and (b, a) that the inputs hold, every block is a view
+    of one packed output array, and each order counts ``pair_macs`` for
+    its range.  A MIMO plan holds 1.0 MB of indices at L = 16 and 14 MB
+    at L = 32.  The ``sparse`` kernel forms the outer product of the
+    packed inputs once (1.35 MB at L = 16, 19 MB at L = 32) and contracts
+    each pair with one gather, one matmul against the half-sheared tensor
+    of the pair (``angular.cg_tensor``) and one scatter.  The 512 cached
+    tensors hold every pair of inputs up to L = 30.  An L = 32 call visits
+    its 561 unordered pairs in the same cycle each time, so a warm call
+    rebuilds all 561 tensors, and the builds dominate its time.
     """
-    kernel = _pair_kernel(mode)
+    kernel = _kernel(mode)
     xs = x.single_per_degree()
     ys = y.single_per_degree()
     _require_finite(*xs.values(), *ys.values())
-    degrees = sorted(xs.keys() | ys.keys())
-    pairs, size, macs = [], 0, 0
-    for n, b in enumerate(degrees):
-        for a in degrees[:n + 1]:
-            swaps, uv = (), ()
-            if a in xs and b in ys:
-                swaps, uv = (False,), ((xs[a], ys[b]),)
-            if a != b and b in xs and a in ys:
-                swaps, uv = swaps + (True,), uv + ((ys[a], xs[b]),)
-            if not swaps or b - a > L3:
-                continue
-            lo, hi = b - a, min(a + b, L3)
-            end = size + len(swaps) * ((hi + 1) ** 2 - lo * lo)
-            pairs.append((a, b, lo, hi, swaps, uv, size, end))
-            size = end
-            macs += len(swaps) * pair_macs(mode, a, b, lo, hi)
-    packed = np.empty(size, dtype=complex)
-    blocks = {}
-    for a, b, lo, hi, swaps, uv, start, end in pairs:
-        out = packed[start:end]
-        kernel(a, b, lo, hi, swaps, uv, out)
-        for key, i, j in _pair_plan(a, b, lo, hi, swaps)[2]:
-            blocks[key] = out[i:j]
-    return TpoResult(output=IrrepCoeffs(L=L3, blocks=blocks), flops=macs)
+    _check_band_limit(L3)
+    plan = _call_plan(tuple(xs), tuple(ys), L3)
+    packed = kernel(plan, xs, ys)
+    blocks = {key: packed[i:j] for key, i, j in zip(*plan.blocks)}
+    return TpoResult(output=IrrepCoeffs._trusted(L3, blocks), flops=plan.macs[mode])
 
 
 @lru_cache(maxsize=256)

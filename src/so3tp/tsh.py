@@ -144,7 +144,7 @@ def scalar_from_spin0(z: TshCoeffs) -> IrrepCoeffs:
     """Untagged scalar coefficients from spin-0 blocks (j, l = j)."""
     if z.s != 0:
         raise ValueError(f"spin-{z.s} coefficients have no scalar form")
-    return IrrepCoeffs(L=z.L, blocks={(j, None): vec for (j, _l), vec in z.items()})
+    return IrrepCoeffs._trusted(z.L, {(j, None): vec for (j, _l), vec in z.items()})
 
 
 def to_sphere(x: IrrepCoeffs, grid: SphereGrid, flops: FlopCounter | None = None) -> ScalarSignal:

@@ -156,7 +156,7 @@ def test_cg_tensor_sign_chain_matches_exact(ja, jb, data):
 def test_cg_tensor_takes_unordered_pairs():
     S = cg_tensor(2, 5)
     assert S.shape == (8, 5, 5) and not S.flags.writeable
-    assert S.flags.c_contiguous  # _sparse_pair's matmul reads it on every op
+    assert S.flags.c_contiguous  # the sparse cgtp kernel's matmul reads it for every pair
     with pytest.raises(ValueError, match="unordered pair"):
         cg_tensor(5, 2)
 

@@ -1,9 +1,12 @@
 """Tests for tensor product operations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from so3tp import angular, rules, sht, tenprod, tsh
 from so3tp.flops import FlopCounter
@@ -144,9 +147,10 @@ def test_cgtp_full_visits_each_unordered_pair_once(monkeypatch, rng):
     x, y = random_coeffs(8, rng), random_coeffs(8, rng)
     first = cgtp_full(x, y, 16)
     assert len(lookups) == len(set(lookups)) == 9 * 10 // 2
-    misses = tenprod._pair_plan.cache_info().misses
+    misses = tenprod._call_plan.cache_info().misses
     second = cgtp_full(x, y, 16)
-    assert tenprod._pair_plan.cache_info().misses == misses
+    assert tenprod._call_plan.cache_info().misses == misses
+    assert len(lookups) == 2 * 45
     for key, z in first.output.blocks.items():
         assert np.array_equal(second.output.blocks[key], z)
 
@@ -187,6 +191,74 @@ def test_cgtp_full_partially_overlapping_degrees(L3, rng):
             if mode == "naive":
                 assert np.array_equal(got, ordered[(j3, (j1, j2))]), (j1, j2, j3)
         assert res.flops == sum(pair_macs(mode, j1, j2, j3, j3) for j1, j2, j3 in paths)
+
+
+@st.composite
+def _degree_sets(draw):
+    """(L, x degrees, y degrees, L3) with L <= 8 and L3 = 0..2L; either set may be empty."""
+    L = draw(st.integers(0, 8))
+    degrees = st.frozensets(st.integers(0, L))
+    return L, draw(degrees), draw(degrees), draw(st.integers(0, 2 * L))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_degree_sets(), seed=st.integers(0, 2 ** 32 - 1))
+@example(case=(3, frozenset(), frozenset({0, 2, 3}), 4), seed=1)  # x empty
+@example(case=(4, frozenset({1, 4}), frozenset(), 2), seed=2)  # y empty
+@example(case=(6, frozenset({0, 2, 5}), frozenset({1, 3, 6}), 12), seed=3)  # disjoint
+@example(case=(8, frozenset({0, 3, 4, 8}), frozenset({3, 5, 8}), 0), seed=4)  # partial overlap
+def test_call_plan_over_random_degree_subsets(case, seed):
+    # the invariants IrrepCoeffs' per-block check enforced, which cgtp_full skips
+    L, xdeg, ydeg, L3 = case
+    rng = np.random.default_rng(seed)
+    x = IrrepCoeffs(L=L, blocks={(j, None): random_block(j, rng) for j in sorted(xdeg)})
+    y = IrrepCoeffs(L=L, blocks={(j, None): random_block(j, rng) for j in sorted(ydeg)})
+    paths = [(j1, j2, j3) for j1 in sorted(xdeg) for j2 in sorted(ydeg)
+             for j3 in range(abs(j1 - j2), min(j1 + j2, L3) + 1)]
+    ordered = _ordered_pair_naive_blocks(x.single_per_degree(), y.single_per_degree(), L3)
+    for mode in ("naive", "sparse"):
+        res = cgtp_full(x, y, L3, mode=mode)
+        out = res.output
+        assert out.L == L3 and set(out.blocks) == {(j3, (j1, j2)) for j1, j2, j3 in paths}
+        assert res.flops == sum(pair_macs(mode, j1, j2, j3, j3) for j1, j2, j3 in paths)
+        views = [z.base for z in out.blocks.values()]
+        assert all(v is not None and v is views[0] for v in views)
+        for (j3, (j1, j2)), z in out.blocks.items():
+            assert type(z) is np.ndarray and z.dtype == complex and z.shape == (2 * j3 + 1,)
+            assert j3 <= L3
+            if mode == "naive":
+                assert np.array_equal(z, ordered[(j3, (j1, j2))]), (j1, j2, j3)
+            else:
+                expect = _cg_contract(x.block(j1), y.block(j2), j3)
+                np.testing.assert_allclose(z, expect, rtol=0, atol=1e-13)
+
+
+def test_cgtp_path_loops_evict_no_call_plan(rng):
+    # cgtp_path keeps its one-pair plans in a cache of their own
+    x, y = random_coeffs(4, rng), random_coeffs(4, rng)
+    cgtp_full(x, y, 8)
+    misses = tenprod._call_plan.cache_info().misses
+    paths = [(j1, j2, j3) for j1 in range(13) for j2 in range(13)
+             for j3 in range(abs(j1 - j2), j1 + j2 + 1)]
+    assert len(paths) > tenprod._path_plan.cache_info().maxsize
+    for j1, j2, j3 in paths:
+        cgtp_path(random_block(j1, rng), random_block(j2, rng), j3)
+    cgtp_full(x, y, 8)
+    assert tenprod._call_plan.cache_info().misses == misses
+
+
+def test_cgtp_full_warm_peak_memory(rng):
+    # at the cgtp_coeff shape the packed output alone is 1.34 MB, and the
+    # outer product of the packed inputs 1.35 MB
+    x, y = random_coeffs(16, rng), random_coeffs(16, rng)
+    cgtp_full(x, y, 32)
+    tracemalloc.start()
+    try:
+        cgtp_full(x, y, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
 
 
 def test_pair_macs_matches_brute_force_counts():
