@@ -25,6 +25,7 @@ from .rules import (
     TriangleViolation,
     expressivity_count,
     find_valid_ells,
+    gaunt_coefficient,
     generalized_gaunt,
     interactable,
     vstp_rules,
@@ -33,7 +34,6 @@ from .sht import (
     IrrepCoeffs,
     ScalarSignal,
     SphereGrid,
-    gaunt_coefficient,
     make_grid,
     sh_eval,
 )

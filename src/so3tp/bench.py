@@ -8,6 +8,7 @@ implementations across three I/O settings:
 * MIMO -- single-copy inputs for every degree (or every valid (j, l)
   key) up to L, outputs up to 2L.
 
+Each cell is one library call (``cgtp_path``, ``cgtp_full`` or ``istp``).
 Scaling claims are judged on MAC counts: they are deterministic,
 machine-independent, and identical across repeats; walltime is recorded
 as the median over repeats for orientation only.  Grid methods size the
@@ -26,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flops import FlopCounter
-from .rules import find_pair_ells
-from .sht import make_grid, random_block, random_coeffs, transform_macs
-from .tenprod import cgtp_full, cgtp_path, istp, pair_macs, vstp
-from .tsh import TshCoeffs, random_tsh_coeffs, valid_pairs
+from .sht import IrrepCoeffs, make_grid, random_block, transform_macs
+from .tenprod import cgtp_full, cgtp_path, istp, pair_macs
+from .tsh import TshCoeffs, valid_pairs
 
 __all__ = [
     "METHODS",
@@ -42,7 +42,6 @@ __all__ = [
     "emit_csv",
     "parse_csv",
     "emit_svg",
-    "simulate_cgtp_all_paths",
 ]
 
 SETTINGS = ("SISO", "SIMO", "MIMO")
@@ -78,24 +77,21 @@ class SlopeFit:
 
 
 def _run_cgtp(mode: str, setting: str, L: int, rng: np.random.Generator) -> int:
-    if setting == "MIMO":
-        return cgtp_full(random_coeffs(L, rng), random_coeffs(L, rng), 2 * L, mode=mode).flops
-    fl = FlopCounter()
-    x, y = random_block(L, rng), random_block(L, rng)
-    for j3 in ([L] if setting == "SISO" else range(2 * L + 1)):
-        cgtp_path(x, y, j3, mode=mode, flops=fl)
-    return fl.count
+    if setting == "SISO":
+        fl = FlopCounter()
+        cgtp_path(random_block(L, rng), random_block(L, rng), L, mode=mode, flops=fl)
+        return fl.count
+    degrees = range(L + 1) if setting == "MIMO" else [L]
+    x = IrrepCoeffs(L=L, blocks={(j, None): random_block(j, rng) for j in degrees})
+    y = IrrepCoeffs(L=L, blocks={(j, None): random_block(j, rng) for j in degrees})
+    return cgtp_full(x, y, 2 * L, mode=mode).flops
 
 
 def _run_grid(s: int, setting: str, L: int, rng: np.random.Generator) -> int:
-    grid = make_grid(2 * L)
-    if setting == "MIMO":
-        x = random_tsh_coeffs(s, L, rng)
-        y = random_tsh_coeffs(s, L, rng)
-    else:
-        x = TshCoeffs(s=s, L=L, blocks={(L, L): random_block(L, rng)})
-        y = TshCoeffs(s=s, L=L, blocks={(L, L): random_block(L, rng)})
-    return istp(x, y, s, L if setting == "SISO" else 2 * L, grid).flops
+    keys = valid_pairs(s, L) if setting == "MIMO" else [(L, L)]
+    x = TshCoeffs(s=s, L=L, blocks={(j, l): random_block(j, rng) for j, l in keys})
+    y = TshCoeffs(s=s, L=L, blocks={(j, l): random_block(j, rng) for j, l in keys})
+    return istp(x, y, s, L if setting == "SISO" else 2 * L, make_grid(2 * L)).flops
 
 
 def _project_cgtp(mode: str, setting: str, L: int) -> int:
@@ -140,9 +136,10 @@ def projected_flops(method: str, setting: str, L: int) -> int:
 def run_bench(method: str, setting: str, L_list, repeats: int, seed: int) -> list[BenchRecord]:
     """One record per L: deterministic MAC count plus median walltime.
 
-    ``L_list`` must be ascending.  A cell whose projected cost exceeds the
-    flop budget (the SO3TP_FLOP_BUDGET environment variable, else 4e9)
-    raises FlopBudgetExceeded before running.
+    ``L_list`` must be ascending and >= 1 (fits take log L), ``seed`` >= 0.
+    A cell whose ``projected_flops`` exceeds the flop budget (the
+    SO3TP_FLOP_BUDGET environment variable, else 4e9) raises
+    FlopBudgetExceeded before running.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -152,27 +149,28 @@ def run_bench(method: str, setting: str, L_list, repeats: int, seed: int) -> lis
         raise ValueError("L_list must be ascending")
     if repeats < 1:
         raise ValueError("repeats must be positive")
+    if any(L < 1 for L in L_list):
+        raise ValueError(f"every L must be at least 1, got L={min(L_list)}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got seed={seed}")
     flop_budget = int(os.environ.get(_BUDGET_ENV, _DEFAULT_BUDGET))
-    run, project, arg = _METHOD_TABLE[method]
+    run, _, arg = _METHOD_TABLE[method]
     records = []
     for idx, L in enumerate(L_list):
-        projected = project(arg, setting, L)
+        projected = projected_flops(method, setting, L)
         if projected > flop_budget:
             raise FlopBudgetExceeded(
                 f"{method}/{setting} at L={L}: projected {projected} MACs "
                 f"exceeds budget {flop_budget} (override via {_BUDGET_ENV})")
-        flops = None
-        times = []
+        counts, times = [], []
         for _rep in range(repeats):
             rng = np.random.default_rng([seed, idx, L])
             t0 = time.perf_counter()
-            count = run(arg, setting, L, rng)
+            counts.append(run(arg, setting, L, rng))
             times.append(time.perf_counter() - t0)
-            if flops is None:
-                flops = count
-            elif count != flops:
-                raise AssertionError(f"flops varied across repeats: {flops} vs {count}")
-        records.append(BenchRecord(method=method, setting=setting, L=L, flops=flops,
+        if len(set(counts)) > 1:
+            raise AssertionError(f"flops varied across repeats: {counts}")
+        records.append(BenchRecord(method=method, setting=setting, L=L, flops=counts[0],
                                    walltime_s=float(np.median(times)), repeats=repeats))
     return records
 
@@ -286,22 +284,3 @@ def emit_svg(records, path) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def simulate_cgtp_all_paths(L: int, seed: int) -> int:
-    """MACs spent simulating every coupling path of 0..L inputs via vector signals.
-
-    One product per degree pair (j1, j2) != (0, 0), on the orbital pair of
-    ``find_pair_ells`` and decoded at l1 + l2, carries every j3 of the pair.
-    """
-    rng = np.random.default_rng([seed, L])
-    fl = FlopCounter()
-    fl.add(1)  # the (0,0,0) scalar path
-    for j1 in range(L + 1):
-        for j2 in range(L + 1):
-            if (j1, j2) == (0, 0):
-                continue
-            l1, l2 = find_pair_ells(j1, j2)
-            X = TshCoeffs(s=1, L=l1, blocks={(j1, l1): random_block(j1, rng)})
-            Y = TshCoeffs(s=1, L=l2, blocks={(j2, l2): random_block(j2, rng)})
-            fl.add(vstp(X, Y, l1 + l2, make_grid(l1 + l2)).flops)
-    return fl.count

@@ -1,4 +1,4 @@
-"""Selection rules, interactability, and generalized Gaunt coefficients.
+"""Selection rules, interactability, and every coupling coefficient of the products.
 
 A full coupling path carries nine labels (j1, l1, s1; j2, l2, s2;
 j3, l3, s3).  The scalar multiplying C^{j3,m3}_{j1,m1,j2,m2} Y^{l3,s3}_{j3,m3}
@@ -10,7 +10,7 @@ in the product expansion of two tensor harmonics is
 For the vector-signal product (all spins 1) this coefficient is nonzero
 iff five selection rules hold; the rule flags here are evaluated by direct
 pattern matching and cross-checked against the exact-arithmetic
-coefficient, never against a float threshold.
+coefficient, never against a float threshold; its float forms serve the products.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .angular import cg_zero, triangle_delta, wigner_9j
+from .angular import cg, cg_zero, triangle_delta, wigner_9j, wigner_9j_spin1
 from .exact import SqrtRational
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "NotInteractable",
     "generalized_gaunt",
     "generalized_gaunt_exact",
+    "gaunt_coefficient",
     "vstp_rule_flags",
     "vstp_rules",
     "find_valid_ells",
@@ -75,6 +76,11 @@ class RuleReport:
     coefficient: float
 
 
+def _dims(j1: int, l1: int, j2: int, l2: int, s3: int) -> int:
+    """(2j1+1)(2j2+1)(2l1+1)(2l2+1)(2s3+1), the radicand of the generalized Gaunt prefactor."""
+    return (2 * j1 + 1) * (2 * j2 + 1) * (2 * l1 + 1) * (2 * l2 + 1) * (2 * s3 + 1)
+
+
 @lru_cache(maxsize=1024)
 def generalized_gaunt_exact(path: PathKey) -> SqrtRational:
     """Exact radical part of the path coefficient, excluding the 1/sqrt(4 pi).
@@ -89,9 +95,7 @@ def generalized_gaunt_exact(path: PathKey) -> SqrtRational:
     prod = nine * cg_zero(p.l1, p.l2, p.l3)
     if prod.is_zero():
         return prod
-    dims = ((2 * p.j1 + 1) * (2 * p.j2 + 1) * (2 * p.l1 + 1)
-            * (2 * p.l2 + 1) * (2 * p.s3 + 1))
-    return SqrtRational(1, Fraction(dims)) * prod
+    return SqrtRational(1, Fraction(_dims(p.j1, p.l1, p.j2, p.l2, p.s3))) * prod
 
 
 def generalized_gaunt(path: PathKey) -> float:
@@ -100,6 +104,35 @@ def generalized_gaunt(path: PathKey) -> float:
     if exact.is_zero():
         return 0.0
     return float(exact) / math.sqrt(4.0 * math.pi)
+
+
+@lru_cache(maxsize=4096)
+def _path_coefficient(j1: int, l1: int, j2: int, l2: int, j3: int, l3: int) -> float:
+    """Generalized Gaunt coefficient of the all-spins-one path, in float.
+
+    sqrt(dims / 4 pi) * {j1 l1 1; j2 l2 1; j3 l3 1} * C^{l3,0}_{l1,0,l2,0}
+    with the 9j from its closed form, so no exact 9j is evaluated; the
+    C^{l3,0} comes from the exact Racah sum, which has no degree limit.
+    """
+    nine = wigner_9j_spin1(l1, j1 - l1, l2, j2 - l2, l3, j3 - l3)
+    return math.sqrt(_dims(j1, l1, j2, l2, 1) / (4.0 * math.pi)) * nine * float(cg_zero(l1, l2, l3))
+
+
+def gaunt_coefficient(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
+    """integral(Y^m1_l1 Y^m2_l2 conj(Y^m3_l3)) over the sphere.
+
+    Equals sqrt((2l1+1)(2l2+1) / (4 pi (2l3+1))) C^{l3,m3}_{l1,m1,l2,m2}
+    C^{l3,0}_{l1,0,l2,0}; zero unless m3 = m1 + m2, the triangle condition
+    holds, and l1 + l2 + l3 is even.
+    """
+    for l, m in ((l1, m1), (l2, m2), (l3, m3)):
+        if l < 0 or abs(m) > l:
+            raise ValueError(f"need |m| <= l, got (l, m) = ({l}, {m})")
+    exact = cg(l1, m1, l2, m2, l3, m3) * cg_zero(l1, l2, l3)
+    if exact.is_zero():
+        return 0.0
+    scale = math.sqrt((2 * l1 + 1) * (2 * l2 + 1) / (4.0 * math.pi * (2 * l3 + 1)))
+    return scale * float(exact)
 
 
 def _rule5_violated(js, ls) -> bool:

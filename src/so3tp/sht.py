@@ -50,7 +50,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .angular import cg, cg_zero, wigner_d_matrix
+from .angular import wigner_d_matrix
 from .flops import FlopCounter
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "IrrepCoeffs",
     "make_grid",
     "sh_eval",
-    "gaunt_coefficient",
     "random_block",
     "random_coeffs",
     "rotate_coeffs",
@@ -208,6 +207,12 @@ def _block_vector(key: tuple, vec) -> np.ndarray:
     return vec
 
 
+def _is_block(vec, j: int, L: int) -> bool:
+    """Whether ``vec`` is already a complex (2j + 1,) ndarray with 0 <= j <= L, kept as is."""
+    return (type(vec) is np.ndarray and vec.dtype == complex and 0 <= j <= L
+            and vec.shape == (2 * j + 1,))
+
+
 def _block_sort_key(key):
     j, tag = key
     return (j, tag is not None, repr(tag))
@@ -227,15 +232,9 @@ class IrrepCoeffs:
 
     def __post_init__(self):
         _check_band_limit(self.L)
-        blocks = {}
-        for key, vec in self.blocks.items():
-            j, _tag = key
-            # _checked returns such a block as is; the test skips its call, and the rest keep its messages
-            if not (type(vec) is np.ndarray and vec.dtype == complex and 0 <= j <= self.L
-                    and vec.shape == (2 * j + 1,)):
-                vec = self._checked(key, vec)
-            blocks[key] = vec
-        self.blocks = blocks
+        # _checked returns an _is_block block as is; the test skips its call
+        self.blocks = {key: vec if _is_block(vec, key[0], self.L) else self._checked(key, vec)
+                       for key, vec in self.blocks.items()}
 
     @classmethod
     def _trusted(cls, L: int, blocks: dict) -> IrrepCoeffs:
@@ -263,10 +262,7 @@ class IrrepCoeffs:
         return self.blocks.get((j, tag))
 
     def set_block(self, j: int, vec, tag=None) -> None:
-        if not (type(vec) is np.ndarray and vec.dtype == complex and 0 <= j <= self.L
-                and vec.shape == (2 * j + 1,)):
-            vec = self._checked((j, tag), vec)
-        self.blocks[(j, tag)] = vec
+        self.blocks[(j, tag)] = vec if _is_block(vec, j, self.L) else self._checked((j, tag), vec)
 
     def items(self):
         """Blocks in canonical order: ascending j, untagged first."""
@@ -359,23 +355,6 @@ def _analysis_core(values: np.ndarray, grid: SphereGrid, L: int,
     if flops is not None:
         flops.add(n_comp * transform_macs(grid.Lg, L))
     return xpad
-
-
-def gaunt_coefficient(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
-    """integral(Y^m1_l1 Y^m2_l2 conj(Y^m3_l3)) over the sphere.
-
-    Equals sqrt((2l1+1)(2l2+1) / (4 pi (2l3+1))) C^{l3,m3}_{l1,m1,l2,m2}
-    C^{l3,0}_{l1,0,l2,0}; zero unless m3 = m1 + m2, the triangle condition
-    holds, and l1 + l2 + l3 is even.
-    """
-    for l, m in ((l1, m1), (l2, m2), (l3, m3)):
-        if l < 0 or abs(m) > l:
-            raise ValueError(f"need |m| <= l, got (l, m) = ({l}, {m})")
-    exact = cg(l1, m1, l2, m2, l3, m3) * cg_zero(l1, l2, l3)
-    if exact.is_zero():
-        return 0.0
-    scale = math.sqrt((2 * l1 + 1) * (2 * l2 + 1) / (4.0 * math.pi * (2 * l3 + 1)))
-    return scale * float(exact)
 
 
 def random_block(j: int, rng: np.random.Generator) -> np.ndarray:

@@ -20,11 +20,10 @@ Two families:
 
 * Grid products: encode inputs as spin signals, couple them pointwise,
   and decode (``istp``), with the scalar (``gtp``) and vector (``vstp``)
-  specializations.  A single coefficient-space path can be recovered from
-  one vector-signal product by dividing out the path coefficient
-  (``simulate_cgtp_path``).  That coefficient is a float from the spin-1
-  9j closed forms; the exact ``rules.generalized_gaunt`` stays the rules'
-  and the oracles' value.
+  specializations.  One pair product (x at (j1, l1), y at (j2, l2), one
+  ``vstp`` on ``make_grid(l1 + l2)``) serves both CGTP simulations: one
+  path divided by ``rules._path_coefficient`` (``simulate_cgtp_path``) and
+  the MACs of every path (``simulate_cgtp_all_paths``).
 
 Every operation reports the complex multiply-accumulate count it
 performed; counts are data independent and deterministic.
@@ -32,7 +31,6 @@ performed; counts are data independent and deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -40,11 +38,11 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .angular import (cg_block, cg_tensor, cg_zero, require_triangle, triangle_delta,
-                      wigner_9j_spin1)
+from .angular import cg_block, cg_tensor, require_triangle, triangle_delta
 from .flops import FlopCounter
-from .rules import find_valid_ells
-from .sht import IrrepCoeffs, SphereGrid, _check_band_limit, _require_finite, make_grid
+from .rules import _path_coefficient, find_pair_ells, find_valid_ells
+from .sht import (IrrepCoeffs, SphereGrid, _check_band_limit, _require_finite, make_grid,
+                  random_block)
 from .tsh import (SpinSignal, TshCoeffs, _encode, _packed, scalar_from_spin0, spin0_from_scalar,
                   tsh_decode)
 
@@ -58,6 +56,7 @@ __all__ = [
     "gtp",
     "vstp",
     "simulate_cgtp_path",
+    "simulate_cgtp_all_paths",
 ]
 
 class NumericalDegeneracy(ArithmeticError):
@@ -398,31 +397,23 @@ def vstp(x: TshCoeffs, y: TshCoeffs, L3: int, grid: SphereGrid) -> TpoResult:
     return istp(x, y, 1, L3, grid)
 
 
-@lru_cache(maxsize=4096)
-def _path_coefficient(j1: int, l1: int, j2: int, l2: int, j3: int, l3: int) -> float:
-    """Generalized Gaunt coefficient of the all-spins-one path, in float.
-
-    sqrt(dims / 4 pi) * {j1 l1 1; j2 l2 1; j3 l3 1} * C^{l3,0}_{l1,0,l2,0}
-    with the 9j from its closed form, so no exact 9j is evaluated; the
-    C^{l3,0} comes from the exact Racah sum, which has no degree limit.
-    """
-    dims = (2 * j1 + 1) * (2 * j2 + 1) * (2 * l1 + 1) * (2 * l2 + 1) * 3
-    nine = wigner_9j_spin1(l1, j1 - l1, l2, j2 - l2, l3, j3 - l3)
-    return math.sqrt(dims / (4.0 * math.pi)) * nine * float(cg_zero(l1, l2, l3))
+def _pair_product(x: np.ndarray, y: np.ndarray, l1: int, l2: int, L3: int) -> TpoResult:
+    """``vstp`` on make_grid(l1 + l2) of x at key (j1, l1) and y at (j2, l2), j from the lengths."""
+    X = TshCoeffs(s=1, L=l1, blocks={((x.size - 1) // 2, l1): x})
+    Y = TshCoeffs(s=1, L=l2, blocks={((y.size - 1) // 2, l2): y})
+    return vstp(X, Y, L3, make_grid(l1 + l2))
 
 
 def simulate_cgtp_path(x: np.ndarray, y: np.ndarray, j3: int,
                        flops: FlopCounter | None = None) -> np.ndarray:
     """Compute one Clebsch-Gordan path through a single vector-signal product.
 
-    Places x and y into the tensor-harmonic blocks selected by
-    find_valid_ells, runs one vstp on ``make_grid(l1 + l2)``, reads the
-    (j3, l3) output block, and divides by the path coefficient.  The
-    coefficient is the closed-form float value of ``_path_coefficient``;
-    it matches the exact ``rules.generalized_gaunt`` to 4.3e-16 relative
-    on every path with j <= 10.  The (0, 0, 0) path is plain scalar
-    multiplication and uses no signal product.  Inputs are checked as in
-    ``cgtp_path``, but NaN/inf on a grid path only by ``istp``, after make_grid.
+    Runs the pair product on the orbital labels of find_valid_ells,
+    decoded at l3, reads the (j3, l3) output block, and divides by the
+    closed-form float path coefficient ``rules._path_coefficient``.  The
+    (0, 0, 0) path is plain scalar multiplication and uses no signal
+    product.  Inputs are checked as in ``cgtp_path``, but NaN/inf on a
+    grid path only by ``istp``, after make_grid.
     """
     x, y, j1, j2 = _path_inputs(x, y, j3)
     if (j1, j2, j3) == (0, 0, 0):
@@ -431,13 +422,27 @@ def simulate_cgtp_path(x: np.ndarray, y: np.ndarray, j3: int,
             flops.add(1)
         return x * y
     l1, l2, l3 = find_valid_ells(j1, j2, j3)
-    X = TshCoeffs(s=1, L=l1, blocks={(j1, l1): x})
-    Y = TshCoeffs(s=1, L=l2, blocks={(j2, l2): y})
-    res = vstp(X, Y, L3=l3, grid=make_grid(l1 + l2))
+    res = _pair_product(x, y, l1, l2, l3)
     coef = _path_coefficient(j1, l1, j2, l2, j3, l3)
     if abs(coef) < 1e-13:
-        raise NumericalDegeneracy(
-            f"coefficient for path {(j1, l1, j2, l2, j3, l3)} is {coef}")
+        raise NumericalDegeneracy(f"coefficient for path {(j1, l1, j2, l2, j3, l3)} is {coef}")
     if flops is not None:
         flops.add(res.flops)
     return res.output.block(j3, l3) / coef
+
+
+def simulate_cgtp_all_paths(L: int, seed: int) -> int:
+    """MACs spent simulating every coupling path of 0..L inputs via vector signals.
+
+    One pair product per degree pair (j1, j2) != (0, 0), on the orbital
+    pair of ``find_pair_ells`` and decoded at l1 + l2, carries every j3
+    of the pair.
+    """
+    rng = np.random.default_rng([seed, L])
+    macs = 1  # the (0,0,0) scalar path
+    for j1 in range(L + 1):
+        for j2 in range(0 if j1 else 1, L + 1):
+            l1, l2 = find_pair_ells(j1, j2)
+            x, y = random_block(j1, rng), random_block(j2, rng)
+            macs += _pair_product(x, y, l1, l2, l1 + l2).flops
+    return macs

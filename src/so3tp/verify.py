@@ -214,7 +214,7 @@ def check_gaunt_quadrature(p, rng):
                         if abs(m3) > l3:
                             continue
                         bf = complex((y12 * np.conj(sht.sh_eval(l3, m3, th, ph)) * w).sum())
-                        dev = abs(bf - sht.gaunt_coefficient(l1, m1, l2, m2, l3, m3))
+                        dev = abs(bf - rules.gaunt_coefficient(l1, m1, l2, m2, l3, m3))
                         yield dev, f"({l1},{m1},{l2},{m2},{l3},{m3})"
 
 
@@ -322,7 +322,7 @@ def check_gtp_formula(p, rng):
                 for m1 in range(-l1, l1 + 1):
                     for m2 in range(-l2, l2 + 1):
                         if abs(m1 + m2) <= l3:
-                            expect[m1 + m2 + l3] += sht.gaunt_coefficient(
+                            expect[m1 + m2 + l3] += rules.gaunt_coefficient(
                                 l1, m1, l2, m2, l3, m1 + m2) * u[m1 + l1] * v[m2 + l2]
                 dev = float(np.abs(res.output.block(l3) - expect).max())
                 yield dev, f"(l1,l2,l3)=({l1},{l2},{l3})"
@@ -544,7 +544,7 @@ def check_scaling_slopes(p, rng):
 
 def check_simulation_scaling(p, rng):
     Ls = p["L_list"]
-    counts = [bench.simulate_cgtp_all_paths(L, seed=13) for L in Ls]
+    counts = [tenprod.simulate_cgtp_all_paths(L, seed=13) for L in Ls]
     slope = bench._log_log_fit(Ls, counts)[0]
     case = f"slope={slope:.3f} over L={list(Ls)}"
     yield max(0.0, abs(slope - 5.0) - 0.5), case
@@ -640,6 +640,8 @@ def run_verify(level: str = "quick", seed: int = 0, only=None):
     """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got seed={seed}")
     if only is not None:
         unknown = sorted(set(only) - {row[0] for row in _CHECKS})
         if unknown:

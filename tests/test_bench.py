@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from so3tp import bench, tenprod
+from so3tp import rules, tenprod
 from so3tp.bench import (
     METHODS,
     BenchRecord,
@@ -16,11 +16,10 @@ from so3tp.bench import (
     parse_csv,
     projected_flops,
     run_bench,
-    simulate_cgtp_all_paths,
 )
 from so3tp.rules import find_pair_ells
 from so3tp.sht import make_grid, random_block
-from so3tp.tenprod import cgtp_path, pair_macs, vstp
+from so3tp.tenprod import cgtp_path, pair_macs, simulate_cgtp_all_paths, vstp
 from so3tp.tsh import TshCoeffs
 
 
@@ -83,7 +82,7 @@ def test_simulation_runs_one_product_per_degree_pair(monkeypatch):
         assert (l1, l2) == find_pair_ells(j1, j2) and L3 == grid.Lg == l1 + l2
         return vstp(x, y, L3, grid)
 
-    monkeypatch.setattr(bench, "vstp", counting_vstp)
+    monkeypatch.setattr(tenprod, "vstp", counting_vstp)
     simulate_cgtp_all_paths(4, seed=13)
     assert sorted(calls) == [p for p in itertools.product(range(5), repeat=2) if p != (0, 0)]
 
@@ -107,7 +106,7 @@ def test_pair_product_recovers_every_path():
                    TshCoeffs(s=1, L=l2, blocks={(j2, l2): y}),
                    l1 + l2, make_grid(l1 + l2)).output
         for j3 in range(abs(j1 - j2), j1 + j2 + 1):
-            coef, l3 = max(((tenprod._path_coefficient(j1, l1, j2, l2, j3, l3), l3)
+            coef, l3 = max(((rules._path_coefficient(j1, l1, j2, l2, j3, l3), l3)
                             for l3 in range(abs(j3 - 1), min(j3 + 1, l1 + l2) + 1)),
                            key=lambda c: abs(c[0]))
             z = out.block(j3, l3) / coef
@@ -131,6 +130,14 @@ def test_run_bench_argument_errors():
         run_bench("nope", "MIMO", [2], repeats=1, seed=0)
     with pytest.raises(ValueError):
         run_bench("cgtp_naive", "MIMO", [2], repeats=0, seed=0)
+
+
+@pytest.mark.parametrize("L_list,seed,named", [([0, 1, 2], 0, "L=0"), ([-1, 2], 0, "L=-1"),
+                                               ([1, 2], -3, "seed=-3")])
+def test_run_bench_names_a_band_limit_below_one_or_a_negative_seed(L_list, seed, named):
+    # log L in the slope fit and the chart needs L >= 1; numpy's seeding needs seed >= 0
+    with pytest.raises(ValueError, match=named):
+        run_bench("cgtp_sparse", "MIMO", L_list, repeats=1, seed=seed)
 
 
 def test_flop_budget_guard(monkeypatch):

@@ -269,6 +269,23 @@ def test_bench_budget_exceeded_is_usage_error(tmp_path, capsys, monkeypatch):
     assert code == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("argv,named", [(["--L", "0,1,2", "--seed", "7"], "L=0"),
+                                         (["--L=-1,2", "--seed", "7"], "L=-1"),
+                                         (["--L", "1,2", "--seed", "-3"], "seed=-3")])
+def test_bench_bad_band_limit_or_seed_is_usage_error_before_any_output(tmp_path, capsys,
+                                                                       argv, named):
+    csv, svg = tmp_path / "b.csv", tmp_path / "b.svg"
+    code, _out, err = run_cli(capsys, "bench", "run", "--methods", "cgtp_sparse",
+                              "--repeats", "1", "--csv", str(csv), "--svg", str(svg), *argv)
+    assert code == 2 and named in err
+    assert not csv.exists() and not svg.exists()
+
+
+def test_verify_negative_seed_is_usage_error(capsys):
+    code, _out, err = run_cli(capsys, "--seed", "-1", "verify", "--quick")
+    assert code == 2 and "seed=-1" in err
+
+
 def test_verify_quick_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--quick")
     assert code == 0

@@ -1,4 +1,9 @@
-"""The library imports only the standard library and numpy and reads two environment knobs."""
+"""The library imports only the standard library and numpy and reads two environment knobs.
+
+The grid modules ``sht`` and ``tenprod`` import no exact-valued function:
+nothing from ``exact`` and no exact CG or 9j from ``angular``.  Coupling
+coefficients are ``rules``'.
+"""
 
 import ast
 import sys
@@ -23,6 +28,25 @@ def test_library_imports_only_stdlib_and_numpy():
     assert len(modules) > 10
     found = {(path.name, name) for path in modules for name in _absolute_imports(path)
              if name not in _ALLOWED}
+    assert found == set()
+
+
+_EXACT_VALUED = {"cg", "cg_float", "cg_zero", "wigner_9j", "wigner_9j_spin1"}
+
+
+def _relative_imports(path: Path):
+    """(module, name) of every name a module imports from within the package."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            yield from ((node.module, alias.name) for alias in node.names)
+
+
+def test_grid_modules_import_no_exact_valued_function():
+    package = Path(so3tp.__file__).parent
+    found = {(name, module, alias) for name in ("sht.py", "tenprod.py")
+             for module, alias in _relative_imports(package / name)
+             if module == "exact" or (module is None and alias == "exact")
+             or (module == "angular" and alias in _EXACT_VALUED)}
     assert found == set()
 
 

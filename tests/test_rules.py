@@ -15,13 +15,13 @@ from so3tp.rules import (
     expressivity_count,
     find_pair_ells,
     find_valid_ells,
+    gaunt_coefficient,
     generalized_gaunt,
     generalized_gaunt_exact,
     interactable,
     vstp_rule_flags,
     vstp_rules,
 )
-from so3tp.sht import gaunt_coefficient
 from so3tp.angular import cg_float
 
 

@@ -19,12 +19,12 @@ from so3tp.sht import (
     _legendre_orders,
     _synthesis_core,
     ScalarSignal,
-    gaunt_coefficient,
     make_grid,
     random_block,
     random_coeffs,
     sh_eval,
 )
+from so3tp.rules import gaunt_coefficient
 from so3tp.tenprod import gtp
 from so3tp.tsh import (
     _folded_scatter,

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from so3tp import angular, rules, sht, tenprod, tsh
 from so3tp.flops import FlopCounter
-from so3tp.rules import PathKey, find_valid_ells, generalized_gaunt
-from so3tp.sht import IrrepCoeffs, gaunt_coefficient, make_grid, random_block, random_coeffs
+from so3tp.rules import PathKey, find_valid_ells, gaunt_coefficient, generalized_gaunt
+from so3tp.sht import IrrepCoeffs, make_grid, random_block, random_coeffs
 from so3tp.tenprod import (
     cgtp_full,
     cgtp_path,
@@ -571,7 +571,7 @@ def test_simulation_coefficient_matches_exact_gaunt():
             continue
         l1, l2, l3 = find_valid_ells(j1, j2, j3)
         exact = generalized_gaunt(PathKey(j1, l1, 1, j2, l2, 1, j3, l3, 1))
-        coef = tenprod._path_coefficient(j1, l1, j2, l2, j3, l3)
+        coef = rules._path_coefficient(j1, l1, j2, l2, j3, l3)
         assert abs(coef - exact) <= 1e-14 * abs(exact), (j1, j2, j3)
 
 
@@ -579,7 +579,7 @@ def test_simulation_does_no_9j_contraction(rng):
     # cold calls, including orbital degrees past the float CG block range
     # ((65,65,66) -> l = (65,66,65); (60,70,130) -> (60,71,129)), must not
     # evaluate a single exact 9j symbol
-    tenprod._path_coefficient.cache_clear()
+    rules._path_coefficient.cache_clear()
     nine = angular._wigner_9j_cached.cache_info().misses
     gaunt = rules.generalized_gaunt_exact.cache_info().misses
     for j1, j2, j3 in [(1, 1, 1), (2, 3, 4), (65, 65, 66), (60, 70, 130)]:
