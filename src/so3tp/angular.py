@@ -298,53 +298,42 @@ def wigner_9j(grid) -> SqrtRational:
     return _wigner_9j_cached(flat)
 
 
-def _rfact(n: int) -> Fraction:
-    """1/n! with the gamma-pole convention: zero for negative integers."""
-    return Fraction(0) if n < 0 else Fraction(1, _fact(n))
+def _rise3(n: int) -> int:
+    return n * (n + 1) * (n + 2)
 
 
 # Closed forms for {a+lam, a, 1; b+mu, b, 1; c+nu, c, 1} on the five
 # canonical offset cells (lam, mu, nu), onto which wigner_9j_spin1 folds
-# the other 22.  Each entry maps (a, b, c, s=a+b+c) to (prefactor,
-# radicand); the symbol value is pref * sqrt(rad).  Denominator factorials
-# use the pole convention via _rfact, so cells evaluate to zero exactly
-# where a selection rule fails.
+# the other 22: (a, b, c, s=a+b+c) -> (pref, rad), the symbol being
+# pref * sqrt(rad).  The row and column triangle checks that
+# wigner_9j_spin1 runs first keep every denominator factor positive.
 _SPIN1_TABLE = {
-    (1, 1, 1): lambda a, b, c, s: (
-        1,
-        Fraction(_fact(s + 4) * (s - 2 * c + 1) * (s - 2 * b + 1) * (s - 2 * a + 1)
-                 * _fact(2 * a) * _fact(2 * b) * _fact(2 * c), 3)
-        * _rfact(s + 1) * _rfact(2 * a + 3) * _rfact(2 * b + 3) * _rfact(2 * c + 3)),
-    (1, 1, 0): lambda a, b, c, s: (
-        a - b,
-        Fraction(2 * _fact(s + 3) * _fact(s - 2 * c + 2) * _fact(2 * a) * _fact(2 * b) * _fact(2 * c - 1), 3)
-        * _rfact(s + 1) * _rfact(s - 2 * c) * _rfact(2 * a + 3) * _rfact(2 * b + 3) * _rfact(2 * c + 2)),
-    (1, 1, -1): lambda a, b, c, s: (
-        -1,
-        Fraction((s + 2) * _fact(s - 2 * c + 3) * (s - 2 * b) * (s - 2 * a)
-                 * _fact(2 * a) * _fact(2 * b) * _fact(2 * c - 2), 3)
-        * _rfact(s - 2 * c) * _rfact(2 * a + 3) * _rfact(2 * b + 3) * _rfact(2 * c + 1)),
-    (1, 0, 0): lambda a, b, c, s: (
-        2 * (a + 1),
-        Fraction((s + 2) * (s - 2 * c + 1) * (s - 2 * b + 1) * (s - 2 * a)
-                 * _fact(2 * a) * _fact(2 * b - 1) * _fact(2 * c - 1), 3)
-        * _rfact(2 * a + 3) * _rfact(2 * b + 2) * _rfact(2 * c + 2)),
-    (1, 0, -1): lambda a, b, c, s: (
-        -(a + c + 1),
-        Fraction(2 * _fact(s - 2 * c + 2) * _fact(s - 2 * a) * _fact(2 * a)
-                 * _fact(2 * b - 1) * _fact(2 * c - 2), 3)
-        * _rfact(s - 2 * c) * _rfact(s - 2 * a - 2) * _rfact(2 * a + 3) * _rfact(2 * b + 2) * _rfact(2 * c + 1)),
+    (1, 1, 1): lambda a, b, c, s: (1, Fraction(
+        _rise3(s + 2) * (s - 2 * a + 1) * (s - 2 * b + 1) * (s - 2 * c + 1),
+        3 * _rise3(2 * a + 1) * _rise3(2 * b + 1) * _rise3(2 * c + 1))),
+    (1, 1, 0): lambda a, b, c, s: (a - b, Fraction(
+        2 * (s + 2) * (s + 3) * (s - 2 * c + 1) * (s - 2 * c + 2),
+        3 * _rise3(2 * a + 1) * _rise3(2 * b + 1) * _rise3(2 * c))),
+    (1, 1, -1): lambda a, b, c, s: (-1, Fraction(
+        (s + 2) * _rise3(s - 2 * c + 1) * (s - 2 * a) * (s - 2 * b),
+        3 * _rise3(2 * a + 1) * _rise3(2 * b + 1) * _rise3(2 * c - 1))),
+    (1, 0, 0): lambda a, b, c, s: (2 * (a + 1), Fraction(
+        (s + 2) * (s - 2 * a) * (s - 2 * b + 1) * (s - 2 * c + 1),
+        3 * _rise3(2 * a + 1) * _rise3(2 * b) * _rise3(2 * c))),
+    (1, 0, -1): lambda a, b, c, s: (-(a + c + 1), Fraction(
+        2 * (s - 2 * a - 1) * (s - 2 * a) * (s - 2 * c + 1) * (s - 2 * c + 2),
+        3 * _rise3(2 * a + 1) * _rise3(2 * b) * _rise3(2 * c - 1))),
 }
 
 
 def wigner_9j_spin1(a: int, lam: int, b: int, mu: int, c: int, nu: int) -> float:
     """Closed-form {a+lam, a, 1; b+mu, b, 1; c+nu, c, 1} with lam, mu, nu in {-1, 0, 1}.
 
-    Fast path for the 9j grids whose third column is (1, 1, 1); agrees with
-    the general 9j to 1e-12.  Two 9j symmetries (Varshalovich et
-    al. 1988, sec. 10.4) map every offset cell onto one of the five in
-    ``_SPIN1_TABLE``.  Each multiplies the symbol by (-1)^S, with S the sum
-    of its nine entries, and S = lam + mu + nu + 1 (mod 2):
+    Fast path for the 9j grids whose third column is (1, 1, 1); each table
+    cell is exactly the general ``wigner_9j``.  Two 9j symmetries
+    (Varshalovich et al. 1988, sec. 10.4) map every offset cell onto one
+    of the five in ``_SPIN1_TABLE``.  Each multiplies the symbol by (-1)^S,
+    with S the sum of its nine entries, and S = lam + mu + nu + 1 (mod 2):
 
     * swapping the first two columns turns each row (x + o, x, 1) into
       (x', x' - o, 1) with x' = x + o; it runs when more offsets are -1
@@ -352,7 +341,12 @@ def wigner_9j_spin1(a: int, lam: int, b: int, mu: int, c: int, nu: int) -> float
     * permuting the rows sorts the offsets descending.
 
     The (0, 0, 0) cell is its own column swap with odd S, so it is zero.
+    Entries must be integers (Python or numpy); a float raises ``ValueError``.
     """
+    try:
+        a, lam, b, mu, c, nu = map(operator.index, (a, lam, b, mu, c, nu))
+    except TypeError as exc:
+        raise ValueError(f"spin-1 9j entries must be integers, got {(a, lam, b, mu, c, nu)}") from exc
     if lam not in (-1, 0, 1) or mu not in (-1, 0, 1) or nu not in (-1, 0, 1):
         raise ValueError(f"lam, mu, nu must be in {{-1, 0, 1}}, got {(lam, mu, nu)}")
     if min(a, b, c) < 0 or a + lam < 0 or b + mu < 0 or c + nu < 0:
@@ -373,8 +367,5 @@ def wigner_9j_spin1(a: int, lam: int, b: int, mu: int, c: int, nu: int) -> float
     if (o1, o2, o3) == (0, 0, 0):
         return 0.0
     pref, rad = _SPIN1_TABLE[(o1, o2, o3)](x1, x2, x3, x1 + x2 + x3)
-    if (lam + mu + nu + 1) * moves % 2:
-        pref = -pref
-    if pref == 0 or rad == 0:
-        return 0.0
-    return pref * math.sqrt(rad)
+    sign = -1 if (lam + mu + nu + 1) * moves % 2 else 1
+    return sign * pref * math.sqrt(rad) if pref and rad else 0.0

@@ -138,7 +138,7 @@ def run_bench(method: str, setting: str, L_list, repeats: int, seed: int) -> lis
 
     ``L_list`` must be ascending and >= 1 (fits take log L), ``seed`` >= 0.
     A cell whose ``projected_flops`` exceeds the flop budget (the
-    SO3TP_FLOP_BUDGET environment variable, else 4e9) raises
+    SO3TP_FLOP_BUDGET environment variable, an integer, else 4e9) raises
     FlopBudgetExceeded before running.
     """
     if method not in METHODS:
@@ -153,7 +153,10 @@ def run_bench(method: str, setting: str, L_list, repeats: int, seed: int) -> lis
         raise ValueError(f"every L must be at least 1, got L={min(L_list)}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got seed={seed}")
-    flop_budget = int(os.environ.get(_BUDGET_ENV, _DEFAULT_BUDGET))
+    try:
+        flop_budget = int(os.environ.get(_BUDGET_ENV, _DEFAULT_BUDGET))
+    except ValueError as exc:
+        raise ValueError(f"{_BUDGET_ENV} must be an integer: {exc}") from exc
     run, _, arg = _METHOD_TABLE[method]
     records = []
     for idx, L in enumerate(L_list):

@@ -231,6 +231,9 @@ def samples_to_obj(sig: SpinSignal) -> dict:
 def samples_from_obj(obj) -> SpinSignal:
     _check_top_level(obj, ("s", "Lg", "re", "im"), ("s", "Lg"))
     s, Lg = obj["s"], obj["Lg"]
+    for field, want in (("kind", "samples"), ("n_theta", Lg + 1), ("n_phi", 2 * Lg + 1)):
+        got = obj.get(field, want)  # a dump without the field stays readable
+        _expect(type(got) is type(want) and got == want, f"/{field}", f"expected {want!r}, got {got!r}")
     # the header fixes the shape; check it before make_grid, which is O(Lg^2) memory
     shape = (Lg + 1, 2 * Lg + 1, 2 * s + 1)
     try:

@@ -436,8 +436,10 @@ def simulate_cgtp_all_paths(L: int, seed: int) -> int:
 
     One pair product per degree pair (j1, j2) != (0, 0), on the orbital
     pair of ``find_pair_ells`` and decoded at l1 + l2, carries every j3
-    of the pair.
+    of the pair.  ``L`` and ``seed`` must be non-negative.
     """
+    if L < 0 or seed < 0:
+        raise ValueError(f"L and seed must be non-negative, got L={L}, seed={seed}")
     rng = np.random.default_rng([seed, L])
     macs = 1  # the (0,0,0) scalar path
     for j1 in range(L + 1):

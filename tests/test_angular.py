@@ -355,6 +355,38 @@ def test_spin1_table_rejects_bad_args():
         wigner_9j_spin1(0, -1, 1, 0, 1, 0)
 
 
+@pytest.mark.parametrize("entries", [(0.5, 0, 0.5, 0, 0.5, 0), (2.0, 1, 2, 1, 2, 1)])
+def test_spin1_table_rejects_non_integral_entries(entries):
+    # 0.5 would pass the triangle checks' arithmetic and read as 0.0
+    with pytest.raises(ValueError, match="integers"):
+        wigner_9j_spin1(*entries)
+
+
+def test_spin1_canonical_cells_equal_the_exact_9j():
+    # each canonical cell's prefactor and radicand are the exact symbol,
+    # not a float within 1e-12 of it
+    checked = 0
+    for (o1, o2, o3), cell in angular._SPIN1_TABLE.items():
+        for a, b, c in itertools.product(range(7), repeat=3):
+            rows = ((a + o1, a, 1), (b + o2, b, 1), (c + o3, c, 1))
+            cols = ((a + o1, b + o2, c + o3), (a, b, c))
+            if min(a + o1, b + o2, c + o3) < 0 or not all(triangle_delta(*t) for t in rows + cols):
+                continue
+            pref, rad = cell(a, b, c, a + b + c)
+            assert SqrtRational.from_rational(Fraction(pref), rad) == wigner_9j(rows), rows
+            checked += 1
+    assert checked > 500
+
+
+def test_spin1_table_numpy_entries_match_python_ints():
+    # int64 products of the radicand would overflow near degree 130, and
+    # int64 products of factorials wrap silently already at (2, 3, 4)
+    for a, b, c in [(2, 3, 4), (130, 129, 128), (128, 130, 129), (129, 129, 130)]:
+        for lam, mu, nu in itertools.product((-1, 0, 1), repeat=3):
+            args = (a, lam, b, mu, c, nu)
+            assert wigner_9j_spin1(*map(np.int64, args)) == wigner_9j_spin1(*args), args
+
+
 # Golden float values of all 27 spin-1 cells at a high degree, from a table
 # with one closed form per cell; folding the cells onto five formulas
 # through the 9j symmetries must reproduce them bit for bit.

@@ -140,6 +140,12 @@ def test_run_bench_names_a_band_limit_below_one_or_a_negative_seed(L_list, seed,
         run_bench("cgtp_sparse", "MIMO", L_list, repeats=1, seed=seed)
 
 
+@pytest.mark.parametrize("L, seed, named", [(2, -1, "seed=-1"), (-1, 0, "L=-1")])
+def test_simulate_cgtp_all_paths_names_a_negative_band_limit_or_seed(L, seed, named):
+    with pytest.raises(ValueError, match=named):
+        simulate_cgtp_all_paths(L, seed)
+
+
 def test_flop_budget_guard(monkeypatch):
     # the environment variable is the one override; a budget equal to the
     # projection admits the cell
@@ -149,6 +155,12 @@ def test_flop_budget_guard(monkeypatch):
     monkeypatch.setenv("SO3TP_FLOP_BUDGET", "10")
     with pytest.raises(FlopBudgetExceeded, match="SO3TP_FLOP_BUDGET"):
         run_bench("cgtp_naive", "MIMO", [8], repeats=1, seed=0)
+
+
+def test_flop_budget_that_is_not_an_integer_is_named(monkeypatch):
+    monkeypatch.setenv("SO3TP_FLOP_BUDGET", "abc")
+    with pytest.raises(ValueError, match="SO3TP_FLOP_BUDGET must be an integer.*'abc'"):
+        run_bench("cgtp_sparse", "MIMO", [1], repeats=1, seed=0)
 
 
 def test_projected_flops_tracks_actuals():

@@ -142,6 +142,20 @@ def test_transform_schema_error_has_pointer(files, capsys):
     assert code == 2 and "/blocks/0/re" in err
 
 
+def test_transform_forward_contradictory_sample_header_is_usage_error(files, capsys):
+    tmp_path, paths = files
+    samples, back = tmp_path / "s.json", tmp_path / "b.json"
+    assert run_cli(capsys, "transform", "inverse", "--s", "0", "--in", str(paths["x"]),
+                   "--out", str(samples), "--Lg", "2")[0] == 0
+    obj = serialize.read_file(samples)
+    obj["n_phi"] = 999
+    serialize.write_file(obj, samples)
+    code, _out, err = run_cli(capsys, "transform", "forward", "--s", "0",
+                              "--in", str(samples), "--out", str(back))
+    assert code == 2 and "/n_phi" in err
+    assert not back.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("transform", "inverse", "--s", "1", "--in", "{xv}"),
     ("tp", "vstp", "--x", "{xv}", "--y", "{yv}", "--l3", "2"),
@@ -279,6 +293,16 @@ def test_bench_bad_band_limit_or_seed_is_usage_error_before_any_output(tmp_path,
                               "--repeats", "1", "--csv", str(csv), "--svg", str(svg), *argv)
     assert code == 2 and named in err
     assert not csv.exists() and not svg.exists()
+
+
+def test_bench_non_integer_flop_budget_is_usage_error_before_any_output(tmp_path, capsys,
+                                                                       monkeypatch):
+    monkeypatch.setenv("SO3TP_FLOP_BUDGET", "abc")
+    csv = tmp_path / "b.csv"
+    code, _out, err = run_cli(capsys, "bench", "run", "--methods", "cgtp_sparse", "--L", "1,2",
+                              "--repeats", "1", "--seed", "7", "--csv", str(csv))
+    assert code == 2 and "SO3TP_FLOP_BUDGET must be an integer" in err and "'abc'" in err
+    assert not csv.exists()
 
 
 def test_verify_negative_seed_is_usage_error(capsys):

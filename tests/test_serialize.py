@@ -139,6 +139,25 @@ def test_sample_header_rejects_bool(rng, field, value):
     assert err.value.pointer == f"/{field}"
 
 
+@pytest.mark.parametrize("field, value", [("kind", "coefficients"), ("n_theta", 999),
+                                          ("n_phi", -4), ("n_theta", 3.0)])
+def test_sample_header_must_agree_with_lg(rng, field, value):
+    # the optional kind and grid sizes must describe the samples the dump carries
+    obj = serialize.samples_to_obj(tsh_encode(random_tsh_coeffs(0, 1, rng), make_grid(2)))
+    obj[field] = value
+    with pytest.raises(SchemaError) as err:
+        serialize.samples_from_obj(obj)
+    assert err.value.pointer == f"/{field}"
+
+
+def test_sample_dump_without_header_fields_stays_readable(rng):
+    sig = tsh_encode(random_tsh_coeffs(1, 2, rng), make_grid(3))
+    obj = serialize.samples_to_obj(sig)
+    for field in ("kind", "n_theta", "n_phi"):
+        del obj[field]
+    np.testing.assert_array_equal(serialize.samples_from_obj(obj).values, sig.values)
+
+
 def test_tsh_spin_rejects_bool(rng):
     obj = serialize.tsh_to_obj(random_tsh_coeffs(0, 1, rng))
     obj["s"] = False
