@@ -357,14 +357,14 @@ def test_spin1_table_rejects_bad_args():
 
 @pytest.mark.parametrize("entries", [(0.5, 0, 0.5, 0, 0.5, 0), (2.0, 1, 2, 1, 2, 1)])
 def test_spin1_table_rejects_non_integral_entries(entries):
-    # 0.5 would pass the triangle checks' arithmetic and read as 0.0
+    # integer momenta only: a half-integer entry is neither truncated nor read as a zero symbol
     with pytest.raises(ValueError, match="integers"):
         wigner_9j_spin1(*entries)
 
 
 def test_spin1_canonical_cells_equal_the_exact_9j():
-    # each canonical cell's prefactor and radicand are the exact symbol,
-    # not a float within 1e-12 of it
+    # each canonical cell's prefactor and radicand are the exact symbol;
+    # verify's nine_j_table compares only floats, to 1e-12
     checked = 0
     for (o1, o2, o3), cell in angular._SPIN1_TABLE.items():
         for a, b, c in itertools.product(range(7), repeat=3):
@@ -379,8 +379,8 @@ def test_spin1_canonical_cells_equal_the_exact_9j():
 
 
 def test_spin1_table_numpy_entries_match_python_ints():
-    # int64 products of the radicand would overflow near degree 130, and
-    # int64 products of factorials wrap silently already at (2, 3, 4)
+    # entries become Python ints: the radicand's integer products exceed
+    # int64 near degree 130
     for a, b, c in [(2, 3, 4), (130, 129, 128), (128, 130, 129), (129, 129, 130)]:
         for lam, mu, nu in itertools.product((-1, 0, 1), repeat=3):
             args = (a, lam, b, mu, c, nu)
