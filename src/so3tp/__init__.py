@@ -32,7 +32,6 @@ from .rules import (
 )
 from .sht import (
     IrrepCoeffs,
-    ScalarSignal,
     SphereGrid,
     make_grid,
     sh_eval,
@@ -73,7 +72,6 @@ __all__ = [
     "wigner_9j_spin1",
     "rotation_matrix",
     "SphereGrid",
-    "ScalarSignal",
     "IrrepCoeffs",
     "make_grid",
     "sh_eval",

@@ -103,6 +103,16 @@ def require_triangle(j1: int, j2: int, j3: int) -> None:
         raise ValueError(f"({j1}, {j2}, {j3}) violates the triangle condition")
 
 
+def require_natural(value, name: str) -> None:
+    """``ValueError`` naming ``value`` unless it is a non-negative integer (Python or numpy)."""
+    try:
+        if operator.index(value) >= 0:
+            return
+    except TypeError:
+        raise ValueError(f"{name}={value!r} must be an integer") from None
+    raise ValueError(f"{name}={value} must be non-negative")
+
+
 def cg_tensor(j1: int, j2: int) -> np.ndarray:
     """Read-only half-sheared CG tensor of the unordered pair j1 <= j2 <= CG_BLOCK_MAX - j1.
 
@@ -226,8 +236,7 @@ def wigner_d_matrix(j: int, alpha: float, beta: float, gamma: float) -> np.ndarr
     running m, n = -j..j, so that rotating a signal on the sphere by g maps
     its degree-j coefficient vector x to D x.
     """
-    if j < 0:
-        raise ValueError("j must be non-negative")
+    require_natural(j, "j")
     m = np.arange(-j, j + 1)
     V = _jy_eigenvectors(j)
     # d^j(beta) = exp(-i beta J_y), real for the Condon-Shortley basis

@@ -40,7 +40,6 @@ __all__ = [
     "run_bench",
     "fit_slope",
     "emit_csv",
-    "parse_csv",
     "emit_svg",
 ]
 
@@ -216,20 +215,6 @@ def emit_csv(records, path) -> None:
         writer.writerow(_CSV_COLUMNS)
         for r in records:
             writer.writerow([r.method, r.setting, r.L, r.flops, repr(r.walltime_s), r.repeats])
-
-
-def parse_csv(path) -> list[BenchRecord]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != _CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV columns {reader.fieldnames}")
-        for row in reader:
-            out.append(BenchRecord(method=row["method"], setting=row["setting"],
-                                   L=int(row["L"]), flops=int(row["flops"]),
-                                   walltime_s=float(row["walltime_s"]),
-                                   repeats=int(row["repeats"])))
-    return out
 
 
 def emit_svg(records, path) -> None:

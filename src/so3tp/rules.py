@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .angular import cg, cg_zero, triangle_delta, wigner_9j, wigner_9j_spin1
+from .angular import cg, cg_zero, require_natural, triangle_delta, wigner_9j, wigner_9j_spin1
 from .exact import SqrtRational
 
 __all__ = [
@@ -186,8 +186,8 @@ def find_valid_ells(j1: int, j2: int, j3: int) -> tuple[int, int, int]:
     TriangleViolation when the degrees fail the triangle condition.
     """
     js = (j1, j2, j3)
-    if any(j < 0 for j in js):
-        raise ValueError(f"degrees must be non-negative, got {js}")
+    for name, j in zip(("j1", "j2", "j3"), js):
+        require_natural(j, name)
     if not triangle_delta(*js):
         raise TriangleViolation(f"{js} violates the triangle condition")
     if js == (0, 0, 0):
@@ -217,8 +217,8 @@ def find_pair_ells(j1: int, j2: int) -> tuple[int, int]:
     (j1 - 1, j2) when both degrees are positive, else (1, j2 - 1) or (j1 - 1, 1):
     the least l1 + l2 giving each j3 an l3 <= l1 + l2 that passes all five rules.
     """
-    if j1 < 0 or j2 < 0:
-        raise ValueError(f"degrees must be non-negative, got {(j1, j2)}")
+    for name, j in (("j1", j1), ("j2", j2)):
+        require_natural(j, name)
     if j1 == j2 == 0:
         raise NotInteractable("scalar x scalar is plain multiplication")
     return (1, j2 - 1) if j1 == 0 else (j1 - 1, max(j2, 1))
@@ -231,8 +231,8 @@ def interactable(j1: int, j2: int, j3: int) -> bool:
     zero; agrees with brute-force search over orbital labels.
     """
     js = (j1, j2, j3)
-    if any(j < 0 for j in js):
-        raise ValueError(f"degrees must be non-negative, got {js}")
+    for name, j in zip(("j1", "j2", "j3"), js):
+        require_natural(j, name)
     return bool(triangle_delta(*js)) and js != (0, 0, 0)
 
 

@@ -45,17 +45,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .angular import wigner_d_matrix
+from .angular import require_natural, wigner_d_matrix
 from .flops import FlopCounter
 
 __all__ = [
     "SphereGrid",
-    "ScalarSignal",
     "IrrepCoeffs",
     "make_grid",
     "sh_eval",
@@ -173,19 +172,6 @@ def make_grid(Lg: int) -> SphereGrid:
     )
 
 
-@dataclass(eq=False)
-class ScalarSignal:
-    """Complex samples on a SphereGrid, shape (n_theta, n_phi)."""
-
-    grid: SphereGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        expect = (self.grid.n_theta, self.grid.n_phi)
-        if self.values.shape != expect:
-            raise ValueError(f"signal shape {self.values.shape} != grid shape {expect}")
-
-
 def _require_finite(*vecs: np.ndarray) -> None:
     # a finite sum has only finite terms, so only a non-finite sum (a bad
     # entry or an overflow) needs the entrywise test
@@ -195,8 +181,7 @@ def _require_finite(*vecs: np.ndarray) -> None:
 
 
 def _check_band_limit(L: int) -> None:
-    if L < 0:
-        raise ValueError(f"band limit L={L} must be non-negative")
+    require_natural(L, "band limit L")
 
 
 def _block_vector(key: tuple, vec) -> np.ndarray:
@@ -218,35 +203,56 @@ def _block_sort_key(key):
     return (j, tag is not None, repr(tag))
 
 
+class _Blocks:
+    """Block code shared by ``IrrepCoeffs`` and ``tsh.TshCoeffs``.
+
+    ``blocks`` maps (j, tag) to a complex vector of length 2j + 1.  Each
+    subclass checks its own keys; ``_sort_key`` orders ``items`` (None: by key).
+    """
+
+    _sort_key = None
+
+    @classmethod
+    def _trusted(cls, blocks: dict, **fields):
+        """Blocks known to pass the class's checks, kept unchecked; ``fields`` are the others.
+
+        For blocks cut from a known layout (``tenprod.cgtp_full``'s packed
+        output, ``tsh.tsh_decode``'s spans, a checked spin-0 ``TshCoeffs``),
+        skipping the per-block check of about 1 us a block.
+        """
+        z = cls.__new__(cls)
+        vars(z).update(fields, blocks=blocks)
+        return z
+
+    def block(self, j: int, tag=None) -> np.ndarray:
+        return self.blocks[(j, tag)]
+
+    def items(self):
+        """Blocks in canonical order."""
+        for key in sorted(self.blocks, key=self._sort_key):
+            yield key, self.blocks[key]
+
+
 @dataclass(eq=False)
-class IrrepCoeffs:
+class IrrepCoeffs(_Blocks):
     """Coefficient blocks indexed by degree j and an optional tag.
 
     Block (j, tag) is a complex vector of length 2j+1 indexed m = -j..j.
     Untagged blocks (tag None) are plain spherical harmonic coefficients;
-    tags carry multiplicity labels such as source paths.
+    tags carry multiplicity labels such as source paths.  Canonical block
+    order is ascending j, untagged first.
     """
 
     L: int
     blocks: dict = field(default_factory=dict)
+
+    _sort_key = staticmethod(_block_sort_key)
 
     def __post_init__(self):
         _check_band_limit(self.L)
         # _checked returns an _is_block block as is; the test skips its call
         self.blocks = {key: vec if _is_block(vec, key[0], self.L) else self._checked(key, vec)
                        for key, vec in self.blocks.items()}
-
-    @classmethod
-    def _trusted(cls, L: int, blocks: dict) -> IrrepCoeffs:
-        """Blocks known to be complex (2j + 1,) arrays with 0 <= j <= L, kept unchecked.
-
-        For blocks cut from a known layout: ``tenprod.cgtp_full``'s packed
-        output and the blocks of a checked spin-0 ``TshCoeffs``.  The
-        per-block check, about 0.7 us a block, is skipped.
-        """
-        z = cls.__new__(cls)
-        z.L, z.blocks = L, blocks
-        return z
 
     def _checked(self, key: tuple, vec) -> np.ndarray:
         """The per-block check: key (j, tag) with 0 <= j <= L, length 2j + 1."""
@@ -255,19 +261,11 @@ class IrrepCoeffs:
             raise ValueError(f"block degree {j} outside 0..L={self.L}")
         return _block_vector(key, vec)
 
-    def block(self, j: int, tag=None) -> np.ndarray:
-        return self.blocks[(j, tag)]
-
     def get(self, j: int, tag=None):
         return self.blocks.get((j, tag))
 
     def set_block(self, j: int, vec, tag=None) -> None:
         self.blocks[(j, tag)] = vec if _is_block(vec, j, self.L) else self._checked((j, tag), vec)
-
-    def items(self):
-        """Blocks in canonical order: ascending j, untagged first."""
-        for key in sorted(self.blocks, key=_block_sort_key):
-            yield key, self.blocks[key]
 
     def single_per_degree(self) -> dict[int, np.ndarray]:
         """Map j -> vector, requiring at most one block per degree."""
@@ -367,9 +365,12 @@ def random_coeffs(L: int, rng: np.random.Generator) -> IrrepCoeffs:
     return IrrepCoeffs(L=L, blocks={(l, None): random_block(l, rng) for l in range(L + 1)})
 
 
-def rotate_coeffs(x: IrrepCoeffs, alpha: float, beta: float, gamma: float) -> IrrepCoeffs:
-    """Apply the rotation blockwise: each degree-j block maps to D^j x."""
-    blocks = {}
-    for (j, tag), vec in x.items():
-        blocks[(j, tag)] = wigner_d_matrix(j, alpha, beta, gamma) @ vec
-    return IrrepCoeffs(L=x.L, blocks=blocks)
+def rotate_coeffs(x: _Blocks, alpha: float, beta: float, gamma: float) -> _Blocks:
+    """Apply the rotation blockwise: each degree-j block maps to D^j x.
+
+    ``x`` is an ``IrrepCoeffs`` or a ``tsh.TshCoeffs``; the result is the
+    same type with the same other fields and keys, built (and so checked)
+    by ``dataclasses.replace``.
+    """
+    return replace(x, blocks={key: wigner_d_matrix(key[0], alpha, beta, gamma) @ vec
+                              for key, vec in x.items()})

@@ -314,7 +314,7 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
     plan = _call_plan(tuple(xs), tuple(ys), L3)
     packed = kernel(plan, xs, ys)
     blocks = {key: packed[i:j] for key, i, j in zip(*plan.blocks)}
-    return TpoResult(output=IrrepCoeffs._trusted(L3, blocks), flops=plan.macs[mode])
+    return TpoResult(output=IrrepCoeffs._trusted(blocks, L=L3), flops=plan.macs[mode])
 
 
 @lru_cache(maxsize=256)

@@ -30,9 +30,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .angular import cg_block, cg_float, triangle_delta, wigner_d_matrix
+from .angular import cg_block, cg_float, require_natural, triangle_delta
 from .flops import FlopCounter
-from .sht import (IrrepCoeffs, ScalarSignal, SphereGrid, _analysis_core, _block_vector,
+from .sht import (IrrepCoeffs, SphereGrid, _analysis_core, _block_vector, _Blocks,
                   _check_band_limit, _require_finite, _synthesis_core, make_grid, random_block,
                   sh_eval)
 
@@ -50,7 +50,6 @@ __all__ = [
     "tsh_evaluate",
     "tsh_orthonormality_check",
     "random_tsh_coeffs",
-    "rotate_tsh_coeffs",
 ]
 
 
@@ -75,15 +74,14 @@ class SpinSignal:
     values: np.ndarray  # (n_theta, n_phi, 2s+1), component index ms = -s..s
 
     def __post_init__(self):
+        require_natural(self.s, "spin s")
         expect = (self.grid.n_theta, self.grid.n_phi, 2 * self.s + 1)
-        if self.s < 0:
-            raise ValueError("spin must be non-negative")
         if self.values.shape != expect:
             raise ValueError(f"signal shape {self.values.shape} != {expect}")
 
 
 @dataclass(eq=False)
-class TshCoeffs:
+class TshCoeffs(_Blocks):
     """Tensor-harmonic coefficient blocks keyed by (j, l).
 
     Every key satisfies {j, l, s} = 1 and l <= L; block (j, l) has length
@@ -95,22 +93,10 @@ class TshCoeffs:
     blocks: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.s < 0:
-            raise ValueError(f"spin s={self.s} must be non-negative")
+        require_natural(self.s, "spin s")
         _check_band_limit(self.L)
         valid = _valid_key_set(self.s, self.L)
         self.blocks = {key: self._checked(key, vec, valid) for key, vec in self.blocks.items()}
-
-    @classmethod
-    def _from_spans(cls, s: int, L: int, blocks: dict) -> TshCoeffs:
-        """Blocks that ``tsh_decode`` sliced by the spans of ``_decode_layout(s, L)``.
-
-        Their keys are valid_pairs(s, L) and each slice has length 2j + 1,
-        so the per-block check, about 1 us a block, is skipped.
-        """
-        z = cls.__new__(cls)
-        z.s, z.L, z.blocks = s, L, blocks
-        return z
 
     def _checked(self, key: tuple, vec, valid: frozenset) -> np.ndarray:
         """The per-block check: key (j, l) in ``valid`` (else ``_check_key`` raises), length 2j + 1."""
@@ -124,15 +110,8 @@ class TshCoeffs:
         if j < 0 or l < 0 or not triangle_delta(j, l, self.s):
             raise ValueError(f"key {(j, l)} violates the triangle {{j, l, s={self.s}}}")
 
-    def block(self, j: int, l: int) -> np.ndarray:
-        return self.blocks[(j, l)]
-
     def set_block(self, j: int, l: int, vec) -> None:
         self.blocks[(j, l)] = self._checked((j, l), vec, _valid_key_set(self.s, self.L))
-
-    def items(self):
-        for key in sorted(self.blocks):
-            yield key, self.blocks[key]
 
 
 def spin0_from_scalar(x: IrrepCoeffs) -> TshCoeffs:
@@ -144,12 +123,13 @@ def scalar_from_spin0(z: TshCoeffs) -> IrrepCoeffs:
     """Untagged scalar coefficients from spin-0 blocks (j, l = j)."""
     if z.s != 0:
         raise ValueError(f"spin-{z.s} coefficients have no scalar form")
-    return IrrepCoeffs._trusted(z.L, {(j, None): vec for (j, _l), vec in z.items()})
+    return IrrepCoeffs._trusted({(j, None): vec for (j, _l), vec in z.items()}, L=z.L)
 
 
-def to_sphere(x: IrrepCoeffs, grid: SphereGrid, flops: FlopCounter | None = None) -> ScalarSignal:
+def to_sphere(x: IrrepCoeffs, grid: SphereGrid, flops: FlopCounter | None = None) -> SpinSignal:
     """Synthesize f(theta, phi) = sum_{l,m} x^(l)_m Y^m_l on the grid, by a spin-0 encode.
 
+    Returns the spin-0 signal, ``values`` of shape (n_theta, n_phi, 1).
     Requires grid.Lg >= x.L and finite coefficients.  Tags are ignored;
     at most one block per degree may be present.  Unlike ``tsh_encode``,
     it synthesizes at x.L, not at the top degree present, and rejects NaN/inf.
@@ -158,17 +138,18 @@ def to_sphere(x: IrrepCoeffs, grid: SphereGrid, flops: FlopCounter | None = None
         raise ValueError(f"grid exactness degree {grid.Lg} < band limit {x.L}")
     keys, _l, packed = _packed(spin0_from_scalar(x))
     _require_finite(packed)
-    values = _encode(0, keys, x.L, packed, grid, flops).values
-    return ScalarSignal(grid=grid, values=values[:, :, 0])
+    return _encode(0, keys, x.L, packed, grid, flops)
 
 
-def from_sphere(f: ScalarSignal, L: int, flops: FlopCounter | None = None) -> IrrepCoeffs:
+def from_sphere(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> IrrepCoeffs:
     """Analyze a signal into coefficients x^(l)_m = integral(f * conj(Y^m_l)), by a spin-0 decode.
 
+    ``f`` must be a spin-0 ``SpinSignal``; any other spin raises first.
     Exact for signals band-limited at degree <= grid.Lg when L <= grid.Lg.
     """
-    f0 = SpinSignal(s=0, grid=f.grid, values=f.values[:, :, None])
-    return scalar_from_spin0(tsh_decode(f0, L, flops))
+    if f.s != 0:
+        raise ValueError(f"from_sphere takes a spin-0 signal, got spin s={f.s}")
+    return scalar_from_spin0(tsh_decode(f, L, flops))
 
 
 def tsh_eval(j: int, m_j: int, l: int, s: int, theta, phi) -> np.ndarray:
@@ -336,7 +317,7 @@ def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCo
         if flops is not None:
             flops.add(slot.size)
     blocks = {key: packed[start:end] for key, (start, end) in zip(keys, spans)}
-    return TshCoeffs._from_spans(s, L, blocks)
+    return TshCoeffs._trusted(blocks, s=s, L=L)
 
 
 def tsh_evaluate(x: TshCoeffs, theta, phi) -> np.ndarray:
@@ -382,11 +363,3 @@ def random_tsh_coeffs(s: int, L: int, rng: np.random.Generator) -> TshCoeffs:
     """Standard complex normal coefficients on every valid (j, l) key."""
     blocks = {(j, l): random_block(j, rng) for j, l in valid_pairs(s, L)}
     return TshCoeffs(s=s, L=L, blocks=blocks)
-
-
-def rotate_tsh_coeffs(x: TshCoeffs, alpha: float, beta: float, gamma: float) -> TshCoeffs:
-    """Apply the rotation blockwise: each (j, l) block maps to D^j x."""
-    blocks = {}
-    for (j, l), vec in x.items():
-        blocks[(j, l)] = wigner_d_matrix(j, alpha, beta, gamma) @ vec
-    return TshCoeffs(s=x.s, L=x.L, blocks=blocks)

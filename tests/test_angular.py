@@ -209,6 +209,15 @@ def test_wigner_d_identity_rotation():
     np.testing.assert_allclose(wigner_d_matrix(1, 0, 0, 0), np.eye(3), atol=1e-15)
 
 
+def test_wigner_d_takes_integer_degrees_only():
+    with pytest.raises(ValueError, match="j=1.5 must be an integer"):
+        wigner_d_matrix(1.5, 0.1, 0.2, 0.3)
+    with pytest.raises(ValueError, match="j=-1 must be non-negative"):
+        wigner_d_matrix(-1, 0.1, 0.2, 0.3)
+    assert np.array_equal(wigner_d_matrix(np.int64(2), 0.1, 0.2, 0.3),
+                          wigner_d_matrix(2, 0.1, 0.2, 0.3))
+
+
 def test_wigner_d_z_rotation_phases():
     theta = 0.37
     for j in (1, 2, 3):

@@ -1,5 +1,6 @@
 """Tests for the FLOP-instrumented benchmark harness."""
 
+import csv
 import itertools
 
 import numpy as np
@@ -13,7 +14,6 @@ from so3tp.bench import (
     emit_csv,
     emit_svg,
     fit_slope,
-    parse_csv,
     projected_flops,
     run_bench,
 )
@@ -199,7 +199,11 @@ def test_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "method,setting,L,flops,walltime_s,repeats"
     assert len(lines) == 4
-    assert parse_csv(path) == recs
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [BenchRecord(method=row["method"], setting=row["setting"], L=int(row["L"]),
+                        flops=int(row["flops"]), walltime_s=float(row["walltime_s"]),
+                        repeats=int(row["repeats"])) for row in rows] == recs
 
 
 def test_csv_single_record(tmp_path):

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,6 +169,17 @@ def test_interactable_examples():
     assert interactable(1, 1, 1)
     assert not interactable(1, 2, 4)
     assert not interactable(0, 0, 0)
+
+
+def test_rules_entry_points_take_integer_degrees_only():
+    for call, bad, name in [(lambda: find_pair_ells(1.5, 2), "1.5", "j1"),
+                            (lambda: find_valid_ells(1.0, 1, 1), "1.0", "j1"),
+                            (lambda: interactable(1, 1.5, 1), "1.5", "j2")]:
+        with pytest.raises(ValueError, match=f"{name}={bad} must be an integer"):
+            call()
+    assert find_pair_ells(np.int64(3), np.int64(2)) == (2, 2)
+    assert find_valid_ells(*map(np.int64, (1, 1, 1))) == find_valid_ells(1, 1, 1)
+    assert interactable(np.int64(1), np.int64(1), np.int64(1))
 
 
 # ---------------------------------------------------------------- expressivity

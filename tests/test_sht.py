@@ -18,7 +18,6 @@ from so3tp.sht import (
     _analysis_core,
     _legendre_orders,
     _synthesis_core,
-    ScalarSignal,
     make_grid,
     random_block,
     random_coeffs,
@@ -27,6 +26,7 @@ from so3tp.sht import (
 from so3tp.rules import gaunt_coefficient
 from so3tp.tenprod import gtp
 from so3tp.tsh import (
+    SpinSignal,
     _folded_scatter,
     _padded_index,
     from_sphere,
@@ -183,7 +183,7 @@ def test_to_sphere_cos_theta_block():
     x = IrrepCoeffs(L=1, blocks={(1, None): np.array([0, 1, 0], dtype=complex)})
     f = to_sphere(x, g)
     expect = math.sqrt(3 / (4 * math.pi)) * g.cos_theta[:, None] * np.ones((1, g.n_phi))
-    np.testing.assert_allclose(f.values, expect, atol=1e-14)
+    np.testing.assert_allclose(f.values[:, :, 0], expect, atol=1e-14)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, 0.0), complex(0.0, np.nan)])
@@ -202,7 +202,7 @@ def test_to_sphere_grid_too_small():
 
 def test_from_sphere_constant_signal():
     g = make_grid(2)
-    f = ScalarSignal(grid=g, values=np.ones((g.n_theta, g.n_phi), dtype=complex))
+    f = SpinSignal(s=0, grid=g, values=np.ones((g.n_theta, g.n_phi, 1), dtype=complex))
     x = from_sphere(f, 2)
     assert x.block(0)[0] == pytest.approx(math.sqrt(4 * math.pi), abs=1e-13)
     assert np.abs(x.block(1)).max() <= 1e-13
@@ -212,15 +212,24 @@ def test_from_sphere_constant_signal():
 def test_from_sphere_rejects_negative_band_limit_before_any_table():
     make_grid.cache_clear()
     g = make_grid(2)
-    f = ScalarSignal(grid=g, values=np.zeros((g.n_theta, g.n_phi), dtype=complex))
+    f = SpinSignal(s=0, grid=g, values=np.zeros((g.n_theta, g.n_phi, 1), dtype=complex))
     with pytest.raises(ValueError, match="band limit L=-1 must be non-negative"):
         from_sphere(f, -1)
     assert not _TABLES & vars(g).keys()
 
 
+def test_from_sphere_rejects_spin_1_before_any_table():
+    make_grid.cache_clear()
+    g = make_grid(2)
+    f = SpinSignal(s=1, grid=g, values=np.zeros((g.n_theta, g.n_phi, 3), dtype=complex))
+    with pytest.raises(ValueError, match="from_sphere takes a spin-0 signal, got spin s=1"):
+        from_sphere(f, 2)
+    assert not _TABLES & vars(g).keys()
+
+
 def test_from_sphere_rejects_excess_degree():
     g = make_grid(2)
-    f = ScalarSignal(grid=g, values=np.zeros((g.n_theta, g.n_phi), dtype=complex))
+    f = SpinSignal(s=0, grid=g, values=np.zeros((g.n_theta, g.n_phi, 1), dtype=complex))
     with pytest.raises(ValueError):
         from_sphere(f, 3)
 
@@ -385,7 +394,7 @@ def test_scalar_transforms_match_scatter_oracle(rng):
                       IrrepCoeffs(L=L, blocks=even)):
                 f = to_sphere(x, g)
                 assert f.values.tobytes() == _scatter_to_sphere(x, g).tobytes(), (L, Lg)
-                z, ref = from_sphere(f, L), _gather_from_sphere(f.values, g, L)
+                z, ref = from_sphere(f, L), _gather_from_sphere(f.values[:, :, 0], g, L)
                 assert sorted(z.blocks) == [(l, None) for l in range(L + 1)]
                 assert all(z.block(l).tobytes() == ref[l].tobytes() for l in ref), (L, Lg)
 
@@ -408,7 +417,7 @@ def test_spin0_transforms_count_scalar_macs(rng):
         assert (scalar.count, spin0.count) == (synthesis(g, L), synthesis(g, top))
         scalar, spin0 = FlopCounter(), FlopCounter()
         from_sphere(f, L, flops=scalar)
-        tsh_decode(tsh.SpinSignal(s=0, grid=g, values=f.values[:, :, None]), L, flops=spin0)
+        tsh_decode(f, L, flops=spin0)
         assert scalar.count == spin0.count == analysis(g, L)
 
 
@@ -474,7 +483,7 @@ def test_product_analysis_matches_gaunt(rng):
     x = random_coeffs(1, rng)
     y = random_coeffs(1, rng)
     g = make_grid(2)
-    prod = ScalarSignal(grid=g, values=to_sphere(x, g).values * to_sphere(y, g).values)
+    prod = SpinSignal(s=0, grid=g, values=to_sphere(x, g).values * to_sphere(y, g).values)
     z = from_sphere(prod, 2)
     for l3 in range(3):
         expect = np.zeros(2 * l3 + 1, dtype=complex)
@@ -501,9 +510,12 @@ def test_irrep_coeffs_validation():
         IrrepCoeffs(L=-1)
     with pytest.raises((TypeError, ValueError)):
         IrrepCoeffs(L=1, blocks={1: np.zeros(3)})  # keys are (j, tag) pairs
+    with pytest.raises(ValueError, match="band limit L=2.5 must be an integer"):
+        IrrepCoeffs(L=2.5)
+    assert IrrepCoeffs(L=np.int64(2), blocks={(2, None): np.zeros(5)}).block(2).shape == (5,)
 
 
 def test_signal_shape_validation():
     g = make_grid(1)
     with pytest.raises(ValueError):
-        ScalarSignal(grid=g, values=np.zeros((1, 1), dtype=complex))
+        SpinSignal(s=0, grid=g, values=np.zeros((1, 1), dtype=complex))

@@ -344,6 +344,17 @@ def test_cgtp_full_rejects_degrees_past_float_cg_range(rng):
             cgtp_full(x, y, 1, mode=mode)
 
 
+def test_products_take_integer_band_limits_only(rng):
+    x, y = random_coeffs(2, rng), random_coeffs(2, rng)
+    xv, yv = random_tsh_coeffs(1, 2, rng), random_tsh_coeffs(1, 2, rng)
+    g = make_grid(4)
+    for call, bad in [(lambda: cgtp_full(x, y, 2.0), "2.0"), (lambda: vstp(xv, yv, 4.0, g), "4.0")]:
+        with pytest.raises(ValueError, match=f"band limit L={bad} must be an integer"):
+            call()
+    assert cgtp_full(x, y, np.int64(2)).output.L == 2
+    assert vstp(xv, yv, np.int64(4), g).output.L == 4
+
+
 # ---------------------------------------------------------------- pointwise
 
 def test_pointwise_scalar_is_multiplication(rng):

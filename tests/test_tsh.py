@@ -8,12 +8,12 @@ import pytest
 from so3tp import serialize, tsh
 from so3tp.angular import wigner_d_matrix
 from so3tp.flops import FlopCounter
-from so3tp.sht import IrrepCoeffs, make_grid, random_block, random_coeffs, sh_eval
+from so3tp.tenprod import cgtp_full
+from so3tp.sht import IrrepCoeffs, make_grid, random_block, random_coeffs, rotate_coeffs, sh_eval
 from so3tp.tsh import (
     SpinSignal,
     TshCoeffs,
     random_tsh_coeffs,
-    rotate_tsh_coeffs,
     scalar_from_spin0,
     spin0_from_scalar,
     tsh_decode,
@@ -72,6 +72,8 @@ def test_tsh_coeffs_key_validation():
 @pytest.mark.parametrize("s, L, message", [
     (1, -1, "band limit L=-1 must be non-negative"),
     (-1, 1, "spin s=-1 must be non-negative"),
+    (1, 2.5, "band limit L=2.5 must be an integer"),
+    (1.5, 1, "spin s=1.5 must be an integer"),
 ])
 def test_tsh_coeffs_reject_negative_limits(s, L, message):
     with pytest.raises(ValueError, match=message):
@@ -85,6 +87,24 @@ def test_decode_rejects_negative_band_limit_before_any_table():
     with pytest.raises(ValueError, match="band limit L=-1 must be non-negative"):
         tsh_decode(f, -1)
     assert not {"legendre", "weighted_legendre", "trig"} & vars(g).keys()
+
+
+def test_spin_and_decode_band_limit_must_be_integers():
+    g = make_grid(2)
+    values = np.zeros((g.n_theta, g.n_phi, 3), complex)
+    with pytest.raises(ValueError, match="spin s=1.0 must be an integer"):
+        SpinSignal(s=1.0, grid=g, values=values)
+    f = SpinSignal(s=np.int64(1), grid=g, values=values)
+    with pytest.raises(ValueError, match="band limit L=2.0 must be an integer"):
+        tsh_decode(f, 2.0)
+    assert sorted(tsh_decode(f, np.int64(2)).blocks) == valid_pairs(1, 2)
+
+
+def test_decoded_blocks_are_views_of_one_packed_array(rng):
+    for s in (0, 1, 2):
+        z = tsh_decode(tsh_encode(random_tsh_coeffs(s, 4, rng), make_grid(4)), 4)
+        bases = [vec.base for vec in z.blocks.values()]
+        assert all(base is not None and base is bases[0] for base in bases), s
 
 
 def test_encoded_samples_are_phi_major(rng):
@@ -266,11 +286,25 @@ def test_equivariance(rng):
     x = random_tsh_coeffs(s, L, rng)
     for _ in range(3):
         a, b, c = rng.uniform(0, 2 * np.pi, 3)
-        f_rot = tsh_encode(rotate_tsh_coeffs(x, a, b, c), g).values
+        f_rot = tsh_encode(rotate_coeffs(x, a, b, c), g).values
         th_b, ph_b = rotated_node_angles(g, a, b, c)
         f_back = tsh_evaluate(x, th_b, ph_b)
         expect = f_back @ wigner_d_matrix(s, a, b, c).T
         assert np.abs(f_rot - expect).max() <= 1e-10
+
+
+def test_rotate_coeffs_keeps_the_container(rng):
+    # a TshCoeffs stays a TshCoeffs, and a path-tagged IrrepCoeffs keeps its tags
+    angles = (0.3, 1.1, -0.4)
+    x = random_tsh_coeffs(1, 3, rng)
+    tagged = cgtp_full(random_coeffs(2, rng), random_coeffs(2, rng), 3).output
+    for z in (x, tagged):
+        rot = rotate_coeffs(z, *angles)
+        assert type(rot) is type(z) and vars(rot).keys() == vars(z).keys()
+        assert [key for key, _ in rot.items()] == [key for key, _ in z.items()]
+        assert all(getattr(rot, name) == getattr(z, name) for name in vars(z) if name != "blocks")
+        for (j, tag), vec in z.items():
+            np.testing.assert_array_equal(rot.block(j, tag), wigner_d_matrix(j, *angles) @ vec)
 
 
 def test_high_spin_round_trip(rng):

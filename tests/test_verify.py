@@ -97,6 +97,12 @@ def test_only_rejects_unknown_names():
         verify.run_verify("quick", only=["sh_orthonormality", "sh_orthonormalty"])
 
 
+def test_only_rejects_a_bare_string():
+    # a string is a collection of letters, not of check names
+    with pytest.raises(ValueError, match="only takes a collection of check names"):
+        verify.run_verify("quick", only="cg_orthogonality")
+
+
 def test_only_skips_full_only_check_at_quick():
     assert verify.run_verify("quick", only=["mimo_scaling_slopes"]) == ([], True)
 
