@@ -397,8 +397,7 @@ def check_tpo_equivariance(p, rng):
                                     ((1, 0, 1), xv, x0, xvr, x0r),
                                     ((1, 1, 0), xv, yv, xvr, yvr)]:
             lhs = tenprod.istp(ur, vr, spins[2], 2 * L, grid).output
-            rhs = sht.rotate_coeffs(
-                tenprod.istp(u, v, spins[2], 2 * L, grid).output, a, b, c)
+            rhs = sht.rotate_coeffs(tenprod.istp(u, v, spins[2], 2 * L, grid).output, a, b, c)
             for key in lhs.blocks:
                 yield (float(np.abs(lhs.blocks[key] - rhs.blocks[key]).max()),
                        f"istp{spins} block {key}")
