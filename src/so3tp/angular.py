@@ -21,10 +21,18 @@ require, as a sum over one momentum x of products of three Racah 6j
 symbols (Varshalovich et al. 1988, ch. 10), each by Racah's single
 sum.  The triangle roots through x appear twice and are rational; the
 six row and column roots appear once and are the one surd shared by
-every term, so the sum adds rationals and takes one square root at the
-end.  A closed-form fast path covers the grids with unit spins in the
+every term, so the sum is one rational times one square root taken at
+the end.  A closed-form fast path covers the grids with unit spins in the
 third column: five closed forms and the 9j symmetries give all 27
 offset cells.
+
+Every exact sum runs in Python integers (the approach of WIGXJPF:
+Johansson & Forssen, SIAM J. Sci. Comput. 38, A376, 2016).  The terms of
+a Racah sum share one common denominator, each the last times an exact
+integer ratio, and the 9j carries its x-sum as one integer numerator and
+denominator, so a CG or 9j symbol builds one ``Fraction`` and reduces it
+once, at the end.  C^{l3,0}_{l1,0,l2,0} needs no sum at all: it has a
+closed form (Varshalovich et al. 1988, sec. 8.5).
 """
 
 from __future__ import annotations
@@ -62,9 +70,17 @@ def triangle_delta(a: int, b: int, c: int) -> int:
     return int(a <= b + c and b <= a + c and c <= a + b)
 
 
-def _delta2(a: int, b: int, c: int) -> Fraction:
-    """Squared triangle coefficient (a+b-c)!(a-b+c)!(-a+b+c)! / (a+b+c+1)! of a valid triangle."""
-    return Fraction(_fact(a + b - c) * _fact(a - b + c) * _fact(-a + b + c), _fact(a + b + c + 1))
+def _delta2(a: int, b: int, c: int) -> tuple[int, int]:
+    """Squared triangle coefficient (a+b-c)!(a-b+c)!(-a+b+c)! / (a+b+c+1)! as (numerator, denominator)."""
+    return _fact(a + b - c) * _fact(a - b + c) * _fact(-a + b + c), _fact(a + b + c + 1)
+
+
+def _signed(num: int, den: int, radicand_num: int, radicand_den: int) -> SqrtRational:
+    """(num / den) * sqrt(radicand_num / radicand_den) for integers with den > 0, as one ``Fraction``."""
+    if num == 0:
+        return SQRT_ZERO
+    return SqrtRational(1 if num > 0 else -1,
+                        Fraction(num * num * radicand_num, den * den * radicand_den))
 
 
 @cache
@@ -72,22 +88,54 @@ def cg(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int) -> SqrtRational:
     """Exact Clebsch-Gordan coefficient C^{j3,m3}_{j1,m1,j2,m2}.
 
     Zero when m3 != m1 + m2 or the triangle condition fails.  Component
-    indices must satisfy |m_i| <= j_i.  Racah's formula: a rational k-sum
-    times sqrt((2j3+1) delta2 (j1+m1)!(j1-m1)!(j2+m2)!(j2-m2)!(j3+m3)!(j3-m3)!).
+    indices must be integers (Python or numpy) with |m_i| <= j_i.  Racah's
+    formula: a k-sum of (-1)^k / (k!(A-k)!(B-k)!(C-k)!(D+k)!(E+k)!) times
+    sqrt((2j3+1) delta2 (j1+m1)!(j1-m1)!(j2+m2)!(j2-m2)!(j3+m3)!(j3-m3)!),
+    with A = j1+j2-j3, B = j1-m1, C = j2+m2, D = j3-j2+m1, E = j3-j1-m2.
+    The sum runs in Python integers over one common denominator, each term
+    the last times an exact integer ratio, so the symbol builds a single
+    ``Fraction``.  The m1 = m2 = 0 case is ``cg_zero``'s closed form.
     """
+    j1, m1, j2, m2, j3, m3 = map(operator.index, (j1, m1, j2, m2, j3, m3))
     for j, m in ((j1, m1), (j2, m2), (j3, m3)):
         if j < 0 or abs(m) > j:
             raise ValueError(f"invalid (j, m) = ({j}, {m})")
     if m3 != m1 + m2 or not triangle_delta(j1, j2, j3):
         return SQRT_ZERO
-    ksum = Fraction(0)
-    for k in range(max(0, j2 - j3 - m1, j1 - j3 + m2), min(j1 + j2 - j3, j1 - m1, j2 + m2) + 1):
-        den = (_fact(k) * _fact(j1 + j2 - j3 - k) * _fact(j1 - m1 - k)
-               * _fact(j2 + m2 - k) * _fact(j3 - j2 + m1 + k) * _fact(j3 - j1 - m2 + k))
-        ksum += Fraction(-1 if k % 2 else 1, den)
-    return SqrtRational.from_rational(
-        ksum, (2 * j3 + 1) * _delta2(j1, j2, j3) * _fact(j1 + m1) * _fact(j1 - m1)
-        * _fact(j2 + m2) * _fact(j2 - m2) * _fact(j3 + m3) * _fact(j3 - m3))
+    if m1 == m2 == 0:
+        return _cg_zero(j1, j2, j3)
+    A, B, C, D, E = j1 + j2 - j3, j1 - m1, j2 + m2, j3 - j2 + m1, j3 - j1 - m2
+    lo, hi = max(0, -D, -E), min(A, B, C)
+    # terms over den = hi!(A-lo)!(B-lo)!(C-lo)!(D+hi)!(E+hi)!; the k = lo one
+    # is hi!/lo! (D+hi)!/(D+lo)! (E+hi)!/(E+lo)!, and each next term is the
+    # last times -(A-k)(B-k)(C-k) / ((k+1)(D+k+1)(E+k+1))
+    term = _fact(hi) // _fact(lo) * (_fact(D + hi) // _fact(D + lo)) * (_fact(E + hi) // _fact(E + lo))
+    if lo % 2:
+        term = -term
+    total = term
+    for k in range(lo, hi):
+        term = -term * (A - k) * (B - k) * (C - k) // ((k + 1) * (D + k + 1) * (E + k + 1))
+        total += term
+    den = _fact(hi) * _fact(A - lo) * _fact(B - lo) * _fact(C - lo) * _fact(D + hi) * _fact(E + hi)
+    tri_num, tri_den = _delta2(j1, j2, j3)
+    return _signed(total, den, (2 * j3 + 1) * tri_num * _fact(j1 + m1) * _fact(B) * _fact(j2 - m2)
+                   * _fact(C) * _fact(j3 + m3) * _fact(j3 - m3), tri_den)
+
+
+def _cg_zero(l1: int, l2: int, l3: int) -> SqrtRational:
+    """C^{l3,0}_{l1,0,l2,0} of a valid triangle in closed form (Varshalovich et al. 1988, sec. 8.5).
+
+    Zero when 2g = l1 + l2 + l3 is odd; else (-1)^(g-l3) times the root of
+    (2l3+1) delta2(l1, l2, l3) [g! / ((g-l1)!(g-l2)!(g-l3)!)]^2.
+    """
+    twice = l1 + l2 + l3
+    if twice % 2:
+        return SQRT_ZERO
+    g = twice // 2
+    tri_num, tri_den = _delta2(l1, l2, l3)
+    ratio = _fact(g) // (_fact(g - l1) * _fact(g - l2) * _fact(g - l3))
+    return SqrtRational(-1 if (g - l3) % 2 else 1,
+                        Fraction((2 * l3 + 1) * tri_num * ratio * ratio, tri_den))
 
 
 def cg_float(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int) -> float:
@@ -144,11 +192,9 @@ def cg_block(j1: int, j2: int, j3: int) -> np.ndarray:
     coupling of an L=64 product decoded at 128); degrees outside that
     range raise.
     """
-    # one chained test on the hot path; it fails for every negative degree
-    if not abs(j1 - j2) <= j3 <= j1 + j2:
-        if min(j1, j2, j3) < 0:
-            raise ValueError(f"degrees must be non-negative, got {(j1, j2, j3)}")
-        require_triangle(j1, j2, j3)
+    for name, j in (("j1", j1), ("j2", j2), ("j3", j3)):
+        require_natural(j, name)
+    require_triangle(j1, j2, j3)
     sign = (-1.0) ** (j1 + j2 - j3)
     if j1 > j2:
         blk = sign * cg_block(j2, j1, j3).T
@@ -216,7 +262,12 @@ def _cg_tensor(j1: int, j2: int) -> np.ndarray:
 
 
 def cg_zero(l1: int, l2: int, l3: int) -> SqrtRational:
-    """C^{l3,0}_{l1,0,l2,0}; nonzero iff the triangle holds and l1+l2+l3 is even."""
+    """C^{l3,0}_{l1,0,l2,0}; nonzero iff the triangle holds and l1+l2+l3 is even.
+
+    The ``cg`` entry, so it shares cg's cache, evaluated by the sum-free
+    closed form: with 2g = l1 + l2 + l3, the sign (-1)^(g-l3) times the root
+    of (2l3+1) delta2(l1, l2, l3) [g! / ((g-l1)!(g-l2)!(g-l3)!)]^2.
+    """
     return cg(l1, 0, l2, 0, l3, 0)
 
 
@@ -255,18 +306,29 @@ def rotation_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return rz1 @ ry @ rz2
 
 
-def _racah_6j_sum(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> Fraction:
-    """Racah's t-sum: {j1 j2 j3; j4 j5 j6} = sum * sqrt(product of its four delta2).
+def _racah_6j_sum(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> tuple[int, int]:
+    """Racah's t-sum as (numerator, denominator): {j1 j2 j3; j4 j5 j6} = sum * sqrt(product of its four delta2).
 
-    All four triads (j1 j2 j3), (j1 j5 j6), (j4 j2 j6), (j4 j5 j3) must be triangles.
+    All four triads (j1 j2 j3), (j1 j5 j6), (j4 j2 j6), (j4 j5 j3) must be
+    triangles.  The terms (-1)^t (t+1)! / (prod_a (t-a)! prod_q (q-t)!)
+    run over the common denominator prod_a (tmax-a)! prod_q (q-tmin)!,
+    each the last times -(t+2) prod_q (q-t) / prod_a (t+1-a).
     """
-    triads = (j1 + j2 + j3, j1 + j5 + j6, j4 + j2 + j6, j4 + j5 + j3)
-    quads = (j1 + j2 + j4 + j5, j2 + j3 + j5 + j6, j3 + j1 + j6 + j4)
-    total = Fraction(0)
-    for t in range(max(triads), min(quads) + 1):
-        den = math.prod(_fact(t - a) for a in triads) * math.prod(_fact(q - t) for q in quads)
-        total += Fraction(-_fact(t + 1) if t % 2 else _fact(t + 1), den)
-    return total
+    a1, a2, a3, a4 = j1 + j2 + j3, j1 + j5 + j6, j4 + j2 + j6, j4 + j5 + j3
+    q1, q2, q3 = j1 + j2 + j4 + j5, j2 + j3 + j5 + j6, j3 + j1 + j6 + j4
+    lo, hi = max(a1, a2, a3, a4), min(q1, q2, q3)
+    n = hi - lo  # (hi-a)!/(lo-a)! = perm(hi-a, n)
+    term = (_fact(lo + 1) * math.perm(hi - a1, n) * math.perm(hi - a2, n)
+            * math.perm(hi - a3, n) * math.perm(hi - a4, n))
+    if lo % 2:
+        term = -term
+    total = term
+    for t in range(lo, hi):
+        term = (-term * (t + 2) * (q1 - t) * (q2 - t) * (q3 - t)
+                // ((t + 1 - a1) * (t + 1 - a2) * (t + 1 - a3) * (t + 1 - a4)))
+        total += term
+    return total, (_fact(hi - a1) * _fact(hi - a2) * _fact(hi - a3) * _fact(hi - a4)
+                   * _fact(q1 - lo) * _fact(q2 - lo) * _fact(q3 - lo))
 
 
 @lru_cache(maxsize=1024)
@@ -278,13 +340,21 @@ def _wigner_9j_cached(flat: tuple) -> SqrtRational:
     # {a b c; d e f; g h i} = sum_x (2x+1) {a d g; h i x}{b e h; d x f}{c f i; x a b}.
     # The triads (a i x), (d h x), (b f x) each sit in two of the 6j, so their
     # roots multiply to the rational delta2; the rows and columns sit in one
-    # each and give the surd common to every x.
-    total = Fraction(0)
+    # each and give the surd common to every x.  The x-sum is kept as one
+    # integer fraction num / den.
+    num, den = 0, 1
     for x in range(max(abs(a - i), abs(d - h), abs(b - f)), min(a + i, d + h, b + f) + 1):
-        total += ((2 * x + 1) * _delta2(a, i, x) * _delta2(d, h, x) * _delta2(b, f, x)
-                  * _racah_6j_sum(a, d, g, h, i, x) * _racah_6j_sum(b, e, h, d, x, f)
-                  * _racah_6j_sum(c, f, i, x, a, b))
-    return SqrtRational.from_rational(total, math.prod(_delta2(*tri) for tri in rows_cols))
+        (s1, e1), (s2, e2), (s3, e3) = (_racah_6j_sum(a, d, g, h, i, x), _racah_6j_sum(b, e, h, d, x, f),
+                                        _racah_6j_sum(c, f, i, x, a, b))
+        if s1 and s2 and s3:
+            (n1, d1), (n2, d2), (n3, d3) = _delta2(a, i, x), _delta2(d, h, x), _delta2(b, f, x)
+            term_den = d1 * d2 * d3 * e1 * e2 * e3
+            num, den = num * term_den + (2 * x + 1) * n1 * n2 * n3 * s1 * s2 * s3 * den, den * term_den
+    rad_num, rad_den = 1, 1
+    for tri in rows_cols:
+        n, m = _delta2(*tri)
+        rad_num, rad_den = rad_num * n, rad_den * m
+    return _signed(num, den, rad_num, rad_den)
 
 
 def wigner_9j(grid) -> SqrtRational:

@@ -242,6 +242,6 @@ def expressivity_count(s: int, L: int) -> int:
     Bounds how many distinct degree-j inputs a spin-s signal of band
     limit L can carry; grows as (2s+1)(L+1) for L >> s.
     """
-    if s < 0 or L < 0:
-        raise ValueError("s and L must be non-negative")
+    require_natural(s, "spin s")
+    require_natural(L, "band limit L")
     return sum(2 * min(l, s) + 1 for l in range(L + 1))

@@ -158,8 +158,7 @@ class SphereGrid:
 @lru_cache(maxsize=128)
 def make_grid(Lg: int) -> SphereGrid:
     """Grid with Lg+1 Gauss-Legendre theta nodes and 2 Lg + 1 phi nodes."""
-    if Lg < 0:
-        raise ValueError("Lg must be non-negative")
+    require_natural(Lg, "Lg")
     x, w = np.polynomial.legendre.leggauss(Lg + 1)
     n_phi = 2 * Lg + 1
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -279,7 +278,9 @@ class IrrepCoeffs(_Blocks):
 
 def sh_eval(l: int, m: int, theta, phi):
     """Y^m_l at (theta, phi); scalars or broadcastable arrays."""
-    if l < 0 or abs(m) > l:
+    require_natural(l, "l")
+    require_natural(abs(m), "|m|")
+    if abs(m) > l:
         raise ValueError(f"need |m| <= l, got (l, m) = ({l}, {m})")
     th = np.asarray(theta, dtype=float)
     ph = np.asarray(phi, dtype=float)
@@ -370,7 +371,7 @@ def rotate_coeffs(x: _Blocks, alpha: float, beta: float, gamma: float) -> _Block
 
     ``x`` is an ``IrrepCoeffs`` or a ``tsh.TshCoeffs``; the result is the
     same type with the same other fields and keys, built (and so checked)
-    by ``dataclasses.replace``.
+    by ``dataclasses.replace``.  D^j is built once per distinct degree.
     """
-    return replace(x, blocks={key: wigner_d_matrix(key[0], alpha, beta, gamma) @ vec
-                              for key, vec in x.items()})
+    D = {j: wigner_d_matrix(j, alpha, beta, gamma) for j in {key[0] for key in x.blocks}}
+    return replace(x, blocks={key: D[key[0]] @ vec for key, vec in x.items()})

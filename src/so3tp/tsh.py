@@ -55,6 +55,8 @@ __all__ = [
 
 def valid_pairs(s: int, L: int) -> list[tuple[int, int]]:
     """All (j, l) with {j, l, s} = 1 and l <= L, ascending j then l."""
+    require_natural(s, "spin s")
+    require_natural(L, "band limit L")
     pairs = [(j, l) for l in range(L + 1) for j in range(abs(l - s), l + s + 1)]
     return sorted(pairs)
 

@@ -107,6 +107,13 @@ def test_cg_block_rejects_negative_degree():
         cg_block(-1, 1, 1)
 
 
+def test_cg_block_names_a_non_integer_degree():
+    with pytest.raises(ValueError, match=r"j1=1\.5 must be an integer"):
+        cg_block(1.5, 1, 0.5)
+    with pytest.raises(ValueError, match=r"j3=0\.5 must be an integer"):
+        cg_block(1, 1, 0.5)
+
+
 def test_cg_block_rejects_triangle_violation():
     with pytest.raises(ValueError):
         cg_block(1, 1, 3)

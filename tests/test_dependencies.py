@@ -1,5 +1,8 @@
 """The library imports only the standard library and numpy and reads two environment knobs.
 
+Of the tests, only ``test_oracle`` imports sympy or mpmath, the test-only
+oracles of the ``test`` extra.
+
 The grid modules ``sht`` and ``tenprod`` import no exact-valued function:
 nothing from ``exact`` and no exact CG or 9j from ``angular``.  Coupling
 coefficients are ``rules``'.
@@ -23,12 +26,31 @@ def _absolute_imports(path: Path):
             yield node.module.split(".")[0]
 
 
+def _skip_imports(path: Path):
+    """Top-level package names of every ``pytest.importorskip("name")`` in one module."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "importorskip" \
+                and node.args and isinstance(node.args[0], ast.Constant):
+            yield node.args[0].value.split(".")[0]
+
+
 def test_library_imports_only_stdlib_and_numpy():
     modules = sorted(Path(so3tp.__file__).parent.rglob("*.py"))
     assert len(modules) > 10
     found = {(path.name, name) for path in modules for name in _absolute_imports(path)
              if name not in _ALLOWED}
     assert found == set()
+
+
+def test_only_the_oracle_tests_import_sympy_or_mpmath():
+    # sympy and mpmath are test-only oracles: the library never imports them,
+    # and of the tests only the oracle module does
+    root = Path(__file__).resolve().parent.parent
+    tests = sorted((root / "tests").rglob("*.py")) + sorted((root / "perfbench").rglob("*.py"))
+    assert len(tests) > 10
+    found = {path.relative_to(root).as_posix() for path in tests
+             if {"sympy", "mpmath"} & (set(_absolute_imports(path)) | set(_skip_imports(path)))}
+    assert found == {"tests/test_oracle.py"}
 
 
 _EXACT_VALUED = {"cg", "cg_float", "cg_zero", "wigner_9j", "wigner_9j_spin1"}

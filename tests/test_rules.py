@@ -190,6 +190,13 @@ def test_expressivity_examples():
     assert expressivity_count(1, 0) == 1
 
 
+def test_expressivity_count_names_a_non_integer_argument():
+    with pytest.raises(ValueError, match=r"spin s=0\.5 must be an integer"):
+        expressivity_count(0.5, 2)
+    with pytest.raises(ValueError, match=r"band limit L=2\.0 must be an integer"):
+        expressivity_count(1, 2.0)
+
+
 @given(st.integers(0, 4), st.integers(0, 32))
 @settings(max_examples=60)
 def test_expressivity_matches_enumeration(s, L):

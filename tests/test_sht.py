@@ -66,6 +66,11 @@ def test_make_grid_rejects_negative():
         make_grid(-1)
 
 
+def test_make_grid_names_a_non_integer_degree():
+    with pytest.raises(ValueError, match=r"Lg=2\.5 must be an integer"):
+        make_grid(2.5)
+
+
 def test_grid_builds_tables_on_first_use(rng):
     make_grid.cache_clear()
     g = make_grid(6)
@@ -138,6 +143,13 @@ def test_quadrature_exactness():
 def test_sh_eval_constants():
     assert sh_eval(0, 0, 0.3, 1.2) == pytest.approx(1 / math.sqrt(4 * math.pi))
     assert sh_eval(1, 0, 0.0, 0.0) == pytest.approx(math.sqrt(3 / (4 * math.pi)))
+
+
+def test_sh_eval_names_a_non_integer_argument():
+    with pytest.raises(ValueError, match=r"l=1\.5 must be an integer"):
+        sh_eval(1.5, 0.5, 0.3, 1.2)
+    with pytest.raises(ValueError, match=r"\|m\|=0\.5 must be an integer"):
+        sh_eval(1, -0.5, 0.3, 1.2)
 
 
 def test_sh_eval_conjugation_identity():

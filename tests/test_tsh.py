@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from so3tp import serialize, tsh
+from so3tp import serialize, sht, tsh
 from so3tp.angular import wigner_d_matrix
 from so3tp.flops import FlopCounter
 from so3tp.tenprod import cgtp_full
@@ -28,6 +28,13 @@ from so3tp.verify import rotated_node_angles
 def test_valid_pairs_small():
     assert valid_pairs(0, 2) == [(0, 0), (1, 1), (2, 2)]
     assert valid_pairs(1, 1) == [(0, 1), (1, 0), (1, 1), (2, 1)]
+
+
+def test_valid_pairs_names_a_non_integer_argument():
+    with pytest.raises(ValueError, match=r"spin s=0\.5 must be an integer"):
+        valid_pairs(0.5, 1)
+    with pytest.raises(ValueError, match=r"band limit L=-1 must be non-negative"):
+        valid_pairs(1, -1)
 
 
 def test_tsh_eval_spin_zero_reduces_to_scalar():
@@ -305,6 +312,23 @@ def test_rotate_coeffs_keeps_the_container(rng):
         assert all(getattr(rot, name) == getattr(z, name) for name in vars(z) if name != "blocks")
         for (j, tag), vec in z.items():
             np.testing.assert_array_equal(rot.block(j, tag), wigner_d_matrix(j, *angles) @ vec)
+
+
+def test_rotate_coeffs_builds_d_once_per_degree(rng, monkeypatch):
+    # a path-tagged cgtp_full output holds many blocks of each degree
+    z = cgtp_full(random_coeffs(4, rng), random_coeffs(4, rng), 8).output
+    angles = (0.3, 1.1, -0.4)
+    degrees = []
+
+    def counted(j, *args):
+        degrees.append(j)
+        return wigner_d_matrix(j, *args)
+
+    monkeypatch.setattr(sht, "wigner_d_matrix", counted)
+    rot = rotate_coeffs(z, *angles)
+    assert sorted(degrees) == sorted({j for j, _ in z.blocks}) and len(z.blocks) > 3 * len(degrees)
+    for (j, tag), vec in z.items():
+        np.testing.assert_array_equal(rot.block(j, tag), wigner_d_matrix(j, *angles) @ vec)
 
 
 def test_high_spin_round_trip(rng):
