@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -83,12 +83,52 @@ def _signed(num: int, den: int, radicand_num: int, radicand_den: int) -> SqrtRat
                         Fraction(num * num * radicand_num, den * den * radicand_den))
 
 
-@cache
+def _as_integer(value, name: str) -> int:
+    """``value`` as a Python int (from Python or numpy integers); else ``ValueError`` naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}={value!r} must be an integer") from None
+
+
+def _as_integers(values, names: tuple) -> tuple:
+    """Each of ``values`` through ``_as_integer`` under its name, in one C loop when all pass."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        return tuple(map(_as_integer, values, names))
+
+
+def _checked_cache(check, maxsize: int | None = None):
+    """``lru_cache(maxsize)`` entered through ``check``, which returns the cache key or raises.
+
+    A cache keyed on the raw arguments answers a float entry such as 2.0
+    once the integer call is cached (2.0 == 2, with equal hashes), so the
+    check runs before every lookup.  The entry keeps ``cache_info``,
+    ``cache_clear`` and, as ``__wrapped__``, the uncached body.
+    """
+    def decorate(fn):
+        cached = lru_cache(maxsize)(fn)
+
+        @wraps(fn)
+        def entry(*args):
+            return cached(*check(*args))
+
+        entry.cache_info, entry.cache_clear = cached.cache_info, cached.cache_clear
+        return entry
+    return decorate
+
+
+_CG_ENTRIES = ("j1", "m1", "j2", "m2", "j3", "m3")
+
+
+@_checked_cache(lambda *entries: _as_integers(entries, _CG_ENTRIES))
 def cg(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int) -> SqrtRational:
     """Exact Clebsch-Gordan coefficient C^{j3,m3}_{j1,m1,j2,m2}.
 
-    Zero when m3 != m1 + m2 or the triangle condition fails.  Component
-    indices must be integers (Python or numpy) with |m_i| <= j_i.  Racah's
+    Zero when m3 != m1 + m2 or the triangle condition fails.  Entries
+    must be integers (Python or numpy) with |m_i| <= j_i; any other entry,
+    such as 2.0, raises ``ValueError`` naming it, cached or not.  Racah's
     formula: a k-sum of (-1)^k / (k!(A-k)!(B-k)!(C-k)!(D+k)!(E+k)!) times
     sqrt((2j3+1) delta2 (j1+m1)!(j1-m1)!(j2+m2)!(j2-m2)!(j3+m3)!(j3-m3)!),
     with A = j1+j2-j3, B = j1-m1, C = j2+m2, D = j3-j2+m1, E = j3-j1-m2.
@@ -153,12 +193,8 @@ def require_triangle(j1: int, j2: int, j3: int) -> None:
 
 def require_natural(value, name: str) -> None:
     """``ValueError`` naming ``value`` unless it is a non-negative integer (Python or numpy)."""
-    try:
-        if operator.index(value) >= 0:
-            return
-    except TypeError:
-        raise ValueError(f"{name}={value!r} must be an integer") from None
-    raise ValueError(f"{name}={value} must be non-negative")
+    if _as_integer(value, name) < 0:
+        raise ValueError(f"{name}={value} must be non-negative")
 
 
 def cg_tensor(j1: int, j2: int) -> np.ndarray:
@@ -170,8 +206,10 @@ def cg_tensor(j1: int, j2: int) -> np.ndarray:
     C(-m1, -m2) = (-1)^(j1+j2-j3) C(m1, m2), and pairs with j1 > j2 from
     the swap identity C^{j3}_{j2,m2,j1,m1} = (-1)^(j1+j2-j3) C^{j3}_{j1,m1,j2,m2},
     so the tensors of 512 unordered pairs, about 114 MB, hold every pair
-    of an L = 30 product (L = 32 needs 561).
+    of an L = 30 product (L = 32 needs 561).  Degrees must be integers
+    (Python or numpy), checked before the cache is read.
     """
+    j1, j2 = _as_integer(j1, "j1"), _as_integer(j2, "j2")
     if min(j1, j2) < 0:
         raise ValueError(f"degrees must be non-negative, got {(j1, j2)}")
     if j1 > j2:

@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .angular import cg, cg_zero, require_natural, triangle_delta, wigner_9j, wigner_9j_spin1
+from .angular import (_as_integers, _checked_cache, cg, cg_zero, require_natural,
+                      triangle_delta, wigner_9j, wigner_9j_spin1)
 from .exact import SqrtRational
 
 __all__ = [
@@ -81,12 +82,14 @@ def _dims(j1: int, l1: int, j2: int, l2: int, s3: int) -> int:
     return (2 * j1 + 1) * (2 * j2 + 1) * (2 * l1 + 1) * (2 * l2 + 1) * (2 * s3 + 1)
 
 
-@lru_cache(maxsize=1024)
+@_checked_cache(lambda path: (_as_integers(path, PathKey._fields),), maxsize=1024)
 def generalized_gaunt_exact(path: PathKey) -> SqrtRational:
     """Exact radical part of the path coefficient, excluding the 1/sqrt(4 pi).
 
     The returned value is sqrt(dims) * 9j * C^{l3,0}; it is zero exactly
     when the true coefficient is zero, which is what rule checks need.
+    A label that is not an integer, such as j3 = 2.0, raises
+    ``ValueError`` naming it, cached or not.
     """
     p = PathKey(*path)
     nine = wigner_9j(((p.j1, p.l1, p.s1), (p.j2, p.l2, p.s2), (p.j3, p.l3, p.s3)))
@@ -100,7 +103,7 @@ def generalized_gaunt_exact(path: PathKey) -> SqrtRational:
 
 def generalized_gaunt(path: PathKey) -> float:
     """Coefficient of the (j3, l3) output term for a full coupling path."""
-    exact = generalized_gaunt_exact(PathKey(*path))
+    exact = generalized_gaunt_exact(path)
     if exact.is_zero():
         return 0.0
     return float(exact) / math.sqrt(4.0 * math.pi)

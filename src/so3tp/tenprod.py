@@ -20,9 +20,14 @@ Two families:
 
 * Grid products: encode inputs as spin signals, couple them pointwise,
   and decode (``istp``), with the scalar (``gtp``) and vector (``vstp``)
-  specializations.  One pair product (x at (j1, l1), y at (j2, l2), one
-  ``vstp`` on ``make_grid(l1 + l2)``) serves both CGTP simulations: one
-  path divided by ``rules._path_coefficient`` (``simulate_cgtp_path``) and
+  specializations.  One private core runs the three steps on packed
+  vectors; ``istp`` checks and packs its containers, calls it, and wraps
+  the packed decode in ``TshCoeffs``.  One pair product (x at (j1, l1),
+  y at (j2, l2), the spin-1 core on ``make_grid(l1 + l2)``) calls it on
+  the raw vectors, building no container, and serves both CGTP
+  simulations: one path, its inputs checked finite before any grid or
+  table is built, read from the (j3, l3) span of the packed decode and
+  divided by ``rules._path_coefficient`` (``simulate_cgtp_path``), and
   the MACs of every path (``simulate_cgtp_all_paths``).
 
 Every operation reports the complex multiply-accumulate count it
@@ -38,13 +43,14 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .angular import cg_block, cg_tensor, require_triangle, triangle_delta
+from .angular import (CG_BLOCK_MAX, _cg_tensor, cg_block, require_natural, require_triangle,
+                      triangle_delta)
 from .flops import FlopCounter
 from .rules import _path_coefficient, find_pair_ells, find_valid_ells
 from .sht import (IrrepCoeffs, SphereGrid, _check_band_limit, _require_finite, make_grid,
                   random_block)
-from .tsh import (SpinSignal, TshCoeffs, _encode, _packed, scalar_from_spin0, spin0_from_scalar,
-                  tsh_decode)
+from .tsh import (SpinSignal, TshCoeffs, _decode, _decode_layout, _encode, _packed, _unpack,
+                  scalar_from_spin0, spin0_from_scalar)
 
 __all__ = [
     "TpoResult",
@@ -72,7 +78,8 @@ class TpoResult:
 
 
 def _path_inputs(x, y, j3: int) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Complex x, y and degrees j1, j2; raises unless odd-length, 1-D, on a triangle."""
+    """Complex x, y and degrees j1, j2; raises unless odd-length, 1-D, on a triangle, j3 natural."""
+    require_natural(j3, "j3")
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if x.ndim != 1 or y.ndim != 1 or x.size % 2 == 0 or y.size % 2 == 0:
@@ -125,7 +132,9 @@ def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
     marks the slots of odd a + b - j3 that the mirror identity (m3 < 0 of
     an (a, b) order) or the swap identity (m3 >= 0 of a (b, a) order)
     negates.  The gathers take a few array operations per pair, and the
-    per-slot indices one set of them for the whole call.
+    per-slot indices one set of them for the whole call.  A pair past the
+    float CG range (a + b > CG_BLOCK_MAX) raises here, once per plan, so
+    the sparse kernel reads each pair's cached tensor unchecked.
     """
     xoff = dict(zip(xdeg, accumulate((2 * j + 1 for j in xdeg), initial=0)))
     yoff = dict(zip(ydeg, accumulate((2 * j + 1 for j in ydeg), initial=0)))
@@ -145,6 +154,8 @@ def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
             lo, hi = max(b - a, lo3), min(a + b, L3)
             if not bases or lo > hi:
                 continue
+            if a + b > CG_BLOCK_MAX:
+                raise ValueError(f"j1 + j2 = {a + b} exceeds the float CG range {CG_BLOCK_MAX}")
             n_ord, I, nk = len(bases), 2 * a + 1, hi - lo + 1
             M = np.arange(hi + 1)[:, None]
             i = np.arange(I)
@@ -216,7 +227,7 @@ def _sparse_contract(plan: _CallPlan, xs: dict, ys: dict) -> np.ndarray:
     out = np.empty(plan.size, dtype=complex)
     for a, b, lo, hi, _swaps, start, end, gather, scatter in plan.pairs:
         R = products.take(gather)
-        w = cg_tensor(a, b)[:hi + 1, lo - b + a:hi - b + a + 1] @ R.view(float)
+        w = _cg_tensor(a, b)[:hi + 1, lo - b + a:hi - b + a + 1] @ R.view(float)
         # with out=, the default mode="raise" would buffer the output
         w.view(complex).take(scatter, out=out[start:end], mode="clip")
     np.negative(out, out=out, where=plan.negate)
@@ -356,6 +367,19 @@ def pointwise_spin_tp(f: SpinSignal, g: SpinSignal, s3: int,
     return SpinSignal(s=s3, grid=f.grid, values=out.transpose(1, 0, 2))
 
 
+def _grid_product(x: tuple, y: tuple, s3: int, L3: int, grid: SphereGrid,
+                  flops: FlopCounter | None) -> np.ndarray:
+    """Encode, couple pointwise and decode at L3, all on packed vectors.
+
+    ``x`` and ``y`` are (spin, keys, band limit, packed blocks), the
+    ``_packed`` form; returns the packed decode, laid out as
+    ``tsh._decode_layout(s3, L3)``.  No check: callers make them.
+    """
+    fx = _encode(*x, grid, flops)
+    fy = _encode(*y, grid, flops)
+    return _decode(pointwise_spin_tp(fx, fy, s3, flops=flops), L3, flops)
+
+
 def istp(x: TshCoeffs, y: TshCoeffs, s3: int, L3: int, grid: SphereGrid) -> TpoResult:
     """Grid product: encode both inputs, couple pointwise, decode at L3.
 
@@ -373,11 +397,8 @@ def istp(x: TshCoeffs, y: TshCoeffs, s3: int, L3: int, grid: SphereGrid) -> TpoR
     px, py = _packed(x), _packed(y)
     _require_finite(px[2], py[2])
     fl = FlopCounter()
-    fx = _encode(x.s, *px, grid, fl)
-    fy = _encode(y.s, *py, grid, fl)
-    prod = pointwise_spin_tp(fx, fy, s3, flops=fl)
-    out = tsh_decode(prod, L3, flops=fl)
-    return TpoResult(output=out, flops=fl.count)
+    packed = _grid_product((x.s, *px), (y.s, *py), s3, L3, grid, fl)
+    return TpoResult(output=_unpack(s3, L3, packed), flops=fl.count)
 
 
 def gtp(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, grid: SphereGrid) -> TpoResult:
@@ -397,38 +418,44 @@ def vstp(x: TshCoeffs, y: TshCoeffs, L3: int, grid: SphereGrid) -> TpoResult:
     return istp(x, y, 1, L3, grid)
 
 
-def _pair_product(x: np.ndarray, y: np.ndarray, l1: int, l2: int, L3: int) -> TpoResult:
-    """``vstp`` on make_grid(l1 + l2) of x at key (j1, l1) and y at (j2, l2), j from the lengths."""
-    X = TshCoeffs(s=1, L=l1, blocks={((x.size - 1) // 2, l1): x})
-    Y = TshCoeffs(s=1, L=l2, blocks={((y.size - 1) // 2, l2): y})
-    return vstp(X, Y, L3, make_grid(l1 + l2))
+def _pair_product(x: np.ndarray, y: np.ndarray, l1: int, l2: int, L3: int,
+                  flops: FlopCounter | None) -> np.ndarray:
+    """Packed spin-1 decode at L3 of x at key (j1, l1) times y at (j2, l2) on make_grid(l1 + l2).
+
+    ``vstp``'s product of the two single-block inputs, j from the vector
+    lengths, with no container built and no check made: the callers'
+    labels satisfy every ``istp`` condition.
+    """
+    j1, j2 = (x.size - 1) // 2, (y.size - 1) // 2
+    return _grid_product((1, ((j1, l1),), l1, x), (1, ((j2, l2),), l2, y), 1, L3,
+                         make_grid(l1 + l2), flops)
 
 
 def simulate_cgtp_path(x: np.ndarray, y: np.ndarray, j3: int,
                        flops: FlopCounter | None = None) -> np.ndarray:
     """Compute one Clebsch-Gordan path through a single vector-signal product.
 
-    Runs the pair product on the orbital labels of find_valid_ells,
-    decoded at l3, reads the (j3, l3) output block, and divides by the
-    closed-form float path coefficient ``rules._path_coefficient``.  The
-    (0, 0, 0) path is plain scalar multiplication and uses no signal
-    product.  Inputs are checked as in ``cgtp_path``, but NaN/inf on a
-    grid path only by ``istp``, after make_grid.
+    Inputs are checked as in ``cgtp_path``, finiteness included, before
+    any grid or table is built.  The (0, 0, 0) path is plain scalar
+    multiplication and uses no signal product.  Any other path runs the
+    pair product on the orbital labels of find_valid_ells, decoded at l3,
+    reads the (j3, l3) span of the packed decode, and divides it by the
+    closed-form float path coefficient ``rules._path_coefficient``.
     """
     x, y, j1, j2 = _path_inputs(x, y, j3)
+    _require_finite(x, y)
     if (j1, j2, j3) == (0, 0, 0):
-        _require_finite(x, y)
         if flops is not None:
             flops.add(1)
         return x * y
     l1, l2, l3 = find_valid_ells(j1, j2, j3)
-    res = _pair_product(x, y, l1, l2, l3)
     coef = _path_coefficient(j1, l1, j2, l2, j3, l3)
     if abs(coef) < 1e-13:
         raise NumericalDegeneracy(f"coefficient for path {(j1, l1, j2, l2, j3, l3)} is {coef}")
-    if flops is not None:
-        flops.add(res.flops)
-    return res.output.block(j3, l3) / coef
+    packed = _pair_product(x, y, l1, l2, l3, flops)
+    keys, _table, spans = _decode_layout(1, l3)
+    start, end = spans[keys.index((j3, l3))]
+    return packed[start:end] / coef
 
 
 def simulate_cgtp_all_paths(L: int, seed: int) -> int:
@@ -436,15 +463,15 @@ def simulate_cgtp_all_paths(L: int, seed: int) -> int:
 
     One pair product per degree pair (j1, j2) != (0, 0), on the orbital
     pair of ``find_pair_ells`` and decoded at l1 + l2, carries every j3
-    of the pair.  ``L`` and ``seed`` must be non-negative.
+    of the pair.  ``L`` and ``seed`` must be non-negative integers.
     """
-    if L < 0 or seed < 0:
-        raise ValueError(f"L and seed must be non-negative, got L={L}, seed={seed}")
+    require_natural(L, "L")
+    require_natural(seed, "seed")
     rng = np.random.default_rng([seed, L])
-    macs = 1  # the (0,0,0) scalar path
+    fl = FlopCounter()
     for j1 in range(L + 1):
         for j2 in range(0 if j1 else 1, L + 1):
             l1, l2 = find_pair_ells(j1, j2)
             x, y = random_block(j1, rng), random_block(j2, rng)
-            macs += _pair_product(x, y, l1, l2, l1 + l2).flops
-    return macs
+            _pair_product(x, y, l1, l2, l1 + l2, fl)
+    return fl.count + 1  # plus the (0,0,0) scalar path

@@ -302,6 +302,26 @@ def tsh_encode(x: TshCoeffs, grid: SphereGrid, flops: FlopCounter | None = None)
     return _encode(x.s, *_packed(x), grid, flops)
 
 
+def _decode(f: SpinSignal, L: int, flops: FlopCounter | None) -> np.ndarray:
+    """``tsh_decode`` of ``f`` as one packed vector: blocks at the spans of ``_decode_layout``."""
+    xpad = _analysis_core(f.values, f.grid, L, flops).reshape(-1)
+    _keys, (slot, weight, src2), spans = _decode_layout(f.s, L)
+    packed = xpad[slot]
+    if f.s:
+        packed *= weight
+        packed = np.bincount(src2, packed.view(float), 2 * spans[-1][1]).view(complex)
+        if flops is not None:
+            flops.add(slot.size)
+    return packed
+
+
+def _unpack(s: int, L: int, packed: np.ndarray) -> TshCoeffs:
+    """``TshCoeffs`` whose blocks are views of ``packed``, laid out as ``_decode_layout(s, L)``."""
+    keys, _table, spans = _decode_layout(s, L)
+    return TshCoeffs._trusted({key: packed[start:end] for key, (start, end) in zip(keys, spans)},
+                              s=s, L=L)
+
+
 def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCoeffs:
     """Analyze a spin-s signal into (j, l) blocks with l <= L.
 
@@ -309,17 +329,7 @@ def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCo
     orthogonality then extracts each block:
     z^(j,l)_{mj} = sum_{ml,ms} C^{j,mj}_{l,ml,s,ms} B^l_{ml,ms}, or B^j_{mj} at spin 0.
     """
-    xpad = _analysis_core(f.values, f.grid, L, flops).reshape(-1)
-    s = f.s
-    keys, (slot, weight, src2), spans = _decode_layout(s, L)
-    packed = xpad[slot]
-    if s:
-        packed *= weight
-        packed = np.bincount(src2, packed.view(float), 2 * spans[-1][1]).view(complex)
-        if flops is not None:
-            flops.add(slot.size)
-    blocks = {key: packed[start:end] for key, (start, end) in zip(keys, spans)}
-    return TshCoeffs._trusted(blocks, s=s, L=L)
+    return _unpack(f.s, L, _decode(f, L, flops))
 
 
 def tsh_evaluate(x: TshCoeffs, theta, phi) -> np.ndarray:

@@ -114,6 +114,32 @@ def test_cg_block_names_a_non_integer_degree():
         cg_block(1, 1, 0.5)
 
 
+def test_cg_names_a_non_integer_entry_cold_and_cached():
+    # the check runs before the cache lookup: 2.0 == 2 hashes alike, so a
+    # cached integer call must not answer the float one
+    bad = (4, 0, 5, 1, 7.0, 1)
+    with pytest.raises(ValueError, match=r"j3=7\.0 must be an integer"):
+        cg(*bad)
+    value = cg(4, 0, 5, 1, 7, 1)
+    with pytest.raises(ValueError, match=r"j3=7\.0 must be an integer"):
+        cg(*bad)
+    with pytest.raises(ValueError, match=r"m1=0\.5 must be an integer"):
+        cg(4, 0.5, 5, 1, 7, 1)
+    assert cg(*map(np.int64, (4, 0, 5, 1, 7, 1))) == value
+    assert cg.cache_info().currsize > 0
+
+
+def test_cg_tensor_names_a_non_integer_degree_cold_and_cached():
+    with pytest.raises(ValueError, match=r"j1=3\.0 must be an integer"):
+        cg_tensor(3.0, 8)
+    tensor = cg_tensor(3, 8)
+    with pytest.raises(ValueError, match=r"j1=3\.0 must be an integer"):
+        cg_tensor(3.0, 8)
+    with pytest.raises(ValueError, match=r"j2=8\.5 must be an integer"):
+        cg_tensor(3, 8.5)
+    assert cg_tensor(np.int64(3), np.int64(8)) is tensor
+
+
 def test_cg_block_rejects_triangle_violation():
     with pytest.raises(ValueError):
         cg_block(1, 1, 3)

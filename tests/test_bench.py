@@ -74,15 +74,23 @@ def test_flops_pinned_cgtp_coeff_shape():
 # ---------------------------------------------------------------- full CGTP simulation
 
 def test_simulation_runs_one_product_per_degree_pair(monkeypatch):
-    calls = []
+    calls, grids = [], []
+    pair_product = tenprod._pair_product
 
-    def counting_vstp(x, y, L3, grid):
-        [(j1, l1)], [(j2, l2)] = x.blocks, y.blocks
+    def counting_pair_product(x, y, l1, l2, L3, flops):
+        j1, j2 = (x.size - 1) // 2, (y.size - 1) // 2
         calls.append((j1, j2))
-        assert (l1, l2) == find_pair_ells(j1, j2) and L3 == grid.Lg == l1 + l2
-        return vstp(x, y, L3, grid)
+        packed = pair_product(x, y, l1, l2, L3, flops)
+        # grids[-1] is the degree of the grid this product ran on
+        assert (l1, l2) == find_pair_ells(j1, j2) and L3 == grids[-1] == l1 + l2
+        return packed
 
-    monkeypatch.setattr(tenprod, "vstp", counting_vstp)
+    def recording_make_grid(Lg):
+        grids.append(Lg)
+        return make_grid(Lg)
+
+    monkeypatch.setattr(tenprod, "_pair_product", counting_pair_product)
+    monkeypatch.setattr(tenprod, "make_grid", recording_make_grid)
     simulate_cgtp_all_paths(4, seed=13)
     assert sorted(calls) == [p for p in itertools.product(range(5), repeat=2) if p != (0, 0)]
 
@@ -143,6 +151,12 @@ def test_run_bench_names_a_band_limit_below_one_or_a_negative_seed(L_list, seed,
 @pytest.mark.parametrize("L, seed, named", [(2, -1, "seed=-1"), (-1, 0, "L=-1")])
 def test_simulate_cgtp_all_paths_names_a_negative_band_limit_or_seed(L, seed, named):
     with pytest.raises(ValueError, match=named):
+        simulate_cgtp_all_paths(L, seed)
+
+
+@pytest.mark.parametrize("L, seed, named", [(2.5, 1, "L=2.5"), (2, 1.5, "seed=1.5")])
+def test_simulate_cgtp_all_paths_names_a_non_integer_band_limit_or_seed(L, seed, named):
+    with pytest.raises(ValueError, match=f"{named} must be an integer"):
         simulate_cgtp_all_paths(L, seed)
 
 

@@ -182,6 +182,20 @@ def test_rules_entry_points_take_integer_degrees_only():
     assert interactable(np.int64(1), np.int64(1), np.int64(1))
 
 
+def test_vstp_rules_names_a_non_integer_label_cold_and_cached():
+    # generalized_gaunt_exact's cache would answer j3 = 2.0 once j3 = 2 is cached
+    bad = PathKey(2, 1, 1, 2, 2, 1, 2.0, 2, 1)
+    for call in (vstp_rules, generalized_gaunt_exact):
+        with pytest.raises(ValueError, match=r"j3=2\.0 must be an integer"):
+            call(bad)
+    report = vstp_rules(PathKey(2, 1, 1, 2, 2, 1, 2, 2, 1))
+    for call in (vstp_rules, generalized_gaunt_exact):
+        with pytest.raises(ValueError, match=r"j3=2\.0 must be an integer"):
+            call(bad)
+    assert vstp_rules(PathKey(*map(np.int64, (2, 1, 1, 2, 2, 1, 2, 2, 1)))) == report
+    assert generalized_gaunt_exact.cache_info().currsize > 0
+
+
 # ---------------------------------------------------------------- expressivity
 
 def test_expressivity_examples():

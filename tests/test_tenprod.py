@@ -141,9 +141,10 @@ def test_cgtp_full_visits_each_unordered_pair_once(monkeypatch, rng):
 
     def counting_cg_tensor(j1, j2):
         lookups.append((j1, j2))
-        return angular.cg_tensor(j1, j2)
+        return angular._cg_tensor(j1, j2)
 
-    monkeypatch.setattr(tenprod, "cg_tensor", counting_cg_tensor)
+    # the sparse kernel reads the cached tensor directly; its plan checked the range
+    monkeypatch.setattr(tenprod, "_cg_tensor", counting_cg_tensor)
     x, y = random_coeffs(8, rng), random_coeffs(8, rng)
     first = cgtp_full(x, y, 16)
     assert len(lookups) == len(set(lookups)) == 9 * 10 // 2
@@ -623,6 +624,66 @@ def test_simulation_sweep_reuses_grid_tables(rng, monkeypatch):
     grids = len({sum(find_valid_ells(*p)[:2]) for p in paths if p != (0, 0, 0)})
     assert 0 < built <= len(tables) * grids
     assert sweep() == built
+
+
+def test_simulation_equals_the_container_route_bitwise(rng):
+    # the packed route against vstp on single-block TshCoeffs, then the
+    # (j3, l3) block divided by the path coefficient: same bits, same MACs
+    for j1, j2, j3 in triangle_paths(10):
+        if (j1, j2, j3) == (0, 0, 0):
+            continue
+        x, y = random_block(j1, rng), random_block(j2, rng)
+        l1, l2, l3 = find_valid_ells(j1, j2, j3)
+        res = vstp(TshCoeffs(s=1, L=l1, blocks={(j1, l1): x}),
+                   TshCoeffs(s=1, L=l2, blocks={(j2, l2): y}), l3, make_grid(l1 + l2))
+        ref = res.output.block(j3, l3) / rules._path_coefficient(j1, l1, j2, l2, j3, l3)
+        fl = FlopCounter()
+        assert np.array_equal(simulate_cgtp_path(x, y, j3, flops=fl), ref), (j1, j2, j3)
+        assert fl.count == res.flops, (j1, j2, j3)
+
+
+def test_simulation_builds_no_tsh_container(rng, monkeypatch):
+    built = []
+    post_init, trusted = TshCoeffs.__post_init__, TshCoeffs._trusted.__func__
+    monkeypatch.setattr(TshCoeffs, "__post_init__",
+                        lambda self: built.append("checked") or post_init(self))
+    monkeypatch.setattr(TshCoeffs, "_trusted", classmethod(
+        lambda cls, blocks, **fields: built.append("trusted") or trusted(cls, blocks, **fields)))
+    for j1, j2, j3 in [(0, 1, 1), (1, 1, 1), (2, 3, 4), (5, 5, 0)]:
+        simulate_cgtp_path(random_block(j1, rng), random_block(j2, rng), j3)
+    assert tenprod.simulate_cgtp_all_paths(3, seed=1) > 0
+    assert built == []
+    # the counters see the container route: two checked inputs, one trusted output
+    X = TshCoeffs(s=1, L=1, blocks={(1, 1): random_block(1, rng)})
+    vstp(X, X, 2, make_grid(2))
+    assert built == ["checked", "trusted"]
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_simulation_rejects_non_finite_before_any_grid(bad, rng, monkeypatch):
+    grids = []
+    monkeypatch.setattr(tenprod, "make_grid", lambda Lg: grids.append(Lg) or make_grid(Lg))
+    u, v = random_block(2, rng), random_block(3, rng)
+    u[1] = bad
+    for a, b in [(u, v), (v, u)]:
+        with pytest.raises(ValueError, match="inputs must be finite, got NaN or inf"):
+            simulate_cgtp_path(a, b, 4)
+    assert grids == []
+    simulate_cgtp_path(v, v, 4)
+    assert grids == [sum(find_valid_ells(3, 3, 4)[:2])]
+
+
+@pytest.mark.parametrize("product", [cgtp_path, simulate_cgtp_path])
+@pytest.mark.parametrize("bad", [2.0, 2.5])
+def test_path_products_name_a_non_integer_j3(product, bad, rng):
+    # checked before any plan, label or coefficient cache is read, so a
+    # warm call with j3 = 2 must not let 2.0 through
+    x, y = random_block(1, rng), random_block(2, rng)
+    with pytest.raises(ValueError, match=f"j3={bad} must be an integer"):
+        product(x, y, bad)
+    product(x, y, 2)
+    with pytest.raises(ValueError, match=f"j3={bad} must be an integer"):
+        product(x, y, bad)
 
 
 def test_simulation_mac_count_pinned(rng):
