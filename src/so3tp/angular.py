@@ -13,8 +13,8 @@ product evaluates an exact coefficient: ``cg_tensor`` holds every j3 of
 an unordered pair j1 <= j2, j1 + j2 <= 130, in one half-sheared layout
 S[M, k, m1 + j1] = C^{j2-j1+k,M}_{j1,m1,j2,M-m1} for M >= 0, read from
 the eigenvectors of J^2 on the subspaces of total M >= 0 and cached;
-``cg_block`` gathers a whole block C^{j3,m1+m2}_{j1,m1,j2,m2} of either
-order from it through the mirror and swap identities.
+``cg_block`` checks once and gathers a whole block C^{j3,m1+m2}_{j1,m1,j2,m2}
+of either order from it through the mirror and swap identities.
 
 The general 9j symbol is evaluated exactly, as the selection rules
 require, as a sum over one momentum x of products of three Racah 6j
@@ -22,9 +22,10 @@ symbols (Varshalovich et al. 1988, ch. 10), each by Racah's single
 sum.  The triangle roots through x appear twice and are rational; the
 six row and column roots appear once and are the one surd shared by
 every term, so the sum is one rational times one square root taken at
-the end.  A closed-form fast path covers the grids with unit spins in the
-third column: five closed forms and the 9j symmetries give all 27
-offset cells.
+the end; ``wigner_9j`` and ``rules.generalized_gaunt_exact`` share its
+cached core, entered with nine checked integers.  A closed-form fast path
+covers the grids with unit spins in the third column: five closed forms
+and the 9j symmetries give all 27 offset cells.
 
 Every exact sum runs in Python integers (the approach of WIGXJPF:
 Johansson & Forssen, SIAM J. Sci. Comput. 38, A376, 2016).  The terms of
@@ -191,10 +192,18 @@ def require_triangle(j1: int, j2: int, j3: int) -> None:
         raise ValueError(f"({j1}, {j2}, {j3}) violates the triangle condition")
 
 
-def require_natural(value, name: str) -> None:
-    """``ValueError`` naming ``value`` unless it is a non-negative integer (Python or numpy)."""
-    if _as_integer(value, name) < 0:
+def require_natural(value, name: str) -> int:
+    """``value`` as a Python int; ``ValueError`` naming it unless a non-negative integer."""
+    n = _as_integer(value, name)
+    if n < 0:
         raise ValueError(f"{name}={value} must be non-negative")
+    return n
+
+
+def _require_cg_range(j1: int, j2: int) -> None:
+    """``ValueError`` unless j1 + j2 <= CG_BLOCK_MAX, the float CG range."""
+    if j1 + j2 > CG_BLOCK_MAX:
+        raise ValueError(f"j1 + j2 = {j1 + j2} exceeds the float CG range {CG_BLOCK_MAX}")
 
 
 def cg_tensor(j1: int, j2: int) -> np.ndarray:
@@ -214,8 +223,7 @@ def cg_tensor(j1: int, j2: int) -> np.ndarray:
         raise ValueError(f"degrees must be non-negative, got {(j1, j2)}")
     if j1 > j2:
         raise ValueError(f"cg_tensor takes an unordered pair j1 <= j2, got {(j1, j2)}")
-    if j1 + j2 > CG_BLOCK_MAX:
-        raise ValueError(f"j1 + j2 = {j1 + j2} exceeds the float CG range {CG_BLOCK_MAX}")
+    _require_cg_range(j1, j2)
     return _cg_tensor(j1, j2)
 
 
@@ -230,18 +238,18 @@ def cg_block(j1: int, j2: int, j3: int) -> np.ndarray:
     coupling of an L=64 product decoded at 128); degrees outside that
     range raise.
     """
-    for name, j in (("j1", j1), ("j2", j2), ("j3", j3)):
-        require_natural(j, name)
+    j1, j2, j3 = (require_natural(j, name) for name, j in (("j1", j1), ("j2", j2), ("j3", j3)))
     require_triangle(j1, j2, j3)
+    _require_cg_range(j1, j2)
+    a, b = sorted((j1, j2))
     sign = (-1.0) ** (j1 + j2 - j3)
+    ia = np.arange(2 * a + 1)[:, None]
+    M = ia + np.arange(-a - b, b - a + 1)  # m_a + m_b of each [m_a + a, m_b + b] slot
+    up = M >= 0
+    S = _cg_tensor(a, b)
+    blk = np.where(up, 1.0, sign) * S[np.abs(M), j3 - b + a, np.where(up, ia, 2 * a - ia)]
     if j1 > j2:
-        blk = sign * cg_block(j2, j1, j3).T
-    else:
-        S = cg_tensor(j1, j2)
-        a1 = np.arange(2 * j1 + 1)[:, None]
-        M = a1 + np.arange(-j1 - j2, j2 - j1 + 1)  # m1 + m2 of each [m1 + j1, m2 + j2] slot
-        up = M >= 0
-        blk = np.where(up, 1.0, sign) * S[np.abs(M), j3 - j2 + j1, np.where(up, a1, 2 * j1 - a1)]
+        blk = sign * blk.T
     blk.flags.writeable = False
     return blk
 
@@ -371,6 +379,9 @@ def _racah_6j_sum(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> tuple
 
 @lru_cache(maxsize=1024)
 def _wigner_9j_cached(flat: tuple) -> SqrtRational:
+    """The 9j symbol of nine Python ints, row-major; a negative entry raises, so is never cached."""
+    if min(flat) < 0:
+        raise ValueError("9j entries must be non-negative")
     a, b, c, d, e, f, g, h, i = flat
     rows_cols = ((a, b, c), (d, e, f), (g, h, i), (a, d, g), (b, e, h), (c, f, i))
     if not all(triangle_delta(*tri) for tri in rows_cols):
@@ -410,8 +421,6 @@ def wigner_9j(grid) -> SqrtRational:
         raise ValueError(f"9j entries must be integers: {exc}") from exc
     if len(flat) != 9:
         raise ValueError("wigner_9j expects nine entries")
-    if any(x < 0 for x in flat):
-        raise ValueError("9j entries must be non-negative")
     return _wigner_9j_cached(flat)
 
 

@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .angular import (_as_integers, _checked_cache, cg, cg_zero, require_natural,
-                      triangle_delta, wigner_9j, wigner_9j_spin1)
+from .angular import (_as_integers, _checked_cache, _wigner_9j_cached, cg, cg_zero,
+                      require_natural, triangle_delta, wigner_9j_spin1)
 from .exact import SqrtRational
 
 __all__ = [
@@ -89,10 +89,11 @@ def generalized_gaunt_exact(path: PathKey) -> SqrtRational:
     The returned value is sqrt(dims) * 9j * C^{l3,0}; it is zero exactly
     when the true coefficient is zero, which is what rule checks need.
     A label that is not an integer, such as j3 = 2.0, raises
-    ``ValueError`` naming it, cached or not.
+    ``ValueError`` naming it, cached or not; a negative one raises
+    ``wigner_9j``'s ``ValueError``.
     """
     p = PathKey(*path)
-    nine = wigner_9j(((p.j1, p.l1, p.s1), (p.j2, p.l2, p.s2), (p.j3, p.l3, p.s3)))
+    nine = _wigner_9j_cached(path)  # PathKey order is the 9j grid, row-major
     if nine.is_zero():
         return nine
     prod = nine * cg_zero(p.l1, p.l2, p.l3)

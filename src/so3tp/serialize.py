@@ -20,10 +20,12 @@ infinite re/im entries with a ``SchemaError``.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .angular import triangle_delta
-from .sht import IrrepCoeffs, make_grid
+from .sht import IrrepCoeffs, _block_sort_key, make_grid
 from .tsh import SpinSignal, TshCoeffs
 
 __all__ = [
@@ -108,16 +110,30 @@ def _block_obj(j: int, l, vec: np.ndarray, path=None) -> dict:
     return obj
 
 
+def _file_tag(j: int, tag):
+    """``tag`` as ``coeffs_from_obj`` reads it back: None, l = j, or a path (j1, j2) on the triangle with j."""
+    if tag is None:
+        return None
+    try:
+        if isinstance(tag, tuple):
+            path = tuple(map(operator.index, tag))
+            if len(path) == 2 and min(path) >= 0 and triangle_delta(j, *path):
+                return path
+        elif operator.index(tag) == j:
+            return int(j)
+    except TypeError:
+        pass
+    raise ValueError(f"block {(j, tag)} has a tag that a coefficient file cannot carry: "
+                     f"want None, l = j or a path (j1, j2) on the triangle with j")
+
+
 def coeffs_to_obj(x: IrrepCoeffs) -> dict:
-    blocks = []
-    for (j, tag), vec in x.items():
-        if tag is None:
-            blocks.append(_block_obj(j, None, vec))
-        elif isinstance(tag, tuple):
-            blocks.append(_block_obj(j, None, vec, path=tag))
-        else:
-            blocks.append(_block_obj(j, tag, vec))
-    return {"L": int(x.L), "blocks": blocks}
+    """The file object of ``x``, every tag checked (``_file_tag``) before any block is written."""
+    blocks = sorted(((int(j), _file_tag(j, tag), vec) for (j, tag), vec in x.blocks.items()),
+                    key=lambda block: _block_sort_key(block[:2]))
+    return {"L": int(x.L), "blocks": [
+        _block_obj(j, None, vec, path=tag) if isinstance(tag, tuple) else _block_obj(j, tag, vec)
+        for j, tag, vec in blocks]}
 
 
 def tsh_to_obj(x: TshCoeffs) -> dict:

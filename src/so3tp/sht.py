@@ -183,18 +183,11 @@ def _check_band_limit(L: int) -> None:
     require_natural(L, "band limit L")
 
 
-def _block_vector(key: tuple, vec) -> np.ndarray:
-    """``vec`` as a complex vector; raises unless its length is 2j + 1 for block key (j, ...)."""
-    vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (2 * key[0] + 1,):
-        raise ValueError(f"block {key} has length {vec.shape}, want {2 * key[0] + 1}")
-    return vec
-
-
-def _is_block(vec, j: int, L: int) -> bool:
-    """Whether ``vec`` is already a complex (2j + 1,) ndarray with 0 <= j <= L, kept as is."""
-    return (type(vec) is np.ndarray and vec.dtype == complex and 0 <= j <= L
-            and vec.shape == (2 * j + 1,))
+def _trusted(cls, **fields):
+    """Dataclass ``cls`` holding ``fields`` unchecked: values a core laid out, known to pass its checks."""
+    z = cls.__new__(cls)
+    vars(z).update(fields)
+    return z
 
 
 def _block_sort_key(key):
@@ -206,22 +199,22 @@ class _Blocks:
     """Block code shared by ``IrrepCoeffs`` and ``tsh.TshCoeffs``.
 
     ``blocks`` maps (j, tag) to a complex vector of length 2j + 1.  Each
-    subclass checks its own keys; ``_sort_key`` orders ``items`` (None: by key).
+    subclass checks its other fields, then its keys in ``_check_key``;
+    ``_sort_key`` orders ``items`` (None: by key).
     """
 
     _sort_key = None
 
-    @classmethod
-    def _trusted(cls, blocks: dict, **fields):
-        """Blocks known to pass the class's checks, kept unchecked; ``fields`` are the others.
+    def __post_init__(self):
+        self.blocks = {key: self._checked(key, vec) for key, vec in self.blocks.items()}
 
-        For blocks cut from a known layout (``tenprod.cgtp_full``'s packed
-        output, ``tsh.tsh_decode``'s spans, a checked spin-0 ``TshCoeffs``),
-        skipping the per-block check of about 1 us a block.
-        """
-        z = cls.__new__(cls)
-        vars(z).update(fields, blocks=blocks)
-        return z
+    def _checked(self, key: tuple, vec) -> np.ndarray:
+        """The one per-block check: the class's key check, then ``vec`` as a complex (2j + 1,) vector."""
+        self._check_key(*key)
+        vec = np.asarray(vec, dtype=complex)
+        if vec.shape != (2 * key[0] + 1,):
+            raise ValueError(f"block {key} has length {vec.shape}, want {2 * key[0] + 1}")
+        return vec
 
     def block(self, j: int, tag=None) -> np.ndarray:
         return self.blocks[(j, tag)]
@@ -249,22 +242,17 @@ class IrrepCoeffs(_Blocks):
 
     def __post_init__(self):
         _check_band_limit(self.L)
-        # _checked returns an _is_block block as is; the test skips its call
-        self.blocks = {key: vec if _is_block(vec, key[0], self.L) else self._checked(key, vec)
-                       for key, vec in self.blocks.items()}
+        super().__post_init__()
 
-    def _checked(self, key: tuple, vec) -> np.ndarray:
-        """The per-block check: key (j, tag) with 0 <= j <= L, length 2j + 1."""
-        j, _tag = key
+    def _check_key(self, j: int, _tag=None) -> None:
         if not 0 <= j <= self.L:
             raise ValueError(f"block degree {j} outside 0..L={self.L}")
-        return _block_vector(key, vec)
 
     def get(self, j: int, tag=None):
         return self.blocks.get((j, tag))
 
     def set_block(self, j: int, vec, tag=None) -> None:
-        self.blocks[(j, tag)] = vec if _is_block(vec, j, self.L) else self._checked((j, tag), vec)
+        self.blocks[(j, tag)] = self._checked((j, tag), vec)
 
     def single_per_degree(self) -> dict[int, np.ndarray]:
         """Map j -> vector, requiring at most one block per degree."""

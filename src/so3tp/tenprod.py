@@ -43,12 +43,12 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .angular import (CG_BLOCK_MAX, _cg_tensor, cg_block, require_natural, require_triangle,
-                      triangle_delta)
+from .angular import (_cg_tensor, _require_cg_range, cg_block, require_natural,
+                      require_triangle, triangle_delta)
 from .flops import FlopCounter
 from .rules import _path_coefficient, find_pair_ells, find_valid_ells
-from .sht import (IrrepCoeffs, SphereGrid, _check_band_limit, _require_finite, make_grid,
-                  random_block)
+from .sht import (IrrepCoeffs, SphereGrid, _check_band_limit, _require_finite, _trusted,
+                  make_grid, random_block)
 from .tsh import (SpinSignal, TshCoeffs, _decode, _decode_layout, _encode, _packed, _unpack,
                   scalar_from_spin0, spin0_from_scalar)
 
@@ -78,7 +78,7 @@ class TpoResult:
 
 
 def _path_inputs(x, y, j3: int) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Complex x, y and degrees j1, j2; raises unless odd-length, 1-D, on a triangle, j3 natural."""
+    """Complex x, y and degrees j1, j2; raises unless finite, odd-length, 1-D, on a triangle, j3 natural."""
     require_natural(j3, "j3")
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -86,6 +86,7 @@ def _path_inputs(x, y, j3: int) -> tuple[np.ndarray, np.ndarray, int, int]:
         raise ValueError("inputs must be odd-length vectors")
     j1, j2 = (x.size - 1) // 2, (y.size - 1) // 2
     require_triangle(j1, j2, j3)
+    _require_finite(x, y)
     return x, y, j1, j2
 
 
@@ -154,8 +155,7 @@ def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
             lo, hi = max(b - a, lo3), min(a + b, L3)
             if not bases or lo > hi:
                 continue
-            if a + b > CG_BLOCK_MAX:
-                raise ValueError(f"j1 + j2 = {a + b} exceeds the float CG range {CG_BLOCK_MAX}")
+            _require_cg_range(a, b)
             n_ord, I, nk = len(bases), 2 * a + 1, hi - lo + 1
             M = np.arange(hi + 1)[:, None]
             i = np.arange(I)
@@ -290,7 +290,6 @@ def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
     """
     kernel = _kernel(mode)
     x, y, j1, j2 = _path_inputs(x, y, j3)
-    _require_finite(x, y)
     plan = _path_plan(j1, j2, j3)
     z = kernel(plan, {j1: x}, {j2: y})
     if flops is not None:
@@ -325,7 +324,7 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
     plan = _call_plan(tuple(xs), tuple(ys), L3)
     packed = kernel(plan, xs, ys)
     blocks = {key: packed[i:j] for key, i, j in zip(*plan.blocks)}
-    return TpoResult(output=IrrepCoeffs._trusted(blocks, L=L3), flops=plan.macs[mode])
+    return TpoResult(output=_trusted(IrrepCoeffs, L=L3, blocks=blocks), flops=plan.macs[mode])
 
 
 @lru_cache(maxsize=256)
@@ -364,7 +363,7 @@ def pointwise_spin_tp(f: SpinSignal, g: SpinSignal, s3: int,
         out[:, :, i3] += term
     if flops is not None:
         flops.add(pair_macs("sparse", f.s, g.s, s3, s3) * fv.shape[0] * fv.shape[1])
-    return SpinSignal(s=s3, grid=f.grid, values=out.transpose(1, 0, 2))
+    return _trusted(SpinSignal, s=s3, grid=f.grid, values=out.transpose(1, 0, 2))
 
 
 def _grid_product(x: tuple, y: tuple, s3: int, L3: int, grid: SphereGrid,
@@ -443,7 +442,6 @@ def simulate_cgtp_path(x: np.ndarray, y: np.ndarray, j3: int,
     closed-form float path coefficient ``rules._path_coefficient``.
     """
     x, y, j1, j2 = _path_inputs(x, y, j3)
-    _require_finite(x, y)
     if (j1, j2, j3) == (0, 0, 0):
         if flops is not None:
             flops.add(1)

@@ -7,8 +7,10 @@ total degree j:
 
     (Y^{l,s}_{j,mj})_{ms} = sum_{ml} C^{j,mj}_{l,ml,s,ms} Y^{ml}_l
 
-defined for key triples with {j, l, s} = 1.  Coefficient containers are
-keyed by (j, l); a degree-j block is a complex vector indexed mj = -j..j.
+defined for key triples with {j, l, s} = 1, every C the float
+``angular.cg_block``.  Coefficient containers are keyed by (j, l); a
+degree-j block is a complex vector indexed mj = -j..j, checked by the
+block base of ``sht`` with the triangle and band limit as the key check.
 
 Encode/decode factor through the scalar transform cores: one sparse
 coupling table per block set (one entry per (block, ml, ms) with mj =
@@ -20,6 +22,7 @@ inverting the coupling by Clebsch-Gordan orthogonality, so
 decode(encode(x)) = x whenever the grid resolves the band limit.  Spin 0
 is the identity coupling (all weights 1.0, 0 MACs), and the scalar
 transforms ``to_sphere`` and ``from_sphere`` are spin-0 encode and decode.
+The encode core builds its ``SpinSignal`` unchecked (``sht._trusted``).
 """
 
 from __future__ import annotations
@@ -30,11 +33,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .angular import cg_block, cg_float, require_natural, triangle_delta
+from .angular import _as_integers, cg_block, require_natural, triangle_delta
 from .flops import FlopCounter
-from .sht import (IrrepCoeffs, SphereGrid, _analysis_core, _block_vector, _Blocks,
-                  _check_band_limit, _require_finite, _synthesis_core, make_grid, random_block,
-                  sh_eval)
+from .sht import (IrrepCoeffs, SphereGrid, _analysis_core, _Blocks, _check_band_limit,
+                  _require_finite, _synthesis_core, _trusted, make_grid, random_block, sh_eval)
 
 __all__ = [
     "SpinSignal",
@@ -59,12 +61,6 @@ def valid_pairs(s: int, L: int) -> list[tuple[int, int]]:
     require_natural(L, "band limit L")
     pairs = [(j, l) for l in range(L + 1) for j in range(abs(l - s), l + s + 1)]
     return sorted(pairs)
-
-
-@lru_cache(maxsize=128)
-def _valid_key_set(s: int, L: int) -> frozenset:
-    """valid_pairs(s, L) for O(1) key checks; keys outside it go to TshCoeffs._check_key."""
-    return frozenset(valid_pairs(s, L))
 
 
 @dataclass(eq=False)
@@ -97,14 +93,7 @@ class TshCoeffs(_Blocks):
     def __post_init__(self):
         require_natural(self.s, "spin s")
         _check_band_limit(self.L)
-        valid = _valid_key_set(self.s, self.L)
-        self.blocks = {key: self._checked(key, vec, valid) for key, vec in self.blocks.items()}
-
-    def _checked(self, key: tuple, vec, valid: frozenset) -> np.ndarray:
-        """The per-block check: key (j, l) in ``valid`` (else ``_check_key`` raises), length 2j + 1."""
-        if key not in valid:
-            self._check_key(*key)
-        return _block_vector(key, vec)
+        super().__post_init__()
 
     def _check_key(self, j: int, l: int) -> None:
         if l > self.L:
@@ -113,7 +102,7 @@ class TshCoeffs(_Blocks):
             raise ValueError(f"key {(j, l)} violates the triangle {{j, l, s={self.s}}}")
 
     def set_block(self, j: int, l: int, vec) -> None:
-        self.blocks[(j, l)] = self._checked((j, l), vec, _valid_key_set(self.s, self.L))
+        self.blocks[(j, l)] = self._checked((j, l), vec)
 
 
 def spin0_from_scalar(x: IrrepCoeffs) -> TshCoeffs:
@@ -125,7 +114,7 @@ def scalar_from_spin0(z: TshCoeffs) -> IrrepCoeffs:
     """Untagged scalar coefficients from spin-0 blocks (j, l = j)."""
     if z.s != 0:
         raise ValueError(f"spin-{z.s} coefficients have no scalar form")
-    return IrrepCoeffs._trusted({(j, None): vec for (j, _l), vec in z.items()}, L=z.L)
+    return _trusted(IrrepCoeffs, L=z.L, blocks={(j, None): vec for (j, _l), vec in z.items()})
 
 
 def to_sphere(x: IrrepCoeffs, grid: SphereGrid, flops: FlopCounter | None = None) -> SpinSignal:
@@ -159,24 +148,22 @@ def tsh_eval(j: int, m_j: int, l: int, s: int, theta, phi) -> np.ndarray:
 
     Scalar angles give shape (2s+1,); array angles broadcast to
     shape (..., 2s+1).  With s = 0 this reduces to the scalar harmonic.
+    The coupling weights are the float ``cg_block(l, s, j)``, so l + s
+    must not exceed ``CG_BLOCK_MAX``; ``j``, ``m_j``, ``l`` and ``s`` must
+    be integers (Python or numpy), and any other, such as 2.0, raises
+    ``ValueError`` naming it.
     """
+    j, m_j, l, s = _as_integers((j, m_j, l, s), ("j", "m_j", "l", "s"))
     if not triangle_delta(j, l, s):
         raise ValueError(f"(j, l, s) = {(j, l, s)} violates the triangle condition")
     if abs(m_j) > j:
         raise ValueError(f"|m_j| <= j required, got {(j, m_j)}")
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    ph = np.asarray(phi, dtype=float)
-    th_b, _ = np.broadcast_arrays(th, np.atleast_1d(ph))
-    out = np.zeros(th_b.shape + (2 * s + 1,), dtype=complex)
+    C = cg_block(l, s, j)
+    out = np.zeros(np.broadcast_shapes(np.shape(theta), np.shape(phi)) + (2 * s + 1,), dtype=complex)
     for m_s in range(-s, s + 1):
         m_l = m_j - m_s
-        if abs(m_l) > l:
-            continue
-        coef = cg_float(l, m_l, s, m_s, j, m_j)
-        if coef:
-            out[..., m_s + s] = coef * sh_eval(l, m_l, theta, phi)
-    if np.ndim(theta) == 0 and np.ndim(phi) == 0:
-        return out.reshape(2 * s + 1)
+        if abs(m_l) <= l and C[m_l + l, m_s + s]:
+            out[..., m_s + s] = C[m_l + l, m_s + s] * sh_eval(l, m_l, theta, phi)
     return out
 
 
@@ -287,7 +274,7 @@ def _encode(s: int, keys: tuple, L: int, packed: np.ndarray, grid: SphereGrid,
     cf = np.bincount(slot, terms.view(float), 2 * (2 * L + 1) * (L + 1) * (2 * s + 1))
     if flops is not None:
         flops.add(macs)
-    return SpinSignal(s=s, grid=grid, values=_synthesis_core(
+    return _trusted(SpinSignal, s=s, grid=grid, values=_synthesis_core(
         cf.view(complex).reshape(2 * L + 1, L + 1, 2 * s + 1), grid, L, flops))
 
 
@@ -318,8 +305,8 @@ def _decode(f: SpinSignal, L: int, flops: FlopCounter | None) -> np.ndarray:
 def _unpack(s: int, L: int, packed: np.ndarray) -> TshCoeffs:
     """``TshCoeffs`` whose blocks are views of ``packed``, laid out as ``_decode_layout(s, L)``."""
     keys, _table, spans = _decode_layout(s, L)
-    return TshCoeffs._trusted({key: packed[start:end] for key, (start, end) in zip(keys, spans)},
-                              s=s, L=L)
+    return _trusted(TshCoeffs, s=s, L=L,
+                    blocks={key: packed[start:end] for key, (start, end) in zip(keys, spans)})
 
 
 def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCoeffs:

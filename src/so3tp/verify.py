@@ -47,6 +47,12 @@ def _random_angles(rng, n):
     return [tuple(rng.uniform(0.0, 2.0 * np.pi, 3)) for _ in range(n)]
 
 
+def _block_devs(lhs: dict, rhs: dict, case):
+    """(max |lhs[key] - rhs[key]|, case(key)) for each block key of ``lhs``, in its order."""
+    for key, vec in lhs.items():
+        yield float(np.abs(vec - rhs[key]).max()), case(key)
+
+
 def rotated_node_angles(grid, a, b, c):
     """(theta, phi) of R^-1 v at every node v of ``grid``, R = rotation_matrix(a, b, c)."""
     back = grid.unit_vectors @ angular.rotation_matrix(a, b, c)  # row-vector form of R^-1 v
@@ -181,9 +187,7 @@ def check_scalar_round_trip(p, rng):
     for L in p["L_list"]:
         x = sht.random_coeffs(L, rng)
         z = tsh.from_sphere(tsh.to_sphere(x, sht.make_grid(L)), L)
-        for l in range(L + 1):
-            dev = float(np.abs(x.block(l) - z.block(l)).max())
-            yield dev, f"L={L} l={l}"
+        yield from _block_devs(x.blocks, z.blocks, lambda key: f"L={L} l={key[0]}")
 
 
 def check_d_to_sh(p, rng):
@@ -237,9 +241,7 @@ def check_tsh_round_trip(p, rng):
     for s, L in p["cases"]:
         x = tsh.random_tsh_coeffs(s, L, rng)
         z = tsh.tsh_decode(tsh.tsh_encode(x, sht.make_grid(L)), L)
-        for j, l in x.blocks:
-            dev = float(np.abs(x.block(j, l) - z.block(j, l)).max())
-            yield dev, f"s={s} L={L} block=({j},{l})"
+        yield from _block_devs(x.blocks, z.blocks, lambda key: f"s={s} L={L} block=({key[0]},{key[1]})")
 
 
 def check_tsh_orthonormality(p, rng):
@@ -335,8 +337,7 @@ def check_gtp_symmetry(p, rng):
     x, y = sht.random_coeffs(L, rng), sht.random_coeffs(L, rng)
     r1 = tenprod.gtp(x, y, 2 * L, g).output
     r2 = tenprod.gtp(y, x, 2 * L, g).output
-    for l in range(2 * L + 1):
-        yield float(np.abs(r1.block(l) - r2.block(l)).max()), f"l={l}"
+    yield from _block_devs(r1.blocks, r2.blocks, lambda key: f"l={key[0]}")
 
 
 def check_vstp_antisymmetry(p, rng):
@@ -349,9 +350,9 @@ def check_vstp_antisymmetry(p, rng):
         yield float(np.abs(vec).max()), f"vstp(x,x) block {key}"
     rxy = tenprod.vstp(x, y, 2 * L, g).output
     ryx = tenprod.vstp(y, x, 2 * L, g).output
-    for key in rxy.blocks:
-        dev = float(np.abs(rxy.blocks[key] + ryx.blocks[key]).max())
-        yield dev, f"antisymmetry block {key}"
+    # a - (-b) is a + b exactly
+    yield from _block_devs(rxy.blocks, {key: -vec for key, vec in ryx.blocks.items()},
+                           lambda key: f"antisymmetry block {key}")
 
 
 def check_cgtp_simulation(p, rng):
@@ -377,18 +378,15 @@ def check_tpo_equivariance(p, rng):
         lhs = tenprod.cgtp_full(sht.rotate_coeffs(xs, a, b, c),
                                 sht.rotate_coeffs(ys, a, b, c), 2 * L).output
         rhs = sht.rotate_coeffs(tenprod.cgtp_full(xs, ys, 2 * L).output, a, b, c)
-        for key in lhs.blocks:
-            yield float(np.abs(lhs.blocks[key] - rhs.blocks[key]).max()), f"cgtp block {key}"
+        yield from _block_devs(lhs.blocks, rhs.blocks, lambda key: f"cgtp block {key}")
         lhs = tenprod.gtp(sht.rotate_coeffs(xs, a, b, c),
                           sht.rotate_coeffs(ys, a, b, c), 2 * L, grid).output
         rhs = sht.rotate_coeffs(tenprod.gtp(xs, ys, 2 * L, grid).output, a, b, c)
-        for key in lhs.blocks:
-            yield float(np.abs(lhs.blocks[key] - rhs.blocks[key]).max()), f"gtp block {key}"
+        yield from _block_devs(lhs.blocks, rhs.blocks, lambda key: f"gtp block {key}")
         lhs = tenprod.vstp(sht.rotate_coeffs(xv, a, b, c),
                            sht.rotate_coeffs(yv, a, b, c), 2 * L, grid).output
         rhs = sht.rotate_coeffs(tenprod.vstp(xv, yv, 2 * L, grid).output, a, b, c)
-        for key in lhs.blocks:
-            yield float(np.abs(lhs.blocks[key] - rhs.blocks[key]).max()), f"vstp block {key}"
+        yield from _block_devs(lhs.blocks, rhs.blocks, lambda key: f"vstp block {key}")
         x0 = tsh.spin0_from_scalar(xs)
         x0r = sht.rotate_coeffs(x0, a, b, c)
         xvr = sht.rotate_coeffs(xv, a, b, c)
@@ -398,9 +396,7 @@ def check_tpo_equivariance(p, rng):
                                     ((1, 1, 0), xv, yv, xvr, yvr)]:
             lhs = tenprod.istp(ur, vr, spins[2], 2 * L, grid).output
             rhs = sht.rotate_coeffs(tenprod.istp(u, v, spins[2], 2 * L, grid).output, a, b, c)
-            for key in lhs.blocks:
-                yield (float(np.abs(lhs.blocks[key] - rhs.blocks[key]).max()),
-                       f"istp{spins} block {key}")
+            yield from _block_devs(lhs.blocks, rhs.blocks, lambda key: f"istp{spins} block {key}")
 
 
 def check_bilinearity(p, rng):
@@ -415,9 +411,9 @@ def check_bilinearity(p, rng):
     lhs = tenprod.vstp(combo, y, 2 * L, grid).output
     r1 = tenprod.vstp(x1, y, 2 * L, grid).output
     r2 = tenprod.vstp(x2, y, 2 * L, grid).output
-    for key in lhs.blocks:
-        dev = float(np.abs(lhs.blocks[key] - a * r1.blocks[key] - b * r2.blocks[key]).max())
-        yield dev, f"block {key}"
+    # (lhs - a r1) - b r2 rounds exactly as lhs - a r1 - b r2
+    yield from _block_devs({key: vec - a * r1.blocks[key] for key, vec in lhs.blocks.items()},
+                           {key: b * vec for key, vec in r2.blocks.items()}, lambda key: f"block {key}")
 
 
 def check_flop_counts(p, rng):

@@ -153,11 +153,15 @@ def test_cg_block_rejects_out_of_range():
 
 def test_cg_block_swap_identity_exact():
     # both orders are gathered from one tensor, so the identity holds bit for bit;
-    # an equal-degree pair is its own swap, which the build imposes
-    pairs = [(j1, j2) for j1 in range(7) for j2 in range(7)] + [(16, 16), (32, 32), (65, 65)]
+    # an equal-degree pair is its own swap, which the build imposes.  Either
+    # order reads the pair's tensor once, by one cache lookup.
+    pairs = [(j1, j2) for j1 in range(25) for j2 in range(25 - j1)] + [(32, 32), (65, 65)]
     for j1, j2 in pairs:
         for j3 in range(abs(j1 - j2), j1 + j2 + 1):
+            before = angular._cg_tensor.cache_info()
             swapped = cg_block(j2, j1, j3)
+            after = angular._cg_tensor.cache_info()
+            assert after.hits + after.misses == before.hits + before.misses + 1
             assert not swapped.flags.writeable
             assert np.array_equal(swapped, (-1) ** (j1 + j2 - j3) * cg_block(j1, j2, j3).T), \
                 (j1, j2, j3)

@@ -3,8 +3,9 @@
 Of the tests, only ``test_oracle`` imports sympy or mpmath, the test-only
 oracles of the ``test`` extra.
 
-The grid modules ``sht`` and ``tenprod`` import no exact-valued function:
-nothing from ``exact`` and no exact CG or 9j from ``angular``.  Coupling
+The grid modules ``sht``, ``tsh`` and ``tenprod`` import no exact-valued
+function: nothing from ``exact`` and no exact CG or 9j from ``angular``.
+Their coupling weights are the float ``angular.cg_block``; path
 coefficients are ``rules``'.
 """
 
@@ -65,7 +66,7 @@ def _relative_imports(path: Path):
 
 def test_grid_modules_import_no_exact_valued_function():
     package = Path(so3tp.__file__).parent
-    found = {(name, module, alias) for name in ("sht.py", "tenprod.py")
+    found = {(name, module, alias) for name in ("sht.py", "tsh.py", "tenprod.py")
              for module, alias in _relative_imports(package / name)
              if module == "exact" or (module is None and alias == "exact")
              or (module == "angular" and alias in _EXACT_VALUED)}

@@ -1,6 +1,7 @@
 """Tests for canonical JSON serialization and schema validation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,36 @@ def test_tsh_schema_requires_l(rng):
     obj["blocks"][0]["l"] = None
     with pytest.raises(SchemaError):
         serialize.tsh_from_obj(obj)
+
+
+@pytest.mark.parametrize("keys", [
+    [(2, None), (2, 2), (2, (1, 1)), (2, (0, 2)), (2, (3, 1)), (0, (4, 4)), (1, 1), (1, None)],
+    # numpy integers are written as ints, in the order of the tags they read back as
+    [(2, np.int64(2)), (2, (np.int64(0), 2)), (2, (1, 1)), (3, (np.int64(4), np.int64(1)))],
+])
+def test_every_written_tag_round_trips_byte_for_byte(keys, rng):
+    x = IrrepCoeffs(L=3, blocks={key: rng.standard_normal(2 * key[0] + 1) + 0j for key in keys})
+    text = serialize.canonical_json(serialize.coeffs_to_obj(x))
+    y = serialize.coeffs_from_obj(json.loads(text))
+    assert serialize.canonical_json(serialize.coeffs_to_obj(y)) == text
+    assert y.blocks.keys() == x.blocks.keys()
+    for key, vec in x.blocks.items():
+        np.testing.assert_array_equal(y.blocks[key], vec)
+
+
+@pytest.mark.parametrize("tag", [
+    5, 1.0, "a", (0, 5), (-1, 2), (1, 1, 1), (0.0, 1), ("a", "b"), (1,), (),
+])
+def test_writer_rejects_a_tag_its_reader_refuses(tag, rng, tmp_path):
+    # l must equal j and a path must sit on the triangle with j; the check runs
+    # before anything is written
+    x = IrrepCoeffs(L=2, blocks={(0, None): rng.standard_normal(1) + 0j,
+                                 (1, tag): rng.standard_normal(3) + 0j})
+    path = tmp_path / "out.json"
+    path.write_text("kept")
+    with pytest.raises(ValueError, match=re.escape(f"block {(1, tag)} has a tag")):
+        serialize.write_file(serialize.coeffs_to_obj(x), path)
+    assert path.read_text() == "kept"
 
 
 def test_duplicate_block_rejected(rng):

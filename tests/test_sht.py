@@ -527,6 +527,25 @@ def test_irrep_coeffs_validation():
     assert IrrepCoeffs(L=np.int64(2), blocks={(2, None): np.zeros(5)}).block(2).shape == (5,)
 
 
+def test_irrep_coeffs_key_and_length_messages():
+    # one base check serves both containers; TshCoeffs' messages are in test_tsh
+    assert IrrepCoeffs._checked is tsh.TshCoeffs._checked is sht._Blocks._checked
+    for key, vec, message in [
+        ((2, None), np.zeros(5), "block degree 2 outside 0..L=1"),
+        ((-1, "t"), np.zeros(1), "block degree -1 outside 0..L=1"),
+        ((1, None), np.zeros(4), "block (1, None) has length (4,), want 3"),
+        ((1, (0, 1)), np.zeros((3, 1)), "block (1, (0, 1)) has length (3, 1), want 3"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            IrrepCoeffs(L=1, blocks={key: vec})
+        assert str(err.value) == message
+        x = IrrepCoeffs(L=1)
+        with pytest.raises(ValueError) as err:
+            x.set_block(key[0], vec, tag=key[1])
+        assert str(err.value) == message
+        assert x.blocks == {}
+
+
 def test_signal_shape_validation():
     g = make_grid(1)
     with pytest.raises(ValueError):

@@ -644,11 +644,11 @@ def test_simulation_equals_the_container_route_bitwise(rng):
 
 def test_simulation_builds_no_tsh_container(rng, monkeypatch):
     built = []
-    post_init, trusted = TshCoeffs.__post_init__, TshCoeffs._trusted.__func__
+    post_init, trusted = TshCoeffs.__post_init__, tsh._trusted
     monkeypatch.setattr(TshCoeffs, "__post_init__",
                         lambda self: built.append("checked") or post_init(self))
-    monkeypatch.setattr(TshCoeffs, "_trusted", classmethod(
-        lambda cls, blocks, **fields: built.append("trusted") or trusted(cls, blocks, **fields)))
+    monkeypatch.setattr(tsh, "_trusted", lambda cls, **fields: (
+        cls is TshCoeffs and built.append("trusted")) or trusted(cls, **fields))
     for j1, j2, j3 in [(0, 1, 1), (1, 1, 1), (2, 3, 4), (5, 5, 0)]:
         simulate_cgtp_path(random_block(j1, rng), random_block(j2, rng), j3)
     assert tenprod.simulate_cgtp_all_paths(3, seed=1) > 0

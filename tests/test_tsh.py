@@ -1,12 +1,13 @@
 """Tests for tensor spherical harmonics and spin-signal transforms."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from so3tp import serialize, sht, tsh
-from so3tp.angular import wigner_d_matrix
+from so3tp.angular import CG_BLOCK_MAX, cg_float, wigner_d_matrix
 from so3tp.flops import FlopCounter
 from so3tp.tenprod import cgtp_full
 from so3tp.sht import IrrepCoeffs, make_grid, random_block, random_coeffs, rotate_coeffs, sh_eval
@@ -56,6 +57,32 @@ def test_tsh_eval_rejects_invalid():
         tsh_eval(0, 0, 2, 1, 0.0, 0.0)  # {0,2,1} fails
     with pytest.raises(ValueError):
         tsh_eval(1, 2, 1, 1, 0.0, 0.0)  # |m_j| > j
+
+
+@pytest.mark.parametrize("args, name", [
+    ((2.0, 1, 2, 1), "j"), ((2, 1.0, 2, 1), "m_j"), ((2, 1, 2.0, 1), "l"), ((2, 1, 2, 1.0), "s"),
+])
+def test_tsh_eval_names_a_non_integer_argument(args, name):
+    bad = args[("j", "m_j", "l", "s").index(name)]
+    with pytest.raises(ValueError, match=f"^{name}={bad} must be an integer$"):
+        tsh_eval(*args, 0.4, 0.2)
+    np.testing.assert_array_equal(tsh_eval(*map(np.int64, args), 0.4, 0.2),
+                                  tsh_eval(*map(int, args), 0.4, 0.2))
+
+
+def test_tsh_eval_at_the_top_of_the_float_cg_range():
+    # the weights are cg_block(l, s, j), so l + s = CG_BLOCK_MAX is the top edge
+    th, ph = 1.1, 0.3
+    for j, m_j, l, s in [(129, 77, 128, 2), (130, -3, 128, 2), (0, 0, 65, 65)]:
+        assert l + s == CG_BLOCK_MAX
+        got = tsh_eval(j, m_j, l, s, th, ph)
+        for m_s in range(-s, s + 1):
+            m_l = m_j - m_s
+            expect = (cg_float(l, m_l, s, m_s, j, m_j) * sh_eval(l, m_l, th, ph)
+                      if abs(m_l) <= l else 0.0)
+            assert abs(got[m_s + s] - expect) <= 1e-13, (j, m_j, l, m_s)
+    with pytest.raises(ValueError, match="exceeds the float CG range"):
+        tsh_eval(129, 0, 129, 2, th, ph)
 
 
 def test_tsh_coeffs_key_validation():
@@ -312,6 +339,32 @@ def test_rotate_coeffs_keeps_the_container(rng):
         assert all(getattr(rot, name) == getattr(z, name) for name in vars(z) if name != "blocks")
         for (j, tag), vec in z.items():
             np.testing.assert_array_equal(rot.block(j, tag), wigner_d_matrix(j, *angles) @ vec)
+
+
+def test_containers_hold_exactly_their_fields(rng):
+    # perfbench rebuilds outputs as type(out)(**{**vars(out), "blocks": ...}), so
+    # vars() holds the dataclass fields and nothing else however a container is made
+    irrep, spin = random_coeffs(2, rng), random_tsh_coeffs(1, 2, rng)
+    made = [
+        irrep, spin,
+        sht._trusted(IrrepCoeffs, L=2, blocks=dict(irrep.blocks)),
+        sht._trusted(TshCoeffs, s=1, L=2, blocks=dict(spin.blocks)),
+        cgtp_full(irrep, irrep, 3).output,
+        tsh_decode(tsh_encode(spin, make_grid(2)), 2),
+        scalar_from_spin0(spin0_from_scalar(irrep)),
+        dataclasses.replace(irrep, L=3), dataclasses.replace(spin, blocks={}),
+        rotate_coeffs(irrep, 0.3, 1.1, -0.4), rotate_coeffs(spin, 0.3, 1.1, -0.4),
+    ]
+    for z in made:
+        fields = {f.name for f in dataclasses.fields(z)}
+        assert vars(z).keys() == fields, type(z)
+        if isinstance(z, TshCoeffs):
+            z.set_block(1, 1, random_block(1, rng))
+        else:
+            z.set_block(1, random_block(1, rng), tag="t")
+        assert vars(z).keys() == fields, type(z)
+        again = type(z)(**{**vars(z), "blocks": dict(z.blocks)})
+        assert [key for key, _ in again.items()] == [key for key, _ in z.items()]
 
 
 def test_rotate_coeffs_builds_d_once_per_degree(rng, monkeypatch):
