@@ -181,17 +181,18 @@ def vstp_rules(path: PathKey) -> RuleReport:
     return RuleReport(all(flags), *flags, coefficient=generalized_gaunt(p))
 
 
+@_checked_cache(lambda *js: tuple(map(require_natural, js, ("j1", "j2", "j3"))), maxsize=1024)
 def find_valid_ells(j1: int, j2: int, j3: int) -> tuple[int, int, int]:
     """A deterministic (l1, l2, l3) passing all vector-signal rules.
 
     Sorts the degrees ascending (stable), applies the constructive
     casework on the sorted triple, and maps the orbital labels back to the
-    original positions.  Raises NotInteractable for (0, 0, 0) and
-    TriangleViolation when the degrees fail the triangle condition.
+    original positions.  Raises ``ValueError`` naming a degree that is not
+    a non-negative integer, cached or not, NotInteractable for (0, 0, 0)
+    and TriangleViolation when the degrees fail the triangle condition.
+    Answers are cached; errors are not.
     """
     js = (j1, j2, j3)
-    for name, j in zip(("j1", "j2", "j3"), js):
-        require_natural(j, name)
     if not triangle_delta(*js):
         raise TriangleViolation(f"{js} violates the triangle condition")
     if js == (0, 0, 0):

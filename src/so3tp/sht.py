@@ -30,8 +30,10 @@ cf[0] = c[0], cf[2m] = cp[m] = c[m] + (-1)^m c[-m] and cf[2m - 1] =
 cs[m] = i (c[m] - (-1)^m c[-m]), so coefficient row r meets trig row r.
 Analysis writes the padded layout xpad[m + L, l - |m|, c]: order m
 indexes a row of degrees l = |m|..L, left-aligned, and c indexes signal
-components (2s+1 for a spin-s signal).  Each transform runs its Legendre
-matmuls and one phi GEMM for all components at once.  Samples are
+components (2s+1 for a spin-s signal); the slots past l = L are
+unspecified.  Each transform runs its Legendre stage in runs of
+``_RUN`` = 16 orders, each run trimmed to the degree slots its orders
+use, and one phi GEMM, all components at once.  Samples are
 phi-major: ``values`` [i, k, c] is a transposed view of a C-contiguous
 [k, i, c] array, which the analysis GEMM reads in place.  Coefficients
 enter and leave these layouts only through ``tsh``, scalars as spin 0.
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -198,18 +201,27 @@ def _block_sort_key(key):
 class _Blocks:
     """Block code shared by ``IrrepCoeffs`` and ``tsh.TshCoeffs``.
 
-    ``blocks`` maps (j, tag) to a complex vector of length 2j + 1.  Each
-    subclass checks its other fields, then its keys in ``_check_key``;
-    ``_sort_key`` orders ``items`` (None: by key).
+    ``blocks`` maps pairs (j, tag) to complex vectors of length 2j + 1.
+    Each subclass checks its other fields, then its keys in
+    ``_check_key``, after the first ``_degrees`` entries of each key passed
+    ``operator.index``; ``_sort_key`` orders ``items`` (None: by key).
     """
 
+    _degrees = 1
     _sort_key = None
 
     def __post_init__(self):
         self.blocks = {key: self._checked(key, vec) for key, vec in self.blocks.items()}
 
     def _checked(self, key: tuple, vec) -> np.ndarray:
-        """The one per-block check: the class's key check, then ``vec`` as a complex (2j + 1,) vector."""
+        """The one per-block check: a pair key, integer degrees, the class's key check, then ``vec``."""
+        if type(key) is not tuple or len(key) != 2:
+            raise ValueError(f"block key {key!r} is not a pair")
+        try:
+            for degree in key[:self._degrees]:
+                operator.index(degree)
+        except TypeError:
+            raise ValueError(f"block {key} has a degree that is not an integer") from None
         self._check_key(*key)
         vec = np.asarray(vec, dtype=complex)
         if vec.shape != (2 * key[0] + 1,):
@@ -289,25 +301,54 @@ def transform_macs(Lg: int, L: int) -> int:
     return n_theta * (L + 1) ** 2 + n_theta * n_phi * (2 * L + 1)
 
 
+# Orders per Legendre run of the transform cores.  A run of orders m0..m1 - 1
+# multiplies K = L + 1 - m0 degree slots, so runs skip most of the padding
+# past l = L of the (L + 1) x (L + 1) square; at L < _RUN one run covers it.
+_RUN = 16
+
+
 def _synthesis_core(cf: np.ndarray, grid: SphereGrid, L: int,
                     flops: FlopCounter | None) -> np.ndarray:
     """Grid samples [i, k, c] from folded coefficients cf[r, l - m, c]; a view of phi-major samples.
 
     Row r pairs with trig row r of order m = (r + 1) // 2: cf[0] = c[0],
-    cf[2m] = cp[m] and cf[2m - 1] = cs[m] (``tsh._folded_scatter``).  The
-    Legendre stage is one real batched matmul over the cosine rows and one
-    over the sine rows; the phi stage is one real GEMM against the grid's
-    cos/sin rows.  All components c share both stages.
+    cf[2m] = cp[m] and cf[2m - 1] = cs[m] (``tsh._folded_scatter``); slots
+    past l = L must hold zero.  The Legendre stage makes, per run of
+    ``_RUN`` orders m0..m1 - 1, one real batched matmul over the cosine
+    rows and one over the sine rows, trimmed to the K = L + 1 - m0 slots
+    the run's orders use.  The phi stage is one real GEMM against the
+    grid's cos/sin rows.  All components c share both stages.
     """
     n_comp = cf.shape[-1]
     lam, cf = grid.legendre[:L + 1, :, :L + 1], cf.view(float)
     H = np.empty((2 * L + 1, grid.n_theta, 2 * n_comp))
-    np.matmul(lam, cf[0::2], out=H[0::2])
-    np.matmul(lam[1:], cf[1::2], out=H[1::2])
+    # the first run reads all L + 1 slots, and order 0 has no sine row
+    np.matmul(lam[:_RUN], cf[:2 * _RUN:2], out=H[:2 * _RUN:2])
+    np.matmul(lam[1:_RUN], cf[1:2 * _RUN - 1:2], out=H[1:2 * _RUN - 1:2])
+    for m0 in range(_RUN, L + 1, _RUN):
+        K = L + 1 - m0
+        run = lam[m0:m0 + _RUN, :, :K]
+        cos, sin = slice(2 * m0, 2 * m0 + 2 * _RUN, 2), slice(2 * m0 - 1, 2 * m0 + 2 * _RUN - 1, 2)
+        np.matmul(run, cf[cos, :K], out=H[cos])
+        np.matmul(run, cf[sin, :K], out=H[sin])
     values = grid.trig[:2 * L + 1].T @ H.reshape(2 * L + 1, -1)
     if flops is not None:
         flops.add(n_comp * transform_macs(grid.Lg, L))
     return values.view(complex).reshape(grid.n_phi, grid.n_theta, n_comp).transpose(1, 0, 2)
+
+
+def _unfold(pos: np.ndarray, sin: np.ndarray, neg: np.ndarray, odd: int) -> None:
+    """Unfold orders m > 0: x[m] = P_cos - i P_sin, x[-m] = (-1)^m (P_cos + i P_sin).
+
+    ``pos`` holds P_cos of consecutive orders, the first odd if ``odd``,
+    and receives x[m]; ``sin`` holds P_sin and is overwritten; ``neg``
+    receives x[-m] in the same order.
+    """
+    sin *= -1j
+    # P_cos - (-i P_sin) for even m, (-i P_sin) - P_cos for odd m
+    np.subtract(pos[odd::2], sin[odd::2], out=neg[odd::2])
+    np.subtract(sin[1 - odd::2], pos[1 - odd::2], out=neg[1 - odd::2])
+    pos += sin
 
 
 def _analysis_core(values: np.ndarray, grid: SphereGrid, L: int,
@@ -316,11 +357,13 @@ def _analysis_core(values: np.ndarray, grid: SphereGrid, L: int,
 
     The phi stage runs the synthesis GEMM in reverse on the phi-major
     samples (no copy when ``values`` is a view of C-contiguous phi-major
-    samples, as ``_synthesis_core`` returns), and the weighted m >= 0
-    tables contract its cosine rows into P_cos and its sine rows into
-    P_sin.  The unfold x[m] = P_cos - i P_sin, x[-m] = (-1)^m (P_cos +
-    i P_sin) writes the padded layout; slots past l = L hold degrees above
-    L and are ignored.
+    samples, as ``_synthesis_core`` returns).  Per run of ``_RUN`` orders
+    m0..m1 - 1, the weighted m >= 0 tables, trimmed to K = L + 1 - m0
+    slots, contract its cosine rows into P_cos and its sine rows into
+    P_sin, and the unfold x[m] = P_cos - i P_sin, x[-m] = (-1)^m (P_cos +
+    i P_sin) writes the run's rows of the padded layout.  Slots past
+    l = L are unspecified: a run leaves the unused tail of its rows as
+    allocated, so they may hold anything, NaN included.
     """
     _check_band_limit(L)
     if L > grid.Lg:
@@ -331,14 +374,16 @@ def _analysis_core(values: np.ndarray, grid: SphereGrid, L: int,
     F = F.reshape(2 * L + 1, grid.n_theta, 2 * n_comp)
     lam = grid.weighted_legendre[:L + 1, :L + 1]
     xpad = np.empty((2 * L + 1, L + 1, n_comp), dtype=complex)
-    pos, neg = xpad[L + 1:], xpad[:L][::-1]
-    np.matmul(lam, F[0::2], out=xpad[L:].view(float))
-    sin = np.matmul(lam[1:], F[1::2]).view(complex)
-    sin *= -1j
-    # x[-m] = (-1)^m (P_cos + i P_sin): P_cos - (-i P_sin) for even m, (-i P_sin) - P_cos for odd m
-    np.subtract(pos[1::2], sin[1::2], out=neg[1::2])
-    np.subtract(sin[0::2], pos[0::2], out=neg[0::2])
-    pos += sin
+    # the first run reads all L + 1 slots, and order 0 has no sine row
+    np.matmul(lam[:_RUN], F[:2 * _RUN:2], out=xpad[L:L + _RUN].view(float))
+    sin = np.matmul(lam[1:_RUN], F[1:2 * _RUN - 1:2]).view(complex)
+    _unfold(xpad[L + 1:L + _RUN], sin, xpad[:L][::-1][:_RUN - 1], 1)
+    for m0 in range(_RUN, L + 1, _RUN):
+        K = L + 1 - m0
+        run, pos = lam[m0:m0 + _RUN, :K], xpad[L + m0:L + m0 + _RUN, :K]
+        np.matmul(run, F[2 * m0:2 * m0 + 2 * _RUN:2], out=pos.view(float))
+        sin = np.matmul(run, F[2 * m0 - 1:2 * m0 + 2 * _RUN - 1:2]).view(complex)
+        _unfold(pos, sin, xpad[L - m0::-1][:_RUN, :K], 0)
     if flops is not None:
         flops.add(n_comp * transform_macs(grid.Lg, L))
     return xpad

@@ -43,8 +43,8 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .angular import (_cg_tensor, _require_cg_range, cg_block, require_natural,
-                      require_triangle, triangle_delta)
+from .angular import (_as_integers, _cg_tensor, _checked_cache, _require_cg_range, cg_block,
+                      require_natural, require_triangle, triangle_delta)
 from .flops import FlopCounter
 from .rules import _path_coefficient, find_pair_ells, find_valid_ells
 from .sht import (IrrepCoeffs, SphereGrid, _check_band_limit, _require_finite, _trusted,
@@ -327,18 +327,25 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
     return TpoResult(output=_trusted(IrrepCoeffs, L=L3, blocks=blocks), flops=plan.macs[mode])
 
 
-@lru_cache(maxsize=256)
+@_checked_cache(lambda *spins: _as_integers(spins, ("s1", "s2", "s3")), maxsize=256)
 def _pointwise_terms(s1: int, s2: int, s3: int):
-    """Nonzero coupling terms (m1 + s1, m2 + s2, m3 + s3, C) in m1-major order."""
+    """Nonzero coupling terms (m1 + s1, m2 + s2, m3 + s3, C, first) in m1-major order.
+
+    ``first`` marks the first term of each output component m3.  Spins
+    must be integers (Python or numpy); any other, such as 1.0, raises
+    ``ValueError`` naming it, cached or not.
+    """
     if not triangle_delta(s1, s2, s3):
         raise ValueError(f"spins ({s1}, {s2}, {s3}) violate the triangle condition")
     C = cg_block(s1, s2, s3)
-    terms = []
+    terms, seen = [], set()
     for m1 in range(-s1, s1 + 1):
         for m2 in range(-s2, s2 + 1):
             coef = C[m1 + s1, m2 + s2]  # zero where |m1 + m2| > s3
             if coef:
-                terms.append((m1 + s1, m2 + s2, m1 + m2 + s3, coef))
+                i3 = m1 + m2 + s3
+                terms.append((m1 + s1, m2 + s2, i3, coef, i3 not in seen))
+                seen.add(i3)
     return tuple(terms)
 
 
@@ -346,21 +353,26 @@ def pointwise_spin_tp(f: SpinSignal, g: SpinSignal, s3: int,
                       flops: FlopCounter | None = None) -> SpinSignal:
     """Pointwise coupling (f (x) g)^{s3}_{m3} = sum C^{s3,m3}_{s1,m1,s2,m2} f_{m1} g_{m2}.
 
-    Requires a shared grid and {s1, s2, s3} = 1.  For spins (0,0,0) this
-    is plain pointwise multiplication; for (1,1,1) it is the pointwise
-    cross product in the spherical basis up to a constant.  The output
-    samples are phi-major, as ``tsh_encode`` returns them.
+    Requires a shared grid and {s1, s2, s3} = 1, with integer spins.  For
+    spins (0,0,0) this is plain pointwise multiplication; for (1,1,1) it
+    is the pointwise cross product in the spherical basis up to a
+    constant.  The first term of each output component is written in
+    place and the others added to it; every component has one, since the
+    coefficients of each m3 form a unit vector.  The output samples are
+    phi-major, as ``tsh_encode`` returns them.
     """
     if f.grid is not g.grid:
         raise ValueError("signals must share a grid")
     terms = _pointwise_terms(f.s, g.s, s3)
     fv, gv = f.values.transpose(1, 0, 2), g.values.transpose(1, 0, 2)  # phi-major
-    out = np.zeros(fv.shape[:2] + (2 * s3 + 1,), dtype=complex)
+    out = np.empty(fv.shape[:2] + (2 * s3 + 1,), dtype=complex)
     term = np.empty(fv.shape[:2], dtype=complex)
-    for i1, i2, i3, coef in terms:
-        np.multiply(coef, fv[:, :, i1], out=term)
-        term *= gv[:, :, i2]
-        out[:, :, i3] += term
+    for i1, i2, i3, coef, first in terms:
+        dst = out[:, :, i3] if first else term
+        np.multiply(coef, fv[:, :, i1], out=dst)
+        dst *= gv[:, :, i2]
+        if not first:
+            out[:, :, i3] += term
     if flops is not None:
         flops.add(pair_macs("sparse", f.s, g.s, s3, s3) * fv.shape[0] * fv.shape[1])
     return _trusted(SpinSignal, s=s3, grid=f.grid, values=out.transpose(1, 0, 2))

@@ -17,12 +17,14 @@ coupling table per block set (one entry per (block, ml, ms) with mj =
 ml + ms in range).  Encoding scatters the (j, l) blocks through it,
 folded over +-ml, straight into the folded spin layout of ``sht``; then a
 single synthesis or analysis handles all 2s+1 components.  Decoding
-gathers from the analysis's padded layout through the same table,
-inverting the coupling by Clebsch-Gordan orthogonality, so
-decode(encode(x)) = x whenever the grid resolves the band limit.  Spin 0
-is the identity coupling (all weights 1.0, 0 MACs), and the scalar
-transforms ``to_sphere`` and ``from_sphere`` are spin-0 encode and decode.
-The encode core builds its ``SpinSignal`` unchecked (``sht._trusted``).
+gathers from the analysis's padded layout through the same table, laid
+out densely with K = 2s + 1 terms per packed coefficient (one take, one
+multiply, one add reduce) and reading no slot past l = L, inverting the
+coupling by Clebsch-Gordan orthogonality, so decode(encode(x)) = x
+whenever the grid resolves the band limit.  Spin 0 is the identity
+coupling (all weights 1.0, 0 MACs), and the scalar transforms
+``to_sphere`` and ``from_sphere`` are spin-0 encode and decode.  The
+encode core builds its ``SpinSignal`` unchecked (``sht._trusted``).
 """
 
 from __future__ import annotations
@@ -89,6 +91,8 @@ class TshCoeffs(_Blocks):
     s: int
     L: int
     blocks: dict = field(default_factory=dict)
+
+    _degrees = 2
 
     def __post_init__(self):
         require_natural(self.s, "spin s")
@@ -243,19 +247,32 @@ def _encode_table(s: int, keys: tuple, L: int):
 
 @lru_cache(maxsize=128)
 def _decode_layout(s: int, L: int):
-    """Every (j, l) key up to L in valid_pairs order, its gather table, and block spans.
+    """Every (j, l) key up to L in valid_pairs order, its dense gather table, and block spans.
 
-    The gather table is (slot, weight, src2): packed coefficient i sums
-    weight[k] * xpad.flat[slot[k]] over the entries k whose doubled
-    indices src2[2k], src2[2k + 1] are (2i, 2i + 1), addressing its float
-    view (at spin 0 the gather alone).  Block (j, l) is packed[start:end]
-    for its (start, end) span; the last end is the packed length.
+    The gather table is (macs, slot, weight), macs the coupling table
+    length, slot and weight K x n with K = 2s + 1 and n the packed
+    length: packed coefficient i sums weight[k, i] * xpad.flat[slot[k, i]]
+    over k.  Row k holds the coupling entry of spin component ms = k - s,
+    so each coefficient's entries stand in table order
+    (``_coupling_table``: ms ascending), and a missing entry, before the
+    first or after the last, is padding of weight 0 at a slot the analysis
+    computed.  ``weight`` holds each weight twice, once per float of the
+    complex entry, and is None at spin 0, where the gather alone decodes.
+    Block (j, l) is packed[start:end] for its (start, end) span; the last
+    end is n.
     """
     keys = tuple(valid_pairs(s, L))
     ends = list(accumulate(2 * j + 1 for j, _l in keys))
     src, slot, weight = _coupling_table(s, keys, L)
-    src2 = (2 * src[:, None] + np.arange(2)).reshape(-1)
-    return keys, (slot, weight, src2), tuple(zip([0] + ends[:-1], ends))
+    row = slot % (2 * s + 1)  # ms + s, the last index of the padded layout
+    dense_slot = np.full((2 * s + 1, ends[-1]), slot[0])
+    dense_slot[row, src] = slot
+    dense_weight = None
+    if s:
+        dense_weight = np.zeros((2 * s + 1, ends[-1], 2))
+        dense_weight[row, src] = weight[:, None]
+        dense_weight = dense_weight.reshape(2 * s + 1, -1)
+    return keys, (src.size, dense_slot, dense_weight), tuple(zip([0] + ends[:-1], ends))
 
 
 def _packed(x: TshCoeffs) -> tuple[tuple, int, np.ndarray]:
@@ -290,16 +307,23 @@ def tsh_encode(x: TshCoeffs, grid: SphereGrid, flops: FlopCounter | None = None)
 
 
 def _decode(f: SpinSignal, L: int, flops: FlopCounter | None) -> np.ndarray:
-    """``tsh_decode`` of ``f`` as one packed vector: blocks at the spans of ``_decode_layout``."""
+    """``tsh_decode`` of ``f`` as one packed vector: blocks at the spans of ``_decode_layout``.
+
+    One take gathers the K x n dense table's slots of the padded
+    analysis, one multiply weights them in place, and one add reduce over
+    the K rows sums each packed coefficient's terms in table order: row 0
+    plus row 1, then plus row 2 and so on.
+    """
     xpad = _analysis_core(f.values, f.grid, L, flops).reshape(-1)
-    _keys, (slot, weight, src2), spans = _decode_layout(f.s, L)
-    packed = xpad[slot]
-    if f.s:
-        packed *= weight
-        packed = np.bincount(src2, packed.view(float), 2 * spans[-1][1]).view(complex)
-        if flops is not None:
-            flops.add(slot.size)
-    return packed
+    _keys, (macs, slot, weight), _spans = _decode_layout(f.s, L)
+    if not f.s:
+        return xpad.take(slot[0])
+    terms = xpad.take(slot)
+    floats = terms.view(float)
+    floats *= weight
+    if flops is not None:
+        flops.add(macs)
+    return np.add.reduce(terms)
 
 
 def _unpack(s: int, L: int, packed: np.ndarray) -> TshCoeffs:

@@ -108,6 +108,26 @@ def test_find_valid_ells_examples():
         find_valid_ells(-1, 1, 1)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((1.0, 2, 3), "j1=1.0 must be an integer"),
+    ((1, -2, 3), "j2=-2 must be non-negative"),
+    ((1, 2, "3"), "j3='3' must be an integer"),
+])
+def test_find_valid_ells_checks_before_its_cache(args, message):
+    # answers are cached; a float equal to a cached integer is still named,
+    # and no error is cached
+    find_valid_ells(1, 2, 3)
+    size = find_valid_ells.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            find_valid_ells(*args)
+    with pytest.raises(TriangleViolation):
+        find_valid_ells(1, 2, 4)
+    assert find_valid_ells.cache_info().currsize == size
+    assert find_valid_ells.cache_info().maxsize == 1024
+    assert find_valid_ells(np.int64(1), 2, 3) == find_valid_ells(1, 2, 3) == (1, 3, 2)
+
+
 def test_find_valid_ells_deterministic_and_permutation_consistent():
     assert find_valid_ells(2, 1, 1) == find_valid_ells(2, 1, 1)
     for js in [(1, 2, 3), (2, 1, 1), (1, 1, 2), (3, 3, 3)]:

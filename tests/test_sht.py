@@ -348,6 +348,62 @@ def test_folded_cores_match_complex_dft_cores(rng):
                 assert err <= 1e-14, (Lg, L, n_comp, err)
 
 
+def _padded_synthesis(cf, grid, L):
+    """Synthesis with one Legendre matmul over the whole padded square per parity (oracle)."""
+    n_comp = cf.shape[-1]
+    lam, cf = grid.legendre[:L + 1, :, :L + 1], cf.view(float)
+    H = np.empty((2 * L + 1, grid.n_theta, 2 * n_comp))
+    np.matmul(lam, cf[0::2], out=H[0::2])
+    np.matmul(lam[1:], cf[1::2], out=H[1::2])
+    values = grid.trig[:2 * L + 1].T @ H.reshape(2 * L + 1, -1)
+    return values.view(complex).reshape(grid.n_phi, grid.n_theta, n_comp).transpose(1, 0, 2)
+
+
+def _padded_analysis(values, grid, L):
+    """Analysis with one Legendre matmul over the whole padded square per parity (oracle)."""
+    n_comp = values.shape[-1]
+    samples = np.ascontiguousarray(values.transpose(1, 0, 2), dtype=complex)
+    F = grid.trig[:2 * L + 1] @ samples.reshape(grid.n_phi, -1).view(float)
+    F = F.reshape(2 * L + 1, grid.n_theta, 2 * n_comp)
+    lam = grid.weighted_legendre[:L + 1, :L + 1]
+    xpad = np.empty((2 * L + 1, L + 1, n_comp), dtype=complex)
+    pos, neg = xpad[L + 1:], xpad[:L][::-1]
+    np.matmul(lam, F[0::2], out=xpad[L:].view(float))
+    sin = np.matmul(lam[1:], F[1::2]).view(complex)
+    sin *= -1j
+    np.subtract(pos[1::2], sin[1::2], out=neg[1::2])
+    np.subtract(sin[0::2], pos[0::2], out=neg[0::2])
+    pos += sin
+    return xpad
+
+
+@pytest.mark.parametrize("L", [15, 16, 17, 31, 32, 33, 64])
+def test_legendre_runs_match_one_padded_matmul(L, rng):
+    # runs of 16 orders trimmed to their degree slots give the padded
+    # square's values on every valid slot, bitwise while one run covers L
+    g = make_grid(64)
+    valid = np.zeros((2 * L + 1, L + 1), bool)
+    for m in range(-L, L + 1):
+        valid[m + L, :L - abs(m) + 1] = True
+    folded_valid = np.zeros((2 * L + 1, L + 1), bool)
+    for r in range(2 * L + 1):
+        folded_valid[r, :L - (r + 1) // 2 + 1] = True
+    for n_comp in (1, 3):
+        shape = (2 * L + 1, L + 1, n_comp)
+        cf = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        cf[~folded_valid] = 0.0
+        shape = (g.n_theta, g.n_phi, n_comp)
+        samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for got, expect in [
+            (_synthesis_core(cf, g, L, None), _padded_synthesis(cf, g, L)),
+            (_analysis_core(samples, g, L, None)[valid], _padded_analysis(samples, g, L)[valid]),
+        ]:
+            if L < 16:
+                assert got.tobytes() == expect.tobytes(), (L, n_comp)
+            err = np.abs(got - expect).max() / np.abs(expect).max()
+            assert err <= 1e-15, (L, n_comp, err)
+
+
 def test_folded_scatter_is_the_fold(rng):
     # scattering padded coefficients through _folded_scatter gives _fold's rows
     for L in range(9):
@@ -544,6 +600,30 @@ def test_irrep_coeffs_key_and_length_messages():
             x.set_block(key[0], vec, tag=key[1])
         assert str(err.value) == message
         assert x.blocks == {}
+
+
+@pytest.mark.parametrize("key", [(2.0, None), (1.5, None), ("1", "t")])
+def test_irrep_coeffs_reject_non_integer_degrees(key):
+    message = f"block {key} has a degree that is not an integer"
+    with pytest.raises(ValueError) as err:
+        IrrepCoeffs(L=3, blocks={(1, None): np.ones(3), key: np.ones(5)})
+    assert str(err.value) == message
+    x = IrrepCoeffs(L=3)
+    with pytest.raises(ValueError) as err:
+        x.set_block(key[0], np.ones(5), tag=key[1])
+    assert str(err.value) == message
+    assert x.blocks == {}
+    # a tag is not a degree, and containers a core laid out stay unchecked
+    assert IrrepCoeffs(L=3, blocks={(np.int64(1), 0.5): np.ones(3)}).blocks
+    assert sht._trusted(IrrepCoeffs, L=3, blocks={key: np.ones(5)}).blocks
+
+
+@pytest.mark.parametrize("key", [(1,), (1, None, "t"), 1])
+def test_block_keys_must_be_pairs(key):
+    with pytest.raises(ValueError, match="is not a pair"):
+        IrrepCoeffs(L=3, blocks={(0, None): np.ones(1), key: np.ones(3)})
+    with pytest.raises(ValueError, match="is not a pair"):
+        tsh.TshCoeffs(s=1, L=3)._checked(key, np.ones(3))
 
 
 def test_signal_shape_validation():

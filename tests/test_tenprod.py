@@ -454,6 +454,29 @@ def test_pointwise_errors(rng):
         pointwise_spin_tp(f, f2, 3)  # spin triangle
 
 
+def test_pointwise_names_a_non_integer_spin(rng):
+    # a cached integer call must not let 1.0 through to the terms
+    g = make_grid(2)
+    f = SpinSignal(1, g, rng.standard_normal((g.n_theta, g.n_phi, 3)) + 0j)
+    pointwise_spin_tp(f, f, 1)
+    for bad in (1.0, 1.5):
+        with pytest.raises(ValueError, match=f"s3={bad} must be an integer"):
+            pointwise_spin_tp(f, f, bad)
+    tenprod._pointwise_terms.cache_clear()
+    with pytest.raises(ValueError, match="s3=1.0 must be an integer"):
+        pointwise_spin_tp(f, f, 1.0)
+
+
+def test_pointwise_terms_mark_each_component_once():
+    # the first term of each output component is written, the rest added
+    for spins in [(0, 0, 0), (1, 1, 0), (1, 1, 1), (1, 1, 2), (2, 1, 1), (2, 2, 2), (3, 2, 4)]:
+        seen = set()
+        for _i1, _i2, i3, _coef, first in tenprod._pointwise_terms(*spins):
+            assert first == (i3 not in seen), spins
+            seen.add(i3)
+        assert seen == set(range(2 * spins[2] + 1)), spins
+
+
 # ---------------------------------------------------------------- istp / gtp / vstp
 
 def test_istp_zero_inputs_count_flops():
@@ -692,3 +715,10 @@ def test_simulation_mac_count_pinned(rng):
     for j1, j2, j3 in triangle_paths(10):
         simulate_cgtp_path(random_block(j1, rng), random_block(j2, rng), j3, flops=fl)
     assert fl.count == 36_442_041
+
+
+def test_grid_mimo_mac_count_pinned(rng):
+    # spin-1 vstp, MIMO L = 32 on make_grid(64), decoded at L3 = 64: the
+    # benchmark's pinned count, whatever the transforms skip of the padding
+    x, y = random_tsh_coeffs(1, 32, rng), random_tsh_coeffs(1, 32, rng)
+    assert vstp(x, y, 64, make_grid(64)).flops == 7_879_010

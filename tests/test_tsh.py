@@ -103,6 +103,22 @@ def test_tsh_coeffs_key_validation():
         assert x.blocks == {}
 
 
+@pytest.mark.parametrize("key, length", [((1.5, 1), 4), ((0, 1.5), 1), ((2.0, 1), 5), ((1, 1.0), 3),
+                                         (("1", 1), 3)])
+def test_tsh_coeffs_reject_non_integer_degrees(key, length):
+    message = f"block {key} has a degree that is not an integer"
+    with pytest.raises(ValueError) as err:
+        TshCoeffs(s=1, L=3, blocks={key: np.ones(length)})
+    assert str(err.value) == message
+    x = TshCoeffs(s=1, L=3)
+    with pytest.raises(ValueError) as err:
+        x.set_block(*key, np.ones(length))
+    assert str(err.value) == message
+    assert x.blocks == {}
+    # numpy integers are integer degrees
+    assert TshCoeffs(s=1, L=3, blocks={(np.int64(1), np.int32(1)): np.ones(3)}).blocks
+
+
 @pytest.mark.parametrize("s, L, message", [
     (1, -1, "band limit L=-1 must be non-negative"),
     (-1, 1, "spin s=-1 must be non-negative"),
@@ -271,6 +287,49 @@ def test_coupling_table_is_cached_only_by_its_callers():
     # _encode_table and _decode_layout cache what they build from the table;
     # a cache on the table itself would hold a second copy of every array
     assert not hasattr(tsh._coupling_table, "cache_info")
+
+
+def _bincount_decode(xpad, s, L):
+    """Packed decode of a padded analysis by the sparse coupling table and np.bincount (oracle)."""
+    keys = tuple(valid_pairs(s, L))
+    src, slot, weight = tsh._coupling_table(s, keys, L)
+    terms = xpad.reshape(-1)[slot] * weight
+    src2 = (2 * src[:, None] + np.arange(2)).reshape(-1)
+    return np.bincount(src2, terms.view(float), 2 * sum(2 * j + 1 for j, _l in keys)).view(complex)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_dense_decode_gather_matches_bincount_bitwise(s, rng):
+    for L, Lg in [(0, 2), (3, 3), (5, 9), (17, 20)]:
+        g = make_grid(Lg)
+        shape = (g.n_theta, g.n_phi, 2 * s + 1)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        f = SpinSignal(s=s, grid=g, values=values)
+        expect = _bincount_decode(sht._analysis_core(f.values, g, L, None), s, L)
+        assert tsh._decode(f, L, None).tobytes() == expect.tobytes(), (s, L)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_decode_reads_no_pad_slot(s, rng, monkeypatch):
+    # slots past l = L of the padded analysis are unspecified; NaN there
+    # must not reach any block
+    core = tsh._analysis_core
+
+    def nan_padded(values, grid, L, flops):
+        xpad = core(values, grid, L, flops)
+        for m in range(-L, L + 1):
+            xpad[m + L, L - abs(m) + 1:] = np.nan
+        return xpad
+
+    L = 18
+    x = random_tsh_coeffs(s, L, rng)
+    f = tsh_encode(x, make_grid(L))
+    expect = tsh_decode(f, L)
+    monkeypatch.setattr(tsh, "_analysis_core", nan_padded)
+    z = tsh_decode(f, L)
+    for key, vec in z.items():
+        assert np.isfinite(vec).all(), key
+        assert vec.tobytes() == expect.block(*key).tobytes(), key
 
 
 def test_decode_band_limit_cut(rng):
