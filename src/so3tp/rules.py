@@ -10,7 +10,11 @@ in the product expansion of two tensor harmonics is
 For the vector-signal product (all spins 1) this coefficient is nonzero
 iff five selection rules hold; the rule flags here are evaluated by direct
 pattern matching and cross-checked against the exact-arithmetic
-coefficient, never against a float threshold; its float forms serve the products.
+coefficient, never against a float threshold.  The exact coefficient
+(``generalized_gaunt_exact``, ``generalized_gaunt``) serves the oracles
+only: ``vstp_rules`` and the products take the one float form of the
+spin-1 coefficient, ``_path_coefficient``, built from the spin-1 9j
+closed forms and ``cg_zero_float``, so they evaluate no exact symbol.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .angular import (_as_integers, _checked_cache, _wigner_9j_cached, cg, cg_zero,
-                      require_natural, triangle_delta, wigner_9j_spin1)
+                      cg_zero_float, require_natural, triangle_delta, wigner_9j_spin1)
 from .exact import SqrtRational
 
 __all__ = [
@@ -115,11 +119,16 @@ def _path_coefficient(j1: int, l1: int, j2: int, l2: int, j3: int, l3: int) -> f
     """Generalized Gaunt coefficient of the all-spins-one path, in float.
 
     sqrt(dims / 4 pi) * {j1 l1 1; j2 l2 1; j3 l3 1} * C^{l3,0}_{l1,0,l2,0}
-    with the 9j from its closed form, so no exact 9j is evaluated; the
-    C^{l3,0} comes from the exact Racah sum, which has no degree limit.
+    with the 9j from its closed form and C^{l3,0} from ``cg_zero_float``,
+    so no exact symbol is evaluated; within 1e-15 relative of the exact
+    ``generalized_gaunt``, and exactly 0.0 where that is zero.  Each row
+    (j, l, 1) must be a triangle, and an orbital degree past
+    ``angular.CG_ZERO_MAX`` raises ``ValueError``.  ``vstp_rules`` calls
+    the uncached body, ``__wrapped__``, so its distinct paths stay out of
+    this cache.
     """
     nine = wigner_9j_spin1(l1, j1 - l1, l2, j2 - l2, l3, j3 - l3)
-    return math.sqrt(_dims(j1, l1, j2, l2, 1) / (4.0 * math.pi)) * nine * float(cg_zero(l1, l2, l3))
+    return math.sqrt(_dims(j1, l1, j2, l2, 1) / (4.0 * math.pi)) * nine * cg_zero_float(l1, l2, l3)
 
 
 def gaunt_coefficient(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
@@ -149,9 +158,8 @@ def _rule5_violated(js, ls) -> bool:
     covers paths like (1,1),(2,2),(3,3) that the pairwise pattern alone
     misses.
     """
-    for a in range(3):
-        b, c = [i for i in range(3) if i != a]
-        if js[a] == ls[a] and (js[b], ls[b]) == (js[c], ls[c]):
+    for a, b, c in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        if js[a] == ls[a] and js[b] == js[c] and ls[b] == ls[c]:
             return True
     return js == ls
 
@@ -169,16 +177,23 @@ def vstp_rule_flags(js, ls) -> Iterator[bool]:
 def vstp_rules(path: PathKey) -> RuleReport:
     """Evaluate the five vector-signal selection rules for a path.
 
-    Spins must all be 1; any other spin raises ``ValueError``.  The flags
-    are ``vstp_rule_flags``; ``coefficient`` is the generalized Gaunt
-    value, and ``passed`` iff all flags hold, which coincides with the
-    coefficient being nonzero in exact arithmetic.
+    Spins must all be 1; any other spin raises ``ValueError``, as does a
+    label that is not an integer (named) or is negative.  The flags are
+    ``vstp_rule_flags``, and ``passed`` iff all hold, which coincides with
+    the coefficient being nonzero in exact arithmetic.  ``coefficient`` is
+    the float ``_path_coefficient``, uncached, when every row is a
+    triangle (r1), and 0.0 otherwise, where the 9j vanishes by definition:
+    within 1e-15 relative of ``generalized_gaunt`` and 0.0 exactly where
+    that is zero, with no exact symbol evaluated.  Orbital degrees past
+    ``angular.CG_ZERO_MAX`` on a path passing r1 raise ``ValueError``.
     """
     p = PathKey(*path)
     if (p.s1, p.s2, p.s3) != (1, 1, 1):
         raise ValueError(f"vstp_rules applies to spin-(1,1,1) paths, got {p}")
-    flags = tuple(vstp_rule_flags((p.j1, p.j2, p.j3), (p.l1, p.l2, p.l3)))
-    return RuleReport(all(flags), *flags, coefficient=generalized_gaunt(p))
+    j1, l1, _, j2, l2, _, j3, l3, _ = _as_integers(p, PathKey._fields)
+    flags = tuple(vstp_rule_flags((j1, j2, j3), (l1, l2, l3)))
+    coefficient = _path_coefficient.__wrapped__(j1, l1, j2, l2, j3, l3) if flags[0] else 0.0
+    return RuleReport(all(flags), *flags, coefficient=coefficient)
 
 
 @_checked_cache(lambda *js: tuple(map(require_natural, js, ("j1", "j2", "j3"))), maxsize=1024)

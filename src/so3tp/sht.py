@@ -201,8 +201,9 @@ def _block_sort_key(key):
 class _Blocks:
     """Block code shared by ``IrrepCoeffs`` and ``tsh.TshCoeffs``.
 
-    ``blocks`` maps pairs (j, tag) to complex vectors of length 2j + 1.
-    Each subclass checks its other fields, then its keys in
+    ``blocks`` maps pairs (j, tag) to finite complex vectors of length
+    2j + 1, checked on the way in; the blocks stay mutable arrays, so the
+    products check finiteness again.  Each subclass checks its other fields, then its keys in
     ``_check_key``, after the first ``_degrees`` entries of each key passed
     ``operator.index``; ``_sort_key`` orders ``items`` (None: by key).
     """
@@ -214,7 +215,7 @@ class _Blocks:
         self.blocks = {key: self._checked(key, vec) for key, vec in self.blocks.items()}
 
     def _checked(self, key: tuple, vec) -> np.ndarray:
-        """The one per-block check: a pair key, integer degrees, the class's key check, then ``vec``."""
+        """The one per-block check: a pair key, integer degrees, the class's key check, then ``vec``'s length and finiteness."""
         if type(key) is not tuple or len(key) != 2:
             raise ValueError(f"block key {key!r} is not a pair")
         try:
@@ -226,6 +227,7 @@ class _Blocks:
         vec = np.asarray(vec, dtype=complex)
         if vec.shape != (2 * key[0] + 1,):
             raise ValueError(f"block {key} has length {vec.shape}, want {2 * key[0] + 1}")
+        _require_finite(vec)
         return vec
 
     def block(self, j: int, tag=None) -> np.ndarray:

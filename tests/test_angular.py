@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from so3tp import angular, tenprod
 from so3tp.angular import (
     CG_BLOCK_MAX,
+    CG_ZERO_MAX,
     cg,
     cg_block,
     cg_float,
     cg_tensor,
     cg_zero,
+    cg_zero_float,
     triangle_delta,
     wigner_9j,
     wigner_9j_spin1,
@@ -77,6 +79,48 @@ def test_cg_zero_nonzero_iff_even_and_triangle():
                 nonzero = not cg_zero(l1, l2, l3).is_zero()
                 expect = bool(triangle_delta(l1, l2, l3)) and (l1 + l2 + l3) % 2 == 0
                 assert nonzero == expect, (l1, l2, l3)
+
+
+CG_ZERO_FLOAT_RTOL = 5e-16  # cg_zero_float's stated accuracy against the exact cg_zero
+
+
+def _cg_zero_float_error(l1, l2, l3):
+    """Relative error of cg_zero_float against exact cg_zero; a zero must be 0.0 exactly."""
+    exact = cg_zero(l1, l2, l3)
+    got = cg_zero_float(l1, l2, l3)
+    if exact.is_zero():
+        assert got == 0.0, (l1, l2, l3)
+        return 0.0
+    want = float(exact)
+    return abs(got - want) / abs(want)
+
+
+def test_cg_zero_float_matches_exact_on_every_triple_to_degree_24():
+    # zeros included: odd sums and broken triangles give 0.0 exactly
+    worst = max(_cg_zero_float_error(*ls) for ls in itertools.product(range(25), repeat=3))
+    assert 0.0 < worst <= CG_ZERO_FLOAT_RTOL
+
+
+def test_cg_zero_float_matches_exact_at_the_top_of_its_range():
+    top = CG_ZERO_MAX
+    rng = np.random.default_rng(7)
+    triples = [(top, top, 0), (top, top, top), (top, top - 1, 1), (top, 1, top - 1),
+               (top, top // 2, top // 2), (top - 2, top, top), (3, top - 1, top)]
+    while len(triples) < 40:
+        l1, l2 = top, int(rng.integers(0, top + 1))
+        l3 = int(rng.integers(top - l2, top + 1))
+        if (l1 + l2 + l3) % 2 == 0:
+            triples.append(tuple(rng.permutation((l1, l2, l3)).tolist()))
+    assert max(_cg_zero_float_error(*ls) for ls in triples) <= CG_ZERO_FLOAT_RTOL
+
+
+def test_cg_zero_float_rejects_degrees_past_its_range():
+    top = CG_ZERO_MAX
+    for bad in [(top + 1, top, 1), (0, top + 1, top + 1), (top + 1, 0, top), (1, 1, top + 2)]:
+        with pytest.raises(ValueError, match=f"exceed the float C\\^\\(l3,0\\) range {top}"):
+            cg_zero_float(*bad)
+    with pytest.raises(ValueError, match="non-negative"):
+        cg_zero_float(1, -1, 2)
 
 
 def test_cg_block_matches_exact():

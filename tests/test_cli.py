@@ -12,6 +12,7 @@ import pytest
 
 from so3tp import serialize
 from so3tp.cli import main
+from so3tp.rules import PathKey, generalized_gaunt_exact
 from so3tp.sht import random_coeffs
 from so3tp.tsh import random_tsh_coeffs
 
@@ -248,6 +249,11 @@ def test_tp_simulate(capsys):
 def test_rules_cli(capsys):
     code, out, _ = run_cli(capsys, "rules", "check", "--path", "1,1,1,1,1,1")
     assert code == 0 and "rule 4: FAIL" in out and "passed: False" in out
+    code, out, _ = run_cli(capsys, "rules", "check", "--path", "1,0,1,1,1,1")
+    assert code == 0 and "passed: True" in out
+    printed = float(out.split("coefficient: ")[1].split()[0])
+    exact = float(generalized_gaunt_exact(PathKey(1, 0, 1, 1, 1, 1, 1, 1, 1))) / math.sqrt(4 * math.pi)
+    assert abs(printed - exact) <= 1e-15 * abs(exact)  # vstp_rules' stated accuracy
     code, out, _ = run_cli(capsys, "rules", "find-ells", "--j", "1,1,1")
     assert code == 0 and "ells: 0,1,1" in out
     code, out, _ = run_cli(capsys, "rules", "find-ells", "--j", "0,0,0")

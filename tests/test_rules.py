@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from so3tp import angular, rules
 from so3tp.angular import triangle_delta
 from so3tp.rules import (
     NotInteractable,
@@ -24,6 +25,7 @@ from so3tp.rules import (
     vstp_rules,
 )
 from so3tp.angular import cg_float
+from so3tp.tenprod import simulate_cgtp_path
 
 
 # ---------------------------------------------------------------- coefficient
@@ -91,6 +93,73 @@ def test_rule_iff_exhaustive_small():
         nz = not generalized_gaunt_exact(p).is_zero()
         assert rep.passed == nz, p
         assert rep.passed == (abs(rep.coefficient) > 0), p
+
+
+COEFFICIENT_RTOL = 1e-15  # vstp_rules' stated accuracy against exact arithmetic
+
+
+def _coefficient_error(path):
+    """Relative error of vstp_rules' float coefficient against exact arithmetic.
+
+    The coefficient must be 0.0 exactly where the exact value is zero.
+    """
+    got = vstp_rules(path).coefficient
+    exact = generalized_gaunt_exact(path)
+    if exact.is_zero():
+        assert got == 0.0, path
+        return 0.0
+    want = float(exact) / math.sqrt(4.0 * math.pi)
+    return abs(got - want) / abs(want)
+
+
+def test_vstp_rules_coefficient_matches_exact_on_every_path_to_degree_6():
+    worst = max(_coefficient_error(PathKey(j1, l1, 1, j2, l2, 1, j3, l3, 1))
+                for j1, l1, j2, l2, j3, l3 in itertools.product(range(7), repeat=6))
+    assert 0.0 < worst <= COEFFICIENT_RTOL
+
+
+@pytest.mark.parametrize("degree", [64, 128])
+def test_vstp_rules_coefficient_matches_exact_at_high_degree(degree):
+    # a seeded sample of paths whose rows are all triangles, near the degree
+    rng = np.random.default_rng(degree)
+    paths = []
+    while len(paths) < 12:
+        j1, j2 = degree, int(rng.integers(degree // 2, degree + 1))
+        j3 = int(rng.integers(j1 - j2, degree + 1))
+        l1, l2, l3 = (j + int(rng.integers(-1, 2)) for j in (j1, j2, j3))
+        paths.append(PathKey(j1, l1, 1, j2, l2, 1, j3, l3, 1))
+    assert sum(vstp_rules(p).passed for p in paths) >= 3
+    assert max(map(_coefficient_error, paths)) <= COEFFICIENT_RTOL
+
+
+def test_vstp_rules_rejects_negative_and_non_integer_labels():
+    for bad, message in [(PathKey(1, 0, 1, 1, -1, 1, 1, 1, 1), "non-negative"),
+                         (PathKey(5, 0, 1, -1, 1, 1, 1, 1, 1), "non-negative"),
+                         (PathKey(1, 0, 1, 1, 1.5, 1, 1, 1, 1), r"l2=1\.5 must be an integer"),
+                         (PathKey(1, 0, 1.0, 1, 1, 1, 1, 1, 1), r"s1=1\.0 must be an integer")]:
+        with pytest.raises(ValueError, match=message):
+            vstp_rules(bad)
+
+
+def test_float_coefficients_evaluate_no_exact_symbol(rng):
+    # vstp_rules on fresh paths and a cold simulate_cgtp_path reach no exact
+    # CG, 9j or generalized Gaunt value, and vstp_rules leaves the products'
+    # coefficient cache alone
+    exact = (angular.cg, angular._wigner_9j_cached, rules.generalized_gaunt_exact)
+    for cache in exact + (rules._path_coefficient,):
+        cache.cache_clear()
+    triples = [js for js in itertools.product(range(5), repeat=3)
+               if js != (0, 0, 0) and triangle_delta(*js)]
+    for j1, j2, j3 in triples:
+        l1, l2, l3 = find_valid_ells(j1, j2, j3)
+        assert vstp_rules(PathKey(j1, l1, 1, j2, l2, 1, j3, l3, 1)).passed
+    assert vstp_rules(PathKey(100, 99, 1, 100, 100, 1, 100, 101, 1)).passed
+    assert rules._path_coefficient.cache_info().currsize == 0
+    for j1, j2, j3 in triples:
+        x, y = (rng.standard_normal(2 * j + 1) + 0j for j in (j1, j2))
+        simulate_cgtp_path(x, y, j3)
+    assert rules._path_coefficient.cache_info().currsize == len(triples)
+    assert [cache.cache_info().misses for cache in exact] == [0, 0, 0]
 
 
 # ---------------------------------------------------------------- ell assignment
@@ -209,6 +278,7 @@ def test_vstp_rules_names_a_non_integer_label_cold_and_cached():
         with pytest.raises(ValueError, match=r"j3=2\.0 must be an integer"):
             call(bad)
     report = vstp_rules(PathKey(2, 1, 1, 2, 2, 1, 2, 2, 1))
+    generalized_gaunt_exact(PathKey(2, 1, 1, 2, 2, 1, 2, 2, 1))  # vstp_rules caches no exact value
     for call in (vstp_rules, generalized_gaunt_exact):
         with pytest.raises(ValueError, match=r"j3=2\.0 must be an integer"):
             call(bad)

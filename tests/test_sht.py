@@ -618,6 +618,20 @@ def test_irrep_coeffs_reject_non_integer_degrees(key):
     assert sht._trusted(IrrepCoeffs, L=3, blocks={key: np.ones(5)}).blocks
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_containers_reject_non_finite_blocks(bad):
+    # both containers and set_block, through the one block check; a core's
+    # unchecked container stays unchecked
+    vec = [bad, 0.0, 1.0]
+    for build in (lambda: IrrepCoeffs(L=1, blocks={(1, None): vec}),
+                  lambda: tsh.TshCoeffs(s=1, L=1, blocks={(1, 1): vec}),
+                  lambda: IrrepCoeffs(L=1).set_block(0, [bad]),
+                  lambda: tsh.TshCoeffs(s=1, L=1).set_block(1, 0, vec)):
+        with pytest.raises(ValueError, match="inputs must be finite, got NaN or inf"):
+            build()
+    assert sht._trusted(IrrepCoeffs, L=1, blocks={(1, None): vec}).blocks
+
+
 @pytest.mark.parametrize("key", [(1,), (1, None, "t"), 1])
 def test_block_keys_must_be_pairs(key):
     with pytest.raises(ValueError, match="is not a pair"):
