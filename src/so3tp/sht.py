@@ -19,11 +19,13 @@ Lambda^{-m}_l = (-1)^m Lambda^m_l, and one real GEMM over phi against
 cos(m phi) and sin(m phi) rows, since exp(-i m phi) = conj(exp(i m phi))
 (fixed summation order, deterministic).  Each grid owns the tables
 derived from its nodes, builds each on the first transform that reads it,
-and frees them with itself: ``legendre`` [m, i, l - m] for synthesis,
-``weighted_legendre`` [m, l - m, i] with the quadrature weights for
-analysis, and ``trig``, the rows [cos 0 phi, sin 1 phi, cos 1 phi, ...,
-sin Lg phi, cos Lg phi].  Band L reads the first L + 1 orders and the
-first 2L + 1 trig rows, as views.
+and frees them with itself: ``legendre``, per run of ``_RUN`` orders
+m0..m0 + 15 one C-contiguous block [m - m0, i, l - m] of the Lg + 1 - m0
+degree slots its orders use, read by synthesis and, transposed, by
+analysis; ``analysis_weights``, the quadrature weight of each theta row,
+which analysis applies to its phi-stage output; and ``trig``, the rows
+[cos 0 phi, sin 1 phi, cos 1 phi, ..., sin Lg phi, cos Lg phi].  Band L
+reads the first L + 1 orders and the first 2L + 1 trig rows, as views.
 
 Synthesis reads folded coefficients cf[r, l - m, c], m = (r + 1) // 2:
 cf[0] = c[0], cf[2m] = cp[m] = c[m] + (-1)^m c[-m] and cf[2m - 1] =
@@ -45,7 +47,6 @@ optionally tagged (tags distinguish multiplicity, e.g. source paths).
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -91,6 +92,12 @@ def _legendre_orders(cos_theta: np.ndarray, lmax: int):
         yield m, tab
 
 
+# Orders per Legendre run of the transform cores.  A run of orders m0..m1 - 1
+# multiplies K = L + 1 - m0 degree slots, so runs skip most of the padding
+# past l = L of the (L + 1) x (L + 1) square; at L < _RUN one run covers it.
+_RUN = 16
+
+
 @dataclass(frozen=True, eq=False)
 class SphereGrid:
     """Gauss-Legendre theta nodes x uniform phi nodes, exact to degree Lg."""
@@ -126,22 +133,24 @@ class SphereGrid:
         return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
 
     @cached_property
-    def legendre(self) -> np.ndarray:
-        """legendre[m, i, l - m] = Lambda^m_l(cos theta_i) for 0 <= m <= l <= Lg, zero past l = Lg."""
-        lam = np.zeros((self.Lg + 1, self.n_theta, self.Lg + 1))
+    def legendre(self) -> tuple[np.ndarray, ...]:
+        """legendre[r][m - m0, i, l - m] = Lambda^m_l(cos theta_i) for the orders m of run r, m0 = 16 r.
+
+        Run r is one C-contiguous block of its orders (m0..m0 + 15, up to
+        Lg) by n_theta by the Lg + 1 - m0 degree slots they use, zero past
+        l = Lg: the rectangle the run's Legendre matmuls read.  The blocks
+        hold 8 sum_r min(16, Lg + 1 - m0) (Lg + 1) (Lg + 1 - m0) bytes.
+        """
+        runs = [np.zeros((min(_RUN, self.Lg + 1 - m0), self.n_theta, self.Lg + 1 - m0))
+                for m0 in range(0, self.Lg + 1, _RUN)]
         for m, tab in _legendre_orders(self.cos_theta, self.Lg):
-            lam[m, :, :tab.shape[1]] = tab
-        return lam
+            runs[m // _RUN][m % _RUN, :, :tab.shape[1]] = tab
+        return tuple(runs)
 
     @cached_property
-    def weighted_legendre(self) -> np.ndarray:
-        """weighted_legendre[m, l - m, i] = w_i Lambda^m_l(cos theta_i), w_i = theta_weights[i] 2 pi / n_phi."""
-        w = self.theta_weights * (2.0 * np.pi / self.n_phi)
-        # Made through a freed table-sized temporary on purpose: glibc then
-        # raises its heap trim threshold above a grid product's working set.
-        # Written with out= instead, a benchmark worker at L=32 on this grid
-        # trimmed and re-faulted ~1,400 pages per product.
-        return np.ascontiguousarray(self.legendre.transpose(0, 2, 1) * w)
+    def analysis_weights(self) -> np.ndarray:
+        """Column w[i, 0] = theta_weights[i] 2 pi / n_phi, the analysis weight of theta row i."""
+        return (self.theta_weights * (2.0 * np.pi / self.n_phi))[:, None]
 
     @cached_property
     def trig(self) -> np.ndarray:
@@ -175,10 +184,9 @@ def make_grid(Lg: int) -> SphereGrid:
 
 
 def _require_finite(*vecs: np.ndarray) -> None:
-    # a finite sum has only finite terms, so only a non-finite sum (a bad
-    # entry or an overflow) needs the entrywise test
+    # entrywise: a sum of the entries could overflow and warn on finite input
     for v in vecs:
-        if not cmath.isfinite(np.add.reduce(v, axis=None)) and not np.isfinite(v).all():
+        if not np.isfinite(v).all():
             raise ValueError("inputs must be finite, got NaN or inf")
 
 
@@ -303,12 +311,6 @@ def transform_macs(Lg: int, L: int) -> int:
     return n_theta * (L + 1) ** 2 + n_theta * n_phi * (2 * L + 1)
 
 
-# Orders per Legendre run of the transform cores.  A run of orders m0..m1 - 1
-# multiplies K = L + 1 - m0 degree slots, so runs skip most of the padding
-# past l = L of the (L + 1) x (L + 1) square; at L < _RUN one run covers it.
-_RUN = 16
-
-
 def _synthesis_core(cf: np.ndarray, grid: SphereGrid, L: int,
                     flops: FlopCounter | None) -> np.ndarray:
     """Grid samples [i, k, c] from folded coefficients cf[r, l - m, c]; a view of phi-major samples.
@@ -322,14 +324,15 @@ def _synthesis_core(cf: np.ndarray, grid: SphereGrid, L: int,
     grid's cos/sin rows.  All components c share both stages.
     """
     n_comp = cf.shape[-1]
-    lam, cf = grid.legendre[:L + 1, :, :L + 1], cf.view(float)
+    runs, cf = grid.legendre, cf.view(float)
+    lam = runs[0][:L + 1, :, :L + 1]
     H = np.empty((2 * L + 1, grid.n_theta, 2 * n_comp))
     # the first run reads all L + 1 slots, and order 0 has no sine row
-    np.matmul(lam[:_RUN], cf[:2 * _RUN:2], out=H[:2 * _RUN:2])
-    np.matmul(lam[1:_RUN], cf[1:2 * _RUN - 1:2], out=H[1:2 * _RUN - 1:2])
+    np.matmul(lam, cf[:2 * _RUN:2], out=H[:2 * _RUN:2])
+    np.matmul(lam[1:], cf[1:2 * _RUN - 1:2], out=H[1:2 * _RUN - 1:2])
     for m0 in range(_RUN, L + 1, _RUN):
         K = L + 1 - m0
-        run = lam[m0:m0 + _RUN, :, :K]
+        run = runs[m0 // _RUN][:K, :, :K]
         cos, sin = slice(2 * m0, 2 * m0 + 2 * _RUN, 2), slice(2 * m0 - 1, 2 * m0 + 2 * _RUN - 1, 2)
         np.matmul(run, cf[cos, :K], out=H[cos])
         np.matmul(run, cf[sin, :K], out=H[sin])
@@ -359,13 +362,14 @@ def _analysis_core(values: np.ndarray, grid: SphereGrid, L: int,
 
     The phi stage runs the synthesis GEMM in reverse on the phi-major
     samples (no copy when ``values`` is a view of C-contiguous phi-major
-    samples, as ``_synthesis_core`` returns).  Per run of ``_RUN`` orders
-    m0..m1 - 1, the weighted m >= 0 tables, trimmed to K = L + 1 - m0
-    slots, contract its cosine rows into P_cos and its sine rows into
-    P_sin, and the unfold x[m] = P_cos - i P_sin, x[-m] = (-1)^m (P_cos +
-    i P_sin) writes the run's rows of the padded layout.  Slots past
-    l = L are unspecified: a run leaves the unused tail of its rows as
-    allocated, so they may hold anything, NaN included.
+    samples, as ``_synthesis_core`` returns), and one in-place multiply
+    weighs its theta rows by ``analysis_weights``.  Per run of ``_RUN``
+    orders m0..m1 - 1, the run's m >= 0 table block, transposed and
+    trimmed to K = L + 1 - m0 slots, contracts its cosine rows into P_cos
+    and its sine rows into P_sin, and the unfold x[m] = P_cos - i P_sin,
+    x[-m] = (-1)^m (P_cos + i P_sin) writes the run's rows of the padded
+    layout.  Slots past l = L are unspecified: a run leaves the unused
+    tail of its rows as allocated, so they may hold anything, NaN included.
     """
     _check_band_limit(L)
     if L > grid.Lg:
@@ -374,15 +378,17 @@ def _analysis_core(values: np.ndarray, grid: SphereGrid, L: int,
     samples = np.ascontiguousarray(values.transpose(1, 0, 2), dtype=complex)
     F = grid.trig[:2 * L + 1] @ samples.reshape(grid.n_phi, -1).view(float)
     F = F.reshape(2 * L + 1, grid.n_theta, 2 * n_comp)
-    lam = grid.weighted_legendre[:L + 1, :L + 1]
+    F *= grid.analysis_weights
+    runs = grid.legendre
+    lam = runs[0][:L + 1, :, :L + 1].transpose(0, 2, 1)
     xpad = np.empty((2 * L + 1, L + 1, n_comp), dtype=complex)
     # the first run reads all L + 1 slots, and order 0 has no sine row
-    np.matmul(lam[:_RUN], F[:2 * _RUN:2], out=xpad[L:L + _RUN].view(float))
-    sin = np.matmul(lam[1:_RUN], F[1:2 * _RUN - 1:2]).view(complex)
+    np.matmul(lam, F[:2 * _RUN:2], out=xpad[L:L + _RUN].view(float))
+    sin = np.matmul(lam[1:], F[1:2 * _RUN - 1:2]).view(complex)
     _unfold(xpad[L + 1:L + _RUN], sin, xpad[:L][::-1][:_RUN - 1], 1)
     for m0 in range(_RUN, L + 1, _RUN):
         K = L + 1 - m0
-        run, pos = lam[m0:m0 + _RUN, :K], xpad[L + m0:L + m0 + _RUN, :K]
+        run, pos = runs[m0 // _RUN][:K, :, :K].transpose(0, 2, 1), xpad[L + m0:L + m0 + _RUN, :K]
         np.matmul(run, F[2 * m0:2 * m0 + 2 * _RUN:2], out=pos.view(float))
         sin = np.matmul(run, F[2 * m0 - 1:2 * m0 + 2 * _RUN - 1:2]).view(complex)
         _unfold(pos, sin, xpad[L - m0::-1][:_RUN, :K], 0)

@@ -1,9 +1,11 @@
-"""Exact coupling coefficients against an independent implementation, ``sympy.physics.wigner``.
+"""Library values against implementations outside ``so3tp``: ``sympy.physics.wigner`` and mpmath.
 
 Every other oracle in the suite is built from the library's own ``cg``.
 Here each exact value must equal sympy's as an exact number: the signs
-agree and the squares are equal rationals.  This is the only test module
-that imports sympy (``test_dependencies`` keeps it so); it is skipped when
+agree and the squares are equal rationals.  The quadrature nodes and
+weights of ``make_grid`` are compared with Gauss-Legendre rules computed
+in 40-digit mpmath arithmetic.  This is the only test module that imports
+sympy or mpmath (``test_dependencies`` keeps it so); it is skipped when
 the ``test`` extra is not installed.
 """
 
@@ -15,8 +17,10 @@ import pytest
 
 from so3tp import angular, rules
 from so3tp.exact import SqrtRational
+from so3tp.sht import make_grid
 
 sympy = pytest.importorskip("sympy")
+mpmath = pytest.importorskip("mpmath")
 from sympy.physics import wigner  # noqa: E402
 
 
@@ -107,3 +111,32 @@ def test_gaunt_coefficient_equals_sympy_gaunt():
         assert abs(got - sign * math.sqrt(square / math.pi)) <= 1e-15
         nonzero += sign != 0
     assert nonzero > 80
+
+
+def _legendre_p(n, x):
+    """(P_n(x), P_n'(x)) by the three-term recurrence, in mpmath arithmetic; |x| < 1."""
+    p0, p1 = mpmath.mpf(1), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1)
+
+
+@pytest.mark.parametrize("n, weight_rtol", [(33, 1e-13), (129, 2.5e-11)])
+def test_grid_nodes_and_weights_match_mpmath_gauss_legendre(n, weight_rtol):
+    # Newton on P_n from each float node to 40 digits, then the weight
+    # 2 / ((1 - x^2) P_n'(x)^2); make_grid(n - 1) has the n-point rule.
+    # Nodes within one epsilon absolute; weights within weight_rtol
+    # relative, about twice numpy's error (4.6e-14 at n = 33, 1.26e-11 at
+    # n = 129: its weights lose digits as n grows)
+    g = make_grid(n - 1)
+    with mpmath.workdps(40):
+        for x_float, w_float in zip(g.cos_theta, g.theta_weights):
+            x = mpmath.mpf(x_float)
+            for _ in range(3):
+                p, dp = _legendre_p(n, x)
+                x -= p / dp
+            assert abs(p / dp) < mpmath.mpf(10) ** -35
+            _, dp = _legendre_p(n, x)
+            w = 2 / ((1 - x * x) * dp * dp)
+            assert abs(x_float - x) <= 2.0 ** -52, (n, x_float)
+            assert abs((w_float - w) / w) <= weight_rtol, (n, x_float)

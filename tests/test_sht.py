@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from so3tp.tsh import (
     tsh_encode,
 )
 
-_TABLES = {"legendre", "weighted_legendre", "trig"}
+_TABLES = {"legendre", "analysis_weights", "trig"}
 
 
 # ---------------------------------------------------------------- grids
@@ -77,9 +78,9 @@ def test_grid_builds_tables_on_first_use(rng):
     assert not _TABLES & vars(g).keys()
     f = to_sphere(random_coeffs(4, rng), g)
     assert {"legendre", "trig"} <= vars(g).keys()
-    assert "weighted_legendre" not in vars(g)
+    assert "analysis_weights" not in vars(g)
     from_sphere(f, 4)
-    assert "weighted_legendre" in vars(g)
+    assert "analysis_weights" in vars(g)
 
 
 def test_transform_reads_band_tables_from_its_own_grid(rng, monkeypatch):
@@ -108,9 +109,26 @@ def test_grid_tables_are_freed_with_their_grid(rng):
 
 
 def test_make_grid_memory_is_node_arrays_only():
-    # the Legendre tables of Lg = 256 alone take 68 MB; make_grid builds none
+    # the Legendre table of Lg = 256 alone takes 72 MB; make_grid builds none
     code = ("import resource; from so3tp.sht import make_grid; "
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; make_grid(256); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 16 * 1024  # ru_maxrss counts KiB
+
+
+def test_round_trip_memory_is_one_legendre_table():
+    # a band-64 scalar round trip on make_grid(128) builds the grid's tables:
+    # the run-packed Legendre table (9.6 MB), trig rows and weights, and no
+    # table-sized temporary; two padded (Lg + 1)^3 tables would take 34 MB
+    code = ("import resource, numpy as np; from so3tp.sht import make_grid, random_coeffs; "
+            "from so3tp.tsh import from_sphere, to_sphere; "
+            "g = make_grid(128); x = random_coeffs(64, np.random.default_rng(5)); "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "from_sphere(to_sphere(x, g), 64); "
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -274,18 +292,47 @@ def test_trig_rows_are_cos_and_sin_of_the_phi_nodes():
             assert g.trig[2 * m].tobytes() == np.cos(m * phi).tobytes()
 
 
+def _padded_legendre(grid):
+    """lam[m, i, l - m] = Lambda^m_l(cos theta_i) for 0 <= m <= l <= Lg, zero past l = Lg, one per-order table per m."""
+    lam = np.zeros((grid.Lg + 1, grid.n_theta, grid.Lg + 1))
+    for m, tab in _legendre_orders(grid.cos_theta, grid.Lg):
+        lam[m, :, :tab.shape[1]] = tab
+    return lam
+
+
 def test_legendre_tables_match_per_order_repack():
-    # the m >= 0 tables equal repacking one per-order table per m, zero past
-    # l = Lg; the analysis table carries the node weights w_i 2 pi / n_phi
+    # run r of the m >= 0 table is the padded repack's C-contiguous block of
+    # orders 16 r .. 16 r + 15 and the Lg + 1 - 16 r slots they use, and it
+    # drops only zeros; the analysis weights are w_i 2 pi / n_phi
     for Lg in range(41):
         g = make_grid(Lg)
-        ref = np.zeros((Lg + 1, g.n_theta, Lg + 1))
-        for m, tab in _legendre_orders(g.cos_theta, Lg):
-            ref[m, :, : Lg - m + 1] = tab
-        assert g.legendre.tobytes() == ref.tobytes()
+        ref = _padded_legendre(g)
+        starts = range(0, Lg + 1, 16)
+        assert len(g.legendre) == len(starts)
+        for run, m0 in zip(g.legendre, starts):
+            orders = ref[m0:m0 + 16]
+            assert run.flags.c_contiguous
+            assert run.shape == (orders.shape[0], g.n_theta, Lg + 1 - m0)
+            assert run.tobytes() == orders[:, :, :Lg + 1 - m0].tobytes()
+            assert not orders[:, :, Lg + 1 - m0:].any()
         w = g.theta_weights * (2.0 * np.pi / g.n_phi)
-        assert g.weighted_legendre.flags.c_contiguous
-        assert g.weighted_legendre.tobytes() == (ref.transpose(0, 2, 1) * w).tobytes()
+        assert g.analysis_weights.shape == (g.n_theta, 1)
+        assert g.analysis_weights.tobytes() == w.tobytes()
+
+
+def _legendre_bytes(Lg):
+    """Bytes of the run-packed table: 8 times the sum over runs of orders x n_theta x slots."""
+    return 8 * sum(min(16, Lg + 1 - m0) * (Lg + 1) * (Lg + 1 - m0) for m0 in range(0, Lg + 1, 16))
+
+
+def test_legendre_table_bytes_match_closed_form():
+    # no padding past a run's rectangle: at Lg = 64 under 0.32 of two padded
+    # (Lg + 1)^3 float tables
+    for Lg in range(41):
+        assert sum(b.nbytes for b in make_grid(Lg).legendre) == _legendre_bytes(Lg)
+    nbytes = sum(b.nbytes for b in make_grid(64).legendre)
+    assert nbytes == _legendre_bytes(64)
+    assert nbytes <= 0.32 * 2 * 65 ** 3 * 8
 
 
 def _complex_dft_tables(grid, L):
@@ -351,7 +398,7 @@ def test_folded_cores_match_complex_dft_cores(rng):
 def _padded_synthesis(cf, grid, L):
     """Synthesis with one Legendre matmul over the whole padded square per parity (oracle)."""
     n_comp = cf.shape[-1]
-    lam, cf = grid.legendre[:L + 1, :, :L + 1], cf.view(float)
+    lam, cf = _padded_legendre(grid)[:L + 1, :, :L + 1], cf.view(float)
     H = np.empty((2 * L + 1, grid.n_theta, 2 * n_comp))
     np.matmul(lam, cf[0::2], out=H[0::2])
     np.matmul(lam[1:], cf[1::2], out=H[1::2])
@@ -365,7 +412,8 @@ def _padded_analysis(values, grid, L):
     samples = np.ascontiguousarray(values.transpose(1, 0, 2), dtype=complex)
     F = grid.trig[:2 * L + 1] @ samples.reshape(grid.n_phi, -1).view(float)
     F = F.reshape(2 * L + 1, grid.n_theta, 2 * n_comp)
-    lam = grid.weighted_legendre[:L + 1, :L + 1]
+    F *= grid.theta_weights[:, None] * (2.0 * np.pi / grid.n_phi)
+    lam = _padded_legendre(grid)[:L + 1, :, :L + 1].transpose(0, 2, 1)
     xpad = np.empty((2 * L + 1, L + 1, n_comp), dtype=complex)
     pos, neg = xpad[L + 1:], xpad[:L][::-1]
     np.matmul(lam, F[0::2], out=xpad[L:].view(float))
@@ -630,6 +678,21 @@ def test_containers_reject_non_finite_blocks(bad):
         with pytest.raises(ValueError, match="inputs must be finite, got NaN or inf"):
             build()
     assert sht._trusted(IrrepCoeffs, L=1, blocks={(1, None): vec}).blocks
+
+
+def test_finite_check_is_silent_when_the_sum_of_finite_entries_overflows():
+    # summed, these finite entries overflow to inf and, for the alternating
+    # block, to inf - inf = nan; the check warns for neither, and an inf or
+    # nan entry still raises
+    big = [1e308, 1e308, 0.0]
+    alternating = [1e308, -1e308] * 4 + [1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = IrrepCoeffs(L=4, blocks={(1, None): big, (4, None): alternating})
+        assert np.array_equal(x.block(1), big) and np.array_equal(x.block(4), alternating)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="inputs must be finite, got NaN or inf"):
+                IrrepCoeffs(L=0, blocks={(0, None): [bad]})
 
 
 @pytest.mark.parametrize("key", [(1,), (1, None, "t"), 1])

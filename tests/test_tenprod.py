@@ -630,7 +630,7 @@ def test_simulation_sweep_reuses_grid_tables(rng, monkeypatch):
     # each grid builds one table of each kind and serves every band from
     # it: a second sweep over the benchmark's 671 paths builds none
     paths = triangle_paths(10)
-    tables = ("legendre", "weighted_legendre", "trig")
+    tables = ("legendre", "analysis_weights", "trig")
     builds = []
     for name in tables:
         table = vars(sht.SphereGrid)[name]

@@ -136,7 +136,7 @@ def test_decode_rejects_negative_band_limit_before_any_table():
     f = SpinSignal(s=1, grid=g, values=np.zeros((g.n_theta, g.n_phi, 3), complex))
     with pytest.raises(ValueError, match="band limit L=-1 must be non-negative"):
         tsh_decode(f, -1)
-    assert not {"legendre", "weighted_legendre", "trig"} & vars(g).keys()
+    assert not {"legendre", "analysis_weights", "trig"} & vars(g).keys()
 
 
 def test_spin_and_decode_band_limit_must_be_integers():
