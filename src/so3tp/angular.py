@@ -39,6 +39,7 @@ also evaluates in float from one table of central binomials over 4^k.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -467,27 +468,60 @@ def _rise3(n: int) -> int:
 
 
 # Closed forms for {a+lam, a, 1; b+mu, b, 1; c+nu, c, 1} on the five
-# canonical offset cells (lam, mu, nu), onto which wigner_9j_spin1 folds
-# the other 22: (a, b, c, s=a+b+c) -> (pref, rad), the symbol being
-# pref * sqrt(rad).  The row and column triangle checks that
-# wigner_9j_spin1 runs first keep every denominator factor positive.
+# canonical offset cells (lam, mu, nu), onto which the other 22 fold:
+# (a, b, c, s=a+b+c) -> (pref, num, den) in Python ints, the symbol being
+# pref * sqrt(num / den).  Every cell takes one correctly rounded int / int
+# division and one square root.  The five triangles that wigner_9j_spin1
+# checks (vstp_rules: r1-r3) keep every denominator factor positive.
 _SPIN1_TABLE = {
-    (1, 1, 1): lambda a, b, c, s: (1, Fraction(
-        _rise3(s + 2) * (s - 2 * a + 1) * (s - 2 * b + 1) * (s - 2 * c + 1),
-        3 * _rise3(2 * a + 1) * _rise3(2 * b + 1) * _rise3(2 * c + 1))),
-    (1, 1, 0): lambda a, b, c, s: (a - b, Fraction(
-        2 * (s + 2) * (s + 3) * (s - 2 * c + 1) * (s - 2 * c + 2),
-        3 * _rise3(2 * a + 1) * _rise3(2 * b + 1) * _rise3(2 * c))),
-    (1, 1, -1): lambda a, b, c, s: (-1, Fraction(
-        (s + 2) * _rise3(s - 2 * c + 1) * (s - 2 * a) * (s - 2 * b),
-        3 * _rise3(2 * a + 1) * _rise3(2 * b + 1) * _rise3(2 * c - 1))),
-    (1, 0, 0): lambda a, b, c, s: (2 * (a + 1), Fraction(
-        (s + 2) * (s - 2 * a) * (s - 2 * b + 1) * (s - 2 * c + 1),
-        3 * _rise3(2 * a + 1) * _rise3(2 * b) * _rise3(2 * c))),
-    (1, 0, -1): lambda a, b, c, s: (-(a + c + 1), Fraction(
-        2 * (s - 2 * a - 1) * (s - 2 * a) * (s - 2 * c + 1) * (s - 2 * c + 2),
-        3 * _rise3(2 * a + 1) * _rise3(2 * b) * _rise3(2 * c - 1))),
+    (1, 1, 1): lambda a, b, c, s: (
+        1, _rise3(s + 2) * (s - 2 * a + 1) * (s - 2 * b + 1) * (s - 2 * c + 1),
+        3 * _rise3(2 * a + 1) * _rise3(2 * b + 1) * _rise3(2 * c + 1)),
+    (1, 1, 0): lambda a, b, c, s: (
+        a - b, 2 * (s + 2) * (s + 3) * (s - 2 * c + 1) * (s - 2 * c + 2),
+        3 * _rise3(2 * a + 1) * _rise3(2 * b + 1) * _rise3(2 * c)),
+    (1, 1, -1): lambda a, b, c, s: (
+        -1, (s + 2) * _rise3(s - 2 * c + 1) * (s - 2 * a) * (s - 2 * b),
+        3 * _rise3(2 * a + 1) * _rise3(2 * b + 1) * _rise3(2 * c - 1)),
+    (1, 0, 0): lambda a, b, c, s: (
+        2 * (a + 1), (s + 2) * (s - 2 * a) * (s - 2 * b + 1) * (s - 2 * c + 1),
+        3 * _rise3(2 * a + 1) * _rise3(2 * b) * _rise3(2 * c)),
+    (1, 0, -1): lambda a, b, c, s: (
+        -(a + c + 1), 2 * (s - 2 * a - 1) * (s - 2 * a) * (s - 2 * c + 1) * (s - 2 * c + 2),
+        3 * _rise3(2 * a + 1) * _rise3(2 * b) * _rise3(2 * c - 1)),
 }
+
+
+def _spin1_fold(lam: int, mu: int, nu: int) -> tuple:
+    """How offset cell (lam, mu, nu) folds onto its canonical cell: (swap, row order, cell, sign).
+
+    The column swap runs when more offsets are -1 than +1 and turns each
+    row (x + o, x, 1) into (x', x' - o, 1) with x' = x + o; a stable sort
+    then orders the rows by offset, descending.  Each move multiplies the
+    symbol by (-1)^S with S = lam + mu + nu + 1 (mod 2), the sum of its
+    nine entries.  The (0, 0, 0) cell has no canonical cell (None).
+    """
+    swap = lam + mu + nu < 0
+    offsets = (-lam, -mu, -nu) if swap else (lam, mu, nu)
+    # a stable sort transposes exactly the strictly inverted row pairs
+    moves = swap + sum(offsets[i] < offsets[k] for i, k in ((0, 1), (0, 2), (1, 2)))
+    order = tuple(sorted(range(3), key=offsets.__getitem__, reverse=True))
+    cell = _SPIN1_TABLE.get(tuple(offsets[i] for i in order))
+    return swap, order, cell, -1 if (lam + mu + nu + 1) * moves % 2 else 1
+
+
+_SPIN1_FOLDS = {cell: _spin1_fold(*cell) for cell in itertools.product((-1, 0, 1), repeat=3)}
+
+
+def _wigner_9j_spin1_core(a: int, lam: int, b: int, mu: int, c: int, nu: int) -> float:
+    """``wigner_9j_spin1`` without its checks: Python ints whose five triangles hold."""
+    swap, (i1, i2, i3), cell, sign = _SPIN1_FOLDS[lam, mu, nu]
+    if cell is None:
+        return 0.0
+    xs = (a + lam, b + mu, c + nu) if swap else (a, b, c)
+    x1, x2, x3 = xs[i1], xs[i2], xs[i3]
+    pref, num, den = cell(x1, x2, x3, x1 + x2 + x3)
+    return sign * pref * math.sqrt(num / den) if pref and num else 0.0
 
 
 def wigner_9j_spin1(a: int, lam: int, b: int, mu: int, c: int, nu: int) -> float:
@@ -496,16 +530,15 @@ def wigner_9j_spin1(a: int, lam: int, b: int, mu: int, c: int, nu: int) -> float
     Fast path for the 9j grids whose third column is (1, 1, 1); each table
     cell is exactly the general ``wigner_9j``.  Two 9j symmetries
     (Varshalovich et al. 1988, sec. 10.4) map every offset cell onto one
-    of the five in ``_SPIN1_TABLE``.  Each multiplies the symbol by (-1)^S,
-    with S the sum of its nine entries, and S = lam + mu + nu + 1 (mod 2):
+    of the five in ``_SPIN1_TABLE`` (``_spin1_fold``): swapping the first
+    two columns, and permuting the rows.  The (0, 0, 0) cell is its own
+    column swap with odd entry sum, so it is zero.  The value is one
+    correctly rounded int / int division under a square root, times an
+    integer prefactor.
 
-    * swapping the first two columns turns each row (x + o, x, 1) into
-      (x', x' - o, 1) with x' = x + o; it runs when more offsets are -1
-      than +1;
-    * permuting the rows sorts the offsets descending.
-
-    The (0, 0, 0) cell is its own column swap with odd S, so it is zero.
-    Entries must be integers (Python or numpy); a float raises ``ValueError``.
+    Entries must be integers (Python or numpy); a float raises
+    ``ValueError``, as do offsets outside {-1, 0, 1} and negative entries.
+    A row or column that is not a triangle gives 0.0.
     """
     try:
         a, lam, b, mu, c, nu = map(operator.index, (a, lam, b, mu, c, nu))
@@ -519,17 +552,4 @@ def wigner_9j_spin1(a: int, lam: int, b: int, mu: int, c: int, nu: int) -> float
     cols = ((a + lam, b + mu, c + nu), (a, b, c))
     if any(not triangle_delta(*tri) for tri in rows + cols):
         return 0.0
-    pairs = [(lam, a), (mu, b), (nu, c)]  # (offset, second-column entry) per row
-    moves = 0
-    if lam + mu + nu < 0:  # more -1 than +1 offsets
-        pairs = [(-o, x + o) for o, x in pairs]
-        moves = 1
-    # a stable sort transposes exactly the strictly inverted row pairs
-    moves += sum(pairs[i][0] < pairs[k][0] for i, k in ((0, 1), (0, 2), (1, 2)))
-    pairs.sort(key=lambda pair: pair[0], reverse=True)
-    (o1, x1), (o2, x2), (o3, x3) = pairs
-    if (o1, o2, o3) == (0, 0, 0):
-        return 0.0
-    pref, rad = _SPIN1_TABLE[(o1, o2, o3)](x1, x2, x3, x1 + x2 + x3)
-    sign = -1 if (lam + mu + nu + 1) * moves % 2 else 1
-    return sign * pref * math.sqrt(rad) if pref and rad else 0.0
+    return _wigner_9j_spin1_core(a, lam, b, mu, c, nu)

@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .angular import (_as_integers, _checked_cache, _wigner_9j_cached, cg, cg_zero,
-                      cg_zero_float, require_natural, triangle_delta, wigner_9j_spin1)
+from .angular import (_as_integers, _checked_cache, _wigner_9j_cached, _wigner_9j_spin1_core, cg,
+                      cg_zero, cg_zero_float, require_natural, triangle_delta, wigner_9j_spin1)
 from .exact import SqrtRational
 
 __all__ = [
@@ -114,6 +114,11 @@ def generalized_gaunt(path: PathKey) -> float:
     return float(exact) / math.sqrt(4.0 * math.pi)
 
 
+def _spin1_gaunt(j1: int, l1: int, j2: int, l2: int, l3: int, nine: float) -> float:
+    """sqrt(dims / 4 pi) * nine * C^{l3,0}_{l1,0,l2,0} in float, the one expression of the spin-1 coefficient."""
+    return math.sqrt(_dims(j1, l1, j2, l2, 1) / (4.0 * math.pi)) * nine * cg_zero_float(l1, l2, l3)
+
+
 @lru_cache(maxsize=4096)
 def _path_coefficient(j1: int, l1: int, j2: int, l2: int, j3: int, l3: int) -> float:
     """Generalized Gaunt coefficient of the all-spins-one path, in float.
@@ -123,12 +128,10 @@ def _path_coefficient(j1: int, l1: int, j2: int, l2: int, j3: int, l3: int) -> f
     so no exact symbol is evaluated; within 1e-15 relative of the exact
     ``generalized_gaunt``, and exactly 0.0 where that is zero.  Each row
     (j, l, 1) must be a triangle, and an orbital degree past
-    ``angular.CG_ZERO_MAX`` raises ``ValueError``.  ``vstp_rules`` calls
-    the uncached body, ``__wrapped__``, so its distinct paths stay out of
-    this cache.
+    ``angular.CG_ZERO_MAX`` raises ``ValueError``.  ``vstp_rules`` shares
+    its expression, ``_spin1_gaunt``, and no cache entry.
     """
-    nine = wigner_9j_spin1(l1, j1 - l1, l2, j2 - l2, l3, j3 - l3)
-    return math.sqrt(_dims(j1, l1, j2, l2, 1) / (4.0 * math.pi)) * nine * cg_zero_float(l1, l2, l3)
+    return _spin1_gaunt(j1, l1, j2, l2, l3, wigner_9j_spin1(l1, j1 - l1, l2, j2 - l2, l3, j3 - l3))
 
 
 def gaunt_coefficient(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
@@ -164,14 +167,17 @@ def _rule5_violated(js, ls) -> bool:
     return js == ls
 
 
-def vstp_rule_flags(js, ls) -> Iterator[bool]:
-    """Rules r1..r5 of the all-spins-one path (js, ls) by pattern matching, lazily for ``all``."""
-    yield bool(triangle_delta(js[0], ls[0], 1) and triangle_delta(js[1], ls[1], 1)
-               and triangle_delta(js[2], ls[2], 1))
-    yield bool(triangle_delta(*js))
-    yield bool(triangle_delta(*ls))
-    yield sum(ls) % 2 == 0
-    yield not _rule5_violated(js, ls)
+def vstp_rule_flags(js, ls) -> tuple[bool, bool, bool, bool, bool]:
+    """Rules r1..r5 of the all-spins-one path (js, ls), the one definition ``vstp_rules`` unpacks.
+
+    r1: every row (j, l, 1) is a triangle; r2: (j1, j2, j3) is one; r3:
+    (l1, l2, l3) is one; r4: l1 + l2 + l3 is even; r5: no odd grid
+    symmetry forces the 9j to zero.
+    """
+    r1 = bool(triangle_delta(js[0], ls[0], 1) and triangle_delta(js[1], ls[1], 1)
+              and triangle_delta(js[2], ls[2], 1))
+    return (r1, bool(triangle_delta(*js)), bool(triangle_delta(*ls)), sum(ls) % 2 == 0,
+            not _rule5_violated(js, ls))
 
 
 def vstp_rules(path: PathKey) -> RuleReport:
@@ -181,19 +187,25 @@ def vstp_rules(path: PathKey) -> RuleReport:
     label that is not an integer (named) or is negative.  The flags are
     ``vstp_rule_flags``, and ``passed`` iff all hold, which coincides with
     the coefficient being nonzero in exact arithmetic.  ``coefficient`` is
-    the float ``_path_coefficient``, uncached, when every row is a
+    ``_path_coefficient``'s expression, uncached, when every row is a
     triangle (r1), and 0.0 otherwise, where the 9j vanishes by definition:
     within 1e-15 relative of ``generalized_gaunt`` and 0.0 exactly where
-    that is zero, with no exact symbol evaluated.  Orbital degrees past
-    ``angular.CG_ZERO_MAX`` on a path passing r1 raise ``ValueError``.
+    that is zero, with no exact symbol evaluated.  r1-r3 are the five triangles of the 9j, so
+    its closed form runs unchecked when they hold and is 0.0 otherwise.
+    Orbital degrees past ``angular.CG_ZERO_MAX`` on a path passing r1
+    raise ``ValueError``.
     """
     p = PathKey(*path)
     if (p.s1, p.s2, p.s3) != (1, 1, 1):
         raise ValueError(f"vstp_rules applies to spin-(1,1,1) paths, got {p}")
     j1, l1, _, j2, l2, _, j3, l3, _ = _as_integers(p, PathKey._fields)
-    flags = tuple(vstp_rule_flags((j1, j2, j3), (l1, l2, l3)))
-    coefficient = _path_coefficient.__wrapped__(j1, l1, j2, l2, j3, l3) if flags[0] else 0.0
-    return RuleReport(all(flags), *flags, coefficient=coefficient)
+    r1, r2, r3, r4, r5 = vstp_rule_flags((j1, j2, j3), (l1, l2, l3))
+    if r1:
+        nine = _wigner_9j_spin1_core(l1, j1 - l1, l2, j2 - l2, l3, j3 - l3) if r2 and r3 else 0.0
+        coefficient = _spin1_gaunt(j1, l1, j2, l2, l3, nine)
+    else:
+        coefficient = 0.0
+    return RuleReport(r1 and r2 and r3 and r4 and r5, r1, r2, r3, r4, r5, coefficient=coefficient)
 
 
 @_checked_cache(lambda *js: tuple(map(require_natural, js, ("j1", "j2", "j3"))), maxsize=1024)

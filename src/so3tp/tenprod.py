@@ -364,17 +364,22 @@ def pointwise_spin_tp(f: SpinSignal, g: SpinSignal, s3: int,
     if f.grid is not g.grid:
         raise ValueError("signals must share a grid")
     terms = _pointwise_terms(f.s, g.s, s3)
-    fv, gv = f.values.transpose(1, 0, 2), g.values.transpose(1, 0, 2)  # phi-major
-    out = np.empty(fv.shape[:2] + (2 * s3 + 1,), dtype=complex)
-    term = np.empty(fv.shape[:2], dtype=complex)
+    n_theta, n_phi = f.values.shape[:2]
+    n = n_theta * n_phi
+    # flat phi-major sample rows, so each component is a 1-D strided column
+    fv = f.values.transpose(1, 0, 2).reshape(n, -1)
+    gv = g.values.transpose(1, 0, 2).reshape(n, -1)
+    out = np.empty((n_phi, n_theta, 2 * s3 + 1), dtype=complex)
+    flat = out.reshape(n, -1)
+    term = np.empty(n, dtype=complex)
     for i1, i2, i3, coef, first in terms:
-        dst = out[:, :, i3] if first else term
-        np.multiply(coef, fv[:, :, i1], out=dst)
-        dst *= gv[:, :, i2]
+        dst = flat[:, i3] if first else term
+        np.multiply(coef, fv[:, i1], out=dst)
+        dst *= gv[:, i2]
         if not first:
-            out[:, :, i3] += term
+            flat[:, i3] += term
     if flops is not None:
-        flops.add(pair_macs("sparse", f.s, g.s, s3, s3) * fv.shape[0] * fv.shape[1])
+        flops.add(pair_macs("sparse", f.s, g.s, s3, s3) * n)
     return _trusted(SpinSignal, s=s3, grid=f.grid, values=out.transpose(1, 0, 2))
 
 

@@ -453,8 +453,8 @@ def test_spin1_table_rejects_non_integral_entries(entries):
 
 
 def test_spin1_canonical_cells_equal_the_exact_9j():
-    # each canonical cell's prefactor and radicand are the exact symbol;
-    # verify's nine_j_table compares only floats, to 1e-12
+    # each canonical cell's integer prefactor and radicand num / den are the
+    # exact symbol; verify's nine_j_table compares only floats, to 1e-12
     checked = 0
     for (o1, o2, o3), cell in angular._SPIN1_TABLE.items():
         for a, b, c in itertools.product(range(7), repeat=3):
@@ -462,8 +462,8 @@ def test_spin1_canonical_cells_equal_the_exact_9j():
             cols = ((a + o1, b + o2, c + o3), (a, b, c))
             if min(a + o1, b + o2, c + o3) < 0 or not all(triangle_delta(*t) for t in rows + cols):
                 continue
-            pref, rad = cell(a, b, c, a + b + c)
-            assert SqrtRational.from_rational(Fraction(pref), rad) == wigner_9j(rows), rows
+            pref, num, den = cell(a, b, c, a + b + c)
+            assert SqrtRational.from_rational(Fraction(pref), Fraction(num, den)) == wigner_9j(rows), rows
             checked += 1
     assert checked > 500
 

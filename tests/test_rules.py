@@ -98,12 +98,24 @@ def test_rule_iff_exhaustive_small():
 COEFFICIENT_RTOL = 1e-15  # vstp_rules' stated accuracy against exact arithmetic
 
 
+def _same_float(a: float, b: float) -> bool:
+    """Bit-for-bit equality, so 0.0 and -0.0 differ."""
+    return a.hex() == b.hex()
+
+
 def _coefficient_error(path):
     """Relative error of vstp_rules' float coefficient against exact arithmetic.
 
-    The coefficient must be 0.0 exactly where the exact value is zero.
+    The coefficient must be 0.0 exactly where the exact value is zero, and
+    ``_path_coefficient``'s float bit for bit, sign of a zero included,
+    where every row is a triangle (r1); +0.0 otherwise.
     """
     got = vstp_rules(path).coefficient
+    j1, l1, _, j2, l2, _, j3, l3, _ = path
+    if triangle_delta(j1, l1, 1) and triangle_delta(j2, l2, 1) and triangle_delta(j3, l3, 1):
+        assert _same_float(got, rules._path_coefficient.__wrapped__(j1, l1, j2, l2, j3, l3)), path
+    else:
+        assert _same_float(got, 0.0), path
     exact = generalized_gaunt_exact(path)
     if exact.is_zero():
         assert got == 0.0, path
@@ -116,6 +128,17 @@ def test_vstp_rules_coefficient_matches_exact_on_every_path_to_degree_6():
     worst = max(_coefficient_error(PathKey(j1, l1, 1, j2, l2, 1, j3, l3, 1))
                 for j1, l1, j2, l2, j3, l3 in itertools.product(range(7), repeat=6))
     assert 0.0 < worst <= COEFFICIENT_RTOL
+
+
+def test_vstp_rules_takes_numpy_labels_where_int64_products_overflow():
+    # the 9j radicand's integer products exceed int64 near degree 130
+    for js in [(128, 129, 130), (130, 130, 129), (129, 128, 128)]:
+        ls = find_valid_ells(*js)
+        labels = (js[0], ls[0], 1, js[1], ls[1], 1, js[2], ls[2], 1)
+        rep = vstp_rules(PathKey(*map(np.int64, labels)))
+        assert rep == vstp_rules(PathKey(*labels)) and rep.passed
+        want = rules._path_coefficient.__wrapped__(js[0], ls[0], js[1], ls[1], js[2], ls[2])
+        assert _same_float(rep.coefficient, want)
 
 
 @pytest.mark.parametrize("degree", [64, 128])
