@@ -126,7 +126,10 @@ def _checked_cache(check, maxsize: int | None = None):
 _CG_ENTRIES = ("j1", "m1", "j2", "m2", "j3", "m3")
 
 
-@_checked_cache(lambda *entries: _as_integers(entries, _CG_ENTRIES))
+# 65,536 entries, ~25 MB at the ~380 bytes of a degree-16 entry: twice the
+# ~31,000 that one run of the test suite accumulates, and above verify --full's
+# 7,014 and the at most 16 * 33^2 = 17,424 of a cgtp_coeff reference pool
+@_checked_cache(lambda *entries: _as_integers(entries, _CG_ENTRIES), maxsize=65536)
 def cg(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int) -> SqrtRational:
     """Exact Clebsch-Gordan coefficient C^{j3,m3}_{j1,m1,j2,m2}.
 
@@ -333,6 +336,12 @@ def _half_ratios() -> tuple:
     return tuple(ratios)
 
 
+def _require_cg_zero_range(l1: int, l2: int, l3: int) -> None:
+    """``ValueError`` unless every degree is at most CG_ZERO_MAX, the float C^{l3,0} range."""
+    if max(l1, l2, l3) > CG_ZERO_MAX:
+        raise ValueError(f"degrees {(l1, l2, l3)} exceed the float C^(l3,0) range {CG_ZERO_MAX}")
+
+
 def cg_zero_float(l1: int, l2: int, l3: int) -> float:
     """C^{l3,0}_{l1,0,l2,0} in float, for degrees up to CG_ZERO_MAX; past it ``ValueError``.
 
@@ -344,11 +353,18 @@ def cg_zero_float(l1: int, l2: int, l3: int) -> float:
     ten roundings (four table entries, five operations, one square root)
     at every degree: within 5e-16 relative of the exact ``cg_zero`` up to
     CG_ZERO_MAX, where an ``lgamma`` form is already 2.4e-13 off at degree 64.
+    The checks (range, then triangle) precede one unchecked core.
     """
-    if max(l1, l2, l3) > CG_ZERO_MAX:
-        raise ValueError(f"degrees {(l1, l2, l3)} exceed the float C^(l3,0) range {CG_ZERO_MAX}")
+    _require_cg_zero_range(l1, l2, l3)
+    if not triangle_delta(l1, l2, l3):
+        return 0.0
+    return _cg_zero_float_core(l1, l2, l3)
+
+
+def _cg_zero_float_core(l1: int, l2: int, l3: int) -> float:
+    """``cg_zero_float`` without its checks: a triangle of Python ints, none past CG_ZERO_MAX."""
     twice = l1 + l2 + l3
-    if not triangle_delta(l1, l2, l3) or twice % 2:
+    if twice % 2:
         return 0.0
     g = twice // 2
     b = _half_ratios()

@@ -25,9 +25,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .angular import (_as_integers, _checked_cache, _wigner_9j_cached, _wigner_9j_spin1_core, cg,
-                      cg_zero, cg_zero_float, require_natural, triangle_delta, wigner_9j_spin1)
+from .angular import (_as_integers, _cg_zero_float_core, _checked_cache, _require_cg_zero_range,
+                      _wigner_9j_cached, _wigner_9j_spin1_core, cg, cg_zero, cg_zero_float,
+                      require_natural, triangle_delta, wigner_9j_spin1)
 from .exact import SqrtRational
+from .sht import _trusted
 
 __all__ = [
     "PathKey",
@@ -114,9 +116,12 @@ def generalized_gaunt(path: PathKey) -> float:
     return float(exact) / math.sqrt(4.0 * math.pi)
 
 
-def _spin1_gaunt(j1: int, l1: int, j2: int, l2: int, l3: int, nine: float) -> float:
-    """sqrt(dims / 4 pi) * nine * C^{l3,0}_{l1,0,l2,0} in float, the one expression of the spin-1 coefficient."""
-    return math.sqrt(_dims(j1, l1, j2, l2, 1) / (4.0 * math.pi)) * nine * cg_zero_float(l1, l2, l3)
+def _spin1_gaunt(j1: int, l1: int, j2: int, l2: int, nine: float, cg0: float) -> float:
+    """sqrt(dims / 4 pi) * nine * cg0 with cg0 = C^{l3,0}_{l1,0,l2,0}: the one float spin-1 coefficient.
+
+    ``_path_coefficient`` and ``vstp_rules`` both multiply in this order, so a zero keeps its sign.
+    """
+    return math.sqrt(_dims(j1, l1, j2, l2, 1) / (4.0 * math.pi)) * nine * cg0
 
 
 @lru_cache(maxsize=4096)
@@ -131,7 +136,8 @@ def _path_coefficient(j1: int, l1: int, j2: int, l2: int, j3: int, l3: int) -> f
     ``angular.CG_ZERO_MAX`` raises ``ValueError``.  ``vstp_rules`` shares
     its expression, ``_spin1_gaunt``, and no cache entry.
     """
-    return _spin1_gaunt(j1, l1, j2, l2, l3, wigner_9j_spin1(l1, j1 - l1, l2, j2 - l2, l3, j3 - l3))
+    return _spin1_gaunt(j1, l1, j2, l2, wigner_9j_spin1(l1, j1 - l1, l2, j2 - l2, l3, j3 - l3),
+                        cg_zero_float(l1, l2, l3))
 
 
 def gaunt_coefficient(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
@@ -170,13 +176,17 @@ def _rule5_violated(js, ls) -> bool:
 def vstp_rule_flags(js, ls) -> tuple[bool, bool, bool, bool, bool]:
     """Rules r1..r5 of the all-spins-one path (js, ls), the one definition ``vstp_rules`` unpacks.
 
-    r1: every row (j, l, 1) is a triangle; r2: (j1, j2, j3) is one; r3:
-    (l1, l2, l3) is one; r4: l1 + l2 + l3 is even; r5: no odd grid
-    symmetry forces the 9j to zero.
+    r1: every row (j, l, 1) is a triangle, |j - l| <= 1 <= j + l; r2:
+    (j1, j2, j3) is one, |j1 - j2| <= j3 <= j1 + j2; r3: (l1, l2, l3) is
+    one, likewise; r4: l1 + l2 + l3 is even; r5: no odd grid symmetry
+    forces the 9j to zero.  A negative label raises ``ValueError``.
     """
-    r1 = bool(triangle_delta(js[0], ls[0], 1) and triangle_delta(js[1], ls[1], 1)
-              and triangle_delta(js[2], ls[2], 1))
-    return (r1, bool(triangle_delta(*js)), bool(triangle_delta(*ls)), sum(ls) % 2 == 0,
+    j1, j2, j3 = js
+    l1, l2, l3 = ls
+    if min(j1, j2, j3, l1, l2, l3) < 0:
+        raise ValueError(f"degrees must be non-negative, got js={tuple(js)}, ls={tuple(ls)}")
+    return (abs(j1 - l1) <= 1 <= j1 + l1 and abs(j2 - l2) <= 1 <= j2 + l2 and abs(j3 - l3) <= 1 <= j3 + l3,
+            abs(j1 - j2) <= j3 <= j1 + j2, abs(l1 - l2) <= l3 <= l1 + l2, sum(ls) % 2 == 0,
             not _rule5_violated(js, ls))
 
 
@@ -191,21 +201,25 @@ def vstp_rules(path: PathKey) -> RuleReport:
     triangle (r1), and 0.0 otherwise, where the 9j vanishes by definition:
     within 1e-15 relative of ``generalized_gaunt`` and 0.0 exactly where
     that is zero, with no exact symbol evaluated.  r1-r3 are the five triangles of the 9j, so
-    its closed form runs unchecked when they hold and is 0.0 otherwise.
-    Orbital degrees past ``angular.CG_ZERO_MAX`` on a path passing r1
-    raise ``ValueError``.
+    its closed form runs unchecked when they hold and is 0.0 otherwise;
+    r3 is C^{l3,0}'s triangle, so its float core runs unchecked when r3
+    holds and is 0.0 otherwise.  Orbital degrees past ``angular.CG_ZERO_MAX``
+    on a path passing r1 raise ``ValueError``.
     """
-    p = PathKey(*path)
+    p = path if type(path) is PathKey else PathKey(*path)
     if (p.s1, p.s2, p.s3) != (1, 1, 1):
         raise ValueError(f"vstp_rules applies to spin-(1,1,1) paths, got {p}")
     j1, l1, _, j2, l2, _, j3, l3, _ = _as_integers(p, PathKey._fields)
     r1, r2, r3, r4, r5 = vstp_rule_flags((j1, j2, j3), (l1, l2, l3))
     if r1:
+        _require_cg_zero_range(l1, l2, l3)
         nine = _wigner_9j_spin1_core(l1, j1 - l1, l2, j2 - l2, l3, j3 - l3) if r2 and r3 else 0.0
-        coefficient = _spin1_gaunt(j1, l1, j2, l2, l3, nine)
+        # on a path failing only r2 the zero still carries C^{l3,0}'s sign
+        coefficient = _spin1_gaunt(j1, l1, j2, l2, nine, _cg_zero_float_core(l1, l2, l3) if r3 else 0.0)
     else:
         coefficient = 0.0
-    return RuleReport(r1 and r2 and r3 and r4 and r5, r1, r2, r3, r4, r5, coefficient=coefficient)
+    return _trusted(RuleReport, passed=r1 and r2 and r3 and r4 and r5, r1=r1, r2=r2, r3=r3, r4=r4,
+                    r5=r5, coefficient=coefficient)
 
 
 @_checked_cache(lambda *js: tuple(map(require_natural, js, ("j1", "j2", "j3"))), maxsize=1024)

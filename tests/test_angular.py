@@ -85,9 +85,14 @@ CG_ZERO_FLOAT_RTOL = 5e-16  # cg_zero_float's stated accuracy against the exact 
 
 
 def _cg_zero_float_error(l1, l2, l3):
-    """Relative error of cg_zero_float against exact cg_zero; a zero must be 0.0 exactly."""
+    """Relative error of cg_zero_float against exact cg_zero; a zero must be 0.0 exactly.
+
+    On a triangle the unchecked core gives the same float, bit for bit.
+    """
     exact = cg_zero(l1, l2, l3)
     got = cg_zero_float(l1, l2, l3)
+    if triangle_delta(l1, l2, l3):
+        assert float.hex(angular._cg_zero_float_core(l1, l2, l3)) == float.hex(got), (l1, l2, l3)
     if exact.is_zero():
         assert got == 0.0, (l1, l2, l3)
         return 0.0
@@ -171,6 +176,7 @@ def test_cg_names_a_non_integer_entry_cold_and_cached():
         cg(4, 0.5, 5, 1, 7, 1)
     assert cg(*map(np.int64, (4, 0, 5, 1, 7, 1))) == value
     assert cg.cache_info().currsize > 0
+    assert cg.cache_info().maxsize == 65536
 
 
 def test_cg_tensor_names_a_non_integer_degree_cold_and_cached():

@@ -1,5 +1,6 @@
 """Tests for selection rules, ell assignment, and expressivity counting."""
 
+import dataclasses
 import itertools
 import math
 
@@ -13,6 +14,7 @@ from so3tp.angular import triangle_delta
 from so3tp.rules import (
     NotInteractable,
     PathKey,
+    RuleReport,
     TriangleViolation,
     expressivity_count,
     find_pair_ells,
@@ -62,6 +64,17 @@ def test_rule_examples():
     assert not r.passed and not r.r4 and not r.r5 and r.r1 and r.r2 and r.r3
     r = vstp_rules(PathKey(2, 2, 1, 1, 1, 1, 1, 1, 1))
     assert not r.passed and not r.r5
+
+
+def test_rule_report_is_a_frozen_dataclass():
+    # vstp_rules builds its reports unchecked; they keep the class's contract
+    report = vstp_rules(PathKey(1, 0, 1, 1, 1, 1, 1, 1, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.passed = False
+    same = RuleReport(**{f.name: getattr(report, f.name) for f in dataclasses.fields(RuleReport)})
+    assert report == same and hash(report) == hash(same) and repr(report) == repr(same)
+    flipped = dataclasses.replace(report, r5=False)
+    assert flipped.r5 is False and flipped.coefficient == report.coefficient and report.r5
 
 
 def test_rule_rejects_non_unit_spins():
@@ -158,10 +171,15 @@ def test_vstp_rules_coefficient_matches_exact_at_high_degree(degree):
 def test_vstp_rules_rejects_negative_and_non_integer_labels():
     for bad, message in [(PathKey(1, 0, 1, 1, -1, 1, 1, 1, 1), "non-negative"),
                          (PathKey(5, 0, 1, -1, 1, 1, 1, 1, 1), "non-negative"),
+                         (PathKey(1, 1, 1, 1, 1, 1, -1, 0, 1), "non-negative"),
+                         (PathKey(1, 1, 1, 1, 1, 1, 1, -1, 1), "non-negative"),
                          (PathKey(1, 0, 1, 1, 1.5, 1, 1, 1, 1), r"l2=1\.5 must be an integer"),
                          (PathKey(1, 0, 1.0, 1, 1, 1, 1, 1, 1), r"s1=1\.0 must be an integer")]:
         with pytest.raises(ValueError, match=message):
             vstp_rules(bad)
+    for js, ls in [((1, 1, 1), (1, 1, -1)), ((-1, 1, 1), (0, 1, 1)), ((2, 1, 2), (2, -1, 1))]:
+        with pytest.raises(ValueError, match="non-negative"):
+            vstp_rule_flags(js, ls)
 
 
 def test_float_coefficients_evaluate_no_exact_symbol(rng):
