@@ -7,17 +7,21 @@ harness.
 """
 
 from .angular import (
-    cg,
     cg_block,
-    cg_float,
-    cg_zero,
     rotation_matrix,
     triangle_delta,
-    wigner_9j,
     wigner_9j_spin1,
     wigner_d_matrix,
 )
-from .exact import SqrtRational
+from .exact import (
+    SqrtRational,
+    cg,
+    cg_float,
+    cg_zero,
+    gaunt_coefficient,
+    generalized_gaunt,
+    wigner_9j,
+)
 from .rules import (
     NotInteractable,
     PathKey,
@@ -25,8 +29,6 @@ from .rules import (
     TriangleViolation,
     expressivity_count,
     find_valid_ells,
-    gaunt_coefficient,
-    generalized_gaunt,
     interactable,
     vstp_rules,
 )

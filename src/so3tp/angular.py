@@ -1,4 +1,4 @@
-"""Clebsch-Gordan coefficients, Wigner d/D matrices, and Wigner 9j symbols.
+"""Float Clebsch-Gordan coefficients, Wigner d/D matrices, spin-1 9j symbols and label checks.
 
 Conventions: integer angular momenta only, quantum-mechanical
 (Condon-Shortley) phases, complex spherical harmonics, active zyz Euler
@@ -6,9 +6,8 @@ rotations.  The rotation of degree-j coefficient vectors is ``x' = D x``
 with ``D = wigner_d_matrix(j, alpha, beta, gamma)``; a rotation about z by
 ``t`` has diagonal entries ``exp(-1j * m * t)``.
 
-Clebsch-Gordan values come in two forms.  ``cg`` evaluates the Racah
-formula exactly, a rational sum times one square root; it serves the selection
-rules and the test oracles.  The float form serves the products, so no
+Every exact-valued coefficient, the Racah sums behind them included,
+lives in ``exact``.  The float forms here serve the products, so no
 product evaluates an exact coefficient: ``cg_tensor`` holds every j3 of
 an unordered pair j1 <= j2, j1 + j2 <= 130, in one half-sheared layout
 S[M, k, m1 + j1] = C^{j2-j1+k,M}_{j1,m1,j2,M-m1} for M >= 0, read from
@@ -16,25 +15,10 @@ the eigenvectors of J^2 on the subspaces of total M >= 0 and cached;
 ``cg_block`` checks once and gathers a whole block C^{j3,m1+m2}_{j1,m1,j2,m2}
 of either order from it through the mirror and swap identities.
 
-The general 9j symbol is evaluated exactly, as the selection rules
-require, as a sum over one momentum x of products of three Racah 6j
-symbols (Varshalovich et al. 1988, ch. 10), each by Racah's single
-sum.  The triangle roots through x appear twice and are rational; the
-six row and column roots appear once and are the one surd shared by
-every term, so the sum is one rational times one square root taken at
-the end; ``wigner_9j`` and ``rules.generalized_gaunt_exact`` share its
-cached core, entered with nine checked integers.  A closed-form fast path
-covers the grids with unit spins in the third column: five closed forms
-and the 9j symmetries give all 27 offset cells.
-
-Every exact sum runs in Python integers (the approach of WIGXJPF:
-Johansson & Forssen, SIAM J. Sci. Comput. 38, A376, 2016).  The terms of
-a Racah sum share one common denominator, each the last times an exact
-integer ratio, and the 9j carries its x-sum as one integer numerator and
-denominator, so a CG or 9j symbol builds one ``Fraction`` and reduces it
-once, at the end.  C^{l3,0}_{l1,0,l2,0} needs no sum at all: it has a
-closed form (Varshalovich et al. 1988, sec. 8.5), which ``cg_zero_float``
-also evaluates in float from one table of central binomials over 4^k.
+A closed-form fast path covers the 9j grids with unit spins in the third
+column: five closed forms and the 9j symmetries give all 27 offset
+cells.  ``cg_zero_float`` evaluates C^{l3,0}_{l1,0,l2,0} in float from
+one table of central binomials over 4^k.
 """
 
 from __future__ import annotations
@@ -42,28 +26,27 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache, wraps
 
 import numpy as np
 
-from .exact import SQRT_ZERO, SqrtRational
-
 __all__ = [
     "triangle_delta",
-    "cg",
-    "cg_float",
     "cg_block",
     "cg_tensor",
-    "cg_zero",
     "cg_zero_float",
     "wigner_d_matrix",
-    "wigner_9j",
     "wigner_9j_spin1",
     "rotation_matrix",
 ]
 
-_fact = math.factorial
+
+def __getattr__(name):
+    # the exact functions perfbench reads here until it imports them from ``exact``
+    if name in ("cg", "cg_float", "cg_zero", "wigner_9j"):
+        from . import exact
+        return getattr(exact, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def triangle_delta(a: int, b: int, c: int) -> int:
@@ -72,19 +55,6 @@ def triangle_delta(a: int, b: int, c: int) -> int:
         if x < 0:
             raise ValueError(f"triangle_delta arguments must be non-negative, got {(a, b, c)}")
     return int(a <= b + c and b <= a + c and c <= a + b)
-
-
-def _delta2(a: int, b: int, c: int) -> tuple[int, int]:
-    """Squared triangle coefficient (a+b-c)!(a-b+c)!(-a+b+c)! / (a+b+c+1)! as (numerator, denominator)."""
-    return _fact(a + b - c) * _fact(a - b + c) * _fact(-a + b + c), _fact(a + b + c + 1)
-
-
-def _signed(num: int, den: int, radicand_num: int, radicand_den: int) -> SqrtRational:
-    """(num / den) * sqrt(radicand_num / radicand_den) for integers with den > 0, as one ``Fraction``."""
-    if num == 0:
-        return SQRT_ZERO
-    return SqrtRational(1 if num > 0 else -1,
-                        Fraction(num * num * radicand_num, den * den * radicand_den))
 
 
 def _as_integer(value, name: str) -> int:
@@ -121,72 +91,6 @@ def _checked_cache(check, maxsize: int | None = None):
         entry.cache_info, entry.cache_clear = cached.cache_info, cached.cache_clear
         return entry
     return decorate
-
-
-_CG_ENTRIES = ("j1", "m1", "j2", "m2", "j3", "m3")
-
-
-# 65,536 entries, ~25 MB at the ~380 bytes of a degree-16 entry: twice the
-# ~31,000 that one run of the test suite accumulates, and above verify --full's
-# 7,014 and the at most 16 * 33^2 = 17,424 of a cgtp_coeff reference pool
-@_checked_cache(lambda *entries: _as_integers(entries, _CG_ENTRIES), maxsize=65536)
-def cg(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int) -> SqrtRational:
-    """Exact Clebsch-Gordan coefficient C^{j3,m3}_{j1,m1,j2,m2}.
-
-    Zero when m3 != m1 + m2 or the triangle condition fails.  Entries
-    must be integers (Python or numpy) with |m_i| <= j_i; any other entry,
-    such as 2.0, raises ``ValueError`` naming it, cached or not.  Racah's
-    formula: a k-sum of (-1)^k / (k!(A-k)!(B-k)!(C-k)!(D+k)!(E+k)!) times
-    sqrt((2j3+1) delta2 (j1+m1)!(j1-m1)!(j2+m2)!(j2-m2)!(j3+m3)!(j3-m3)!),
-    with A = j1+j2-j3, B = j1-m1, C = j2+m2, D = j3-j2+m1, E = j3-j1-m2.
-    The sum runs in Python integers over one common denominator, each term
-    the last times an exact integer ratio, so the symbol builds a single
-    ``Fraction``.  The m1 = m2 = 0 case is ``cg_zero``'s closed form.
-    """
-    j1, m1, j2, m2, j3, m3 = map(operator.index, (j1, m1, j2, m2, j3, m3))
-    for j, m in ((j1, m1), (j2, m2), (j3, m3)):
-        if j < 0 or abs(m) > j:
-            raise ValueError(f"invalid (j, m) = ({j}, {m})")
-    if m3 != m1 + m2 or not triangle_delta(j1, j2, j3):
-        return SQRT_ZERO
-    if m1 == m2 == 0:
-        return _cg_zero(j1, j2, j3)
-    A, B, C, D, E = j1 + j2 - j3, j1 - m1, j2 + m2, j3 - j2 + m1, j3 - j1 - m2
-    lo, hi = max(0, -D, -E), min(A, B, C)
-    # terms over den = hi!(A-lo)!(B-lo)!(C-lo)!(D+hi)!(E+hi)!; the k = lo one
-    # is hi!/lo! (D+hi)!/(D+lo)! (E+hi)!/(E+lo)!, and each next term is the
-    # last times -(A-k)(B-k)(C-k) / ((k+1)(D+k+1)(E+k+1))
-    term = _fact(hi) // _fact(lo) * (_fact(D + hi) // _fact(D + lo)) * (_fact(E + hi) // _fact(E + lo))
-    if lo % 2:
-        term = -term
-    total = term
-    for k in range(lo, hi):
-        term = -term * (A - k) * (B - k) * (C - k) // ((k + 1) * (D + k + 1) * (E + k + 1))
-        total += term
-    den = _fact(hi) * _fact(A - lo) * _fact(B - lo) * _fact(C - lo) * _fact(D + hi) * _fact(E + hi)
-    tri_num, tri_den = _delta2(j1, j2, j3)
-    return _signed(total, den, (2 * j3 + 1) * tri_num * _fact(j1 + m1) * _fact(B) * _fact(j2 - m2)
-                   * _fact(C) * _fact(j3 + m3) * _fact(j3 - m3), tri_den)
-
-
-def _cg_zero(l1: int, l2: int, l3: int) -> SqrtRational:
-    """C^{l3,0}_{l1,0,l2,0} of a valid triangle in closed form (Varshalovich et al. 1988, sec. 8.5).
-
-    Zero when 2g = l1 + l2 + l3 is odd; else (-1)^(g-l3) times the root of
-    (2l3+1) delta2(l1, l2, l3) [g! / ((g-l1)!(g-l2)!(g-l3)!)]^2.
-    """
-    twice = l1 + l2 + l3
-    if twice % 2:
-        return SQRT_ZERO
-    g = twice // 2
-    tri_num, tri_den = _delta2(l1, l2, l3)
-    ratio = _fact(g) // (_fact(g - l1) * _fact(g - l2) * _fact(g - l3))
-    return SqrtRational(-1 if (g - l3) % 2 else 1,
-                        Fraction((2 * l3 + 1) * tri_num * ratio * ratio, tri_den))
-
-
-def cg_float(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int) -> float:
-    return float(cg(j1, m1, j2, m2, j3, m3))
 
 
 CG_BLOCK_MAX = 130  # largest j1 + j2 that cg_block serves
@@ -239,8 +143,8 @@ def cg_block(j1: int, j2: int, j3: int) -> np.ndarray:
     Entries with |m1 + m2| > j3 are zero.  Gathered from the pair's
     half-sheared ``cg_tensor``: the M < 0 entries by the mirror identity,
     and a pair with j1 > j2 as (-1)^(j1+j2-j3) times the transposed block
-    of (j2, j1), so the two orders agree exactly.  Agrees with the exact
-    ``cg`` to 1e-13 for j1 + j2 <= CG_BLOCK_MAX (130: every spin <= 2
+    of (j2, j1), so the two orders agree exactly.  Agrees with ``exact.cg``
+    to 1e-13 for j1 + j2 <= CG_BLOCK_MAX (130: every spin <= 2
     coupling of an L=64 product decoded at 128); degrees outside that
     range raise.
     """
@@ -313,16 +217,6 @@ def _cg_tensor(j1: int, j2: int) -> np.ndarray:
     return S
 
 
-def cg_zero(l1: int, l2: int, l3: int) -> SqrtRational:
-    """C^{l3,0}_{l1,0,l2,0}; nonzero iff the triangle holds and l1+l2+l3 is even.
-
-    The ``cg`` entry, so it shares cg's cache, evaluated by the sum-free
-    closed form: with 2g = l1 + l2 + l3, the sign (-1)^(g-l3) times the root
-    of (2l3+1) delta2(l1, l2, l3) [g! / ((g-l1)!(g-l2)!(g-l3)!)]^2.
-    """
-    return cg(l1, 0, l2, 0, l3, 0)
-
-
 CG_ZERO_MAX = 1024  # largest degree cg_zero_float serves
 
 
@@ -345,13 +239,13 @@ def _require_cg_zero_range(l1: int, l2: int, l3: int) -> None:
 def cg_zero_float(l1: int, l2: int, l3: int) -> float:
     """C^{l3,0}_{l1,0,l2,0} in float, for degrees up to CG_ZERO_MAX; past it ``ValueError``.
 
-    ``cg_zero``'s closed form with each (2k)! / k!^2 written as 4^k b(k):
+    ``exact.cg_zero``'s closed form with each (2k)! / k!^2 written as 4^k b(k):
     with 2g = l1 + l2 + l3 even and a valid triangle, the square is
     (2l3+1)/(2g+1) b(g-l1) b(g-l2) b(g-l3) / b(g) and the sign (-1)^(g-l3);
     an odd sum or a broken triangle gives 0.0, a negative degree raises.
     b comes from one table built on first use, so the value takes the same
     ten roundings (four table entries, five operations, one square root)
-    at every degree: within 5e-16 relative of the exact ``cg_zero`` up to
+    at every degree: within 5e-16 relative of ``exact.cg_zero`` up to
     CG_ZERO_MAX, where an ``lgamma`` form is already 2.4e-13 off at degree 64.
     The checks (range, then triangle) precede one unchecked core.
     """
@@ -405,78 +299,6 @@ def rotation_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
     ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
     rz2 = np.array([[cc, -sc, 0.0], [sc, cc, 0.0], [0.0, 0.0, 1.0]])
     return rz1 @ ry @ rz2
-
-
-def _racah_6j_sum(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> tuple[int, int]:
-    """Racah's t-sum as (numerator, denominator): {j1 j2 j3; j4 j5 j6} = sum * sqrt(product of its four delta2).
-
-    All four triads (j1 j2 j3), (j1 j5 j6), (j4 j2 j6), (j4 j5 j3) must be
-    triangles.  The terms (-1)^t (t+1)! / (prod_a (t-a)! prod_q (q-t)!)
-    run over the common denominator prod_a (tmax-a)! prod_q (q-tmin)!,
-    each the last times -(t+2) prod_q (q-t) / prod_a (t+1-a).
-    """
-    a1, a2, a3, a4 = j1 + j2 + j3, j1 + j5 + j6, j4 + j2 + j6, j4 + j5 + j3
-    q1, q2, q3 = j1 + j2 + j4 + j5, j2 + j3 + j5 + j6, j3 + j1 + j6 + j4
-    lo, hi = max(a1, a2, a3, a4), min(q1, q2, q3)
-    n = hi - lo  # (hi-a)!/(lo-a)! = perm(hi-a, n)
-    term = (_fact(lo + 1) * math.perm(hi - a1, n) * math.perm(hi - a2, n)
-            * math.perm(hi - a3, n) * math.perm(hi - a4, n))
-    if lo % 2:
-        term = -term
-    total = term
-    for t in range(lo, hi):
-        term = (-term * (t + 2) * (q1 - t) * (q2 - t) * (q3 - t)
-                // ((t + 1 - a1) * (t + 1 - a2) * (t + 1 - a3) * (t + 1 - a4)))
-        total += term
-    return total, (_fact(hi - a1) * _fact(hi - a2) * _fact(hi - a3) * _fact(hi - a4)
-                   * _fact(q1 - lo) * _fact(q2 - lo) * _fact(q3 - lo))
-
-
-@lru_cache(maxsize=1024)
-def _wigner_9j_cached(flat: tuple) -> SqrtRational:
-    """The 9j symbol of nine Python ints, row-major; a negative entry raises, so is never cached."""
-    if min(flat) < 0:
-        raise ValueError("9j entries must be non-negative")
-    a, b, c, d, e, f, g, h, i = flat
-    rows_cols = ((a, b, c), (d, e, f), (g, h, i), (a, d, g), (b, e, h), (c, f, i))
-    if not all(triangle_delta(*tri) for tri in rows_cols):
-        return SQRT_ZERO
-    # {a b c; d e f; g h i} = sum_x (2x+1) {a d g; h i x}{b e h; d x f}{c f i; x a b}.
-    # The triads (a i x), (d h x), (b f x) each sit in two of the 6j, so their
-    # roots multiply to the rational delta2; the rows and columns sit in one
-    # each and give the surd common to every x.  The x-sum is kept as one
-    # integer fraction num / den.
-    num, den = 0, 1
-    for x in range(max(abs(a - i), abs(d - h), abs(b - f)), min(a + i, d + h, b + f) + 1):
-        (s1, e1), (s2, e2), (s3, e3) = (_racah_6j_sum(a, d, g, h, i, x), _racah_6j_sum(b, e, h, d, x, f),
-                                        _racah_6j_sum(c, f, i, x, a, b))
-        if s1 and s2 and s3:
-            (n1, d1), (n2, d2), (n3, d3) = _delta2(a, i, x), _delta2(d, h, x), _delta2(b, f, x)
-            term_den = d1 * d2 * d3 * e1 * e2 * e3
-            num, den = num * term_den + (2 * x + 1) * n1 * n2 * n3 * s1 * s2 * s3 * den, den * term_den
-    rad_num, rad_den = 1, 1
-    for tri in rows_cols:
-        n, m = _delta2(*tri)
-        rad_num, rad_den = rad_num * n, rad_den * m
-    return _signed(num, den, rad_num, rad_den)
-
-
-def wigner_9j(grid) -> SqrtRational:
-    """Exact Wigner 9j symbol for a 3x3 grid of non-negative integers.
-
-    ``grid`` is ((j1, l1, s1), (j2, l2, s2), (j3, l3, s3)) or the same nine
-    values flattened row-major.  Returns zero whenever any row or column
-    violates the triangle condition.  Entries must be integers (Python or
-    numpy); any other entry, such as a float, raises ``ValueError``.
-    """
-    try:
-        flat = tuple(operator.index(x)
-                     for row in grid for x in (row if hasattr(row, "__len__") else (row,)))
-    except TypeError as exc:
-        raise ValueError(f"9j entries must be integers: {exc}") from exc
-    if len(flat) != 9:
-        raise ValueError("wigner_9j expects nine entries")
-    return _wigner_9j_cached(flat)
 
 
 def _rise3(n: int) -> int:
@@ -544,7 +366,7 @@ def wigner_9j_spin1(a: int, lam: int, b: int, mu: int, c: int, nu: int) -> float
     """Closed-form {a+lam, a, 1; b+mu, b, 1; c+nu, c, 1} with lam, mu, nu in {-1, 0, 1}.
 
     Fast path for the 9j grids whose third column is (1, 1, 1); each table
-    cell is exactly the general ``wigner_9j``.  Two 9j symmetries
+    cell is exactly the general ``exact.wigner_9j``.  Two 9j symmetries
     (Varshalovich et al. 1988, sec. 10.4) map every offset cell onto one
     of the five in ``_SPIN1_TABLE`` (``_spin1_fold``): swapping the first
     two columns, and permuting the rows.  The (0, 0, 0) cell is its own

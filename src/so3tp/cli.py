@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, rules, serialize, tenprod, verify
-from .angular import cg, wigner_9j, wigner_9j_spin1
+from .angular import wigner_9j_spin1
+from .exact import cg, wigner_9j
 from .rules import NotInteractable, PathKey, TriangleViolation
 from .sht import make_grid
 from .tsh import TshCoeffs, scalar_from_spin0, spin0_from_scalar, tsh_decode, tsh_encode

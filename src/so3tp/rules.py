@@ -11,24 +11,23 @@ For the vector-signal product (all spins 1) this coefficient is nonzero
 iff five selection rules hold; the rule flags here are evaluated by direct
 pattern matching and cross-checked against the exact-arithmetic
 coefficient, never against a float threshold.  The exact coefficient
-(``generalized_gaunt_exact``, ``generalized_gaunt``) serves the oracles
-only: ``vstp_rules`` and the products take the one float form of the
-spin-1 coefficient, ``_path_coefficient``, built from the spin-1 9j
-closed forms and ``cg_zero_float``, so they evaluate no exact symbol.
+(``exact.generalized_gaunt_exact``, ``exact.generalized_gaunt``) serves
+the oracles only: ``vstp_rules`` and the products take the one float
+form of the spin-1 coefficient, ``_path_coefficient``, built from the
+spin-1 9j closed forms and ``cg_zero_float``, so they evaluate no exact
+symbol.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .angular import (_as_integers, _cg_zero_float_core, _checked_cache, _require_cg_zero_range,
-                      _wigner_9j_cached, _wigner_9j_spin1_core, cg, cg_zero, cg_zero_float,
-                      require_natural, triangle_delta, wigner_9j_spin1)
-from .exact import SqrtRational
+                      _wigner_9j_spin1_core, cg_zero_float, require_natural, triangle_delta,
+                      wigner_9j_spin1)
 from .sht import _trusted
 
 __all__ = [
@@ -36,9 +35,6 @@ __all__ = [
     "RuleReport",
     "TriangleViolation",
     "NotInteractable",
-    "generalized_gaunt",
-    "generalized_gaunt_exact",
-    "gaunt_coefficient",
     "vstp_rule_flags",
     "vstp_rules",
     "find_valid_ells",
@@ -46,6 +42,14 @@ __all__ = [
     "interactable",
     "expressivity_count",
 ]
+
+
+def __getattr__(name):
+    # the exact coefficients perfbench reads here until it imports them from ``exact``
+    if name in ("generalized_gaunt", "generalized_gaunt_exact"):
+        from . import exact
+        return getattr(exact, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class TriangleViolation(ValueError):
@@ -88,34 +92,6 @@ def _dims(j1: int, l1: int, j2: int, l2: int, s3: int) -> int:
     return (2 * j1 + 1) * (2 * j2 + 1) * (2 * l1 + 1) * (2 * l2 + 1) * (2 * s3 + 1)
 
 
-@_checked_cache(lambda path: (_as_integers(path, PathKey._fields),), maxsize=1024)
-def generalized_gaunt_exact(path: PathKey) -> SqrtRational:
-    """Exact radical part of the path coefficient, excluding the 1/sqrt(4 pi).
-
-    The returned value is sqrt(dims) * 9j * C^{l3,0}; it is zero exactly
-    when the true coefficient is zero, which is what rule checks need.
-    A label that is not an integer, such as j3 = 2.0, raises
-    ``ValueError`` naming it, cached or not; a negative one raises
-    ``wigner_9j``'s ``ValueError``.
-    """
-    p = PathKey(*path)
-    nine = _wigner_9j_cached(path)  # PathKey order is the 9j grid, row-major
-    if nine.is_zero():
-        return nine
-    prod = nine * cg_zero(p.l1, p.l2, p.l3)
-    if prod.is_zero():
-        return prod
-    return SqrtRational(1, Fraction(_dims(p.j1, p.l1, p.j2, p.l2, p.s3))) * prod
-
-
-def generalized_gaunt(path: PathKey) -> float:
-    """Coefficient of the (j3, l3) output term for a full coupling path."""
-    exact = generalized_gaunt_exact(path)
-    if exact.is_zero():
-        return 0.0
-    return float(exact) / math.sqrt(4.0 * math.pi)
-
-
 def _spin1_gaunt(j1: int, l1: int, j2: int, l2: int, nine: float, cg0: float) -> float:
     """sqrt(dims / 4 pi) * nine * cg0 with cg0 = C^{l3,0}_{l1,0,l2,0}: the one float spin-1 coefficient.
 
@@ -130,31 +106,14 @@ def _path_coefficient(j1: int, l1: int, j2: int, l2: int, j3: int, l3: int) -> f
 
     sqrt(dims / 4 pi) * {j1 l1 1; j2 l2 1; j3 l3 1} * C^{l3,0}_{l1,0,l2,0}
     with the 9j from its closed form and C^{l3,0} from ``cg_zero_float``,
-    so no exact symbol is evaluated; within 1e-15 relative of the exact
-    ``generalized_gaunt``, and exactly 0.0 where that is zero.  Each row
+    so no exact symbol is evaluated; within 1e-15 relative of
+    ``exact.generalized_gaunt``, and exactly 0.0 where that is zero.  Each row
     (j, l, 1) must be a triangle, and an orbital degree past
     ``angular.CG_ZERO_MAX`` raises ``ValueError``.  ``vstp_rules`` shares
     its expression, ``_spin1_gaunt``, and no cache entry.
     """
     return _spin1_gaunt(j1, l1, j2, l2, wigner_9j_spin1(l1, j1 - l1, l2, j2 - l2, l3, j3 - l3),
                         cg_zero_float(l1, l2, l3))
-
-
-def gaunt_coefficient(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
-    """integral(Y^m1_l1 Y^m2_l2 conj(Y^m3_l3)) over the sphere.
-
-    Equals sqrt((2l1+1)(2l2+1) / (4 pi (2l3+1))) C^{l3,m3}_{l1,m1,l2,m2}
-    C^{l3,0}_{l1,0,l2,0}; zero unless m3 = m1 + m2, the triangle condition
-    holds, and l1 + l2 + l3 is even.
-    """
-    for l, m in ((l1, m1), (l2, m2), (l3, m3)):
-        if l < 0 or abs(m) > l:
-            raise ValueError(f"need |m| <= l, got (l, m) = ({l}, {m})")
-    exact = cg(l1, m1, l2, m2, l3, m3) * cg_zero(l1, l2, l3)
-    if exact.is_zero():
-        return 0.0
-    scale = math.sqrt((2 * l1 + 1) * (2 * l2 + 1) / (4.0 * math.pi * (2 * l3 + 1)))
-    return scale * float(exact)
 
 
 def _rule5_violated(js, ls) -> bool:
@@ -199,7 +158,7 @@ def vstp_rules(path: PathKey) -> RuleReport:
     the coefficient being nonzero in exact arithmetic.  ``coefficient`` is
     ``_path_coefficient``'s expression, uncached, when every row is a
     triangle (r1), and 0.0 otherwise, where the 9j vanishes by definition:
-    within 1e-15 relative of ``generalized_gaunt`` and 0.0 exactly where
+    within 1e-15 relative of ``exact.generalized_gaunt`` and 0.0 exactly where
     that is zero, with no exact symbol evaluated.  r1-r3 are the five triangles of the 9j, so
     its closed form runs unchecked when they hold and is 0.0 otherwise;
     r3 is C^{l3,0}'s triangle, so its float core runs unchecked when r3

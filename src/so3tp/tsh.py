@@ -23,8 +23,9 @@ multiply, one add reduce) and reading no slot past l = L, inverting the
 coupling by Clebsch-Gordan orthogonality, so decode(encode(x)) = x
 whenever the grid resolves the band limit.  Spin 0 is the identity
 coupling (all weights 1.0, 0 MACs), and the scalar transforms
-``to_sphere`` and ``from_sphere`` are spin-0 encode and decode.  The
-encode core builds its ``SpinSignal`` unchecked (``sht._trusted``).
+``to_sphere`` and ``from_sphere`` are spin-0 encode and decode.  A
+``SpinSignal`` checks its spin, shape and finiteness; the encode core
+builds its ``SpinSignal`` unchecked (``sht._trusted``).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def valid_pairs(s: int, L: int) -> list[tuple[int, int]]:
 
 @dataclass(eq=False)
 class SpinSignal:
-    """Complex samples with 2s+1 spin components per grid point."""
+    """Complex samples with 2s+1 spin components per grid point; the constructor rejects NaN and inf."""
 
     s: int
     grid: SphereGrid
@@ -78,6 +79,7 @@ class SpinSignal:
         expect = (self.grid.n_theta, self.grid.n_phi, 2 * self.s + 1)
         if self.values.shape != expect:
             raise ValueError(f"signal shape {self.values.shape} != {expect}")
+        _require_finite(self.values)
 
 
 @dataclass(eq=False)

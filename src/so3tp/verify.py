@@ -11,7 +11,8 @@ scaling gates.
 
 Checks resolve library functions through their modules at call time, so
 a monkeypatched (faulted) function is picked up -- useful for testing
-that the suite actually detects broken symmetries.
+that the suite actually detects broken symmetries.  The exact checks
+resolve the exact coefficients through ``exact``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import angular, bench, rules, sht, tenprod, tsh
+from . import angular, bench, exact, rules, sht, tenprod, tsh
 from .exact import SQRT_ONE, SQRT_ZERO, SqrtRational
 from .flops import FlopCounter
 from .rules import PathKey
@@ -73,8 +74,8 @@ def check_cg_orthogonality(p, rng):
                     m2 = m3 - m1
                     if abs(m2) > j2 or m2 != m3p - m1:
                         continue
-                    total += (angular.cg(j1, m1, j2, m2, j3, m3)
-                              * angular.cg(j1, m1, j2, m2, j3p, m3p))
+                    total += (exact.cg(j1, m1, j2, m2, j3, m3)
+                              * exact.cg(j1, m1, j2, m2, j3p, m3p))
                 expect = SQRT_ONE if (j3, m3) == (j3p, m3p) else SQRT_ZERO
                 if total != expect:
                     yield 1.0, f"(j1,j2)=({j1},{j2}) ({j3},{m3})x({j3p},{m3p}) -> {total}"
@@ -90,9 +91,9 @@ def check_cg_reorder(p, rng):
                         ms = mj - ml
                         if abs(ms) > s:
                             continue
-                        lhs = angular.cg(l, ml, s, ms, j, mj)
+                        lhs = exact.cg(l, ml, s, ms, j, mj)
                         rhs = SqrtRational(1, Fraction(2 * j + 1, 2 * s + 1)) \
-                            * angular.cg(j, mj, l, -ml, s, ms)
+                            * exact.cg(j, mj, l, -ml, s, ms)
                         if (l - ml) % 2:
                             rhs = -rhs
                         if lhs != rhs:
@@ -108,7 +109,7 @@ def check_cg_block(p, rng):
             m1 = int(rng.integers(-j1, j1 + 1))
             m2 = int(rng.integers(-j2, j2 + 1))
             m3 = m1 + m2
-            expect = angular.cg_float(j1, m1, j2, m2, j3, m3) if abs(m3) <= j3 else 0.0
+            expect = exact.cg_float(j1, m1, j2, m2, j3, m3) if abs(m3) <= j3 else 0.0
             dev = abs(angular.cg_block(j1, j2, j3)[m1 + j1, m2 + j2] - expect)
             yield dev, f"(j1,m1,j2,m2,j3)=({j1},{m1},{j2},{m2},{j3})"
 
@@ -131,8 +132,8 @@ def check_d_product(p, rng):
                                                         range(-l2, l2 + 1), range(-l2, l2 + 1)):
                     lhs = Ds[l1][m1 + l1, n1 + l1] * Ds[l2][m2 + l2, n2 + l2]
                     m3, n3 = m1 + m2, n1 + n2
-                    rhs = sum(angular.cg_float(l1, m1, l2, m2, l3, m3)
-                              * angular.cg_float(l1, n1, l2, n2, l3, n3)
+                    rhs = sum(exact.cg_float(l1, m1, l2, m2, l3, m3)
+                              * exact.cg_float(l1, n1, l2, n2, l3, n3)
                               * Ds[l3][m3 + l3, n3 + l3]
                               for l3 in range(abs(l1 - l2), l1 + l2 + 1)
                               if abs(m3) <= l3 and abs(n3) <= l3)
@@ -149,7 +150,7 @@ def check_nine_j_table(p, rng):
                     if a + lam < 0 or b + mu < 0 or c + nu < 0:
                         continue
                     t = angular.wigner_9j_spin1(a, lam, b, mu, c, nu)
-                    g = float(angular.wigner_9j(((a + lam, a, 1), (b + mu, b, 1), (c + nu, c, 1))))
+                    g = float(exact.wigner_9j(((a + lam, a, 1), (b + mu, b, 1), (c + nu, c, 1))))
                     yield abs(t - g), f"(a,b,c)=({a},{b},{c}) (lam,mu,nu)=({lam},{mu},{nu})"
 
 
@@ -160,8 +161,8 @@ def check_nine_j_row_swap(p, rng):
         for r2 in rows:
             r3 = tuple((r1[k] + r2[k]) % (nmax + 1) for k in range(3))
             grid = (r1, r2, r3)
-            v = angular.wigner_9j(grid)
-            swapped = angular.wigner_9j((r2, r1, r3))
+            v = exact.wigner_9j(grid)
+            swapped = exact.wigner_9j((r2, r1, r3))
             S = sum(sum(r) for r in grid)
             expect = v if S % 2 == 0 else -v
             if swapped != expect:
@@ -218,7 +219,7 @@ def check_gaunt_quadrature(p, rng):
                         if abs(m3) > l3:
                             continue
                         bf = complex((y12 * np.conj(sht.sh_eval(l3, m3, th, ph)) * w).sum())
-                        dev = abs(bf - rules.gaunt_coefficient(l1, m1, l2, m2, l3, m3))
+                        dev = abs(bf - exact.gaunt_coefficient(l1, m1, l2, m2, l3, m3))
                         yield dev, f"({l1},{m1},{l2},{m2},{l3},{m3})"
 
 
@@ -280,7 +281,7 @@ def _cg_contract(u, v, j3):
     for m1 in range(-j1, j1 + 1):
         for m2 in range(-j2, j2 + 1):
             if abs(m1 + m2) <= j3:
-                out[m1 + m2 + j3] += angular.cg_float(j1, m1, j2, m2, j3, m1 + m2) \
+                out[m1 + m2 + j3] += exact.cg_float(j1, m1, j2, m2, j3, m1 + m2) \
                     * u[m1 + j1] * v[m2 + j2]
     return out
 
@@ -302,7 +303,7 @@ def check_product_expansion(p, rng):
                         Y = tsh.TshCoeffs(s=s2, L=l2, blocks={(j2, l2): v})
                         res = tenprod.istp(X, Y, s3, l1 + l2, sht.make_grid(l1 + l2))
                         for (j3, l3), z in res.output.items():
-                            coef = rules.generalized_gaunt(
+                            coef = exact.generalized_gaunt(
                                 PathKey(j1, l1, s1, j2, l2, s2, j3, l3, s3))
                             expect = (coef * _cg_contract(u, v, j3)
                                       if angular.triangle_delta(j1, j2, j3) else
@@ -325,7 +326,7 @@ def check_gtp_formula(p, rng):
                 for m1 in range(-l1, l1 + 1):
                     for m2 in range(-l2, l2 + 1):
                         if abs(m1 + m2) <= l3:
-                            expect[m1 + m2 + l3] += rules.gaunt_coefficient(
+                            expect[m1 + m2 + l3] += exact.gaunt_coefficient(
                                 l1, m1, l2, m2, l3, m1 + m2) * u[m1 + l1] * v[m2 + l2]
                 dev = float(np.abs(res.output.block(l3) - expect).max())
                 yield dev, f"(l1,l2,l3)=({l1},{l2},{l3})"
@@ -441,7 +442,7 @@ def check_selection_iff(p, rng):
     for j1, l1, j2, l2, j3, l3 in itertools.product(range(nmax + 1), repeat=6):
         path = PathKey(j1, l1, 1, j2, l2, 1, j3, l3, 1)
         rep = rules.vstp_rules(path)
-        nz = not rules.generalized_gaunt_exact(path).is_zero()
+        nz = not exact.generalized_gaunt_exact(path).is_zero()
         if rep.passed != nz:
             yield 1.0, f"path={tuple(path)} flags={rep.passed} nonzero={nz}"
     return f"0 mismatches over {(nmax + 1) ** 6} paths"
@@ -466,7 +467,7 @@ def check_ell_assignment(p, rng):
                 ells = rules.find_valid_ells(j1, j2, j3)
                 path = PathKey(j1, ells[0], 1, j2, ells[1], 1, j3, ells[2], 1)
                 if not rules.vstp_rules(path).passed or \
-                        rules.generalized_gaunt_exact(path).is_zero():
+                        exact.generalized_gaunt_exact(path).is_zero():
                     yield 1.0, f"js=({j1},{j2},{j3}) ells={ells}"
     return f"all {n} triangles assigned"
 
@@ -487,7 +488,7 @@ def check_gtp_exclusion(p, rng):
     nmax = p["lmax"]
     for l1, l2, l3 in itertools.product(range(nmax + 1), repeat=3):
         path = PathKey(l1, l1, 0, l2, l2, 0, l3, l3, 0)
-        nz = not rules.generalized_gaunt_exact(path).is_zero()
+        nz = not exact.generalized_gaunt_exact(path).is_zero()
         expect = bool(angular.triangle_delta(l1, l2, l3)) and (l1 + l2 + l3) % 2 == 0
         if nz != expect:
             yield 1.0, f"(l1,l2,l3)=({l1},{l2},{l3})"

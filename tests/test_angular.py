@@ -13,18 +13,14 @@ from so3tp import angular, tenprod
 from so3tp.angular import (
     CG_BLOCK_MAX,
     CG_ZERO_MAX,
-    cg,
     cg_block,
-    cg_float,
     cg_tensor,
-    cg_zero,
     cg_zero_float,
     triangle_delta,
-    wigner_9j,
     wigner_9j_spin1,
     wigner_d_matrix,
 )
-from so3tp.exact import SQRT_ZERO, SqrtRational
+from so3tp.exact import SQRT_ZERO, SqrtRational, cg, cg_float, cg_zero, wigner_9j
 from so3tp.sht import random_coeffs
 
 

@@ -12,7 +12,8 @@ import pytest
 
 from so3tp import serialize
 from so3tp.cli import main
-from so3tp.rules import PathKey, generalized_gaunt_exact
+from so3tp.exact import generalized_gaunt_exact
+from so3tp.rules import PathKey
 from so3tp.sht import random_coeffs
 from so3tp.tsh import random_tsh_coeffs
 
@@ -410,9 +411,9 @@ def test_verify_config_names_the_level_that_runs(capsys, monkeypatch):
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):
     # flip the sign of one CG value: the exact reorder symmetry must fail
-    from so3tp import angular, verify
+    from so3tp import exact, verify
 
-    real_cg = angular.cg
+    real_cg = exact.cg
 
     def flipped(j1, m1, j2, m2, j3, m3):
         v = real_cg(j1, m1, j2, m2, j3, m3)
@@ -420,7 +421,7 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
             return -v
         return v
 
-    monkeypatch.setattr(angular, "cg", flipped)
+    monkeypatch.setattr(exact, "cg", flipped)
     results, ok = verify.run_verify("quick", only=["cg_reorder_symmetry"])
     assert not ok
     assert "2" in results[0].worst_case

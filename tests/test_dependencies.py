@@ -3,15 +3,25 @@
 Of the tests, only ``test_oracle`` imports sympy or mpmath, the test-only
 oracles of the ``test`` extra.
 
-The grid modules ``sht``, ``tsh`` and ``tenprod`` import no exact-valued
-function: nothing from ``exact`` and no exact CG or 9j from ``angular``.
-Their coupling weights are the float ``angular.cg_block``; path
-coefficients are ``rules``'.
+Exact arithmetic is one module: every exact-valued function lives in
+``exact``, next to ``SqrtRational``.  The grid modules ``sht``, ``tsh``
+and ``tenprod`` import nothing from it, and from ``angular`` and ``rules``
+only names those modules define.  Their coupling weights are the float
+``angular.cg_block``; path coefficients are ``rules``'.  ``angular`` and
+``rules`` name no ``SqrtRational`` or ``Fraction`` and import ``exact``
+only inside the module ``__getattr__`` that forwards perfbench's six
+exact names.  The runtime cache-miss tests, such as
+``test_float_coefficients_evaluate_no_exact_symbol``, stay the dynamic
+cross-check.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import so3tp
 
@@ -54,9 +64,6 @@ def test_only_the_oracle_tests_import_sympy_or_mpmath():
     assert found == {"tests/test_oracle.py"}
 
 
-_EXACT_VALUED = {"cg", "cg_float", "cg_zero", "wigner_9j", "wigner_9j_spin1"}
-
-
 def _relative_imports(path: Path):
     """(module, name) of every name a module imports from within the package."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -64,13 +71,66 @@ def _relative_imports(path: Path):
             yield from ((node.module, alias.name) for alias in node.names)
 
 
+def _top_level_names(path: Path) -> set:
+    """Names a module binds by its own top-level statements."""
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
 def test_grid_modules_import_no_exact_valued_function():
+    # a name forwarded by a module __getattr__ is not defined there, so this
+    # also keeps the grid modules off the forwarders
     package = Path(so3tp.__file__).parent
+    defined = {module: _top_level_names(package / f"{module}.py") for module in ("angular", "rules")}
     found = {(name, module, alias) for name in ("sht.py", "tsh.py", "tenprod.py")
              for module, alias in _relative_imports(package / name)
              if module == "exact" or (module is None and alias == "exact")
-             or (module == "angular" and alias in _EXACT_VALUED)}
+             or (module in defined and alias not in defined[module])}
     assert found == set()
+
+
+@pytest.mark.parametrize("name", ["angular.py", "rules.py"])
+def test_float_modules_hold_no_exact_arithmetic(name):
+    path = Path(so3tp.__file__).parent / name
+    tree = ast.parse(path.read_text(), filename=str(path))
+    named = {getattr(node, attr) for node in ast.walk(tree)
+             for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)}
+    assert named & {"SqrtRational", "Fraction"} == set()
+    # the module __getattr__ imports exact in its body, never at module level
+    top_level = {(node.module, alias.name) for node in tree.body
+                 if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names}
+    assert {pair for pair in top_level if "exact" in pair} == set()
+
+
+def test_import_direction_holds_in_a_fresh_interpreter():
+    src = str(Path(so3tp.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", "import so3tp.exact; "
+                           "from so3tp.rules import generalized_gaunt_exact"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_names_forward_to_exact():
+    from so3tp import angular, exact, rules
+
+    for module, names in ((angular, ("cg", "cg_float", "cg_zero", "wigner_9j")),
+                          (rules, ("generalized_gaunt", "generalized_gaunt_exact"))):
+        for name in names:
+            assert getattr(module, name) is getattr(exact, name)
+    assert angular.cg.cache_info().maxsize == 65536
+    assert rules.generalized_gaunt_exact.cache_info().maxsize == 1024
+    for module, name in ((angular, "_wigner_9j_cached"), (angular, "not_a_name"),
+                         (rules, "gaunt_coefficient"), (rules, "SqrtRational")):
+        with pytest.raises(AttributeError, match=name):
+            getattr(module, name)
 
 
 class _EnvironmentReads(ast.NodeVisitor):

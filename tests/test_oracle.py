@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from so3tp import angular, rules
+from so3tp import angular, exact
 from so3tp.exact import SqrtRational
 from so3tp.sht import make_grid
 
@@ -50,7 +50,7 @@ def test_cg_equals_sympy_clebsch_gordan():
     samples += [(l1, 0, l2, 0, l3, 0) for l1, l2, l3 in ((20, 21, 39), (30, 30, 40), (40, 40, 2))]
     nonzero = 0
     for j1, m1, j2, m2, j3, m3 in samples:
-        got = angular.cg(j1, m1, j2, m2, j3, m3)
+        got = exact.cg(j1, m1, j2, m2, j3, m3)
         assert _exact(got) == _sympy_exact(wigner.clebsch_gordan(j1, j2, j3, m1, m2, m3)), \
             (j1, m1, j2, m2, j3)
         nonzero += not got.is_zero()
@@ -67,10 +67,10 @@ def test_racah_6j_sum_equals_sympy_wigner_6j():
         triads = ((j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j4, j5, j3))
         if not all(angular.triangle_delta(*tri) for tri in triads):
             continue
-        num, den = angular._racah_6j_sum(*j)
+        num, den = exact._racah_6j_sum(*j)
         rad_num, rad_den = 1, 1
         for tri in triads:
-            n, d = angular._delta2(*tri)
+            n, d = exact._delta2(*tri)
             rad_num, rad_den = rad_num * n, rad_den * d
         got = SqrtRational.from_rational(Fraction(num, den), Fraction(rad_num, rad_den))
         assert _exact(got) == _sympy_exact(wigner.wigner_6j(*j)), j
@@ -89,7 +89,7 @@ def test_wigner_9j_equals_sympy_wigner_9j():
         if lo > hi or max(c, f, g, h) > 6:
             continue
         flat = (a, b, c, d, e, f, g, h, rng.randint(lo, hi))
-        assert _exact(angular.wigner_9j(flat)) == _sympy_exact(wigner.wigner_9j(*flat, prec=None)), flat
+        assert _exact(exact.wigner_9j(flat)) == _sympy_exact(wigner.wigner_9j(*flat, prec=None)), flat
         checked += 1
 
 
@@ -103,10 +103,10 @@ def test_gaunt_coefficient_equals_sympy_gaunt():
     for l1, m1, l2, m2, l3, m3 in _cg_samples(rng, 10, 200):
         want = (-1 if m3 % 2 else 1) * wigner.gaunt(l1, l2, l3, m1, m2, -m3)
         sign, square = _sympy_exact(want, scale=sympy.pi)
-        got = rules.gaunt_coefficient(l1, m1, l2, m2, l3, m3)
-        exact = angular.cg(l1, m1, l2, m2, l3, m3) * angular.cg_zero(l1, l2, l3)
+        got = exact.gaunt_coefficient(l1, m1, l2, m2, l3, m3)
+        product = exact.cg(l1, m1, l2, m2, l3, m3) * exact.cg_zero(l1, l2, l3)
         scale = Fraction((2 * l1 + 1) * (2 * l2 + 1), 4 * (2 * l3 + 1))
-        assert (exact.sign, scale * exact.radicand) == (sign, square), (l1, m1, l2, m2, l3)
+        assert (product.sign, scale * product.radicand) == (sign, square), (l1, m1, l2, m2, l3)
         assert (got > 0) - (got < 0) == sign
         assert abs(got - sign * math.sqrt(square / math.pi)) <= 1e-15
         nonzero += sign != 0

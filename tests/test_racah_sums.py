@@ -1,4 +1,4 @@
-"""The integer Racah sums of ``angular`` against their term-by-term ``Fraction`` forms.
+"""The integer Racah sums of ``exact`` against their term-by-term ``Fraction`` forms.
 
 The reference functions below sum each Racah formula one normalized
 ``Fraction`` per term, in the textbook order; the library sums the same
@@ -14,12 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from so3tp import angular
+from so3tp import angular, exact
 from so3tp.exact import SQRT_ZERO, SqrtRational
 
 _fact = math.factorial
-_cg = angular.cg.__wrapped__
-_nine = angular._wigner_9j_cached.__wrapped__
+_cg = exact.cg.__wrapped__
+_nine = exact._wigner_9j_cached.__wrapped__
 
 
 def _ref_delta2(a, b, c):

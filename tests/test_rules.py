@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from so3tp import angular, rules
+from so3tp import exact, rules
 from so3tp.angular import triangle_delta
 from so3tp.rules import (
     NotInteractable,
@@ -19,14 +19,11 @@ from so3tp.rules import (
     expressivity_count,
     find_pair_ells,
     find_valid_ells,
-    gaunt_coefficient,
-    generalized_gaunt,
-    generalized_gaunt_exact,
     interactable,
     vstp_rule_flags,
     vstp_rules,
 )
-from so3tp.angular import cg_float
+from so3tp.exact import cg_float, gaunt_coefficient, generalized_gaunt, generalized_gaunt_exact
 from so3tp.tenprod import simulate_cgtp_path
 
 
@@ -186,8 +183,8 @@ def test_float_coefficients_evaluate_no_exact_symbol(rng):
     # vstp_rules on fresh paths and a cold simulate_cgtp_path reach no exact
     # CG, 9j or generalized Gaunt value, and vstp_rules leaves the products'
     # coefficient cache alone
-    exact = (angular.cg, angular._wigner_9j_cached, rules.generalized_gaunt_exact)
-    for cache in exact + (rules._path_coefficient,):
+    caches = (exact.cg, exact._wigner_9j_cached, exact.generalized_gaunt_exact)
+    for cache in caches + (rules._path_coefficient,):
         cache.cache_clear()
     triples = [js for js in itertools.product(range(5), repeat=3)
                if js != (0, 0, 0) and triangle_delta(*js)]
@@ -200,7 +197,7 @@ def test_float_coefficients_evaluate_no_exact_symbol(rng):
         x, y = (rng.standard_normal(2 * j + 1) + 0j for j in (j1, j2))
         simulate_cgtp_path(x, y, j3)
     assert rules._path_coefficient.cache_info().currsize == len(triples)
-    assert [cache.cache_info().misses for cache in exact] == [0, 0, 0]
+    assert [cache.cache_info().misses for cache in caches] == [0, 0, 0]
 
 
 # ---------------------------------------------------------------- ell assignment

@@ -238,6 +238,7 @@ def test_samples_reject_non_finite(rng, field, value):
     with pytest.raises(SchemaError) as err:
         serialize.samples_from_obj(obj)
     assert err.value.pointer == f"/{field}"
+    assert str(err.value) == f"/{field}: samples must be finite"
 
 
 def test_failed_write_leaves_file_untouched(rng, tmp_path):

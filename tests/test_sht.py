@@ -24,7 +24,7 @@ from so3tp.sht import (
     random_coeffs,
     sh_eval,
 )
-from so3tp.rules import gaunt_coefficient
+from so3tp.exact import gaunt_coefficient
 from so3tp.tenprod import gtp
 from so3tp.tsh import (
     SpinSignal,

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from so3tp import angular, rules, sht, tenprod, tsh
+from so3tp import angular, exact, rules, sht, tenprod, tsh
 from so3tp.flops import FlopCounter
-from so3tp.rules import PathKey, find_valid_ells, gaunt_coefficient, generalized_gaunt
+from so3tp.exact import gaunt_coefficient, generalized_gaunt
+from so3tp.rules import PathKey, find_valid_ells
 from so3tp.sht import IrrepCoeffs, make_grid, random_block, random_coeffs
 from so3tp.tenprod import (
     cgtp_full,
@@ -560,16 +561,16 @@ def test_grid_products_do_no_exact_arithmetic(rng):
     tenprod._pointwise_terms.cache_clear()
     x, y = random_tsh_coeffs(1, 9, rng), random_tsh_coeffs(1, 9, rng)
     g = make_grid(18)
-    misses = angular.cg.cache_info().misses
+    misses = exact.cg.cache_info().misses
     res = vstp(x, y, 18, g)
-    assert angular.cg.cache_info().misses == misses
+    assert exact.cg.cache_info().misses == misses
     assert res.flops > 0
     for s1, s2, s3 in [(1, 1, 1), (1, 1, 2), (2, 1, 3), (2, 2, 0)]:
         shape = (g.n_theta, g.n_phi)
         f = SpinSignal(s1, g, rng.standard_normal(shape + (2 * s1 + 1,)) + 0j)
         h = SpinSignal(s2, g, rng.standard_normal(shape + (2 * s2 + 1,)) + 0j)
         pointwise_spin_tp(f, h, s3)
-    assert angular.cg.cache_info().misses == misses
+    assert exact.cg.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------- simulation
@@ -615,15 +616,15 @@ def test_simulation_does_no_9j_contraction(rng):
     # ((65,65,66) -> l = (65,66,65); (60,70,130) -> (60,71,129)), must not
     # evaluate a single exact 9j symbol
     rules._path_coefficient.cache_clear()
-    nine = angular._wigner_9j_cached.cache_info().misses
-    gaunt = rules.generalized_gaunt_exact.cache_info().misses
+    nine = exact._wigner_9j_cached.cache_info().misses
+    gaunt = exact.generalized_gaunt_exact.cache_info().misses
     for j1, j2, j3 in [(1, 1, 1), (2, 3, 4), (65, 65, 66), (60, 70, 130)]:
         u, v = random_block(j1, rng), random_block(j2, rng)
         ref = cgtp_path(u, v, j3)
         err = np.abs(simulate_cgtp_path(u, v, j3) - ref).max() / np.abs(ref).max()
         assert err <= 1e-10, (j1, j2, j3, err)
-    assert angular._wigner_9j_cached.cache_info().misses == nine
-    assert rules.generalized_gaunt_exact.cache_info().misses == gaunt
+    assert exact._wigner_9j_cached.cache_info().misses == nine
+    assert exact.generalized_gaunt_exact.cache_info().misses == gaunt
 
 
 def test_simulation_sweep_reuses_grid_tables(rng, monkeypatch):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from so3tp import serialize, sht, tsh
-from so3tp.angular import CG_BLOCK_MAX, cg_float, wigner_d_matrix
+from so3tp.angular import CG_BLOCK_MAX, wigner_d_matrix
+from so3tp.exact import cg_float
 from so3tp.flops import FlopCounter
 from so3tp.tenprod import cgtp_full
 from so3tp.sht import IrrepCoeffs, make_grid, random_block, random_coeffs, rotate_coeffs, sh_eval
@@ -148,6 +149,15 @@ def test_spin_and_decode_band_limit_must_be_integers():
     with pytest.raises(ValueError, match="band limit L=2.0 must be an integer"):
         tsh_decode(f, 2.0)
     assert sorted(tsh_decode(f, np.int64(2)).blocks) == valid_pairs(1, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_spin_signal_rejects_non_finite_samples(bad):
+    g = make_grid(2)
+    values = np.zeros((g.n_theta, g.n_phi, 3), complex)
+    values[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="inputs must be finite, got NaN or inf"):
+        SpinSignal(s=1, grid=g, values=values)
 
 
 def test_decoded_blocks_are_views_of_one_packed_array(rng):

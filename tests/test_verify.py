@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from so3tp import angular, rules, verify
+from so3tp import angular, exact, verify
 
 # The tolerance contract: every check's name and tolerance, in run order.
 # 0.0 marks an exact-arithmetic or count check that yields 1.0 per failure.
@@ -182,8 +182,8 @@ def test_fault_injection_in_nine_j(monkeypatch):
 
 def test_interactable_evaluates_no_exact_coefficient():
     # the check needs only the rule flags, not the exact 9j behind each coefficient
-    rules.generalized_gaunt_exact.cache_clear()
-    angular._wigner_9j_cached.cache_clear()
+    exact.generalized_gaunt_exact.cache_clear()
+    exact._wigner_9j_cached.cache_clear()
     results, ok = verify.run_verify("quick", only=["interactable"])
     assert ok and [r.name for r in results] == ["interactable"]
-    assert angular._wigner_9j_cached.cache_info().misses == 0
+    assert exact._wigner_9j_cached.cache_info().misses == 0
