@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .angular import _as_integers
 from .flops import FlopCounter
 from .sht import IrrepCoeffs, make_grid, random_block, transform_macs
 from .tenprod import cgtp_full, cgtp_path, istp, pair_macs
@@ -135,7 +136,8 @@ def projected_flops(method: str, setting: str, L: int) -> int:
 def run_bench(method: str, setting: str, L_list, repeats: int, seed: int) -> list[BenchRecord]:
     """One record per L: deterministic MAC count plus median walltime.
 
-    ``L_list`` must be ascending and >= 1 (fits take log L), ``seed`` >= 0.
+    ``L_list`` must be ascending integers >= 1 (fits take log L), ``repeats``
+    a positive integer and ``seed`` an integer >= 0.
     A cell whose ``projected_flops`` exceeds the flop budget (the
     SO3TP_FLOP_BUDGET environment variable, an integer, else 4e9) raises
     FlopBudgetExceeded before running.
@@ -144,6 +146,7 @@ def run_bench(method: str, setting: str, L_list, repeats: int, seed: int) -> lis
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if setting not in SETTINGS:
         raise ValueError(f"unknown setting {setting!r}; choose from {SETTINGS}")
+    _as_integers([*L_list, repeats, seed], ("L",) * len(L_list) + ("repeats", "seed"))
     if list(L_list) != sorted(L_list):
         raise ValueError("L_list must be ascending")
     if repeats < 1:

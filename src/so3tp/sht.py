@@ -37,8 +37,11 @@ unspecified.  Each transform runs its Legendre stage in runs of
 ``_RUN`` = 16 orders, each run trimmed to the degree slots its orders
 use, and one phi GEMM, all components at once.  Samples are
 phi-major: ``values`` [i, k, c] is a transposed view of a C-contiguous
-[k, i, c] array, which the analysis GEMM reads in place.  Coefficients
-enter and leave these layouts only through ``tsh``, scalars as spin 0.
+[k, i, c] array, which the analysis GEMM reads in place.  This module
+owns both slot maps: ``_padded_index`` places (l, m) in the padded
+layout, and ``_folded_scatter`` carries a padded slot to its folded rows.
+Coefficients enter and leave these layouts only through ``tsh``'s one
+coupling table, built on both maps, scalars as spin 0.
 
 Analysis integrates against conj(Y^m_l); spherical harmonic expansions use
 plain Y^m_l.  Coefficient containers carry one complex block per degree j,
@@ -311,12 +314,44 @@ def transform_macs(Lg: int, L: int) -> int:
     return n_theta * (L + 1) ** 2 + n_theta * n_phi * (2 * L + 1)
 
 
+def _padded_index(L: int, l, m):
+    """Flat index of (l, m) in the padded layout [m + L, l - |m|] of band limit L.
+
+    This is the layout ``_analysis_core`` writes: row m + L holds
+    degrees l = |m|..L, left-aligned.
+    """
+    return (m + L) * (L + 1) + l - abs(m)
+
+
+def _folded_scatter(L: int, slot: np.ndarray, n_comp: int):
+    """Scatter from flat padded slots of band L into the folded layout of ``_synthesis_core``.
+
+    A coefficient c at slot [m + L, l - |m|, comp] of the padded layout
+    adds factor[0] * c to cf[2|m|] = cp[|m|] = c[|m|] + (-1)^m c[-|m|] and
+    factor[1] * c to cf[2|m| - 1] = cs[|m|] = i (c[|m|] - (-1)^m c[-|m|]),
+    both at [l - |m|, comp].  Returns (fslot, factor): the float slots of
+    the real and imaginary parts of those two terms in the folded array's
+    interleaved view, shape (2,) + slot.shape + (2,), and the two complex
+    factors, shape (2,) + slot.shape.  At m = 0 the sine factor is zero
+    and its slots are the cosine ones.
+    """
+    row = (L + 1) * n_comp
+    m, cell = np.divmod(slot, row)
+    m -= L
+    a = np.abs(m)
+    cos = 2 * a * row + cell
+    sin = np.where(m != 0, cos - row, cos)
+    cos_sign = np.where((m < 0) & (a % 2 == 1), -1.0, 1.0)
+    sin_sign = np.where(m > 0, 1.0, np.where(m < 0, -cos_sign, 0.0))
+    return 2 * np.stack([cos, sin])[..., None] + [0, 1], np.stack([cos_sign, 1j * sin_sign])
+
+
 def _synthesis_core(cf: np.ndarray, grid: SphereGrid, L: int,
                     flops: FlopCounter | None) -> np.ndarray:
     """Grid samples [i, k, c] from folded coefficients cf[r, l - m, c]; a view of phi-major samples.
 
     Row r pairs with trig row r of order m = (r + 1) // 2: cf[0] = c[0],
-    cf[2m] = cp[m] and cf[2m - 1] = cs[m] (``tsh._folded_scatter``); slots
+    cf[2m] = cp[m] and cf[2m - 1] = cs[m] (``_folded_scatter``); slots
     past l = L must hold zero.  The Legendre stage makes, per run of
     ``_RUN`` orders m0..m1 - 1, one real batched matmul over the cosine
     rows and one over the sine rows, trimmed to the K = L + 1 - m0 slots

@@ -47,8 +47,7 @@ from .angular import (_as_integers, _cg_tensor, _checked_cache, _require_cg_rang
                       require_natural, require_triangle, triangle_delta)
 from .flops import FlopCounter
 from .rules import _path_coefficient, find_pair_ells, find_valid_ells
-from .sht import (IrrepCoeffs, SphereGrid, _check_band_limit, _require_finite, _trusted,
-                  make_grid, random_block)
+from .sht import IrrepCoeffs, SphereGrid, _check_band_limit, _require_finite, _trusted, make_grid
 from .tsh import (SpinSignal, TshCoeffs, _decode, _decode_layout, _encode, _packed, _unpack,
                   scalar_from_spin0, spin0_from_scalar)
 
@@ -111,7 +110,7 @@ class _CallPlan(NamedTuple):
     size: int  # length of the packed output
     pairs: tuple  # (a, b, lo, hi, swaps, start, end, gather, scatter) per unordered pair
     negate: np.ndarray  # bool mask of the packed entries whose sparse value changes sign
-    blocks: tuple  # columns key, start, stop of the output blocks
+    spans: dict  # (j3, (j1, j2)) -> (start, end) of the output block in the packed output
     macs: dict  # MACs per mode
 
 
@@ -195,9 +194,9 @@ def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
     # int32 indices halve the plan; each take widens them, at ~8% of a call
     scatter = scatter.astype(np.int32)
     pairs = tuple(pair + (scatter[pair[5]:pair[6]],) for pair in pairs)
-    keys = tuple(zip(j3.tolist(), [tags[p] for p in order.tolist()]))
-    blocks = (keys, (center - j3).tolist(), (center + j3 + 1).tolist())
-    return _CallPlan(size, pairs, negate, blocks, macs)
+    keys = zip(j3.tolist(), [tags[p] for p in order.tolist()])
+    spans = dict(zip(keys, zip((center - j3).tolist(), (center + j3 + 1).tolist())))
+    return _CallPlan(size, pairs, negate, spans, macs)
 
 
 @lru_cache(maxsize=8)
@@ -323,7 +322,7 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
     _check_band_limit(L3)
     plan = _call_plan(tuple(xs), tuple(ys), L3)
     packed = kernel(plan, xs, ys)
-    blocks = {key: packed[i:j] for key, i, j in zip(*plan.blocks)}
+    blocks = {key: packed[i:j] for key, (i, j) in plan.spans.items()}
     return TpoResult(output=_trusted(IrrepCoeffs, L=L3, blocks=blocks), flops=plan.macs[mode])
 
 
@@ -388,8 +387,8 @@ def _grid_product(x: tuple, y: tuple, s3: int, L3: int, grid: SphereGrid,
     """Encode, couple pointwise and decode at L3, all on packed vectors.
 
     ``x`` and ``y`` are (spin, keys, band limit, packed blocks), the
-    ``_packed`` form; returns the packed decode, laid out as
-    ``tsh._decode_layout(s3, L3)``.  No check: callers make them.
+    ``_packed`` form; returns the packed decode, block (j, l) at its span
+    in ``tsh._decode_layout(s3, L3)``.  No check: callers make them.
     """
     fx = _encode(*x, grid, flops)
     fy = _encode(*y, grid, flops)
@@ -455,8 +454,9 @@ def simulate_cgtp_path(x: np.ndarray, y: np.ndarray, j3: int,
     any grid or table is built.  The (0, 0, 0) path is plain scalar
     multiplication and uses no signal product.  Any other path runs the
     pair product on the orbital labels of find_valid_ells, decoded at l3,
-    reads the (j3, l3) span of the packed decode, and divides it by the
-    closed-form float path coefficient ``rules._path_coefficient``.
+    reads the packed decode at the span that ``tsh._decode_layout(1, l3)``
+    maps (j3, l3) to, and divides it by the closed-form float path
+    coefficient ``rules._path_coefficient``.
     """
     x, y, j1, j2 = _path_inputs(x, y, j3)
     if (j1, j2, j3) == (0, 0, 0):
@@ -468,25 +468,23 @@ def simulate_cgtp_path(x: np.ndarray, y: np.ndarray, j3: int,
     if abs(coef) < 1e-13:
         raise NumericalDegeneracy(f"coefficient for path {(j1, l1, j2, l2, j3, l3)} is {coef}")
     packed = _pair_product(x, y, l1, l2, l3, flops)
-    keys, _table, spans = _decode_layout(1, l3)
-    start, end = spans[keys.index((j3, l3))]
+    start, end = _decode_layout(1, l3)[1][(j3, l3)]
     return packed[start:end] / coef
 
 
-def simulate_cgtp_all_paths(L: int, seed: int) -> int:
+def simulate_cgtp_all_paths(L: int) -> int:
     """MACs spent simulating every coupling path of 0..L inputs via vector signals.
 
     One pair product per degree pair (j1, j2) != (0, 0), on the orbital
     pair of ``find_pair_ells`` and decoded at l1 + l2, carries every j3
-    of the pair.  ``L`` and ``seed`` must be non-negative integers.
+    of the pair.  The count does not depend on the data, so each product
+    runs on all-ones blocks.  ``L`` must be a non-negative integer.
     """
     require_natural(L, "L")
-    require_natural(seed, "seed")
-    rng = np.random.default_rng([seed, L])
     fl = FlopCounter()
     for j1 in range(L + 1):
         for j2 in range(0 if j1 else 1, L + 1):
             l1, l2 = find_pair_ells(j1, j2)
-            x, y = random_block(j1, rng), random_block(j2, rng)
+            x, y = np.ones(2 * j1 + 1, complex), np.ones(2 * j2 + 1, complex)
             _pair_product(x, y, l1, l2, l1 + l2, fl)
     return fl.count + 1  # plus the (0,0,0) scalar path

@@ -12,20 +12,21 @@ defined for key triples with {j, l, s} = 1, every C the float
 degree-j block is a complex vector indexed mj = -j..j, checked by the
 block base of ``sht`` with the triangle and band limit as the key check.
 
-Encode/decode factor through the scalar transform cores: one sparse
-coupling table per block set (one entry per (block, ml, ms) with mj =
-ml + ms in range).  Encoding scatters the (j, l) blocks through it,
-folded over +-ml, straight into the folded spin layout of ``sht``; then a
-single synthesis or analysis handles all 2s+1 components.  Decoding
-gathers from the analysis's padded layout through the same table, laid
-out densely with K = 2s + 1 terms per packed coefficient (one take, one
-multiply, one add reduce) and reading no slot past l = L, inverting the
-coupling by Clebsch-Gordan orthogonality, so decode(encode(x)) = x
-whenever the grid resolves the band limit.  Spin 0 is the identity
-coupling (all weights 1.0, 0 MACs), and the scalar transforms
-``to_sphere`` and ``from_sphere`` are spin-0 encode and decode.  A
-``SpinSignal`` checks its spin, shape and finiteness; the encode core
-builds its ``SpinSignal`` unchecked (``sht._trusted``).
+Encode/decode factor through the scalar transform cores and one dense
+coupling table per block set: row ms + s of its K = 2s + 1 rows holds
+each packed coefficient's weight and padded slot for that component,
+weight 0 where ml = mj - ms is out of range.  Encoding scatters the
+packed blocks through it, folded over +-ml, straight into the folded
+spin layout of ``sht``; then a single synthesis or analysis handles all
+2s+1 components.  Decoding gathers from the analysis's padded layout
+through the same table (one take, one multiply, one add reduce), reading
+no slot past l = L and inverting the coupling by Clebsch-Gordan
+orthogonality, so decode(encode(x)) = x whenever the grid resolves the
+band limit.  Spin 0 is the identity coupling (all weights 1.0, 0 MACs),
+and the scalar transforms ``to_sphere`` and ``from_sphere`` are spin-0
+encode and decode.  A ``SpinSignal`` checks its spin, shape and
+finiteness; the encode core builds its ``SpinSignal`` unchecked
+(``sht._trusted``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ import numpy as np
 from .angular import _as_integers, cg_block, require_natural, triangle_delta
 from .flops import FlopCounter
 from .sht import (IrrepCoeffs, SphereGrid, _analysis_core, _Blocks, _check_band_limit,
-                  _require_finite, _synthesis_core, _trusted, make_grid, random_block, sh_eval)
+                  _folded_scatter, _padded_index, _require_finite, _synthesis_core, _trusted,
+                  make_grid, random_block, sh_eval)
 
 __all__ = [
     "SpinSignal",
@@ -173,108 +175,66 @@ def tsh_eval(j: int, m_j: int, l: int, s: int, theta, phi) -> np.ndarray:
     return out
 
 
-def _padded_index(L: int, l, m):
-    """Flat index of (l, m) in the padded layout [m + L, l - |m|] of band limit L.
-
-    This is the layout ``sht._analysis_core`` writes: row m + L holds
-    degrees l = |m|..L, left-aligned.
-    """
-    return (m + L) * (L + 1) + l - abs(m)
-
-
-def _folded_scatter(L: int, slot: np.ndarray, n_comp: int):
-    """Scatter from flat padded slots of band L into the folded layout of ``sht._synthesis_core``.
-
-    A coefficient c at slot [m + L, l - |m|, comp] of the padded layout
-    adds factor[0] * c to cf[2|m|] = cp[|m|] = c[|m|] + (-1)^m c[-|m|] and
-    factor[1] * c to cf[2|m| - 1] = cs[|m|] = i (c[|m|] - (-1)^m c[-|m|]),
-    both at [l - |m|, comp].  Returns (fslot, factor): per coefficient,
-    the float slots of the real and imaginary parts of those two complex
-    terms in the folded array's interleaved view, shape (n, 4), and the
-    two complex factors, shape (n, 2).  At m = 0 the sine factor is zero
-    and its slots are the cosine ones.
-    """
-    row = (L + 1) * n_comp
-    m, cell = np.divmod(slot, row)
-    m -= L
-    a = np.abs(m)
-    cos = 2 * (2 * a * row + cell)
-    sin = np.where(m != 0, cos - 2 * row, cos)
-    cos_sign = np.where((m < 0) & (a % 2 == 1), -1.0, 1.0)
-    sin_sign = np.where(m > 0, 1.0, np.where(m < 0, -cos_sign, 0.0))
-    return (np.stack([cos, cos + 1, sin, sin + 1], axis=1),
-            np.stack([cos_sign, 1j * sin_sign], axis=1))
-
-
 def _coupling_table(s: int, keys: tuple, L: int):
-    """Sparse Clebsch-Gordan coupling between packed (j, l) blocks and the padded layout.
+    """Dense Clebsch-Gordan coupling between packed (j, l) blocks and the padded layout.
 
-    ``keys`` lists the blocks in packing order (their vectors concatenated);
-    ``L`` is the band limit of the padded spin layout cpad[m + L, l - |m|,
-    ms + s].  Returns (src, slot, weight): entry k couples packed
-    coefficient src[k] with flat padded slot slot[k] by
-    C^{j, ml+ms}_{l, ml, s, ms}.  There is one entry per (block, ml, ms)
-    with |ml + ms| <= j, so the table length is the coupling MAC count, except at
-    spin 0: its identity table (src = arange, weights 1.0, no CG block) counts 0.
+    ``keys`` lists the blocks in packing order (their vectors concatenated,
+    n coefficients in all); ``L`` is the band limit of the padded spin
+    layout cpad[m + L, l - |m|, ms + s].  Returns (macs, slot, weight),
+    slot and weight K x n with K = 2s + 1: row k = ms + s couples packed
+    coefficient (j, l, mj) with flat padded slot slot[k, i] of ml = mj - ms
+    by C^{j,mj}_{l,ml,s,ms}.  An entry with |ml| > l is padding, weight 0
+    at the slot of ml clipped to +-l, which the analysis writes.  macs
+    counts the other entries, except at spin 0: its identity table
+    (weights 1.0, no CG block) counts 0.
     """
     ms = np.arange(-s, s + 1)[:, None]
-    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
-    offset = 0
+    macs, slots, weights = 0, [np.zeros((2 * s + 1, 0), np.intp)], [np.zeros((2 * s + 1, 0))]
     for j, l in keys:
-        ml = np.arange(-l, l + 1)[None, :]
-        keep = np.abs(ml + ms) <= j
-        m_s, m_l = (a[keep] for a in np.broadcast_arrays(ms, ml))
-        parts.append((offset + j + m_l + m_s,
-                      _padded_index(L, l, m_l) * (2 * s + 1) + m_s + s,
-                      cg_block(l, s, j)[m_l + l, m_s + s] if s else np.ones(m_l.size)))
-        offset += 2 * j + 1
-    return tuple(np.concatenate(column) for column in zip(*parts))
+        ml = np.arange(-j, j + 1) - ms
+        clipped = np.clip(ml, -l, l)
+        slots.append(_padded_index(L, l, clipped) * (2 * s + 1) + ms + s)
+        if s:
+            inside = clipped == ml
+            macs += int(inside.sum())
+            weights.append(np.where(inside, cg_block(l, s, j)[clipped + l, ms + s], 0.0))
+        else:
+            weights.append(np.ones(ml.shape))
+    return macs, np.concatenate(slots, axis=1), np.concatenate(weights, axis=1)
 
 
 @lru_cache(maxsize=128)
 def _encode_table(s: int, keys: tuple, L: int):
-    """The coupling table of ``keys`` folded into the folded spin layout.
+    """The coupling table of ``keys`` folded into the folded spin layout (``sht._folded_scatter``).
 
-    Returns (macs, src, weight, slot): term k adds weight[k] times packed
-    coefficient src[k] into the complex slot of the folded layout
-    cf[r, l - m, ms + s] whose interleaved float slots are slot[2k],
-    slot[2k + 1] (``_folded_scatter``).  Each coupling entry gives a
-    cosine and a sine term; macs is the coupling table length, 0 at spin 0.
+    Returns (macs, weight, slot): packed coefficient i adds weight[t, k, i]
+    times itself into the cosine (t = 0) and sine (t = 1) term of its row-k
+    entry, whose float slots in the folded array's interleaved view are
+    slot[t, k, i], with slot flattened.  The packed axis is last, so the
+    encode's multiply runs along it.
     """
-    src, slot, weight = _coupling_table(s, keys, L)
+    macs, slot, weight = _coupling_table(s, keys, L)
     fslot, factor = _folded_scatter(L, slot, 2 * s + 1)
-    factor *= weight[:, None]
-    return src.size if s else 0, np.repeat(src, 2), factor.ravel(), fslot.ravel()
+    factor *= weight
+    return macs, factor, fslot.ravel()
 
 
 @lru_cache(maxsize=128)
 def _decode_layout(s: int, L: int):
-    """Every (j, l) key up to L in valid_pairs order, its dense gather table, and block spans.
+    """The coupling table of every (j, l) key up to L, in valid_pairs order, and its block spans.
 
-    The gather table is (macs, slot, weight), macs the coupling table
-    length, slot and weight K x n with K = 2s + 1 and n the packed
-    length: packed coefficient i sums weight[k, i] * xpad.flat[slot[k, i]]
-    over k.  Row k holds the coupling entry of spin component ms = k - s,
-    so each coefficient's entries stand in table order
-    (``_coupling_table``: ms ascending), and a missing entry, before the
-    first or after the last, is padding of weight 0 at a slot the analysis
-    computed.  ``weight`` holds each weight twice, once per float of the
-    complex entry, and is None at spin 0, where the gather alone decodes.
-    Block (j, l) is packed[start:end] for its (start, end) span; the last
-    end is n.
+    Returns ((macs, slot, weight), spans): packed coefficient i sums
+    weight[k, i] * xpad.flat[slot[k, i]] over the K = 2s + 1 rows of
+    ``_coupling_table``, ms ascending.  ``weight`` holds each weight twice,
+    once per float of the complex entry, and is None at spin 0, where the
+    gather alone decodes.  Block (j, l) is packed[start:end] for
+    spans[(j, l)] = (start, end).
     """
-    keys = tuple(valid_pairs(s, L))
+    keys = valid_pairs(s, L)
     ends = list(accumulate(2 * j + 1 for j, _l in keys))
-    src, slot, weight = _coupling_table(s, keys, L)
-    row = slot % (2 * s + 1)  # ms + s, the last index of the padded layout
-    dense_slot = np.full((2 * s + 1, ends[-1]), slot[0])
-    dense_slot[row, src] = slot
-    dense_weight = None
-    if s:
-        dense_weight = np.zeros((2 * s + 1, ends[-1], 2))
-        dense_weight[row, src] = weight[:, None]
-        dense_weight = dense_weight.reshape(2 * s + 1, -1)
-    return keys, (src.size, dense_slot, dense_weight), tuple(zip([0] + ends[:-1], ends))
+    macs, slot, weight = _coupling_table(s, keys, L)
+    return ((macs, slot, np.repeat(weight, 2, axis=1) if s else None),
+            dict(zip(keys, zip([0] + ends[:-1], ends))))
 
 
 def _packed(x: TshCoeffs) -> tuple[tuple, int, np.ndarray]:
@@ -287,10 +247,9 @@ def _packed(x: TshCoeffs) -> tuple[tuple, int, np.ndarray]:
 def _encode(s: int, keys: tuple, L: int, packed: np.ndarray, grid: SphereGrid,
             flops: FlopCounter | None) -> SpinSignal:
     """``tsh_encode`` of packed blocks (``_packed``) at band L, on a grid already checked."""
-    macs, src, weight, slot = _encode_table(s, keys, L)
-    terms = packed[src]
-    terms *= weight
-    cf = np.bincount(slot, terms.view(float), 2 * (2 * L + 1) * (L + 1) * (2 * s + 1))
+    macs, weight, slot = _encode_table(s, keys, L)
+    terms = packed * weight
+    cf = np.bincount(slot, terms.view(float).ravel(), 2 * (2 * L + 1) * (L + 1) * (2 * s + 1))
     if flops is not None:
         flops.add(macs)
     return _trusted(SpinSignal, s=s, grid=grid, values=_synthesis_core(
@@ -317,7 +276,7 @@ def _decode(f: SpinSignal, L: int, flops: FlopCounter | None) -> np.ndarray:
     plus row 1, then plus row 2 and so on.
     """
     xpad = _analysis_core(f.values, f.grid, L, flops).reshape(-1)
-    _keys, (macs, slot, weight), _spans = _decode_layout(f.s, L)
+    (macs, slot, weight), _spans = _decode_layout(f.s, L)
     if not f.s:
         return xpad.take(slot[0])
     terms = xpad.take(slot)
@@ -330,9 +289,8 @@ def _decode(f: SpinSignal, L: int, flops: FlopCounter | None) -> np.ndarray:
 
 def _unpack(s: int, L: int, packed: np.ndarray) -> TshCoeffs:
     """``TshCoeffs`` whose blocks are views of ``packed``, laid out as ``_decode_layout(s, L)``."""
-    keys, _table, spans = _decode_layout(s, L)
-    return _trusted(TshCoeffs, s=s, L=L,
-                    blocks={key: packed[start:end] for key, (start, end) in zip(keys, spans)})
+    return _trusted(TshCoeffs, s=s, L=L, blocks={
+        key: packed[start:end] for key, (start, end) in _decode_layout(s, L)[1].items()})
 
 
 def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCoeffs:

@@ -541,7 +541,7 @@ def check_scaling_slopes(p, rng):
 
 def check_simulation_scaling(p, rng):
     Ls = p["L_list"]
-    counts = [tenprod.simulate_cgtp_all_paths(L, seed=13) for L in Ls]
+    counts = [tenprod.simulate_cgtp_all_paths(L) for L in Ls]
     slope = bench._log_log_fit(Ls, counts)[0]
     case = f"slope={slope:.3f} over L={list(Ls)}"
     yield max(0.0, abs(slope - 5.0) - 0.5), case

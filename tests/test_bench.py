@@ -91,14 +91,14 @@ def test_simulation_runs_one_product_per_degree_pair(monkeypatch):
 
     monkeypatch.setattr(tenprod, "_pair_product", counting_pair_product)
     monkeypatch.setattr(tenprod, "make_grid", recording_make_grid)
-    simulate_cgtp_all_paths(4, seed=13)
+    simulate_cgtp_all_paths(4)
     assert sorted(calls) == [p for p in itertools.product(range(5), repeat=2) if p != (0, 0)]
 
 
 def test_simulation_flops_pinned():
     # one spin-1 product per degree pair, plus one MAC for the scalar path
-    assert simulate_cgtp_all_paths(8, seed=13) == 2_022_593
-    assert simulate_cgtp_all_paths(16, seed=13) == 54_006_145
+    assert simulate_cgtp_all_paths(8) == 2_022_593
+    assert simulate_cgtp_all_paths(16) == 54_006_145
 
 
 def test_pair_product_recovers_every_path():
@@ -138,26 +138,28 @@ def test_run_bench_argument_errors():
         run_bench("nope", "MIMO", [2], repeats=1, seed=0)
     with pytest.raises(ValueError):
         run_bench("cgtp_naive", "MIMO", [2], repeats=0, seed=0)
+    with pytest.raises(ValueError, match="repeats=1.5 must be an integer"):
+        run_bench("cgtp_naive", "MIMO", [2], repeats=1.5, seed=0)
 
 
 @pytest.mark.parametrize("L_list,seed,named", [([0, 1, 2], 0, "L=0"), ([-1, 2], 0, "L=-1"),
-                                               ([1, 2], -3, "seed=-3")])
+                                               ([1, 2], -3, "seed=-3"),
+                                               ([2.5], 0, "L=2.5 must be an integer"),
+                                               ([1, 2.0], 0, "L=2.0 must be an integer"),
+                                               ([1, 2], 1.5, "seed=1.5 must be an integer")])
 def test_run_bench_names_a_band_limit_below_one_or_a_negative_seed(L_list, seed, named):
-    # log L in the slope fit and the chart needs L >= 1; numpy's seeding needs seed >= 0
+    # log L in the slope fit and the chart needs L >= 1; numpy's seeding needs seed >= 0;
+    # a float among them is named before any range check
     with pytest.raises(ValueError, match=named):
         run_bench("cgtp_sparse", "MIMO", L_list, repeats=1, seed=seed)
 
 
-@pytest.mark.parametrize("L, seed, named", [(2, -1, "seed=-1"), (-1, 0, "L=-1")])
-def test_simulate_cgtp_all_paths_names_a_negative_band_limit_or_seed(L, seed, named):
-    with pytest.raises(ValueError, match=named):
-        simulate_cgtp_all_paths(L, seed)
-
-
-@pytest.mark.parametrize("L, seed, named", [(2.5, 1, "L=2.5"), (2, 1.5, "seed=1.5")])
-def test_simulate_cgtp_all_paths_names_a_non_integer_band_limit_or_seed(L, seed, named):
-    with pytest.raises(ValueError, match=f"{named} must be an integer"):
-        simulate_cgtp_all_paths(L, seed)
+@pytest.mark.parametrize("L, message", [(-1, "L=-1 must be non-negative"),
+                                        (2.5, "L=2.5 must be an integer")],
+                         ids=["negative", "non_integer"])
+def test_simulate_cgtp_all_paths_names_a_bad_band_limit(L, message):
+    with pytest.raises(ValueError, match=message):
+        simulate_cgtp_all_paths(L)
 
 
 def test_flop_budget_guard(monkeypatch):

@@ -57,6 +57,21 @@ def test_cg_equals_sympy_clebsch_gordan():
     assert nonzero > 140
 
 
+def test_cg_block_top_edge_equals_sympy_clebsch_gordan():
+    # the float cg_block, every spin >= 1 weight of tsh's coupling table, at
+    # j1 + j2 = CG_BLOCK_MAX, within the 1e-13 of verify's cg_block_vs_exact
+    rng = random.Random(130)
+    for j1, j2 in ((65, 65), (2, 128), (128, 2), (40, 90)):
+        assert j1 + j2 == angular.CG_BLOCK_MAX
+        for _ in range(6):
+            j3 = rng.randint(abs(j1 - j2), j1 + j2)
+            m1 = rng.randint(-j1, j1)
+            m2 = rng.randint(max(-j2, -j3 - m1), min(j2, j3 - m1))
+            want = float(wigner.clebsch_gordan(j1, j2, j3, m1, m2, m1 + m2))
+            got = angular.cg_block(j1, j2, j3)[m1 + j1, m2 + j2]
+            assert abs(got - want) <= 1e-13, (j1, m1, j2, m2, j3)
+
+
 def test_racah_6j_sum_equals_sympy_wigner_6j():
     # {j1 j2 j3; j4 j5 j6} = sum * sqrt(delta2 of its four triads)
     rng = random.Random(6)

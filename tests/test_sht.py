@@ -17,7 +17,9 @@ from so3tp.flops import FlopCounter
 from so3tp.sht import (
     IrrepCoeffs,
     _analysis_core,
+    _folded_scatter,
     _legendre_orders,
+    _padded_index,
     _synthesis_core,
     make_grid,
     random_block,
@@ -28,8 +30,6 @@ from so3tp.exact import gaunt_coefficient
 from so3tp.tenprod import gtp
 from so3tp.tsh import (
     SpinSignal,
-    _folded_scatter,
-    _padded_index,
     from_sphere,
     random_tsh_coeffs,
     spin0_from_scalar,
@@ -462,7 +462,7 @@ def test_folded_scatter_is_the_fold(rng):
                 cpad[m + L, L - abs(m) + 1:] = 0.0
             slot = np.flatnonzero(cpad)
             fslot, factor = _folded_scatter(L, slot, n_comp)
-            terms = cpad.reshape(-1)[slot][:, None] * factor
+            terms = cpad.reshape(-1)[slot] * factor
             cf = np.bincount(fslot.ravel(), terms.view(float).ravel(), 2 * cpad.size)
             assert np.array_equal(cf.view(complex).reshape(shape), _fold(cpad, L))
 
@@ -487,7 +487,7 @@ def _scatter_to_sphere(x, grid):
         packed[l * l:(l + 1) ** 2] = vec
     l = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
     slot, factor = _folded_scatter(L, _padded_index(L, l, np.arange(l.size) - l * (l + 1)), 1)
-    cf = np.bincount(slot.ravel(), (packed[:, None] * factor).view(float).ravel(),
+    cf = np.bincount(slot.ravel(), (packed * factor).view(float).ravel(),
                      2 * (2 * L + 1) * (L + 1))
     return _synthesis_core(cf.view(complex).reshape(2 * L + 1, L + 1, 1), grid, L, None)[:, :, 0]
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from so3tp import serialize, sht, tsh
-from so3tp.angular import CG_BLOCK_MAX, wigner_d_matrix
+from so3tp.angular import CG_BLOCK_MAX, cg_block, wigner_d_matrix
 from so3tp.exact import cg_float
 from so3tp.flops import FlopCounter
 from so3tp.tenprod import cgtp_full
@@ -300,12 +300,25 @@ def test_coupling_table_is_cached_only_by_its_callers():
 
 
 def _bincount_decode(xpad, s, L):
-    """Packed decode of a padded analysis by the sparse coupling table and np.bincount (oracle)."""
-    keys = tuple(valid_pairs(s, L))
-    src, slot, weight = tsh._coupling_table(s, keys, L)
-    terms = xpad.reshape(-1)[slot] * weight
-    src2 = (2 * src[:, None] + np.arange(2)).reshape(-1)
-    return np.bincount(src2, terms.view(float), 2 * sum(2 * j + 1 for j, _l in keys)).view(complex)
+    """Packed decode of a padded analysis by a loop over ``cg_block`` entries and np.bincount (oracle).
+
+    Each packed coefficient sums its terms with |ml| <= l, ms ascending.
+    """
+    src, slot, weight = [], [], []
+    n = 0
+    for j, l in valid_pairs(s, L):
+        C = cg_block(l, s, j)
+        for m_j in range(-j, j + 1):
+            for m_s in range(-s, s + 1):
+                m_l = m_j - m_s
+                if abs(m_l) <= l:
+                    src.append(n)
+                    slot.append(sht._padded_index(L, l, m_l) * (2 * s + 1) + m_s + s)
+                    weight.append(C[m_l + l, m_s + s])
+            n += 1
+    terms = xpad.reshape(-1)[slot] * np.array(weight)
+    src2 = (2 * np.array(src)[:, None] + np.arange(2)).reshape(-1)
+    return np.bincount(src2, terms.view(float), 2 * n).view(complex)
 
 
 @pytest.mark.parametrize("s", [0, 1, 2])
@@ -317,6 +330,23 @@ def test_dense_decode_gather_matches_bincount_bitwise(s, rng):
         f = SpinSignal(s=s, grid=g, values=values)
         expect = _bincount_decode(sht._analysis_core(f.values, g, L, None), s, L)
         assert tsh._decode(f, L, None).tobytes() == expect.tobytes(), (s, L)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_coupling_table_columns_do_not_depend_on_the_packed_blocks(s):
+    # any key subset, packed alone, gets the full band's columns at its spans
+    L = 9
+    full = valid_pairs(s, L)
+    _macs, slot, weight = tsh._coupling_table(s, tuple(full), L)
+    spans = tsh._decode_layout(s, L)[1]
+    rng = np.random.default_rng(37 + s)
+    for size in (1, 2, 5, len(full) // 2, len(full) - 1):
+        subset = tuple(full[i] for i in sorted(rng.choice(len(full), size, replace=False)))
+        macs, sub_slot, sub_weight = tsh._coupling_table(s, subset, L)
+        columns = np.concatenate([np.arange(*spans[key]) for key in subset])
+        assert sub_slot.tobytes() == slot[:, columns].tobytes(), subset
+        assert sub_weight.tobytes() == weight[:, columns].tobytes(), subset
+        assert macs == _coupling_pairs(s, subset), subset
 
 
 @pytest.mark.parametrize("s", [0, 1, 2])
