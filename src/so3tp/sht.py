@@ -23,7 +23,8 @@ and frees them with itself: ``legendre``, per run of ``_RUN`` orders
 m0..m0 + 15 one C-contiguous block [m - m0, i, l - m] of the Lg + 1 - m0
 degree slots its orders use, read by synthesis and, transposed, by
 analysis; ``analysis_weights``, the quadrature weight of each theta row,
-which analysis applies to its phi-stage output; and ``trig``, the rows
+which analysis applies to its phi-stage output as one contiguous row per
+component count (``_analysis_row``); and ``trig``, the rows
 [cos 0 phi, sin 1 phi, cos 1 phi, ..., sin Lg phi, cos Lg phi].  Band L
 reads the first L + 1 orders and the first 2L + 1 trig rows, as views.
 
@@ -154,6 +155,23 @@ class SphereGrid:
     def analysis_weights(self) -> np.ndarray:
         """Column w[i, 0] = theta_weights[i] 2 pi / n_phi, the analysis weight of theta row i."""
         return (self.theta_weights * (2.0 * np.pi / self.n_phi))[:, None]
+
+    @cached_property
+    def _analysis_rows(self) -> dict:
+        """n_comp -> the analysis weights as one contiguous row; see ``_analysis_row``."""
+        return {}
+
+    def _analysis_row(self, n_comp: int) -> np.ndarray:
+        """The analysis weights as one phi-stage output row of ``n_comp`` components.
+
+        Each w_i repeats over the 2 n_comp floats of theta row i, so the
+        multiply runs over one contiguous row.  Built once per component
+        count that an analysis on this grid reads, and freed with the grid.
+        """
+        row = self._analysis_rows.get(n_comp)
+        if row is None:
+            row = self._analysis_rows[n_comp] = np.repeat(self.analysis_weights, 2 * n_comp)
+        return row
 
     @cached_property
     def trig(self) -> np.ndarray:
@@ -398,12 +416,12 @@ def _analysis_core(values: np.ndarray, grid: SphereGrid, L: int,
     The phi stage runs the synthesis GEMM in reverse on the phi-major
     samples (no copy when ``values`` is a view of C-contiguous phi-major
     samples, as ``_synthesis_core`` returns), and one in-place multiply
-    weighs its theta rows by ``analysis_weights``.  Per run of ``_RUN``
-    orders m0..m1 - 1, the run's m >= 0 table block, transposed and
-    trimmed to K = L + 1 - m0 slots, contracts its cosine rows into P_cos
-    and its sine rows into P_sin, and the unfold x[m] = P_cos - i P_sin,
-    x[-m] = (-1)^m (P_cos + i P_sin) writes the run's rows of the padded
-    layout.  Slots past l = L are unspecified: a run leaves the unused
+    by the grid's contiguous ``_analysis_row`` weighs its theta rows.
+    Per run of ``_RUN`` orders m0..m1 - 1, the run's m >= 0 table block,
+    transposed and trimmed to K = L + 1 - m0 slots, contracts its cosine
+    rows into P_cos and its sine rows into P_sin, and the unfold x[m] =
+    P_cos - i P_sin, x[-m] = (-1)^m (P_cos + i P_sin) writes the run's
+    rows of the padded layout.  Slots past l = L are unspecified: a run leaves the unused
     tail of its rows as allocated, so they may hold anything, NaN included.
     """
     _check_band_limit(L)
@@ -412,8 +430,8 @@ def _analysis_core(values: np.ndarray, grid: SphereGrid, L: int,
     n_comp = values.shape[-1]
     samples = np.ascontiguousarray(values.transpose(1, 0, 2), dtype=complex)
     F = grid.trig[:2 * L + 1] @ samples.reshape(grid.n_phi, -1).view(float)
+    F *= grid._analysis_row(n_comp)
     F = F.reshape(2 * L + 1, grid.n_theta, 2 * n_comp)
-    F *= grid.analysis_weights
     runs = grid.legendre
     lam = runs[0][:L + 1, :, :L + 1].transpose(0, 2, 1)
     xpad = np.empty((2 * L + 1, L + 1, n_comp), dtype=complex)

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from operator import itemgetter
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -108,9 +109,10 @@ class _CallPlan(NamedTuple):
     """Packed layout and sparse indices of one cgtp call shape; see ``_build_plan``."""
 
     size: int  # length of the packed output
-    pairs: tuple  # (a, b, lo, hi, swaps, start, end, gather, scatter) per unordered pair
+    pairs: tuple  # (a, b, lo, hi, inputs, start, end, gather, scatter) per unordered pair
     negate: np.ndarray  # bool mask of the packed entries whose sparse value changes sign
     spans: dict  # (j3, (j1, j2)) -> (start, end) of the output block in the packed output
+    views: itemgetter  # packed output -> its block views, in ``spans`` order
     macs: dict  # MACs per mode
 
 
@@ -118,26 +120,34 @@ def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
     """Plan of coupling x blocks of degrees ``xdeg`` with y blocks of ``ydeg`` into j3 = lo3..L3.
 
     Each unordered pair a <= b with a path in range holds one or two
-    orders: (x_a, y_b) for the (a, b) path and, where ``swaps[o]``,
+    orders: (x_a, y_b) for the (a, b) path and, if the inputs hold it,
     (y_a, x_b) for the (b, a) path, each as u_o of degree a and v_o of
-    degree b, over j3 = lo..hi.  The packed output runs over the pairs,
-    then the orders, then j3, then m3.
+    degree b, over j3 = lo..hi; ``inputs[o]`` slices the order's x and y
+    blocks from the packed inputs.  The packed output runs over the
+    pairs, then the orders, then j3, then m3.
 
-    The sparse kernel reads every product from P = [x, 0] (x) [y, 0], the
-    outer product of the packed inputs, each with a trailing zero, as one
-    flat array.  ``gather[M, i, 2o + c]`` indexes P with m1 = i - a: c = 0
-    picks u_{m1} v_{M-m1}, c = 1 the mirrored u_{-m1} v_{m1-M}, and
-    |M - m1| > b the zero in P's last slot.  ``scatter`` reads each slot of
+    Both kernels read the packed inputs [x, 0] and [y, 0]: the blocks in
+    degree order, each with a trailing zero.  The sparse kernel reads
+    every product from their outer product P, as one flat array.
+    ``gather[M, i, 2o + c]`` indexes P with m1 = i - a: c = 0 picks
+    u_{m1} v_{M-m1}, c = 1 the mirrored u_{-m1} v_{m1-M}, and |M - m1| > b
+    the zero in P's last slot.  ``scatter`` reads each slot of
     the pair's output from w[|m3|, j3 - lo, 2o + (m3 < 0)]; ``negate``
     marks the slots of odd a + b - j3 that the mirror identity (m3 < 0 of
     an (a, b) order) or the swap identity (m3 >= 0 of a (b, a) order)
     negates.  The gathers take a few array operations per pair, and the
-    per-slot indices one set of them for the whole call.  A pair past the
-    float CG range (a + b > CG_BLOCK_MAX) raises here, once per plan, so
-    the sparse kernel reads each pair's cached tensor unchecked.
+    per-slot indices one set of them for the whole call.  Both index
+    arrays are ``np.intp``, the width ``take`` indexes with, so no call
+    converts them, at twice the bytes of int32 ones (1.78 against 0.89 MB
+    for a MIMO plan at L = 16).  ``views`` slices every span
+    of the packed output in one call.  A pair past the float CG range
+    (a + b > CG_BLOCK_MAX) raises here, once per plan, so the sparse
+    kernel reads each pair's cached tensor unchecked.
     """
     xoff = dict(zip(xdeg, accumulate((2 * j + 1 for j in xdeg), initial=0)))
     yoff = dict(zip(ydeg, accumulate((2 * j + 1 for j in ydeg), initial=0)))
+    xblock = {j: slice(i, i + 2 * j + 1) for j, i in xoff.items()}
+    yblock = {j: slice(i, i + 2 * j + 1) for j, i in yoff.items()}
     NY = sum(2 * j + 1 for j in ydeg) + 1
     zero = (sum(2 * j + 1 for j in xdeg) + 1) * NY - 1
     degrees = sorted(set(xdeg) | set(ydeg))
@@ -147,10 +157,13 @@ def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
     for n, b in enumerate(degrees):
         for a in degrees[:n + 1]:
             bases = []  # (swap, P index of (u_{-a}, v_{-b}), stride of m1, stride of m2)
+            inputs = []  # (x slice, y slice) per order
             if a in xoff and b in yoff:
                 bases.append((False, xoff[a] * NY + yoff[b], NY, 1))
+                inputs.append((xblock[a], yblock[b]))
             if a != b and b in xoff and a in yoff:
                 bases.append((True, xoff[b] * NY + yoff[a], 1, NY))
+                inputs.append((xblock[b], yblock[a]))
             lo, hi = max(b - a, lo3), min(a + b, L3)
             if not bases or lo > hi:
                 continue
@@ -158,7 +171,7 @@ def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
             n_ord, I, nk = len(bases), 2 * a + 1, hi - lo + 1
             M = np.arange(hi + 1)[:, None]
             i = np.arange(I)
-            gather = np.empty((hi + 1, I, n_ord, 2), dtype=np.int32)
+            gather = np.empty((hi + 1, I, n_ord, 2), dtype=np.intp)
             for o, (swap, base, si, sj) in enumerate(bases):
                 p0, Ms = i * (si - sj) + (base + (a + b) * sj), M * sj  # p0: u_{m1} v_{-m1}
                 np.add(Ms, p0, out=gather[:, :, o, 0])
@@ -172,8 +185,7 @@ def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
                     macs[mode] += pair_macs(mode, a, b, lo, hi)
             np.copyto(gather, zero, where=(M > i + (b - a))[:, :, None, None])
             end = size + n_ord * ((hi + 1) ** 2 - lo * lo)
-            swaps = tuple(swap for swap, *_ in bases)
-            pairs.append((a, b, lo, hi, swaps, size, end, gather.reshape(hi + 1, I, 2 * n_ord)))
+            pairs.append((a, b, lo, hi, tuple(inputs), size, end, gather.reshape(hi + 1, I, 2 * n_ord)))
             size = end
     cols = np.array(orders, dtype=np.intp).reshape(-1, 8)
     order = np.repeat(np.arange(len(cols)), cols[:, 0])  # one entry per block from here
@@ -191,12 +203,13 @@ def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
     scatter *= np.repeat(step, runs)
     scatter += np.repeat(offset.ravel(), runs)
     negate = np.repeat(flip.ravel(), runs)
-    # int32 indices halve the plan; each take widens them, at ~8% of a call
-    scatter = scatter.astype(np.int32)
     pairs = tuple(pair + (scatter[pair[5]:pair[6]],) for pair in pairs)
     keys = zip(j3.tolist(), [tags[p] for p in order.tolist()])
     spans = dict(zip(keys, zip((center - j3).tolist(), (center + j3 + 1).tolist())))
-    return _CallPlan(size, pairs, negate, spans, macs)
+    # a trailing empty slice makes the getter return a tuple for any number
+    # of spans; zipped with ``spans``, it is dropped
+    views = itemgetter(*(slice(*span) for span in spans.values()), slice(0))
+    return _CallPlan(size, pairs, negate, spans, views, macs)
 
 
 @lru_cache(maxsize=8)
@@ -211,20 +224,24 @@ def _path_plan(j1: int, j2: int, j3: int) -> _CallPlan:
     return _build_plan((j1,), (j2,), j3, j3)
 
 
-def _sparse_contract(plan: _CallPlan, xs: dict, ys: dict) -> np.ndarray:
-    """The packed sparse output of ``plan`` for x blocks ``xs`` and y blocks ``ys``.
+def _stacked(blocks) -> np.ndarray:
+    """The packed input of a plan: ``blocks`` one after another, then a zero."""
+    return np.concatenate((*blocks, [0j]))
 
-    Forms P = [x, 0] (x) [y, 0] once.  Per pair, one take gathers R[M, i]
+
+def _sparse_contract(plan: _CallPlan, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
+    """The packed sparse output of ``plan`` for the packed inputs ``xv`` and ``yv``.
+
+    Forms P = xv (x) yv once.  Per pair, one take gathers R[M, i]
     for every order, M >= 0 and, by the mirror identity, M <= 0; one real
     batched matmul over M against the half-sheared ``cg_tensor(a, b)``
     gives w, four float columns per order; and one take scatters w into
     the pair's slice of the output.  One masked negation then applies the
     mirror and swap signs to the whole output.
     """
-    products = np.multiply.outer(np.concatenate((*xs.values(), [0j])),
-                                 np.concatenate((*ys.values(), [0j]))).ravel()
+    products = np.multiply.outer(xv, yv).ravel()
     out = np.empty(plan.size, dtype=complex)
-    for a, b, lo, hi, _swaps, start, end, gather, scatter in plan.pairs:
+    for a, b, lo, hi, _inputs, start, end, gather, scatter in plan.pairs:
         R = products.take(gather)
         w = _cg_tensor(a, b)[:hi + 1, lo - b + a:hi - b + a + 1] @ R.view(float)
         # with out=, the default mode="raise" would buffer the output
@@ -256,14 +273,13 @@ def _dense_pair(x: np.ndarray, y: np.ndarray, j3_lo: int, j3_hi: int, out: np.nd
         start += K
 
 
-def _dense_pairs(plan: _CallPlan, xs: dict, ys: dict) -> np.ndarray:
+def _dense_pairs(plan: _CallPlan, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
     """The packed naive output of ``plan``: one ``_dense_pair`` per order of each pair."""
     out = np.empty(plan.size, dtype=complex)
-    for a, b, lo, hi, swaps, start, *_ in plan.pairs:
+    for _a, _b, lo, hi, inputs, start, *_ in plan.pairs:
         size = (hi + 1) ** 2 - lo * lo
-        for o, swap in enumerate(swaps):
-            j1, j2 = (b, a) if swap else (a, b)
-            _dense_pair(xs[j1], ys[j2], lo, hi, out[start + o * size:start + (o + 1) * size])
+        for o, (xi, yi) in enumerate(inputs):
+            _dense_pair(xv[xi], yv[yi], lo, hi, out[start + o * size:start + (o + 1) * size])
     return out
 
 
@@ -290,7 +306,7 @@ def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
     kernel = _kernel(mode)
     x, y, j1, j2 = _path_inputs(x, y, j3)
     plan = _path_plan(j1, j2, j3)
-    z = kernel(plan, {j1: x}, {j2: y})
+    z = kernel(plan, _stacked((x,)), _stacked((y,)))
     if flops is not None:
         flops.add(plan.macs[mode])
     return z
@@ -306,8 +322,10 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
     holds the packed layout: each unordered pair a <= b covers both
     orders (a, b) and (b, a) that the inputs hold, every block is a view
     of one packed output array, and each order counts ``pair_macs`` for
-    its range.  A MIMO plan holds 1.0 MB of indices at L = 16 and 14 MB
-    at L = 32.  The ``sparse`` kernel forms the outer product of the
+    its range.  The finiteness check reads the packed inputs, the blocks
+    of each side in one vector, that both kernels then use.  A MIMO
+    plan holds 1.78 MB of ``np.intp`` indices at L = 16 and 25.3 MB at
+    L = 32.  The ``sparse`` kernel forms the outer product of the
     packed inputs once (1.35 MB at L = 16, 19 MB at L = 32) and contracts
     each pair with one gather, one matmul against the half-sheared tensor
     of the pair (``angular.cg_tensor``) and one scatter.  The 512 cached
@@ -318,11 +336,12 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
     kernel = _kernel(mode)
     xs = x.single_per_degree()
     ys = y.single_per_degree()
-    _require_finite(*xs.values(), *ys.values())
+    xv, yv = _stacked(xs.values()), _stacked(ys.values())
+    _require_finite(xv, yv)
     _check_band_limit(L3)
     plan = _call_plan(tuple(xs), tuple(ys), L3)
-    packed = kernel(plan, xs, ys)
-    blocks = {key: packed[i:j] for key, (i, j) in plan.spans.items()}
+    packed = kernel(plan, xv, yv)
+    blocks = dict(zip(plan.spans, plan.views(packed)))
     return TpoResult(output=_trusted(IrrepCoeffs, L=L3, blocks=blocks), flops=plan.macs[mode])
 
 

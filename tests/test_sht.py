@@ -101,6 +101,7 @@ def test_grid_tables_are_freed_with_their_grid(rng):
     from_sphere(to_sphere(random_coeffs(4, rng), g), 4)
     tsh_decode(tsh_encode(random_tsh_coeffs(1, 4, rng), g), 9)
     assert _TABLES <= vars(g).keys()
+    assert set(g._analysis_rows) == {1, 3}  # one weight row per component count analysed
     ref = weakref.ref(g)
     make_grid.cache_clear()
     del g
@@ -318,6 +319,25 @@ def test_legendre_tables_match_per_order_repack():
         w = g.theta_weights * (2.0 * np.pi / g.n_phi)
         assert g.analysis_weights.shape == (g.n_theta, 1)
         assert g.analysis_weights.tobytes() == w.tobytes()
+
+
+def test_analysis_weight_rows_are_the_column_repeated(rng):
+    # one contiguous row per component count, built on the first analysis
+    # that reads it: w_i repeated over the 2 n_comp floats of theta row i
+    make_grid.cache_clear()
+    g = make_grid(5)
+    assert "_analysis_rows" not in vars(g)
+    rows = {}
+    for n_comp in (1, 3, 1, 5, 3):
+        values = rng.standard_normal((g.n_theta, g.n_phi, n_comp)) + 0j
+        _analysis_core(values, g, 5, None)
+        rows.setdefault(n_comp, g._analysis_rows[n_comp])
+        assert g._analysis_rows[n_comp] is rows[n_comp]
+    assert set(g._analysis_rows) == {1, 3, 5}
+    for n_comp, row in rows.items():
+        assert row.flags.c_contiguous and row.shape == (g.n_theta * 2 * n_comp,)
+        expect = np.broadcast_to(g.analysis_weights, (g.n_theta, 2 * n_comp))
+        assert row.tobytes() == np.ascontiguousarray(expect).tobytes()
 
 
 def _legendre_bytes(Lg):

@@ -263,6 +263,46 @@ def test_cgtp_full_warm_peak_memory(rng):
     assert peak <= 4_000_000
 
 
+def _plan_index_bytes(xdeg, ydeg, lo3: int, L3: int) -> int:
+    """Bytes of a plan's np.intp indices, summed over the ordered pairs (j1, j2) with a path.
+
+    With a = min(j1, j2), lo = max(|j1 - j2|, lo3) and hi = min(j1 + j2, L3),
+    a pair's order gathers 2 (hi + 1)(2a + 1) entries and scatters one per
+    output slot, (hi + 1)^2 - lo^2 of them.
+    """
+    entries = 0
+    for j1 in xdeg:
+        for j2 in ydeg:
+            lo, hi = max(abs(j1 - j2), lo3), min(j1 + j2, L3)
+            if lo <= hi:
+                entries += 2 * (hi + 1) * (2 * min(j1, j2) + 1) + (hi + 1) ** 2 - lo ** 2
+    return 8 * entries
+
+
+def _index_bytes(plan) -> int:
+    arrays = [array for pair in plan.pairs for array in pair[7:]]
+    assert all(array.dtype == np.intp for array in arrays)
+    return sum(array.nbytes for array in arrays)
+
+
+def test_plan_indices_are_native_width_with_closed_form_bytes():
+    # take reads np.intp indices without converting them; the cost is twice
+    # the bytes of int32 ones, 1.78 MB for the MIMO L = 16 -> 32 plan
+    for L in range(9):
+        degrees = tuple(range(L + 1))
+        for L3 in sorted({L, 2 * L}):
+            plan = tenprod._call_plan(degrees, degrees, L3)
+            assert _index_bytes(plan) == _plan_index_bytes(degrees, degrees, 0, L3), (L, L3)
+    for j1 in range(6):
+        for j2 in range(6):
+            for j3 in range(abs(j1 - j2), j1 + j2 + 1):
+                plan = tenprod._path_plan(j1, j2, j3)
+                assert _index_bytes(plan) == _plan_index_bytes((j1,), (j2,), j3, j3)
+    degrees = tuple(range(17))
+    nbytes = _index_bytes(tenprod._call_plan(degrees, degrees, 32))
+    assert nbytes == _plan_index_bytes(degrees, degrees, 0, 32) == 1_782_552
+
+
 def test_pair_macs_matches_brute_force_counts():
     # naive visits every (m1, m2, m3) triple of a path, sparse every (m1, m2)
     # with |m1 + m2| <= j3; pair_macs sums either over any j3 range of a pair
@@ -322,6 +362,24 @@ def test_cgtp_full_rejects_non_finite(bad, rng):
             cgtp_full(x, y, 6, mode=mode)
         with pytest.raises(ValueError, match="finite"):
             cgtp_full(y, x, 6, mode=mode)
+    # one check reads every block of both inputs: the first x block, the
+    # last y block, and a degree only x holds, whose paths all pass L3 = 1;
+    # an input with no blocks on the other side checks it all the same
+    empty = IrrepCoeffs(L=3)
+    for side, j, L3 in [("x", 0, 6), ("y", 3, 6), ("x", 5, 1)]:
+        x, y = random_coeffs(5, rng), random_coeffs(3, rng)
+        held = x if side == "x" else y
+        held.block(j)[-1] = bad
+        for mode in ("naive", "sparse"):
+            for a, b in [(x, y), (held, empty), (empty, held)]:
+                with pytest.raises(ValueError, match="inputs must be finite, got NaN or inf"):
+                    cgtp_full(a, b, L3, mode=mode)
+    # and with finite blocks, an input with none gives an empty output
+    y = random_coeffs(3, rng)
+    for mode in ("naive", "sparse"):
+        for a, b in [(empty, y), (y, empty), (empty, empty)]:
+            res = cgtp_full(a, b, 6, mode=mode)
+            assert res.output.blocks == {} and res.output.L == 6 and res.flops == 0
 
 
 @pytest.mark.parametrize("bad", _NON_FINITE)
