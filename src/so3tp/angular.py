@@ -11,9 +11,11 @@ lives in ``exact``.  The float forms here serve the products, so no
 product evaluates an exact coefficient: ``cg_tensor`` holds every j3 of
 an unordered pair j1 <= j2, j1 + j2 <= 130, in one half-sheared layout
 S[M, k, m1 + j1] = C^{j2-j1+k,M}_{j1,m1,j2,M-m1} for M >= 0, read from
-the eigenvectors of J^2 on the subspaces of total M >= 0 and cached;
-``cg_block`` checks once and gathers a whole block C^{j3,m1+m2}_{j1,m1,j2,m2}
-of either order from it through the mirror and swap identities.
+the eigenvectors of J^2 on the subspaces of total M >= 0 and cached.
+One gather, ``_cg_entries``, reads any entries C^{j3,m1+m2}_{j1,m1,j2,m2}
+of either order, of one pair or many, through the mirror and swap
+identities: ``cg_block`` checks once and gathers a whole block with it,
+and ``tsh``'s coupling tables gather every key's weights in one call.
 
 A closed-form fast path covers the 9j grids with unit spins in the third
 column: five closed forms and the 9j symmetries give all 27 offset
@@ -110,10 +112,10 @@ def require_natural(value, name: str) -> int:
     return n
 
 
-def _require_cg_range(j1: int, j2: int) -> None:
-    """``ValueError`` unless j1 + j2 <= CG_BLOCK_MAX, the float CG range."""
-    if j1 + j2 > CG_BLOCK_MAX:
-        raise ValueError(f"j1 + j2 = {j1 + j2} exceeds the float CG range {CG_BLOCK_MAX}")
+def _require_cg_range(total: int) -> None:
+    """``ValueError`` unless a pair's j1 + j2 = ``total`` is at most CG_BLOCK_MAX, the float CG range."""
+    if total > CG_BLOCK_MAX:
+        raise ValueError(f"j1 + j2 = {total} exceeds the float CG range {CG_BLOCK_MAX}")
 
 
 def cg_tensor(j1: int, j2: int) -> np.ndarray:
@@ -133,7 +135,7 @@ def cg_tensor(j1: int, j2: int) -> np.ndarray:
         raise ValueError(f"degrees must be non-negative, got {(j1, j2)}")
     if j1 > j2:
         raise ValueError(f"cg_tensor takes an unordered pair j1 <= j2, got {(j1, j2)}")
-    _require_cg_range(j1, j2)
+    _require_cg_range(j1 + j2)
     return _cg_tensor(j1, j2)
 
 
@@ -150,18 +152,46 @@ def cg_block(j1: int, j2: int, j3: int) -> np.ndarray:
     """
     j1, j2, j3 = (require_natural(j, name) for name, j in (("j1", j1), ("j2", j2), ("j3", j3)))
     require_triangle(j1, j2, j3)
-    _require_cg_range(j1, j2)
-    a, b = sorted((j1, j2))
-    sign = (-1.0) ** (j1 + j2 - j3)
-    ia = np.arange(2 * a + 1)[:, None]
-    M = ia + np.arange(-a - b, b - a + 1)  # m_a + m_b of each [m_a + a, m_b + b] slot
-    up = M >= 0
-    S = _cg_tensor(a, b)
-    blk = np.where(up, 1.0, sign) * S[np.abs(M), j3 - b + a, np.where(up, ia, 2 * a - ia)]
-    if j1 > j2:
-        blk = sign * blk.T
+    blk = _cg_entries(j1, j2, j3, np.arange(-j1, j1 + 1)[:, None], np.arange(-j2, j2 + 1))
     blk.flags.writeable = False
     return blk
+
+
+def _cg_entries(j1, j2, j3, m1, m2) -> np.ndarray:
+    """C^{j3,m1+m2}_{j1,m1,j2,m2} of broadcast integer arrays, in one take from the ``cg_tensor`` layouts.
+
+    Every (j1, j2, j3) must be a triangle with |m1| <= j1 and |m2| <= j2,
+    unchecked; j1 + j2 past CG_BLOCK_MAX raises.  Each entry reads the
+    half-sheared tensor of its unordered pair (a, b) = sorted((j1, j2)) at
+    |M|, M = m1 + m2, where |M| > j3 reads one of the tensor's zeros.  An
+    entry with M < 0 reads the mirror slot m_a -> -m_a, and one with
+    j1 > j2 the swapped pair; each flips the sign when j1 + j2 - j3 is
+    odd, so an entry that is both keeps it.  The tensors of all pairs
+    present are read as one flat array.
+    """
+    j1, j2, j3 = np.broadcast_arrays(j1, j2, j3)
+    shape = np.broadcast_shapes(j1.shape, np.shape(m1), np.shape(m2))
+    if not math.prod(shape):
+        return np.zeros(shape)
+    swap = j1 > j2
+    a, b = np.minimum(j1, j2), np.maximum(j1, j2)
+    _require_cg_range(int((a + b).max()))
+    # the tensors of the pairs present, end to end, and where each starts
+    code = a * (CG_BLOCK_MAX + 1) + b
+    present = np.zeros((CG_BLOCK_MAX + 1) ** 2, bool)
+    present[code] = True
+    pairs = np.flatnonzero(present)
+    tensors = [_cg_tensor(*divmod(int(c), CG_BLOCK_MAX + 1)) for c in pairs]
+    flat = np.concatenate([S.reshape(-1) for S in tensors]) if len(tensors) > 1 else tensors[0].reshape(-1)
+    start = np.zeros(present.size, np.intp)
+    start[pairs[1:]] = np.cumsum([S.size for S in tensors[:-1]])
+    n = 2 * a + 1
+    # S[|M|, j3 - b + a, +-m_a + a] of the pair's tensor
+    base = start[code] + (j3 - b + a) * n + a
+    M, ma = m1 + m2, np.where(swap, m2, m1)
+    values = flat[base + np.abs(M) * (n * n) + np.where(M < 0, -ma, ma)]
+    odd = (a + b - j3) % 2 == 1
+    return np.negative(values, out=values, where=odd & ((M < 0) != swap))
 
 
 @lru_cache(maxsize=512)

@@ -77,23 +77,48 @@ def _signed(tab: np.ndarray, m: int) -> np.ndarray:
     return -tab if (m < 0 and m % 2) else tab
 
 
-def _legendre_orders(cos_theta: np.ndarray, lmax: int):
-    """Yield (m, tab) with tab[i, l - m] = Lambda^m_l(cos_theta[i]), l = m..lmax, for m = 0..lmax."""
-    x = cos_theta
-    sin_theta = np.sqrt(1.0 - x * x)
-    diag = np.full_like(x, 1.0 / math.sqrt(4.0 * math.pi))
-    for m in range(lmax + 1):
-        if m > 0:
-            diag = -math.sqrt((2 * m + 1) / (2.0 * m)) * sin_theta * diag
-        tab = np.empty((x.size, lmax - m + 1))
-        tab[:, 0] = diag
-        if m + 1 <= lmax:
-            tab[:, 1] = math.sqrt(2 * m + 3.0) * x * diag
-        for l in range(m + 2, lmax + 1):
-            a = math.sqrt((4 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1) ** 2 - 1.0))
-            tab[:, l - m] = a * (x * tab[:, l - m - 1] - b * tab[:, l - m - 2])
-        yield m, tab
+def _legendre_diagonal(x: np.ndarray, mmax: int) -> np.ndarray:
+    """diag[m, i] = Lambda^m_m(x_i) for m = 0..mmax, by one running product over the orders.
+
+    Lambda^0_0 = 1 / sqrt(4 pi) and Lambda^m_m = -sqrt((2m + 1) / 2m)
+    sin(theta) Lambda^{m-1}_{m-1}: row m is row m - 1 times its factor
+    row, so every entry takes the per-order recurrence's products in the
+    same order and has its bits.
+    """
+    diag = np.empty((mmax + 1, x.size))
+    diag[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    m = np.arange(1, mmax + 1)
+    np.multiply(-np.sqrt((2 * m + 1) / (2.0 * m))[:, None], np.sqrt(1.0 - x * x), out=diag[1:])
+    return np.multiply.accumulate(diag, axis=0, out=diag)
+
+
+def _legendre_run(x: np.ndarray, diag: np.ndarray, m0: int, slots: int) -> np.ndarray:
+    """run[m - m0, i, l - m] = Lambda^m_l(x_i) for the orders m = m0.. of ``diag`` rows and degrees l < m0 + slots.
+
+    ``diag`` holds Lambda^m_m(x_i) of each order (``_legendre_diagonal``);
+    entries past the top degree m0 + slots - 1 are zero.  One three-term
+    step per degree slot l - m serves all the run's orders with l still in
+    range, writing the run in place:
+    Lambda^m_{m+1} = sqrt(2m + 3) x Lambda^m_m and
+    Lambda^m_l = a (x Lambda^m_{l-1} - b Lambda^m_{l-2}) with
+    a = sqrt((4l^2 - 1) / (l^2 - m^2)), b = sqrt(((l - 1)^2 - m^2) / (4 (l - 1)^2 - 1)).
+    """
+    n = diag.shape[0]
+    run = np.zeros((n, x.size, slots))
+    run[:, :, 0] = diag
+    m = np.arange(m0, m0 + n)[:, None]
+    if slots > 1:
+        k = min(n, slots - 1)
+        np.multiply(np.sqrt(2 * m[:k] + 3.0) * x, run[:k, :, 0], out=run[:k, :, 1])
+    l = m + np.arange(2, slots)
+    a = np.sqrt((4 * l * l - 1.0) / (l * l - m * m))[:, :, None]
+    b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1) ** 2 - 1.0))[:, :, None]
+    for d in range(2, slots):
+        k = min(n, slots - d)  # the orders with l = m + d <= m0 + slots - 1
+        step = x * run[:k, :, d - 1]
+        step -= b[:k, d - 2] * run[:k, :, d - 2]
+        np.multiply(a[:k, d - 2], step, out=run[:k, :, d])
+    return run
 
 
 # Orders per Legendre run of the transform cores.  A run of orders m0..m1 - 1
@@ -144,12 +169,13 @@ class SphereGrid:
         Lg) by n_theta by the Lg + 1 - m0 degree slots they use, zero past
         l = Lg: the rectangle the run's Legendre matmuls read.  The blocks
         hold 8 sum_r min(16, Lg + 1 - m0) (Lg + 1) (Lg + 1 - m0) bytes.
+        Each is filled in place by ``_legendre_run``, one recurrence step
+        per degree slot for all its orders, from the diagonal of every
+        order at once (``_legendre_diagonal``).
         """
-        runs = [np.zeros((min(_RUN, self.Lg + 1 - m0), self.n_theta, self.Lg + 1 - m0))
-                for m0 in range(0, self.Lg + 1, _RUN)]
-        for m, tab in _legendre_orders(self.cos_theta, self.Lg):
-            runs[m // _RUN][m % _RUN, :, :tab.shape[1]] = tab
-        return tuple(runs)
+        diag = _legendre_diagonal(self.cos_theta, self.Lg)
+        return tuple(_legendre_run(self.cos_theta, diag[m0:m0 + _RUN], m0, self.Lg + 1 - m0)
+                     for m0 in range(0, self.Lg + 1, _RUN))
 
     @cached_property
     def analysis_weights(self) -> np.ndarray:
@@ -317,8 +343,9 @@ def sh_eval(l: int, m: int, theta, phi):
     ph = np.asarray(phi, dtype=float)
     scalar = th.ndim == 0 and ph.ndim == 0
     th, ph = np.broadcast_arrays(np.atleast_1d(th), np.atleast_1d(ph))
-    tab = next(tab for order, tab in _legendre_orders(np.cos(th).ravel(), l) if order == abs(m))
-    out = _signed(tab[:, l - abs(m)], m).reshape(th.shape) * np.exp(1j * m * ph)
+    x, a = np.cos(th).ravel(), abs(m)
+    lam = _legendre_run(x, _legendre_diagonal(x, a)[a:], a, l + 1 - a)[0, :, l - a]
+    out = _signed(lam, m).reshape(th.shape) * np.exp(1j * m * ph)
     return complex(out.ravel()[0]) if scalar else out
 
 

@@ -167,7 +167,7 @@ def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
             lo, hi = max(b - a, lo3), min(a + b, L3)
             if not bases or lo > hi:
                 continue
-            _require_cg_range(a, b)
+            _require_cg_range(a + b)
             n_ord, I, nk = len(bases), 2 * a + 1, hi - lo + 1
             M = np.arange(hi + 1)[:, None]
             i = np.arange(I)

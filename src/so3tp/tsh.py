@@ -37,7 +37,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .angular import _as_integers, cg_block, require_natural, triangle_delta
+from .angular import _as_integers, _cg_entries, cg_block, require_natural, triangle_delta
 from .flops import FlopCounter
 from .sht import (IrrepCoeffs, SphereGrid, _analysis_core, _Blocks, _check_band_limit,
                   _folded_scatter, _padded_index, _require_finite, _synthesis_core, _trusted,
@@ -186,21 +186,20 @@ def _coupling_table(s: int, keys: tuple, L: int):
     by C^{j,mj}_{l,ml,s,ms}.  An entry with |ml| > l is padding, weight 0
     at the slot of ml clipped to +-l, which the analysis writes.  macs
     counts the other entries, except at spin 0: its identity table
-    (weights 1.0, no CG block) counts 0.
+    (weights 1.0, no CG entry) counts 0.  Every key's columns are built
+    in one pass, the weights by one ``angular._cg_entries`` gather.
     """
     ms = np.arange(-s, s + 1)[:, None]
-    macs, slots, weights = 0, [np.zeros((2 * s + 1, 0), np.intp)], [np.zeros((2 * s + 1, 0))]
-    for j, l in keys:
-        ml = np.arange(-j, j + 1) - ms
-        clipped = np.clip(ml, -l, l)
-        slots.append(_padded_index(L, l, clipped) * (2 * s + 1) + ms + s)
-        if s:
-            inside = clipped == ml
-            macs += int(inside.sum())
-            weights.append(np.where(inside, cg_block(l, s, j)[clipped + l, ms + s], 0.0))
-        else:
-            weights.append(np.ones(ml.shape))
-    return macs, np.concatenate(slots, axis=1), np.concatenate(weights, axis=1)
+    j, l = np.array(keys, dtype=np.intp).reshape(-1, 2).T
+    width = 2 * j + 1
+    j, l, start = np.repeat(j, width), np.repeat(l, width), np.repeat(np.cumsum(width) - width, width)
+    ml = np.arange(j.size) - start - j - ms
+    clipped = np.clip(ml, -l, l)
+    slot = _padded_index(L, l, clipped) * (2 * s + 1) + ms + s
+    if not s:
+        return 0, slot, np.ones(slot.shape)
+    inside = clipped == ml
+    return int(inside.sum()), slot, np.where(inside, _cg_entries(l, s, j, clipped, ms), 0.0)
 
 
 @lru_cache(maxsize=128)

@@ -7,7 +7,7 @@ Exact arithmetic is one module: every exact-valued function lives in
 ``exact``, next to ``SqrtRational``.  The grid modules ``sht``, ``tsh``
 and ``tenprod`` import nothing from it, and from ``angular`` and ``rules``
 only names those modules define.  Their coupling weights are the float
-``angular.cg_block``; path coefficients are ``rules``'.  ``angular`` and
+entries that ``angular.cg_block`` gathers; path coefficients are ``rules``'.  ``angular`` and
 ``rules`` name no ``SqrtRational`` or ``Fraction`` and import ``exact``
 only inside the module ``__getattr__`` that forwards perfbench's six
 exact names.  The runtime cache-miss tests, such as

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -18,7 +19,6 @@ from so3tp.sht import (
     IrrepCoeffs,
     _analysis_core,
     _folded_scatter,
-    _legendre_orders,
     _padded_index,
     _synthesis_core,
     make_grid,
@@ -293,6 +293,30 @@ def test_trig_rows_are_cos_and_sin_of_the_phi_nodes():
             assert g.trig[2 * m].tobytes() == np.cos(m * phi).tobytes()
 
 
+def _legendre_orders(cos_theta, lmax):
+    """Yield (m, tab) with tab[i, l - m] = Lambda^m_l(cos_theta[i]), l = m..lmax, for m = 0..lmax (reference).
+
+    One order at a time: the diagonal by its running product, then the
+    three-term recurrence in l, each step over the theta nodes only.  The
+    grid's run builder must reproduce every entry bit for bit.
+    """
+    x = cos_theta
+    sin_theta = np.sqrt(1.0 - x * x)
+    diag = np.full_like(x, 1.0 / math.sqrt(4.0 * math.pi))
+    for m in range(lmax + 1):
+        if m > 0:
+            diag = -math.sqrt((2 * m + 1) / (2.0 * m)) * sin_theta * diag
+        tab = np.empty((x.size, lmax - m + 1))
+        tab[:, 0] = diag
+        if m + 1 <= lmax:
+            tab[:, 1] = math.sqrt(2 * m + 3.0) * x * diag
+        for l in range(m + 2, lmax + 1):
+            a = math.sqrt((4 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1) ** 2 - 1.0))
+            tab[:, l - m] = a * (x * tab[:, l - m - 1] - b * tab[:, l - m - 2])
+        yield m, tab
+
+
 def _padded_legendre(grid):
     """lam[m, i, l - m] = Lambda^m_l(cos theta_i) for 0 <= m <= l <= Lg, zero past l = Lg, one per-order table per m."""
     lam = np.zeros((grid.Lg + 1, grid.n_theta, grid.Lg + 1))
@@ -305,7 +329,7 @@ def test_legendre_tables_match_per_order_repack():
     # run r of the m >= 0 table is the padded repack's C-contiguous block of
     # orders 16 r .. 16 r + 15 and the Lg + 1 - 16 r slots they use, and it
     # drops only zeros; the analysis weights are w_i 2 pi / n_phi
-    for Lg in range(41):
+    for Lg in [*range(41), 64, 128]:
         g = make_grid(Lg)
         ref = _padded_legendre(g)
         starts = range(0, Lg + 1, 16)
@@ -353,6 +377,34 @@ def test_legendre_table_bytes_match_closed_form():
     nbytes = sum(b.nbytes for b in make_grid(64).legendre)
     assert nbytes == _legendre_bytes(64)
     assert nbytes <= 0.32 * 2 * 65 ** 3 * 8
+
+
+def test_legendre_build_peaks_at_the_table_plus_one_run():
+    # the runs are filled in place: building make_grid(128).legendre holds
+    # the table and at most one run block's worth of temporaries besides
+    g = make_grid(128)
+    g0 = sht.SphereGrid(g.Lg, g.cos_theta, g.theta, g.theta_weights, g.phi)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        runs = g0.legendre
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(run.nbytes for run in runs) == _legendre_bytes(128)
+    assert peak <= _legendre_bytes(128) + runs[0].nbytes
+
+
+def test_sh_eval_matches_per_order_reference():
+    # sh_eval reads its Legendre value from the grid's run builder, which
+    # must give the per-order recurrence's bits at any order, run edges too
+    theta = np.linspace(0.0, np.pi, 23)
+    ref = dict(_legendre_orders(np.cos(theta), 37))
+    for l in (0, 1, 15, 16, 17, 37):
+        for m in range(-l, l + 1):
+            tab = ref[abs(m)][:, l - abs(m)]
+            expect = (-tab if (m < 0 and m % 2) else tab) * np.exp(1j * m * np.full(theta.size, 0.7))
+            assert sh_eval(l, m, theta, 0.7).tobytes() == expect.tobytes(), (l, m)
 
 
 def _complex_dft_tables(grid, L):

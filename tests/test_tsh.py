@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from so3tp import serialize, sht, tsh
+from so3tp import angular, serialize, sht, tsh
 from so3tp.angular import CG_BLOCK_MAX, cg_block, wigner_d_matrix
 from so3tp.exact import cg_float
 from so3tp.flops import FlopCounter
@@ -297,6 +297,63 @@ def test_coupling_table_is_cached_only_by_its_callers():
     # _encode_table and _decode_layout cache what they build from the table;
     # a cache on the table itself would hold a second copy of every array
     assert not hasattr(tsh._coupling_table, "cache_info")
+
+
+def _per_key_coupling_table(s, keys, L):
+    """``_coupling_table`` by one ``cg_block`` call and one column block per key (reference)."""
+    ms = np.arange(-s, s + 1)[:, None]
+    macs, slots, weights = 0, [np.zeros((2 * s + 1, 0), np.intp)], [np.zeros((2 * s + 1, 0))]
+    for j, l in keys:
+        ml = np.arange(-j, j + 1) - ms
+        clipped = np.clip(ml, -l, l)
+        slots.append(sht._padded_index(L, l, clipped) * (2 * s + 1) + ms + s)
+        if s:
+            inside = clipped == ml
+            macs += int(inside.sum())
+            weights.append(np.where(inside, cg_block(l, s, j)[clipped + l, ms + s], 0.0))
+        else:
+            weights.append(np.ones(ml.shape))
+    return macs, np.concatenate(slots, axis=1), np.concatenate(weights, axis=1)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("L", [0, 1, 2, 16, 64])
+def test_coupling_table_matches_per_key_cg_blocks_bitwise(s, L):
+    # the whole-array build equals the per-key loop in slot, weight and
+    # MACs, signed zeros included, for the decode's key set and the
+    # subsets an encode packs: one key, the keys of one l, none
+    keys = tuple(valid_pairs(s, L))
+    subsets = [keys, keys[len(keys) // 2:len(keys) // 2 + 1],
+               tuple(key for key in keys if key[1] == L // 2), ()]
+    for subset in subsets:
+        (macs, *arrays), (expect_macs, *expect) = (tsh._coupling_table(s, subset, L),
+                                                   _per_key_coupling_table(s, subset, L))
+        assert macs == expect_macs, subset
+        for got, want in zip(arrays, expect):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), subset
+
+
+def test_table_builds_call_no_cg_block(monkeypatch):
+    # one gather of CG entries serves every key of a table
+    def no_cg(*args):
+        raise AssertionError(f"cg_block{args} called by a table build")
+
+    monkeypatch.setattr(tsh, "cg_block", no_cg)
+    monkeypatch.setattr(angular, "cg_block", no_cg)
+    for s in (1, 2):
+        keys = tuple(valid_pairs(s, 12))
+        assert tsh._encode_table.__wrapped__(s, keys, 12)[0] == _coupling_pairs(s, keys)
+        assert tsh._decode_layout.__wrapped__(s, 12)[0][0] == _coupling_pairs(s, keys)
+
+
+def test_coupling_table_at_the_top_of_the_float_cg_range():
+    # spin-1 weights read the (1, l) tensors: l = 129 is the last in range
+    for j in (128, 129, 130):
+        macs, _slot, weight = tsh._coupling_table(1, ((j, 129),), 129)
+        expect = _per_key_coupling_table(1, ((j, 129),), 129)
+        assert macs == expect[0] and weight.tobytes() == expect[2].tobytes()
+    with pytest.raises(ValueError, match=r"^j1 \+ j2 = 131 exceeds the float CG range 130$"):
+        tsh._coupling_table(1, ((130, 130),), 130)
 
 
 def _bincount_decode(xpad, s, L):
