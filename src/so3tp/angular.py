@@ -9,13 +9,17 @@ with ``D = wigner_d_matrix(j, alpha, beta, gamma)``; a rotation about z by
 Every exact-valued coefficient, the Racah sums behind them included,
 lives in ``exact``.  The float forms here serve the products, so no
 product evaluates an exact coefficient: ``cg_tensor`` holds every j3 of
-an unordered pair j1 <= j2, j1 + j2 <= 130, in one half-sheared layout
-S[M, k, m1 + j1] = C^{j2-j1+k,M}_{j1,m1,j2,M-m1} for M >= 0, read from
-the eigenvectors of J^2 on the subspaces of total M >= 0 and cached.
+an unordered pair j1 <= j2 in the float CG range (j1 + j2 <= 130, or
+<= 512 when j1 <= 2) in one half-sheared layout
+S[M, k, m1 + j1] = C^{j2-j1+k,M}_{j1,m1,j2,M-m1} for M >= 0, built by the
+three-term recurrence in j3 run from both ends, every pair of one first
+degree in one pass (``_cg_pass``), and kept in one 512-pair cache.
 One gather, ``_cg_entries``, reads any entries C^{j3,m1+m2}_{j1,m1,j2,m2}
 of either order, of one pair or many, through the mirror and swap
 identities: ``cg_block`` checks once and gathers a whole block with it,
 and ``tsh``'s coupling tables gather every key's weights in one call.
+The J_y eigenbasis of the Wigner d matrix is the module's one
+eigensolver.
 
 A closed-form fast path covers the 9j grids with unit spins in the third
 column: five closed forms and the 9j symmetries give all 27 offset
@@ -28,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import OrderedDict, namedtuple
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -95,7 +100,8 @@ def _checked_cache(check, maxsize: int | None = None):
     return decorate
 
 
-CG_BLOCK_MAX = 130  # largest j1 + j2 that cg_block serves
+CG_BLOCK_MAX = 130  # largest j1 + j2 that cg_block serves for every pair
+_CG_THIN_DEGREE, _CG_THIN_MAX = 2, 512  # pairs with min(j1, j2) <= 2 run up to j1 + j2 <= 512
 
 
 def require_triangle(j1: int, j2: int, j3: int) -> None:
@@ -112,14 +118,23 @@ def require_natural(value, name: str) -> int:
     return n
 
 
-def _require_cg_range(total: int) -> None:
-    """``ValueError`` unless a pair's j1 + j2 = ``total`` is at most CG_BLOCK_MAX, the float CG range."""
-    if total > CG_BLOCK_MAX:
-        raise ValueError(f"j1 + j2 = {total} exceeds the float CG range {CG_BLOCK_MAX}")
+def _require_cg_range(a, b) -> None:
+    """``ValueError`` unless each unordered pair a <= b (ints or same-shape arrays) is in the float CG range.
+
+    The range is j1 + j2 <= CG_BLOCK_MAX for every pair, and j1 + j2 <= 512
+    for a thin pair, min(j1, j2) <= 2: every spin <= 2 coupling of a
+    decode at 256.  The message names the first pair outside.
+    """
+    outside = (a + b > CG_BLOCK_MAX) & ((a > _CG_THIN_DEGREE) | (a + b > _CG_THIN_MAX))
+    if np.any(outside):
+        i = np.argmax(outside)
+        pair = int(np.ravel(a)[i]), int(np.ravel(b)[i])
+        raise ValueError(f"pair {pair} exceeds the float CG range: j1 + j2 <= {CG_BLOCK_MAX}, "
+                         f"or <= {_CG_THIN_MAX} when min(j1, j2) <= {_CG_THIN_DEGREE}")
 
 
 def cg_tensor(j1: int, j2: int) -> np.ndarray:
-    """Read-only half-sheared CG tensor of the unordered pair j1 <= j2 <= CG_BLOCK_MAX - j1.
+    """Read-only half-sheared CG tensor of the unordered pair j1 <= j2 in the float CG range.
 
     S[M, k, m1 + j1] = C^{j3,M}_{j1,m1,j2,M-m1} with j3 = j2 - j1 + k, for
     M = 0..j1+j2 and k = 0..2j1; entries with |M - m1| > j2 or M > j3
@@ -127,15 +142,16 @@ def cg_tensor(j1: int, j2: int) -> np.ndarray:
     C(-m1, -m2) = (-1)^(j1+j2-j3) C(m1, m2), and pairs with j1 > j2 from
     the swap identity C^{j3}_{j2,m2,j1,m1} = (-1)^(j1+j2-j3) C^{j3}_{j1,m1,j2,m2},
     so the tensors of 512 unordered pairs, about 114 MB, hold every pair
-    of an L = 30 product (L = 32 needs 561).  Degrees must be integers
-    (Python or numpy), checked before the cache is read.
+    of an L = 30 product (L = 32 needs 561).  The range is j1 + j2 <=
+    CG_BLOCK_MAX, or j1 + j2 <= 512 when j1 <= 2.  Degrees must be
+    integers (Python or numpy), checked before the cache is read.
     """
     j1, j2 = _as_integer(j1, "j1"), _as_integer(j2, "j2")
     if min(j1, j2) < 0:
         raise ValueError(f"degrees must be non-negative, got {(j1, j2)}")
     if j1 > j2:
         raise ValueError(f"cg_tensor takes an unordered pair j1 <= j2, got {(j1, j2)}")
-    _require_cg_range(j1 + j2)
+    _require_cg_range(j1, j2)
     return _cg_tensor(j1, j2)
 
 
@@ -146,9 +162,9 @@ def cg_block(j1: int, j2: int, j3: int) -> np.ndarray:
     half-sheared ``cg_tensor``: the M < 0 entries by the mirror identity,
     and a pair with j1 > j2 as (-1)^(j1+j2-j3) times the transposed block
     of (j2, j1), so the two orders agree exactly.  Agrees with ``exact.cg``
-    to 1e-13 for j1 + j2 <= CG_BLOCK_MAX (130: every spin <= 2
-    coupling of an L=64 product decoded at 128); degrees outside that
-    range raise.
+    to 1e-13 in the float CG range: j1 + j2 <= CG_BLOCK_MAX (130: every
+    spin <= 2 coupling of an L=64 product decoded at 128), and j1 + j2 <=
+    512 when min(j1, j2) <= 2; degrees outside it raise.
     """
     j1, j2, j3 = (require_natural(j, name) for name, j in (("j1", j1), ("j2", j2), ("j3", j3)))
     require_triangle(j1, j2, j3)
@@ -161,13 +177,15 @@ def _cg_entries(j1, j2, j3, m1, m2) -> np.ndarray:
     """C^{j3,m1+m2}_{j1,m1,j2,m2} of broadcast integer arrays, in one take from the ``cg_tensor`` layouts.
 
     Every (j1, j2, j3) must be a triangle with |m1| <= j1 and |m2| <= j2,
-    unchecked; j1 + j2 past CG_BLOCK_MAX raises.  Each entry reads the
-    half-sheared tensor of its unordered pair (a, b) = sorted((j1, j2)) at
-    |M|, M = m1 + m2, where |M| > j3 reads one of the tensor's zeros.  An
-    entry with M < 0 reads the mirror slot m_a -> -m_a, and one with
+    unchecked; a pair past the float CG range raises.  Each entry reads
+    the half-sheared tensor of its unordered pair (a, b) = sorted((j1, j2))
+    at |M|, M = m1 + m2, where |M| > j3 reads one of the tensor's zeros.
+    An entry with M < 0 reads the mirror slot m_a -> -m_a, and one with
     j1 > j2 the swapped pair; each flips the sign when j1 + j2 - j3 is
     odd, so an entry that is both keeps it.  The tensors of all pairs
-    present are read as one flat array.
+    present come from one ``_cg_tensors`` call, which builds the missing
+    ones in one recurrence pass per first degree, and are read as one
+    flat array.
     """
     j1, j2, j3 = np.broadcast_arrays(j1, j2, j3)
     shape = np.broadcast_shapes(j1.shape, np.shape(m1), np.shape(m2))
@@ -175,16 +193,17 @@ def _cg_entries(j1, j2, j3, m1, m2) -> np.ndarray:
         return np.zeros(shape)
     swap = j1 > j2
     a, b = np.minimum(j1, j2), np.maximum(j1, j2)
-    _require_cg_range(int((a + b).max()))
-    # the tensors of the pairs present, end to end, and where each starts
-    code = a * (CG_BLOCK_MAX + 1) + b
-    present = np.zeros((CG_BLOCK_MAX + 1) ** 2, bool)
+    _require_cg_range(a, b)
+    # the pairs present, ordered by a, then b, and their tensors end to end
+    width = int(b.max()) + 1
+    code = a * width + b
+    present = np.zeros((int(a.max()) + 1) * width, bool)
     present[code] = True
-    pairs = np.flatnonzero(present)
-    tensors = [_cg_tensor(*divmod(int(c), CG_BLOCK_MAX + 1)) for c in pairs]
+    codes = np.flatnonzero(present)
+    tensors = _cg_tensors([divmod(c, width) for c in codes.tolist()])
     flat = np.concatenate([S.reshape(-1) for S in tensors]) if len(tensors) > 1 else tensors[0].reshape(-1)
     start = np.zeros(present.size, np.intp)
-    start[pairs[1:]] = np.cumsum([S.size for S in tensors[:-1]])
+    start[codes[1:]] = np.cumsum([S.size for S in tensors[:-1]])
     n = 2 * a + 1
     # S[|M|, j3 - b + a, +-m_a + a] of the pair's tensor
     base = start[code] + (j3 - b + a) * n + a
@@ -194,57 +213,203 @@ def _cg_entries(j1, j2, j3, m1, m2) -> np.ndarray:
     return np.negative(values, out=values, where=odd & ((M < 0) != swap))
 
 
-@lru_cache(maxsize=512)
-def _cg_tensor(j1: int, j2: int) -> np.ndarray:
-    """Half-sheared S[M, k, m1 + j1] of ``cg_tensor`` for j1 <= j2, from J^2 eigenvectors.
+_CG_TENSORS_MAX = 512  # pairs in the tensor cache
+_CG_TENSORS = OrderedDict()  # (a, b) -> tensor, the least recently used first
+_CG_LOOKUPS = [0, 0]  # hits, misses
+_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
-    On the subspace of total M, J^2 is symmetric tridiagonal in the basis
-    |m1, M - m1>, and the CG column of each j3 >= M is its eigenvector with
-    eigenvalue j3(j3 + 1).  The J + 1 subspaces M >= 0 go through one
-    batched eigh with column m1 + j1; the slots with M - m1 > j2 get
-    distinct negative diagonal entries and sort first, so eigenvector k
-    belongs to j3 = j2 - j1 + k.  Phases: the top state M = j3 has sign
-    (-1)^(j1 - m1) (read at its largest entry), and each lower state makes
-    <v_M, J_- v_{M+1}> > 0.
+
+def _cg_tensors(pairs) -> list:
+    """The ``cg_tensor`` of each distinct unordered pair (a, b), a <= b, in range, unchecked, in order.
+
+    One LRU cache of ``_CG_TENSORS_MAX`` pairs serves them, and each pair
+    counts one hit or one miss.  The missing pairs are built by one
+    ``_cg_pass`` per first degree a and cached, the least recently used
+    evicted past the bound; all are returned, even when one call needs
+    more pairs than the cache holds.
     """
-    J, n = j1 + j2, 2 * j1 + 1
-    M = np.arange(J + 1)[:, None]
-    a = np.arange(n)
-    m1 = a - j1
-    m2 = M - m1
-    real = m2 <= j2  # m2 >= -j2 always holds for M >= 0 and j1 <= j2
-    # J^2 = J1^2 + J2^2 + 2 J1z J2z + J1+ J2- + J1- J2+ on |m1, M - m1>
-    H = np.zeros((J + 1, n, n))
-    H[:, a, a] = np.where(real, j1 * (j1 + 1) + j2 * (j2 + 1) + 2.0 * m1 * m2, -1.0 - a)
-    # <m1+1, m2-1| J1+ J2- |m1, m2>, zero out of a padded slot
-    ladder = (j1 * (j1 + 1) - m1 * (m1 + 1)) * (j2 * (j2 + 1) - m2 * (m2 - 1.0))
-    H[:, a[1:], a[:-1]] = np.sqrt(np.where(real, ladder, 0.0)[:, :-1])
-    S = np.linalg.eigh(H)[1].transpose(0, 2, 1)
-    j3 = j2 - j1 + a
+    tensors, missing = [], {}
+    for pair in pairs:
+        S = _CG_TENSORS.pop(pair, None)  # a hit goes back in as the most recent
+        if S is None:
+            missing.setdefault(pair[0], []).append(pair[1])
+        else:
+            _CG_TENSORS[pair] = S
+        tensors.append(S)
+    _CG_LOOKUPS[0] += len(tensors)
+    if missing:
+        built = {}
+        for a, bs in missing.items():
+            bs.sort()
+            built.update(zip([(a, b) for b in bs], _cg_pass(a, bs)))
+        _CG_LOOKUPS[0] -= len(built)
+        _CG_LOOKUPS[1] += len(built)
+        tensors = [built[pair] if S is None else S for pair, S in zip(pairs, tensors)]
+        for pair, S in built.items():
+            S.flags.writeable = False
+            _CG_TENSORS[pair] = S
+        while len(_CG_TENSORS) > _CG_TENSORS_MAX:
+            _CG_TENSORS.popitem(last=False)
+    return tensors
 
-    # <v_M, J_- v_{M+1}> with J_- = J1- (shifts m1 down) + J2- (in place)
-    lowered = np.sqrt(np.maximum(j2 * (j2 + 1.0) - m2[:-1] * (m2[:-1] + 1), 0.0))[:, None] * S[1:]
-    lowered[:, :, :-1] += np.sqrt(j1 * (j1 + 1.0) - m1[1:] * (m1[1:] - 1)) * S[1:, :, 1:]
-    step = np.ones((J + 1, n))  # stays 1 above the top state M = j3
-    step[:-1] = np.where(M[:-1] < j3, np.sign(np.einsum("mka,mka->mk", S[:-1], lowered)), 1.0)
-    # top-state sign, read at the largest entry of each M = j3 row
-    top = S[j3, a]
-    at = np.abs(top).argmax(axis=1)
-    step[j3, a] = np.sign(top[a, at]) * (-1.0) ** (2 * j1 - at)
-    # the sign of state (j3, M) is the top sign times every step from j3 down to M
-    S = S * np.cumprod(step[::-1], axis=0)[::-1, :, None]
-    # impose C(-m1, -m2) = (-1)^(J-j3) C(m1, m2) at M = 0, which zeroes
-    # the m1 = m2 = 0 entry of every odd J - j3
-    sign = (-1.0) ** (J - j3)[:, None]
-    S[0] = 0.5 * (S[0] + sign * S[0, :, ::-1])
-    if j1 == j2:
-        # impose the swap identity C^{j3}_{j2,m2,j1,m1} = (-1)^(J-j3) C^{j3}_{j1,m1,j2,m2}
-        swap = np.minimum(M + 2 * j1 - a, 2 * j1)  # slot of m1' = m2; clipped ones are zeroed
-        S = 0.5 * (S + sign * S[M[:, :, None], a[:, None], swap[:, None, :]])
-    S = np.ascontiguousarray(S)
-    S[(M[:, :, None] > j3[:, None]) | ~real[:, None, :]] = 0.0
-    S.flags.writeable = False
-    return S
+
+def _cg_tensor(j1: int, j2: int) -> np.ndarray:
+    """``cg_tensor`` of a pair j1 <= j2 in range, unchecked: ``_cg_tensors`` of the one pair."""
+    return _cg_tensors(((j1, j2),))[0]
+
+
+def _cg_tensor_cache_clear() -> None:
+    _CG_TENSORS.clear()
+    _CG_LOOKUPS[:] = [0, 0]
+
+
+_cg_tensor.cache_clear = _cg_tensor_cache_clear
+_cg_tensor.cache_info = lambda: _CacheInfo(*_CG_LOOKUPS, _CG_TENSORS_MAX, len(_CG_TENSORS))
+
+_CG_PASS_FLOATS = 1 << 17  # floats in one work array of a recurrence pass (1 MB)
+
+
+def _cg_pass(a: int, bs: list) -> list:
+    """The half-sheared tensors S[M, k, m_a + a] of the pairs (a, b), b in ``bs`` (ascending, each >= a).
+
+    Each row (b, M, m_a) with m_b = M - m_a, |m_b| <= b, runs over
+    J = b - a + k from max(b - a, M) to a + b, where
+    f(J) = C^{J,M}_{a,m_a,b,m_b} / sqrt(2J + 1) satisfies the three-term
+    recurrence in J of Schulten & Gordon (J. Math. Phys. 16, 1961, 1975):
+
+        J A(J+1) f(J+1) + B(J) f(J) + (J+1) A(J) f(J-1) = 0,
+        A(J) = sqrt((J^2 - (b-a)^2) ((a+b+1)^2 - J^2) (J^2 - M^2)),
+        B(J) = (2J+1) ((a(a+1) - b(b+1)) M + J(J+1) (m_b - m_a)).
+
+    One run goes forward from f = 1 at the first J, one backward from
+    f = 1 at J = a + b, each stable where f grows its way, and the backward
+    run is scaled to meet the forward one where the forward |f| first
+    stops growing (Luscombe & Luban, Phys. Rev. E 57, 7274, 1998).  The
+    row is then C = sqrt(2J + 1) f, normalized by sum_J C^2 = 1, summed in
+    J order, with C^{a+b,M} > 0.  Both runs cover the whole row; the
+    tails they do not use grow but stay finite over the float CG range
+    (tested at its edges with floating-point warnings raised).  The row
+    a = b, M = 0 starts at J = 0, where the forward step is 0 / 0; its
+    second entry is f(1) = m_a f(0) / sqrt(a(a + 1)).
+
+    Every step is elementwise over the rows of all pairs, so a pair's
+    tensor has the same bits alone or in any batch.  B is an exact
+    integer, so it is exactly 0 on the rows of the parity zeros, which
+    stay exact.  Only the rows with m_a >= 0 at M = 0, and with
+    m_a >= m_b when a = b, run; the mirror and swap identities copy the
+    others, so both hold exactly.  The rows run in chunks of whole
+    (pair, M) families, about ``_CG_PASS_FLOATS`` floats per work array of
+    one float per row and J.
+    """
+    if not a:
+        return [np.ones((b + 1, 1, 1)) for b in bs]  # C^{b,M}_{0,0,b,M} = 1
+    K = 2 * a + 1
+    tensors = [np.zeros((a + b + 1, K, K)) for b in bs]
+    # one family of rows per (pair, M), with m_a + a = lo..2a: m_b <= b
+    # (J >= M from k = kmin on), m_a >= 0 at M = 0, 2 m_a >= M when a = b
+    d = np.array(bs) - a
+    fp, fM = np.nonzero(np.arange(a + bs[-1] + 1) < d[:, None] + K)  # M = 0..a+b
+    fd = d[fp]
+    kmin = np.maximum(fM - fd, 0)
+    lo = np.maximum(kmin, (fM == 0) * a)
+    if bs[0] == a:
+        lo[:K] = a + (np.arange(K) + 1) // 2
+    # chunks of whole families, each ending past one more multiple of the row bound
+    ends, rows = np.cumsum(K - lo), _CG_PASS_FLOATS // (K + 1)
+    cuts = np.searchsorted(ends, np.arange(rows, ends[-1], rows)).tolist()
+    for part in map(slice, [0, *cuts], [*cuts, fp.size]):
+        _cg_rows(a, tensors, fp[part], fM[part], fd[part], kmin[part], lo[part])
+    # the rows m_a + a = M..lo - 1 left out, from their mirror or swap
+    # partners M + 2a - i, times (-1)^(a+b-J) = (-1)^k
+    sign = (-1.0) ** np.arange(K)[:, None]
+    for S, b in zip(tensors, bs):
+        for M in range(K if b == a else 1):
+            end = a + (M + 1) // 2
+            np.multiply(S[M, :, 2 * a:M + 2 * a - end:-1], sign, out=S[M, :, M:end])
+    return tensors
+
+
+def _cg_rows(a: int, tensors: list, fp, fM, fd, kmin, lo) -> None:
+    """Run the rows m_a + a = lo..2a of each family (pair fp, M = fM) into ``tensors``; see ``_cg_pass``.
+
+    ``fd`` is b - a and ``kmin`` the k of the family's first J.  Both runs
+    step together, the backward one in reversed k.
+    """
+    K = 2 * a + 1
+    k = np.arange(K)
+    fam, i = np.nonzero(k >= lo[:, None])
+    R = i.size
+    g = _cg_coefficients(a, fd, fM)[:, :, fam]
+    # -B = v m_a - u, an exact integer; P = -B / D forward, -B / E backward
+    B = g[4] * (i - a)
+    B -= g[5]
+    P = np.empty((2, K, R))
+    np.multiply(g[0], B, out=P[0])
+    np.multiply(g[1], B[::-1], out=P[1])
+    Q = g[2:4]
+    # H[j + 1] = (f(j) forward from f(kmin) = 1, f(2a - j) backward from f(2a) = 1)
+    H = np.zeros((K + 1, 2, R))
+    r = np.arange(R)
+    H[kmin[fam] + 1, 0, r] = 1.0
+    H[1, 1] = 1.0
+    t1, t2 = np.empty((2, R)), np.empty((2, R))
+    for j in range(K - 1):
+        np.multiply(P[:, j], H[j + 1], out=t1)
+        np.multiply(Q[:, j], H[j], out=t2)
+        t1 -= t2
+        H[j + 2] += t1
+    F, G = H[1:, 0], H[K:0:-1, 1]  # f(k) of each run
+    # meet where the forward |f| first stops growing, else at J = a + b
+    absF = np.abs(F)
+    stops = np.empty((K, R), bool)
+    np.less(absF[1:], absF[:-1], out=stops[:-1])
+    stops[-1] = True
+    meet = stops.argmax(axis=0)
+    G *= F[meet, r] / G[meet, r]
+    np.copyto(G, F, where=k[:, None] <= meet)
+    G *= g[6]
+    norm = G[0] * G[0]
+    for row in G[1:]:
+        norm += row * row
+    np.sqrt(norm, out=norm)
+    G /= np.copysign(norm, G[K - 1], out=norm)
+    p, M = fp[fam], fM[fam]
+    bounds = np.searchsorted(p, np.arange(p[0], p[-1] + 2)).tolist()
+    for q, s, e in zip(range(p[0], p[-1] + 1), bounds, bounds[1:]):
+        tensors[q][M[s:e], :, i[s:e]] = G[:, s:e].T
+
+
+def _cg_coefficients(a: int, d, M) -> np.ndarray:
+    """The recurrence of each family (b - a = d, M) over k = 0..2a, forward and backward.
+
+    Rows [1/D, 1/E, E/D, D/E, v, u, sqrt(2J+1)], with 1/E and D/E in
+    reversed k, for the backward run: D = J A(J+1) and E = (J+1) A(J),
+    each inverse 0 where it vanishes, and B = u - v m_a with
+    u = (2J+1)(a(a+1) - b(b+1) + J(J+1)) M and v = 2 (2J+1) J (J+1),
+    both exact integers.
+    """
+    K = 2 * a + 1
+    J = d + np.arange(K + 1.0)[:, None]
+    J2, top = J * J, d + K  # top = a + b + 1
+    A = np.sqrt(np.maximum((J2 - d * d) * (top * top - J2) * (J2 - M * M), 0.0))
+    J, J1 = J[:-1], J[:-1] + 1
+    odd = J + J1
+    t = odd * J * J1
+    D, E = J * A[1:], J1 * A[:-1]
+    g = np.zeros((7, K, d.size))
+    np.divide(1.0, D, out=g[0], where=D > 0)
+    np.divide(1.0, E[::-1], out=g[1], where=E[::-1] > 0)
+    np.multiply(E, g[0], out=g[2])
+    np.multiply(D[::-1], g[1], out=g[3])
+    np.multiply(t, 2, out=g[4])
+    # a(a+1) - b(b+1) = -d (a + b + 1)
+    np.multiply(t - odd * (d * top), M, out=g[5])
+    np.sqrt(odd, out=g[6])
+    if d[0] == 0 and M[0] == 0:
+        # the pair b = a comes first, so its M = 0 family is the pass's first; its
+        # rows step from J = 0 by -B / D = m_a / sqrt(a(a + 1))
+        g[0, 0, 0], g[4, 0, 0], g[5, 0, 0] = 1.0 / math.sqrt(a * (a + 1)), 1.0, 0.0
+    return g
 
 
 CG_ZERO_MAX = 1024  # largest degree cg_zero_float serves

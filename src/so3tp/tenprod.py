@@ -44,7 +44,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .angular import (_as_integers, _cg_tensor, _checked_cache, _require_cg_range, cg_block,
+from .angular import (_as_integers, _cg_tensors, _checked_cache, _require_cg_range, cg_block,
                       require_natural, require_triangle, triangle_delta)
 from .flops import FlopCounter
 from .rules import _path_coefficient, find_pair_ells, find_valid_ells
@@ -110,6 +110,7 @@ class _CallPlan(NamedTuple):
 
     size: int  # length of the packed output
     pairs: tuple  # (a, b, lo, hi, inputs, start, end, gather, scatter) per unordered pair
+    keys: tuple  # (a, b) per unordered pair, whose tensors the sparse kernel fetches in one call
     negate: np.ndarray  # bool mask of the packed entries whose sparse value changes sign
     spans: dict  # (j3, (j1, j2)) -> (start, end) of the output block in the packed output
     views: itemgetter  # packed output -> its block views, in ``spans`` order
@@ -141,8 +142,8 @@ def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
     converts them, at twice the bytes of int32 ones (1.78 against 0.89 MB
     for a MIMO plan at L = 16).  ``views`` slices every span
     of the packed output in one call.  A pair past the float CG range
-    (a + b > CG_BLOCK_MAX) raises here, once per plan, so the sparse
-    kernel reads each pair's cached tensor unchecked.
+    raises here, once per plan, so the sparse kernel fetches the tensors
+    of ``keys`` unchecked.
     """
     xoff = dict(zip(xdeg, accumulate((2 * j + 1 for j in xdeg), initial=0)))
     yoff = dict(zip(ydeg, accumulate((2 * j + 1 for j in ydeg), initial=0)))
@@ -167,7 +168,7 @@ def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
             lo, hi = max(b - a, lo3), min(a + b, L3)
             if not bases or lo > hi:
                 continue
-            _require_cg_range(a + b)
+            _require_cg_range(a, b)
             n_ord, I, nk = len(bases), 2 * a + 1, hi - lo + 1
             M = np.arange(hi + 1)[:, None]
             i = np.arange(I)
@@ -209,7 +210,7 @@ def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
     # a trailing empty slice makes the getter return a tuple for any number
     # of spans; zipped with ``spans``, it is dropped
     views = itemgetter(*(slice(*span) for span in spans.values()), slice(0))
-    return _CallPlan(size, pairs, negate, spans, views, macs)
+    return _CallPlan(size, pairs, tuple(pair[:2] for pair in pairs), negate, spans, views, macs)
 
 
 @lru_cache(maxsize=8)
@@ -232,18 +233,20 @@ def _stacked(blocks) -> np.ndarray:
 def _sparse_contract(plan: _CallPlan, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
     """The packed sparse output of ``plan`` for the packed inputs ``xv`` and ``yv``.
 
-    Forms P = xv (x) yv once.  Per pair, one take gathers R[M, i]
-    for every order, M >= 0 and, by the mirror identity, M <= 0; one real
-    batched matmul over M against the half-sheared ``cg_tensor(a, b)``
-    gives w, four float columns per order; and one take scatters w into
-    the pair's slice of the output.  One masked negation then applies the
-    mirror and swap signs to the whole output.
+    Forms P = xv (x) yv once and fetches the half-sheared ``cg_tensor``
+    of every pair in one ``_cg_tensors`` call.  Per pair, one take gathers
+    R[M, i] for every order, M >= 0 and, by the mirror identity, M <= 0;
+    one real batched matmul over M against the pair's tensor gives w,
+    four float columns per order; and one take scatters w into the pair's
+    slice of the output.  One masked negation then applies the mirror and
+    swap signs to the whole output.
     """
     products = np.multiply.outer(xv, yv).ravel()
     out = np.empty(plan.size, dtype=complex)
-    for a, b, lo, hi, _inputs, start, end, gather, scatter in plan.pairs:
+    tensors = _cg_tensors(plan.keys)
+    for (a, b, lo, hi, _inputs, start, end, gather, scatter), S in zip(plan.pairs, tensors):
         R = products.take(gather)
-        w = _cg_tensor(a, b)[:hi + 1, lo - b + a:hi - b + a + 1] @ R.view(float)
+        w = S[:hi + 1, lo - b + a:hi - b + a + 1] @ R.view(float)
         # with out=, the default mode="raise" would buffer the output
         w.view(complex).take(scatter, out=out[start:end], mode="clip")
     np.negative(out, out=out, where=plan.negate)
@@ -328,10 +331,12 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
     L = 32.  The ``sparse`` kernel forms the outer product of the
     packed inputs once (1.35 MB at L = 16, 19 MB at L = 32) and contracts
     each pair with one gather, one matmul against the half-sheared tensor
-    of the pair (``angular.cg_tensor``) and one scatter.  The 512 cached
-    tensors hold every pair of inputs up to L = 30.  An L = 32 call visits
-    its 561 unordered pairs in the same cycle each time, so a warm call
-    rebuilds all 561 tensors, and the builds dominate its time.
+    of the pair (``angular.cg_tensor``) and one scatter, the call's
+    tensors fetched in one batch.  The 512 cached tensors hold every pair
+    of inputs up to L = 30.  The 561 pairs of an L = 32 call cycle
+    through the cache, so a warm call misses 49, all of first degree
+    <= 12, and rebuilds them: 0.06-0.09 s for L = 32 -> 64, as with every
+    tensor cached (1 BLAS thread).
     """
     kernel = _kernel(mode)
     xs = x.single_per_degree()

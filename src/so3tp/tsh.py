@@ -156,10 +156,10 @@ def tsh_eval(j: int, m_j: int, l: int, s: int, theta, phi) -> np.ndarray:
 
     Scalar angles give shape (2s+1,); array angles broadcast to
     shape (..., 2s+1).  With s = 0 this reduces to the scalar harmonic.
-    The coupling weights are the float ``cg_block(l, s, j)``, so l + s
-    must not exceed ``CG_BLOCK_MAX``; ``j``, ``m_j``, ``l`` and ``s`` must
-    be integers (Python or numpy), and any other, such as 2.0, raises
-    ``ValueError`` naming it.
+    The coupling weights are the float ``cg_block(l, s, j)``, so (l, s)
+    must be in its range: l + s <= ``CG_BLOCK_MAX``, or l + s <= 512 for
+    s <= 2.  ``j``, ``m_j``, ``l`` and ``s`` must be integers (Python or
+    numpy), and any other, such as 2.0, raises ``ValueError`` naming it.
     """
     j, m_j, l, s = _as_integers((j, m_j, l, s), ("j", "m_j", "l", "s"))
     if not triangle_delta(j, l, s):

@@ -192,9 +192,29 @@ def test_cg_block_rejects_triangle_violation():
 
 
 def test_cg_block_rejects_out_of_range():
+    # j1 + j2 <= 130 for every pair, and <= 512 for a thin pair, min(j1, j2) <= 2
     cg_block(CG_BLOCK_MAX - 1, 1, CG_BLOCK_MAX)
-    with pytest.raises(ValueError):
-        cg_block(CG_BLOCK_MAX, 1, CG_BLOCK_MAX)
+    cg_block(CG_BLOCK_MAX - 3, 3, CG_BLOCK_MAX)
+    cg_block(511, 1, 512)
+    cg_block(2, 510, 512)
+    for bad in [(CG_BLOCK_MAX - 2, 3, CG_BLOCK_MAX), (3, CG_BLOCK_MAX - 2, 126), (66, 65, 1),
+                (512, 1, 512), (1, 512, 511), (511, 2, 511)]:
+        a, b = sorted(bad[:2])
+        with pytest.raises(ValueError, match=rf"^pair \({a}, {b}\) exceeds the float CG range: "
+                                             r"j1 \+ j2 <= 130, or <= 512 when min\(j1, j2\) <= 2$"):
+            cg_block(*bad)
+
+
+@pytest.mark.parametrize("j1,j2", [(1, 511), (2, 510), (510, 2)])
+def test_cg_block_matches_exact_at_the_top_of_the_thin_range(j1, j2):
+    # thin pairs run to j1 + j2 = 512: every spin <= 2 coupling of a decode at 256
+    rng = np.random.default_rng(j1)
+    for _ in range(25):
+        j3 = int(rng.integers(abs(j1 - j2), j1 + j2 + 1))
+        m1 = int(rng.integers(-j1, j1 + 1))
+        m2 = int(rng.integers(max(-j2, -j3 - m1), min(j2, j3 - m1) + 1))
+        got = cg_block(j1, j2, j3)[m1 + j1, m2 + j2]
+        assert abs(got - cg_float(j1, m1, j2, m2, j3, m1 + m2)) <= 1e-13, (j1, m1, j2, m2, j3)
 
 
 def test_cg_block_swap_identity_exact():
@@ -252,18 +272,55 @@ def test_cg_tensor_rejects_negative_degree():
 
 
 def test_cg_tensor_solves_only_the_m_nonnegative_subspaces(monkeypatch):
-    # one batched eigh over the J + 1 subspaces M = 0..j1+j2, each of size 2 j1 + 1
-    shapes = []
-    eigh = np.linalg.eigh
+    # one recurrence pass runs the rows of M = 0..j1+j2 only; M < 0 is the mirror's
+    runs = []
+    rows = angular._cg_rows
 
-    def counting_eigh(H, *args, **kwargs):
-        shapes.append(H.shape)
-        return eigh(H, *args, **kwargs)
+    def recording_rows(a, tensors, fp, fM, *rest):
+        runs.append((a, fM.tolist()))
+        return rows(a, tensors, fp, fM, *rest)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(angular, "_cg_rows", recording_rows)
     angular._cg_tensor.cache_clear()
     angular._cg_tensor(3, 7)
-    assert shapes == [(11, 7, 7)]
+    assert runs == [(3, list(range(11)))]
+
+
+def test_cg_tensor_every_entry_matches_exact_to_total_degree_12():
+    # zeros included: the padding and the M > j3 slots are exact zeros
+    angular._cg_tensor.cache_clear()
+    for j2 in range(13):
+        for j1 in range(min(j2, 12 - j2) + 1):
+            S = cg_tensor(j1, j2)
+            for M, k, i in itertools.product(range(j1 + j2 + 1), range(2 * j1 + 1), range(2 * j1 + 1)):
+                j3, m1 = j2 - j1 + k, i - j1
+                if M <= j3 and abs(M - m1) <= j2:
+                    expect = cg_float(j1, m1, j2, M - m1, j3, M)
+                    assert abs(S[M, k, i] - expect) <= 1e-13, (j1, j2, M, k, i)
+                else:
+                    assert S[M, k, i] == 0.0, (j1, j2, M, k, i)
+
+
+def test_cg_tensor_bits_do_not_depend_on_the_batch(monkeypatch):
+    # every recurrence step is elementwise over the rows, so a pair's tensor
+    # is the same alone, beside other second degrees, or split over chunks
+    alone = {(a, b): angular._cg_pass(a, [b])[0] for a in (1, 4, 9) for b in range(a, 24, 5)}
+    for a in (1, 4, 9):
+        bs = list(range(a, 24, 5))
+        batch = angular._cg_pass(a, bs)
+        monkeypatch.setattr(angular, "_CG_PASS_FLOATS", 64 * (2 * a + 2))
+        chunked = angular._cg_pass(a, bs)
+        monkeypatch.undo()
+        for b, S, T in zip(bs, batch, chunked):
+            assert S.tobytes() == alone[a, b].tobytes() == T.tobytes(), (a, b)
+
+
+@pytest.mark.parametrize("j1,j2", [(65, 65), (0, 130), (40, 90), (2, 510), (1, 511)])
+def test_cg_tensor_build_raises_no_floating_point_warning(j1, j2):
+    # the runs grow past their meeting point in the tails they do not use
+    with np.errstate(all="raise"):
+        S = angular._cg_pass(j1, [j2])[0]
+    assert np.isfinite(S).all()
 
 
 def test_cgtp_full_caches_one_tensor_per_unordered_pair():

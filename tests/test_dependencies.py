@@ -1,5 +1,8 @@
 """The library imports only the standard library and numpy and reads two environment knobs.
 
+Of ``numpy.linalg`` it calls only the Wigner d eigenbasis: the float CG
+tensors come from a recurrence, with no eigensolver beside it.
+
 Of the tests, only ``test_oracle`` imports sympy or mpmath, the test-only
 oracles of the ``test`` extra.
 
@@ -163,3 +166,32 @@ def test_environment_is_read_only_for_the_budget_and_the_reported_threads():
         visitor.visit(ast.parse(path.read_text(), filename=str(path)))
         reads |= {(path.name, scope) for scope in visitor.found}
     assert reads == {("bench.py", "run_bench"), ("cli.py", "_environment")}
+
+
+class _LinalgUses(_EnvironmentReads):
+    """Names of the functions (or ``<module>``) that reach ``numpy.linalg``."""
+
+    def visit_Attribute(self, node):
+        if node.attr == "linalg":
+            self.found.append(self.scope[-1])
+        self.generic_visit(node)
+
+    def visit_Import(self, node):
+        if any(alias.name.startswith("numpy.linalg") for alias in node.names):
+            self.found.append(self.scope[-1])
+
+    def visit_ImportFrom(self, node):
+        if (node.module or "").startswith("numpy.linalg") \
+                or (node.module == "numpy" and any(a.name == "linalg" for a in node.names)):
+            self.found.append(self.scope[-1])
+
+
+def test_only_the_wigner_d_eigenbasis_calls_numpy_linalg():
+    # the float CG tensors come from a recurrence in j3: one float CG path,
+    # with no eigensolver beside it
+    uses = set()
+    for path in sorted(Path(so3tp.__file__).parent.rglob("*.py")):
+        visitor = _LinalgUses()
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        uses |= {(path.name, scope) for scope in visitor.found}
+    assert uses == {("angular.py", "_jy_eigenvectors")}

@@ -138,23 +138,31 @@ def test_cgtp_full_sparse_matches_exact_cg(rng):
 
 def test_cgtp_full_visits_each_unordered_pair_once(monkeypatch, rng):
     # one tensor lookup per unordered pair serves both orders: 45 at L = 8, not 81
-    lookups = []
+    fetches = []
 
-    def counting_cg_tensor(j1, j2):
-        lookups.append((j1, j2))
-        return angular._cg_tensor(j1, j2)
+    def counting_cg_tensors(pairs):
+        fetches.append(list(pairs))
+        return angular._cg_tensors(pairs)
 
-    # the sparse kernel reads the cached tensor directly; its plan checked the range
-    monkeypatch.setattr(tenprod, "_cg_tensor", counting_cg_tensor)
+    # the sparse kernel fetches the call's tensors in one batch; its plan checked the range
+    monkeypatch.setattr(tenprod, "_cg_tensors", counting_cg_tensors)
     x, y = random_coeffs(8, rng), random_coeffs(8, rng)
     first = cgtp_full(x, y, 16)
-    assert len(lookups) == len(set(lookups)) == 9 * 10 // 2
+    assert len(fetches) == 1 and len(fetches[0]) == len(set(fetches[0])) == 9 * 10 // 2
     misses = tenprod._call_plan.cache_info().misses
     second = cgtp_full(x, y, 16)
     assert tenprod._call_plan.cache_info().misses == misses
-    assert len(lookups) == 2 * 45
+    assert fetches == [fetches[0]] * 2
     for key, z in first.output.blocks.items():
         assert np.array_equal(second.output.blocks[key], z)
+
+
+def test_cold_cgtp_full_builds_its_tensors_in_one_pass_per_first_degree(cg_passes, rng):
+    # every pair (a, b) of one first degree a in one recurrence pass
+    tenprod._call_plan.cache_clear()
+    cgtp_full(random_coeffs(8, rng), random_coeffs(8, rng), 16)
+    assert cg_passes == [(a, list(range(a, 9))) for a in range(9)]
+    assert angular._cg_tensor.cache_info().misses == 45
 
 
 def _ordered_pair_naive_blocks(xs: dict, ys: dict, L3: int) -> dict:

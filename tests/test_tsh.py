@@ -82,8 +82,9 @@ def test_tsh_eval_at_the_top_of_the_float_cg_range():
             expect = (cg_float(l, m_l, s, m_s, j, m_j) * sh_eval(l, m_l, th, ph)
                       if abs(m_l) <= l else 0.0)
             assert abs(got[m_s + s] - expect) <= 1e-13, (j, m_j, l, m_s)
+    # (l, s) = (128, 3) is one past it; a thin pair, s <= 2, runs to l + s = 512
     with pytest.raises(ValueError, match="exceeds the float CG range"):
-        tsh_eval(129, 0, 129, 2, th, ph)
+        tsh_eval(128, 0, 128, 3, th, ph)
 
 
 def test_tsh_coeffs_key_validation():
@@ -347,13 +348,29 @@ def test_table_builds_call_no_cg_block(monkeypatch):
 
 
 def test_coupling_table_at_the_top_of_the_float_cg_range():
-    # spin-1 weights read the (1, l) tensors: l = 129 is the last in range
-    for j in (128, 129, 130):
-        macs, _slot, weight = tsh._coupling_table(1, ((j, 129),), 129)
-        expect = _per_key_coupling_table(1, ((j, 129),), 129)
+    # spin-1 weights read the thin (1, l) tensors: l = 511 is the last in range
+    for j in (510, 511, 512):
+        macs, _slot, weight = tsh._coupling_table(1, ((j, 511),), 511)
+        expect = _per_key_coupling_table(1, ((j, 511),), 511)
         assert macs == expect[0] and weight.tobytes() == expect[2].tobytes()
-    with pytest.raises(ValueError, match=r"^j1 \+ j2 = 131 exceeds the float CG range 130$"):
-        tsh._coupling_table(1, ((130, 130),), 130)
+    with pytest.raises(ValueError, match=r"^pair \(1, 512\) exceeds the float CG range: "
+                                         r"j1 \+ j2 <= 130, or <= 512 when min\(j1, j2\) <= 2$"):
+        tsh._coupling_table(1, ((512, 512),), 512)
+
+
+def test_spin1_decode_layout_builds_past_degree_130(cg_passes):
+    # a pair product decoded at 192 needs (l, 1) weights with l + 1 > 130;
+    # a cold layout builds its tensors in one recurrence pass per first degree
+    tsh._decode_layout.__wrapped__(1, 64)
+    assert cg_passes == [(0, [1]), (1, list(range(1, 65)))]
+    (_macs, _slot, weight), spans = tsh._decode_layout.__wrapped__(1, 200)
+    assert len(spans) == len(valid_pairs(1, 200))
+    # the top key's weights, each held twice, are C^{j,mj}_{l,mj-ms,1,ms}
+    start, end = spans[(200, 199)]
+    C = cg_block(199, 1, 200)
+    ml = np.arange(-200, 201)[:, None] - np.arange(-1, 2)
+    expect = np.where(np.abs(ml) <= 199, C[np.clip(ml, -199, 199) + 199, np.arange(3)], 0.0)
+    assert np.array_equal(weight[:, 2 * start:2 * end:2], expect.T)
 
 
 def _bincount_decode(xpad, s, L):
