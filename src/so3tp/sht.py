@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -253,14 +254,79 @@ def _block_sort_key(key):
     return (j, tag is not None, repr(tag))
 
 
+def _same_block(a, b) -> bool:
+    """A dict's value test ``a is b or a == b``, two views of one memory range counting as one block."""
+    if a is b or (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                  and a.__array_interface__ == b.__array_interface__):
+        return True
+    return bool(a == b)
+
+
+class _PackedBlocks(MutableMapping):
+    """The ``blocks`` of a product output: a dict-like map over one packed array.
+
+    Block ``key`` is packed[start:end] for spans[key] = (start, end), a view
+    cut when the key is read, so an output holds no per-block array.  The
+    span map is shared (a call plan's or a decode layout's) and never
+    written: a write goes to a dict of the map's own, read first, so a
+    rebound or added block behaves as in a dict, unchecked as there.
+    Iteration runs over the spans, then the added keys; a deletion turns
+    the map into that dict alone, in the same order.  ``len``, ``in``,
+    ``==`` and ``repr`` are a dict's of the same blocks.
+    """
+
+    __slots__ = ("packed", "spans", "_own")
+
+    def __init__(self, packed: np.ndarray, spans: dict):
+        self.packed, self.spans, self._own = packed, spans, {}
+
+    def __getitem__(self, key):
+        if key in self._own:
+            return self._own[key]
+        start, end = self.spans[key]
+        return self.packed[start:end]
+
+    def __setitem__(self, key, vec) -> None:
+        self._own[key] = vec
+
+    def __delitem__(self, key) -> None:
+        if key not in self:
+            raise KeyError(key)
+        own = dict(self.items())
+        del own[key]
+        self.spans, self._own = {}, own
+
+    def __iter__(self):
+        yield from self.spans
+        yield from (key for key in self._own if key not in self.spans)
+
+    def __len__(self) -> int:
+        return len(self.spans) + sum(key not in self.spans for key in self._own)
+
+    def __contains__(self, key) -> bool:
+        return key in self.spans or key in self._own
+
+    def __eq__(self, other):
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            key in other and _same_block(vec, other[key]) for key, vec in self.items())
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 class _Blocks:
     """Block code shared by ``IrrepCoeffs`` and ``tsh.TshCoeffs``.
 
     ``blocks`` maps pairs (j, tag) to finite complex vectors of length
     2j + 1, checked on the way in; the blocks stay mutable arrays, so the
-    products check finiteness again.  Each subclass checks its other fields, then its keys in
-    ``_check_key``, after the first ``_degrees`` entries of each key passed
-    ``operator.index``; ``_sort_key`` orders ``items`` (None: by key).
+    products check finiteness again.  A container built by hand holds a
+    dict; a product output holds a ``_PackedBlocks`` over its packed
+    array, read through the same mapping API.  Each subclass checks its
+    other fields, then its keys in ``_check_key``, after the first
+    ``_degrees`` entries of each key passed ``operator.index``;
+    ``_sort_key`` orders ``items`` (None: by key).
     """
 
     _degrees = 1

@@ -7,7 +7,8 @@ Two families:
   triple and a ``sparse`` variant restricted to m3 = m1 + m2.  One cached
   call plan per (x degrees, y degrees, j3 range) lays out every path of
   a call in one packed output, each unordered degree pair a <= b serving
-  both orders (a, b) and (b, a), and the output blocks are views of it.
+  both orders (a, b) and (b, a); the output container holds that array
+  and the plan's span map, and cuts a block's view when it is read.
   ``naive`` runs one dense CG matrix product per order and j3.  ``sparse``
   forms the outer product of the packed inputs once; per pair it takes
   one gather, one batched matmul against the half-sheared CG tensor of
@@ -20,11 +21,13 @@ Two families:
 
 * Grid products: encode inputs as spin signals, couple them pointwise,
   and decode (``istp``), with the scalar (``gtp``) and vector (``vstp``)
-  specializations.  One private core runs the three steps on packed
-  vectors; ``istp`` checks and packs its containers, calls it, and wraps
-  the packed decode in ``TshCoeffs``.  One pair product (x at (j1, l1),
-  y at (j2, l2), the spin-1 core on ``make_grid(l1 + l2)``) calls it on
-  the raw vectors, building no container, and serves both CGTP
+  specializations.  One private core encodes packed vectors and couples
+  them; ``istp`` checks and packs its containers, calls it, and decodes
+  through ``tsh_decode``, whose ``TshCoeffs`` holds the packed decode and
+  its span map (``gtp`` re-keys those spans to scalar degrees over the
+  same array).  One pair product (x at (j1, l1), y at (j2, l2), the
+  spin-1 core on ``make_grid(l1 + l2)``) calls it on the raw vectors and
+  decodes to the packed vector, building no container, and serves both CGTP
   simulations: one path, its inputs checked finite before any grid or
   table is built, read from the (j3, l3) span of the packed decode and
   divided by ``rules._path_coefficient`` (``simulate_cgtp_path``), and
@@ -39,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import itemgetter
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -48,9 +50,10 @@ from .angular import (_as_integers, _cg_tensors, _checked_cache, _require_cg_ran
                       require_natural, require_triangle, triangle_delta)
 from .flops import FlopCounter
 from .rules import _path_coefficient, find_pair_ells, find_valid_ells
-from .sht import IrrepCoeffs, SphereGrid, _check_band_limit, _require_finite, _trusted, make_grid
-from .tsh import (SpinSignal, TshCoeffs, _decode, _decode_layout, _encode, _packed, _unpack,
-                  scalar_from_spin0, spin0_from_scalar)
+from .sht import (IrrepCoeffs, SphereGrid, _check_band_limit, _PackedBlocks, _require_finite,
+                  _trusted, make_grid)
+from .tsh import (SpinSignal, TshCoeffs, _decode, _decode_layout, _encode, _packed, _scalar_output,
+                  spin0_from_scalar, tsh_decode)
 
 __all__ = [
     "TpoResult",
@@ -112,8 +115,7 @@ class _CallPlan(NamedTuple):
     pairs: tuple  # (a, b, lo, hi, inputs, start, end, gather, scatter) per unordered pair
     keys: tuple  # (a, b) per unordered pair, whose tensors the sparse kernel fetches in one call
     negate: np.ndarray  # bool mask of the packed entries whose sparse value changes sign
-    spans: dict  # (j3, (j1, j2)) -> (start, end) of the output block in the packed output
-    views: itemgetter  # packed output -> its block views, in ``spans`` order
+    spans: dict  # (j3, (j1, j2)) -> (start, end) of the output block in the packed output, shared
     macs: dict  # MACs per mode
 
 
@@ -140,8 +142,9 @@ def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
     per-slot indices one set of them for the whole call.  Both index
     arrays are ``np.intp``, the width ``take`` indexes with, so no call
     converts them, at twice the bytes of int32 ones (1.78 against 0.89 MB
-    for a MIMO plan at L = 16).  ``views`` slices every span
-    of the packed output in one call.  A pair past the float CG range
+    for a MIMO plan at L = 16).  ``spans`` names each block's slice of
+    the packed output; every output of the plan holds that one dict,
+    uncopied and never written.  A pair past the float CG range
     raises here, once per plan, so the sparse kernel fetches the tensors
     of ``keys`` unchecked.
     """
@@ -207,10 +210,7 @@ def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
     pairs = tuple(pair + (scatter[pair[5]:pair[6]],) for pair in pairs)
     keys = zip(j3.tolist(), [tags[p] for p in order.tolist()])
     spans = dict(zip(keys, zip((center - j3).tolist(), (center + j3 + 1).tolist())))
-    # a trailing empty slice makes the getter return a tuple for any number
-    # of spans; zipped with ``spans``, it is dropped
-    views = itemgetter(*(slice(*span) for span in spans.values()), slice(0))
-    return _CallPlan(size, pairs, tuple(pair[:2] for pair in pairs), negate, spans, views, macs)
+    return _CallPlan(size, pairs, tuple(pair[:2] for pair in pairs), negate, spans, macs)
 
 
 @lru_cache(maxsize=8)
@@ -323,16 +323,21 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
     (j1, j2) -> j3 path, for every j3 = |j1 - j2| .. min(j1 + j2, L3).
     One call plan per (x degrees, y degrees, L3), in an 8-entry cache,
     holds the packed layout: each unordered pair a <= b covers both
-    orders (a, b) and (b, a) that the inputs hold, every block is a view
-    of one packed output array, and each order counts ``pair_macs`` for
-    its range.  The finiteness check reads the packed inputs, the blocks
-    of each side in one vector, that both kernels then use.  A MIMO
-    plan holds 1.78 MB of ``np.intp`` indices at L = 16 and 25.3 MB at
-    L = 32.  The ``sparse`` kernel forms the outer product of the
-    packed inputs once (1.35 MB at L = 16, 19 MB at L = 32) and contracts
-    each pair with one gather, one matmul against the half-sheared tensor
-    of the pair (``angular.cg_tensor``) and one scatter, the call's
-    tensors fetched in one batch.  The 512 cached tensors hold every pair
+    orders (a, b) and (b, a) that the inputs hold, and each order counts
+    ``pair_macs`` for its range.  The output's ``blocks`` is a
+    ``sht._PackedBlocks`` over the packed output array and the plan's span
+    map, so the call builds no per-block array: a block's view is cut
+    when it is read.  A warm MIMO call takes 1.5-1.7 ms at L = 16 -> 32,
+    against 2.1-2.3 ms when it cut a view per block (3,281), and 49-61 ms
+    at L = 32 -> 64, against 53-73 ms with 23,969 views (best to median
+    of 40-400 calls, 1 BLAS thread).  The finiteness check reads the
+    packed inputs, the blocks of each side in one vector, that both
+    kernels then use.  A MIMO plan holds 1.78 MB of ``np.intp`` indices
+    at L = 16 and 25.3 MB at L = 32.  The ``sparse`` kernel forms the
+    outer product of the packed inputs once (1.35 MB at L = 16, 19 MB at
+    L = 32) and contracts each pair with one gather, one matmul against
+    the half-sheared tensor of the pair (``angular.cg_tensor``) and one
+    scatter, the call's tensors fetched in one batch.  The 512 cached tensors hold every pair
     of inputs up to L = 30.  The 561 pairs of an L = 32 call cycle
     through the cache, so a warm call misses 49, all of first degree
     <= 12, and rebuilds them: 0.06-0.09 s for L = 32 -> 64, as with every
@@ -345,8 +350,7 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
     _require_finite(xv, yv)
     _check_band_limit(L3)
     plan = _call_plan(tuple(xs), tuple(ys), L3)
-    packed = kernel(plan, xv, yv)
-    blocks = dict(zip(plan.spans, plan.views(packed)))
+    blocks = _PackedBlocks(kernel(plan, xv, yv), plan.spans)
     return TpoResult(output=_trusted(IrrepCoeffs, L=L3, blocks=blocks), flops=plan.macs[mode])
 
 
@@ -406,17 +410,18 @@ def pointwise_spin_tp(f: SpinSignal, g: SpinSignal, s3: int,
     return _trusted(SpinSignal, s=s3, grid=f.grid, values=out.transpose(1, 0, 2))
 
 
-def _grid_product(x: tuple, y: tuple, s3: int, L3: int, grid: SphereGrid,
-                  flops: FlopCounter | None) -> np.ndarray:
-    """Encode, couple pointwise and decode at L3, all on packed vectors.
+def _grid_product(x: tuple, y: tuple, s3: int, grid: SphereGrid,
+                  flops: FlopCounter | None) -> SpinSignal:
+    """Encode both inputs and couple them pointwise, on packed vectors.
 
     ``x`` and ``y`` are (spin, keys, band limit, packed blocks), the
-    ``_packed`` form; returns the packed decode, block (j, l) at its span
-    in ``tsh._decode_layout(s3, L3)``.  No check: callers make them.
+    ``_packed`` form.  Callers decode the product: ``istp`` through
+    ``tsh_decode``, the pair product to the packed vector of ``tsh._decode``.
+    No check: callers make them.
     """
     fx = _encode(*x, grid, flops)
     fy = _encode(*y, grid, flops)
-    return _decode(pointwise_spin_tp(fx, fy, s3, flops=flops), L3, flops)
+    return pointwise_spin_tp(fx, fy, s3, flops=flops)
 
 
 def istp(x: TshCoeffs, y: TshCoeffs, s3: int, L3: int, grid: SphereGrid) -> TpoResult:
@@ -436,8 +441,8 @@ def istp(x: TshCoeffs, y: TshCoeffs, s3: int, L3: int, grid: SphereGrid) -> TpoR
     px, py = _packed(x), _packed(y)
     _require_finite(px[2], py[2])
     fl = FlopCounter()
-    packed = _grid_product((x.s, *px), (y.s, *py), s3, L3, grid, fl)
-    return TpoResult(output=_unpack(s3, L3, packed), flops=fl.count)
+    out = tsh_decode(_grid_product((x.s, *px), (y.s, *py), s3, grid, fl), L3, fl)
+    return TpoResult(output=out, flops=fl.count)
 
 
 def gtp(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, grid: SphereGrid) -> TpoResult:
@@ -447,7 +452,7 @@ def gtp(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, grid: SphereGrid) -> TpoResult:
     l1 + l2 + l3 even survive.
     """
     res = istp(spin0_from_scalar(x), spin0_from_scalar(y), 0, L3, grid)
-    return TpoResult(output=scalar_from_spin0(res.output), flops=res.flops)
+    return TpoResult(output=_scalar_output(res.output), flops=res.flops)
 
 
 def vstp(x: TshCoeffs, y: TshCoeffs, L3: int, grid: SphereGrid) -> TpoResult:
@@ -466,8 +471,9 @@ def _pair_product(x: np.ndarray, y: np.ndarray, l1: int, l2: int, L3: int,
     labels satisfy every ``istp`` condition.
     """
     j1, j2 = (x.size - 1) // 2, (y.size - 1) // 2
-    return _grid_product((1, ((j1, l1),), l1, x), (1, ((j2, l2),), l2, y), 1, L3,
-                         make_grid(l1 + l2), flops)
+    f = _grid_product((1, ((j1, l1),), l1, x), (1, ((j2, l2),), l2, y), 1,
+                      make_grid(l1 + l2), flops)
+    return _decode(f, L3, flops)
 
 
 def simulate_cgtp_path(x: np.ndarray, y: np.ndarray, j3: int,

@@ -26,7 +26,8 @@ band limit.  Spin 0 is the identity coupling (all weights 1.0, 0 MACs),
 and the scalar transforms ``to_sphere`` and ``from_sphere`` are spin-0
 encode and decode.  A ``SpinSignal`` checks its spin, shape and
 finiteness; the encode core builds its ``SpinSignal`` unchecked
-(``sht._trusted``).
+(``sht._trusted``).  A decode holds its packed vector and the layout's
+span map (``sht._PackedBlocks``) and builds no per-block array.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import numpy as np
 from .angular import _as_integers, _cg_entries, cg_block, require_natural, triangle_delta
 from .flops import FlopCounter
 from .sht import (IrrepCoeffs, SphereGrid, _analysis_core, _Blocks, _check_band_limit,
-                  _folded_scatter, _padded_index, _require_finite, _synthesis_core, _trusted,
-                  make_grid, random_block, sh_eval)
+                  _folded_scatter, _PackedBlocks, _padded_index, _require_finite, _synthesis_core,
+                  _trusted, make_grid, random_block, sh_eval)
 
 __all__ = [
     "SpinSignal",
@@ -145,10 +146,12 @@ def from_sphere(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> Irre
 
     ``f`` must be a spin-0 ``SpinSignal``; any other spin raises first.
     Exact for signals band-limited at degree <= grid.Lg when L <= grid.Lg.
+    The blocks are the spin-0 decode's packed array under its spans
+    re-keyed to (j, None), one map per L.
     """
     if f.s != 0:
         raise ValueError(f"from_sphere takes a spin-0 signal, got spin s={f.s}")
-    return scalar_from_spin0(tsh_decode(f, L, flops))
+    return _scalar_output(tsh_decode(f, L, flops))
 
 
 def tsh_eval(j: int, m_j: int, l: int, s: int, theta, phi) -> np.ndarray:
@@ -286,10 +289,15 @@ def _decode(f: SpinSignal, L: int, flops: FlopCounter | None) -> np.ndarray:
     return np.add.reduce(terms)
 
 
-def _unpack(s: int, L: int, packed: np.ndarray) -> TshCoeffs:
-    """``TshCoeffs`` whose blocks are views of ``packed``, laid out as ``_decode_layout(s, L)``."""
-    return _trusted(TshCoeffs, s=s, L=L, blocks={
-        key: packed[start:end] for key, (start, end) in _decode_layout(s, L)[1].items()})
+@lru_cache(maxsize=128)
+def _scalar_spans(L: int) -> dict:
+    """The spin-0 spans of ``_decode_layout(0, L)`` re-keyed (j, j) -> (j, None)."""
+    return {(j, None): span for (j, _l), span in _decode_layout(0, L)[1].items()}
+
+
+def _scalar_output(z: TshCoeffs) -> IrrepCoeffs:
+    """``scalar_from_spin0`` of an unwritten spin-0 product output: its packed array, re-keyed."""
+    return _trusted(IrrepCoeffs, L=z.L, blocks=_PackedBlocks(z.blocks.packed, _scalar_spans(z.L)))
 
 
 def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCoeffs:
@@ -298,8 +306,12 @@ def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCo
     One analysis of all components produces B^l_{ml,ms}; Clebsch-Gordan
     orthogonality then extracts each block:
     z^(j,l)_{mj} = sum_{ml,ms} C^{j,mj}_{l,ml,s,ms} B^l_{ml,ms}, or B^j_{mj} at spin 0.
+    The output's ``blocks`` is a ``sht._PackedBlocks`` over the packed
+    decode and the spans of ``_decode_layout(s, L)``: no per-block array
+    is built, and a block's view is cut when it is read.
     """
-    return _unpack(f.s, L, _decode(f, L, flops))
+    blocks = _PackedBlocks(_decode(f, L, flops), _decode_layout(f.s, L)[1])
+    return _trusted(TshCoeffs, s=f.s, L=L, blocks=blocks)
 
 
 def tsh_evaluate(x: TshCoeffs, theta, phi) -> np.ndarray:

@@ -72,6 +72,21 @@ def test_cg_block_top_edge_equals_sympy_clebsch_gordan():
             assert abs(got - want) <= 1e-13, (j1, m1, j2, m2, j3)
 
 
+def test_cg_block_thin_top_edge_equals_sympy_clebsch_gordan():
+    # a thin pair, min(j1, j2) <= 2, runs to j1 + j2 = 512, each order; the
+    # samples include m1 = +-j1 and the first and last j3 of the pair
+    rng = random.Random(512)
+    for j1, j2 in ((1, 511), (511, 1), (2, 510), (510, 2)):
+        assert j1 + j2 == 512 and min(j1, j2) <= 2
+        lo, hi = abs(j1 - j2), j1 + j2
+        for j3, m1 in [(lo, j1), (hi, -j1)] + [(rng.randint(lo, hi), rng.randint(-j1, j1))
+                                                for _ in range(4)]:
+            m2 = rng.randint(max(-j2, -j3 - m1), min(j2, j3 - m1))
+            want = float(wigner.clebsch_gordan(j1, j2, j3, m1, m2, m1 + m2))
+            got = angular.cg_block(j1, j2, j3)[m1 + j1, m2 + j2]
+            assert abs(got - want) <= 1e-13, (j1, m1, j2, m2, j3)
+
+
 def test_racah_6j_sum_equals_sympy_wigner_6j():
     # {j1 j2 j3; j4 j5 j6} = sum * sqrt(delta2 of its four triads)
     rng = random.Random(6)

@@ -271,6 +271,58 @@ def test_cgtp_full_warm_peak_memory(rng):
     assert peak <= 4_000_000
 
 
+def test_cgtp_full_warm_call_builds_no_block_arrays(rng):
+    # the output holds one packed array and the plan's own span map, so a
+    # warm call leaves far fewer live allocations than it has blocks
+    x, y = random_coeffs(16, rng), random_coeffs(16, rng)
+    cgtp_full(x, y, 32)
+    tracemalloc.start()
+    try:
+        out = cgtp_full(x, y, 32).output
+        live = sum(stat.count for stat in tracemalloc.take_snapshot().statistics("filename"))
+    finally:
+        tracemalloc.stop()
+    assert len(out.blocks) == 3281 and live < len(out.blocks) / 10
+    assert out.blocks.spans is tenprod._call_plan(tuple(range(17)), tuple(range(17)), 32).spans
+
+
+@pytest.mark.parametrize("mode", ["sparse", "naive"])
+def test_cgtp_full_output_is_a_map_over_one_packed_array(mode, rng, packed_output_contract):
+    # MIMO, a partial overlap of degrees, and an empty side
+    for L, xdeg, ydeg, L3 in [(3, range(4), range(4), 6), (4, (0, 2, 4), (1, 4), 5),
+                              (2, (), range(3), 4)]:
+        x = IrrepCoeffs(L=L, blocks={(j, None): random_block(j, rng) for j in xdeg})
+        y = IrrepCoeffs(L=L, blocks={(j, None): random_block(j, rng) for j in ydeg})
+        out, other = (cgtp_full(x, y, L3, mode=mode).output for _ in range(2))
+        xs, ys = x.single_per_degree(), y.single_per_degree()
+        plan = tenprod._call_plan(tuple(xs), tuple(ys), L3)
+        packed = tenprod._KERNELS[mode](plan, tenprod._stacked(xs.values()),
+                                        tenprod._stacked(ys.values()))
+        expect = {key: packed[start:end] for key, (start, end) in plan.spans.items()}
+        assert out.blocks.spans is plan.spans and other.blocks.packed is not out.blocks.packed
+        packed_output_contract(out, out.blocks.packed, expect, other, shared=(plan.spans,))
+
+
+def test_grid_product_outputs_are_maps_over_one_packed_array(rng, packed_output_contract):
+    g = make_grid(6)
+    x, y = random_tsh_coeffs(1, 3, rng), random_tsh_coeffs(1, 3, rng)
+    out, other = (vstp(x, y, 5, g).output for _ in range(2))
+    packed = tsh._decode(pointwise_spin_tp(tsh.tsh_encode(x, g), tsh.tsh_encode(y, g), 1), 5, None)
+    spans = tsh._decode_layout(1, 5)[1]
+    expect = {key: packed[start:end] for key, (start, end) in spans.items()}
+    assert out.blocks.spans is spans
+    packed_output_contract(out, out.blocks.packed, expect, other, shared=(spans,))
+    # gtp re-keys the spin-0 spans (j, j) -> (j, None), once per L3
+    a, b = random_coeffs(3, rng), random_coeffs(3, rng)
+    out, other = (gtp(a, b, 5, g).output for _ in range(2))
+    packed = tsh._decode(pointwise_spin_tp(tsh.to_sphere(a, g), tsh.to_sphere(b, g), 0), 5, None)
+    spans = tsh._decode_layout(0, 5)[1]
+    expect = {(j, None): packed[start:end] for (j, _l), (start, end) in spans.items()}
+    assert out.blocks.spans is other.blocks.spans is tsh._scalar_spans(5)
+    packed_output_contract(out, out.blocks.packed, expect, other,
+                           shared=(spans, tsh._scalar_spans(5)))
+
+
 def _plan_index_bytes(xdeg, ydeg, lo3: int, L3: int) -> int:
     """Bytes of a plan's np.intp indices, summed over the ordered pairs (j1, j2) with a path.
 

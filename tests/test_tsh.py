@@ -15,6 +15,7 @@ from so3tp.sht import IrrepCoeffs, make_grid, random_block, random_coeffs, rotat
 from so3tp.tsh import (
     SpinSignal,
     TshCoeffs,
+    from_sphere,
     random_tsh_coeffs,
     scalar_from_spin0,
     spin0_from_scalar,
@@ -249,6 +250,34 @@ def test_decode_zero_signal():
     assert all(np.abs(vec).max() == 0.0 for _k, vec in z.items())
 
 
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_decode_output_is_a_map_over_one_packed_array(s, rng, packed_output_contract):
+    g = make_grid(5)
+    f = tsh_encode(random_tsh_coeffs(s, 4, rng), g)
+    z, other = tsh_decode(f, 4), tsh_decode(f, 4)
+    spans = tsh._decode_layout(s, 4)[1]
+    packed = tsh._decode(f, 4, None)
+    expect = {key: packed[start:end] for key, (start, end) in spans.items()}
+    assert z.blocks.spans is spans
+    packed_output_contract(z, z.blocks.packed, expect, other, shared=(spans,))
+    # the encode reads a rebound block
+    key = list(spans)[len(spans) // 2]
+    z = tsh_decode(f, 4)
+    z.blocks[key] = random_block(key[0], rng)
+    as_dict = TshCoeffs(s=s, L=4, blocks=dict(z.blocks))
+    assert tsh_encode(z, g).values.tobytes() == tsh_encode(as_dict, g).values.tobytes()
+    if s == 0:
+        # from_sphere holds the decode under its spans re-keyed (j, j) -> (j, None);
+        # scalar_from_spin0 reads a decode through the mapping API into a dict of its views
+        scalar = {(j, None): vec for (j, _l), vec in expect.items()}
+        a, b = from_sphere(f, 4), from_sphere(f, 4)
+        assert a.blocks.spans is tsh._scalar_spans(4)
+        packed_output_contract(a, a.blocks.packed, scalar, b, shared=(spans, tsh._scalar_spans(4)))
+        z = tsh_decode(f, 4)
+        packed_output_contract(scalar_from_spin0(z), z.blocks.packed, scalar,
+                               scalar_from_spin0(tsh_decode(f, 4)), shared=(spans,))
+
+
 @pytest.mark.parametrize("s, L", [(0, 3), (1, 0), (1, 4), (2, 3)])
 def test_decode_keys_in_valid_pairs_order(s, L):
     g = make_grid(L)
@@ -256,8 +285,11 @@ def test_decode_keys_in_valid_pairs_order(s, L):
     z = tsh_decode(SpinSignal(s=s, grid=g, values=values), L)
     assert list(z.blocks) == valid_pairs(s, L) and (z.s, z.L) == (s, L)
     # the output skips TshCoeffs' per-block check; it must pass it unchanged
+    # (each read cuts a fresh view, so the check keeps the bytes and the memory, not the object)
     checked = TshCoeffs(s=s, L=L, blocks=z.blocks)
-    assert all(checked.blocks[key] is vec for key, vec in z.blocks.items())
+    assert all(checked.blocks[key].tobytes() == vec.tobytes()
+               and np.shares_memory(checked.blocks[key], z.blocks.packed)
+               for key, vec in z.blocks.items())
     assert all(vec.dtype == complex and vec.shape == (2 * j + 1,) for (j, _l), vec in z.items())
 
 
