@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Mapping, MutableMapping
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -254,14 +254,6 @@ def _block_sort_key(key):
     return (j, tag is not None, repr(tag))
 
 
-def _same_block(a, b) -> bool:
-    """A dict's value test ``a is b or a == b``, two views of one memory range counting as one block."""
-    if a is b or (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-                  and a.__array_interface__ == b.__array_interface__):
-        return True
-    return bool(a == b)
-
-
 class _PackedBlocks(MutableMapping):
     """The ``blocks`` of a product output: a dict-like map over one packed array.
 
@@ -270,9 +262,14 @@ class _PackedBlocks(MutableMapping):
     span map is shared (a call plan's or a decode layout's) and never
     written: a write goes to a dict of the map's own, read first, so a
     rebound or added block behaves as in a dict, unchecked as there.
-    Iteration runs over the spans, then the added keys; a deletion turns
-    the map into that dict alone, in the same order.  ``len``, ``in``,
-    ``==`` and ``repr`` are a dict's of the same blocks.
+    Iteration runs over the spans, then the added keys; deleting a key of
+    the spans turns the map into that dict alone, in the same order.
+    ``len``, ``in`` and ``repr`` are a dict's of the same blocks; ``==`` is
+    ``Mapping``'s, a dict of freshly cut views against the other side's,
+    so it is a dict's against ``{}`` but raises, as numpy's ``==`` does,
+    where a dict would find a block identical to the other side's.  The
+    gain is for callers that read few blocks or none: a read is a Python
+    call, so reading every block costs more than from a dict of views.
     """
 
     __slots__ = ("packed", "spans", "_own")
@@ -281,8 +278,9 @@ class _PackedBlocks(MutableMapping):
         self.packed, self.spans, self._own = packed, spans, {}
 
     def __getitem__(self, key):
-        if key in self._own:
-            return self._own[key]
+        own = self._own
+        if own and key in own:
+            return own[key]
         start, end = self.spans[key]
         return self.packed[start:end]
 
@@ -290,11 +288,9 @@ class _PackedBlocks(MutableMapping):
         self._own[key] = vec
 
     def __delitem__(self, key) -> None:
-        if key not in self:
-            raise KeyError(key)
-        own = dict(self.items())
-        del own[key]
-        self.spans, self._own = {}, own
+        if key in self.spans:
+            self.spans, self._own = {}, dict(self.items())
+        del self._own[key]
 
     def __iter__(self):
         yield from self.spans
@@ -305,12 +301,6 @@ class _PackedBlocks(MutableMapping):
 
     def __contains__(self, key) -> bool:
         return key in self.spans or key in self._own
-
-    def __eq__(self, other):
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            key in other and _same_block(vec, other[key]) for key, vec in self.items())
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))

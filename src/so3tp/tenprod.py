@@ -24,8 +24,8 @@ Two families:
   specializations.  One private core encodes packed vectors and couples
   them; ``istp`` checks and packs its containers, calls it, and decodes
   through ``tsh_decode``, whose ``TshCoeffs`` holds the packed decode and
-  its span map (``gtp`` re-keys those spans to scalar degrees over the
-  same array).  One pair product (x at (j1, l1), y at (j2, l2), the
+  its span map (``gtp`` reads it through ``scalar_from_spin0`` into a
+  dict of its views).  One pair product (x at (j1, l1), y at (j2, l2), the
   spin-1 core on ``make_grid(l1 + l2)``) calls it on the raw vectors and
   decodes to the packed vector, building no container, and serves both CGTP
   simulations: one path, its inputs checked finite before any grid or
@@ -52,8 +52,8 @@ from .flops import FlopCounter
 from .rules import _path_coefficient, find_pair_ells, find_valid_ells
 from .sht import (IrrepCoeffs, SphereGrid, _check_band_limit, _PackedBlocks, _require_finite,
                   _trusted, make_grid)
-from .tsh import (SpinSignal, TshCoeffs, _decode, _decode_layout, _encode, _packed, _scalar_output,
-                  spin0_from_scalar, tsh_decode)
+from .tsh import (SpinSignal, TshCoeffs, _decode, _decode_layout, _encode, _packed,
+                  scalar_from_spin0, spin0_from_scalar, tsh_decode)
 
 __all__ = [
     "TpoResult",
@@ -330,7 +330,10 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
     when it is read.  A warm MIMO call takes 1.5-1.7 ms at L = 16 -> 32,
     against 2.1-2.3 ms when it cut a view per block (3,281), and 49-61 ms
     at L = 32 -> 64, against 53-73 ms with 23,969 views (best to median
-    of 40-400 calls, 1 BLAS thread).  The finiteness check reads the
+    of 40-400 calls, 1 BLAS thread).  A caller that reads every block
+    pays the views back, one Python call each: the call plus
+    ``dict(out.blocks)`` takes 2.9 ms at L = 16 -> 32 against 2.3 ms with
+    prebuilt views (best of 12 runs).  The finiteness check reads the
     packed inputs, the blocks of each side in one vector, that both
     kernels then use.  A MIMO plan holds 1.78 MB of ``np.intp`` indices
     at L = 16 and 25.3 MB at L = 32.  The ``sparse`` kernel forms the
@@ -452,7 +455,7 @@ def gtp(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, grid: SphereGrid) -> TpoResult:
     l1 + l2 + l3 even survive.
     """
     res = istp(spin0_from_scalar(x), spin0_from_scalar(y), 0, L3, grid)
-    return TpoResult(output=_scalar_output(res.output), flops=res.flops)
+    return TpoResult(output=scalar_from_spin0(res.output), flops=res.flops)
 
 
 def vstp(x: TshCoeffs, y: TshCoeffs, L3: int, grid: SphereGrid) -> TpoResult:

@@ -146,12 +146,10 @@ def from_sphere(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> Irre
 
     ``f`` must be a spin-0 ``SpinSignal``; any other spin raises first.
     Exact for signals band-limited at degree <= grid.Lg when L <= grid.Lg.
-    The blocks are the spin-0 decode's packed array under its spans
-    re-keyed to (j, None), one map per L.
     """
     if f.s != 0:
         raise ValueError(f"from_sphere takes a spin-0 signal, got spin s={f.s}")
-    return _scalar_output(tsh_decode(f, L, flops))
+    return scalar_from_spin0(tsh_decode(f, L, flops))
 
 
 def tsh_eval(j: int, m_j: int, l: int, s: int, theta, phi) -> np.ndarray:
@@ -287,17 +285,6 @@ def _decode(f: SpinSignal, L: int, flops: FlopCounter | None) -> np.ndarray:
     if flops is not None:
         flops.add(macs)
     return np.add.reduce(terms)
-
-
-@lru_cache(maxsize=128)
-def _scalar_spans(L: int) -> dict:
-    """The spin-0 spans of ``_decode_layout(0, L)`` re-keyed (j, j) -> (j, None)."""
-    return {(j, None): span for (j, _l), span in _decode_layout(0, L)[1].items()}
-
-
-def _scalar_output(z: TshCoeffs) -> IrrepCoeffs:
-    """``scalar_from_spin0`` of an unwritten spin-0 product output: its packed array, re-keyed."""
-    return _trusted(IrrepCoeffs, L=z.L, blocks=_PackedBlocks(z.blocks.packed, _scalar_spans(z.L)))
 
 
 def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCoeffs:

@@ -267,12 +267,11 @@ def test_decode_output_is_a_map_over_one_packed_array(s, rng, packed_output_cont
     as_dict = TshCoeffs(s=s, L=4, blocks=dict(z.blocks))
     assert tsh_encode(z, g).values.tobytes() == tsh_encode(as_dict, g).values.tobytes()
     if s == 0:
-        # from_sphere holds the decode under its spans re-keyed (j, j) -> (j, None);
-        # scalar_from_spin0 reads a decode through the mapping API into a dict of its views
+        # scalar_from_spin0, and so from_sphere, reads a decode through the
+        # mapping API into a dict of its views, keyed (j, None)
         scalar = {(j, None): vec for (j, _l), vec in expect.items()}
         a, b = from_sphere(f, 4), from_sphere(f, 4)
-        assert a.blocks.spans is tsh._scalar_spans(4)
-        packed_output_contract(a, a.blocks.packed, scalar, b, shared=(spans, tsh._scalar_spans(4)))
+        packed_output_contract(a, a.block(0).base, scalar, b, shared=(spans,))
         z = tsh_decode(f, 4)
         packed_output_contract(scalar_from_spin0(z), z.blocks.packed, scalar,
                                scalar_from_spin0(tsh_decode(f, 4)), shared=(spans,))
