@@ -12,10 +12,10 @@ iff five selection rules hold; the rule flags here are evaluated by direct
 pattern matching and cross-checked against the exact-arithmetic
 coefficient, never against a float threshold.  The exact coefficient
 (``exact.generalized_gaunt_exact``, ``exact.generalized_gaunt``) serves
-the oracles only: ``vstp_rules`` and the products take the one float
-form of the spin-1 coefficient, ``_path_coefficient``, built from the
-spin-1 9j closed forms and ``cg_zero_float``, so they evaluate no exact
-symbol.
+the oracles only: the products take the one float form of the spin-1
+coefficient, ``vstp_rules``' (cached as ``_path_coefficient``), built
+from the spin-1 9j closed form and the float core of C^{l3,0}, so they
+evaluate no exact symbol.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .angular import (_as_integers, _cg_zero_float_core, _checked_cache, _require_cg_zero_range,
-                      _wigner_9j_spin1_core, cg_zero_float, require_natural, triangle_delta,
-                      wigner_9j_spin1)
+                      _wigner_9j_spin1_core, require_natural, triangle_delta)
 from .sht import _trusted
 
 __all__ = [
@@ -92,28 +91,17 @@ def _dims(j1: int, l1: int, j2: int, l2: int, s3: int) -> int:
     return (2 * j1 + 1) * (2 * j2 + 1) * (2 * l1 + 1) * (2 * l2 + 1) * (2 * s3 + 1)
 
 
-def _spin1_gaunt(j1: int, l1: int, j2: int, l2: int, nine: float, cg0: float) -> float:
-    """sqrt(dims / 4 pi) * nine * cg0 with cg0 = C^{l3,0}_{l1,0,l2,0}: the one float spin-1 coefficient.
-
-    ``_path_coefficient`` and ``vstp_rules`` both multiply in this order, so a zero keeps its sign.
-    """
-    return math.sqrt(_dims(j1, l1, j2, l2, 1) / (4.0 * math.pi)) * nine * cg0
-
-
 @lru_cache(maxsize=4096)
 def _path_coefficient(j1: int, l1: int, j2: int, l2: int, j3: int, l3: int) -> float:
-    """Generalized Gaunt coefficient of the all-spins-one path, in float.
+    """Generalized Gaunt coefficient of the all-spins-one path, in float: ``vstp_rules``' ``coefficient``.
 
-    sqrt(dims / 4 pi) * {j1 l1 1; j2 l2 1; j3 l3 1} * C^{l3,0}_{l1,0,l2,0}
-    with the 9j from its closed form and C^{l3,0} from ``cg_zero_float``,
-    so no exact symbol is evaluated; within 1e-15 relative of
-    ``exact.generalized_gaunt``, and exactly 0.0 where that is zero.  Each row
-    (j, l, 1) must be a triangle, and an orbital degree past
-    ``angular.CG_ZERO_MAX`` raises ``ValueError``.  ``vstp_rules`` shares
-    its expression, ``_spin1_gaunt``, and no cache entry.
+    The products' cache of it; ``vstp_rules`` itself keeps no cache
+    entry.  Within 1e-15 relative of ``exact.generalized_gaunt``, and
+    exactly 0.0 where that is zero, a path whose rows are not all
+    triangles included.  An orbital degree past ``angular.CG_ZERO_MAX``
+    on a path whose rows are triangles raises ``ValueError``.
     """
-    return _spin1_gaunt(j1, l1, j2, l2, wigner_9j_spin1(l1, j1 - l1, l2, j2 - l2, l3, j3 - l3),
-                        cg_zero_float(l1, l2, l3))
+    return vstp_rules(PathKey(j1, l1, 1, j2, l2, 1, j3, l3, 1)).coefficient
 
 
 def _rule5_violated(js, ls) -> bool:
@@ -156,8 +144,9 @@ def vstp_rules(path: PathKey) -> RuleReport:
     label that is not an integer (named) or is negative.  The flags are
     ``vstp_rule_flags``, and ``passed`` iff all hold, which coincides with
     the coefficient being nonzero in exact arithmetic.  ``coefficient`` is
-    ``_path_coefficient``'s expression, uncached, when every row is a
-    triangle (r1), and 0.0 otherwise, where the 9j vanishes by definition:
+    sqrt(dims / 4 pi) * {j1 l1 1; j2 l2 1; j3 l3 1} * C^{l3,0}_{l1,0,l2,0},
+    multiplied in that order so that a zero keeps its sign, when every row
+    is a triangle (r1), and 0.0 otherwise, where the 9j vanishes by definition:
     within 1e-15 relative of ``exact.generalized_gaunt`` and 0.0 exactly where
     that is zero, with no exact symbol evaluated.  r1-r3 are the five triangles of the 9j, so
     its closed form runs unchecked when they hold and is 0.0 otherwise;
@@ -174,7 +163,8 @@ def vstp_rules(path: PathKey) -> RuleReport:
         _require_cg_zero_range(l1, l2, l3)
         nine = _wigner_9j_spin1_core(l1, j1 - l1, l2, j2 - l2, l3, j3 - l3) if r2 and r3 else 0.0
         # on a path failing only r2 the zero still carries C^{l3,0}'s sign
-        coefficient = _spin1_gaunt(j1, l1, j2, l2, nine, _cg_zero_float_core(l1, l2, l3) if r3 else 0.0)
+        coefficient = (math.sqrt(_dims(j1, l1, j2, l2, 1) / (4.0 * math.pi)) * nine
+                       * (_cg_zero_float_core(l1, l2, l3) if r3 else 0.0))
     else:
         coefficient = 0.0
     return _trusted(RuleReport, passed=r1 and r2 and r3 and r4 and r5, r1=r1, r2=r2, r3=r3, r4=r4,

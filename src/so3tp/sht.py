@@ -258,52 +258,56 @@ class _PackedBlocks(MutableMapping):
     """The ``blocks`` of a product output: a dict-like map over one packed array.
 
     Block ``key`` is packed[start:end] for spans[key] = (start, end), a view
-    cut when the key is read, so an output holds no per-block array.  The
-    span map is shared (a call plan's or a decode layout's) and never
-    written: a write goes to a dict of the map's own, read first, so a
-    rebound or added block behaves as in a dict, unchecked as there.
-    Iteration runs over the spans, then the added keys; deleting a key of
-    the spans turns the map into that dict alone, in the same order.
-    ``len``, ``in`` and ``repr`` are a dict's of the same blocks; ``==`` is
-    ``Mapping``'s, a dict of freshly cut views against the other side's,
-    so it is a dict's against ``{}`` but raises, as numpy's ``==`` does,
-    where a dict would find a block identical to the other side's.  The
-    gain is for callers that read few blocks or none: a read is a Python
-    call, so reading every block costs more than from a dict of views.
+    cut when the key is read, so an unwritten output holds no per-block
+    array.  The span map is shared (a call plan's or a decode layout's)
+    and never written.  The first write or delete turns the map into a
+    dict of its views in span order, one view per block, and from then on
+    it is that dict: writes are unchecked as there, and in-place writes to
+    a view still reach the packed array.  ``len``, ``in`` and ``repr`` are
+    a dict's of the same blocks; ``==`` is ``Mapping``'s, a dict of the
+    blocks against the other side's, so it is a dict's against ``{}`` but
+    raises, as numpy's ``==`` does, where a dict would find a block
+    identical to the other side's.  A shallow copy shares the packed array
+    and the span map, and copies the dict if there is one.  The gain is
+    for callers that read few blocks or none: a read is a Python call, so
+    reading every block costs more than from a dict of views.
     """
 
-    __slots__ = ("packed", "spans", "_own")
+    __slots__ = ("packed", "spans", "_dict")
 
     def __init__(self, packed: np.ndarray, spans: dict):
-        self.packed, self.spans, self._own = packed, spans, {}
+        self.packed, self.spans, self._dict = packed, spans, None
+
+    def _written(self) -> dict:
+        if self._dict is None:
+            self._dict = {key: self.packed[start:end] for key, (start, end) in self.spans.items()}
+        return self._dict
 
     def __getitem__(self, key):
-        own = self._own
-        if own and key in own:
-            return own[key]
+        if self._dict is not None:
+            return self._dict[key]
         start, end = self.spans[key]
         return self.packed[start:end]
 
     def __setitem__(self, key, vec) -> None:
-        self._own[key] = vec
+        self._written()[key] = vec
 
     def __delitem__(self, key) -> None:
-        if key in self.spans:
-            self.spans, self._own = {}, dict(self.items())
-        del self._own[key]
+        del self._written()[key]
 
     def __iter__(self):
-        yield from self.spans
-        yield from (key for key in self._own if key not in self.spans)
+        return iter(self.spans if self._dict is None else self._dict)
 
     def __len__(self) -> int:
-        return len(self.spans) + sum(key not in self.spans for key in self._own)
-
-    def __contains__(self, key) -> bool:
-        return key in self.spans or key in self._own
+        return len(self.spans if self._dict is None else self._dict)
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
+
+    def __copy__(self):
+        twin = _PackedBlocks(self.packed, self.spans)
+        twin._dict = None if self._dict is None else dict(self._dict)
+        return twin
 
 
 class _Blocks:
@@ -316,7 +320,8 @@ class _Blocks:
     array, read through the same mapping API.  Each subclass checks its
     other fields, then its keys in ``_check_key``, after the first
     ``_degrees`` entries of each key passed ``operator.index``;
-    ``_sort_key`` orders ``items`` (None: by key).
+    ``_sort_key`` orders ``items`` and ``_layout`` (None: by key).
+    ``_layout`` is the one layout of a block set that every kernel reads.
     """
 
     _degrees = 1
@@ -348,6 +353,11 @@ class _Blocks:
         """Blocks in canonical order."""
         for key in sorted(self.blocks, key=self._sort_key):
             yield key, self.blocks[key]
+
+    def _layout(self) -> tuple[tuple, np.ndarray]:
+        """Keys in canonical order, and a new complex vector of their blocks end to end (empty for none)."""
+        keys = tuple(sorted(self.blocks, key=self._sort_key))
+        return keys, np.concatenate([self.blocks[key] for key in keys] or [()], dtype=complex)
 
 
 @dataclass(eq=False)
@@ -381,12 +391,17 @@ class IrrepCoeffs(_Blocks):
 
     def single_per_degree(self) -> dict[int, np.ndarray]:
         """Map j -> vector, requiring at most one block per degree."""
-        out: dict[int, np.ndarray] = {}
-        for (j, _tag), vec in self.items():
-            if j in out:
-                raise ValueError(f"multiple blocks share degree {j}")
-            out[j] = vec
-        return out
+        keys = sorted(self.blocks, key=self._sort_key)
+        return dict(zip(_single_degrees(keys), map(self.blocks.__getitem__, keys)))
+
+
+def _single_degrees(keys) -> tuple:
+    """The degrees of block keys in canonical order, raising where two blocks share one."""
+    degrees = tuple(j for j, _tag in keys)
+    for j, k in zip(degrees, degrees[1:]):
+        if j == k:
+            raise ValueError(f"multiple blocks share degree {j}")
+    return degrees
 
 
 def sh_eval(l: int, m: int, theta, phi):

@@ -9,8 +9,10 @@ Two families:
   a call in one packed output, each unordered degree pair a <= b serving
   both orders (a, b) and (b, a); the output container holds that array
   and the plan's span map, and cuts a block's view when it is read.
-  ``naive`` runs one dense CG matrix product per order and j3.  ``sparse``
-  forms the outer product of the packed inputs once; per pair it takes
+  Both read each input as ``sht._Blocks._layout`` packs it, its blocks
+  end to end in degree order.  ``naive`` runs one dense CG matrix product
+  per order and j3.  ``sparse`` forms the outer product of the packed
+  inputs once, plus one zero slot; per pair it takes
   one gather, one batched matmul against the half-sheared CG tensor of
   the pair (``angular.cg_tensor``, M >= 0 only; the mirror and swap
   identities give the rest) and one scatter, the e3nn per-pair pattern
@@ -22,7 +24,8 @@ Two families:
 * Grid products: encode inputs as spin signals, couple them pointwise,
   and decode (``istp``), with the scalar (``gtp``) and vector (``vstp``)
   specializations.  One private core encodes packed vectors and couples
-  them; ``istp`` checks and packs its containers, calls it, and decodes
+  them; ``istp`` checks its containers, lays each out through
+  ``sht._Blocks._layout``, calls the core, and decodes
   through ``tsh_decode``, whose ``TshCoeffs`` holds the packed decode and
   its span map (``gtp`` reads it through ``scalar_from_spin0`` into a
   dict of its views).  One pair product (x at (j1, l1), y at (j2, l2), the
@@ -51,9 +54,9 @@ from .angular import (_as_integers, _cg_tensors, _checked_cache, _require_cg_ran
 from .flops import FlopCounter
 from .rules import _path_coefficient, find_pair_ells, find_valid_ells
 from .sht import (IrrepCoeffs, SphereGrid, _check_band_limit, _PackedBlocks, _require_finite,
-                  _trusted, make_grid)
-from .tsh import (SpinSignal, TshCoeffs, _decode, _decode_layout, _encode, _packed,
-                  scalar_from_spin0, spin0_from_scalar, tsh_decode)
+                  _single_degrees, _trusted, make_grid)
+from .tsh import (SpinSignal, TshCoeffs, _decode, _decode_layout, _encode, scalar_from_spin0,
+                  spin0_from_scalar, tsh_decode)
 
 __all__ = [
     "TpoResult",
@@ -129,12 +132,12 @@ def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
     blocks from the packed inputs.  The packed output runs over the
     pairs, then the orders, then j3, then m3.
 
-    Both kernels read the packed inputs [x, 0] and [y, 0]: the blocks in
-    degree order, each with a trailing zero.  The sparse kernel reads
-    every product from their outer product P, as one flat array.
-    ``gather[M, i, 2o + c]`` indexes P with m1 = i - a: c = 0 picks
-    u_{m1} v_{M-m1}, c = 1 the mirrored u_{-m1} v_{m1-M}, and |M - m1| > b
-    the zero in P's last slot.  ``scatter`` reads each slot of
+    Both kernels read the packed inputs x and y: the blocks in degree
+    order, end to end, with no padding.  The sparse kernel reads every
+    product from their outer product P, as one flat array with one zero
+    slot appended.  ``gather[M, i, 2o + c]`` indexes P with m1 = i - a:
+    c = 0 picks u_{m1} v_{M-m1}, c = 1 the mirrored u_{-m1} v_{m1-M}, and
+    |M - m1| > b that zero slot.  ``scatter`` reads each slot of
     the pair's output from w[|m3|, j3 - lo, 2o + (m3 < 0)]; ``negate``
     marks the slots of odd a + b - j3 that the mirror identity (m3 < 0 of
     an (a, b) order) or the swap identity (m3 >= 0 of a (b, a) order)
@@ -152,8 +155,8 @@ def _build_plan(xdeg: tuple, ydeg: tuple, lo3: int, L3: int) -> _CallPlan:
     yoff = dict(zip(ydeg, accumulate((2 * j + 1 for j in ydeg), initial=0)))
     xblock = {j: slice(i, i + 2 * j + 1) for j, i in xoff.items()}
     yblock = {j: slice(i, i + 2 * j + 1) for j, i in yoff.items()}
-    NY = sum(2 * j + 1 for j in ydeg) + 1
-    zero = (sum(2 * j + 1 for j in xdeg) + 1) * NY - 1
+    NY = sum(2 * j + 1 for j in ydeg)
+    zero = sum(2 * j + 1 for j in xdeg) * NY
     degrees = sorted(set(xdeg) | set(ydeg))
     pairs, orders, tags = [], [], []
     size = n_blocks = 0
@@ -225,23 +228,21 @@ def _path_plan(j1: int, j2: int, j3: int) -> _CallPlan:
     return _build_plan((j1,), (j2,), j3, j3)
 
 
-def _stacked(blocks) -> np.ndarray:
-    """The packed input of a plan: ``blocks`` one after another, then a zero."""
-    return np.concatenate((*blocks, [0j]))
-
-
 def _sparse_contract(plan: _CallPlan, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
     """The packed sparse output of ``plan`` for the packed inputs ``xv`` and ``yv``.
 
-    Forms P = xv (x) yv once and fetches the half-sheared ``cg_tensor``
-    of every pair in one ``_cg_tensors`` call.  Per pair, one take gathers
-    R[M, i] for every order, M >= 0 and, by the mirror identity, M <= 0;
-    one real batched matmul over M against the pair's tensor gives w,
-    four float columns per order; and one take scatters w into the pair's
-    slice of the output.  One masked negation then applies the mirror and
+    Forms P = xv (x) yv once, flat, with the one zero slot appended that
+    the gathers read past a pair's range, and fetches the half-sheared
+    ``cg_tensor`` of every pair in one ``_cg_tensors`` call.  Per pair,
+    one take gathers R[M, i] for every order, M >= 0 and, by the mirror
+    identity, M <= 0; one real batched matmul over M against the pair's
+    tensor gives w, four float columns per order; and one take scatters w
+    into the pair's slice of the output.  One masked negation then applies the mirror and
     swap signs to the whole output.
     """
-    products = np.multiply.outer(xv, yv).ravel()
+    products = np.empty(xv.size * yv.size + 1, dtype=complex)
+    np.multiply.outer(xv, yv, out=products[:-1].reshape(xv.size, yv.size))
+    products[-1] = 0
     out = np.empty(plan.size, dtype=complex)
     tensors = _cg_tensors(plan.keys)
     for (a, b, lo, hi, _inputs, start, end, gather, scatter), S in zip(plan.pairs, tensors):
@@ -302,14 +303,15 @@ def cgtp_path(x: np.ndarray, y: np.ndarray, j3: int, mode: str = "sparse",
     Degrees are inferred from the vector lengths; inputs holding NaN or
     inf raise ``ValueError``.  Runs the mode's kernel of ``cgtp_full`` on
     the one-pair, one-j3 plan of the path, kept in a 1024-entry cache of
-    its own, and counts pair_macs(mode, j1, j2, j3, j3) MACs:
-    (2j1+1)(2j2+1)(2j3+1) for ``naive``, and for ``sparse``, which sums
-    only the terms with m3 = m1 + m2, one per (m1, m2) with |m1 + m2| <= j3.
+    its own, handing it complex inputs uncopied, and counts
+    pair_macs(mode, j1, j2, j3, j3) MACs: (2j1+1)(2j2+1)(2j3+1) for
+    ``naive``, and for ``sparse``, which sums only the terms with
+    m3 = m1 + m2, one per (m1, m2) with |m1 + m2| <= j3.
     """
     kernel = _kernel(mode)
     x, y, j1, j2 = _path_inputs(x, y, j3)
     plan = _path_plan(j1, j2, j3)
-    z = kernel(plan, _stacked((x,)), _stacked((y,)))
+    z = kernel(plan, x, y)
     if flops is not None:
         flops.add(plan.macs[mode])
     return z
@@ -327,32 +329,26 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
     ``pair_macs`` for its range.  The output's ``blocks`` is a
     ``sht._PackedBlocks`` over the packed output array and the plan's span
     map, so the call builds no per-block array: a block's view is cut
-    when it is read.  A warm MIMO call takes 1.5-1.7 ms at L = 16 -> 32,
-    against 2.1-2.3 ms when it cut a view per block (3,281), and 49-61 ms
-    at L = 32 -> 64, against 53-73 ms with 23,969 views (best to median
-    of 40-400 calls, 1 BLAS thread).  A caller that reads every block
-    pays the views back, one Python call each: the call plus
-    ``dict(out.blocks)`` takes 2.9 ms at L = 16 -> 32 against 2.3 ms with
-    prebuilt views (best of 12 runs).  The finiteness check reads the
-    packed inputs, the blocks of each side in one vector, that both
-    kernels then use.  A MIMO plan holds 1.78 MB of ``np.intp`` indices
-    at L = 16 and 25.3 MB at L = 32.  The ``sparse`` kernel forms the
-    outer product of the packed inputs once (1.35 MB at L = 16, 19 MB at
-    L = 32) and contracts each pair with one gather, one matmul against
-    the half-sheared tensor of the pair (``angular.cg_tensor``) and one
-    scatter, the call's tensors fetched in one batch.  The 512 cached tensors hold every pair
-    of inputs up to L = 30.  The 561 pairs of an L = 32 call cycle
+    when it is read.  Each side is laid out once by ``_layout``, its keys
+    sorted once; the degree check reads those keys, and the finiteness
+    check the packed vector that both kernels then use.  A MIMO plan
+    holds 1.78 MB of ``np.intp`` indices at L = 16 and 25.3 MB at L = 32.
+    The ``sparse`` kernel forms the outer product of the packed inputs
+    once (1.35 MB at L = 16, 19 MB at L = 32) and contracts each pair with
+    one gather, one matmul against the half-sheared tensor of the pair
+    (``angular.cg_tensor``) and one scatter, the call's tensors fetched in
+    one batch.  The 512 cached tensors hold every pair of inputs up to
+    L = 30.  The 561 pairs of an L = 32 call cycle
     through the cache, so a warm call misses 49, all of first degree
     <= 12, and rebuilds them: 0.06-0.09 s for L = 32 -> 64, as with every
     tensor cached (1 BLAS thread).
     """
     kernel = _kernel(mode)
-    xs = x.single_per_degree()
-    ys = y.single_per_degree()
-    xv, yv = _stacked(xs.values()), _stacked(ys.values())
+    (xkeys, xv), (ykeys, yv) = x._layout(), y._layout()
+    xdeg, ydeg = _single_degrees(xkeys), _single_degrees(ykeys)
     _require_finite(xv, yv)
     _check_band_limit(L3)
-    plan = _call_plan(tuple(xs), tuple(ys), L3)
+    plan = _call_plan(xdeg, ydeg, L3)
     blocks = _PackedBlocks(kernel(plan, xv, yv), plan.spans)
     return TpoResult(output=_trusted(IrrepCoeffs, L=L3, blocks=blocks), flops=plan.macs[mode])
 
@@ -417,8 +413,9 @@ def _grid_product(x: tuple, y: tuple, s3: int, grid: SphereGrid,
                   flops: FlopCounter | None) -> SpinSignal:
     """Encode both inputs and couple them pointwise, on packed vectors.
 
-    ``x`` and ``y`` are (spin, keys, band limit, packed blocks), the
-    ``_packed`` form.  Callers decode the product: ``istp`` through
+    ``x`` and ``y`` are (spin, keys, packed blocks): the spin and the
+    ``sht._Blocks._layout`` of an input, each encoded at its top orbital
+    degree.  Callers decode the product: ``istp`` through
     ``tsh_decode``, the pair product to the packed vector of ``tsh._decode``.
     No check: callers make them.
     """
@@ -441,10 +438,10 @@ def istp(x: TshCoeffs, y: TshCoeffs, s3: int, L3: int, grid: SphereGrid) -> TpoR
         raise ValueError(f"output band limit {L3} > grid exactness degree {grid.Lg}")
     _pointwise_terms(x.s, y.s, s3)  # raises on bad spins
     _check_band_limit(L3)
-    px, py = _packed(x), _packed(y)
-    _require_finite(px[2], py[2])
+    (kx, px), (ky, py) = x._layout(), y._layout()
+    _require_finite(px, py)
     fl = FlopCounter()
-    out = tsh_decode(_grid_product((x.s, *px), (y.s, *py), s3, grid, fl), L3, fl)
+    out = tsh_decode(_grid_product((x.s, kx, px), (y.s, ky, py), s3, grid, fl), L3, fl)
     return TpoResult(output=out, flops=fl.count)
 
 
@@ -474,8 +471,7 @@ def _pair_product(x: np.ndarray, y: np.ndarray, l1: int, l2: int, L3: int,
     labels satisfy every ``istp`` condition.
     """
     j1, j2 = (x.size - 1) // 2, (y.size - 1) // 2
-    f = _grid_product((1, ((j1, l1),), l1, x), (1, ((j2, l2),), l2, y), 1,
-                      make_grid(l1 + l2), flops)
+    f = _grid_product((1, ((j1, l1),), x), (1, ((j2, l2),), y), 1, make_grid(l1 + l2), flops)
     return _decode(f, L3, flops)
 
 

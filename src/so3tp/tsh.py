@@ -136,9 +136,7 @@ def to_sphere(x: IrrepCoeffs, grid: SphereGrid, flops: FlopCounter | None = None
     """
     if grid.Lg < x.L:
         raise ValueError(f"grid exactness degree {grid.Lg} < band limit {x.L}")
-    keys, _l, packed = _packed(spin0_from_scalar(x))
-    _require_finite(packed)
-    return _encode(0, keys, x.L, packed, grid, flops)
+    return _encode(0, *spin0_from_scalar(x)._layout(), grid, flops, x.L)
 
 
 def from_sphere(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> IrrepCoeffs:
@@ -237,16 +235,14 @@ def _decode_layout(s: int, L: int):
             dict(zip(keys, zip([0] + ends[:-1], ends))))
 
 
-def _packed(x: TshCoeffs) -> tuple[tuple, int, np.ndarray]:
-    """Block keys in packing order, the largest orbital degree, and the concatenated blocks."""
-    keys = tuple(sorted(x.blocks))
-    L = max((l for _j, l in keys), default=0)
-    return keys, L, np.concatenate([x.blocks[key] for key in keys] or [np.zeros(0, complex)])
+def _encode(s: int, keys: tuple, packed: np.ndarray, grid: SphereGrid,
+            flops: FlopCounter | None, L: int | None = None) -> SpinSignal:
+    """``tsh_encode`` of blocks laid out by ``sht._Blocks._layout``, on a grid already checked.
 
-
-def _encode(s: int, keys: tuple, L: int, packed: np.ndarray, grid: SphereGrid,
-            flops: FlopCounter | None) -> SpinSignal:
-    """``tsh_encode`` of packed blocks (``_packed``) at band L, on a grid already checked."""
+    Synthesizes at band ``L``, by default the top orbital degree of ``keys``.
+    """
+    if L is None:
+        L = max((l for _j, l in keys), default=0)
     macs, weight, slot = _encode_table(s, keys, L)
     terms = packed * weight
     cf = np.bincount(slot, terms.view(float).ravel(), 2 * (2 * L + 1) * (L + 1) * (2 * s + 1))
@@ -264,7 +260,7 @@ def tsh_encode(x: TshCoeffs, grid: SphereGrid, flops: FlopCounter | None = None)
     """
     if grid.Lg < x.L:
         raise ValueError(f"grid exactness degree {grid.Lg} < band limit {x.L}")
-    return _encode(x.s, *_packed(x), grid, flops)
+    return _encode(x.s, *x._layout(), grid, flops)
 
 
 def _decode(f: SpinSignal, L: int, flops: FlopCounter | None) -> np.ndarray:

@@ -195,3 +195,32 @@ def test_only_the_wigner_d_eigenbasis_calls_numpy_linalg():
         visitor.visit(ast.parse(path.read_text(), filename=str(path)))
         uses |= {(path.name, scope) for scope in visitor.found}
     assert uses == {("angular.py", "_jy_eigenvectors")}
+
+
+class _ConcatenateUses(_EnvironmentReads):
+    """Names of the functions (or ``<module>``) that name ``concatenate``."""
+
+    def visit_Attribute(self, node):
+        if node.attr == "concatenate":
+            self.found.append(self.scope[-1])
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if node.id == "concatenate":
+            self.found.append(self.scope[-1])
+
+    def visit_ImportFrom(self, node):
+        if any(alias.name == "concatenate" for alias in node.names):
+            self.found.append(self.scope[-1])
+
+
+def test_only_the_block_packer_concatenates_in_the_grid_modules():
+    # ``sht._Blocks._layout`` is the one code that lays out a block set for
+    # a kernel: ``tenprod`` and ``tsh`` concatenate nothing
+    package = Path(so3tp.__file__).parent
+    uses = set()
+    for name in ("sht.py", "tsh.py", "tenprod.py"):
+        visitor = _ConcatenateUses()
+        visitor.visit(ast.parse((package / name).read_text(), filename=name))
+        uses |= {(name, scope) for scope in visitor.found}
+    assert uses == {("sht.py", "_layout")}

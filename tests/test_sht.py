@@ -767,6 +767,39 @@ def test_finite_check_is_silent_when_the_sum_of_finite_entries_overflows():
                 IrrepCoeffs(L=0, blocks={(0, None): [bad]})
 
 
+def _hand_layout(x):
+    """Canonical keys and their blocks concatenated by hand, the reference of ``_layout``."""
+    keys = tuple(sorted(x.blocks, key=x._sort_key))
+    return keys, np.concatenate([np.asarray(x.blocks[key], complex) for key in keys]
+                                + [np.zeros(0, complex)])
+
+
+def test_layout_is_the_canonical_keys_and_the_blocks_end_to_end(rng):
+    # hand-built containers in a non-canonical insertion order, an empty
+    # one, and a decode output unwritten, after a write and after a delete
+    irreps = IrrepCoeffs(L=3, blocks={(2, None): random_block(2, rng), (0, "b"): random_block(0, rng),
+                                      (3, (1, 2)): random_block(3, rng), (0, None): random_block(0, rng),
+                                      (0, "a"): random_block(0, rng)})
+    spin1 = random_tsh_coeffs(1, 3, rng)
+    spin1 = tsh.TshCoeffs(s=1, L=3, blocks=dict(reversed(list(spin1.blocks.items()))))
+    decoded = tsh_decode(tsh_encode(random_tsh_coeffs(1, 3, rng), make_grid(6)), 3)
+    assert irreps._layout()[0] == ((0, None), (0, "a"), (0, "b"), (2, None), (3, (1, 2)))
+    assert list(spin1.blocks) != list(spin1._layout()[0]) == tsh.valid_pairs(1, 3)
+    assert decoded._layout()[1].tobytes() == decoded.blocks.packed.tobytes()
+    cases = [irreps, spin1, IrrepCoeffs(L=2), tsh.TshCoeffs(s=2, L=1), decoded]
+    written = tsh_decode(tsh_encode(random_tsh_coeffs(2, 3, rng), make_grid(6)), 3)
+    written.blocks[(2, 1)] = np.full(5, 3 + 1j)
+    deleted = tsh_decode(tsh_encode(random_tsh_coeffs(0, 3, rng), make_grid(6)), 3)
+    del deleted.blocks[(1, 1)]
+    for x in cases + [written, deleted]:
+        keys, packed = x._layout()
+        want_keys, want = _hand_layout(x)
+        assert keys == want_keys and packed.dtype == complex and packed.tobytes() == want.tobytes()
+        assert not any(np.shares_memory(packed, vec) for vec in x.blocks.values())
+    assert written._layout()[1].size == written.blocks.packed.size
+    assert deleted._layout()[1].size == deleted.blocks.packed.size - 3
+
+
 @pytest.mark.parametrize("key", [(1,), (1, None, "t"), 1])
 def test_block_keys_must_be_pairs(key):
     with pytest.raises(ValueError, match="is not a pair"):

@@ -1,5 +1,6 @@
 """Tests for tensor product operations."""
 
+import copy
 import math
 import tracemalloc
 
@@ -296,8 +297,8 @@ def test_cgtp_full_output_is_a_map_over_one_packed_array(mode, rng, packed_outpu
         out, other = (cgtp_full(x, y, L3, mode=mode).output for _ in range(2))
         xs, ys = x.single_per_degree(), y.single_per_degree()
         plan = tenprod._call_plan(tuple(xs), tuple(ys), L3)
-        packed = tenprod._KERNELS[mode](plan, tenprod._stacked(xs.values()),
-                                        tenprod._stacked(ys.values()))
+        xv, yv = (np.concatenate([*side.values(), np.zeros(0, complex)]) for side in (xs, ys))
+        packed = tenprod._KERNELS[mode](plan, xv, yv)
         expect = {key: packed[start:end] for key, (start, end) in plan.spans.items()}
         assert out.blocks.spans is plan.spans and other.blocks.packed is not out.blocks.packed
         packed_output_contract(out, out.blocks.packed, expect, other, shared=(plan.spans,))
@@ -320,6 +321,48 @@ def test_grid_product_outputs_are_maps_over_one_packed_array(rng, packed_output_
     expect = {(j, None): packed[start:end] for (j, _l), (start, end) in spans.items()}
     assert type(out.blocks) is dict
     packed_output_contract(out, out.block(0).base, expect, other, shared=(spans,))
+
+
+def test_a_shallow_copy_of_a_packed_output_keeps_its_writes_apart(rng):
+    # a write to each side, before and after the other side's first write,
+    # matched against the same writes to a dict and its copy
+    x, y = random_coeffs(3, rng), random_coeffs(3, rng)
+    for written_before_copy in (False, True):
+        for copy_first in (False, True):
+            blocks = cgtp_full(x, y, 6).output.blocks
+            model, keys = dict(blocks), list(blocks)
+            if written_before_copy:
+                blocks[keys[0]] = model[keys[0]] = np.zeros(1)
+            twin, twin_model = copy.copy(blocks), copy.copy(model)
+            assert twin.packed is blocks.packed and twin.spans is blocks.spans
+            sides = [(twin, twin_model), (blocks, model)]
+            for n, (side, side_model) in enumerate(sides[::-1] if copy_first else sides):
+                side[keys[n + 1]] = side_model[keys[n + 1]] = np.full(1, n + 1.0)
+                del side[keys[n + 3]], side_model[keys[n + 3]]
+            for n, (side, side_model) in enumerate(sides[::-1] if copy_first else sides):
+                side[keys[n + 5]] = side_model[keys[n + 5]] = np.full(1, n + 5.0)
+            for side, side_model in sides:
+                assert list(side) == list(side_model)
+                assert all(side[key] is vec or side[key].tobytes() == vec.tobytes()
+                           for key, vec in side_model.items())
+            # the views of both sides still reach the one packed array
+            twin[keys[-1]][0] = 9j
+            assert blocks[keys[-1]][0] == 9j
+
+
+@pytest.mark.parametrize("mode", ["sparse", "naive"])
+def test_cgtp_path_hands_the_callers_vectors_to_the_kernel(mode, rng, monkeypatch):
+    kernel, seen = tenprod._KERNELS[mode], []
+
+    def recording_kernel(plan, xv, yv):
+        seen.append((xv, yv))
+        return kernel(plan, xv, yv)
+
+    monkeypatch.setitem(tenprod._KERNELS, mode, recording_kernel)
+    x, y = random_block(2, rng), random_block(3, rng)
+    z = cgtp_path(x, y, 4, mode=mode)
+    assert len(seen) == 1 and seen[0][0] is x and seen[0][1] is y
+    assert z.tobytes() == kernel(tenprod._path_plan(2, 3, 4), x, y).tobytes()
 
 
 def _plan_index_bytes(xdeg, ydeg, lo3: int, L3: int) -> int:
