@@ -8,7 +8,8 @@ Two families:
   call plan per (x degrees, y degrees, j3 range) lays out every path of
   a call in one packed output, each unordered degree pair a <= b serving
   both orders (a, b) and (b, a); the output container holds that array
-  and the plan's span map, and cuts a block's view when it is read.
+  and the plan's span map (``sht._Pending``), and cuts the views of all
+  its blocks when its ``blocks`` is first read.
   Both read each input as ``sht._Blocks._layout`` packs it, its blocks
   end to end in degree order.  ``naive`` runs one dense CG matrix product
   per order and j3.  ``sparse`` forms the outer product of the packed
@@ -27,11 +28,11 @@ Two families:
   them; ``istp`` checks its containers, lays each out through
   ``sht._Blocks._layout``, calls the core, and decodes
   through ``tsh_decode``, whose ``TshCoeffs`` holds the packed decode and
-  its span map (``gtp`` reads it through ``scalar_from_spin0`` into a
-  dict of its views).  One pair product (x at (j1, l1), y at (j2, l2), the
-  spin-1 core on ``make_grid(l1 + l2)``) calls it on the raw vectors and
-  decodes to the packed vector, building no container, and serves both CGTP
-  simulations: one path, its inputs checked finite before any grid or
+  its span map until the first read (``gtp`` reads it through
+  ``scalar_from_spin0`` into a dict of its views).  One pair product (x
+  at (j1, l1), y at (j2, l2), the spin-1 core on ``make_grid(l1 + l2)``)
+  calls it on the raw vectors and decodes to the packed vector, building
+  no container, and serves both CGTP simulations: one path, its inputs checked finite before any grid or
   table is built, read from the (j3, l3) span of the packed decode and
   divided by ``rules._path_coefficient`` (``simulate_cgtp_path``), and
   the MACs of every path (``simulate_cgtp_all_paths``).
@@ -53,8 +54,8 @@ from .angular import (_as_integers, _cg_tensors, _checked_cache, _require_cg_ran
                       require_natural, require_triangle, triangle_delta)
 from .flops import FlopCounter
 from .rules import _path_coefficient, find_pair_ells, find_valid_ells
-from .sht import (IrrepCoeffs, SphereGrid, _check_band_limit, _PackedBlocks, _require_finite,
-                  _single_degrees, _trusted, make_grid)
+from .sht import (IrrepCoeffs, SphereGrid, _Pending, _require_finite, _single_degrees, _trusted,
+                  make_grid)
 from .tsh import (SpinSignal, TshCoeffs, _decode, _decode_layout, _encode, scalar_from_spin0,
                   spin0_from_scalar, tsh_decode)
 
@@ -326,11 +327,13 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
     One call plan per (x degrees, y degrees, L3), in an 8-entry cache,
     holds the packed layout: each unordered pair a <= b covers both
     orders (a, b) and (b, a) that the inputs hold, and each order counts
-    ``pair_macs`` for its range.  The output's ``blocks`` is a
-    ``sht._PackedBlocks`` over the packed output array and the plan's span
-    map, so the call builds no per-block array: a block's view is cut
-    when it is read.  Each side is laid out once by ``_layout``, its keys
-    sorted once; the degree check reads those keys, and the finiteness
+    ``pair_macs`` for its range.  The output is built holding the packed
+    output array and the plan's span map (``sht._Pending``), so the call
+    builds no per-block array; the first read of ``blocks`` cuts the
+    views of all 3,281 blocks of a MIMO L = 16 -> 32 output in one pass
+    (about 0.85 ms), so a caller that reads one block pays for all of
+    them.  Each side is laid out once by ``_layout``, its keys sorted
+    once; the degree check reads those keys, and the finiteness
     check the packed vector that both kernels then use.  A MIMO plan
     holds 1.78 MB of ``np.intp`` indices at L = 16 and 25.3 MB at L = 32.
     The ``sparse`` kernel forms the outer product of the packed inputs
@@ -347,9 +350,9 @@ def cgtp_full(x: IrrepCoeffs, y: IrrepCoeffs, L3: int, mode: str = "sparse") -> 
     (xkeys, xv), (ykeys, yv) = x._layout(), y._layout()
     xdeg, ydeg = _single_degrees(xkeys), _single_degrees(ykeys)
     _require_finite(xv, yv)
-    _check_band_limit(L3)
+    require_natural(L3, "band limit L")
     plan = _call_plan(xdeg, ydeg, L3)
-    blocks = _PackedBlocks(kernel(plan, xv, yv), plan.spans)
+    blocks = _Pending(kernel(plan, xv, yv), plan.spans)
     return TpoResult(output=_trusted(IrrepCoeffs, L=L3, blocks=blocks), flops=plan.macs[mode])
 
 
@@ -437,7 +440,7 @@ def istp(x: TshCoeffs, y: TshCoeffs, s3: int, L3: int, grid: SphereGrid) -> TpoR
     if L3 > grid.Lg:
         raise ValueError(f"output band limit {L3} > grid exactness degree {grid.Lg}")
     _pointwise_terms(x.s, y.s, s3)  # raises on bad spins
-    _check_band_limit(L3)
+    require_natural(L3, "band limit L")
     (kx, px), (ky, py) = x._layout(), y._layout()
     _require_finite(px, py)
     fl = FlopCounter()

@@ -27,7 +27,8 @@ and the scalar transforms ``to_sphere`` and ``from_sphere`` are spin-0
 encode and decode.  A ``SpinSignal`` checks its spin, shape and
 finiteness; the encode core builds its ``SpinSignal`` unchecked
 (``sht._trusted``).  A decode holds its packed vector and the layout's
-span map (``sht._PackedBlocks``) and builds no per-block array.
+span map (``sht._Pending``) and builds no per-block array until its
+``blocks`` is first read.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ import numpy as np
 
 from .angular import _as_integers, _cg_entries, cg_block, require_natural, triangle_delta
 from .flops import FlopCounter
-from .sht import (IrrepCoeffs, SphereGrid, _analysis_core, _Blocks, _check_band_limit,
-                  _folded_scatter, _PackedBlocks, _padded_index, _require_finite, _synthesis_core,
-                  _trusted, make_grid, random_block, sh_eval)
+from .sht import (IrrepCoeffs, SphereGrid, _analysis_core, _Blocks, _folded_scatter, _padded_index,
+                  _Pending, _require_finite, _synthesis_core, _trusted, make_grid, random_block,
+                  sh_eval)
 
 __all__ = [
     "SpinSignal",
@@ -101,7 +102,7 @@ class TshCoeffs(_Blocks):
 
     def __post_init__(self):
         require_natural(self.s, "spin s")
-        _check_band_limit(self.L)
+        require_natural(self.L, "band limit L")
         super().__post_init__()
 
     def _check_key(self, j: int, l: int) -> None:
@@ -226,7 +227,9 @@ def _decode_layout(s: int, L: int):
     ``_coupling_table``, ms ascending.  ``weight`` holds each weight twice,
     once per float of the complex entry, and is None at spin 0, where the
     gather alone decodes.  Block (j, l) is packed[start:end] for
-    spans[(j, l)] = (start, end).
+    spans[(j, l)] = (start, end); every decode at (s, L) holds this one
+    span map in its ``sht._Pending`` blocks until the first read, and
+    nothing writes it.
     """
     keys = valid_pairs(s, L)
     ends = list(accumulate(2 * j + 1 for j, _l in keys))
@@ -289,11 +292,11 @@ def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCo
     One analysis of all components produces B^l_{ml,ms}; Clebsch-Gordan
     orthogonality then extracts each block:
     z^(j,l)_{mj} = sum_{ml,ms} C^{j,mj}_{l,ml,s,ms} B^l_{ml,ms}, or B^j_{mj} at spin 0.
-    The output's ``blocks`` is a ``sht._PackedBlocks`` over the packed
-    decode and the spans of ``_decode_layout(s, L)``: no per-block array
-    is built, and a block's view is cut when it is read.
+    The output is built holding the packed decode and the spans of
+    ``_decode_layout(s, L)`` (``sht._Pending``), so no per-block array is
+    built; the first read of ``blocks`` cuts a dict of all their views.
     """
-    blocks = _PackedBlocks(_decode(f, L, flops), _decode_layout(f.s, L)[1])
+    blocks = _Pending(_decode(f, L, flops), _decode_layout(f.s, L)[1])
     return _trusted(TshCoeffs, s=f.s, L=L, blocks=blocks)
 
 

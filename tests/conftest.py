@@ -25,12 +25,19 @@ def cg_passes(monkeypatch):
     return passes
 
 
-def _outcome(compare):
-    """compare()'s value, or ValueError where it raised one: a dict of arrays can't be true or false."""
-    try:
-        return compare()
-    except ValueError:
-        return ValueError
+def _pending(out):
+    """The packed array and span map a product output holds in its ``blocks`` field before the first read."""
+    from so3tp import sht
+
+    pending = vars(out)["blocks"]
+    assert type(pending) is sht._Pending
+    return pending
+
+
+@pytest.fixture
+def pending_blocks():
+    """``_pending``, for the product tests of every module."""
+    return _pending
 
 
 def _check_packed_output(out, packed, expect, other, shared=()):
@@ -38,43 +45,28 @@ def _check_packed_output(out, packed, expect, other, shared=()):
 
     ``out`` and ``other`` are two outputs of one call shape; ``packed`` is
     the array ``out``'s blocks must be cut from; ``expect`` is a dict of
-    views of an independent recomputation, laid out as the output dict
-    was when each block was a stored view; ``shared`` holds span maps
-    that no write may touch.  Every write to ``out`` is mirrored on a
-    plain dict, which ``out.blocks`` must match in order, length,
-    membership, values and ``repr``; ``==`` is checked against ``{}`` and
-    the second output, where a dict of fresh views gives the same outcome.
+    views of an independent recomputation, in span order; ``shared``
+    holds span maps that no write may touch.  Once read, ``blocks`` is a
+    plain dict, so what is checked is what a dict does not promise: the
+    blocks are views of ``packed`` with the expected bytes and order, and
+    writes reach neither the second output nor a shared span map.
     """
-    blocks = out.blocks
     shared_before = [dict(spans) for spans in shared]
     other_before = {key: vec.copy() for key, vec in other.blocks.items()}
-    assert list(blocks) == list(expect) and len(blocks) == len(expect)
+    blocks = out.blocks
+    assert type(blocks) is dict and list(blocks) == list(expect)
     for key, want in expect.items():
         vec = blocks[key]
-        assert key in blocks and vec.dtype == complex and vec.tobytes() == want.tobytes(), key
+        assert vec.dtype == complex and vec.tobytes() == want.tobytes(), key
         assert np.shares_memory(vec, packed), key
-    missing = ("no", "key")
-    assert missing not in blocks and blocks.get(missing) is None
-    with pytest.raises(KeyError):
-        blocks[missing]
-    model = dict(blocks)
-    assert (blocks == {}) == ({} == blocks) == (not expect) == (not blocks != {})
-    assert repr(blocks) == repr(model)
-    assert _outcome(lambda: blocks == other.blocks) == _outcome(lambda: model == dict(other.blocks))
     if not expect:
         return
     first, last = next(iter(expect)), list(expect)[-1]
     # an in-place write through block() reaches the packed array
     out.block(*first)[0] = 7 + 7j
     assert blocks[first][0] == 7 + 7j and np.count_nonzero(packed == 7 + 7j) == 1
-    # a raw rebind is unchecked and seen by every reader; the packed array keeps the old block
-    old, bad = blocks[last], np.full(3, np.nan)
-    blocks[last] = model[last] = bad
-    assert blocks[last] is bad and blocks.get(last) is bad and out.block(*last) is bad
-    assert dict(blocks)[last] is bad and dict(out.items())[last] is bad
-    assert old.tobytes() == expect[last].tobytes() and np.shares_memory(old, packed)
-    # set_block runs the one block check, then stores the checked vector
-    j = last[0]
+    # set_block runs the one block check, then stores the checked vector; the packed array keeps the old block
+    old, j = blocks[last], last[0]
     setter = (lambda vec: out.set_block(*last, vec)) if hasattr(out, "s") else (
         lambda vec: out.set_block(j, vec, tag=last[1]))
     for wrong in (np.full(2 * j + 1, np.inf), np.ones(2 * j + 2)):
@@ -82,20 +74,8 @@ def _check_packed_output(out, packed, expect, other, shared=()):
             setter(wrong)
     good = np.arange(2 * j + 1) + 1j
     setter(good)
-    model[last] = good
-    assert blocks[last] is good
-    # an added key goes last; a deleted one leaves the order of the others, and comes back last
-    added = np.ones(1, complex)
-    blocks[missing] = model[missing] = added
-    del blocks[first], model[first]
-    with pytest.raises(KeyError):
-        del blocks[first]
-    assert first not in blocks and list(blocks) == list(model) and len(blocks) == len(model)
-    blocks[first] = model[first] = added
-    assert list(blocks) == list(model) and len(blocks) == len(model)
-    assert all(blocks[key] is vec or blocks[key].tobytes() == vec.tobytes()
-               for key, vec in model.items())
-    assert repr(blocks) == repr(model)
+    assert out.block(*last) is good and blocks[last] is good
+    assert old.tobytes() == expect[last].tobytes() and np.shares_memory(old, packed)
     # the second output, the shared span maps and a rebuilt copy
     assert all(other.blocks[key].tobytes() == vec.tobytes() for key, vec in other_before.items())
     assert [dict(spans) for spans in shared] == shared_before

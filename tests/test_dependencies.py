@@ -67,6 +67,23 @@ def test_only_the_oracle_tests_import_sympy_or_mpmath():
     assert found == {"tests/test_oracle.py"}
 
 
+def _base_names(path: Path):
+    """(class, base) of every base class named in one module, by its last dotted part."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ClassDef):
+            for base in node.bases:
+                name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
+                yield node.name, name
+
+
+def test_no_library_class_is_a_mapping():
+    # ``blocks`` is a plain dict in every container: no second mapping type beside it
+    modules = sorted(Path(so3tp.__file__).parent.rglob("*.py"))
+    found = {(path.name, cls, base) for path in modules for cls, base in _base_names(path)
+             if base in {"Mapping", "MutableMapping", "dict"}}
+    assert found == set()
+
+
 def _relative_imports(path: Path):
     """(module, name) of every name a module imports from within the package."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

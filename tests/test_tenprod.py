@@ -272,23 +272,40 @@ def test_cgtp_full_warm_peak_memory(rng):
     assert peak <= 4_000_000
 
 
-def test_cgtp_full_warm_call_builds_no_block_arrays(rng):
-    # the output holds one packed array and the plan's own span map, so a
-    # warm call leaves far fewer live allocations than it has blocks
-    x, y = random_coeffs(16, rng), random_coeffs(16, rng)
-    cgtp_full(x, y, 32)
+def _live_allocations(call):
+    """call()'s result and the number of its allocations still live when it returns."""
     tracemalloc.start()
     try:
-        out = cgtp_full(x, y, 32).output
+        result = call()
         live = sum(stat.count for stat in tracemalloc.take_snapshot().statistics("filename"))
     finally:
         tracemalloc.stop()
+    return result, live
+
+
+def test_cgtp_full_warm_call_builds_no_block_arrays(rng, pending_blocks):
+    # the output holds one packed array and the plan's own span map until
+    # its first read, so a warm call leaves far fewer live allocations than
+    # it has blocks
+    x, y = random_coeffs(16, rng), random_coeffs(16, rng)
+    cgtp_full(x, y, 32)
+    out, live = _live_allocations(lambda: cgtp_full(x, y, 32).output)
+    assert pending_blocks(out).spans is tenprod._call_plan(tuple(range(17)), tuple(range(17)), 32).spans
     assert len(out.blocks) == 3281 and live < len(out.blocks) / 10
-    assert out.blocks.spans is tenprod._call_plan(tuple(range(17)), tuple(range(17)), 32).spans
+
+
+def test_warm_grid_product_builds_no_block_views(rng, pending_blocks):
+    # grid_mimo's op: spin-1 vstp at L = 32 on make_grid(64), decoded at L3 = 64
+    x, y, g = random_tsh_coeffs(1, 32, rng), random_tsh_coeffs(1, 32, rng), make_grid(64)
+    vstp(x, y, 64, g)
+    out, live = _live_allocations(lambda: vstp(x, y, 64, g).output)
+    assert pending_blocks(out).spans is tsh._decode_layout(1, 64)[1]
+    assert len(out.blocks) == 193 and live < len(out.blocks)
 
 
 @pytest.mark.parametrize("mode", ["sparse", "naive"])
-def test_cgtp_full_output_is_a_map_over_one_packed_array(mode, rng, packed_output_contract):
+def test_cgtp_full_output_is_a_map_over_one_packed_array(mode, rng, packed_output_contract,
+                                                        pending_blocks):
     # MIMO, a partial overlap of degrees, and an empty side
     for L, xdeg, ydeg, L3 in [(3, range(4), range(4), 6), (4, (0, 2, 4), (1, 4), 5),
                               (2, (), range(3), 4)]:
@@ -300,19 +317,21 @@ def test_cgtp_full_output_is_a_map_over_one_packed_array(mode, rng, packed_outpu
         xv, yv = (np.concatenate([*side.values(), np.zeros(0, complex)]) for side in (xs, ys))
         packed = tenprod._KERNELS[mode](plan, xv, yv)
         expect = {key: packed[start:end] for key, (start, end) in plan.spans.items()}
-        assert out.blocks.spans is plan.spans and other.blocks.packed is not out.blocks.packed
-        packed_output_contract(out, out.blocks.packed, expect, other, shared=(plan.spans,))
+        (out_packed, spans), other_packed = pending_blocks(out), pending_blocks(other).packed
+        assert spans is plan.spans and other_packed is not out_packed
+        packed_output_contract(out, out_packed, expect, other, shared=(plan.spans,))
 
 
-def test_grid_product_outputs_are_maps_over_one_packed_array(rng, packed_output_contract):
+def test_grid_product_outputs_are_maps_over_one_packed_array(rng, packed_output_contract,
+                                                            pending_blocks):
     g = make_grid(6)
     x, y = random_tsh_coeffs(1, 3, rng), random_tsh_coeffs(1, 3, rng)
     out, other = (vstp(x, y, 5, g).output for _ in range(2))
     packed = tsh._decode(pointwise_spin_tp(tsh.tsh_encode(x, g), tsh.tsh_encode(y, g), 1), 5, None)
     spans = tsh._decode_layout(1, 5)[1]
     expect = {key: packed[start:end] for key, (start, end) in spans.items()}
-    assert out.blocks.spans is spans
-    packed_output_contract(out, out.blocks.packed, expect, other, shared=(spans,))
+    assert pending_blocks(out).spans is spans
+    packed_output_contract(out, pending_blocks(out).packed, expect, other, shared=(spans,))
     # gtp reads the spin-0 decode into a dict of its views, keyed (j, None)
     a, b = random_coeffs(3, rng), random_coeffs(3, rng)
     out, other = (gtp(a, b, 5, g).output for _ in range(2))
@@ -323,31 +342,34 @@ def test_grid_product_outputs_are_maps_over_one_packed_array(rng, packed_output_
     packed_output_contract(out, out.block(0).base, expect, other, shared=(spans,))
 
 
-def test_a_shallow_copy_of_a_packed_output_keeps_its_writes_apart(rng):
-    # a write to each side, before and after the other side's first write,
-    # matched against the same writes to a dict and its copy
+def test_a_shallow_copy_of_a_packed_output_keeps_its_writes_apart(rng, pending_blocks):
+    # a copy of an unread output reads a dict of its own over the same packed
+    # array: writes to each side, the first while the other is still unread,
+    # match the same writes to a dict of the packed array's views
     x, y = random_coeffs(3, rng), random_coeffs(3, rng)
-    for written_before_copy in (False, True):
-        for copy_first in (False, True):
-            blocks = cgtp_full(x, y, 6).output.blocks
-            model, keys = dict(blocks), list(blocks)
-            if written_before_copy:
-                blocks[keys[0]] = model[keys[0]] = np.zeros(1)
-            twin, twin_model = copy.copy(blocks), copy.copy(model)
-            assert twin.packed is blocks.packed and twin.spans is blocks.spans
-            sides = [(twin, twin_model), (blocks, model)]
-            for n, (side, side_model) in enumerate(sides[::-1] if copy_first else sides):
-                side[keys[n + 1]] = side_model[keys[n + 1]] = np.full(1, n + 1.0)
-                del side[keys[n + 3]], side_model[keys[n + 3]]
-            for n, (side, side_model) in enumerate(sides[::-1] if copy_first else sides):
-                side[keys[n + 5]] = side_model[keys[n + 5]] = np.full(1, n + 5.0)
-            for side, side_model in sides:
-                assert list(side) == list(side_model)
-                assert all(side[key] is vec or side[key].tobytes() == vec.tobytes()
-                           for key, vec in side_model.items())
-            # the views of both sides still reach the one packed array
-            twin[keys[-1]][0] = 9j
-            assert blocks[keys[-1]][0] == 9j
+    for twin_first in (False, True):
+        out = cgtp_full(x, y, 6).output
+        twin = copy.copy(out)
+        packed, spans = pending = pending_blocks(out)
+        assert pending_blocks(twin) is pending
+        keys, sides = list(spans), [twin, out] if twin_first else [out, twin]
+        for n, side in enumerate(sides):
+            side.blocks[keys[n + 1]] = np.full(1, n + 1.0)
+            del side.blocks[keys[n + 3]]
+            if n == 0:
+                assert pending_blocks(sides[1]) is pending
+        for n, side in enumerate(sides):
+            side.blocks[keys[n + 5]] = np.full(1, n + 5.0)
+        for n, side in enumerate(sides):
+            model = {key: packed[start:end] for key, (start, end) in spans.items()}
+            model[keys[n + 1]] = np.full(1, n + 1.0)
+            del model[keys[n + 3]]
+            model[keys[n + 5]] = np.full(1, n + 5.0)
+            assert list(side.blocks) == list(model)
+            assert all(side.blocks[key].tobytes() == vec.tobytes() for key, vec in model.items())
+        # the views of both sides still reach the one packed array
+        twin.blocks[keys[-1]][0] = 9j
+        assert out.blocks is not twin.blocks and out.blocks[keys[-1]][0] == 9j
 
 
 @pytest.mark.parametrize("mode", ["sparse", "naive"])

@@ -1,7 +1,9 @@
 """Tests for tensor spherical harmonics and spin-signal transforms."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -251,15 +253,15 @@ def test_decode_zero_signal():
 
 
 @pytest.mark.parametrize("s", [0, 1, 2])
-def test_decode_output_is_a_map_over_one_packed_array(s, rng, packed_output_contract):
+def test_decode_output_is_a_map_over_one_packed_array(s, rng, packed_output_contract, pending_blocks):
     g = make_grid(5)
     f = tsh_encode(random_tsh_coeffs(s, 4, rng), g)
     z, other = tsh_decode(f, 4), tsh_decode(f, 4)
     spans = tsh._decode_layout(s, 4)[1]
     packed = tsh._decode(f, 4, None)
     expect = {key: packed[start:end] for key, (start, end) in spans.items()}
-    assert z.blocks.spans is spans
-    packed_output_contract(z, z.blocks.packed, expect, other, shared=(spans,))
+    assert pending_blocks(z).spans is spans
+    packed_output_contract(z, pending_blocks(z).packed, expect, other, shared=(spans,))
     # the encode reads a rebound block
     key = list(spans)[len(spans) // 2]
     z = tsh_decode(f, 4)
@@ -267,27 +269,28 @@ def test_decode_output_is_a_map_over_one_packed_array(s, rng, packed_output_cont
     as_dict = TshCoeffs(s=s, L=4, blocks=dict(z.blocks))
     assert tsh_encode(z, g).values.tobytes() == tsh_encode(as_dict, g).values.tobytes()
     if s == 0:
-        # scalar_from_spin0, and so from_sphere, reads a decode through the
-        # mapping API into a dict of its views, keyed (j, None)
+        # scalar_from_spin0, and so from_sphere, re-keys a decode's views
+        # (j, None) in a dict of their own
         scalar = {(j, None): vec for (j, _l), vec in expect.items()}
         a, b = from_sphere(f, 4), from_sphere(f, 4)
         packed_output_contract(a, a.block(0).base, scalar, b, shared=(spans,))
         z = tsh_decode(f, 4)
-        packed_output_contract(scalar_from_spin0(z), z.blocks.packed, scalar,
+        z_packed = pending_blocks(z).packed
+        packed_output_contract(scalar_from_spin0(z), z_packed, scalar,
                                scalar_from_spin0(tsh_decode(f, 4)), shared=(spans,))
 
 
 @pytest.mark.parametrize("s, L", [(0, 3), (1, 0), (1, 4), (2, 3)])
-def test_decode_keys_in_valid_pairs_order(s, L):
+def test_decode_keys_in_valid_pairs_order(s, L, pending_blocks):
     g = make_grid(L)
     values = np.ones((g.n_theta, g.n_phi, 2 * s + 1), complex)
     z = tsh_decode(SpinSignal(s=s, grid=g, values=values), L)
+    packed = pending_blocks(z).packed
     assert list(z.blocks) == valid_pairs(s, L) and (z.s, z.L) == (s, L)
-    # the output skips TshCoeffs' per-block check; it must pass it unchanged
-    # (each read cuts a fresh view, so the check keeps the bytes and the memory, not the object)
+    # the output skips TshCoeffs' per-block check; it must pass it unchanged,
+    # keeping each view
     checked = TshCoeffs(s=s, L=L, blocks=z.blocks)
-    assert all(checked.blocks[key].tobytes() == vec.tobytes()
-               and np.shares_memory(checked.blocks[key], z.blocks.packed)
+    assert all(checked.blocks[key] is vec and np.shares_memory(vec, packed)
                for key, vec in z.blocks.items())
     assert all(vec.dtype == complex and vec.shape == (2 * j + 1,) for (j, _l), vec in z.items())
 
@@ -545,7 +548,7 @@ def test_rotate_coeffs_keeps_the_container(rng):
             np.testing.assert_array_equal(rot.block(j, tag), wigner_d_matrix(j, *angles) @ vec)
 
 
-def test_containers_hold_exactly_their_fields(rng):
+def test_containers_hold_exactly_their_fields(rng, pending_blocks):
     # perfbench rebuilds outputs as type(out)(**{**vars(out), "blocks": ...}), so
     # vars() holds the dataclass fields and nothing else however a container is made
     irrep, spin = random_coeffs(2, rng), random_tsh_coeffs(1, 2, rng)
@@ -559,6 +562,22 @@ def test_containers_hold_exactly_their_fields(rng):
         dataclasses.replace(irrep, L=3), dataclasses.replace(spin, blocks={}),
         rotate_coeffs(irrep, 0.3, 1.1, -0.4), rotate_coeffs(spin, 0.3, 1.1, -0.4),
     ]
+    # copies of unread product outputs: copy and the rebuild keep the packed
+    # array, deepcopy and pickle copy it; none reads the original's blocks
+    for unread in (cgtp_full(irrep, irrep, 3).output, tsh_decode(tsh_encode(spin, make_grid(2)), 2)):
+        packed = pending_blocks(unread).packed
+        copies = [copy.copy(unread), copy.deepcopy(unread), pickle.loads(pickle.dumps(unread)),
+                  type(unread)(**vars(unread))]
+        fields = {f.name for f in dataclasses.fields(unread)}
+        assert pending_blocks(unread).packed is packed
+        assert all(vars(twin).keys() == fields for twin in [unread, *copies])
+        for twin, shared in zip(copies, (True, False, False, True)):
+            assert [(key, vec.tobytes()) for key, vec in twin.items()] == \
+                [(key, vec.tobytes()) for key, vec in unread.items()]
+            assert all(np.shares_memory(vec, packed) == shared for vec in twin.blocks.values())
+            assert twin.blocks is not unread.blocks
+        made += [unread, *copies]
+    assert not hasattr(IrrepCoeffs.__new__(IrrepCoeffs), "blocks")
     for z in made:
         fields = {f.name for f in dataclasses.fields(z)}
         assert vars(z).keys() == fields, type(z)
