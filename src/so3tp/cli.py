@@ -18,7 +18,7 @@ import numpy as np
 from . import bench, rules, serialize, tenprod, verify
 from .angular import wigner_9j_spin1
 from .exact import cg, wigner_9j
-from .rules import NotInteractable, PathKey, TriangleViolation
+from .rules import NotInteractable, PathKey
 from .sht import make_grid
 from .tsh import TshCoeffs, scalar_from_spin0, spin0_from_scalar, tsh_decode, tsh_encode
 
@@ -85,10 +85,7 @@ def _cmd_transform(args) -> int:
         serialize.write_file(serialize.samples_to_obj(sig), args.outfile)
     else:
         # sample dump -> coefficients
-        try:
-            sig = serialize.samples_from_obj(obj)
-        except serialize.SchemaError as exc:
-            return _usage_error(str(exc))
+        sig = serialize.samples_from_obj(obj)
         if sig.s != args.s:
             return _usage_error(f"--s {args.s} does not match the file spin {sig.s}")
         L = args.L if args.L is not None else sig.grid.Lg
@@ -167,8 +164,6 @@ def _cmd_rules_find_ells(args) -> int:
     except NotInteractable as exc:
         print(f"not interactable: {exc}")
         return 1
-    except TriangleViolation as exc:
-        return _usage_error(str(exc))
     print(f"ells: {ells[0]},{ells[1]},{ells[2]}")
     return 0
 
@@ -366,11 +361,7 @@ def main(argv=None) -> int:
         _print_config(args)  # --json runs embed the config in the payload instead
     try:
         return args.func(args)
-    except serialize.SchemaError as exc:
-        return _usage_error(str(exc))
-    except FileNotFoundError as exc:
-        return _usage_error(str(exc))
-    except (ValueError, TriangleViolation) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # SchemaError and TriangleViolation included
         return _usage_error(str(exc))
 
 

@@ -34,9 +34,11 @@ cs[m] = i (c[m] - (-1)^m c[-m]), so coefficient row r meets trig row r.
 Analysis writes the padded layout xpad[m + L, l - |m|, c]: order m
 indexes a row of degrees l = |m|..L, left-aligned, and c indexes signal
 components (2s+1 for a spin-s signal); the slots past l = L are
-unspecified.  Each transform runs its Legendre stage in runs of
-``_RUN`` = 16 orders, each run trimmed to the degree slots its orders
-use, and one phi GEMM, all components at once.  Samples are
+unspecified.  Each transform runs its Legendre stage as one loop over
+runs of ``_RUN`` = 16 orders from order 0, each run trimmed to the
+degree slots its orders use (the first skips order 0's absent sine
+row), and one phi GEMM, all components at once.  Neither core checks
+its input; ``tsh``'s public entries check band limits.  Samples are
 phi-major: ``values`` [i, k, c] is a transposed view of a C-contiguous
 [k, i, c] array, which the analysis GEMM reads in place.  This module
 owns both slot maps: ``_padded_index`` places (l, m) in the padded
@@ -446,26 +448,24 @@ def _synthesis_core(cf: np.ndarray, grid: SphereGrid, L: int,
     """Grid samples [i, k, c] from folded coefficients cf[r, l - m, c]; a view of phi-major samples.
 
     Row r pairs with trig row r of order m = (r + 1) // 2: cf[0] = c[0],
-    cf[2m] = cp[m] and cf[2m - 1] = cs[m] (``_folded_scatter``); slots
-    past l = L must hold zero.  The Legendre stage makes, per run of
-    ``_RUN`` orders m0..m1 - 1, one real batched matmul over the cosine
-    rows and one over the sine rows, trimmed to the K = L + 1 - m0 slots
-    the run's orders use.  The phi stage is one real GEMM against the
-    grid's cos/sin rows.  All components c share both stages.
+    cf[2m] = cp[m] and cf[2m - 1] = cs[m] (``_folded_scatter``).  Slots
+    past l = L must hold zero and L <= grid.Lg; neither is checked.  The
+    Legendre stage makes, per run of ``_RUN`` orders m0..m1 - 1, one real
+    batched matmul over the cosine rows and one over the sine rows of
+    orders m0 + s.., s = 1 in the first run since order 0 has no sine
+    row, trimmed to the K = L + 1 - m0 slots the run's orders use.  The
+    phi stage is one real GEMM against the grid's cos/sin rows.  All
+    components c share both stages.
     """
     n_comp = cf.shape[-1]
     runs, cf = grid.legendre, cf.view(float)
-    lam = runs[0][:L + 1, :, :L + 1]
     H = np.empty((2 * L + 1, grid.n_theta, 2 * n_comp))
-    # the first run reads all L + 1 slots, and order 0 has no sine row
-    np.matmul(lam, cf[:2 * _RUN:2], out=H[:2 * _RUN:2])
-    np.matmul(lam[1:], cf[1:2 * _RUN - 1:2], out=H[1:2 * _RUN - 1:2])
-    for m0 in range(_RUN, L + 1, _RUN):
-        K = L + 1 - m0
+    for m0 in range(0, L + 1, _RUN):
+        K, s = L + 1 - m0, int(m0 == 0)
         run = runs[m0 // _RUN][:K, :, :K]
-        cos, sin = slice(2 * m0, 2 * m0 + 2 * _RUN, 2), slice(2 * m0 - 1, 2 * m0 + 2 * _RUN - 1, 2)
+        cos, sin = slice(2 * m0, 2 * m0 + 2 * _RUN, 2), slice(2 * (m0 + s) - 1, 2 * m0 + 2 * _RUN - 1, 2)
         np.matmul(run, cf[cos, :K], out=H[cos])
-        np.matmul(run, cf[sin, :K], out=H[sin])
+        np.matmul(run[s:], cf[sin, :K], out=H[sin])
     values = grid.trig[:2 * L + 1].T @ H.reshape(2 * L + 1, -1)
     if flops is not None:
         flops.add(n_comp * transform_macs(grid.Lg, L))
@@ -488,7 +488,7 @@ def _unfold(pos: np.ndarray, sin: np.ndarray, neg: np.ndarray, odd: int) -> None
 
 def _analysis_core(values: np.ndarray, grid: SphereGrid, L: int,
                    flops: FlopCounter | None) -> np.ndarray:
-    """Padded coefficients xpad[m + L, l - |m|, c] from grid samples [i, k, c]; L <= grid.Lg.
+    """Padded coefficients xpad[m + L, l - |m|, c] from grid samples [i, k, c]; L <= grid.Lg, unchecked.
 
     The phi stage runs the synthesis GEMM in reverse on the phi-major
     samples (no copy when ``values`` is a view of C-contiguous phi-major
@@ -496,32 +496,25 @@ def _analysis_core(values: np.ndarray, grid: SphereGrid, L: int,
     by the grid's contiguous ``_analysis_row`` weighs its theta rows.
     Per run of ``_RUN`` orders m0..m1 - 1, the run's m >= 0 table block,
     transposed and trimmed to K = L + 1 - m0 slots, contracts its cosine
-    rows into P_cos and its sine rows into P_sin, and the unfold x[m] =
+    rows into P_cos and the sine rows of orders m0 + s.. into P_sin (s = 1
+    in the first run: order 0 has no sine row), and the unfold x[m] =
     P_cos - i P_sin, x[-m] = (-1)^m (P_cos + i P_sin) writes the run's
     rows of the padded layout.  Slots past l = L are unspecified: a run leaves the unused
     tail of its rows as allocated, so they may hold anything, NaN included.
     """
-    require_natural(L, "band limit L")
-    if L > grid.Lg:
-        raise ValueError(f"analysis degree {L} > grid exactness degree {grid.Lg}")
     n_comp = values.shape[-1]
     samples = np.ascontiguousarray(values.transpose(1, 0, 2), dtype=complex)
     F = grid.trig[:2 * L + 1] @ samples.reshape(grid.n_phi, -1).view(float)
     F *= grid._analysis_row(n_comp)
     F = F.reshape(2 * L + 1, grid.n_theta, 2 * n_comp)
     runs = grid.legendre
-    lam = runs[0][:L + 1, :, :L + 1].transpose(0, 2, 1)
     xpad = np.empty((2 * L + 1, L + 1, n_comp), dtype=complex)
-    # the first run reads all L + 1 slots, and order 0 has no sine row
-    np.matmul(lam, F[:2 * _RUN:2], out=xpad[L:L + _RUN].view(float))
-    sin = np.matmul(lam[1:], F[1:2 * _RUN - 1:2]).view(complex)
-    _unfold(xpad[L + 1:L + _RUN], sin, xpad[:L][::-1][:_RUN - 1], 1)
-    for m0 in range(_RUN, L + 1, _RUN):
-        K = L + 1 - m0
+    for m0 in range(0, L + 1, _RUN):
+        K, s = L + 1 - m0, int(m0 == 0)
         run, pos = runs[m0 // _RUN][:K, :, :K].transpose(0, 2, 1), xpad[L + m0:L + m0 + _RUN, :K]
         np.matmul(run, F[2 * m0:2 * m0 + 2 * _RUN:2], out=pos.view(float))
-        sin = np.matmul(run, F[2 * m0 - 1:2 * m0 + 2 * _RUN - 1:2]).view(complex)
-        _unfold(pos, sin, xpad[L - m0::-1][:_RUN, :K], 0)
+        sin = np.matmul(run[s:], F[2 * (m0 + s) - 1:2 * m0 + 2 * _RUN - 1:2]).view(complex)
+        _unfold(pos[s:], sin, xpad[:L + 1 - m0 - s][::-1][:_RUN - s, :K], s)
     if flops is not None:
         flops.add(n_comp * transform_macs(grid.Lg, L))
     return xpad

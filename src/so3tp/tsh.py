@@ -295,7 +295,12 @@ def tsh_decode(f: SpinSignal, L: int, flops: FlopCounter | None = None) -> TshCo
     The output is built holding the packed decode and the spans of
     ``_decode_layout(s, L)`` (``sht._Pending``), so no per-block array is
     built; the first read of ``blocks`` cuts a dict of all their views.
+    Raises ``ValueError`` for an L that is not a non-negative integer or
+    exceeds grid.Lg, before any grid table is built.
     """
+    require_natural(L, "band limit L")
+    if L > f.grid.Lg:
+        raise ValueError(f"analysis degree {L} > grid exactness degree {f.grid.Lg}")
     blocks = _Pending(_decode(f, L, flops), _decode_layout(f.s, L)[1])
     return _trusted(TshCoeffs, s=f.s, L=L, blocks=blocks)
 

@@ -263,6 +263,15 @@ def test_rules_cli(capsys):
     assert code == 0 and out.splitlines()[-1] == "4"
 
 
+@pytest.mark.parametrize("argv", [
+    ("rules", "find-ells", "--j", "1,1,5"),
+    ("tp", "simulate", "--j1", "1", "--j2", "1", "--j3", "5", "--x", "1,2,3", "--y", "1,2,3"),
+])
+def test_triangle_violation_is_a_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "(1, 1, 5) violates the triangle condition" in err
+
+
 def test_bench_cli(tmp_path, capsys):
     csv = tmp_path / "b.csv"
     svg = tmp_path / "b.svg"

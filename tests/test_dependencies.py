@@ -241,3 +241,31 @@ def test_only_the_block_packer_concatenates_in_the_grid_modules():
         visitor.visit(ast.parse((package / name).read_text(), filename=name))
         uses |= {(name, scope) for scope in visitor.found}
     assert uses == {("sht.py", "_layout")}
+
+
+_UNCHECKED_KERNELS = {
+    "sht.py": {"_synthesis_core", "_analysis_core", "_unfold"},
+    "tsh.py": {"_encode", "_decode"},
+    "tenprod.py": {"_grid_product", "_pair_product", "_sparse_contract", "_dense_pairs"},
+}
+
+
+def test_private_cores_check_nothing():
+    # the public entries check their inputs once; the kernels they call
+    # raise nothing and call no ``require_*`` or ``_require_*`` helper
+    package = Path(so3tp.__file__).parent
+    seen, checks = set(), set()
+    for name, kernels in _UNCHECKED_KERNELS.items():
+        for node in ast.parse((package / name).read_text(), filename=name).body:
+            if not (isinstance(node, ast.FunctionDef) and node.name in kernels):
+                continue
+            seen.add(node.name)
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Raise):
+                    checks.add((node.name, "raise"))
+                elif isinstance(inner, ast.Call):
+                    called = getattr(inner.func, "attr", getattr(inner.func, "id", ""))
+                    if called.startswith(("require_", "_require_")):
+                        checks.add((node.name, called))
+    assert seen == set().union(*_UNCHECKED_KERNELS.values())
+    assert checks == set()

@@ -249,6 +249,22 @@ def test_from_sphere_rejects_negative_band_limit_before_any_table():
     assert not _TABLES & vars(g).keys()
 
 
+@pytest.mark.parametrize("L, message", [
+    (3, "analysis degree 3 > grid exactness degree 2"),
+    (-1, "band limit L=-1 must be non-negative"),
+    (2.0, "band limit L=2.0 must be an integer"),
+])
+@pytest.mark.parametrize("s", [0, 1])
+def test_tsh_decode_checks_the_band_before_any_table(s, L, message):
+    # the analysis core checks nothing: its one public entry checks the band
+    make_grid.cache_clear()
+    g = make_grid(2)
+    f = SpinSignal(s=s, grid=g, values=np.zeros((g.n_theta, g.n_phi, 2 * s + 1), dtype=complex))
+    with pytest.raises(ValueError, match=message):
+        tsh_decode(f, L)
+    assert not _TABLES & vars(g).keys()
+
+
 def test_from_sphere_rejects_spin_1_before_any_table():
     make_grid.cache_clear()
     g = make_grid(2)
